@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 use flymon::prelude::*;
 use flymon::FlymonError;
 use flymon_packet::Packet;
-use flymon_rmt::hash::{fmix32, murmur3_32};
+use flymon_rmt::hash::{fmix32, murmur3_32_word};
 use flymon_sketches::hll::estimate_from_registers;
 
 /// Seed of the ingress/shard hash. Shared with
@@ -267,7 +267,22 @@ pub fn scan_row(row: &[u32], cap: u32) -> RowOccupancy {
 /// Panics if `n` is zero — an empty datapath has no shards.
 pub fn shard_of(pkt: &Packet, n: usize) -> usize {
     assert!(n > 0, "cannot shard across zero workers");
-    fmix32(murmur3_32(INGRESS_HASH_SEED, &pkt.src_ip.to_be_bytes())) as usize % n
+    let h = ingress_hash(pkt);
+    // A 32-bit modulus whenever `n` fits one (a 64-bit divide costs
+    // several times more); a wider `n` exceeds every digest, so the
+    // remainder is the digest itself.
+    match u32::try_from(n) {
+        Ok(n) => (h % n) as usize,
+        Err(_) => h as usize,
+    }
+}
+
+/// The mixed ingress hash of `pkt`: murmur3 over the source address's
+/// four network-order bytes (the single-word path — no slice walk),
+/// finalized through [`fmix32`].
+#[inline]
+fn ingress_hash(pkt: &Packet) -> u32 {
+    fmix32(murmur3_32_word(INGRESS_HASH_SEED, pkt.src_ip.swap_bytes()))
 }
 
 /// Partitions `trace` into `n` shards by [`shard_of`], preserving the
@@ -299,7 +314,7 @@ pub const FANOUT_SLOTS: usize = 256;
 /// slot map flow-affine.
 #[inline]
 pub fn slot_of(pkt: &Packet) -> usize {
-    fmix32(murmur3_32(INGRESS_HASH_SEED, &pkt.src_ip.to_be_bytes())) as usize & (FANOUT_SLOTS - 1)
+    ingress_hash(pkt) as usize & (FANOUT_SLOTS - 1)
 }
 
 /// Packets per batch handed from the ingress to a worker ring (and per
@@ -965,6 +980,26 @@ mod tests {
             .algorithm(Algorithm::Cms { d })
             .memory(1024)
             .build()
+    }
+
+    #[test]
+    fn shard_of_matches_the_generic_byte_slice_hash() {
+        // The mapping is frozen: the single-word murmur3 path and the
+        // 32-bit modulus must pick the shard the generic byte-slice
+        // function and a `usize` modulus pick, for every address.
+        use flymon_packet::SplitMix64;
+        use flymon_rmt::hash::murmur3_32;
+        let mut rng = SplitMix64::new(0x5a4d);
+        for i in 0..1_050_000u32 {
+            // Seeded addresses, plus a run of sequential ones.
+            let ip = if i < 1_000_000 { rng.next_u32() } else { i };
+            let pkt = Packet::udp(ip, 1, 2, 3);
+            let generic = fmix32(murmur3_32(INGRESS_HASH_SEED, &ip.to_be_bytes())) as usize;
+            for n in 1..=8 {
+                assert_eq!(shard_of(&pkt, n), generic % n, "ip {ip:#x} n {n}");
+            }
+            assert_eq!(slot_of(&pkt), generic & (FANOUT_SLOTS - 1));
+        }
     }
 
     #[test]

@@ -228,7 +228,23 @@ pub struct SwitchFleet {
     total_rotation_stall: Duration,
     /// Epoch rotations performed (successful or failed mid-sweep).
     rotations: u64,
+    /// Failover target of every ingress under the liveness the last
+    /// packet call saw ([`SwitchFleet::resolve_targets`]); scratch, not
+    /// state — rebuilt at the top of every packet call.
+    targets: Vec<Option<usize>>,
+    /// Per-switch staging buckets of [`SwitchFleet::process_trace`]:
+    /// reused across calls, never more than [`STAGE_BLOCK`] packets in
+    /// all of them together.
+    staging: Vec<Vec<Packet>>,
 }
+
+/// Packets [`SwitchFleet::process_trace`] buckets before it flushes the
+/// buckets through [`FlyMon::process_batch`]. Bounds the staging memory
+/// whatever the slice length (32-byte packets: 128 KB across the whole
+/// fleet, cache-resident between the bucketing pass and the batches),
+/// and is long enough that each switch's share still fills the
+/// stage-major chunks.
+const STAGE_BLOCK: usize = 4096;
 
 /// One epoch's merged pre-reset readout ([`SwitchFleet::rotate_epoch`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -327,6 +343,8 @@ impl SwitchFleet {
             last_rotation_stall: Duration::ZERO,
             total_rotation_stall: Duration::ZERO,
             rotations: 0,
+            targets: Vec::with_capacity(n),
+            staging: vec![Vec::new(); n],
         })
     }
 
@@ -1240,6 +1258,10 @@ impl SwitchFleet {
     /// stand-in for the fabric's failover). Drops the packet if the
     /// whole fleet is dead — or empty.
     ///
+    /// This is the single-packet API and the reference semantics of the
+    /// batched [`SwitchFleet::process_trace`]: it runs the per-packet
+    /// interpreter ([`FlyMon::process`]), one packet, one ledger tick.
+    ///
     /// # Panics
     /// Panics if `ingress` is out of range on a non-empty fleet.
     pub fn process(&mut self, ingress: usize, pkt: &Packet) {
@@ -1252,7 +1274,8 @@ impl SwitchFleet {
             return;
         }
         assert!(ingress < n, "ingress {ingress} out of range ({n} switches)");
-        match self.route(ingress) {
+        self.resolve_targets();
+        match self.targets[ingress] {
             Some(i) => {
                 self.switches[i].process(pkt);
                 self.represented[i] += 1;
@@ -1261,20 +1284,45 @@ impl SwitchFleet {
         }
     }
 
-    /// The switch that actually takes traffic entering at `ingress`:
-    /// `ingress` itself if alive, else the next alive switch in the
-    /// deterministic linear probe. `None` when the whole fleet is dead.
-    fn route(&self, ingress: usize) -> Option<usize> {
-        let n = self.switches.len();
-        (0..n)
-            .map(|probe| (ingress + probe) % n)
-            .find(|&i| self.alive[i])
+    /// Rebuilds `self.targets`: for every ingress, the switch that
+    /// actually takes its traffic — the ingress itself if alive, else
+    /// the next alive switch in the deterministic linear probe
+    /// `(ingress + k) % n`; `None` everywhere when the whole fleet is
+    /// dead. Liveness cannot change inside a packet call, so every
+    /// packet path resolves failover here once per call, never per
+    /// packet. One backward sweep twice around the ring: the first lap
+    /// carries the wrap-around successor in, the second assigns.
+    fn resolve_targets(&mut self) {
+        let n = self.alive.len();
+        self.targets.clear();
+        self.targets.resize(n, None);
+        let mut next_alive = None;
+        for lap in (0..2 * n).rev() {
+            let i = lap % n;
+            if self.alive[i] {
+                next_alive = Some(i);
+            }
+            if lap < n {
+                self.targets[i] = next_alive;
+            }
+        }
     }
 
     /// Splits a trace across ingresses by source address (a stand-in
-    /// for topology-based ingress assignment). An empty fleet records
-    /// every packet as dropped instead of panicking on the ingress
-    /// modulus.
+    /// for topology-based ingress assignment) and feeds every switch
+    /// its share through the stage-major batched datapath. An empty
+    /// fleet records every packet as dropped instead of panicking on
+    /// the ingress modulus.
+    ///
+    /// Failover is resolved once per call, then each [`STAGE_BLOCK`] of
+    /// the slice is bucketed by target switch in one pass (into staging
+    /// buffers the fleet owns and reuses) and every non-empty bucket
+    /// goes through one [`FlyMon::process_batch`]. Switches are
+    /// disjoint state, bucketing preserves each switch's packet order,
+    /// and batch ≡ per-packet is a pinned invariant of the core
+    /// (`tests/batch.rs`) — so registers, hit counters and the ledger
+    /// end bit-identical to `for p in trace { process(shard_of(p, n),
+    /// p) }` (pinned by `tests/fleet_batch.rs`).
     pub fn process_trace(&mut self, trace: &[Packet]) {
         let n = self.switches.len();
         if n == 0 {
@@ -1282,22 +1330,37 @@ impl SwitchFleet {
             self.dropped_packets += trace.len() as u64;
             return;
         }
-        for p in trace {
-            self.process(datapath::shard_of(p, n), p);
+        self.resolve_targets();
+        for block in trace.chunks(STAGE_BLOCK) {
+            let mut dropped = 0u64;
+            for p in block {
+                match self.targets[datapath::shard_of(p, n)] {
+                    Some(i) => self.staging[i].push(*p),
+                    None => dropped += 1,
+                }
+            }
+            self.total_fed += block.len() as u64;
+            self.dropped_packets += dropped;
+            for (i, bucket) in self.staging.iter_mut().enumerate() {
+                if !bucket.is_empty() {
+                    self.represented[i] += self.switches[i].process_batch(bucket).packets;
+                    bucket.clear();
+                }
+            }
         }
     }
 
     /// Parallel [`SwitchFleet::process_trace`]: routes every packet to
     /// the switch the serial path would pick (ingress hash + failover
-    /// probe, with liveness frozen for the replay) through the shared
+    /// target, resolved once for the replay) through the shared
     /// ingress/worker pipeline. Switches are disjoint state, so the
     /// resulting registers — and therefore every merged readout — are
     /// bit-identical to the serial replay.
     ///
     /// Routing must be honored exactly (failover targets, drop
     /// attribution on dead switches), so the replay never stripes:
-    /// `can_stripe` is false and the frozen-liveness closure runs once
-    /// per packet on the ingress thread.
+    /// `can_stripe` is false and the routing closure runs once per
+    /// packet on the ingress thread.
     ///
     /// Returns per-worker throughput stats; fleet-level
     /// [`SwitchFleet::dropped_packets`] accounting is updated as usual,
@@ -1309,20 +1372,18 @@ impl SwitchFleet {
             self.dropped_packets += trace.len() as u64;
             return Vec::new();
         }
-        // Freeze liveness for the replay: routing decisions must reflect
-        // a single snapshot of `alive` for the whole trace — the same
-        // semantics the old serial prologue had, without the prologue.
-        let alive = self.alive.clone();
+        self.resolve_targets();
+        let targets = &self.targets;
         let mut stats = Vec::new();
         let total = datapath::replay_pipeline(
             &mut self.switches,
             trace,
             |p| {
                 let ingress = datapath::shard_of(p, n);
-                let to = (0..n)
-                    .map(|probe| (ingress + probe) % n)
-                    .find(|&i| alive[i]);
-                datapath::Assignment { ingress, to }
+                datapath::Assignment {
+                    ingress,
+                    to: targets[ingress],
+                }
             },
             false,
             None,

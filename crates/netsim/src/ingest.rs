@@ -190,21 +190,40 @@ impl BoundedQueue {
         true
     }
 
+    /// Enqueues all of `pkts` with one bulk move, leaving it empty. The
+    /// caller guarantees the room (`len() + pkts.len() <= capacity()`);
+    /// statistics end as that many [`BoundedQueue::push`] calls leave
+    /// them.
+    fn push_all(&mut self, pkts: &mut VecDeque<Packet>) {
+        debug_assert!(self.buf.len() + pkts.len() <= self.capacity);
+        self.stats.enqueued += pkts.len() as u64;
+        self.buf.append(pkts);
+        self.stats.high_watermark = self.stats.high_watermark.max(self.buf.len());
+    }
+
     /// Dequeues up to `n` packets in FIFO order.
     pub fn pop_n(&mut self, n: usize) -> Vec<Packet> {
-        let take = n.min(self.buf.len());
-        let out: Vec<Packet> = self.buf.drain(..take).collect();
-        self.stats.dequeued += out.len() as u64;
+        let (head, tail) = self.front(n);
+        let out = [head, tail].concat();
+        self.discard(out.len());
         out
     }
 
-    /// Pushes a batch back to the *front*, preserving its order — the
-    /// supervisor's retry path for a batch whose worker panicked before
-    /// touching fleet state.
-    pub fn unpop(&mut self, batch: Vec<Packet>) {
-        for pkt in batch.into_iter().rev() {
-            self.buf.push_front(pkt);
-        }
+    /// The oldest up-to-`n` packets in FIFO order, borrowed in place:
+    /// the ring's storage wraps at most once, hence two slices (either
+    /// may be empty). [`BoundedQueue::discard`] dequeues them.
+    fn front(&self, n: usize) -> (&[Packet], &[Packet]) {
+        let (head, tail) = self.buf.as_slices();
+        let head = &head[..n.min(head.len())];
+        let tail = &tail[..(n - head.len()).min(tail.len())];
+        (head, tail)
+    }
+
+    /// Dequeues the oldest `n` packets (`n <= len()`) without copying
+    /// them out.
+    fn discard(&mut self, n: usize) {
+        self.buf.drain(..n);
+        self.stats.dequeued += n as u64;
     }
 
     /// Lifetime statistics.
@@ -238,6 +257,20 @@ impl Default for AdmissionConfig {
             priority: None,
         }
     }
+}
+
+/// What the admission ladder does with one arriving packet, decided by
+/// the queue occupancy it arrives at (a full queue blocks before any
+/// rung is consulted).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rung {
+    /// Below the high watermark: admitted.
+    Admit,
+    /// At or above the high watermark: shed on a seeded coin.
+    CoinShed,
+    /// At or above the critical watermark: shed unless it matches the
+    /// priority filter.
+    PriorityShed,
 }
 
 /// The runtime's supervised health state machine.
@@ -683,6 +716,33 @@ impl StreamingRuntime {
         budget
     }
 
+    /// The ladder rung a packet meets when it arrives with `depth`
+    /// packets already queued.
+    fn rung_at(&self, depth: usize) -> Rung {
+        let occ = depth as f64 / self.queue.capacity() as f64;
+        if occ >= self.cfg.admission.critical_watermark {
+            Rung::PriorityShed
+        } else if occ >= self.cfg.admission.high_watermark {
+            Rung::CoinShed
+        } else {
+            Rung::Admit
+        }
+    }
+
+    /// True when the admission loop would admit the whole backlog with
+    /// no rung firing: the queue has room for all of it, and the *last*
+    /// packet — which arrives at the greatest depth, and occupancy only
+    /// grows with depth — still meets [`Rung::Admit`]. Under this
+    /// condition the per-packet loop pushes every packet and never
+    /// draws the shed coin, so one bulk move leaves the stats, the
+    /// queue and the RNG exactly as that loop would.
+    fn ladder_at_rest(&self) -> bool {
+        match (self.queue.len() + self.backlog.len()).checked_sub(1) {
+            Some(last) => last < self.queue.capacity() && self.rung_at(last) == Rung::Admit,
+            None => true,
+        }
+    }
+
     fn set_health(&mut self, next: RuntimeHealth) {
         if self.health != next {
             self.health = next;
@@ -764,8 +824,14 @@ impl StreamingRuntime {
             self.stats.blocked_steps += 1;
         }
 
-        // 3. Admission ladder.
+        // 3. Admission ladder. When no rung can fire for any packet of
+        // the backlog, the whole backlog is admitted with one bulk move.
         let mut shed_this_step = 0usize;
+        if self.ladder_at_rest() {
+            out.admitted = self.backlog.len();
+            self.stats.admitted += self.backlog.len() as u64;
+            self.queue.push_all(&mut self.backlog);
+        }
         while let Some(pkt) = self.backlog.pop_front() {
             if self.queue.is_full() {
                 // Rung 1: block. The packet (and everything behind it)
@@ -773,25 +839,28 @@ impl StreamingRuntime {
                 self.backlog.push_front(pkt);
                 break;
             }
-            let occ = self.queue.occupancy();
-            if occ >= self.cfg.admission.critical_watermark {
-                let keep = self
-                    .cfg
-                    .admission
-                    .priority
-                    .map(|f| f.matches(&pkt))
-                    .unwrap_or(false);
-                if !keep {
-                    self.stats.shed_priority += 1;
-                    shed_this_step += 1;
-                    continue;
+            match self.rung_at(self.queue.len()) {
+                Rung::Admit => {}
+                Rung::CoinShed => {
+                    if self.rng.chance(self.cfg.admission.shed_probability) {
+                        self.stats.shed_random += 1;
+                        shed_this_step += 1;
+                        continue;
+                    }
                 }
-            } else if occ >= self.cfg.admission.high_watermark
-                && self.rng.chance(self.cfg.admission.shed_probability)
-            {
-                self.stats.shed_random += 1;
-                shed_this_step += 1;
-                continue;
+                Rung::PriorityShed => {
+                    let keep = self
+                        .cfg
+                        .admission
+                        .priority
+                        .map(|f| f.matches(&pkt))
+                        .unwrap_or(false);
+                    if !keep {
+                        self.stats.shed_priority += 1;
+                        shed_this_step += 1;
+                        continue;
+                    }
+                }
             }
             let pushed = self.queue.push(pkt);
             debug_assert!(pushed, "fullness was checked above");
@@ -857,14 +926,23 @@ impl StreamingRuntime {
         if self.health != RuntimeHealth::Recovering {
             let budget = self.drain_budget(step);
             if budget > 0 && !self.queue.is_empty() {
-                let batch = self.queue.pop_n(budget);
-                self.fleet.process_trace(&batch);
-                if let Some(w) = self.watch.as_mut() {
-                    w.processed += batch.iter().filter(|p| same_flow(p, &w.pkt)).count() as u64;
+                // The batch is fed from the ring's own storage — two
+                // slices where it wraps; liveness is the same for both
+                // and per-switch order is kept, so two calls leave the
+                // fleet exactly where one call on their concatenation
+                // would — and only then dequeued.
+                let (head, tail) = self.queue.front(budget);
+                for part in [head, tail] {
+                    self.fleet.process_trace(part);
+                    if let Some(w) = self.watch.as_mut() {
+                        w.processed += part.iter().filter(|p| same_flow(p, &w.pkt)).count() as u64;
+                    }
                 }
-                self.stats.processed += batch.len() as u64;
-                self.processed_since_rotate += batch.len() as u64;
-                out.drained = batch.len();
+                let drained = head.len() + tail.len();
+                self.queue.discard(drained);
+                self.stats.processed += drained as u64;
+                self.processed_since_rotate += drained as u64;
+                out.drained = drained;
             }
         }
 
@@ -1016,17 +1094,247 @@ mod tests {
     }
 
     #[test]
-    fn unpop_preserves_fifo_order() {
+    fn pop_n_is_fifo_across_the_ring_wrap() {
+        // Head and tail of a wrapped ring come back as one ordered
+        // batch, and a short queue yields what it has.
         let mut q = BoundedQueue::new(8);
-        for i in 0..4u32 {
+        for i in 0..6u32 {
             q.push(Packet::tcp(i, 0, 0, 0));
         }
-        let batch = q.pop_n(3);
-        assert_eq!(batch.len(), 3);
-        q.unpop(batch);
-        let replay = q.pop_n(4);
-        let srcs: Vec<u32> = replay.iter().map(|p| p.src_ip).collect();
-        assert_eq!(srcs, vec![0, 1, 2, 3], "retried batch keeps stream order");
+        assert_eq!(q.pop_n(5).len(), 5);
+        for i in 6..12u32 {
+            q.push(Packet::tcp(i, 0, 0, 0));
+        }
+        let srcs = |batch: Vec<Packet>| batch.iter().map(|p| p.src_ip).collect::<Vec<_>>();
+        assert_eq!(srcs(q.pop_n(4)), vec![5, 6, 7, 8]);
+        assert_eq!(srcs(q.pop_n(9)), vec![9, 10, 11]);
+        assert_eq!(q.stats().dequeued, 12);
+        assert!(q.pop_n(1).is_empty());
+    }
+
+    /// The admission ladder exactly as the module docs state it, one
+    /// packet at a time — the reference [`StreamingRuntime::step`]'s
+    /// bulk admission must be indistinguishable from. Models a
+    /// fault-free runtime over a healthy fleet: every drained packet is
+    /// represented, none is lost or dropped.
+    struct PerPacketReference {
+        cfg: IngestConfig,
+        queue: VecDeque<Packet>,
+        backlog: VecDeque<Packet>,
+        rng: SplitMix64,
+        stats: RuntimeStats,
+        queue_stats: QueueStats,
+        health: RuntimeHealth,
+    }
+
+    impl PerPacketReference {
+        fn new(cfg: IngestConfig) -> Self {
+            PerPacketReference {
+                rng: SplitMix64::new(cfg.seed),
+                cfg,
+                queue: VecDeque::new(),
+                backlog: VecDeque::new(),
+                stats: RuntimeStats::default(),
+                queue_stats: QueueStats::default(),
+                health: RuntimeHealth::Healthy,
+            }
+        }
+
+        fn step(&mut self, source: &mut dyn ChunkSource) {
+            let adm = self.cfg.admission;
+            self.stats.steps += 1;
+            self.stats.syncs += 1;
+            if self.backlog.is_empty() {
+                if let Some(chunk) = source.next_chunk() {
+                    self.stats.offered += chunk.len() as u64;
+                    self.backlog.extend(chunk);
+                }
+            } else {
+                self.stats.blocked_steps += 1;
+            }
+            let shed_before = self.stats.shed();
+            while let Some(pkt) = self.backlog.pop_front() {
+                if self.queue.len() >= self.cfg.queue_capacity {
+                    self.backlog.push_front(pkt);
+                    break;
+                }
+                let occ = self.queue.len() as f64 / self.cfg.queue_capacity as f64;
+                if occ >= adm.critical_watermark {
+                    if !adm.priority.is_some_and(|f| f.matches(&pkt)) {
+                        self.stats.shed_priority += 1;
+                        continue;
+                    }
+                } else if occ >= adm.high_watermark && self.rng.chance(adm.shed_probability) {
+                    self.stats.shed_random += 1;
+                    continue;
+                }
+                self.queue.push_back(pkt);
+                self.stats.admitted += 1;
+                self.queue_stats.enqueued += 1;
+                self.queue_stats.high_watermark = self.queue_stats.high_watermark.max(self.queue.len());
+            }
+            while self.backlog.len() > self.cfg.backlog_limit {
+                self.backlog.pop_back();
+                self.stats.shed_overflow += 1;
+            }
+            let drained = self.cfg.drain_chunk.min(self.queue.len());
+            self.queue.drain(..drained);
+            self.queue_stats.dequeued += drained as u64;
+            self.stats.processed += drained as u64;
+            let occ = self.queue.len() as f64 / self.cfg.queue_capacity as f64;
+            let next = if self.stats.shed() > shed_before || occ >= adm.high_watermark {
+                RuntimeHealth::Shedding
+            } else if !self.backlog.is_empty() {
+                RuntimeHealth::Degraded
+            } else {
+                RuntimeHealth::Healthy
+            };
+            if next != self.health {
+                self.health = next;
+                self.stats.health_transitions += 1;
+            }
+        }
+
+        fn ledger(&self) -> StreamLedger {
+            StreamLedger {
+                fed: self.stats.offered,
+                in_flight: (self.queue.len() + self.backlog.len()) as u64,
+                represented: self.stats.processed,
+                shed: self.stats.shed(),
+                lost: 0,
+                dropped: 0,
+            }
+        }
+    }
+
+    /// Chunks of scripted sizes over seeded packets, a quarter of which
+    /// match the priority filter `src 10.0.0.0/8`; dry once the script
+    /// ends.
+    struct SizedChunks {
+        sizes: std::vec::IntoIter<usize>,
+        rng: SplitMix64,
+    }
+
+    impl ChunkSource for SizedChunks {
+        fn next_chunk(&mut self) -> Option<Vec<Packet>> {
+            let len = self.sizes.next()?;
+            let rng = &mut self.rng;
+            Some(
+                (0..len)
+                    .map(|_| {
+                        let r = rng.next_u32();
+                        let src = if r & 3 == 0 { 10 << 24 | r >> 8 } else { r | 1 << 31 };
+                        Packet::udp(src, r, 7, 9)
+                    })
+                    .collect(),
+            )
+        }
+    }
+
+    /// Queue of 1 024 drained 256 at a time: the high watermark is
+    /// first met at depth 768, the critical one at depth 922.
+    fn lockstep_config(seed: u64, priority: bool) -> IngestConfig {
+        IngestConfig {
+            queue_capacity: 1_024,
+            drain_chunk: 256,
+            backlog_limit: 1_536,
+            admission: AdmissionConfig {
+                priority: priority.then(|| TaskFilter::src(10 << 24, 8)),
+                ..AdmissionConfig::default()
+            },
+            seed,
+            ..IngestConfig::default()
+        }
+    }
+
+    /// Steps a runtime and the per-packet reference through the same
+    /// chunks, comparing every observable after every step; returns the
+    /// runtime and how many steps admitted a whole chunk untouched.
+    fn run_lockstep(cfg: IngestConfig, sizes: Vec<usize>, what: &str) -> (StreamingRuntime, usize) {
+        let steps = sizes.len() + 8;
+        let source = || SizedChunks {
+            sizes: sizes.clone().into_iter(),
+            rng: SplitMix64::new(cfg.seed ^ 0x50C),
+        };
+        let (mut fed_rt, mut fed_ref) = (source(), source());
+        let mut rt = StreamingRuntime::new(fleet(2), cfg.clone());
+        let mut reference = PerPacketReference::new(cfg);
+        let mut whole_chunks = 0;
+        for step in 0..steps {
+            let out = rt.step(&mut fed_rt).unwrap();
+            reference.step(&mut fed_ref);
+            let at = format!("{what}, step {step}");
+            assert_eq!(rt.stats(), reference.stats, "{at}");
+            assert_eq!(rt.queue_stats(), reference.queue_stats, "{at}");
+            assert_eq!(rt.ledger(), reference.ledger(), "{at}");
+            assert_eq!(rt.health(), reference.health, "{at}");
+            // The next coin: bulk admission drew exactly as many.
+            assert_eq!(rt.rng.clone().next_u64(), reference.rng.clone().next_u64(), "{at}");
+            whole_chunks += usize::from(out.shed == 0 && out.admitted > 0 && out.admitted == out.pulled);
+        }
+        (rt, whole_chunks)
+    }
+
+    #[test]
+    fn bulk_admission_matches_the_per_packet_reference() {
+        // Calm stretches (at most one drain's worth per chunk, so the
+        // queue idles below the watermarks) alternate with bursts far
+        // above the drain rate, which walk the queue through both
+        // watermarks, fill it and overflow the backlog.
+        let mut whole_chunks = 0;
+        for seed in 0..12u64 {
+            let mut sizes = SplitMix64::new(seed);
+            let sizes = (0..400)
+                .map(|pull| match pull % 48 {
+                    36.. => sizes.range_usize(300, 2_500),
+                    _ => sizes.range_usize(0, 257),
+                })
+                .collect();
+            let priority = seed % 2 == 0;
+            let (rt, whole) = run_lockstep(lockstep_config(seed, priority), sizes, &format!("seed {seed}"));
+            whole_chunks += whole;
+            let stats = rt.stats();
+            assert!(stats.shed_random > 0 && stats.shed_priority > 0, "{stats:?}");
+            if priority {
+                // Priority traffic is admitted above the critical
+                // watermark, so it fills the queue: the producer
+                // blocks and the backlog overflows.
+                assert!(stats.blocked_steps > 0 && stats.shed_overflow > 0, "{stats:?}");
+                assert_eq!(rt.queue_stats().high_watermark, 1_024);
+            }
+        }
+        assert!(whole_chunks > 1_000, "only {whole_chunks} steps took the bulk move");
+    }
+
+    #[test]
+    fn bulk_admission_stops_exactly_at_each_boundary() {
+        // 700 packets arrive and 256 drain, leaving 444 queued; the
+        // second chunk is sized so its last packet arrives at a depth
+        // just below, at, and just above each point where the ladder
+        // changes its answer: the two watermarks and a full queue.
+        for boundary in [768usize, 922, 1_024] {
+            for last_depth in boundary - 2..=boundary + 1 {
+                let second = last_depth + 1 - 444;
+                let what = format!("last packet at depth {last_depth}");
+                let cfg = lockstep_config(last_depth as u64, true);
+                let (rt, _) = run_lockstep(cfg, vec![700, second, 64, 64], &what);
+                // Below the high watermark nothing consults the coin;
+                // from it on, at least the last packet does.
+                let coin_untouched = rt.rng == SplitMix64::new(last_depth as u64);
+                assert_eq!(coin_untouched, last_depth < 768, "{what}");
+            }
+        }
+        // With both watermarks out of reach only the queue's capacity
+        // ends the bulk move: 1 024 packets fit, the 1 025th blocks.
+        for last_depth in 1_022usize..=1_025 {
+            let mut cfg = lockstep_config(1, false);
+            cfg.admission.high_watermark = 2.0;
+            cfg.admission.critical_watermark = 2.0;
+            let what = format!("no watermarks, last packet at depth {last_depth}");
+            let (rt, _) = run_lockstep(cfg, vec![700, last_depth + 1 - 444, 64, 64], &what);
+            assert_eq!(rt.stats().shed(), 0, "{what}");
+            assert_eq!(rt.stats().blocked_steps > 0, last_depth >= 1_024, "{what}");
+        }
     }
 
     #[test]

@@ -303,6 +303,23 @@ pub fn murmur3_32(seed: u32, bytes: &[u8]) -> u32 {
     h
 }
 
+/// [`murmur3_32`] of one 4-byte key, given as the word its bytes spell
+/// little-endian: `murmur3_32_word(seed, k) == murmur3_32(seed,
+/// &k.to_le_bytes())`. One block, no tail, no slice walk — the per-packet
+/// form for fixed-width keys such as the ingress hash's source address.
+#[inline]
+pub fn murmur3_32_word(seed: u32, k: u32) -> u32 {
+    let k = k
+        .wrapping_mul(0xcc9e_2d51)
+        .rotate_left(15)
+        .wrapping_mul(0x1b87_3593);
+    let h = (seed ^ k)
+        .rotate_left(13)
+        .wrapping_mul(5)
+        .wrapping_add(0xe654_6b64);
+    fmix32(h ^ 4)
+}
+
 /// Upper bound on hash units per compression stage: one per available
 /// polynomial, so every unit of a stage hashes independently.
 pub const MAX_HASH_UNITS: usize = CRC32_POLYNOMIALS.len();
@@ -645,6 +662,18 @@ mod tests {
         assert_eq!(murmur3_32(1, b""), 0x514E_28B7);
         assert_eq!(murmur3_32(0, b"test"), 0xba6b_d213);
         assert_eq!(murmur3_32(0x9747b28c, b"aaaa"), 0x5A97_808A);
+    }
+
+    #[test]
+    fn murmur3_word_matches_the_generic_function() {
+        assert_eq!(murmur3_32_word(0x9747b28c, u32::from_le_bytes(*b"aaaa")), 0x5A97_808A);
+        let mut k = 0x1234_5678u32;
+        for seed in [0, 1, 0xf1ee7, u32::MAX] {
+            for _ in 0..10_000 {
+                k = k.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                assert_eq!(murmur3_32_word(seed, k), murmur3_32(seed, &k.to_le_bytes()));
+            }
+        }
     }
 
     #[test]
