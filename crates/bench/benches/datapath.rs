@@ -5,14 +5,12 @@
 //! through one switch configuration:
 //!
 //! - **serial (batched)** — `FlyMon::process_trace` at the defaults
-//!   (batch 64, full 8-lane SIMD-width kernels, prefetch off): the
-//!   recorded headline number;
-//! - **lane sweep** — the same replay at lane widths 1 (scalar), 4 and
-//!   8, quantifying what the lane-lockstep match/digest/address passes
-//!   buy on this host;
+//!   (batch 64, full 8-lane kernels): the recorded headline number;
+//! - **lane sweep** — the same replay at lane widths 1, 4 and 8,
+//!   quantifying what the lane-lockstep match and digest passes buy on
+//!   this host;
 //! - **batch sweep** — batch sizes 16/64/256, to keep the default
 //!   honest as the hot path evolves;
-//! - **prefetch duel** — prefetch on vs. the default off;
 //! - **per-packet** — the interpreter path (`FlyMon::process` in a
 //!   loop), asserted bit-identical to the batched replay;
 //!
@@ -54,11 +52,11 @@ const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 const BATCH_SIZES: [usize; 3] = [16, 64, 256];
 const LANE_WIDTHS: [usize; 3] = [1, 4, 8];
 
-/// PR-5 serial throughput from `results/BENCH_datapath.json` as
-/// committed by the stage-major batching PR — the baseline this PR's
-/// SIMD-width acceptance bar (≥1.15x) is measured against, and the
+/// Serial throughput from `results/BENCH_datapath.json` as committed by
+/// the lane-vectorized-passes PR (PR 8) — the last recorded headline
+/// before the compiled compression stage and the fused sweep, and the
 /// floor the CI smoke guard scales from.
-const PR5_SERIAL_PPS: f64 = 13_706_653.0;
+const BASELINE_SERIAL_PPS: f64 = 16_279_173.0;
 
 /// The smoke guard fails when smoke serial throughput drops below this
 /// fraction of the committed baseline (the `baseline` object in
@@ -189,13 +187,11 @@ fn batched_replay(
     trace: &[flymon_packet::Packet],
     batch_size: usize,
     lanes: usize,
-    prefetch: bool,
 ) -> (f64, FlyMon, TaskHandle) {
     let mut fm = FlyMon::new(config());
     let h = fm.deploy(&task()).expect("bench deploy");
     fm.set_batch_size(batch_size);
     fm.set_lane_width(lanes);
-    fm.set_prefetch(prefetch);
     let begun = Instant::now();
     fm.process_batch(trace);
     (begun.elapsed().as_secs_f64(), fm, h)
@@ -228,15 +224,12 @@ fn main() {
     );
 
     // Headline: the stage-major batched replay at the defaults (batch
-    // size, full lane width, prefetch off — see DESIGN.md for why the
-    // hint defaults off).
+    // size, full lane width).
     let defaults = FlyMon::new(config());
     let default_batch = defaults.batch_size();
     let default_lanes = defaults.lane_width();
-    let default_prefetch = defaults.prefetch_enabled();
     drop(defaults);
-    let (serial_secs, serial, h) =
-        batched_replay(&trace, default_batch, default_lanes, default_prefetch);
+    let (serial_secs, serial, h) = batched_replay(&trace, default_batch, default_lanes);
     let serial_pps = n as f64 / serial_secs;
 
     // Per-packet interpreter reference: timed for the table, and the
@@ -272,14 +265,14 @@ fn main() {
         ],
     ];
 
-    // Lane-width sweep: scalar vs 4-wide vs the full 8-wide lockstep,
-    // fresh switch per width, identical registers demanded.
+    // Lane-width sweep: groups of one vs 4-wide vs the full 8-wide
+    // lockstep, fresh switch per width, identical registers demanded.
     let mut lane_json = Vec::new();
     for lanes in LANE_WIDTHS {
         let secs = if lanes == default_lanes {
             serial_secs
         } else {
-            let (secs, fm, hl) = batched_replay(&trace, default_batch, lanes, default_prefetch);
+            let (secs, fm, hl) = batched_replay(&trace, default_batch, lanes);
             for row in 0..3 {
                 assert_eq!(
                     fm.read_row(hl, row).expect("lane row"),
@@ -307,7 +300,7 @@ fn main() {
         let secs = if batch == default_batch {
             serial_secs
         } else {
-            let (secs, fm, hb) = batched_replay(&trace, batch, default_lanes, default_prefetch);
+            let (secs, fm, hb) = batched_replay(&trace, batch, default_lanes);
             for row in 0..3 {
                 assert_eq!(
                     fm.read_row(hb, row).expect("sweep row"),
@@ -328,24 +321,6 @@ fn main() {
             format!("{:.2}", serial_secs / secs),
         ]);
     }
-
-    // Prefetch duel at the defaults: the hint defaults *off*; measure
-    // what turning it on does with the gathered lane-group addresses.
-    let (pf_secs, pf_fm, pf_h) = batched_replay(&trace, default_batch, default_lanes, true);
-    for row in 0..3 {
-        assert_eq!(
-            pf_fm.read_row(pf_h, row).expect("prefetch row"),
-            serial.read_row(h, row).expect("serial row"),
-            "prefetch changed register contents at row {row}"
-        );
-    }
-    let pf_pps = n as f64 / pf_secs;
-    rows.push(vec![
-        "prefetch on".to_string(),
-        format!("{pf_secs:.3}"),
-        format!("{pf_pps:.0}"),
-        format!("{:.2}", serial_secs / pf_secs),
-    ]);
 
     let mut parallel_json = Vec::new();
     let mut core_rows = Vec::new();
@@ -446,22 +421,19 @@ fn main() {
          \"kernel\": {{\"name\": \"crc32-slice8\", \"bytewise_mkeys_per_sec\": {kernel_old:.1}, \
          \"slice8_mkeys_per_sec\": {kernel_new:.1}, \"lanes8_mkeys_per_sec\": {kernel_lanes:.1}, \
          \"speedup\": {:.3}, \"lanes_speedup\": {:.3}}},\n  \
-         \"baseline\": {{\"source\": \"PR-5 stage-major batching\", \"serial_packets_per_sec\": {PR5_SERIAL_PPS:.0}}},\n  \
+         \"baseline\": {{\"source\": \"PR-8 lane-vectorized passes\", \"serial_packets_per_sec\": {BASELINE_SERIAL_PPS:.0}}},\n  \
          \"serial\": {{\"batch_size\": {default_batch}, \"lane_width\": {default_lanes}, \
-         \"prefetch\": {default_prefetch}, \"seconds\": {serial_secs:.6}, \
+         \"seconds\": {serial_secs:.6}, \
          \"packets_per_sec\": {serial_pps:.0}, \"speedup_vs_baseline\": {:.3}}},\n  \
          \"per_packet\": {{\"seconds\": {pp_secs:.6}, \"packets_per_sec\": {pp_pps:.0}}},\n  \
          \"lane_sweep\": [\n    {}\n  ],\n  \
          \"batch_sweep\": [\n    {}\n  ],\n  \
-         \"prefetch\": {{\"batch_size\": {default_batch}, \"on_packets_per_sec\": {pf_pps:.0}, \
-         \"off_packets_per_sec\": {serial_pps:.0}, \"on_over_off\": {:.3}}},\n  \
          \"parallel\": [\n    {}\n  ]\n}}\n",
         kernel_new / kernel_old,
         kernel_lanes / kernel_old,
-        serial_pps / PR5_SERIAL_PPS,
+        serial_pps / BASELINE_SERIAL_PPS,
         lane_json.join(",\n    "),
         sweep_json.join(",\n    "),
-        pf_pps / serial_pps,
         parallel_json.join(",\n    ")
     );
     let path = emit_results_file("BENCH_datapath.json", &json);
@@ -495,9 +467,8 @@ fn main() {
             .duration_since(std::time::UNIX_EPOCH)
             .map_or(0, |d| d.as_secs());
         let line = format!(
-            r#"{{"unix_ts":{ts},"git_rev":"{rev}","cpus":{cpus},"target_features":"{features}","trace_packets":{n},"serial_batch_size":{default_batch},"serial_lane_width":{default_lanes},"serial_packets_per_sec":{serial_pps:.0},"speedup_vs_baseline":{:.3},"per_packet_packets_per_sec":{pp_pps:.0},"prefetch_on_over_off":{:.3},"lane_sweep":[{}],"batch_sweep":[{}]}}"#,
-            serial_pps / PR5_SERIAL_PPS,
-            pf_pps / serial_pps,
+            r#"{{"unix_ts":{ts},"git_rev":"{rev}","cpus":{cpus},"target_features":"{features}","trace_packets":{n},"serial_batch_size":{default_batch},"serial_lane_width":{default_lanes},"serial_packets_per_sec":{serial_pps:.0},"speedup_vs_baseline":{:.3},"per_packet_packets_per_sec":{pp_pps:.0},"lane_sweep":[{}],"batch_sweep":[{}]}}"#,
+            serial_pps / BASELINE_SERIAL_PPS,
             lane_json.join(","),
             sweep_json.join(",")
         );

@@ -1,6 +1,6 @@
 //! Quick batched-datapath tuning loop: serial throughput of
-//! `FlyMon::process_batch` across batch sizes and prefetch settings on
-//! the canonical evaluation trace. A development aid for the stage-major
+//! `FlyMon::process_batch` across batch sizes on the canonical
+//! evaluation trace. A development aid for the stage-major
 //! hot path — recorded numbers come from `cargo bench --bench datapath`.
 
 use std::time::Instant;
@@ -22,26 +22,18 @@ fn main() {
         buckets_per_cmu: 16384,
         ..FlyMonConfig::default()
     };
-    for (batch, prefetch) in [
-        (16, true),
-        (64, true),
-        (256, true),
-        (1024, true),
-        (64, false),
-        (256, false),
-    ] {
+    for batch in [16, 64, 256, 1024] {
         let mut best = f64::INFINITY;
         for _ in 0..3 {
             let mut fm = FlyMon::new(config);
             fm.deploy(&def).expect("deploys");
             fm.set_batch_size(batch);
-            fm.set_prefetch(prefetch);
             let begun = Instant::now();
             fm.process_batch(&trace);
             best = best.min(begun.elapsed().as_secs_f64());
         }
         println!(
-            "batch {batch:>5}  prefetch {prefetch:5}  {:>10.0} pkt/s",
+            "batch {batch:>5}  {:>10.0} pkt/s",
             trace.len() as f64 / best
         );
     }

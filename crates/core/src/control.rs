@@ -186,7 +186,6 @@ pub struct FlyMon {
     scratch: PacketScratch,
     batch: BatchScratch,
     batch_size: usize,
-    prefetch: bool,
     lane_width: usize,
     /// Claimed-packet staging buffer for [`FlyMon::process_batch_if`],
     /// kept on the instance so repeated claim scans reuse one
@@ -211,14 +210,6 @@ pub const DEFAULT_BATCH_SIZE: usize = 64;
 /// `1..=8` is bit-identical (the bench sweeps 1/4/8); 8 keeps enough
 /// independent CRC chains in flight to saturate the core's load ports.
 pub const DEFAULT_LANE_WIDTH: usize = flymon_rmt::hash::CRC_LANES;
-
-/// Default state of the stage-3 register-row prefetch. Off: with the
-/// gathered address pass resolving a whole lane group before the SALU
-/// apply, the hardware prefetcher already has the rows in flight, and
-/// the explicit hint never repaid its issue cost (the bench's prefetch
-/// duel measured ≤ 1.01× with lane groups; see DESIGN.md § "SIMD &
-/// ingress/worker datapath").
-pub const DEFAULT_PREFETCH: bool = false;
 
 impl FlyMon {
     /// Builds the data plane.
@@ -266,7 +257,6 @@ impl FlyMon {
             scratch: PacketScratch::default(),
             batch: BatchScratch::default(),
             batch_size: DEFAULT_BATCH_SIZE,
-            prefetch: DEFAULT_PREFETCH,
             lane_width: DEFAULT_LANE_WIDTH,
             claim_buf: Vec::new(),
             packets_processed: 0,
@@ -417,18 +407,6 @@ impl FlyMon {
         self.batch_size
     }
 
-    /// Enables or disables the register-row software prefetch issued
-    /// during batch address resolution. Purely advisory — readouts are
-    /// bit-identical either way.
-    pub fn set_prefetch(&mut self, enabled: bool) {
-        self.prefetch = enabled;
-    }
-
-    /// Whether register-row prefetching is enabled.
-    pub fn prefetch_enabled(&self) -> bool {
-        self.prefetch
-    }
-
     /// Sets the SIMD lane-group width of the stage-major passes (clamped
     /// to `1..=CRC_LANES`). Purely a throughput knob — every width is
     /// bit-identical (the bench sweeps 1/4/8; `tests/batch.rs` pins the
@@ -478,7 +456,6 @@ impl FlyMon {
                 chunk,
                 &mut self.batch,
                 g >= first_spliced,
-                self.prefetch,
                 record_ctx,
                 self.lane_width,
             );

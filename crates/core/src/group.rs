@@ -16,14 +16,14 @@
 
 use flymon_packet::{Packet, TaskFilter};
 use flymon_rmt::hash::{HashScratch, HashUnit, CRC_LANES, MAX_HASH_UNITS};
-use flymon_rmt::salu::{BatchOp, Salu, StatefulOp};
+use flymon_rmt::salu::{OpOutput, Salu, StatefulOp};
 use flymon_rmt::RmtError;
 
 use crate::addr::AddrTranslation;
 use crate::keysel::KeySelect;
 use crate::params::{PacketContext, ParamSource};
 use crate::prep::PrepAction;
-use crate::program::{CompiledCmu, GroupProgram};
+use crate::program::{CompiledBinding, CompiledCmu, GroupProgram};
 use crate::scratch::{BatchScratch, CoinScratch, PacketScratch};
 use crate::task::TaskId;
 
@@ -63,6 +63,19 @@ pub enum Forward {
     /// `old & p1` — nonzero iff the packet's one-hot bit was already set
     /// (the "seen before?" output of a Bloom-filter CMU).
     OldAndP1,
+}
+
+impl Forward {
+    /// The value this selector forwards, given the (prepared) first
+    /// parameter and the SALU output of one execution.
+    #[inline]
+    pub fn select(self, p1: u32, out: OpOutput) -> u32 {
+        match self {
+            Forward::Result => out.result,
+            Forward::Old => out.old,
+            Forward::OldAndP1 => out.old & p1,
+        }
+    }
 }
 
 /// One task's runtime binding on one CMU — the materialization of all the
@@ -532,12 +545,7 @@ impl CmuGroup {
                 .salu
                 .execute(binding.op, addr, p1, p2)
                 .expect("installed ops are pre-loaded and addresses in range");
-            let forwarded = match binding.forward {
-                Forward::Result => out.result,
-                Forward::Old => out.old,
-                Forward::OldAndP1 => out.old & p1,
-            };
-            ctx.record(group_index, ci, forwarded);
+            ctx.record(group_index, ci, binding.forward.select(p1, out));
         }
     }
 
@@ -546,49 +554,46 @@ impl CmuGroup {
     /// batching").
     ///
     /// Where [`CmuGroup::process_with_scratch`] walks one packet through
-    /// all four pipeline stages, this sweeps the whole chunk through one
-    /// stage at a time over the compiled [`GroupProgram`]:
+    /// all four pipeline stages, this sweeps the whole chunk through the
+    /// compiled [`GroupProgram`] in three passes:
     ///
     /// 1. **match + coin** per CMU, producing a compact matched-index
     ///    list in packet order (packet order is what keeps same-bucket
     ///    register updates applied in arrival order);
-    /// 2. **bulk digests** unit-major: each used hash unit runs
-    ///    back-to-back over every matched packet, so one unit's tables
-    ///    and one extraction memo stay hot;
-    /// 3. **address resolution** per CMU: translated register addresses
-    ///    plus fully prepared parameters, optionally issuing a software
-    ///    prefetch for each SALU register row as it resolves;
-    /// 4. a tight **SALU apply** loop over the resolved ops
-    ///    ([`Salu::execute_batch`]), then the PHV record pass.
+    /// 2. **extract + digest** unit-major: each used hash unit writes the
+    ///    keys of a lane group of matched packets straight from the
+    ///    packets through its compiled key plan and digests them in
+    ///    lockstep ([`HashUnit::compute_lanes`]), so one unit's tables
+    ///    stay hot and no key is ever staged per packet;
+    /// 3. **resolve + apply** per CMU, fused: one [`Salu::sweep`] per run
+    ///    of matched packets sharing an operation resolves each packet's
+    ///    address and parameters and applies them in the same loop,
+    ///    recording the forwarded output into the packet's PHV context
+    ///    on the way out.
     ///
-    /// Stages 3–4 run per CMU *in index order* because downstream CMUs'
+    /// Pass 3 runs per CMU *in index order* because downstream CMUs'
     /// parameters may read upstream results from the packet's context
     /// (`PrevResult`/`ChainMin`/gated preps) — the same order the serial
     /// path establishes, which is what makes the two paths bit-identical.
-    /// Matching (stage 1) reads only packet fields and the coin, never
+    /// Matching (pass 1) reads only packet fields and the coin, never
     /// the context, so hoisting it is unobservable.
     ///
     /// `mark_executed` flags packets that executed a task here in
     /// `batch.executed` (the caller's recirculation accounting for
-    /// spliced groups); `prefetch` gates the stage-3 cache hints;
-    /// `record_ctx` is the pipeline-wide "some program reads PHV
-    /// contexts" flag — when false, context recording is skipped (the
-    /// values would be unobservable).
+    /// spliced groups); `record_ctx` is the pipeline-wide "some program
+    /// reads PHV contexts" flag — when false, context recording is
+    /// skipped (the values would be unobservable).
     ///
-    /// `lanes` is the SIMD-style lane-group width (clamped to
-    /// `1..=CRC_LANES`): stages 1–3 sweep the chunk in groups of `lanes`
-    /// packets evaluated in lockstep — branch-reduced filter masks in
-    /// stage 1, [`HashUnit::digest_lanes`] in stage 2, and a gathered
-    /// address pass in stage 3 that computes (and prefetches) every
-    /// bucket index of a lane group before any register row is touched.
-    /// `lanes == 1` is the scalar reference the bench sweep compares
-    /// against; every width is bit-identical (pinned by `tests/batch.rs`).
+    /// `lanes` is the lane-group width of passes 1 and 2 (clamped to
+    /// `1..=CRC_LANES`): branch-reduced filter masks over `lanes` packets
+    /// at a time, then `lanes` keys digested in lockstep. A width of one
+    /// runs the same kernels on groups of one; every width is
+    /// bit-identical (pinned by `tests/batch.rs`).
     pub fn process_chunk(
         &mut self,
         pkts: &[Packet],
         batch: &mut BatchScratch,
         mark_executed: bool,
-        prefetch: bool,
         record_ctx: bool,
         lanes: usize,
     ) {
@@ -605,12 +610,11 @@ impl CmuGroup {
         } = self;
         let n = pkts.len();
         batch.begin_group(cmus.len(), n);
-        let bucket_mask = program.bucket_mask;
 
-        // Stage 1: match + coin, per CMU — first matching binding wins.
+        // Pass 1: match + coin, per CMU — first matching binding wins.
         // A CMU whose first binding is unconditional matches every
         // packet at binding 0: one hit-counter bump stands in for the
-        // whole loop, and stages 3–4 will iterate the chunk directly.
+        // whole loop, and pass 3 will iterate the chunk directly.
         let mut any_always = false;
         for (cmu, (cprog, matched)) in cmus
             .iter_mut()
@@ -624,33 +628,15 @@ impl CmuGroup {
                 any_always = true;
                 continue;
             }
-            if lanes == 1 {
-                // Scalar reference path (lane width 1 in the bench sweep).
-                for (pi, pkt) in pkts.iter().enumerate() {
-                    let coin = &mut batch.coins[pi];
-                    let hit = cprog.bindings.iter().position(|cb| {
-                        cb.filter_matches(pkt)
-                            && (cb.coin_mask == 0
-                                || u64::from(coin.coin(pkt, cb.task)) & cb.coin_mask == 0)
-                    });
-                    if let Some(bi) = hit {
-                        cmu.hits[bi] += 1;
-                        matched.push((pi as u32, bi as u16));
-                        batch.need_digest[pi] = true;
-                    }
-                }
-                continue;
-            }
-            // Lane path: binding-outer over each lane group, tracking
-            // which lanes are still unmatched in an `alive` bitmask. A
-            // lane's first matching binding retires it, so the probe set
-            // per (packet, binding) — including which coins get flipped —
-            // is exactly the scalar path's, and first-match-wins order is
+            // Binding-outer over each lane group, tracking which lanes
+            // are still unmatched in an `alive` bitmask. A lane's first
+            // matching binding retires it, so the probe set per (packet,
+            // binding) — including which coins get flipped — is exactly
+            // the per-packet path's, and first-match-wins order is
             // preserved by appending `chosen` lanes in lane order.
-            let mut base = 0;
-            while base < n {
-                let m = lanes.min(n - base);
-                let lane_pkts = &pkts[base..base + m];
+            for (g, lane_pkts) in pkts.chunks(lanes).enumerate() {
+                let base = g * lanes;
+                let m = lane_pkts.len();
                 let mut chosen = [u16::MAX; CRC_LANES];
                 let mut alive: u32 = (1u32 << m) - 1;
                 for (bi, cb) in cprog.bindings.iter().enumerate() {
@@ -668,15 +654,15 @@ impl CmuGroup {
                     }
                     let mut cand = alive & filter_mask;
                     if cb.coin_mask != 0 && cand != 0 {
-                        // Sampling coins stay scalar (the rare case): one
-                        // memoized hash per candidate lane.
+                        // Sampling coins stay per lane (the rare case):
+                        // one task word folded into the packet's
+                        // memoized coin state per candidate.
                         let mut passed = 0u32;
                         let mut c = cand;
                         while c != 0 {
                             let l = c.trailing_zeros() as usize;
                             c &= c - 1;
-                            let pi = base + l;
-                            let coin = batch.coins[pi].coin(&pkts[pi], cb.task);
+                            let coin = batch.coins[base + l].coin(&lane_pkts[l], cb.task);
                             if u64::from(coin) & cb.coin_mask == 0 {
                                 passed |= 1 << l;
                             }
@@ -701,11 +687,10 @@ impl CmuGroup {
                         batch.need_digest[pi] = true;
                     }
                 }
-                base += m;
             }
         }
 
-        // Stage 2: bulk digests, unit-major over the packed list of
+        // Pass 2: extract + digest, unit-major over the packed list of
         // packets that matched something. Units nothing reads keep stale
         // slots — compiled plans never index them (exactly the serial
         // path's lazy-zero slots).
@@ -719,233 +704,139 @@ impl CmuGroup {
                 }
             }
         }
-        if !batch.digest_idx.is_empty() {
-            // Split-borrow the scratch: the digest matrix is written
-            // while the key caches are read (shared borrows) during the
-            // lane gather.
-            let BatchScratch {
-                keys,
-                digests,
-                digest_idx,
-                ..
-            } = &mut *batch;
-            if lanes == 1 {
-                for (u, unit) in units.iter().enumerate() {
-                    if !program.unit_used[u] {
-                        continue;
-                    }
-                    for &pi in digest_idx.iter() {
-                        let p = pi as usize;
-                        digests[p * MAX_HASH_UNITS + u] =
-                            unit.compute_cached(&pkts[p], &mut keys[p]);
-                    }
-                }
-            } else {
-                // Extraction prepass: memoize every used unit's key bytes
-                // per packet (one serialization per distinct spec per
-                // packet, same as the scalar path), so the gather below
-                // can hold shared borrows across several packets' caches
-                // at once.
-                for &pi in digest_idx.iter() {
-                    let p = pi as usize;
-                    let cache = &mut keys[p];
-                    for (u, unit) in units.iter().enumerate() {
-                        if !program.unit_used[u] {
-                            continue;
-                        }
-                        if let Some(mask) = unit.mask() {
-                            cache.get_or_extract(mask, &pkts[p]);
-                        }
-                    }
-                }
-                let mut inputs: [&[u8]; CRC_LANES] = [&[]; CRC_LANES];
-                let mut out = [0u32; CRC_LANES];
-                for (u, unit) in units.iter().enumerate() {
-                    if !program.unit_used[u] {
-                        continue;
-                    }
-                    let Some(mask) = unit.mask() else {
-                        // A used-but-unmasked unit digests to 0 (the
-                        // scalar path's "unconfigured" constant).
-                        for &pi in digest_idx.iter() {
-                            digests[pi as usize * MAX_HASH_UNITS + u] = 0;
-                        }
-                        continue;
-                    };
-                    for idx_group in digest_idx.chunks(lanes) {
-                        let m = idx_group.len();
-                        let mut full = true;
-                        for (l, &pi) in idx_group.iter().enumerate() {
-                            match keys[pi as usize].get(mask) {
-                                Some(k) => inputs[l] = k.as_bytes(),
-                                None => {
-                                    full = false;
-                                    break;
-                                }
-                            }
-                        }
-                        if full {
-                            unit.digest_lanes(&inputs[..m], &mut out[..m]);
-                            for (l, &pi) in idx_group.iter().enumerate() {
-                                digests[pi as usize * MAX_HASH_UNITS + u] = out[l];
-                            }
-                        } else {
-                            // Cache overflow (> MAX_CACHED_KEYS distinct
-                            // specs in one packet): scalar fallback,
-                            // bit-identical to compute_cached's spill.
-                            for &pi in idx_group.iter() {
-                                let p = pi as usize;
-                                digests[p * MAX_HASH_UNITS + u] =
-                                    unit.digest_bytes(mask.extract(&pkts[p]).as_bytes());
-                            }
-                        }
-                    }
+        let mut out = [0u32; CRC_LANES];
+        for (u, unit) in units.iter().enumerate() {
+            if !program.unit_used[u] {
+                continue;
+            }
+            for idx_group in batch.digest_idx.chunks(lanes) {
+                let out = &mut out[..idx_group.len()];
+                unit.compute_lanes(idx_group.iter().map(|&pi| &pkts[pi as usize]), out);
+                for (&pi, &digest) in idx_group.iter().zip(out.iter()) {
+                    batch.digests[pi as usize * MAX_HASH_UNITS + u] = digest;
                 }
             }
         }
 
-        // Stages 3 + 4 per CMU in index order (cross-CMU PHV deps).
+        // Pass 3: fused resolve + apply, per CMU in index order
+        // (cross-CMU PHV deps).
+        let bucket_mask = program.bucket_mask;
+        let digests = batch.digests.as_slice();
+        let digests_of = |p: usize| &digests[p * MAX_HASH_UNITS..(p + 1) * MAX_HASH_UNITS];
+        let ctxs = batch.ctxs.as_mut_slice();
         for (ci, (cmu, cprog)) in cmus.iter_mut().zip(program.cmus.iter()).enumerate() {
+            let record = record_ctx.then_some((group_index, ci));
             if cprog.always {
-                // Dense path: packet index *is* the op index — no
-                // matched list, no per-op (packet, forward) metadata.
+                // Dense path: packet index *is* the step index — no
+                // matched list, one binding, one operation.
                 let cb = &cprog.bindings[0];
-                batch.resolved.clear();
-                let mut base = 0;
-                while base < n {
-                    let m = lanes.min(n - base);
-                    // Gathered address pass: every bucket index of the
-                    // lane group is computed — and its register row
-                    // requested — before any parameter resolves, so the
-                    // row fetches overlap the resolve arithmetic.
-                    let mut addrs = [0usize; CRC_LANES];
-                    for (l, a) in addrs[..m].iter_mut().enumerate() {
-                        let p = base + l;
-                        let digests =
-                            &batch.digests[p * MAX_HASH_UNITS..(p + 1) * MAX_HASH_UNITS];
-                        *a = cb.address(digests, bucket_mask);
-                    }
-                    if prefetch {
-                        let reg = cmu.salu.register();
-                        for &a in &addrs[..m] {
-                            reg.prefetch(a);
-                        }
-                    }
-                    for (l, &addr) in addrs[..m].iter().enumerate() {
-                        let p = base + l;
-                        let pkt = &pkts[p];
-                        let digests =
-                            &batch.digests[p * MAX_HASH_UNITS..(p + 1) * MAX_HASH_UNITS];
-                        let ctx = &batch.ctxs[p];
-                        let p1 = cb.p1.resolve(pkt, digests, ctx);
-                        let p2 = cb.p2.resolve(pkt, digests, ctx);
-                        let (p1, p2) = cb.prep.apply(p1, p2, ctx);
-                        batch.resolved.push(BatchOp {
-                            op: cb.op,
-                            addr,
-                            p1,
-                            p2,
-                        });
-                    }
-                    base += m;
-                }
-                if record_ctx {
-                    batch.outs.clear();
-                    cmu.salu
-                        .execute_batch(&batch.resolved, &mut batch.outs)
-                        .expect("installed ops are pre-loaded and addresses in range");
-                    for (p, out) in batch.outs.iter().enumerate() {
-                        let forwarded = match cb.forward {
-                            Forward::Result => out.result,
-                            Forward::Old => out.old,
-                            Forward::OldAndP1 => out.old & batch.resolved[p].p1,
-                        };
-                        batch.ctxs[p].record(group_index, ci, forwarded);
-                    }
-                } else {
-                    // No program reads PHV contexts: identical register
-                    // effects without collecting outputs.
-                    cmu.salu
-                        .apply_batch(&batch.resolved)
-                        .expect("installed ops are pre-loaded and addresses in range");
+                let target = |p: usize| (p, cb.forward);
+                match cb.const_params {
+                    // Constant parameters (every CMS row): the loop
+                    // resolves nothing but the address.
+                    Some((p1, p2)) => fused_sweep(
+                        &mut cmu.salu,
+                        cb.op,
+                        n,
+                        ctxs,
+                        record,
+                        |_, p| (cb.address(digests_of(p), bucket_mask), p1, p2),
+                        target,
+                    ),
+                    None => fused_sweep(
+                        &mut cmu.salu,
+                        cb.op,
+                        n,
+                        ctxs,
+                        record,
+                        |ctxs, p| operands(cb, &pkts[p], digests_of(p), &ctxs[p], bucket_mask),
+                        target,
+                    ),
                 }
                 if mark_executed {
                     batch.executed[..n].fill(true);
                 }
                 continue;
             }
-            if batch.matched[ci].is_empty() {
-                continue;
+            // Sparse path: the matched list, cut into runs of one
+            // operation so each run is a single sweep. Bindings of one
+            // CMU mostly share an operation (rows of the same sketch
+            // family), so a run is usually the whole list.
+            let mut rest = batch.matched[ci].as_slice();
+            while let Some(&(_, first)) = rest.first() {
+                let op = cprog.bindings[usize::from(first)].op;
+                let len = rest
+                    .iter()
+                    .position(|&(_, bi)| cprog.bindings[usize::from(bi)].op != op)
+                    .unwrap_or(rest.len());
+                let (run, tail) = rest.split_at(len);
+                let entry = |k: usize| {
+                    let (pi, bi) = run[k];
+                    (pi as usize, &cprog.bindings[usize::from(bi)])
+                };
+                fused_sweep(
+                    &mut cmu.salu,
+                    op,
+                    run.len(),
+                    ctxs,
+                    record,
+                    |ctxs, k| {
+                        let (p, cb) = entry(k);
+                        operands(cb, &pkts[p], digests_of(p), &ctxs[p], bucket_mask)
+                    },
+                    |k| {
+                        let (p, cb) = entry(k);
+                        (p, cb.forward)
+                    },
+                );
+                rest = tail;
             }
-            batch.resolved.clear();
-            batch.meta.clear();
-            for mgroup in batch.matched[ci].chunks(lanes) {
-                let m = mgroup.len();
-                // Same gathered address pass over the sparse matched
-                // list: all of the lane group's rows are requested before
-                // the parameter resolves touch them.
-                let mut addrs = [0usize; CRC_LANES];
-                for (l, &(pi, bi)) in mgroup.iter().enumerate() {
-                    let p = pi as usize;
-                    let cb = &cprog.bindings[bi as usize];
-                    let digests =
-                        &batch.digests[p * MAX_HASH_UNITS..(p + 1) * MAX_HASH_UNITS];
-                    addrs[l] = cb.address(digests, bucket_mask);
-                }
-                if prefetch {
-                    let reg = cmu.salu.register();
-                    for &a in &addrs[..m] {
-                        reg.prefetch(a);
-                    }
-                }
-                for (l, &(pi, bi)) in mgroup.iter().enumerate() {
-                    let p = pi as usize;
-                    let pkt = &pkts[p];
-                    let cb = &cprog.bindings[bi as usize];
-                    let digests =
-                        &batch.digests[p * MAX_HASH_UNITS..(p + 1) * MAX_HASH_UNITS];
-                    let ctx = &batch.ctxs[p];
-                    let p1 = cb.p1.resolve(pkt, digests, ctx);
-                    let p2 = cb.p2.resolve(pkt, digests, ctx);
-                    let (p1, p2) = cb.prep.apply(p1, p2, ctx);
-                    batch.resolved.push(BatchOp {
-                        op: cb.op,
-                        addr: addrs[l],
-                        p1,
-                        p2,
-                    });
-                    batch.meta.push((pi, cb.forward));
-                }
-            }
-            if record_ctx {
-                batch.outs.clear();
-                cmu.salu
-                    .execute_batch(&batch.resolved, &mut batch.outs)
-                    .expect("installed ops are pre-loaded and addresses in range");
-                for (k, &(pi, forward)) in batch.meta.iter().enumerate() {
-                    let out = &batch.outs[k];
-                    let forwarded = match forward {
-                        Forward::Result => out.result,
-                        Forward::Old => out.old,
-                        Forward::OldAndP1 => out.old & batch.resolved[k].p1,
-                    };
-                    batch.ctxs[pi as usize].record(group_index, ci, forwarded);
-                    if mark_executed {
-                        batch.executed[pi as usize] = true;
-                    }
-                }
-            } else {
-                cmu.salu
-                    .apply_batch(&batch.resolved)
-                    .expect("installed ops are pre-loaded and addresses in range");
-                if mark_executed {
-                    for &(pi, _) in batch.meta.iter() {
-                        batch.executed[pi as usize] = true;
-                    }
+            if mark_executed {
+                for &(pi, _) in &batch.matched[ci] {
+                    batch.executed[pi as usize] = true;
                 }
             }
         }
     }
+}
+
+/// One packet's SALU operands under `cb`: the translated register
+/// address and the prepared parameters — pipeline stages 2 and 3 for the
+/// matched binding.
+#[inline]
+fn operands(
+    cb: &CompiledBinding,
+    pkt: &Packet,
+    digests: &[u32],
+    ctx: &PacketContext,
+    bucket_mask: usize,
+) -> (usize, u32, u32) {
+    let (p1, p2) = cb.params(pkt, digests, ctx);
+    (cb.address(digests, bucket_mask), p1, p2)
+}
+
+/// One [`Salu::sweep`] of the batch path's pass 3. `operands(ctxs, k)`
+/// resolves step `k`; `target(k)` names the packet whose PHV context
+/// receives the step's forwarded output and the selector that picks it.
+/// `record` is the `(group, cmu)` to record under, or `None` when no
+/// program reads PHV contexts — the sink is then a no-op.
+fn fused_sweep(
+    salu: &mut Salu,
+    op: StatefulOp,
+    count: usize,
+    ctxs: &mut [PacketContext],
+    record: Option<(usize, usize)>,
+    operands: impl Fn(&[PacketContext], usize) -> (usize, u32, u32),
+    target: impl Fn(usize) -> (usize, Forward),
+) {
+    match record {
+        Some((group, cmu)) => salu.sweep(op, count, ctxs, operands, |ctxs, k, p1, out| {
+            let (p, forward) = target(k);
+            ctxs[p].record(group, cmu, forward.select(p1, out));
+        }),
+        None => salu.sweep(op, count, ctxs, operands, |_, _, _, _| {}),
+    }
+    .expect("installed ops are pre-loaded and addresses in range");
 }
 
 #[cfg(test)]

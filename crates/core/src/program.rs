@@ -19,7 +19,13 @@
 //!   group-level `bucket_mask` replacing the `% m`);
 //! - parameter and preparation plans become flat [`ParamPlan`] /
 //!   [`PrepPlan`] ops with their constants pre-widened (no `u32::from`
-//!   or multiply in the hot loop).
+//!   or multiply in the hot loop), and all-constant parameters are
+//!   prepared once into `const_params`.
+//!
+//! The compression stage's half of the compile step lives with the hash
+//! unit: `HashUnit::set_mask` compiles the `KeySpec` to a fixed-length
+//! `KeyPlan` (serialized length + address masks), which is what the
+//! batch path's digest pass extracts and hashes by.
 //!
 //! **Invalidation rule**: the program is rebuilt (and its version
 //! bumped) by `CmuGroup::rebuild_program`, which every binding
@@ -309,6 +315,11 @@ pub struct CompiledBinding {
     pub p2: ParamPlan,
     /// Preparation plan.
     pub prep: PrepPlan,
+    /// The prepared `(p1, p2)` when no packet can change them — both
+    /// sources constant and a preparation that reads no PHV context
+    /// (every CMS and plain-Bloom row). The fused sweep then resolves
+    /// nothing but the address per packet.
+    pub const_params: Option<(u32, u32)>,
     /// The stateful operation.
     pub op: StatefulOp,
     /// Which SALU output is forwarded downstream.
@@ -323,6 +334,15 @@ impl CompiledBinding {
         let (key_a, key_b) = match b.key.source {
             KeySource::Unit(i) => (i as u8, NO_UNIT),
             KeySource::Xor(i, j) => (i as u8, j as u8),
+        };
+        let p1 = ParamPlan::compile(&b.p1);
+        let p2 = ParamPlan::compile(&b.p2);
+        let prep = PrepPlan::compile(&b.prep);
+        let const_params = match (&p1, &p2) {
+            (ParamPlan::Const(c1), ParamPlan::Const(c2)) if !prep.reads_ctx() => {
+                Some(prep.apply(*c1, *c2, &PacketContext::default()))
+            }
+            _ => None,
         };
         CompiledBinding {
             task: b.task,
@@ -342,9 +362,10 @@ impl CompiledBinding {
             slice_shift: u32::from(b.key.slice_shift),
             addr_shift: u32::from(b.translation.partitions_log2),
             addr_base: b.translation.base(buckets),
-            p1: ParamPlan::compile(&b.p1),
-            p2: ParamPlan::compile(&b.p2),
-            prep: PrepPlan::compile(&b.prep),
+            p1,
+            p2,
+            prep,
+            const_params,
             op: b.op,
             forward: b.forward,
         }
@@ -374,6 +395,20 @@ impl CompiledBinding {
     pub fn filter_matches(&self, pkt: &Packet) -> bool {
         (pkt.src_ip & self.src_mask) == self.src_net
             && (pkt.dst_ip & self.dst_mask) == self.dst_net
+    }
+
+    /// The prepared `(p1, p2)` of one packet — the initialization-stage
+    /// parameter selection followed by the preparation stage.
+    #[inline]
+    pub fn params(&self, pkt: &Packet, digests: &[u32], ctx: &PacketContext) -> (u32, u32) {
+        match self.const_params {
+            Some(params) => params,
+            None => {
+                let p1 = self.p1.resolve(pkt, digests, ctx);
+                let p2 = self.p2.resolve(pkt, digests, ctx);
+                self.prep.apply(p1, p2, ctx)
+            }
+        }
     }
 
     /// The binding's 32-bit dynamic key from the packet's digest slice.
@@ -579,6 +614,46 @@ mod tests {
                     "source {source:?} shift {shift}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn constant_parameters_are_prepared_at_compile_time() {
+        let binding = |p1: ParamSource, prep: PrepAction| CmuBinding {
+            task: TaskId(1),
+            filter: TaskFilter::ANY,
+            prob_log2: 0,
+            key: crate::keysel::KeySelect {
+                source: KeySource::Unit(0),
+                slice_shift: 0,
+            },
+            p1,
+            p2: ParamSource::Const(u32::MAX),
+            prep,
+            translation: crate::addr::AddrTranslation::IDENTITY,
+            op: StatefulOp::CondAdd,
+            forward: Forward::Result,
+        };
+        let seen = CmuRef { group: 0, cmu: 0 };
+        let pkt = Packet::tcp(1, 2, 3, 4);
+        let mut ctx = PacketContext::default();
+        ctx.record(0, 0, 9);
+        let digests = [0u32; MAX_HASH_UNITS];
+        for (p1, prep, constant) in [
+            (ParamSource::Const(1), PrepAction::None, Some((1, u32::MAX))),
+            (ParamSource::Const(21), PrepAction::OneHotBit { bits: 16 }, Some((1 << 5, 1))),
+            // A packet field, or a preparation gated on the PHV context,
+            // varies per packet: nothing to hoist.
+            (ParamSource::PacketBytes, PrepAction::None, None),
+            (ParamSource::Const(21), PrepAction::OneHotBitGated { bits: 16, seen }, None),
+        ] {
+            let b = binding(p1, prep);
+            let cb = CompiledBinding::compile(&b, 256);
+            assert_eq!(cb.const_params, constant, "{b:?}");
+            // Hoisted or not, `params` is the interpreted resolve + prep.
+            let r1 = b.p1.resolve(&pkt, &digests, &ctx);
+            let r2 = b.p2.resolve(&pkt, &digests, &ctx);
+            assert_eq!(cb.params(&pkt, &digests, &ctx), b.prep.apply(r1, r2, &ctx));
         }
     }
 

@@ -12,32 +12,33 @@
 //!   (once per group per packet);
 //! - re-serializing the same flow key for every hash unit sharing a
 //!   `KeySpec` (the standing 5-tuple mask on unit 0 of *every* group);
-//! - rebuilding the 24-byte sampling-coin seed for every binding probed
+//! - rehashing the 24-byte sampling-coin seed for every binding probed
 //!   on every CMU, when 20 of those bytes depend only on the packet.
 
 use flymon_packet::{ExtractionCache, Packet};
-use flymon_rmt::hash::{murmur3_32, HashScratch, MAX_HASH_UNITS};
-use flymon_rmt::salu::{BatchOp, OpOutput};
+use flymon_rmt::hash::{fmix32, murmur3_round, HashScratch, MAX_HASH_UNITS};
 
-use crate::group::Forward;
 use crate::params::PacketContext;
 use crate::task::TaskId;
 
 /// Seed of the per-task sampling coin (§5.3 probabilistic execution).
 pub(crate) const COIN_SEED: u32 = 0xc011_f11b;
 
-/// The sampling-coin seed bytes, built once per packet.
+/// The sampling coin's packet part, hashed once per packet.
 ///
-/// The coin hashes 24 bytes: the 5-tuple-ish packet part (src/dst
-/// address, ports, timestamp — bytes 0..20) and the task id (bytes
-/// 20..24), so distinct tasks flip independent coins. The packet part is
-/// filled lazily on the first coin of a packet and reused for every
-/// further binding; only the 4 task-id bytes are re-patched per binding.
-/// The hashed bytes are identical to building the seed from scratch, so
-/// coin decisions are bit-identical to the PR-2 path.
+/// The coin is `murmur3_32(COIN_SEED, seed)` over a 24-byte seed: the
+/// 5-tuple-ish packet part (src/dst address, ports, timestamp,
+/// big-endian — bytes 0..20) and the task id (bytes 20..24), so distinct
+/// tasks flip independent coins. 24 bytes are six whole murmur blocks
+/// and every field is word-aligned in them, so nothing is serialized:
+/// the five packet words fold into the murmur state once per packet
+/// (lazily, on its first coin), and each binding folds only its task
+/// word and finalizes. Bit-identical to hashing the seed bytes — the
+/// test below keeps the byte form as the reference.
 #[derive(Debug, Clone, Default)]
 pub struct CoinScratch {
-    base: [u8; 24],
+    /// Murmur state after the five packet words.
+    state: u32,
     ready: bool,
 }
 
@@ -48,17 +49,26 @@ impl CoinScratch {
     }
 
     /// The 32-bit sampling coin for (`pkt`, `task`).
+    #[inline]
     pub fn coin(&mut self, pkt: &Packet, task: TaskId) -> u32 {
         if !self.ready {
-            self.base[0..4].copy_from_slice(&pkt.src_ip.to_be_bytes());
-            self.base[4..8].copy_from_slice(&pkt.dst_ip.to_be_bytes());
-            self.base[8..10].copy_from_slice(&pkt.src_port.to_be_bytes());
-            self.base[10..12].copy_from_slice(&pkt.dst_port.to_be_bytes());
-            self.base[12..20].copy_from_slice(&pkt.ts_ns.to_be_bytes());
+            // murmur reads each 4-byte block little-endian, so a
+            // big-endian field enters as its byte-swapped word.
+            let ports = u32::from(pkt.src_port.swap_bytes())
+                | u32::from(pkt.dst_port.swap_bytes()) << 16;
+            self.state = [
+                pkt.src_ip.swap_bytes(),
+                pkt.dst_ip.swap_bytes(),
+                ports,
+                ((pkt.ts_ns >> 32) as u32).swap_bytes(),
+                (pkt.ts_ns as u32).swap_bytes(),
+            ]
+            .into_iter()
+            .fold(COIN_SEED, murmur3_round);
             self.ready = true;
         }
-        self.base[20..24].copy_from_slice(&task.0.to_be_bytes());
-        murmur3_32(COIN_SEED, &self.base)
+        // The seed's length (24) enters just before the finalizer.
+        fmix32(murmur3_round(self.state, task.0.swap_bytes()) ^ 24)
     }
 }
 
@@ -76,7 +86,7 @@ pub struct PacketScratch {
     pub hash: HashScratch,
     /// Per-packet flow-key extraction memo, shared by all groups.
     pub keys: ExtractionCache,
-    /// Per-packet sampling-coin seed bytes.
+    /// Per-packet sampling-coin state.
     pub coin: CoinScratch,
 }
 
@@ -96,20 +106,18 @@ impl PacketScratch {
 /// [`PacketScratch`].
 ///
 /// Where `PacketScratch` holds one packet's transient state, this holds
-/// a whole batch's: one [`PacketContext`]/[`ExtractionCache`]/
-/// [`CoinScratch`] per packet plus the stage-major work vectors — the
-/// packet-major digest matrix, the per-CMU matched lists and the
-/// resolved-op buffer handed to
-/// [`Salu::execute_batch`](flymon_rmt::salu::Salu::execute_batch).
-/// Everything is `Vec`-backed and grown once to the batch size; steady
-/// state allocates nothing.
+/// a whole batch's: one [`PacketContext`] and [`CoinScratch`] per packet
+/// plus the stage-major work vectors — the packet-major digest matrix
+/// and the per-CMU matched lists. Keys and SALU operands are never
+/// staged: the digest pass writes keys into a lane buffer on its stack
+/// and the fused sweep resolves operands as it applies them. Everything
+/// is `Vec`-backed and grown once to the batch size; steady state
+/// allocates nothing.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     /// Per-packet PHV context (cross-CMU results).
     pub(crate) ctxs: Vec<PacketContext>,
-    /// Per-packet flow-key extraction memo, shared across groups.
-    pub(crate) keys: Vec<ExtractionCache>,
-    /// Per-packet sampling-coin seed bytes.
+    /// Per-packet sampling-coin state, shared across groups.
     pub(crate) coins: Vec<CoinScratch>,
     /// Packet-major digest matrix, stride [`MAX_HASH_UNITS`]: packet
     /// `p`'s compressed-key slice is `digests[p*8 .. p*8+8]`. Slots of
@@ -128,12 +136,6 @@ pub struct BatchScratch {
     /// order — packet order is what keeps same-bucket SALU updates
     /// applied in arrival order. Reset per group.
     pub(crate) matched: Vec<Vec<(u32, u16)>>,
-    /// Resolved SALU ops for one CMU's apply pass. Reset per CMU.
-    pub(crate) resolved: Vec<BatchOp>,
-    /// `(packet index, forward selector)` parallel to `resolved`.
-    pub(crate) meta: Vec<(u32, Forward)>,
-    /// SALU outputs parallel to `resolved`.
-    pub(crate) outs: Vec<OpOutput>,
     /// Which packets executed a task on a spliced group this chunk (the
     /// per-packet recirculation flag). Reset per chunk.
     pub(crate) executed: Vec<bool>,
@@ -154,7 +156,6 @@ impl BatchScratch {
         self.len = n;
         if self.ctxs.len() < n {
             self.ctxs.resize_with(n, Default::default);
-            self.keys.resize_with(n, Default::default);
             self.coins.resize_with(n, Default::default);
             self.need_digest.resize(n, false);
             self.executed.resize(n, false);
@@ -164,7 +165,6 @@ impl BatchScratch {
             if reset_ctx {
                 self.ctxs[i].reset();
             }
-            self.keys[i].clear();
             self.coins[i].invalidate();
             self.executed[i] = false;
         }
@@ -223,11 +223,26 @@ impl ReadoutScratch {
 mod tests {
     use super::*;
     use flymon_packet::PacketBuilder;
+    use flymon_rmt::hash::murmur3_32;
+
+    /// The coin by its definition: murmur3 over the 24 seed bytes,
+    /// built from scratch.
+    fn reference_coin(pkt: &Packet, task: u32) -> u32 {
+        let mut b = [0u8; 24];
+        b[0..4].copy_from_slice(&pkt.src_ip.to_be_bytes());
+        b[4..8].copy_from_slice(&pkt.dst_ip.to_be_bytes());
+        b[8..10].copy_from_slice(&pkt.src_port.to_be_bytes());
+        b[10..12].copy_from_slice(&pkt.dst_port.to_be_bytes());
+        b[12..20].copy_from_slice(&pkt.ts_ns.to_be_bytes());
+        b[20..24].copy_from_slice(&task.to_be_bytes());
+        murmur3_32(COIN_SEED, &b)
+    }
 
     #[test]
     fn coin_matches_from_scratch_seed() {
-        // The incremental seed (packet part cached, task id patched) must
-        // hash the exact bytes the PR-2 code built per binding.
+        // The incremental coin (packet part folded once, task word per
+        // binding) must hash the exact bytes the PR-2 code built per
+        // binding.
         let pkt = PacketBuilder::new()
             .src_ip(0x0a00_0001)
             .dst_ip(0xc0a8_0001)
@@ -235,32 +250,37 @@ mod tests {
             .dst_port(443)
             .ts_ns(987_654_321)
             .build();
-        let reference = |task: u32| {
-            let mut b = [0u8; 24];
-            b[0..4].copy_from_slice(&pkt.src_ip.to_be_bytes());
-            b[4..8].copy_from_slice(&pkt.dst_ip.to_be_bytes());
-            b[8..10].copy_from_slice(&pkt.src_port.to_be_bytes());
-            b[10..12].copy_from_slice(&pkt.dst_port.to_be_bytes());
-            b[12..20].copy_from_slice(&pkt.ts_ns.to_be_bytes());
-            b[20..24].copy_from_slice(&task.to_be_bytes());
-            murmur3_32(COIN_SEED, &b)
-        };
         let mut coin = CoinScratch::default();
         // Several tasks against one cached packet part, in both orders.
         for task in [1u32, 7, 7, 0xffff_ffff, 1] {
-            assert_eq!(coin.coin(&pkt, TaskId(task)), reference(task));
+            assert_eq!(coin.coin(&pkt, TaskId(task)), reference_coin(&pkt, task));
         }
         // A new packet must not reuse the old packet part.
         coin.invalidate();
         let other = PacketBuilder::new().src_ip(9).build();
-        let mut b = [0u8; 24];
-        b[0..4].copy_from_slice(&other.src_ip.to_be_bytes());
-        b[4..8].copy_from_slice(&other.dst_ip.to_be_bytes());
-        b[8..10].copy_from_slice(&other.src_port.to_be_bytes());
-        b[10..12].copy_from_slice(&other.dst_port.to_be_bytes());
-        b[12..20].copy_from_slice(&other.ts_ns.to_be_bytes());
-        b[20..24].copy_from_slice(&3u32.to_be_bytes());
-        assert_eq!(coin.coin(&other, TaskId(3)), murmur3_32(COIN_SEED, &b));
+        assert_eq!(coin.coin(&other, TaskId(3)), reference_coin(&other, 3));
+    }
+
+    #[test]
+    fn word_wise_coin_matches_murmur_over_random_seeds() {
+        // Random packets (timestamps with live high words included) and
+        // task ids.
+        let mut rng = flymon_packet::SplitMix64::new(0xc011);
+        let mut coin = CoinScratch::default();
+        for _ in 0..2_000 {
+            let pkt = PacketBuilder::new()
+                .src_ip(rng.next_u32())
+                .dst_ip(rng.next_u32())
+                .src_port(rng.next_u32() as u16)
+                .dst_port(rng.next_u32() as u16)
+                .ts_ns(rng.next_u64())
+                .build();
+            coin.invalidate();
+            for _ in 0..3 {
+                let task = rng.next_u32();
+                assert_eq!(coin.coin(&pkt, TaskId(task)), reference_coin(&pkt, task));
+            }
+        }
     }
 
     #[test]

@@ -242,9 +242,10 @@ pub fn scan_row(row: &[u32], cap: u32) -> RowOccupancy {
     let mut saturated = 0usize;
     let mut chunks = row.chunks_exact(MERGE_LANES);
     for c in chunks.by_ref() {
-        for lane in 0..MERGE_LANES {
-            nonzero += usize::from(c[lane] > 0);
-            saturated += usize::from(c[lane] >= cap);
+        let c: &[u32; MERGE_LANES] = c.try_into().expect("chunks_exact yields whole chunks");
+        for &v in c {
+            nonzero += usize::from(v > 0);
+            saturated += usize::from(v >= cap);
         }
     }
     for &v in chunks.remainder() {

@@ -344,6 +344,90 @@ impl KeySpec {
     }
 }
 
+/// A [`KeySpec`] compiled for the batched datapath: the serialized
+/// length and the address masks are worked out once, when a hash mask is
+/// installed, instead of per packet.
+///
+/// [`KeyPlan::write`] produces exactly the bytes of [`KeySpec::extract`]
+/// (which stays the reference), straight into a caller-owned buffer —
+/// no [`FlowKeyBytes`] copy, no memo lookup — and [`KeyPlan::len`] is
+/// the same for every packet, which is what lets the digest kernel run
+/// a whole lane group in lockstep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyPlan {
+    len: u8,
+    /// Prefix mask of the source address; 0 = field absent (a present
+    /// field has at least one prefix bit, so its mask is never 0).
+    src_mask: u32,
+    /// Prefix mask of the destination address; 0 = field absent.
+    dst_mask: u32,
+    src_port: bool,
+    dst_port: bool,
+    protocol: bool,
+    timestamp: bool,
+}
+
+impl KeyPlan {
+    /// Serialized key length in bytes, fixed per plan.
+    pub fn len(&self) -> usize {
+        usize::from(self.len)
+    }
+
+    /// True for the plan of the `N/A` key.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Writes the key bytes of `pkt` to `out[..self.len()]`; bytes past
+    /// the length are left as they were.
+    #[inline]
+    pub fn write(&self, pkt: &Packet, out: &mut [u8; MAX_KEY_BYTES]) {
+        let mut at = 0;
+        let mut put = |bytes: &[u8]| {
+            out[at..at + bytes.len()].copy_from_slice(bytes);
+            at += bytes.len();
+        };
+        if self.src_mask != 0 {
+            put(&(pkt.src_ip & self.src_mask).to_be_bytes());
+        }
+        if self.dst_mask != 0 {
+            put(&(pkt.dst_ip & self.dst_mask).to_be_bytes());
+        }
+        if self.src_port {
+            put(&pkt.src_port.to_be_bytes());
+        }
+        if self.dst_port {
+            put(&pkt.dst_port.to_be_bytes());
+        }
+        if self.protocol {
+            put(&[pkt.protocol]);
+        }
+        if self.timestamp {
+            put(&HeaderField::Timestamp.read(pkt).to_be_bytes());
+        }
+    }
+}
+
+impl KeySpec {
+    /// Compiles this key to its fixed-length [`KeyPlan`].
+    pub fn plan(&self) -> KeyPlan {
+        // A prefix-masked address still serializes as four bytes.
+        let len = 4 * (u8::from(self.src_ip_prefix > 0) + u8::from(self.dst_ip_prefix > 0))
+            + 2 * (u8::from(self.src_port) + u8::from(self.dst_port))
+            + u8::from(self.protocol)
+            + 4 * u8::from(self.timestamp);
+        KeyPlan {
+            len,
+            src_mask: mask_prefix(u32::MAX, self.src_ip_prefix),
+            dst_mask: mask_prefix(u32::MAX, self.dst_ip_prefix),
+            src_port: self.src_port,
+            dst_port: self.dst_port,
+            protocol: self.protocol,
+            timestamp: self.timestamp,
+        }
+    }
+}
+
 /// Capacity of an [`ExtractionCache`]: the most *distinct* `KeySpec`s a
 /// packet can meaningfully meet in one pipeline pass. Each compression
 /// stage holds at most 8 units ([`crate`]-independent bound mirrored from
@@ -409,21 +493,6 @@ impl ExtractionCache {
             self.spill = spec.extract(pkt);
             &self.spill
         }
-    }
-
-    /// The memoized extraction of `spec`, if one exists — the read-only
-    /// companion to [`ExtractionCache::get_or_extract`]. The vectorized
-    /// digest pass gathers key bytes from *several* packets' caches at
-    /// once; shared borrows make that gather possible where `&mut`
-    /// lookups would not. Returns `None` when the spec was never
-    /// extracted (or landed in the uncached spill slot), in which case
-    /// the caller falls back to scalar extraction.
-    pub fn get(&self, spec: &KeySpec) -> Option<&FlowKeyBytes> {
-        let n = usize::from(self.len);
-        self.specs[..n]
-            .iter()
-            .position(|s| s == spec)
-            .map(|i| &self.keys[i])
     }
 
     /// Number of distinct specs memoized since the last clear.
@@ -592,6 +661,50 @@ mod tests {
             specs[0].extract(&p),
             "memoized slot survives overflow traffic"
         );
+    }
+
+    #[test]
+    fn key_plan_writes_exactly_what_extract_serializes() {
+        // Every field subset x every interesting prefix length, against
+        // the untouched reference serialization.
+        let prefixes = [0u8, 1, 8, 24, 31, 32];
+        let mut rng = crate::SplitMix64::new(0x6b65_7970);
+        let mut specs = 0;
+        for src_ip_prefix in prefixes {
+            for dst_ip_prefix in prefixes {
+                for flags in 0..16u8 {
+                    let spec = KeySpec {
+                        src_ip_prefix,
+                        dst_ip_prefix,
+                        src_port: flags & 1 != 0,
+                        dst_port: flags & 2 != 0,
+                        protocol: flags & 4 != 0,
+                        timestamp: flags & 8 != 0,
+                    };
+                    let plan = spec.plan();
+                    specs += 1;
+                    for _ in 0..8 {
+                        let p = PacketBuilder::new()
+                            .src_ip(rng.next_u32())
+                            .dst_ip(rng.next_u32())
+                            .src_port(rng.next_u32() as u16)
+                            .dst_port(rng.next_u32() as u16)
+                            .protocol(rng.next_u32() as u8)
+                            .ts_ns(rng.next_u64() >> 20)
+                            .build();
+                        // A poisoned buffer shows a write past the length.
+                        let mut out = [0xa5u8; MAX_KEY_BYTES];
+                        plan.write(&p, &mut out);
+                        let reference = spec.extract(&p);
+                        assert_eq!(plan.len(), reference.as_bytes().len(), "{spec:?}");
+                        assert_eq!(&out[..plan.len()], reference.as_bytes(), "{spec:?}");
+                        assert!(out[plan.len()..].iter().all(|&b| b == 0xa5), "{spec:?}");
+                    }
+                }
+            }
+        }
+        assert_eq!(specs, 6 * 6 * 16);
+        assert!(KeySpec::NONE.plan().is_empty());
     }
 
     #[test]

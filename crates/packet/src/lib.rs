@@ -13,7 +13,8 @@
 //! - [`KeySpec`]: a *partial key* of the candidate key set — any combination
 //!   of fields, with per-address prefix lengths (SrcIP/24, IP-pair, 5-tuple,
 //!   ...). [`KeySpec::extract`] serializes the selected bits of a packet
-//!   into canonical bytes for hashing.
+//!   into canonical bytes for hashing; [`KeySpec::plan`] compiles the same
+//!   serialization to a fixed-length [`KeyPlan`] for the batched datapath.
 //! - [`TaskFilter`]: prefix-based traffic filters used to isolate tasks and
 //!   to split heavy tasks into sub-tasks (§3.1.1, §3.3).
 //!
@@ -31,7 +32,9 @@ pub mod rng;
 
 pub use fields::HeaderField;
 pub use filter::{PrefixFilter, TaskFilter};
-pub use key::{ExtractionCache, FlowKeyBytes, KeySpec, MAX_CACHED_KEYS, MAX_KEY_BYTES};
+pub use key::{
+    ExtractionCache, FlowKeyBytes, KeyPlan, KeySpec, MAX_CACHED_KEYS, MAX_KEY_BYTES,
+};
 pub use packet::{Packet, PacketBuilder};
 pub use rng::SplitMix64;
 

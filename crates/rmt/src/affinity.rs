@@ -14,10 +14,9 @@
 //! laws, per-worker state — may depend on where a thread runs; this
 //! module only narrows where the scheduler may place it.
 //!
-//! Like [`crate::prefetch`], this is deliberately the only other unsafe
-//! code in the workspace, kept behind the crate's `deny(unsafe_code)` +
-//! scoped allow so the netsim crate's blanket `forbid(unsafe_code)`
-//! stays intact.
+//! This is deliberately the only unsafe code in the workspace, kept
+//! behind the crate's `deny(unsafe_code)` + scoped allow so the netsim
+//! crate's blanket `forbid(unsafe_code)` stays intact.
 
 /// Width of the CPU mask passed to the kernel: 1024 bits, the classic
 /// `CPU_SETSIZE`, as sixteen 64-bit words.

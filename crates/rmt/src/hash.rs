@@ -13,7 +13,7 @@
 //! The module also provides the free functions [`crc32`] and [`murmur3_32`]
 //! used as seed-separated hash families by the reference sketches.
 
-use flymon_packet::{ExtractionCache, KeySpec, Packet};
+use flymon_packet::{ExtractionCache, KeyPlan, KeySpec, Packet, MAX_KEY_BYTES};
 
 /// Well-known 32-bit CRC polynomials (reflected form), one per hash unit,
 /// so distinct units behave as (approximately) independent hash functions.
@@ -158,8 +158,8 @@ pub fn crc32(poly: u32, seed: u32, bytes: &[u8]) -> u32 {
     }
 }
 
-/// Lane count of the batched CRC kernel: [`crc32_slice8x8`] advances 8
-/// independent digests in lockstep — wide enough to cover the
+/// Lane count of the batched CRC kernel: [`crc32_lockstep`] advances up
+/// to 8 independent digests in lockstep — wide enough to cover the
 /// out-of-order window of one serial CRC chain, narrow enough that the
 /// lane state (8 × u32) stays in registers.
 pub const CRC_LANES: usize = 8;
@@ -180,71 +180,117 @@ fn advance_block(tables: &[[u32; 256]; 8], crc: u32, chunk: &[u8]) -> u32 {
         ^ tables[0][(hi >> 24) as usize]
 }
 
+/// Advances one raw CRC state through a 4-byte word: the slicing-by-4
+/// step, four independent lookups in the low half of the same tables.
+#[inline(always)]
+fn advance_word(tables: &[[u32; 256]; 8], crc: u32, chunk: &[u8]) -> u32 {
+    let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    tables[3][(lo & 0xff) as usize]
+        ^ tables[2][((lo >> 8) & 0xff) as usize]
+        ^ tables[1][((lo >> 16) & 0xff) as usize]
+        ^ tables[0][(lo >> 24) as usize]
+}
+
 /// Advances one raw CRC state one byte.
 #[inline(always)]
 fn advance_byte(tables: &[[u32; 256]; 8], crc: u32, b: u8) -> u32 {
     (crc >> 8) ^ tables[0][((crc ^ u32::from(b)) & 0xff) as usize]
 }
 
-/// Batched CRC-32: computes `out[l] = crc32_slice8(tables, seed,
-/// inputs[l])` for up to [`CRC_LANES`] independent byte-strings in
-/// lockstep, bit-identical to the scalar kernel by construction.
+/// Fixed-length lockstep CRC-32: `out[l] = crc32_slice8(tables, seed,
+/// &keys[l][..len])` for up to [`CRC_LANES`] keys of one shared length,
+/// bit-identical to the scalar kernel by construction of the tables.
 ///
 /// The scalar kernel is latency-bound: every table lookup depends on
 /// the previous one, and for the short flow keys the compression stage
-/// hashes (4–13 bytes) it degenerates to a serial byte-at-a-time chain
-/// with no exploitable ILP at all. Advancing 8 *independent* lanes in
-/// lockstep turns that latency chain into 8 interleaved chains the
-/// out-of-order core overlaps — the same trick slicing-by-8 plays
-/// *within* one long input, applied *across* inputs, which is what makes
-/// it pay off for short keys too.
+/// hashes (4–13 bytes) it degenerates to a serial byte-at-a-time chain.
+/// One length for the whole lane group — which a compiled
+/// [`KeyPlan`] guarantees — lets the kernel pick the widest step the
+/// remaining bytes allow *once*, outside the lane loop: whole 8-byte
+/// blocks (eight independent lookups), then one 4-byte word for a
+/// 4–7-byte rest (four independent lookups), then at most three single
+/// bytes; every step runs across all lanes before the next begins, so
+/// the lanes' chains overlap in the out-of-order window. A 4-byte
+/// source address is a single word step per lane.
 ///
-/// Lockstep covers the lanes' common prefix: whole 8-byte blocks first,
-/// then single bytes up to the shortest lane's length. Bytes past the
-/// common length (ragged tails) finish on the scalar path per lane.
-/// In the hot case — a lane group of packets hashed under one mask —
-/// every lane has the same length and the whole digest runs lockstep.
+/// # Panics
+/// Panics if `keys` and `out` differ in length or exceed [`CRC_LANES`],
+/// or if a key is shorter than `len`.
+pub fn crc32_lockstep<K: AsRef<[u8]>>(
+    tables: &[[u32; 256]; 8],
+    seed: u32,
+    keys: &[K],
+    len: usize,
+    out: &mut [u32],
+) {
+    assert!(keys.len() <= CRC_LANES, "at most {CRC_LANES} CRC lanes");
+    assert_eq!(keys.len(), out.len(), "one output slot per lane");
+    // A full group runs with a compile-time lane count, so the lane
+    // loops unroll and the states live in registers; the ragged last
+    // group of a chunk takes the same steps one lane at a time.
+    match (<&[K; CRC_LANES]>::try_from(keys), <&mut [u32; CRC_LANES]>::try_from(&mut *out)) {
+        (Ok(keys), Ok(out)) => *out = lockstep(tables, seed, keys, len),
+        _ => {
+            for (crc, key) in out.iter_mut().zip(keys) {
+                [*crc] = lockstep(tables, seed, std::array::from_ref(key), len);
+            }
+        }
+    }
+}
+
+/// The steps of [`crc32_lockstep`] over exactly `N` lanes.
+#[inline(always)]
+fn lockstep<const N: usize, K: AsRef<[u8]>>(
+    tables: &[[u32; 256]; 8],
+    seed: u32,
+    keys: &[K; N],
+    len: usize,
+) -> [u32; N] {
+    let keys: [&[u8]; N] = std::array::from_fn(|l| &keys[l].as_ref()[..len]);
+    let mut state = [!seed; N];
+    let mut off = 0;
+    while len - off >= 8 {
+        for l in 0..N {
+            state[l] = advance_block(tables, state[l], &keys[l][off..off + 8]);
+        }
+        off += 8;
+    }
+    if len - off >= 4 {
+        for l in 0..N {
+            state[l] = advance_word(tables, state[l], &keys[l][off..off + 4]);
+        }
+        off += 4;
+    }
+    while off < len {
+        for l in 0..N {
+            state[l] = advance_byte(tables, state[l], keys[l][off]);
+        }
+        off += 1;
+    }
+    state.map(|crc| !crc)
+}
+
+/// Batched CRC-32: computes `out[l] = crc32_slice8(tables, seed,
+/// inputs[l])` for up to [`CRC_LANES`] independent byte-strings.
+///
+/// Lanes that share one length — a lane group of packets hashed under
+/// one mask, the only shape the datapath produces — run
+/// [`crc32_lockstep`]; a ragged group has no common structure to
+/// exploit and digests lane by lane on the scalar kernel.
 ///
 /// # Panics
 /// Panics if `inputs` and `out` differ in length or exceed
 /// [`CRC_LANES`].
 pub fn crc32_lanes(tables: &[[u32; 256]; 8], seed: u32, inputs: &[&[u8]], out: &mut [u32]) {
-    let n = inputs.len();
-    assert!(n <= CRC_LANES, "at most {CRC_LANES} CRC lanes");
-    assert_eq!(n, out.len(), "one output slot per lane");
-    let mut state = [!seed; CRC_LANES];
-    let common = inputs.iter().map(|i| i.len()).min().unwrap_or(0);
-
-    // Lockstep whole blocks of the common prefix.
-    let blocks = common / 8;
-    for blk in 0..blocks {
-        let off = blk * 8;
-        for l in 0..n {
-            state[l] = advance_block(tables, state[l], &inputs[l][off..off + 8]);
+    assert!(inputs.len() <= CRC_LANES, "at most {CRC_LANES} CRC lanes");
+    assert_eq!(inputs.len(), out.len(), "one output slot per lane");
+    let len = inputs.first().map_or(0, |i| i.len());
+    if inputs.iter().all(|i| i.len() == len) {
+        crc32_lockstep(tables, seed, inputs, len, out);
+    } else {
+        for (crc, input) in out.iter_mut().zip(inputs) {
+            *crc = crc32_slice8(tables, seed, input);
         }
-    }
-    // Lockstep single bytes up to the common length (short keys live
-    // entirely here: 8 interleaved byte chains instead of one). The
-    // range loop is over byte *positions* shared by all lanes, not one
-    // slice — clippy's iterator rewrite doesn't apply.
-    #[allow(clippy::needless_range_loop)]
-    for off in blocks * 8..common {
-        for l in 0..n {
-            state[l] = advance_byte(tables, state[l], inputs[l][off]);
-        }
-    }
-    // Ragged tails: per-lane scalar fallback past the common prefix.
-    for l in 0..n {
-        let mut crc = state[l];
-        let tail = &inputs[l][common..];
-        let mut chunks = tail.chunks_exact(8);
-        for chunk in &mut chunks {
-            crc = advance_block(tables, crc, chunk);
-        }
-        for &b in chunks.remainder() {
-            crc = advance_byte(tables, crc, b);
-        }
-        out[l] = !crc;
     }
 }
 
@@ -303,21 +349,29 @@ pub fn murmur3_32(seed: u32, bytes: &[u8]) -> u32 {
     h
 }
 
+/// One block step of [`murmur3_32`]: folds the 4-byte block whose bytes
+/// spell `k` little-endian into the running state `h`. Callers that hash
+/// fixed-width words (the sampling coin, the ingress hash) fold them
+/// directly instead of serializing bytes for the slice walk.
+#[inline]
+pub fn murmur3_round(h: u32, k: u32) -> u32 {
+    let k = k
+        .wrapping_mul(0xcc9e_2d51)
+        .rotate_left(15)
+        .wrapping_mul(0x1b87_3593);
+    (h ^ k)
+        .rotate_left(13)
+        .wrapping_mul(5)
+        .wrapping_add(0xe654_6b64)
+}
+
 /// [`murmur3_32`] of one 4-byte key, given as the word its bytes spell
 /// little-endian: `murmur3_32_word(seed, k) == murmur3_32(seed,
 /// &k.to_le_bytes())`. One block, no tail, no slice walk — the per-packet
 /// form for fixed-width keys such as the ingress hash's source address.
 #[inline]
 pub fn murmur3_32_word(seed: u32, k: u32) -> u32 {
-    let k = k
-        .wrapping_mul(0xcc9e_2d51)
-        .rotate_left(15)
-        .wrapping_mul(0x1b87_3593);
-    let h = (seed ^ k)
-        .rotate_left(13)
-        .wrapping_mul(5)
-        .wrapping_add(0xe654_6b64);
-    fmix32(h ^ 4)
+    fmix32(murmur3_round(seed, k) ^ 4)
 }
 
 /// Upper bound on hash units per compression stage: one per available
@@ -392,7 +446,9 @@ pub struct HashUnit {
     poly: u32,
     seed: u32,
     tables: &'static [[u32; 256]; 8],
-    mask: Option<KeySpec>,
+    /// The installed mask and its fixed-length plan, compiled once in
+    /// [`HashUnit::set_mask`] — it changes only on reconfiguration.
+    mask: Option<(KeySpec, KeyPlan)>,
 }
 
 impl HashUnit {
@@ -412,7 +468,7 @@ impl HashUnit {
     /// reconfiguration FlyMon's compression stage performs; it does not
     /// interrupt traffic.
     pub fn set_mask(&mut self, mask: KeySpec) {
-        self.mask = Some(mask);
+        self.mask = Some((mask, mask.plan()));
     }
 
     /// Clears the mask, returning the unit to the free pool.
@@ -422,7 +478,7 @@ impl HashUnit {
 
     /// The currently installed mask, if any.
     pub fn mask(&self) -> Option<&KeySpec> {
-        self.mask.as_ref()
+        self.mask.as_ref().map(|(spec, _)| spec)
     }
 
     /// True when no mask is installed.
@@ -435,7 +491,7 @@ impl HashUnit {
     /// an all-zero input; emitting a constant keeps "unconfigured" obvious
     /// in tests).
     pub fn compute(&self, pkt: &Packet) -> u32 {
-        match &self.mask {
+        match self.mask() {
             None => 0,
             Some(mask) => self.compute_with(mask, pkt),
         }
@@ -453,9 +509,36 @@ impl HashUnit {
     /// the flow key once per packet instead of once per unit. Identical
     /// digests to `compute` — only the extraction is memoized.
     pub fn compute_cached(&self, pkt: &Packet, cache: &mut ExtractionCache) -> u32 {
-        match &self.mask {
+        match self.mask() {
             None => 0,
             Some(mask) => self.digest_bytes(cache.get_or_extract(mask, pkt).as_bytes()),
+        }
+    }
+
+    /// [`HashUnit::compute`] for one lane group of up to [`CRC_LANES`]
+    /// packets — the batched datapath's compression stage. The compiled
+    /// [`KeyPlan`] writes each packet's key straight into a lane buffer
+    /// and, because the plan fixes one length for the whole group,
+    /// [`crc32_lockstep`] digests it. Bit-identical per lane to
+    /// `compute`, zeros included when no mask is installed.
+    ///
+    /// # Panics
+    /// Panics unless `pkts` yields exactly `out.len()` ≤ [`CRC_LANES`]
+    /// packets.
+    pub fn compute_lanes<'a>(&self, pkts: impl IntoIterator<Item = &'a Packet>, out: &mut [u32]) {
+        let Some((_, plan)) = &self.mask else {
+            out.fill(0);
+            return;
+        };
+        let mut keys = [[0u8; MAX_KEY_BYTES]; CRC_LANES];
+        let mut lanes = 0;
+        for pkt in pkts {
+            plan.write(pkt, &mut keys[lanes]);
+            lanes += 1;
+        }
+        crc32_lockstep(self.tables, self.seed, &keys[..lanes], plan.len(), out);
+        for d in out.iter_mut() {
+            *d = fmix32(*d);
         }
     }
 
@@ -469,10 +552,9 @@ impl HashUnit {
     }
 
     /// Batched [`HashUnit::digest_bytes`]: digests up to [`CRC_LANES`]
-    /// independent key byte-strings in lockstep ([`crc32_lanes`]) and
-    /// whitens each lane with [`fmix32`]. Bit-identical per lane to the
-    /// scalar path; the stage-major datapath's bulk-digest pass feeds it
-    /// lane groups of packets hashed under this unit's mask.
+    /// independent key byte-strings ([`crc32_lanes`] — lockstep whenever
+    /// the lanes share a length) and whitens each lane with [`fmix32`].
+    /// Bit-identical per lane to the scalar path.
     pub fn digest_lanes(&self, inputs: &[&[u8]], out: &mut [u32]) {
         crc32_lanes(self.tables, self.seed, inputs, out);
         for d in out.iter_mut() {
@@ -550,13 +632,12 @@ mod tests {
 
     #[test]
     fn lane_kernel_matches_scalar_differentially() {
-        // The tentpole kernel: every family polynomial × every lane
-        // count 1..=8 × lengths 0..64 — crc32_lanes must agree lane for
-        // lane with the scalar crc32_slice8 (itself differentially tied
-        // to the bitwise reference above). Lane lengths are drawn
-        // independently so the ragged-tail fallback is exercised, and
-        // one equal-length pass per combination covers the all-lockstep
-        // hot case.
+        // Every family polynomial × every lane count 1..=8 × lengths
+        // 0..64 — crc32_lanes must agree lane for lane with the scalar
+        // crc32_slice8 (itself differentially tied to the bitwise
+        // reference above). Lane lengths are drawn independently so the
+        // ragged per-lane fallback is exercised, and one equal-length
+        // pass per combination covers the lockstep case.
         let mut rng = flymon_packet::SplitMix64::new(0x0001_a9e5);
         for &poly in &CRC32_POLYNOMIALS {
             let tables = tables8_for(poly).expect("family polynomial");
@@ -587,6 +668,74 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lockstep_kernel_matches_bitwise_reference() {
+        // Every family polynomial x every key length a plan can produce
+        // (0..=20: no block, word only, block + word + bytes, two blocks
+        // + word) x every lane count, against the bit-at-a-time
+        // reference. Keys sit in fixed-size lane buffers with poisoned
+        // tails, as in `compute_lanes`: bytes past `len` must not count.
+        let mut rng = flymon_packet::SplitMix64::new(0x10c5_7e90);
+        for &poly in &CRC32_POLYNOMIALS {
+            let tables = tables8_for(poly).expect("family polynomial");
+            for len in 0..=MAX_KEY_BYTES {
+                for lanes in 1..=CRC_LANES {
+                    let seed = rng.next_u32();
+                    let mut keys = [[0u8; MAX_KEY_BYTES]; CRC_LANES];
+                    for k in keys.iter_mut() {
+                        k.fill_with(|| rng.next_u64() as u8);
+                    }
+                    let mut out = [0u32; CRC_LANES];
+                    crc32_lockstep(tables, seed, &keys[..lanes], len, &mut out[..lanes]);
+                    for l in 0..lanes {
+                        assert_eq!(
+                            out[l],
+                            crc32_bitwise(poly, seed, &keys[l][..len]),
+                            "lane {l}/{lanes} diverged: poly {poly:#x}, len {len}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compute_lanes_matches_compute_for_every_group_size() {
+        let specs = [
+            KeySpec::SRC_IP,                         // 4: one word step
+            KeySpec::SRC_IP_SRC_PORT,                // 6: word + 2 bytes
+            KeySpec::IP_PAIR,                        // 8: one block
+            KeySpec::FIVE_TUPLE,                     // 13: block + word + byte
+            KeySpec { timestamp: true, ..KeySpec::FIVE_TUPLE }, // 17: two blocks + byte
+            KeySpec::NONE,                           // 0: the seed alone
+        ];
+        let mut rng = flymon_packet::SplitMix64::new(0xc0de);
+        let pkts: Vec<Packet> = (0..CRC_LANES)
+            .map(|_| {
+                PacketBuilder::new()
+                    .src_ip(rng.next_u32())
+                    .dst_ip(rng.next_u32())
+                    .src_port(rng.next_u32() as u16)
+                    .dst_port(rng.next_u32() as u16)
+                    .ts_ns(rng.next_u64() >> 24)
+                    .build()
+            })
+            .collect();
+        let mut unit = HashUnit::new(5);
+        let mut out = [1u32; CRC_LANES];
+        unit.compute_lanes(&pkts[..3], &mut out[..3]);
+        assert_eq!(out[..3], [0; 3], "a free unit digests to 0, like compute");
+        for spec in specs {
+            unit.set_mask(spec);
+            for lanes in 1..=CRC_LANES {
+                unit.compute_lanes(&pkts[..lanes], &mut out[..lanes]);
+                for l in 0..lanes {
+                    assert_eq!(out[l], unit.compute(&pkts[l]), "{spec:?} lane {l}/{lanes}");
                 }
             }
         }

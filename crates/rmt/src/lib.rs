@@ -38,20 +38,16 @@
 //!   (failed rule installs, dead groups, flaky channels) plus bounded
 //!   retry-with-backoff — the adversary the control plane's transactional
 //!   reconfiguration is tested against.
-//! - [`prefetch`]: portable software-prefetch hints the batched datapath
-//!   issues for SALU register rows between address resolution and the
-//!   apply loop (no-op off x86_64).
 //! - [`affinity`]: best-effort CPU pinning for the parallel datapath's
 //!   worker threads (raw `sched_setaffinity` on Linux/x86_64, no-op
 //!   elsewhere).
 //!
 //! Nothing here knows about sketches or tasks: this crate is "hardware".
 
-// `deny` rather than the workspace's usual `forbid`: the two sanctioned
-// exceptions are the scoped allows in [`prefetch`] (the non-faulting
-// x86 PREFETCHT0 hint) and [`affinity`] (the raw sched_setaffinity
-// syscall). Everything else in this crate is still rejected at compile
-// time.
+// `deny` rather than the workspace's usual `forbid`: the one sanctioned
+// exception is the scoped allow in [`affinity`] (the raw
+// sched_setaffinity syscall). Everything else in this crate is still
+// rejected at compile time.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -61,7 +57,6 @@ pub mod fault;
 pub mod hash;
 pub mod phv;
 pub mod pipeline;
-pub mod prefetch;
 pub mod register;
 pub mod resources;
 pub mod rules;

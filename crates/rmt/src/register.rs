@@ -76,8 +76,8 @@ impl Register {
 
     /// Extends the dirty watermark to cover `[start, end)`.
     ///
-    /// `pub(crate)` so [`crate::salu::Salu::execute_batch`] can fold a
-    /// whole batch's writes into one running `(min, max)` mark instead
+    /// `pub(crate)` so [`crate::salu::Salu::sweep`] can fold a
+    /// whole sweep's writes into one running `(min, max)` mark instead
     /// of one call per write. The watermark is a *union* of marks
     /// (`mark(a) ∪ mark(b) == mark(a ∪ b)`), so batching the marks is
     /// observationally identical to per-write marking — delta
@@ -310,27 +310,11 @@ impl Register {
         Ok(())
     }
 
-    /// Hints the CPU to pull the cache line of bucket `addr` into cache.
-    ///
-    /// The batched datapath calls this during address resolution, one
-    /// batch ahead of the SALU apply loop, so the random row accesses
-    /// that dominate the per-packet budget overlap with resolve work
-    /// instead of stalling the apply loop. Out-of-range addresses are
-    /// ignored (the hint must never observe memory the register does
-    /// not own); the hint itself cannot fault (see
-    /// [`crate::prefetch::prefetch_read`]).
-    #[inline]
-    pub fn prefetch(&self, addr: usize) {
-        if let Some(slot) = self.buckets.get(addr) {
-            crate::prefetch::prefetch_read(slot);
-        }
-    }
-
     /// Raw bucket storage for the SALU's batched read-modify-write loop.
     ///
     /// Crate-internal on purpose: callers outside the substrate must go
     /// through [`Register::write`]/[`Register::clear_range`], which keep
-    /// the dirty watermark honest. [`crate::salu::Salu::execute_batch`]
+    /// the dirty watermark honest. [`crate::salu::Salu::sweep`]
     /// pairs this with an explicit [`Register::mark_dirty`] covering
     /// every bucket it wrote.
     pub(crate) fn buckets_mut(&mut self) -> &mut [u32] {

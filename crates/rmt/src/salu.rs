@@ -67,26 +67,6 @@ pub struct OpOutput {
     pub old: u32,
 }
 
-/// One fully resolved stateful update in a batch: the operation plus
-/// its translated register address and prepared parameters.
-///
-/// This is what a compiled binding program's resolve pass produces per
-/// matched packet (`flymon`'s stage-major batch path); the SALU then
-/// applies a whole slice of these back-to-back in
-/// [`Salu::execute_batch`]. `p1` is the *post-preparation* value, so a
-/// downstream `old & p1` forward can reuse it without re-resolving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchOp {
-    /// The pre-loaded operation to execute.
-    pub op: StatefulOp,
-    /// Translated register address (already partition-mapped).
-    pub addr: usize,
-    /// First parameter, after preparation-stage processing.
-    pub p1: u32,
-    /// Second parameter, after preparation-stage processing.
-    pub p2: u32,
-}
-
 /// A stateful ALU bound to one [`Register`].
 ///
 /// Models the two hardware constraints FlyMon designs around:
@@ -193,158 +173,116 @@ impl Salu {
         })
     }
 
-    /// Executes a batch of pre-resolved operations back-to-back,
-    /// appending one [`OpOutput`] per op to `out` (in order).
+    /// The fused resolve+apply sweep of the batched datapath: `count`
+    /// executions of one pre-loaded `op`, in order, each semantically one
+    /// [`Salu::execute`] — same read-modify-write, same Appendix A
+    /// results, same one-memory-access-per-packet discipline (each step
+    /// *is* one packet's access).
     ///
-    /// Semantically identical to calling [`Salu::execute`] once per
-    /// entry — same per-op read-modify-write, same Appendix A results,
-    /// same one-memory-access-per-packet discipline (each entry *is*
-    /// one packet's access) — but with the per-op overheads hoisted out
-    /// of the loop: the loaded-op check runs only when the op changes
-    /// between entries (a batch from one binding program repeats one
-    /// op), the width mask is computed once, and the dirty watermark is
-    /// marked once with the running `(min, max)` of written addresses
-    /// (a union of marks equals the mark of the union, so delta
-    /// checkpoints cannot tell the difference).
+    /// Step `k` takes its `(addr, p1, p2)` from `operands(ctx, k)` and
+    /// hands the outcome to `sink(ctx, k, p1, output)`, so the caller
+    /// resolves operands and consumes outputs inside the loop instead
+    /// of staging either in a buffer; `ctx` is whatever state the two
+    /// share (the PHV contexts a chained attribute reads and writes).
+    /// A caller with no use for the outputs passes a no-op sink and the
+    /// loop collapses to the register update.
     ///
-    /// On error (unloaded op or out-of-range address) entries before
-    /// the offending one remain applied and are reflected in the dirty
-    /// mark — the same partial state a caller of the scalar path would
-    /// have produced.
-    pub fn execute_batch(&mut self, ops: &[BatchOp], out: &mut Vec<OpOutput>) -> Result<(), RmtError> {
-        out.reserve(ops.len());
+    /// What is per-op in `execute` is hoisted out of the loop here: the
+    /// loaded-op check runs once, the dispatch on `op` happens outside
+    /// the loop (each operation gets its own monomorphic loop), the
+    /// width mask is computed once, and the dirty watermark is marked
+    /// once with the running `(min, max)` of written addresses (a union
+    /// of marks equals the mark of the union, so delta checkpoints
+    /// cannot tell the difference). The bounds check stays per step.
+    ///
+    /// On an out-of-range address the steps before the offending one
+    /// remain applied and are reflected in the dirty mark — the same
+    /// partial state a caller of the scalar path would have produced.
+    pub fn sweep<C: ?Sized>(
+        &mut self,
+        op: StatefulOp,
+        count: usize,
+        ctx: &mut C,
+        operands: impl Fn(&C, usize) -> (usize, u32, u32),
+        sink: impl Fn(&mut C, usize, u32, OpOutput),
+    ) -> Result<(), RmtError> {
+        if !self.loaded.contains(&op) {
+            return Err(RmtError::NoSuchEntity("pre-loaded register action"));
+        }
         let max = self.register.max_value();
-        let limit = self.register.len();
-        let mut checked: Option<StatefulOp> = None;
-        // Running watermark of written buckets; one mark_dirty at the end.
-        let mut dirty_lo = usize::MAX;
-        let mut dirty_hi = 0usize;
-        let buckets = self.register.buckets_mut();
-        let mut res = Ok(());
-        for b in ops {
-            if checked != Some(b.op) {
-                if !self.loaded.contains(&b.op) {
-                    res = Err(RmtError::NoSuchEntity("pre-loaded register action"));
-                    break;
-                }
-                checked = Some(b.op);
-            }
-            let Some(slot) = buckets.get_mut(b.addr) else {
-                res = Err(RmtError::IndexOutOfRange {
-                    what: "bucket",
-                    index: b.addr,
-                    limit,
-                });
-                break;
-            };
-            let current = *slot;
-            let (next, result) = match b.op {
-                StatefulOp::CondAdd => {
-                    if current < b.p2 {
-                        let next = (current.wrapping_add(b.p1)) & max;
-                        (next, next)
-                    } else {
-                        (current, 0)
-                    }
-                }
-                StatefulOp::Max => {
-                    let p1 = b.p1 & max;
-                    if current < p1 {
-                        (p1, p1)
-                    } else {
-                        (current, 0)
-                    }
-                }
-                StatefulOp::AndOr => {
-                    let next = if b.p2 == 0 { current & b.p1 } else { current | b.p1 } & max;
+        let reg = &mut self.register;
+        // `update(current, p1, p2) -> (next, result)`, exactly the arms
+        // of `execute`.
+        match op {
+            StatefulOp::CondAdd => sweep_with(reg, count, ctx, operands, sink, |cur, p1, p2| {
+                if cur < p2 {
+                    let next = cur.wrapping_add(p1) & max;
                     (next, next)
+                } else {
+                    (cur, 0)
                 }
-                StatefulOp::Xor => {
-                    let next = (current ^ b.p1) & max;
-                    (next, next)
+            }),
+            StatefulOp::Max => sweep_with(reg, count, ctx, operands, sink, |cur, p1, _| {
+                let p1 = p1 & max;
+                if cur < p1 {
+                    (p1, p1)
+                } else {
+                    (cur, 0)
                 }
-                StatefulOp::ReservedRead => (current, current),
-            };
-            if next != current {
-                *slot = next;
-                dirty_lo = dirty_lo.min(b.addr);
-                dirty_hi = dirty_hi.max(b.addr + 1);
+            }),
+            StatefulOp::AndOr => sweep_with(reg, count, ctx, operands, sink, |cur, p1, p2| {
+                let next = if p2 == 0 { cur & p1 } else { cur | p1 } & max;
+                (next, next)
+            }),
+            StatefulOp::Xor => sweep_with(reg, count, ctx, operands, sink, |cur, p1, _| {
+                let next = (cur ^ p1) & max;
+                (next, next)
+            }),
+            StatefulOp::ReservedRead => {
+                sweep_with(reg, count, ctx, operands, sink, |cur, _, _| (cur, cur))
             }
-            out.push(OpOutput {
-                result,
-                old: current,
-            });
         }
-        if dirty_lo < dirty_hi {
-            self.register.mark_dirty(dirty_lo, dirty_hi);
-        }
-        res
     }
+}
 
-    /// [`Salu::execute_batch`] without the output record: register
-    /// effects are bit-identical, but no [`OpOutput`]s are collected.
-    ///
-    /// The batch path calls this when no compiled program anywhere reads
-    /// PHV contexts — the outputs would be unobservable, and skipping the
-    /// per-op push keeps the apply loop a pure read-modify-write sweep.
-    pub fn apply_batch(&mut self, ops: &[BatchOp]) -> Result<(), RmtError> {
-        let max = self.register.max_value();
-        let limit = self.register.len();
-        let mut checked: Option<StatefulOp> = None;
-        let mut dirty_lo = usize::MAX;
-        let mut dirty_hi = 0usize;
-        let buckets = self.register.buckets_mut();
-        let mut res = Ok(());
-        for b in ops {
-            if checked != Some(b.op) {
-                if !self.loaded.contains(&b.op) {
-                    res = Err(RmtError::NoSuchEntity("pre-loaded register action"));
-                    break;
-                }
-                checked = Some(b.op);
-            }
-            let Some(slot) = buckets.get_mut(b.addr) else {
-                res = Err(RmtError::IndexOutOfRange {
-                    what: "bucket",
-                    index: b.addr,
-                    limit,
-                });
-                break;
-            };
-            let current = *slot;
-            let next = match b.op {
-                StatefulOp::CondAdd => {
-                    if current < b.p2 {
-                        (current.wrapping_add(b.p1)) & max
-                    } else {
-                        current
-                    }
-                }
-                StatefulOp::Max => {
-                    let p1 = b.p1 & max;
-                    if current < p1 {
-                        p1
-                    } else {
-                        current
-                    }
-                }
-                StatefulOp::AndOr => {
-                    (if b.p2 == 0 { current & b.p1 } else { current | b.p1 }) & max
-                }
-                StatefulOp::Xor => (current ^ b.p1) & max,
-                StatefulOp::ReservedRead => current,
-            };
-            if next != current {
-                *slot = next;
-                dirty_lo = dirty_lo.min(b.addr);
-                dirty_hi = dirty_hi.max(b.addr + 1);
-            }
+/// The loop of [`Salu::sweep`], monomorphic in the operation's `update`.
+fn sweep_with<C: ?Sized>(
+    register: &mut Register,
+    count: usize,
+    ctx: &mut C,
+    operands: impl Fn(&C, usize) -> (usize, u32, u32),
+    sink: impl Fn(&mut C, usize, u32, OpOutput),
+    update: impl Fn(u32, u32, u32) -> (u32, u32),
+) -> Result<(), RmtError> {
+    let limit = register.len();
+    // Running watermark of written buckets; one mark_dirty at the end.
+    let mut dirty_lo = usize::MAX;
+    let mut dirty_hi = 0usize;
+    let buckets = register.buckets_mut();
+    let mut res = Ok(());
+    for k in 0..count {
+        let (addr, p1, p2) = operands(ctx, k);
+        let Some(slot) = buckets.get_mut(addr) else {
+            res = Err(RmtError::IndexOutOfRange {
+                what: "bucket",
+                index: addr,
+                limit,
+            });
+            break;
+        };
+        let old = *slot;
+        let (next, result) = update(old, p1, p2);
+        if next != old {
+            *slot = next;
+            dirty_lo = dirty_lo.min(addr);
+            dirty_hi = dirty_hi.max(addr + 1);
         }
-        if dirty_lo < dirty_hi {
-            self.register.mark_dirty(dirty_lo, dirty_hi);
-        }
-        res
+        sink(ctx, k, p1, OpOutput { result, old });
     }
+    if dirty_lo < dirty_hi {
+        register.mark_dirty(dirty_lo, dirty_hi);
+    }
+    res
 }
 
 #[cfg(test)]
@@ -459,70 +397,93 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar_execution_bit_for_bit() {
-        // The batched entry point must be indistinguishable from one
-        // scalar execute per entry: same outputs, same register image,
-        // same dirty watermark.
+    fn sweep_matches_scalar_execution_bit_for_bit() {
+        // The fused entry point must be indistinguishable from one
+        // scalar execute per step: same outputs, same register image,
+        // same dirty watermark — for every operation, on a 16-bit
+        // register (parameters get masked) and a 32-bit one (they don't).
         let all = [
             StatefulOp::CondAdd,
             StatefulOp::Max,
             StatefulOp::AndOr,
             StatefulOp::Xor,
+            StatefulOp::ReservedRead,
         ];
-        let mut scalar = salu_with(&all);
-        let mut batched = salu_with(&all);
-        // A deterministic pseudo-random op mix over a small register so
-        // addresses collide and conditionals take both branches.
-        let mut x = 0x243f_6a88u32;
-        let mut ops = Vec::new();
-        for _ in 0..500 {
-            x = x.wrapping_mul(1664525).wrapping_add(1013904223);
-            ops.push(BatchOp {
-                op: all[(x >> 13) as usize % all.len()],
-                addr: (x >> 4) as usize % 16,
-                p1: x >> 7,
-                p2: if x & 1 == 0 { u32::MAX } else { x >> 21 },
-            });
+        for width in [16u8, 32] {
+            for op in all {
+                let mut scalar = Salu::new(16, width);
+                let mut fused = Salu::new(16, width);
+                for s in [&mut scalar, &mut fused] {
+                    s.load_op(op).unwrap();
+                    s.load_op(StatefulOp::Xor).unwrap();
+                    // Seed buckets 2..11 so conditionals take both
+                    // branches and ReservedRead has something to read;
+                    // the dirty range then has to grow at both ends.
+                    for addr in 2..11 {
+                        s.execute(StatefulOp::Xor, addr, 0x0001_0300 + addr as u32, 0)
+                            .unwrap();
+                    }
+                }
+                // A deterministic pseudo-random operand mix over a small
+                // register so addresses collide.
+                let mut x = 0x243f_6a88u32;
+                let steps: Vec<(usize, u32, u32)> = (0..500)
+                    .map(|_| {
+                        x = x.wrapping_mul(1664525).wrapping_add(1013904223);
+                        let p2 = if x & 1 == 0 { u32::MAX } else { x >> 21 };
+                        ((x >> 4) as usize % 16, x >> 7, p2 & (x >> 3 | 1))
+                    })
+                    .collect();
+                let scalar_out: Vec<(u32, OpOutput)> = steps
+                    .iter()
+                    .map(|&(addr, p1, p2)| (p1, scalar.execute(op, addr, p1, p2).unwrap()))
+                    .collect();
+                let mut fused_out = Vec::new();
+                fused
+                    .sweep(
+                        op,
+                        steps.len(),
+                        &mut fused_out,
+                        |_, k| steps[k],
+                        |outs, k, p1, out| {
+                            assert_eq!(k, outs.len(), "sink runs once per step, in order");
+                            outs.push((p1, out));
+                        },
+                    )
+                    .unwrap();
+                assert_eq!(scalar_out, fused_out, "{op:?} at {width} bits");
+                assert_eq!(
+                    scalar.register().read_range(0, 16).unwrap(),
+                    fused.register().read_range(0, 16).unwrap(),
+                    "{op:?} at {width} bits"
+                );
+                assert_eq!(
+                    scalar.register().dirty_range(),
+                    fused.register().dirty_range(),
+                    "{op:?} at {width} bits"
+                );
+            }
         }
-        let mut scalar_out = Vec::new();
-        for b in &ops {
-            scalar_out.push(scalar.execute(b.op, b.addr, b.p1, b.p2).unwrap());
-        }
-        let mut batch_out = Vec::new();
-        batched.execute_batch(&ops, &mut batch_out).unwrap();
-        assert_eq!(scalar_out, batch_out);
-        assert_eq!(
-            scalar.register().read_range(0, 16).unwrap(),
-            batched.register().read_range(0, 16).unwrap()
-        );
-        assert_eq!(
-            scalar.register().dirty_range(),
-            batched.register().dirty_range()
-        );
     }
 
     #[test]
-    fn batch_rejects_unloaded_op_and_bad_address() {
+    fn sweep_rejects_unloaded_op_and_bad_address() {
         let mut s = salu_with(&[StatefulOp::Max]);
-        let mut out = Vec::new();
-        let bad_op = [BatchOp { op: StatefulOp::CondAdd, addr: 0, p1: 1, p2: 1 }];
+        let untouched = |s: &Salu| s.register().read_range(0, 16).unwrap().iter().all(|&v| v == 0);
         assert!(matches!(
-            s.execute_batch(&bad_op, &mut out),
+            s.sweep(StatefulOp::CondAdd, 3, &mut (), |_, _| (0, 1, 1), |_, _, _, _| {}),
             Err(RmtError::NoSuchEntity(_))
         ));
-        let bad_addr = [BatchOp { op: StatefulOp::Max, addr: 99, p1: 1, p2: 0 }];
+        assert!(untouched(&s), "an unloaded op must not run a single step");
+        // Steps before the bad address stay applied, like a scalar loop
+        // that stopped at the error.
+        let steps = [(3usize, 7u32, 0u32), (99, 1, 0), (4, 9, 0)];
         assert!(matches!(
-            s.execute_batch(&bad_addr, &mut out),
-            Err(RmtError::IndexOutOfRange { index: 99, .. })
+            s.sweep(StatefulOp::Max, steps.len(), &mut (), |_, k| steps[k], |_, _, _, _| {}),
+            Err(RmtError::IndexOutOfRange { index: 99, limit: 16, .. })
         ));
-    }
-
-    #[test]
-    fn register_prefetch_is_harmless() {
-        let mut s = salu_with(&[StatefulOp::CondAdd]);
-        s.execute(StatefulOp::CondAdd, 3, 9, u32::MAX).unwrap();
-        s.register().prefetch(3);
-        s.register().prefetch(10_000); // out of range: ignored
-        assert_eq!(s.register().read(3).unwrap(), 9);
+        assert_eq!(s.register().read(3).unwrap(), 7);
+        assert_eq!(s.register().read(4).unwrap(), 0);
+        assert_eq!(s.register().dirty_range(), Some((3, 4)));
     }
 }

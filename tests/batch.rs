@@ -11,7 +11,7 @@
 //! rollback, restore, WAL recovery) has to rebuild it.
 
 use flymon::prelude::*;
-use flymon_packet::{KeySpec, Packet};
+use flymon_packet::{KeySpec, Packet, TaskFilter};
 use flymon_traffic::gen::{TraceConfig, TraceGenerator};
 
 fn config() -> FlyMonConfig {
@@ -117,24 +117,17 @@ fn batched_replay_is_bit_identical_to_per_packet() {
                 def.name
             );
         }
-        // Prefetch is a hint, never a semantic: toggling it must not
-        // change a single cell (it defaults off — see DESIGN.md).
-        let mut prefetched = FlyMon::new(config());
-        prefetched.deploy(def).unwrap();
-        prefetched.set_prefetch(true);
-        prefetched.process_batch(&t);
-        assert_eq!(registers(&prefetched), registers(&reference));
     }
 }
 
 #[test]
 fn every_lane_width_is_bit_identical_to_per_packet() {
-    // The SIMD-width lane kernels (match+coin bitmasks, lockstep CRC
-    // digests, gathered address resolution) are execution-order
-    // optimizations only: every lane width from scalar (1) to the full
-    // CRC_LANES (8) — including widths that leave ragged tail groups in
-    // a 64-packet chunk — must reproduce the per-packet replay cell for
-    // cell, for each SALU-op family.
+    // The lane kernels (match+coin bitmasks, lockstep key extraction
+    // and CRC digests) are execution-order optimizations only: every
+    // lane width from groups of one to the full CRC_LANES (8) —
+    // including widths that leave ragged tail groups in a 64-packet
+    // chunk — must reproduce the per-packet replay cell for cell, for
+    // each SALU-op family.
     let defs = [
         TaskDefinition::builder("cms")
             .key(KeySpec::SRC_IP)
@@ -181,6 +174,148 @@ fn every_lane_width_is_bit_identical_to_per_packet() {
                 def.name
             );
         }
+    }
+}
+
+/// The paper-style six-task mix of the repository benchmark's
+/// `replay_mix` — a prefix filter, a 2⁻³ sampling coin, `SRC_IP` /
+/// `DST_IP` / `IP_PAIR` / `FIVE_TUPLE` keys — plus two tasks whose keys
+/// give the digest kernel its remaining shapes: `SRC_IP_SRC_PORT`
+/// (6 bytes: a word and two single bytes) and `SrcIP/24`+timestamp
+/// (8 bytes: one whole block, from a masked address).
+fn mix() -> Vec<TaskDefinition> {
+    let slash24_ts = KeySpec {
+        timestamp: true,
+        ..KeySpec::src_ip_slash(24)
+    };
+    vec![
+        TaskDefinition::builder("cms3")
+            .key(KeySpec::SRC_IP)
+            .attribute(Attribute::frequency_packets())
+            .algorithm(Algorithm::Cms { d: 3 })
+            .memory(4096)
+            .build(),
+        TaskDefinition::builder("beaucoup3")
+            .key(KeySpec::DST_IP)
+            .attribute(Attribute::Distinct(KeySpec::SRC_IP))
+            .algorithm(Algorithm::BeauCoup { d: 3 })
+            .memory(4096)
+            .build(),
+        TaskDefinition::builder("hll")
+            .key(KeySpec::NONE)
+            .attribute(Attribute::Distinct(KeySpec::FIVE_TUPLE))
+            .algorithm(Algorithm::Hll)
+            .memory(2048)
+            .build(),
+        TaskDefinition::builder("bloom2")
+            .filter(TaskFilter::src(0x8000_0000, 1))
+            .key(KeySpec::NONE)
+            .attribute(Attribute::Existence(KeySpec::SRC_IP))
+            .algorithm(Algorithm::Bloom {
+                d: 2,
+                bit_optimized: true,
+            })
+            .memory(4096)
+            .build(),
+        TaskDefinition::builder("sumaxmax2")
+            .key(KeySpec::DST_IP)
+            .attribute(Attribute::Max(MaxParam::QueueLen))
+            .algorithm(Algorithm::SuMaxMax { d: 2 })
+            .memory(4096)
+            .build(),
+        TaskDefinition::builder("cms2_sampled")
+            .key(KeySpec::IP_PAIR)
+            .attribute(Attribute::frequency_bytes())
+            .algorithm(Algorithm::Cms { d: 2 })
+            .memory(2048)
+            .probability_log2(3)
+            .build(),
+        TaskDefinition::builder("endpoint")
+            .key(KeySpec::SRC_IP_SRC_PORT)
+            .attribute(Attribute::frequency_packets())
+            .algorithm(Algorithm::Cms { d: 1 })
+            .memory(2048)
+            .build(),
+        TaskDefinition::builder("subnet_ts")
+            .key(slash24_ts)
+            .attribute(Attribute::frequency_packets())
+            .algorithm(Algorithm::Cms { d: 1 })
+            .memory(2048)
+            .build(),
+    ]
+}
+
+/// Per-binding hit counters of every CMU, in pipeline order.
+fn hit_counters(fm: &FlyMon) -> Vec<Vec<u64>> {
+    fm.groups()
+        .iter()
+        .flat_map(|g| g.cmus().iter())
+        .map(|c| (0..c.bindings().len()).map(|i| c.hits(i)).collect())
+        .collect()
+}
+
+#[test]
+fn task_mix_is_bit_identical_at_every_slice_length_and_lane_width() {
+    let config = FlyMonConfig {
+        groups: 8,
+        buckets_per_cmu: 8192,
+        ..FlyMonConfig::default()
+    };
+    let deployed = || {
+        let mut fm = FlyMon::new(config);
+        for def in mix() {
+            fm.deploy(&def).unwrap_or_else(|e| panic!("deploying {}: {e}", def.name));
+        }
+        fm
+    };
+    let t = trace(12_000);
+
+    let mut reference = deployed();
+    for p in &t {
+        reference.process(p);
+    }
+    // The mix has to reach every branch of the length-specialised
+    // digest kernel: a lone word (4), word + bytes (6), a whole block
+    // (8), block + word + byte (13).
+    let mut key_lengths: Vec<usize> = reference
+        .groups()
+        .iter()
+        .flat_map(|g| g.units().iter())
+        .filter_map(|u| u.mask().map(|m| m.plan().len()))
+        .collect();
+    key_lengths.sort_unstable();
+    key_lengths.dedup();
+    assert_eq!(key_lengths, [4, 6, 8, 13]);
+    // ... and the filter and the coin both have to admit some packets
+    // and turn some away, or the sparse path is not under test.
+    let hits = hit_counters(&reference);
+    let total = t.len() as u64;
+    let partial = hits.iter().flatten().filter(|&&h| 0 < h && h < total).count();
+    assert!(partial >= 4, "bloom2 and cms2_sampled rows must match partially: {hits:?}");
+
+    // Slices around the lane width (7/8/9) and the chunk size
+    // (63/64/65), a single packet, and several chunks at once (200):
+    // every slice ends in a ragged lane group at some width.
+    let slice_lengths = [1usize, 7, 8, 9, 63, 64, 65, 200];
+    for lanes in 1..=8usize {
+        let mut batched = deployed();
+        batched.set_lane_width(lanes);
+        let mut rest = t.as_slice();
+        for &len in slice_lengths.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (slice, tail) = rest.split_at(len.min(rest.len()));
+            batched.process_batch(slice);
+            rest = tail;
+        }
+        assert_eq!(
+            registers(&batched),
+            registers(&reference),
+            "registers diverged at lane width {lanes}"
+        );
+        assert_eq!(hit_counters(&batched), hits, "hit counters diverged at lane width {lanes}");
+        assert_eq!(batched.recirculated_packets(), reference.recirculated_packets());
     }
 }
 
@@ -268,7 +403,7 @@ fn checkpoint_at_batch_boundary_restores_identically() {
     twin.process_batch(&t[half..]);
     assert_eq!(registers(&twin), registers(&live));
 
-    // Delta capture depends on the dirty watermark `execute_batch`
+    // Delta capture depends on the dirty watermark `Salu::sweep`
     // maintains: overlaying the post-batch delta on the boundary base
     // must reproduce the live registers exactly.
     let delta = live.checkpoint(CaptureMode::Delta);
