@@ -110,9 +110,10 @@ impl SwitchCheckpoint {
 
     /// Folds a delta checkpoint onto this full base: register spans are
     /// overlaid, and the (always-complete) control metadata is replaced
-    /// by the delta's newer copy. After the overlay this base restores
-    /// to the live switch at the delta's capture barrier.
-    pub fn overlay(&mut self, delta: &SwitchCheckpoint) -> Result<(), FlymonError> {
+    /// by the delta's newer copy — moved, which is why the delta comes
+    /// by value. After the overlay this base restores to the live
+    /// switch at the delta's capture barrier.
+    pub fn overlay(&mut self, delta: SwitchCheckpoint) -> Result<(), FlymonError> {
         if self.version != delta.version {
             return Err(FlymonError::Checkpoint("version mismatch"));
         }
@@ -128,10 +129,10 @@ impl SwitchCheckpoint {
         self.packets_processed = delta.packets_processed;
         self.recirculated_packets = delta.recirculated_packets;
         self.total_install_ms = delta.total_install_ms;
-        self.tasks = delta.tasks.clone();
-        self.units = delta.units.clone();
-        self.groups = delta.groups.clone();
-        self.allocators = delta.allocators.clone();
+        self.tasks = delta.tasks;
+        self.units = delta.units;
+        self.groups = delta.groups;
+        self.allocators = delta.allocators;
         Ok(())
     }
 }
@@ -488,7 +489,7 @@ mod tests {
             delta.payload_buckets(),
             full_size
         );
-        base.overlay(&delta).unwrap();
+        base.overlay(delta).unwrap();
         let restored = FlyMon::restore(&base).unwrap();
         assert_bit_identical(&fm, &restored);
         // An idle switch produces an empty delta.

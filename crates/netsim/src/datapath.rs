@@ -133,9 +133,8 @@ impl MergeLaw {
     }
 
     /// Bulk form of [`MergeLaw::combine`]: folds `src` into `acc`
-    /// bucket-by-bucket (`acc[i] = combine(acc[i], src[i], cap)`) in
-    /// [`MERGE_LANES`]-wide chunks with a scalar tail — the `crc32_lanes`
-    /// idiom, shaped so the per-law inner loops have no branch and
+    /// bucket-by-bucket (`acc[i] = combine(acc[i], src[i], cap)`). The
+    /// per-law loops have no branch and stay in `u32`, so they
     /// autovectorize. Bit-identical to the per-element path for every
     /// law, cap and length (pinned by `tests/readout.rs`).
     ///
@@ -144,57 +143,10 @@ impl MergeLaw {
     /// deployment always share a geometry, so a mismatch is a caller
     /// bug, not a data condition.
     pub fn combine_rows(self, acc: &mut [u32], src: &[u32], cap: u32) {
-        assert_eq!(
-            acc.len(),
-            src.len(),
-            "merged rows must share a geometry"
-        );
-        let mut acc_chunks = acc.chunks_exact_mut(MERGE_LANES);
-        let mut src_chunks = src.chunks_exact(MERGE_LANES);
         match self {
-            MergeLaw::Sum => {
-                let cap = u64::from(cap);
-                for (a, s) in acc_chunks.by_ref().zip(src_chunks.by_ref()) {
-                    for lane in 0..MERGE_LANES {
-                        a[lane] = (u64::from(a[lane]) + u64::from(s[lane])).min(cap) as u32;
-                    }
-                }
-                for (a, s) in acc_chunks
-                    .into_remainder()
-                    .iter_mut()
-                    .zip(src_chunks.remainder())
-                {
-                    *a = (u64::from(*a) + u64::from(*s)).min(cap) as u32;
-                }
-            }
-            MergeLaw::Max => {
-                for (a, s) in acc_chunks.by_ref().zip(src_chunks.by_ref()) {
-                    for lane in 0..MERGE_LANES {
-                        a[lane] = a[lane].max(s[lane]);
-                    }
-                }
-                for (a, s) in acc_chunks
-                    .into_remainder()
-                    .iter_mut()
-                    .zip(src_chunks.remainder())
-                {
-                    *a = (*a).max(*s);
-                }
-            }
-            MergeLaw::Or => {
-                for (a, s) in acc_chunks.by_ref().zip(src_chunks.by_ref()) {
-                    for lane in 0..MERGE_LANES {
-                        a[lane] |= s[lane];
-                    }
-                }
-                for (a, s) in acc_chunks
-                    .into_remainder()
-                    .iter_mut()
-                    .zip(src_chunks.remainder())
-                {
-                    *a |= *s;
-                }
-            }
+            MergeLaw::Sum => fold(acc, src, |a, s| a.saturating_add(s).min(cap)),
+            MergeLaw::Max => fold(acc, src, u32::max),
+            MergeLaw::Or => fold(acc, src, |a, s| a | s),
         }
     }
 
@@ -205,26 +157,146 @@ impl MergeLaw {
     /// the epoch's rows. Use for the final member of a merge fold;
     /// `saturation_cap` is the row's cell ceiling (what Cond-ADD
     /// saturates at), which for Sum rows coincides with the clamp cap.
+    ///
+    /// With `candidates`, the same sweep also collects the merged row's
+    /// nonzero bucket indices, ascending, replacing the vector's
+    /// contents. The collection is branch-free — every index is
+    /// written, the cursor advances only past nonzero buckets — because
+    /// a half-full row makes a `if v > 0 { push }` loop mispredict on
+    /// every other bucket.
+    ///
+    /// # Panics
+    /// Panics if the rows differ in length.
     pub fn combine_rows_scan(
         self,
         acc: &mut [u32],
         src: &[u32],
         cap: u32,
         saturation_cap: u32,
+        candidates: Option<&mut Vec<u32>>,
     ) -> RowOccupancy {
-        self.combine_rows(acc, src, cap);
-        scan_row(acc, saturation_cap)
+        match self {
+            MergeLaw::Sum => fold_scan(acc, src, saturation_cap, candidates, |a, s| {
+                a.saturating_add(s).min(cap)
+            }),
+            MergeLaw::Max => fold_scan(acc, src, saturation_cap, candidates, u32::max),
+            MergeLaw::Or => fold_scan(acc, src, saturation_cap, candidates, |a, s| a | s),
+        }
+    }
+
+    /// One row merged across `members` into `acc`, in one sweep per
+    /// member: the first row is copied, the middle ones fold in through
+    /// [`MergeLaw::combine_rows`], and the last goes through the fused
+    /// [`MergeLaw::combine_rows_scan`], which also yields the occupancy
+    /// (and `candidates`). Callers leave out members whose row is
+    /// provably zero; with none left the row is `size` zeros. A lone
+    /// member folds into zeros instead of being copied — 0 is the
+    /// identity of every law and a register never holds more than its
+    /// ceiling — so it too gets the fused sweep.
+    pub(crate) fn merge_rows<'a>(
+        self,
+        acc: &mut Vec<u32>,
+        size: usize,
+        mut members: impl Iterator<Item = Result<&'a [u32], FlymonError>>,
+        cap: u32,
+        saturation_cap: u32,
+        candidates: Option<&mut Vec<u32>>,
+    ) -> Result<RowOccupancy, FlymonError> {
+        acc.clear();
+        let Some(mut last) = members.next().transpose()? else {
+            acc.resize(size, 0);
+            if let Some(out) = candidates {
+                out.clear();
+            }
+            return Ok(RowOccupancy::default());
+        };
+        match members.next().transpose()? {
+            None => acc.resize(last.len(), 0),
+            Some(second) => {
+                acc.extend_from_slice(last);
+                last = second;
+                for next in members {
+                    self.combine_rows(acc, last, cap);
+                    last = next?;
+                }
+            }
+        }
+        Ok(self.combine_rows_scan(acc, last, cap, saturation_cap, candidates))
     }
 }
 
-/// Lane width of the bulk merge kernels — mirrors
-/// [`flymon_rmt::hash::CRC_LANES`]: eight u32 lanes fill a 256-bit
-/// vector register, and the measured sweet spot is flat from 4 to 16.
-pub const MERGE_LANES: usize = 8;
+/// `acc[i] = op(acc[i], src[i])` over two rows of one geometry.
+#[inline(always)]
+fn fold(acc: &mut [u32], src: &[u32], op: impl Fn(u32, u32) -> u32) {
+    assert_eq!(
+        acc.len(),
+        src.len(),
+        "merged rows must share a geometry"
+    );
+    for (a, &s) in acc.iter_mut().zip(src) {
+        *a = op(*a, s);
+    }
+}
+
+/// Buckets per block of [`fold_scan`]: a block of both rows and of the
+/// index buffer stays in L1 between the fold and the candidate step.
+/// Inside a block the occupancy counts are `u32`, as wide as the
+/// buckets, so the loop keeps every vector lane (`usize` counters halve
+/// them on the sse2 build); across blocks they add up in `usize`, so
+/// no row is long enough to wrap them.
+const SCAN_BLOCK: usize = 1024;
+
+/// [`fold`] fused with the occupancy scan of the merged row and, with
+/// `candidates`, the collection of its nonzero indices — block by
+/// block, so the candidate step reads the buckets the fold just wrote.
+#[inline(always)]
+fn fold_scan(
+    acc: &mut [u32],
+    src: &[u32],
+    saturation_cap: u32,
+    mut candidates: Option<&mut Vec<u32>>,
+    op: impl Fn(u32, u32) -> u32,
+) -> RowOccupancy {
+    assert_eq!(
+        acc.len(),
+        src.len(),
+        "merged rows must share a geometry"
+    );
+    if let Some(out) = candidates.as_deref_mut() {
+        out.clear();
+        out.reserve(acc.len());
+    }
+    let mut occ = RowOccupancy::default();
+    let mut indices = [0u32; SCAN_BLOCK];
+    let mut base = 0u32;
+    for (a, s) in acc.chunks_mut(SCAN_BLOCK).zip(src.chunks(SCAN_BLOCK)) {
+        let (mut nonzero, mut saturated) = (0u32, 0u32);
+        for (a, &s) in a.iter_mut().zip(s) {
+            let v = op(*a, s);
+            *a = v;
+            nonzero += u32::from(v > 0);
+            saturated += u32::from(v >= saturation_cap);
+        }
+        occ.nonzero += nonzero as usize;
+        occ.saturated += saturated as usize;
+        if let Some(out) = candidates.as_deref_mut() {
+            // Every index is written at the cursor; the cursor moves
+            // only past a nonzero bucket, so it never passes the index.
+            let mut kept = 0;
+            for (i, &v) in (base..).zip(a.iter()) {
+                indices[kept] = i;
+                kept += usize::from(v > 0);
+            }
+            out.extend_from_slice(&indices[..kept]);
+            base += SCAN_BLOCK as u32;
+        }
+    }
+    occ
+}
 
 /// Occupancy of one merged row, computed in the same sweep that merged
-/// it ([`MergeLaw::combine_rows_scan`] / [`scan_row`]): the raw counts
-/// behind the adaptive controller's fill and saturation ratios.
+/// it ([`MergeLaw::combine_rows_scan`]): the raw counts behind the
+/// adaptive controller's fill and saturation ratios.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RowOccupancy {
     /// Buckets holding a nonzero value.
@@ -232,27 +304,6 @@ pub struct RowOccupancy {
     /// Buckets at the row's cell ceiling (saturated by Cond-ADD, not
     /// exactly counted).
     pub saturated: usize,
-}
-
-/// Counts a row's nonzero and at-ceiling buckets in one lane-chunked
-/// sweep — the single-member / already-merged half of the fused
-/// merge+stats pass.
-pub fn scan_row(row: &[u32], cap: u32) -> RowOccupancy {
-    let mut nonzero = 0usize;
-    let mut saturated = 0usize;
-    let mut chunks = row.chunks_exact(MERGE_LANES);
-    for c in chunks.by_ref() {
-        let c: &[u32; MERGE_LANES] = c.try_into().expect("chunks_exact yields whole chunks");
-        for &v in c {
-            nonzero += usize::from(v > 0);
-            saturated += usize::from(v >= cap);
-        }
-    }
-    for &v in chunks.remainder() {
-        nonzero += usize::from(v > 0);
-        saturated += usize::from(v >= cap);
-    }
-    RowOccupancy { nonzero, saturated }
 }
 
 /// The shard (or fleet ingress) among `n` that `pkt` belongs to.
@@ -708,6 +759,52 @@ where
     total
 }
 
+/// Count-min estimate of `pkt`'s flow merged across `members` (the
+/// alive switches of a fleet, the replicas of a sharded datapath): per
+/// row, the one bucket the flow hashes to is read from every member and
+/// summed, clamped at the row's cell ceiling as Cond-ADD saturates it;
+/// the estimate is the minimum over the rows. The bucket is located
+/// through the first member — deployments are deterministic, so every
+/// member shares its layout. A query costs rows × members bucket
+/// reads, and is bit-identical to merging whole rows and indexing the
+/// result: the clamped fold of single buckets is what the row merge
+/// computes at that index.
+pub(crate) fn merged_point_frequency<'a>(
+    algorithm: Algorithm,
+    members: impl Iterator<Item = (&'a FlyMon, TaskHandle)> + Clone,
+    pkt: &Packet,
+) -> Result<u64, FlymonError> {
+    let d = match algorithm {
+        Algorithm::Cms { d } => d,
+        Algorithm::Mrac => 1,
+        other => {
+            return Err(FlymonError::BadTask(format!(
+                "{} readouts do not merge by summation",
+                other.name()
+            )))
+        }
+    };
+    let (locator, locator_h) = members.clone().next().ok_or_else(|| {
+        FlymonError::NoCapacity("every switch in the fleet has failed".into())
+    })?;
+    let mut best = u64::MAX;
+    let mut scratch = flymon_rmt::hash::HashScratch::default();
+    for row in 0..d {
+        let cap = locator
+            .task(locator_h)?
+            .rows
+            .get(row)
+            .map_or(u32::MAX, |r| r.bucket_max);
+        let idx = locator.locate_with(locator_h, row, pkt, &mut scratch)?;
+        let mut sum = locator.row_view(locator_h, row)?[idx];
+        for (fm, h) in members.clone().skip(1) {
+            sum = MergeLaw::Sum.combine(sum, fm.row_view(h, row)?[idx], cap);
+        }
+        best = best.min(u64::from(sum));
+    }
+    Ok(best)
+}
+
 /// A sharded, multi-threaded datapath for **one logical switch**: a set
 /// of per-worker [`FlyMon`] replicas that together replay a trace and
 /// answer queries as if a single switch had processed it serially.
@@ -910,26 +1007,11 @@ impl ShardedDatapath {
     /// Merged frequency estimate: per-bucket sums, then the row-wise
     /// minimum — identical to the serial estimate by linearity.
     pub fn merged_frequency(&self, pkt: &Packet) -> Result<u64, FlymonError> {
-        let d = match self.algorithm {
-            Algorithm::Cms { d } => d,
-            Algorithm::Mrac => 1,
-            other => {
-                return Err(FlymonError::BadTask(format!(
-                    "{} readouts do not merge by summation",
-                    other.name()
-                )))
-            }
-        };
-        let mut best = u64::MAX;
-        let mut scratch = flymon_rmt::hash::HashScratch::default();
-        for row in 0..d {
-            let merged = self.merged_row(row)?;
-            // Replica layouts are identical; locate through any one,
-            // reusing one hash scratch across the rows.
-            let idx = self.replicas[0].locate_with(self.handles[0], row, pkt, &mut scratch)?;
-            best = best.min(u64::from(merged[idx]));
-        }
-        Ok(best)
+        merged_point_frequency(
+            self.algorithm,
+            self.replicas.iter().zip(self.handles.iter().copied()),
+            pkt,
+        )
     }
 
     /// Merged cardinality estimate: HLL registers merge by max.

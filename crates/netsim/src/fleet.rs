@@ -49,7 +49,7 @@ use flymon_packet::{Packet, TaskFilter};
 use flymon_sketches::hll::estimate_from_registers;
 
 use crate::channel::{ChannelConfig, ControlChannel, TxnResult};
-use crate::datapath::{self, scan_row, MergeLaw, WorkerStats};
+use crate::datapath::{self, MergeLaw, WorkerStats};
 
 /// Routes one controller→switch command through the fleet's control
 /// channel when one is attached, or applies it directly (the perfect
@@ -255,6 +255,17 @@ pub struct EpochReadout {
     /// Packets these rows represent (the alive switches' absorbed
     /// counts, now archived).
     pub packets: u64,
+}
+
+/// One member's live row for a merge, or `None` when its epoch
+/// watermark proves the row untouched: all zero, the identity of every
+/// merge law, so leaving it out changes nothing.
+fn touched_row(fm: &FlyMon, h: TaskHandle, row: usize) -> Option<Result<&[u32], FlymonError>> {
+    match fm.row_untouched(h, row) {
+        Ok(true) => None,
+        Ok(false) => Some(fm.row_view(h, row)),
+        Err(e) => Some(Err(e)),
+    }
 }
 
 impl SwitchFleet {
@@ -504,7 +515,7 @@ impl SwitchFleet {
                     Some(base) => {
                         let delta = sw.checkpoint(CaptureMode::Delta);
                         payload = delta.payload_buckets();
-                        base.overlay(&delta)
+                        base.overlay(delta)
                             .expect("a delta always composes onto its own base");
                         base.wal_seq
                     }
@@ -819,12 +830,9 @@ impl SwitchFleet {
     /// archived epoch banks when `archived` (the double-buffered path;
     /// a register that skipped the swap contributes nothing), or from
     /// the live registers otherwise (rows provably untouched are
-    /// elided). Folding every member into a zeroed accumulator is
-    /// bit-identical to copying the first member and folding the rest:
-    /// 0 is the identity of all three merge laws, and members never
-    /// exceed the cap (registers saturate at their cell ceiling). The
-    /// occupancy scan and row-0 heavy-candidate collection are fused
-    /// into the same pass.
+    /// elided). Each row is one [`MergeLaw::merge_rows`]: the occupancy
+    /// scan and row 0's heavy-candidate collection ride the sweep that
+    /// folds the last member in.
     fn merge_epochs(&self, archived: bool) -> Result<Vec<TaskEpoch>, FlymonError> {
         let mut task_epochs = Vec::with_capacity(self.tasks.len());
         for ti in 0..self.tasks.len() {
@@ -835,35 +843,31 @@ impl SwitchFleet {
                 .expect("liveness was checked above");
             let placed = &fm.task(h)?.rows;
             let row_caps: Vec<u32> = placed.iter().map(|r| r.bucket_max).collect();
-            let sizes: Vec<usize> = placed.iter().map(|r| r.size).collect();
-            let mut rows = Vec::with_capacity(sizes.len());
-            let mut occupancy = Vec::with_capacity(sizes.len());
+            let mut rows = Vec::with_capacity(placed.len());
+            let mut occupancy = Vec::with_capacity(placed.len());
             let mut heavy_candidates = Vec::new();
-            for (row, (&bucket_max, &size)) in row_caps.iter().zip(&sizes).enumerate() {
+            for (row, r) in placed.iter().enumerate() {
                 let cap = match law {
-                    MergeLaw::Sum => bucket_max,
+                    MergeLaw::Sum => r.bucket_max,
                     MergeLaw::Max | MergeLaw::Or => u32::MAX,
                 };
-                let mut acc = vec![0u32; size];
-                for (m, mh) in self.alive_task_members(ti) {
+                let candidates = (row == 0).then_some(&mut heavy_candidates);
+                let members = self.alive_task_members(ti).filter_map(|(m, mh)| {
                     if archived {
-                        if let Some(src) = m.archived_row(mh, row)? {
-                            law.combine_rows(&mut acc, src, cap);
-                        }
-                    } else if !m.row_untouched(mh, row)? {
-                        law.combine_rows(&mut acc, m.row_view(mh, row)?, cap);
+                        m.archived_row(mh, row).transpose()
+                    } else {
+                        touched_row(m, mh, row)
                     }
-                }
-                let occ = scan_row(&acc, bucket_max);
-                if row == 0 {
-                    heavy_candidates.reserve(occ.nonzero);
-                    for (i, &v) in acc.iter().enumerate() {
-                        if v > 0 {
-                            heavy_candidates.push(i as u32);
-                        }
-                    }
-                }
-                occupancy.push(occ);
+                });
+                let mut acc = Vec::new();
+                occupancy.push(law.merge_rows(
+                    &mut acc,
+                    r.size,
+                    members,
+                    cap,
+                    r.bucket_max,
+                    candidates,
+                )?);
                 rows.push(acc);
             }
             task_epochs.push(TaskEpoch {
@@ -1404,7 +1408,10 @@ impl SwitchFleet {
 
     /// Alive switches paired with their handles for fleet task `ti`
     /// (empty when the task does not exist).
-    fn alive_task_members(&self, ti: usize) -> impl Iterator<Item = (&FlyMon, TaskHandle)> {
+    fn alive_task_members(
+        &self,
+        ti: usize,
+    ) -> impl Iterator<Item = (&FlyMon, TaskHandle)> + Clone {
         let handles: &[Option<TaskHandle>] = self
             .tasks
             .get(ti)
@@ -1418,35 +1425,12 @@ impl SwitchFleet {
     }
 
     /// Per-bucket merged readout of one row of fleet task `ti` across
-    /// the alive fleet, through the law's vectorized kernel; members
-    /// whose row is provably untouched are elided (their rows are all
-    /// zero — the identity of every merge law).
-    fn merged_task_row(
-        &self,
-        ti: usize,
-        row: usize,
-        law: MergeLaw,
-        cap: u32,
-    ) -> Result<Vec<u32>, FlymonError> {
-        let mut members = self.alive_task_members(ti);
-        let (first, first_h) = members.next().ok_or_else(|| {
-            FlymonError::NoCapacity("every switch in the fleet has failed".into())
-        })?;
-        let mut acc = first.read_row(first_h, row)?;
-        for (fm, h) in members {
-            if fm.row_untouched(h, row)? {
-                continue;
-            }
-            law.combine_rows(&mut acc, fm.row_view(h, row)?, cap);
-        }
-        Ok(acc)
-    }
-
-    /// [`SwitchFleet::merged_task_row`] into a caller-provided scratch:
-    /// merges one row of fleet task `ti` into `scratch`'s accumulator
-    /// (readable as `scratch.acc` afterwards) and returns the fused
-    /// occupancy scan. A steady-state readout loop reusing one scratch
-    /// allocates nothing once the scratch has grown to the row size.
+    /// the alive fleet, by the task algorithm's [`MergeLaw`], into a
+    /// caller-provided scratch: the merged row is readable as
+    /// `scratch.acc` afterwards, and the fused occupancy scan is
+    /// returned. Members whose row is provably untouched are elided. A
+    /// steady-state readout loop reusing one scratch allocates nothing
+    /// once the scratch has grown to the row size.
     pub fn merged_task_row_into(
         &self,
         ti: usize,
@@ -1461,29 +1445,27 @@ impl SwitchFleet {
                 })?
                 .algorithm,
         )?;
-        let mut members = self.alive_task_members(ti);
-        let (first, first_h) = members.next().ok_or_else(|| {
+        let (first, first_h) = self.alive_task_members(ti).next().ok_or_else(|| {
             FlymonError::NoCapacity("every switch in the fleet has failed".into())
         })?;
-        let bucket_max = first
+        let placed = first
             .task(first_h)?
             .rows
             .get(row)
-            .map(|r| r.bucket_max)
             .ok_or_else(|| FlymonError::BadTask(format!("task has no row {row}")))?;
         let cap = match law {
-            MergeLaw::Sum => bucket_max,
+            MergeLaw::Sum => placed.bucket_max,
             MergeLaw::Max | MergeLaw::Or => u32::MAX,
         };
-        let acc = scratch.begin_row(0);
-        first.read_row_into(first_h, row, acc)?;
-        for (fm, h) in members {
-            if fm.row_untouched(h, row)? {
-                continue;
-            }
-            law.combine_rows(acc, fm.row_view(h, row)?, cap);
-        }
-        Ok(scan_row(acc, bucket_max))
+        law.merge_rows(
+            scratch.begin_row(placed.size),
+            placed.size,
+            self.alive_task_members(ti)
+                .filter_map(|(fm, h)| touched_row(fm, h, row)),
+            cap,
+            placed.bucket_max,
+            None,
+        )
     }
 
     /// Network-wide frequency estimate for a flow: per-bucket sums of
@@ -1496,8 +1478,8 @@ impl SwitchFleet {
     /// callers keep querying the fleet without tracking the task list.
     pub fn merged_frequency(&self, pkt: &Packet) -> Result<u64, FlymonError> {
         if self.tasks.is_empty() {
-            return Err(FlymonError::NoCapacity(
-                "the fleet has no switches".into(),
+            return Err(FlymonError::BadTask(
+                "the fleet hosts no task to query".into(),
             ));
         }
         let ti = self
@@ -1507,37 +1489,11 @@ impl SwitchFleet {
             .ok_or_else(|| {
                 FlymonError::BadTask("no fleet task's filter admits this packet".into())
             })?;
-        let d = match self.tasks[ti].algorithm {
-            Algorithm::Cms { d } => d,
-            Algorithm::Mrac => 1,
-            other => {
-                return Err(FlymonError::BadTask(format!(
-                    "{} readouts do not merge by summation",
-                    other.name()
-                )))
-            }
-        };
-        let (locator, locator_h) = self.alive_task_members(ti).next().ok_or_else(|| {
-            FlymonError::NoCapacity("every switch in the fleet has failed".into())
-        })?;
-        let mut best = u64::MAX;
-        let mut scratch = flymon_rmt::hash::HashScratch::default();
-        for row in 0..d {
-            // Cond-ADD saturates each bucket at the register ceiling, so
-            // the summed merge clamps there too (see ShardedDatapath).
-            let cap = locator
-                .task(locator_h)?
-                .rows
-                .get(row)
-                .map_or(u32::MAX, |r| r.bucket_max);
-            let merged = self.merged_task_row(ti, row, MergeLaw::Sum, cap)?;
-            // Locate the bucket through any alive switch (identical
-            // layouts across the fleet), reusing one hash scratch for
-            // the whole sweep.
-            let idx = locator.locate_with(locator_h, row, pkt, &mut scratch)?;
-            best = best.min(u64::from(merged[idx]));
-        }
-        Ok(best)
+        datapath::merged_point_frequency(
+            self.tasks[ti].algorithm,
+            self.alive_task_members(ti),
+            pkt,
+        )
     }
 
     /// [`SwitchFleet::merged_frequency`] plus the explicit loss window:
@@ -1564,8 +1520,9 @@ impl SwitchFleet {
                 "merged cardinality needs an HLL task".into(),
             ));
         }
-        let merged = self.merged_task_row(0, 0, MergeLaw::Max, u32::MAX)?;
-        let regs: Vec<u8> = merged.into_iter().map(|v| v.min(255) as u8).collect();
+        let mut scratch = ReadoutScratch::default();
+        self.merged_task_row_into(0, 0, &mut scratch)?;
+        let regs: Vec<u8> = scratch.acc.iter().map(|&v| v.min(255) as u8).collect();
         Ok(estimate_from_registers(&regs))
     }
 
@@ -1693,6 +1650,27 @@ mod tests {
     }
 
     #[test]
+    fn taskless_fleet_query_says_there_is_no_task() {
+        // Task 0 anchors the readouts, so a fleet with switches keeps
+        // it whatever is asked — and keeps answering.
+        let flow = Packet::tcp(1, 2, 3, 4);
+        let mut fleet = SwitchFleet::deploy(2, config(), &cms_def(1)).unwrap();
+        assert!(matches!(
+            fleet.remove_task(0),
+            Err(FlymonError::BadTask(_))
+        ));
+        fleet.process(0, &flow);
+        assert_eq!(fleet.merged_frequency(&flow).unwrap(), 1);
+        // The fleet that does host no task (it has no switch to host
+        // one) reports the missing task, not a missing capacity.
+        let empty = SwitchFleet::deploy(0, config(), &cms_def(1)).unwrap();
+        match empty.merged_frequency(&flow) {
+            Err(FlymonError::BadTask(why)) => assert!(why.contains("no task"), "{why}"),
+            other => panic!("expected BadTask, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn parallel_replay_matches_serial_through_failover() {
         // One dead switch forces the failover probe; the parallel path
         // must route identically and count the same drops.
@@ -1710,10 +1688,12 @@ mod tests {
         assert_eq!(stats[1].packets, 0, "dead switch takes no traffic");
         assert_eq!(parallel.dropped_packets(), serial.dropped_packets());
 
+        let (mut s, mut p) = (ReadoutScratch::default(), ReadoutScratch::default());
         for row in 0..2 {
+            serial.merged_task_row_into(0, row, &mut s).unwrap();
+            parallel.merged_task_row_into(0, row, &mut p).unwrap();
             assert_eq!(
-                serial.merged_task_row(0, row, MergeLaw::Sum, u32::MAX).unwrap(),
-                parallel.merged_task_row(0, row, MergeLaw::Sum, u32::MAX).unwrap(),
+                s.acc, p.acc,
                 "row {row} diverged between serial and parallel replay"
             );
         }

@@ -47,8 +47,7 @@ pub use chaos::{
     ChaosReport, IngestChaosConfig, IngestChaosReport,
 };
 pub use datapath::{
-    scan_row, MergeLaw, ReplayMode, ReplayStats, RowOccupancy, ShardedDatapath, WorkerStats,
-    MERGE_LANES,
+    MergeLaw, ReplayMode, ReplayStats, RowOccupancy, ShardedDatapath, WorkerStats,
 };
 pub use epochs::{run_accuracy_timeline, AccuracyPoint, EpochTimelineConfig};
 pub use fleet::{

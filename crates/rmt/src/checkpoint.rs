@@ -8,6 +8,9 @@
 //! - **Delta**: copies only the [`crate::register::Register::dirty_range`]
 //!   watermark written since the previous capture, so periodic snapshots
 //!   of a mostly-idle register cost O(touched SRAM), not O(all SRAM).
+//!   The part of that range a reset or a bank swap zeroed and nothing
+//!   wrote since (outside [`crate::register::Register::touched_range`])
+//!   travels as a length, not as buckets.
 //!
 //! Capture is a *barrier*: it clears the dirty watermark, so consecutive
 //! deltas compose — applying a full snapshot and then every delta taken
@@ -33,13 +36,41 @@ pub enum CaptureMode {
     Delta,
 }
 
-/// A contiguous run of captured buckets starting at `start`.
+/// A contiguous run of buckets a delta covers.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DirtySpan {
-    /// First bucket index covered by `data`.
-    pub start: usize,
+pub enum DirtySpan {
     /// Captured bucket values for `[start, start + data.len())`.
-    pub data: Vec<u32>,
+    Values {
+        /// First bucket index covered by `data`.
+        start: usize,
+        /// The bucket values, in address order.
+        data: Vec<u32>,
+    },
+    /// `[start, start + len)` held zero at capture: dirty, but outside
+    /// the register's touched hull, which is where every bucket is zero
+    /// (the invariant rotation elision already reads by). Recorded as a
+    /// length; restore and overlay fill it.
+    Zeros {
+        /// First bucket index of the run.
+        start: usize,
+        /// Buckets in the run.
+        len: usize,
+    },
+}
+
+impl DirtySpan {
+    /// The bucket range the span covers, refused when it runs past a
+    /// register of `limit` buckets.
+    fn range(&self, limit: usize) -> Result<std::ops::Range<usize>, RmtError> {
+        let (start, len) = match self {
+            DirtySpan::Values { start, data } => (*start, data.len()),
+            DirtySpan::Zeros { start, len } => (*start, *len),
+        };
+        match start.checked_add(len) {
+            Some(end) if end <= limit => Ok(start..end),
+            _ => Err(RmtError::CheckpointMismatch("delta span range")),
+        }
+    }
 }
 
 /// Snapshot payload: either the whole register file or the dirty spans.
@@ -75,13 +106,31 @@ impl RegisterSnapshot {
                 SnapshotData::Full(reg.read_range(0, reg.len()).expect("full range").to_vec())
             }
             CaptureMode::Delta => {
-                let spans = match reg.dirty_range() {
-                    Some((start, end)) => vec![DirtySpan {
-                        start,
-                        data: reg.read_range(start, end).expect("dirty range").to_vec(),
-                    }],
-                    None => Vec::new(),
-                };
+                let mut spans = Vec::new();
+                if let Some((start, end)) = reg.dirty_range() {
+                    // The dirty range cut against the touched hull:
+                    // values inside it, zero runs on either side.
+                    let (lo, hi) = match reg.touched_range() {
+                        Some((lo, hi)) if lo < end && start < hi => (lo.max(start), hi.min(end)),
+                        _ => (start, start),
+                    };
+                    let zeros = |from: usize, to: usize| DirtySpan::Zeros {
+                        start: from,
+                        len: to - from,
+                    };
+                    if start < lo {
+                        spans.push(zeros(start, lo));
+                    }
+                    if lo < hi {
+                        spans.push(DirtySpan::Values {
+                            start: lo,
+                            data: reg.read_range(lo, hi).expect("dirty range").to_vec(),
+                        });
+                    }
+                    if hi < end {
+                        spans.push(zeros(hi, end));
+                    }
+                }
                 SnapshotData::Delta(spans)
             }
         };
@@ -99,7 +148,13 @@ impl RegisterSnapshot {
     pub fn payload_buckets(&self) -> usize {
         match &self.data {
             SnapshotData::Full(data) => data.len(),
-            SnapshotData::Delta(spans) => spans.iter().map(|s| s.data.len()).sum(),
+            SnapshotData::Delta(spans) => spans
+                .iter()
+                .map(|s| match s {
+                    DirtySpan::Values { data, .. } => data.len(),
+                    DirtySpan::Zeros { .. } => 0,
+                })
+                .sum(),
         }
     }
 
@@ -130,17 +185,17 @@ impl RegisterSnapshot {
         self.check_geometry(reg)?;
         match &self.data {
             SnapshotData::Full(data) => {
-                for (addr, &value) in data.iter().enumerate() {
-                    reg.write(addr, value)?;
+                if data.len() != reg.len() {
+                    return Err(RmtError::CheckpointMismatch("full image length"));
                 }
+                reg.load_range(0, data)?;
             }
             SnapshotData::Delta(spans) => {
                 for span in spans {
-                    if span.start + span.data.len() > reg.len() {
-                        return Err(RmtError::CheckpointMismatch("delta span range"));
-                    }
-                    for (i, &value) in span.data.iter().enumerate() {
-                        reg.write(span.start + i, value)?;
+                    let range = span.range(reg.len())?;
+                    match span {
+                        DirtySpan::Values { data, .. } => reg.load_range(range.start, data)?,
+                        DirtySpan::Zeros { .. } => reg.clear_range(range.start, range.end)?,
                     }
                 }
             }
@@ -173,11 +228,12 @@ impl RegisterSnapshot {
             }
         };
         for span in spans {
-            let end = span.start + span.data.len();
-            if end > base.len() {
-                return Err(RmtError::CheckpointMismatch("delta span range"));
+            let range = span.range(base.len())?;
+            let covered = &mut base[range];
+            match span {
+                DirtySpan::Values { data, .. } => covered.copy_from_slice(data),
+                DirtySpan::Zeros { .. } => covered.fill(0),
             }
-            base[span.start..end].copy_from_slice(&span.data);
         }
         Ok(())
     }
@@ -318,7 +374,9 @@ mod tests {
         // Only the post-barrier write appears.
         assert_eq!(second.payload_buckets(), 1);
         match &second.data {
-            SnapshotData::Delta(spans) => assert_eq!(spans[0].start, 40),
+            SnapshotData::Delta(spans) => {
+                assert!(matches!(spans[..], [DirtySpan::Values { start: 40, .. }]))
+            }
             _ => panic!("expected delta"),
         }
     }
@@ -402,5 +460,123 @@ mod tests {
         let mut delta_base = RegisterCheckpoint::capture(vec![&mut b], CaptureMode::Delta);
         let d2 = RegisterCheckpoint::capture(vec![&mut c], CaptureMode::Delta);
         assert!(delta_base.overlay(&d2).is_err());
+    }
+
+    /// Places a delta barrier on `src` and returns the spans it shipped,
+    /// after checking that they compose onto `base` into the live
+    /// register both ways: applied after it, and overlaid into it
+    /// (which also moves `base` up to the new barrier).
+    fn sync(src: &mut Register, base: &mut RegisterSnapshot) -> Vec<DirtySpan> {
+        let delta = RegisterSnapshot::capture(src, CaptureMode::Delta);
+        let mut applied = Register::new(src.len(), src.width_bits());
+        base.apply(&mut applied).unwrap();
+        delta.apply(&mut applied).unwrap();
+        assert_eq!(contents(src), contents(&applied));
+        base.merge_delta(&delta).unwrap();
+        let mut overlaid = Register::new(src.len(), src.width_bits());
+        base.apply(&mut overlaid).unwrap();
+        assert_eq!(contents(src), contents(&overlaid));
+        match delta.data {
+            SnapshotData::Delta(spans) => spans,
+            SnapshotData::Full(_) => panic!("expected delta"),
+        }
+    }
+
+    #[test]
+    fn delta_cuts_the_dirty_range_against_the_touched_hull() {
+        let zeros = |start, len| DirtySpan::Zeros { start, len };
+        let values = |start, data: &[u32]| DirtySpan::Values {
+            start,
+            data: data.to_vec(),
+        };
+        let mut src = filled(64, 16, 1);
+        let mut base = RegisterSnapshot::capture(&mut src, CaptureMode::Full);
+
+        // A reset and nothing since: no hull, the dirty range is zeros.
+        src.clear_range(0, 64).unwrap();
+        assert_eq!(sync(&mut src, &mut base), [zeros(0, 64)]);
+
+        // The hull [20, 24) interior to the dirty range [8, 40).
+        src.write(20, 5).unwrap();
+        src.write(23, 6).unwrap();
+        src.clear_range(8, 20).unwrap();
+        src.clear_range(24, 40).unwrap();
+        assert_eq!(src.touched_range(), Some((20, 24)));
+        assert_eq!(
+            sync(&mut src, &mut base),
+            [zeros(8, 12), values(20, &[5, 0, 0, 6]), zeros(24, 16)]
+        );
+
+        // The dirty range over the hull's upper edge, then its lower.
+        src.write(22, 8).unwrap();
+        src.clear_range(24, 28).unwrap();
+        assert_eq!(
+            sync(&mut src, &mut base),
+            [values(22, &[8, 6]), zeros(24, 4)]
+        );
+        src.clear_range(16, 20).unwrap();
+        src.write(20, 1).unwrap();
+        assert_eq!(
+            sync(&mut src, &mut base),
+            [zeros(16, 4), values(20, &[1])]
+        );
+
+        // Inside the hull: values only. Clear of it: zeros only.
+        src.write(21, 9).unwrap();
+        assert_eq!(sync(&mut src, &mut base), [values(21, &[9])]);
+        src.clear_range(40, 50).unwrap();
+        assert_eq!(sync(&mut src, &mut base), [zeros(40, 10)]);
+        assert_eq!(sync(&mut src, &mut base), []);
+    }
+
+    #[test]
+    fn spans_past_the_register_are_refused_not_panicked_on() {
+        let mut reg = Register::new(16, 16);
+        let base = RegisterSnapshot::capture(&mut reg, CaptureMode::Full);
+        let hostile = [
+            DirtySpan::Values {
+                start: 10,
+                data: vec![1; 7],
+            },
+            DirtySpan::Zeros { start: 10, len: 7 },
+            DirtySpan::Values {
+                start: usize::MAX,
+                data: vec![1; 2],
+            },
+            DirtySpan::Zeros {
+                start: 2,
+                len: usize::MAX,
+            },
+        ];
+        for span in hostile {
+            let delta = RegisterSnapshot {
+                data: SnapshotData::Delta(vec![span.clone()]),
+                ..base.clone()
+            };
+            assert!(
+                matches!(
+                    delta.apply(&mut reg),
+                    Err(RmtError::CheckpointMismatch("delta span range"))
+                ),
+                "apply {span:?}"
+            );
+            assert!(
+                matches!(
+                    base.clone().merge_delta(&delta),
+                    Err(RmtError::CheckpointMismatch("delta span range"))
+                ),
+                "merge_delta {span:?}"
+            );
+        }
+        assert_eq!(contents(&reg), [0; 16], "a refused span writes nothing");
+        // A full image of the wrong length is refused the same way.
+        let short = RegisterSnapshot {
+            data: SnapshotData::Full(vec![1; 15]),
+            ..base
+        };
+        assert!(matches!(
+            short.apply(&mut reg),
+            Err(RmtError::CheckpointMismatch("full image length"))
+        ));
     }
 }

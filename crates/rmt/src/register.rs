@@ -292,6 +292,29 @@ impl Register {
         Ok(())
     }
 
+    /// Bulk [`Register::write`]: stores `values` at `[start, start +
+    /// values.len())`, each masked to the register width, with one
+    /// bounds check and one watermark mark for the whole range — the
+    /// checkpoint restore path, which would otherwise pay both per
+    /// bucket.
+    pub(crate) fn load_range(&mut self, start: usize, values: &[u32]) -> Result<(), RmtError> {
+        let max = self.max_value();
+        let limit = self.buckets.len();
+        let end = start
+            .checked_add(values.len())
+            .filter(|&end| end <= limit)
+            .ok_or(RmtError::IndexOutOfRange {
+                what: "bucket range end",
+                index: start.saturating_add(values.len()),
+                limit,
+            })?;
+        for (slot, &value) in self.buckets[start..end].iter_mut().zip(values) {
+            *slot = value & max;
+        }
+        self.mark_dirty(start, end);
+        Ok(())
+    }
+
     /// Zeroes a half-open bucket range (a control-plane reset of one
     /// task's partition at epoch boundaries or on reallocation).
     pub fn clear_range(&mut self, start: usize, end: usize) -> Result<(), RmtError> {
@@ -493,6 +516,27 @@ mod tests {
         assert!(r.mark_epoch_cleared(3, 2).is_err());
         r.swap_epoch_bank();
         assert!(r.archived_range(2, 1).is_err());
+    }
+
+    #[test]
+    fn load_range_is_a_bulk_write() {
+        let mut bulk = Register::new(16, 8);
+        let mut single = Register::new(16, 8);
+        let values = [0x1ff, 0, 7, 0x100];
+        bulk.load_range(5, &values).unwrap();
+        for (i, &v) in values.iter().enumerate() {
+            single.write(5 + i, v).unwrap();
+        }
+        assert_eq!(bulk.read_range(0, 16).unwrap(), single.read_range(0, 16).unwrap());
+        assert_eq!(bulk.read_range(5, 9).unwrap(), &[0xff, 0, 7, 0], "masked to 8 bits");
+        assert_eq!(bulk.dirty_range(), single.dirty_range());
+        assert_eq!(bulk.touched_range(), single.touched_range());
+        // Past the end (or past `usize`): refused whole, nothing marked.
+        bulk.clear_dirty();
+        assert!(bulk.load_range(14, &values).is_err());
+        assert!(bulk.load_range(usize::MAX, &values).is_err());
+        assert_eq!(bulk.dirty_range(), None);
+        assert_eq!(bulk.read_range(14, 16).unwrap(), &[0, 0]);
     }
 
     #[test]

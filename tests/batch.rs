@@ -407,7 +407,7 @@ fn checkpoint_at_batch_boundary_restores_identically() {
     // maintains: overlaying the post-batch delta on the boundary base
     // must reproduce the live registers exactly.
     let delta = live.checkpoint(CaptureMode::Delta);
-    base.overlay(&delta).unwrap();
+    base.overlay(delta).unwrap();
     let overlaid = FlyMon::restore(&base).unwrap();
     assert_eq!(
         registers(&overlaid),

@@ -1,11 +1,11 @@
 //! The O(dirty) readout plane, end to end.
 //!
-//! Four claims are pinned here:
+//! Six claims are pinned here:
 //!
-//! 1. the vectorized merge kernels ([`MergeLaw::combine_rows`]) are
-//!    bit-identical to the per-element law across laws, cap boundaries
-//!    and ragged row lengths (the 8-lane chunking must not change a
-//!    single bucket);
+//! 1. the vectorized merge kernels ([`MergeLaw::combine_rows`], and
+//!    [`MergeLaw::combine_rows_scan`] with its fused occupancy and
+//!    candidate collection) are bit-identical to the per-element law
+//!    across laws, cap boundaries, densities and ragged row lengths;
 //! 2. dirty-row elision is invisible: a member row skipped because its
 //!    epoch watermark proves it untouched contributes exactly what
 //!    merging its zeros would have;
@@ -16,11 +16,17 @@
 //! 4. the fused merge+stats signals (occupancy, heavy candidates)
 //!    equal what a separate scan of the merged rows would report, and
 //!    a standby promotion after bank rotations recovers registers
-//!    bit-identical to an unfailed twin at the sync barrier.
+//!    bit-identical to an unfailed twin at the sync barrier;
+//! 5. a point-read `merged_frequency` answers what merging whole rows
+//!    and indexing the result answered;
+//! 6. a delta checkpoint ships the zeros a rotation left as lengths,
+//!    and still composes onto its base into the full image.
 
 use flymon::prelude::*;
-use flymon_netsim::{scan_row, MergeLaw, RowOccupancy, SwitchFleet};
-use flymon_packet::{KeySpec, Packet};
+use flymon::task::TaskId;
+use flymon_netsim::{MergeLaw, RowOccupancy, SwitchFleet};
+use flymon_packet::{KeySpec, Packet, SplitMix64};
+use flymon_rmt::checkpoint::{DirtySpan, SnapshotData};
 use flymon_traffic::gen::{TraceConfig, TraceGenerator};
 
 fn config() -> FlyMonConfig {
@@ -54,18 +60,25 @@ fn trace(seed: u64, packets: u64) -> Vec<Packet> {
 /// alive member's live rows — the reference every vectorized/elided/
 /// double-buffered path must reproduce bit for bit.
 fn scalar_merged_rows(fleet: &SwitchFleet) -> Vec<Vec<u32>> {
-    let law = {
-        let (fm, h) = first_alive(fleet);
-        MergeLaw::of(fm.task(h).unwrap().algorithm).unwrap()
-    };
+    scalar_merged_rows_of(fleet, |i| fleet.switch(i).1)
+}
+
+/// [`scalar_merged_rows`] of whichever task `handle_on` names on each
+/// switch.
+fn scalar_merged_rows_of(
+    fleet: &SwitchFleet,
+    handle_on: impl Fn(usize) -> Option<TaskHandle>,
+) -> Vec<Vec<u32>> {
+    let mut law = None;
     let mut merged: Vec<Vec<u32>> = Vec::new();
     let mut caps: Vec<u32> = Vec::new();
     for i in 0..fleet.len() {
         if !fleet.is_alive(i) {
             continue;
         }
-        let (fm, h) = fleet.switch(i);
-        let Some(h) = h else { continue };
+        let fm = fleet.switch(i).0;
+        let Some(h) = handle_on(i) else { continue };
+        let law = *law.get_or_insert_with(|| MergeLaw::of(fm.task(h).unwrap().algorithm).unwrap());
         if merged.is_empty() {
             caps = fm.task(h).unwrap().rows.iter().map(|r| r.bucket_max).collect();
         }
@@ -110,49 +123,67 @@ fn naive_occupancy(row: &[u32], cap: u32) -> RowOccupancy {
 // ---------------------------------------------------------------------
 
 #[test]
-fn combine_rows_bit_identical_across_laws_caps_and_ragged_tails() {
-    // Deterministic value mix: zeros, small counts, near-cap, at-cap,
-    // and full-width patterns, so clamping and saturation boundaries
-    // are all exercised.
-    let mut state = 0x1234_5678_9abc_def0u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    for law in [MergeLaw::Sum, MergeLaw::Max, MergeLaw::Or] {
-        for cap in [255u32, 65_535, u32::MAX] {
-            // 1..=17 spans sub-lane, exact-lane and ragged-tail lengths
-            // around the 8-lane chunk width.
-            for len in 1usize..=17 {
-                let pick = |r: u64| match r % 5 {
-                    0 => 0u32,
-                    1 => (r % 7) as u32,
-                    2 => cap.saturating_sub((r % 3) as u32),
-                    3 => cap,
-                    _ => (r & 0xffff_ffff) as u32 % cap.max(1),
-                };
-                let acc0: Vec<u32> = (0..len).map(|_| pick(next())).collect();
-                let src: Vec<u32> = (0..len).map(|_| pick(next())).collect();
-                let expected: Vec<u32> = acc0
-                    .iter()
-                    .zip(&src)
-                    .map(|(&a, &b)| law.combine(a, b, cap))
-                    .collect();
-                let mut acc = acc0.clone();
-                law.combine_rows(&mut acc, &src, cap);
-                assert_eq!(
-                    acc, expected,
-                    "{law:?} cap={cap} len={len}: kernel diverged from scalar law"
-                );
-                // The fused variant merges identically and reports the
-                // same occupancy a separate scan would.
-                let mut acc2 = acc0.clone();
-                let occ = law.combine_rows_scan(&mut acc2, &src, cap, cap);
-                assert_eq!(acc2, expected);
-                assert_eq!(occ, naive_occupancy(&expected, cap));
-                assert_eq!(scan_row(&expected, cap), naive_occupancy(&expected, cap));
+fn merge_kernels_bit_identical_across_laws_caps_lengths_and_densities() {
+    let mut rng = SplitMix64::new(0x1234_5678_9abc_def0);
+    // Sub-block, ragged and whole-row lengths: 1..=17 around the vector
+    // widths, 65 536 across the kernel's blocks.
+    let lengths = (1usize..=17).chain([65_536]);
+    for len in lengths {
+        for law in [MergeLaw::Sum, MergeLaw::Max, MergeLaw::Or] {
+            for cap in [255u32, 65_535, u32::MAX] {
+                // Share of nonzero buckets per input row: none, about
+                // 40 % once merged, all.
+                for percent in [0u64, 23, 100] {
+                    // Zeros by density; otherwise small counts, values
+                    // at and just under the cap, and values just under
+                    // `u32::MAX`, so `a + s` overflows `u32` whatever
+                    // the cap.
+                    let mut pick = || {
+                        let r = rng.next_u64();
+                        if r % 100 >= percent {
+                            return 0;
+                        }
+                        match (r >> 8) % 5 {
+                            0 => 1 + ((r >> 16) % 7) as u32,
+                            1 => cap.saturating_sub(((r >> 16) % 3) as u32).max(1),
+                            2 => cap,
+                            3 => u32::MAX - ((r >> 16) % 3) as u32,
+                            _ => 1 + (r >> 32) as u32 % cap,
+                        }
+                    };
+                    let acc0: Vec<u32> = (0..len).map(|_| pick()).collect();
+                    let src: Vec<u32> = (0..len).map(|_| pick()).collect();
+                    let case = format!("{law:?} cap={cap} len={len} density={percent}%");
+                    let expected: Vec<u32> = acc0
+                        .iter()
+                        .zip(&src)
+                        .map(|(&a, &b)| law.combine(a, b, cap))
+                        .collect();
+                    let occupancy = naive_occupancy(&expected, cap);
+                    let nonzero: Vec<u32> = (0u32..)
+                        .zip(&expected)
+                        .filter(|(_, &v)| v > 0)
+                        .map(|(i, _)| i)
+                        .collect();
+
+                    let mut acc = acc0.clone();
+                    law.combine_rows(&mut acc, &src, cap);
+                    assert_eq!(acc, expected, "{case}: fold diverged from the scalar law");
+
+                    let mut acc = acc0.clone();
+                    let occ = law.combine_rows_scan(&mut acc, &src, cap, cap, None);
+                    assert_eq!(acc, expected, "{case}: fused fold diverged");
+                    assert_eq!(occ, occupancy, "{case}: fused occupancy");
+
+                    // Stale contents must not survive in the candidates.
+                    let mut candidates = vec![7; 3];
+                    let mut acc = acc0.clone();
+                    let occ =
+                        law.combine_rows_scan(&mut acc, &src, cap, cap, Some(&mut candidates));
+                    assert_eq!(acc, expected, "{case}: fused fold with candidates diverged");
+                    assert_eq!(occ, occupancy, "{case}: fused occupancy with candidates");
+                    assert_eq!(candidates, nonzero, "{case}: candidates");
+                }
             }
         }
     }
@@ -368,6 +399,180 @@ fn promotion_after_bank_rotation_matches_unfailed_twin_at_barrier() {
             promoted.read_row(ph, row).unwrap(),
             reference.read_row(rh, row).unwrap(),
             "row {row}: promoted switch diverged from the unfailed twin"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// 5. Point-read queries vs the row-merge oracle.
+// ---------------------------------------------------------------------
+
+/// The handle `fm` gave the task named `name` (task ids are small).
+fn handle_by_name(fm: &FlyMon, name: &str) -> Option<TaskHandle> {
+    (0..64)
+        .map(|id| TaskHandle(TaskId(id)))
+        .find(|h| fm.task(*h).is_ok_and(|t| t.def.name == name))
+}
+
+/// `merged_frequency` as it used to be computed: every row of the task
+/// whose filter admits `pkt` merged whole across the alive fleet, the
+/// flow's bucket read out of each merged row, the minimum taken.
+fn row_merge_frequency(fleet: &SwitchFleet, pkt: &Packet) -> u64 {
+    let info = fleet
+        .task_infos()
+        .into_iter()
+        .find(|t| t.filter.matches(pkt))
+        .expect("a task admits the packet");
+    let merged = scalar_merged_rows_of(fleet, |i| handle_by_name(fleet.switch(i).0, &info.name));
+    let locator = (0..fleet.len())
+        .find(|&i| fleet.is_alive(i))
+        .map(|i| fleet.switch(i).0)
+        .expect("an alive member");
+    let h = handle_by_name(locator, &info.name).unwrap();
+    (0..merged.len())
+        .map(|row| u64::from(merged[row][locator.locate(h, row, pkt).unwrap()]))
+        .min()
+        .unwrap()
+}
+
+#[test]
+fn point_read_frequency_matches_the_row_merge_oracle() {
+    let d = 3;
+    let mut fleet = SwitchFleet::deploy(3, config(), &cms_def(d)).unwrap();
+
+    // One flow entering at two ingresses, 40 000 packets each: every
+    // row's bucket stays under the 16-bit ceiling on either switch and
+    // passes it once merged, so the clamp is the merge's, not
+    // Cond-ADD's, and it decides the estimate.
+    let heavy = Packet::tcp(0x0a00_0001, 1, 1, 1);
+    let traffic = trace(0x90_1D, 20_000);
+    let feed = |fleet: &mut SwitchFleet| {
+        fleet.process_trace(&traffic);
+        for _ in 0..40_000 {
+            fleet.process(0, &heavy);
+            fleet.process(2, &heavy);
+        }
+    };
+
+    // 200 probes: flows of the trace, the heavy flow, and sources the
+    // fleet never saw (both halves of the address space, so after the
+    // split both children answer).
+    let mut rng = SplitMix64::new(0xF10E);
+    let mut probes = vec![heavy];
+    while probes.len() < 200 {
+        let r = rng.next_u64();
+        probes.push(if r.is_multiple_of(4) {
+            Packet::udp((r >> 32) as u32, 9, 9, 9)
+        } else {
+            traffic[(r >> 8) as usize % traffic.len()]
+        });
+    }
+    let check = |fleet: &SwitchFleet, stage: &str| {
+        for p in &probes {
+            assert_eq!(
+                fleet.merged_frequency(p).unwrap(),
+                row_merge_frequency(fleet, p),
+                "{stage}: src {:#x}",
+                p.src_ip
+            );
+        }
+    };
+
+    feed(&mut fleet);
+    assert_eq!(fleet.merged_frequency(&heavy).unwrap(), 65_535);
+    for i in [0, 2] {
+        let (fm, h) = fleet.switch(i);
+        assert!(fm.query_frequency(h.unwrap(), &heavy) < 65_535);
+    }
+    check(&fleet, "all alive");
+
+    fleet.fail_switch(2);
+    assert!(fleet.merged_frequency(&heavy).unwrap() < 65_535);
+    check(&fleet, "switch 2 failed");
+
+    fleet.revive_switch(2).unwrap();
+    let (lo, hi) = fleet.split_task(0).unwrap();
+    feed(&mut fleet);
+    assert_eq!(fleet.merged_frequency(&heavy).unwrap(), 65_535);
+    let names: Vec<String> = fleet.task_infos().into_iter().map(|t| t.name).collect();
+    assert_eq!((names[lo].as_str(), names[hi].as_str()), ("freq/0", "freq/1"));
+    assert!(probes.iter().any(|p| p.src_ip >> 31 == 0));
+    assert!(probes.iter().any(|p| p.src_ip >> 31 == 1));
+    check(&fleet, "after split_task");
+}
+
+// ---------------------------------------------------------------------
+// 6. Zero-span standby deltas.
+// ---------------------------------------------------------------------
+
+/// Spans of every register snapshot of a delta checkpoint.
+fn delta_spans(delta: &SwitchCheckpoint) -> Vec<&[DirtySpan]> {
+    delta
+        .registers
+        .snapshots
+        .iter()
+        .map(|s| match &s.data {
+            SnapshotData::Delta(spans) => spans.as_slice(),
+            SnapshotData::Full(_) => panic!("a delta capture produced a full image"),
+        })
+        .collect()
+}
+
+#[test]
+fn delta_after_rotation_ships_zero_spans_and_composes_to_the_full_image() {
+    let mut fleet = SwitchFleet::deploy(1, config(), &cms_def(2)).unwrap();
+    fleet.process_trace(&trace(0x5EED, 20_000));
+    let mut base = fleet.switch_mut(0).checkpoint(CaptureMode::Full);
+    fleet.process_trace(&trace(0x5EEE, 5_000));
+
+    // Straight after a rotation every swapped register is dirty and
+    // untouched: its whole dirty range is one zero span, no payload.
+    fleet.rotate_epoch_all().unwrap();
+    let delta = fleet.switch_mut(0).checkpoint(CaptureMode::Delta);
+    assert_eq!(delta.payload_buckets(), 0);
+    let swapped: Vec<&[DirtySpan]> = delta_spans(&delta)
+        .into_iter()
+        .filter(|spans| !spans.is_empty())
+        .collect();
+    assert_eq!(swapped.len(), 2, "one register per CMS row was swapped");
+    for spans in swapped {
+        assert!(
+            matches!(spans, [DirtySpan::Zeros { len, .. }] if *len >= 8192),
+            "{spans:?}"
+        );
+    }
+    base.overlay(delta).unwrap();
+    let full = fleet.switch_mut(0).checkpoint(CaptureMode::Full);
+    assert_eq!(base.registers, full.registers);
+
+    // Packets between the rotation and the sync: the touched hull (one
+    // flow, one bucket per row) lies inside the dirty range the
+    // rotation left, so each row is a value span flanked by zero spans.
+    fleet.process_trace(&trace(0x5EEF, 5_000));
+    fleet.rotate_epoch_all().unwrap();
+    fleet.process_trace(&vec![Packet::tcp(0x0a00_0001, 2, 3, 4); 9]);
+    let delta = fleet.switch_mut(0).checkpoint(CaptureMode::Delta);
+    assert_eq!(delta.payload_buckets(), 2, "one bucket per row");
+    for spans in delta_spans(&delta).into_iter().filter(|s| !s.is_empty()) {
+        match spans {
+            [DirtySpan::Zeros { start, len }, DirtySpan::Values { start: at, data }, DirtySpan::Zeros { start: after, .. }] =>
+            {
+                assert_eq!(start + len, *at);
+                assert_eq!(data.as_slice(), [9]);
+                assert_eq!(at + 1, *after);
+            }
+            other => panic!("expected zeros, values, zeros: {other:?}"),
+        }
+    }
+    base.overlay(delta).unwrap();
+    let full = fleet.switch_mut(0).checkpoint(CaptureMode::Full);
+    assert_eq!(base.registers, full.registers);
+    let restored = FlyMon::restore(&base).unwrap();
+    let (live, h) = fleet.switch(0);
+    for row in 0..2 {
+        assert_eq!(
+            restored.read_row(h.unwrap(), row).unwrap(),
+            live.read_row(h.unwrap(), row).unwrap()
         );
     }
 }
