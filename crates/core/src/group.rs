@@ -209,8 +209,9 @@ pub struct CmuGroup {
     /// but the digests are pure, so skipping unread ones is unobservable.
     unit_used: [bool; MAX_HASH_UNITS],
     /// The live bindings compiled flat for the batched datapath. Every
-    /// binding mutation funnels through [`CmuGroup::rebuild_program`],
-    /// so this can never go stale relative to `cmus[..].bindings`.
+    /// binding mutation recompiles the CMUs it touched before it
+    /// returns ([`CmuGroup::recompile_cmu`]), so this can never go stale
+    /// relative to `cmus[..].bindings`.
     program: GroupProgram,
     /// Rebuild counter — bumps on every recompilation, letting tests
     /// pin that each mutation path invalidated the program.
@@ -295,26 +296,35 @@ impl CmuGroup {
         }
     }
 
-    /// Recompiles [`CmuGroup::program`] (and [`CmuGroup::unit_used`])
-    /// from the installed bindings. Called on every binding mutation —
-    /// install-time cost, not per-packet — and bumps
-    /// [`CmuGroup::program_version`].
-    fn rebuild_program(&mut self) {
+    /// Recompiles CMU `cmu`'s part of [`CmuGroup::program`] from its
+    /// installed bindings — what a binding mutation costs: the other
+    /// CMUs' compiled bindings depend on nothing that changed. The
+    /// caller follows with [`CmuGroup::refresh_program`].
+    fn recompile_cmu(&mut self, cmu: usize) {
+        self.program.cmus[cmu] =
+            CompiledCmu::compile(&self.cmus[cmu].bindings, self.config.buckets_per_cmu);
+    }
+
+    /// Re-derives what the program keeps about the group as a whole
+    /// ([`CmuGroup::unit_used`], `reads_ctx`) after some CMU was
+    /// recompiled, and bumps [`CmuGroup::program_version`].
+    fn refresh_program(&mut self) {
         self.unit_used = compute_unit_usage(&self.cmus);
-        let bindings: Vec<&[CmuBinding]> =
-            self.cmus.iter().map(|c| c.bindings.as_slice()).collect();
-        self.program =
-            GroupProgram::compile(self.config.buckets_per_cmu, self.unit_used, &bindings);
+        self.program.unit_used = self.unit_used;
+        self.program.reads_ctx = self.program.cmus.iter().any(CompiledCmu::reads_ctx);
         self.program_version += 1;
     }
 
-    /// Forces a program recompilation. The control plane calls this on
-    /// mutation paths that bypass install/uninstall (register-only
+    /// Forces a recompilation of every CMU. The control plane calls this
+    /// on mutation paths that bypass install/uninstall (register-only
     /// resets, restores), so *every* reconfiguration observably
     /// invalidates the compiled program — the staleness contract
     /// `tests/batch.rs` pins.
     pub(crate) fn invalidate_program(&mut self) {
-        self.rebuild_program();
+        for cmu in 0..self.cmus.len() {
+            self.recompile_cmu(cmu);
+        }
+        self.refresh_program();
     }
 
     /// The compiled binding program the batched datapath executes.
@@ -428,7 +438,8 @@ impl CmuGroup {
         }
         self.cmus[cmu].bindings.push(binding);
         self.cmus[cmu].hits.push(0);
-        self.rebuild_program();
+        self.recompile_cmu(cmu);
+        self.refresh_program();
         Ok(())
     }
 
@@ -443,7 +454,8 @@ impl CmuGroup {
             Some(pos) => {
                 c.bindings.remove(pos);
                 c.hits.remove(pos);
-                self.rebuild_program();
+                self.recompile_cmu(cmu);
+                self.refresh_program();
                 true
             }
             None => false,
@@ -454,15 +466,19 @@ impl CmuGroup {
     /// were removed.
     pub fn remove_task(&mut self, task: TaskId) -> usize {
         let mut removed = 0;
-        for cmu in &mut self.cmus {
+        for ci in 0..self.cmus.len() {
+            let cmu = &mut self.cmus[ci];
             let before = cmu.bindings.len();
             let mut keep = cmu.bindings.iter().map(|b| b.task != task);
             cmu.hits.retain(|_| keep.next().unwrap_or(true));
             cmu.bindings.retain(|b| b.task != task);
-            removed += before - cmu.bindings.len();
+            if cmu.bindings.len() < before {
+                removed += before - cmu.bindings.len();
+                self.recompile_cmu(ci);
+            }
         }
         if removed > 0 {
-            self.rebuild_program();
+            self.refresh_program();
         }
         removed
     }
@@ -1052,6 +1068,47 @@ mod tests {
         assert_eq!(g.remove_task(TaskId(7)), 2);
         assert!(g.cmus()[0].bindings().is_empty());
         assert_eq!(g.cmus()[2].bindings().len(), 1);
+    }
+
+    #[test]
+    fn every_binding_mutation_leaves_the_whole_program_fresh() {
+        // A mutation recompiles only the CMUs it touched; the program
+        // as a whole — the untouched CMUs, the unit-usage mask, the
+        // context flag — must still equal a from-scratch compile, and
+        // the version must move, after each one.
+        use crate::params::CmuRef;
+        let mut g = small_group();
+        g.unit_mut(1).set_mask(KeySpec::DST_IP);
+        let mut version = g.program_version();
+        let mut fresh = |g: &CmuGroup, what: &str| {
+            assert_eq!(g.program(), &g.reference_program(), "{what}");
+            assert!(g.program_version() > version, "{what} did not bump the version");
+            version = g.program_version();
+        };
+        let mut filtered = count_binding(1);
+        filtered.filter = TaskFilter::src(0x0a00_0000, 8);
+        g.install(0, filtered).unwrap();
+        fresh(&g, "install on CMU 0");
+        assert!(!g.program().cmus[0].always);
+        let mut chained = count_binding(2);
+        chained.key.source = KeySource::Unit(1);
+        chained.p1 = ParamSource::PrevResult(CmuRef { group: 0, cmu: 0 });
+        g.install(2, chained).unwrap();
+        fresh(&g, "install on CMU 2");
+        assert!(g.program().reads_ctx && g.program().unit_used[1]);
+        g.install(0, count_binding(2)).unwrap();
+        g.install(1, count_binding(3)).unwrap();
+        fresh(&g, "installs on CMUs 0 and 1");
+        assert!(g.uninstall(0, TaskId(1)));
+        fresh(&g, "uninstall from CMU 0");
+        assert!(g.program().cmus[0].always, "the unconditional binding is first now");
+        assert!(!g.uninstall(1, TaskId(9)));
+        assert_eq!(g.remove_task(TaskId(2)), 2);
+        fresh(&g, "remove_task across CMUs 0 and 2");
+        assert!(!g.program().reads_ctx && !g.program().unit_used[1]);
+        assert_eq!(g.program().cmus[1].bindings.len(), 1);
+        g.invalidate_program();
+        fresh(&g, "invalidate");
     }
 
     #[test]

@@ -27,11 +27,12 @@
 //! `KeyPlan` (serialized length + address masks), which is what the
 //! batch path's digest pass extracts and hashes by.
 //!
-//! **Invalidation rule**: the program is rebuilt (and its version
-//! bumped) by `CmuGroup::rebuild_program`, which every binding
-//! mutation funnels through — `install`, `uninstall`, `remove_task` —
-//! plus the explicit control-plane invalidation after register-only
-//! resets. Checkpoint restore and WAL replay reinstall bindings through
+//! **Invalidation rule**: every binding mutation — `install`,
+//! `uninstall`, `remove_task` — recompiles the [`CompiledCmu`]s whose
+//! bindings it changed before it returns, then refreshes the group-wide
+//! facts (`unit_used`, `reads_ctx`) and bumps the version; the explicit
+//! control-plane invalidation after register-only resets recompiles
+//! every CMU the same way. Checkpoint restore and WAL replay reinstall bindings through
 //! those same entry points, so a restored or recovered switch can never
 //! execute a stale program (`tests/batch.rs` pins this for every
 //! mutation path).
@@ -446,18 +447,32 @@ pub struct CompiledCmu {
 }
 
 impl CompiledCmu {
-    fn new(bindings: Vec<CompiledBinding>) -> CompiledCmu {
+    /// Compiles one CMU's binding list (match order) for a register of
+    /// `buckets` buckets.
+    pub(crate) fn compile(bindings: &[CmuBinding], buckets: usize) -> CompiledCmu {
+        let bindings: Vec<CompiledBinding> = bindings
+            .iter()
+            .map(|b| CompiledBinding::compile(b, buckets))
+            .collect();
         let always = bindings.first().is_some_and(CompiledBinding::is_unconditional);
         CompiledCmu { bindings, always }
+    }
+
+    /// Some binding's parameters or preparation read the PHV context.
+    pub(crate) fn reads_ctx(&self) -> bool {
+        self.bindings
+            .iter()
+            .any(|b| b.p1.reads_ctx() || b.p2.reads_ctx() || b.prep.reads_ctx())
     }
 }
 
 /// A CMU Group's bindings compiled into one dense program.
 ///
-/// Owned by [`CmuGroup`](crate::group::CmuGroup) and rebuilt by every
-/// binding mutation (see the module docs for the invalidation rule);
+/// Owned by [`CmuGroup`](crate::group::CmuGroup) and recompiled, one
+/// CMU at a time, by every binding mutation (see the module docs for
+/// the invalidation rule);
 /// [`CmuGroup::program_version`](crate::group::CmuGroup::program_version)
-/// counts the rebuilds.
+/// counts the mutations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupProgram {
     /// `buckets_per_cmu - 1` — the address mask and the `% m` of the
@@ -490,18 +505,9 @@ impl GroupProgram {
     ) -> GroupProgram {
         let cmus: Vec<CompiledCmu> = cmu_bindings
             .iter()
-            .map(|bindings| {
-                CompiledCmu::new(
-                    bindings
-                        .iter()
-                        .map(|b| CompiledBinding::compile(b, buckets))
-                        .collect(),
-                )
-            })
+            .map(|bindings| CompiledCmu::compile(bindings, buckets))
             .collect();
-        let reads_ctx = cmus.iter().flat_map(|c| &c.bindings).any(|b| {
-            b.p1.reads_ctx() || b.p2.reads_ctx() || b.prep.reads_ctx()
-        });
+        let reads_ctx = cmus.iter().any(CompiledCmu::reads_ctx);
         GroupProgram {
             bucket_mask: buckets - 1,
             unit_used,

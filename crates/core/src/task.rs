@@ -212,7 +212,7 @@ impl Algorithm {
 }
 
 /// A complete measurement task definition (§3.4).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskDefinition {
     /// Human-readable task name (reports, error messages).
     pub name: String,

@@ -24,15 +24,54 @@
 //! commit/abort resolution, checkpoint-anchored truncation — is all
 //! here.
 //!
-//! Every record is CRC-framed: a checksum over the record's canonical
-//! encoding is (re)computed at append and at commit/abort resolution,
-//! standing in for the frame checksum an on-disk log would write with
-//! each record. Recovery verifies the frames of the replay suffix
-//! before trusting it ([`WriteAheadLog::verify_frames_after`]); a torn
-//! or corrupted record surfaces as
-//! [`crate::FlymonError::RecoveryDivergence`] naming the bad sequence
-//! number instead of replaying garbage. Tests inject corruption with
-//! [`WriteAheadLog::corrupt_frame`].
+//! Every record is CRC-framed over an explicit canonical byte encoding
+//! (layout below): the checksum is (re)computed at append and at
+//! commit/abort resolution, standing in for the frame checksum an
+//! on-disk log would write with each record. Recovery verifies the
+//! frames of the replay suffix before trusting it
+//! ([`WriteAheadLog::verify_frames_after`]); a torn or corrupted record
+//! surfaces as [`crate::FlymonError::RecoveryDivergence`] naming the bad
+//! sequence number instead of replaying garbage. Tests inject corruption
+//! with [`WriteAheadLog::corrupt_frame`].
+//!
+//! # Frame layout
+//!
+//! A frame is `len: u32 | payload | crc: u32`. Every integer is
+//! little-endian; `usize` values travel as `u64`. `len` counts the
+//! payload bytes; `crc` is the zlib CRC-32 (reflected `0xEDB88320`,
+//! initial state and final XOR `0xFFFFFFFF`) of the payload alone. The
+//! payload, in field order:
+//!
+//! ```text
+//! seq                u64
+//! intent tag         u8    1 Deploy, 2 Remove, 3 Reallocate, 4 Reset
+//!   Deploy:          filter   src.net u32, src.bits u8, dst.net u32, dst.bits u8
+//!                    key      key spec (3 bytes, below)
+//!                    attr     tag u8 (1 Frequency, 2 Distinct, 3 Existence, 4 Max)
+//!                             Frequency: 0 packets, 1 bytes (u8)
+//!                             Distinct, Existence: key spec
+//!                             Max: 0 queue length, 1 queue delay, 2 packet interval (u8)
+//!                    memory   u64
+//!                    alg      tag u8 (0 none; 1 Cms, 2 SuMaxSum, 3 Mrac, 4 Tower,
+//!                             5 CounterBraids, 6 Hll, 7 LinearCounting, 8 BeauCoup,
+//!                             9 Bloom, 10 SuMaxMax, 11 OddSketch, 12 MaxInterval),
+//!                             then `d` u64 where the variant has one, then
+//!                             `bit_optimized` u8 for Bloom
+//!                    prob_log2           u8
+//!                    distinct_threshold  u64
+//!                    name     length u32, then that many UTF-8 bytes
+//!   Remove, Reset:   task u32
+//!   Reallocate:      task u32, new_buckets u64
+//! outcome tag        u8    0 Pending, 1 Aborted, 2 Committed
+//!   Committed:       present u8 (bit 0 removed, bit 1 deployed),
+//!                    removed u32 if present,
+//!                    deployed task u32 + buckets u64 if present
+//! key spec           src_ip_prefix u8, dst_ip_prefix u8,
+//!                    flags u8 (bit 0 src_port, 1 dst_port, 2 protocol, 3 timestamp)
+//! ```
+//!
+//! [`WalRecord::encode`] writes a frame, [`WalRecord::decode`] reads one
+//! back and rejects anything that is not exactly such a frame.
 //!
 //! [`FlyMon::deploy`]: crate::control::FlyMon::deploy
 //! [`FlyMon::remove`]: crate::control::FlyMon::remove
@@ -40,22 +79,298 @@
 //! [`FlyMon::reset_task`]: crate::control::FlyMon::reset_task
 //! [`FlyMon::recover`]: crate::control::FlyMon::recover
 
-use crate::task::{TaskDefinition, TaskId};
+use flymon_packet::{KeySpec, PrefixFilter, TaskFilter};
 use flymon_rmt::hash::{crc32, CRC32_POLYNOMIALS};
 
-/// Seed for every WAL frame checksum (conventional CRC-32 init value).
-const FRAME_SEED: u32 = 0xFFFF_FFFF;
+use crate::task::{Algorithm, Attribute, FreqParam, MaxParam, TaskDefinition, TaskId};
 
-/// Frame checksum over a record's canonical encoding. The encoding is
-/// the record's debug rendering — deterministic for these derive-only
-/// types — which models serializing the record into an on-disk frame.
-fn frame_crc(seq: u64, intent: &WalIntent, outcome: &WalOutcome) -> u32 {
-    let encoded = format!("{seq}|{intent:?}|{outcome:?}");
-    crc32(CRC32_POLYNOMIALS[0], FRAME_SEED, encoded.as_bytes())
+/// Seed of every WAL frame checksum: with the kernel's pre- and
+/// post-inversion this is the zlib CRC-32.
+const FRAME_SEED: u32 = 0;
+
+/// Checksum of a frame payload.
+fn payload_crc(payload: &[u8]) -> u32 {
+    crc32(CRC32_POLYNOMIALS[0], FRAME_SEED, payload)
+}
+
+/// Frames a record's contents into `buf` (reused, not grown, once it
+/// has held the longest record) and returns the frame checksum.
+fn frame_crc(buf: &mut Vec<u8>, seq: u64, intent: &WalIntent, outcome: &WalOutcome) -> u32 {
+    buf.clear();
+    put_payload(buf, seq, intent, outcome);
+    payload_crc(buf)
+}
+
+/// Why [`WalRecord::decode`] refused a byte string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameError {
+    /// Fewer bytes than the length prefix (or the prefix itself) needs.
+    Truncated,
+    /// The payload does not hash to the stored checksum.
+    BadCrc {
+        /// Checksum read from the frame.
+        stored: u32,
+        /// Checksum of the payload as read.
+        computed: u32,
+    },
+    /// The checksum holds but the payload is not a record: an unknown
+    /// tag, a field running past the payload, bytes left over.
+    Malformed(&'static str),
+}
+
+impl std::fmt::Display for FrameError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FrameError::Truncated => write!(f, "WAL frame truncated"),
+            FrameError::BadCrc { stored, computed } => write!(
+                f,
+                "WAL frame checksum mismatch: stored {stored:#010x}, payload hashes to {computed:#010x}"
+            ),
+            FrameError::Malformed(what) => write!(f, "malformed WAL frame: {what}"),
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
+
+fn put_key(out: &mut Vec<u8>, k: &KeySpec) {
+    let flags = u8::from(k.src_port)
+        | u8::from(k.dst_port) << 1
+        | u8::from(k.protocol) << 2
+        | u8::from(k.timestamp) << 3;
+    out.extend_from_slice(&[k.src_ip_prefix, k.dst_ip_prefix, flags]);
+}
+
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_usize(out: &mut Vec<u8>, v: usize) {
+    out.extend_from_slice(&(v as u64).to_le_bytes());
+}
+
+fn put_definition(out: &mut Vec<u8>, def: &TaskDefinition) {
+    for f in [&def.filter.src, &def.filter.dst] {
+        put_u32(out, f.net);
+        out.push(f.bits);
+    }
+    put_key(out, &def.key);
+    match &def.attribute {
+        Attribute::Frequency(p) => out.extend_from_slice(&[
+            1,
+            match p {
+                FreqParam::Packets => 0,
+                FreqParam::Bytes => 1,
+            },
+        ]),
+        Attribute::Distinct(k) => {
+            out.push(2);
+            put_key(out, k);
+        }
+        Attribute::Existence(k) => {
+            out.push(3);
+            put_key(out, k);
+        }
+        Attribute::Max(p) => out.extend_from_slice(&[
+            4,
+            match p {
+                MaxParam::QueueLen => 0,
+                MaxParam::QueueDelayUs => 1,
+                MaxParam::PacketIntervalUs => 2,
+            },
+        ]),
+    }
+    put_usize(out, def.memory);
+    let (tag, d) = match def.algorithm {
+        None => (0, None),
+        Some(Algorithm::Cms { d }) => (1, Some(d)),
+        Some(Algorithm::SuMaxSum { d }) => (2, Some(d)),
+        Some(Algorithm::Mrac) => (3, None),
+        Some(Algorithm::Tower { d }) => (4, Some(d)),
+        Some(Algorithm::CounterBraids) => (5, None),
+        Some(Algorithm::Hll) => (6, None),
+        Some(Algorithm::LinearCounting) => (7, None),
+        Some(Algorithm::BeauCoup { d }) => (8, Some(d)),
+        Some(Algorithm::Bloom { d, .. }) => (9, Some(d)),
+        Some(Algorithm::SuMaxMax { d }) => (10, Some(d)),
+        Some(Algorithm::OddSketch) => (11, None),
+        Some(Algorithm::MaxInterval { d }) => (12, Some(d)),
+    };
+    out.push(tag);
+    if let Some(d) = d {
+        put_usize(out, d);
+    }
+    if let Some(Algorithm::Bloom { bit_optimized, .. }) = def.algorithm {
+        out.push(u8::from(bit_optimized));
+    }
+    out.push(def.prob_log2);
+    out.extend_from_slice(&def.distinct_threshold.to_le_bytes());
+    put_u32(out, def.name.len() as u32);
+    out.extend_from_slice(def.name.as_bytes());
+}
+
+/// Appends the canonical payload of a record to `out`.
+fn put_payload(out: &mut Vec<u8>, seq: u64, intent: &WalIntent, outcome: &WalOutcome) {
+    out.extend_from_slice(&seq.to_le_bytes());
+    match intent {
+        WalIntent::Deploy(def) => {
+            out.push(1);
+            put_definition(out, def);
+        }
+        WalIntent::Remove(id) => {
+            out.push(2);
+            put_u32(out, id.0);
+        }
+        WalIntent::Reallocate { task, new_buckets } => {
+            out.push(3);
+            put_u32(out, task.0);
+            put_usize(out, *new_buckets);
+        }
+        WalIntent::Reset(id) => {
+            out.push(4);
+            put_u32(out, id.0);
+        }
+    }
+    match outcome {
+        WalOutcome::Pending => out.push(0),
+        WalOutcome::Aborted => out.push(1),
+        WalOutcome::Committed { removed, deployed } => {
+            out.push(2);
+            out.push(u8::from(removed.is_some()) | u8::from(deployed.is_some()) << 1);
+            if let Some(id) = removed {
+                put_u32(out, id.0);
+            }
+            if let Some((id, buckets)) = deployed {
+                put_u32(out, id.0);
+                put_usize(out, *buckets);
+            }
+        }
+    }
+}
+
+/// Cursor over a frame payload; every read is bounds-checked.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
+        if n > self.0.len() {
+            return Err(FrameError::Malformed("field runs past the payload"));
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u8(&mut self) -> Result<u8, FrameError> {
+        Ok(self.bytes(1)?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32, FrameError> {
+        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4 bytes")))
+    }
+
+    fn u64(&mut self) -> Result<u64, FrameError> {
+        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8 bytes")))
+    }
+
+    fn usize(&mut self) -> Result<usize, FrameError> {
+        usize::try_from(self.u64()?).map_err(|_| FrameError::Malformed("count exceeds usize"))
+    }
+
+    fn task(&mut self) -> Result<TaskId, FrameError> {
+        self.u32().map(TaskId)
+    }
+
+    fn key(&mut self) -> Result<KeySpec, FrameError> {
+        let b = self.bytes(3)?;
+        if b[0] > 32 || b[1] > 32 || b[2] > 0b1111 {
+            return Err(FrameError::Malformed("key spec out of range"));
+        }
+        Ok(KeySpec {
+            src_ip_prefix: b[0],
+            dst_ip_prefix: b[1],
+            src_port: b[2] & 1 != 0,
+            dst_port: b[2] & 2 != 0,
+            protocol: b[2] & 4 != 0,
+            timestamp: b[2] & 8 != 0,
+        })
+    }
+
+    fn prefix(&mut self) -> Result<PrefixFilter, FrameError> {
+        let (net, bits) = (self.u32()?, self.u8()?);
+        if bits > 32 || PrefixFilter::new(net, bits).net != net {
+            return Err(FrameError::Malformed("prefix filter with host bits or length > 32"));
+        }
+        Ok(PrefixFilter { net, bits })
+    }
+
+    fn definition(&mut self) -> Result<TaskDefinition, FrameError> {
+        let filter = TaskFilter {
+            src: self.prefix()?,
+            dst: self.prefix()?,
+        };
+        let key = self.key()?;
+        let attribute = match self.u8()? {
+            1 => Attribute::Frequency(match self.u8()? {
+                0 => FreqParam::Packets,
+                1 => FreqParam::Bytes,
+                _ => return Err(FrameError::Malformed("unknown frequency parameter")),
+            }),
+            2 => Attribute::Distinct(self.key()?),
+            3 => Attribute::Existence(self.key()?),
+            4 => Attribute::Max(match self.u8()? {
+                0 => MaxParam::QueueLen,
+                1 => MaxParam::QueueDelayUs,
+                2 => MaxParam::PacketIntervalUs,
+                _ => return Err(FrameError::Malformed("unknown max parameter")),
+            }),
+            _ => return Err(FrameError::Malformed("unknown attribute")),
+        };
+        let memory = self.usize()?;
+        let algorithm = match self.u8()? {
+            0 => None,
+            1 => Some(Algorithm::Cms { d: self.usize()? }),
+            2 => Some(Algorithm::SuMaxSum { d: self.usize()? }),
+            3 => Some(Algorithm::Mrac),
+            4 => Some(Algorithm::Tower { d: self.usize()? }),
+            5 => Some(Algorithm::CounterBraids),
+            6 => Some(Algorithm::Hll),
+            7 => Some(Algorithm::LinearCounting),
+            8 => Some(Algorithm::BeauCoup { d: self.usize()? }),
+            9 => Some(Algorithm::Bloom {
+                d: self.usize()?,
+                bit_optimized: match self.u8()? {
+                    0 => false,
+                    1 => true,
+                    _ => return Err(FrameError::Malformed("bit_optimized is not a bool")),
+                },
+            }),
+            10 => Some(Algorithm::SuMaxMax { d: self.usize()? }),
+            11 => Some(Algorithm::OddSketch),
+            12 => Some(Algorithm::MaxInterval { d: self.usize()? }),
+            _ => return Err(FrameError::Malformed("unknown algorithm")),
+        };
+        let prob_log2 = self.u8()?;
+        let distinct_threshold = self.u64()?;
+        let len = self.u32()? as usize;
+        let name = std::str::from_utf8(self.bytes(len)?)
+            .map_err(|_| FrameError::Malformed("task name is not UTF-8"))?
+            .to_owned();
+        Ok(TaskDefinition {
+            name,
+            filter,
+            key,
+            attribute,
+            memory,
+            algorithm,
+            prob_log2,
+            distinct_threshold,
+        })
+    }
 }
 
 /// What a logged operation set out to do, recorded before any mutation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalIntent {
     /// Deploy this definition.
     Deploy(Box<TaskDefinition>),
@@ -94,7 +409,7 @@ pub enum WalOutcome {
 }
 
 /// One log record.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalRecord {
     /// Monotonic sequence number (1-based; 0 means "before any record").
     pub seq: u64,
@@ -102,7 +417,7 @@ pub struct WalRecord {
     pub intent: WalIntent,
     /// Resolution, patched in when the transaction finishes.
     pub outcome: WalOutcome,
-    /// Frame checksum over the canonical encoding, rewritten at append
+    /// Frame checksum over the canonical payload, rewritten at append
     /// and at resolution (private so nothing can patch a record without
     /// reframing it — except the explicit corruption hook).
     crc: u32,
@@ -116,15 +431,92 @@ impl WalRecord {
 
     /// Whether the stored frame checksum matches the record contents.
     pub fn frame_ok(&self) -> bool {
-        self.crc == frame_crc(self.seq, &self.intent, &self.outcome)
+        self.frame_ok_with(&mut Vec::new())
+    }
+
+    fn frame_ok_with(&self, buf: &mut Vec<u8>) -> bool {
+        self.crc == frame_crc(buf, self.seq, &self.intent, &self.outcome)
+    }
+
+    /// Appends this record's frame (`len | payload | crc`, see the
+    /// module docs) to `out`. The checksum written is the stored one, so
+    /// a record broken by [`WriteAheadLog::corrupt_frame`] encodes to a
+    /// frame [`WalRecord::decode`] refuses.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        let at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        put_payload(out, self.seq, &self.intent, &self.outcome);
+        let len = (out.len() - at - 4) as u32;
+        out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        put_u32(out, self.crc);
+    }
+
+    /// Reads one frame off the front of `bytes`, returning the record
+    /// and the bytes after it. Never panics, whatever the input.
+    pub fn decode(bytes: &[u8]) -> Result<(WalRecord, &[u8]), FrameError> {
+        if bytes.len() < 4 {
+            return Err(FrameError::Truncated);
+        }
+        let (len, rest) = bytes.split_at(4);
+        let len = u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
+        if rest.len() < len || rest.len() - len < 4 {
+            return Err(FrameError::Truncated);
+        }
+        let (payload, rest) = rest.split_at(len);
+        let (stored, rest) = rest.split_at(4);
+        let stored = u32::from_le_bytes(stored.try_into().expect("4 bytes"));
+        let computed = payload_crc(payload);
+        if stored != computed {
+            return Err(FrameError::BadCrc { stored, computed });
+        }
+        let mut r = Reader(payload);
+        let seq = r.u64()?;
+        let intent = match r.u8()? {
+            1 => WalIntent::Deploy(Box::new(r.definition()?)),
+            2 => WalIntent::Remove(r.task()?),
+            3 => WalIntent::Reallocate {
+                task: r.task()?,
+                new_buckets: r.usize()?,
+            },
+            4 => WalIntent::Reset(r.task()?),
+            _ => return Err(FrameError::Malformed("unknown intent")),
+        };
+        let outcome = match r.u8()? {
+            0 => WalOutcome::Pending,
+            1 => WalOutcome::Aborted,
+            2 => {
+                let present = r.u8()?;
+                if present > 0b11 {
+                    return Err(FrameError::Malformed("unknown effect flags"));
+                }
+                WalOutcome::Committed {
+                    removed: if present & 1 != 0 { Some(r.task()?) } else { None },
+                    deployed: if present & 2 != 0 {
+                        Some((r.task()?, r.usize()?))
+                    } else {
+                        None
+                    },
+                }
+            }
+            _ => return Err(FrameError::Malformed("unknown outcome")),
+        };
+        if !r.0.is_empty() {
+            return Err(FrameError::Malformed("bytes left over after the outcome"));
+        }
+        Ok((WalRecord { seq, intent, outcome, crc: stored }, rest))
     }
 }
 
 /// An in-memory write-ahead log (modeled durable storage).
 #[derive(Debug, Clone, Default)]
 pub struct WriteAheadLog {
+    /// Held records, `seq`-sorted: appends only ever add the highest
+    /// sequence number and compaction only ever drops records, which is
+    /// what lets resolution find a record by binary search.
     records: Vec<WalRecord>,
     next_seq: u64,
+    /// Payload buffer every framing reuses.
+    frame: Vec<u8>,
 }
 
 impl WriteAheadLog {
@@ -133,6 +525,7 @@ impl WriteAheadLog {
         WriteAheadLog {
             records: Vec::new(),
             next_seq: 1,
+            frame: Vec::new(),
         }
     }
 
@@ -141,7 +534,7 @@ impl WriteAheadLog {
     pub fn append(&mut self, intent: WalIntent) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let crc = frame_crc(seq, &intent, &WalOutcome::Pending);
+        let crc = frame_crc(&mut self.frame, seq, &intent, &WalOutcome::Pending);
         self.records.push(WalRecord {
             seq,
             intent,
@@ -161,12 +554,21 @@ impl WriteAheadLog {
         self.resolve(seq, WalOutcome::Aborted);
     }
 
+    fn position(&self, seq: u64) -> Option<usize> {
+        self.records.binary_search_by_key(&seq, |r| r.seq).ok()
+    }
+
     fn resolve(&mut self, seq: u64, outcome: WalOutcome) {
-        if let Some(rec) = self.records.iter_mut().find(|r| r.seq == seq) {
-            debug_assert_eq!(rec.outcome, WalOutcome::Pending, "record resolved twice");
-            rec.outcome = outcome;
-            rec.crc = frame_crc(rec.seq, &rec.intent, &rec.outcome);
-        }
+        let Some(at) = self.position(seq) else {
+            // The control plane detaches the log for the whole
+            // transaction, so nothing can compact it in between.
+            debug_assert!(false, "resolving record {seq}, which the log no longer holds");
+            return;
+        };
+        let rec = &mut self.records[at];
+        debug_assert_eq!(rec.outcome, WalOutcome::Pending, "record resolved twice");
+        rec.outcome = outcome;
+        rec.crc = frame_crc(&mut self.frame, rec.seq, &rec.intent, &rec.outcome);
     }
 
     /// All records, oldest first.
@@ -233,10 +635,11 @@ impl WriteAheadLog {
     /// checkpoint image is authoritative there and recovery never reads
     /// them.
     pub fn verify_frames_after(&self, after: u64) -> Result<(), u64> {
+        let mut buf = Vec::new();
         match self
             .records
             .iter()
-            .find(|r| r.seq > after && !r.frame_ok())
+            .find(|r| r.seq > after && !r.frame_ok_with(&mut buf))
         {
             Some(bad) => Err(bad.seq),
             None => Ok(()),
@@ -250,11 +653,12 @@ impl WriteAheadLog {
     /// false if no such record is held. This is the *only* way to make
     /// a held record fail [`WalRecord::frame_ok`].
     pub fn corrupt_frame(&mut self, seq: u64) -> bool {
-        if let Some(rec) = self.records.iter_mut().find(|r| r.seq == seq) {
-            rec.crc ^= 0xDEAD_BEEF;
-            true
-        } else {
-            false
+        match self.position(seq) {
+            Some(at) => {
+                self.records[at].crc ^= 0xDEAD_BEEF;
+                true
+            }
+            None => false,
         }
     }
 }
@@ -355,5 +759,265 @@ mod tests {
         assert_eq!(wal.records()[0].seq, 4);
         let s = wal.append(WalIntent::Remove(TaskId(9)));
         assert_eq!(s, 6, "sequence numbers keep rising after compaction");
+    }
+
+    #[test]
+    fn compaction_and_pruning_keep_records_seq_sorted() {
+        // Resolution and the corruption hook find records by binary
+        // search on `seq`; both ways of dropping records must leave the
+        // survivors sorted and resolvable.
+        let mut wal = WriteAheadLog::new();
+        for i in 0..40u32 {
+            let s = wal.append(WalIntent::Reset(TaskId(i)));
+            match i % 3 {
+                0 => wal.abort(s),
+                1 => wal.commit(s, None, None),
+                _ => {} // stays pending
+            }
+        }
+        let sorted = |wal: &WriteAheadLog| wal.records().windows(2).all(|w| w[0].seq < w[1].seq);
+        assert_eq!(wal.prune_aborted(), 14);
+        assert!(sorted(&wal));
+        wal.compact(10);
+        assert!(sorted(&wal));
+        assert_eq!(wal.records()[0].seq, 11);
+        let s = wal.append(WalIntent::Remove(TaskId(99)));
+        assert!(sorted(&wal));
+        // A pending record from the middle and the newest one both
+        // resolve, and only they change.
+        wal.commit(12, Some(TaskId(11)), None);
+        wal.abort(s);
+        let at = |seq: u64| wal.records().iter().find(|r| r.seq == seq).unwrap();
+        assert!(matches!(at(12).outcome, WalOutcome::Committed { removed: Some(TaskId(11)), .. }));
+        assert_eq!(at(s).outcome, WalOutcome::Aborted);
+        assert_eq!(at(15).outcome, WalOutcome::Pending);
+        assert_eq!(wal.verify_frames_after(0), Ok(()));
+        assert!(wal.corrupt_frame(15));
+        assert_eq!(wal.verify_frames_after(0), Err(15));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "no longer holds")]
+    fn resolving_a_compacted_record_is_a_bug() {
+        let mut wal = WriteAheadLog::new();
+        let s = wal.append(WalIntent::Reset(TaskId(1)));
+        wal.compact(s);
+        wal.commit(s, None, None);
+    }
+
+    fn definitions() -> Vec<TaskDefinition> {
+        let algorithms = [
+            Algorithm::Cms { d: 3 },
+            Algorithm::SuMaxSum { d: 2 },
+            Algorithm::Mrac,
+            Algorithm::Tower { d: 3 },
+            Algorithm::CounterBraids,
+            Algorithm::Hll,
+            Algorithm::LinearCounting,
+            Algorithm::BeauCoup { d: 3 },
+            Algorithm::Bloom { d: 2, bit_optimized: true },
+            Algorithm::Bloom { d: 3, bit_optimized: false },
+            Algorithm::SuMaxMax { d: 2 },
+            Algorithm::OddSketch,
+            Algorithm::MaxInterval { d: 1 },
+        ];
+        let attributes = [
+            Attribute::frequency_packets(),
+            Attribute::frequency_bytes(),
+            Attribute::Distinct(KeySpec::SRC_IP),
+            Attribute::Distinct(KeySpec { timestamp: true, ..KeySpec::NONE }),
+            Attribute::Existence(KeySpec::FIVE_TUPLE),
+            Attribute::Max(MaxParam::QueueLen),
+            Attribute::Max(MaxParam::QueueDelayUs),
+            Attribute::Max(MaxParam::PacketIntervalUs),
+        ];
+        let keys = [
+            KeySpec::NONE,
+            KeySpec::SRC_IP,
+            KeySpec::DST_IP,
+            KeySpec::IP_PAIR,
+            KeySpec::SRC_IP_SRC_PORT,
+            KeySpec::FIVE_TUPLE,
+            KeySpec { src_ip_prefix: 24, dst_port: true, ..KeySpec::NONE },
+        ];
+        let filters = [
+            TaskFilter::ANY,
+            TaskFilter::src(0x0a00_0000, 8),
+            TaskFilter::dst(0xc0a8_0100, 24),
+            TaskFilter {
+                src: PrefixFilter::new(0x0a01_0000, 16),
+                dst: PrefixFilter::new(0xffff_ffff, 32),
+            },
+        ];
+        // The codec carries a definition, it does not validate one:
+        // every shape must survive, whether or not it would deploy.
+        let mut defs = Vec::new();
+        for i in 0..algorithms.len().max(attributes.len()) {
+            let mut b = TaskDefinition::builder(format!("task-{i}/µ"))
+                .filter(filters[i % filters.len()])
+                .key(keys[i % keys.len()])
+                .attribute(attributes[i % attributes.len()])
+                .memory(1 << (i % 17))
+                .probability_log2((i % 4) as u8)
+                .distinct_threshold(512 + i as u64);
+            if i > 0 {
+                b = b.algorithm(algorithms[i % algorithms.len()]);
+            }
+            defs.push(b.build());
+        }
+        defs.push(TaskDefinition::builder("").build());
+        defs
+    }
+
+    /// A log holding every intent and outcome variant.
+    fn every_variant() -> WriteAheadLog {
+        let mut wal = WriteAheadLog::new();
+        for (i, def) in definitions().into_iter().enumerate() {
+            let s = wal.append(WalIntent::Deploy(Box::new(def)));
+            match i % 3 {
+                0 => wal.commit(s, None, Some((TaskId(i as u32 + 1), 1 << (i % 17)))),
+                1 => wal.abort(s),
+                _ => {}
+            }
+        }
+        let s = wal.append(WalIntent::Remove(TaskId(3)));
+        wal.commit(s, Some(TaskId(3)), None);
+        let s = wal.append(WalIntent::Reallocate { task: TaskId(4), new_buckets: 4096 });
+        wal.commit(s, Some(TaskId(4)), Some((TaskId(u32::MAX), usize::MAX)));
+        let s = wal.append(WalIntent::Reallocate { task: TaskId(5), new_buckets: 0 });
+        wal.abort(s);
+        let s = wal.append(WalIntent::Reset(TaskId(6)));
+        wal.commit(s, None, None);
+        wal.append(WalIntent::Reset(TaskId(7)));
+        wal
+    }
+
+    #[test]
+    fn every_record_shape_round_trips_through_its_frame() {
+        let wal = every_variant();
+        let mut bytes = Vec::new();
+        for rec in wal.records() {
+            rec.encode(&mut bytes);
+        }
+        let mut rest = bytes.as_slice();
+        for rec in wal.records() {
+            let (back, after) = WalRecord::decode(rest).unwrap_or_else(|e| panic!("{rec:?}: {e}"));
+            assert_eq!(&back, rec);
+            assert!(back.frame_ok());
+            rest = after;
+        }
+        assert!(rest.is_empty());
+        assert_eq!(WalRecord::decode(rest), Err(FrameError::Truncated));
+    }
+
+    #[test]
+    fn deploy_frame_bytes_are_pinned() {
+        // The format is a contract: these are the bytes, field by field
+        // as the module docs lay them out, and the zlib CRC-32 of the
+        // 70-byte payload.
+        let def = TaskDefinition::builder("hh")
+            .filter(TaskFilter::src(0x0a00_0000, 8))
+            .key(KeySpec::SRC_IP)
+            .attribute(Attribute::frequency_bytes())
+            .memory(8192)
+            .algorithm(Algorithm::Cms { d: 3 })
+            .probability_log2(2)
+            .build();
+        let mut wal = WriteAheadLog::new();
+        let s = wal.append(WalIntent::Deploy(Box::new(def)));
+        wal.commit(s, None, Some((TaskId(7), 8192)));
+        let mut bytes = Vec::new();
+        wal.records()[0].encode(&mut bytes);
+        #[rustfmt::skip]
+        let golden: [u8; 78] = [
+            70, 0, 0, 0,                        // payload length
+            1, 0, 0, 0, 0, 0, 0, 0,             // seq 1
+            1,                                  // Deploy
+            0, 0, 0, 10, 8,                     // src 10.0.0.0/8
+            0, 0, 0, 0, 0,                      // dst any
+            32, 0, 0,                           // key SRC_IP
+            1, 1,                               // Frequency(Bytes)
+            0, 32, 0, 0, 0, 0, 0, 0,            // memory 8192
+            1, 3, 0, 0, 0, 0, 0, 0, 0,          // Cms { d: 3 }
+            2,                                  // prob_log2
+            0, 2, 0, 0, 0, 0, 0, 0,             // distinct_threshold 512
+            2, 0, 0, 0, b'h', b'h',             // name
+            2, 2,                               // Committed, deployed only
+            7, 0, 0, 0,                         // task 7
+            0, 32, 0, 0, 0, 0, 0, 0,            // at 8192 buckets
+            0xdb, 0x06, 0x0f, 0x83,             // crc 0x830f06db
+        ];
+        assert_eq!(bytes, golden);
+        assert_eq!(wal.records()[0].crc(), 0x830f_06db);
+    }
+
+    #[test]
+    fn mutated_and_truncated_suffixes_are_refused_without_panicking() {
+        let wal = every_variant();
+        let mut suffix = Vec::new();
+        let mut ends = Vec::new();
+        for rec in wal.records() {
+            rec.encode(&mut suffix);
+            ends.push(suffix.len());
+        }
+        // Decodes frames until the bytes run out or one is refused.
+        let read = |mut bytes: &[u8]| -> Result<usize, FrameError> {
+            let mut frames = 0;
+            while !bytes.is_empty() {
+                bytes = WalRecord::decode(bytes)?.1;
+                frames += 1;
+            }
+            Ok(frames)
+        };
+        assert_eq!(read(&suffix), Ok(ends.len()));
+        // Truncation: the whole frames before the cut still read, the
+        // cut frame is named truncated — unless the cut fell between two.
+        for cut in 0..suffix.len() {
+            let expect = if cut == 0 || ends.contains(&cut) {
+                Ok(ends.iter().filter(|&&e| e <= cut).count())
+            } else {
+                Err(FrameError::Truncated)
+            };
+            assert_eq!(read(&suffix[..cut]), expect, "cut at {cut}");
+        }
+        // One flipped byte anywhere: a changed length prefix misframes
+        // the rest, anything else fails its checksum; never a record.
+        let mut bytes = suffix.clone();
+        for at in 0..bytes.len() {
+            for flip in [0x01u8, 0x80, 0xff] {
+                bytes[at] ^= flip;
+                let got = read(&bytes);
+                assert!(
+                    matches!(got, Err(FrameError::BadCrc { .. } | FrameError::Truncated)),
+                    "byte {at} ^ {flip:#x}: {got:?}"
+                );
+                bytes[at] ^= flip;
+            }
+        }
+        // Payloads that hash correctly and still are not records.
+        let reframed = |payload: &[u8]| {
+            let mut f = (payload.len() as u32).to_le_bytes().to_vec();
+            f.extend_from_slice(payload);
+            f.extend_from_slice(&payload_crc(payload).to_le_bytes());
+            f
+        };
+        let payload = &suffix[4..ends[0] - 4];
+        for len in 0..payload.len() {
+            let frame = reframed(&payload[..len]);
+            let got = WalRecord::decode(&frame);
+            assert!(matches!(got, Err(FrameError::Malformed(_))), "payload cut at {len}: {got:?}");
+        }
+        let mut long = payload.to_vec();
+        long.push(0);
+        assert!(matches!(WalRecord::decode(&reframed(&long)), Err(FrameError::Malformed(_))));
+        for at in 0..payload.len() {
+            for v in [0x00u8, 0x7f, 0xff] {
+                let mut p = payload.to_vec();
+                p[at] = v;
+                // Whatever comes back, it comes back.
+                let _ = WalRecord::decode(&reframed(&p));
+            }
+        }
     }
 }

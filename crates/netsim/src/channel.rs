@@ -49,7 +49,8 @@
 //! ([`ControlChannel::event_log`]): same seed, same command sequence ⇒
 //! byte-identical log, which CI diffs to guard determinism.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::fmt;
 
 use flymon::control::TaskHandle;
 use flymon::FlymonError;
@@ -206,8 +207,11 @@ pub struct ChannelStats {
 struct SwitchLink {
     partitioned: bool,
     term: u64,
-    window: VecDeque<u64>,
-    results: HashMap<u64, Result<TxnResult, FlymonError>>,
+    /// Ring of the last `dedup_window` applied txns with their outcomes.
+    window: Vec<(u64, Result<TxnResult, FlymonError>)>,
+    /// The slot the next outcome overwrites once the ring is full (its
+    /// oldest entry).
+    oldest: usize,
     watermark: u64,
 }
 
@@ -216,37 +220,110 @@ impl SwitchLink {
         SwitchLink {
             partitioned: false,
             term: 0,
-            window: VecDeque::new(),
-            results: HashMap::new(),
+            window: Vec::new(),
+            oldest: 0,
             watermark: 0,
         }
     }
 
-    /// Whether `txn` has already been applied here.
+    /// Whether `txn` has already been applied here. Txn ids only rise,
+    /// so everything the window holds sits at or below the watermark.
     fn seen(&self, txn: u64) -> bool {
-        self.results.contains_key(&txn) || txn <= self.watermark
+        txn <= self.watermark
+    }
+
+    /// The cached outcome of `txn`, while the window still holds it.
+    /// Probes newest first: a retransmission asks about the outcome
+    /// recorded last.
+    fn cached(&self, txn: u64) -> Option<&Result<TxnResult, FlymonError>> {
+        let n = self.window.len();
+        (1..=n)
+            .map(|back| &self.window[(self.oldest + n - back) % n])
+            .find(|(t, _)| *t == txn)
+            .map(|(_, result)| result)
     }
 
     fn record(&mut self, txn: u64, result: Result<TxnResult, FlymonError>, window: usize) {
-        self.window.push_back(txn);
-        self.results.insert(txn, result);
-        self.watermark = self.watermark.max(txn);
-        while self.window.len() > window {
-            if let Some(old) = self.window.pop_front() {
-                self.results.remove(&old);
-            }
+        if self.window.len() < window {
+            self.window.push((txn, result));
+        } else {
+            self.window[self.oldest] = (txn, result);
+            self.oldest = (self.oldest + 1) % window;
         }
+        self.watermark = self.watermark.max(txn);
     }
 }
 
 /// A duplicated request copy still in flight, due to arrive later.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct LateCopy {
     due_ms: f64,
     switch: usize,
     txn: u64,
     term: u64,
     op: &'static str,
+}
+
+/// One entry of the event log, kept structured: the text
+/// ([`ControlChannel::event_log`]) is rendered from it on demand.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Event {
+    /// Virtual time the line is stamped with.
+    t_ms: f64,
+    kind: EventKind,
+}
+
+/// A command as an event names it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Cmd {
+    txn: u64,
+    op: &'static str,
+    switch: usize,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum EventKind {
+    TermMinted(u64),
+    Link { switch: usize, partitioned: bool },
+    /// An attempt ended: `how` is the line's verdict.
+    Attempt { cmd: Cmd, how: &'static str, attempt: u32, max: u32 },
+    /// Anything about a command that carries no numbers.
+    Note { cmd: Cmd, what: &'static str },
+    LateCopyFenced { cmd: Cmd, term: u64, current: u64 },
+    Rejected { cmd: Cmd, term: u64, current: u64 },
+    Timeout { cmd: Cmd, max: u32 },
+}
+
+impl fmt::Display for Cmd {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "txn={} {}->sw{}", self.txn, self.op, self.switch)
+    }
+}
+
+impl fmt::Display for Event {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "t={:.3} ", self.t_ms)?;
+        match self.kind {
+            EventKind::TermMinted(term) => write!(f, "term minted -> {term}"),
+            EventKind::Link { switch, partitioned } => {
+                let verb = if partitioned { "partitioned" } else { "healed" };
+                write!(f, "sw{switch} {verb}")
+            }
+            EventKind::Attempt { cmd, how, attempt, max } => {
+                write!(f, "{cmd} {how} (attempt {attempt}/{max})")
+            }
+            EventKind::Note { cmd, what } => write!(f, "{cmd} {what}"),
+            EventKind::LateCopyFenced { cmd, term, current } => {
+                write!(f, "{cmd} late copy fenced (term {term} < {current})")
+            }
+            EventKind::Rejected { cmd, term, current } => {
+                write!(f, "{cmd} REJECTED: stale term {term} < {current}")
+            }
+            EventKind::Timeout { cmd, max } => {
+                write!(f, "{cmd} TIMEOUT after {max} attempts (never applied)")
+            }
+        }
+    }
 }
 
 /// The deterministic lossy control channel. See the module docs for
@@ -262,7 +339,7 @@ pub struct ControlChannel {
     pending: Vec<LateCopy>,
     script: VecDeque<ScriptStep>,
     stats: ChannelStats,
-    log: Vec<String>,
+    log: Vec<Event>,
 }
 
 impl ControlChannel {
@@ -311,10 +388,8 @@ impl ControlChannel {
     /// teaches it to each switch it reaches.
     pub fn mint_term(&mut self) -> u64 {
         self.term += 1;
-        let t = self.term;
-        let now = self.now_ms;
-        self.logf(format_args!("t={now:.3} term minted -> {t}"));
-        t
+        self.log(self.now_ms, EventKind::TermMinted(self.term));
+        self.term
     }
 
     /// Overrides the *controller-side* term — the split-brain
@@ -328,9 +403,7 @@ impl ControlChannel {
     /// Partitions or heals the link to `switch`. While partitioned,
     /// nothing is delivered in either direction.
     pub fn set_partitioned(&mut self, switch: usize, partitioned: bool) {
-        let verb = if partitioned { "partitioned" } else { "healed" };
-        let now = self.now_ms;
-        self.logf(format_args!("t={now:.3} sw{switch} {verb}"));
+        self.log(self.now_ms, EventKind::Link { switch, partitioned });
         self.links[switch].partitioned = partitioned;
     }
 
@@ -374,9 +447,10 @@ impl ControlChannel {
         self.script.extend(steps);
     }
 
-    /// The deterministic event log (append-only).
-    pub fn event_log(&self) -> &[String] {
-        &self.log
+    /// The deterministic event log, oldest line first, rendered from
+    /// the structured events the channel keeps.
+    pub fn event_log(&self) -> Vec<String> {
+        self.log.iter().map(Event::to_string).collect()
     }
 
     /// Drops accumulated event-log lines (counters are unaffected).
@@ -384,8 +458,8 @@ impl ControlChannel {
         self.log.clear();
     }
 
-    fn logf(&mut self, args: std::fmt::Arguments<'_>) {
-        self.log.push(args.to_string());
+    fn log(&mut self, t_ms: f64, kind: EventKind) {
+        self.log.push(Event { t_ms, kind });
     }
 
     /// Delivers every pending duplicate copy that has come due. Copies
@@ -400,7 +474,7 @@ impl ControlChannel {
         let mut due: Vec<LateCopy> = Vec::new();
         self.pending.retain(|c| {
             if c.due_ms <= now {
-                due.push(c.clone());
+                due.push(*c);
                 false
             } else {
                 true
@@ -413,30 +487,34 @@ impl ControlChannel {
                 .then(a.txn.cmp(&b.txn))
         });
         for c in due {
-            let link = &mut self.links[c.switch];
-            if link.partitioned {
+            let cmd = Cmd {
+                txn: c.txn,
+                op: c.op,
+                switch: c.switch,
+            };
+            let link = &self.links[c.switch];
+            let kind = if link.partitioned {
                 self.stats.late_dropped += 1;
-                self.logf(format_args!(
-                    "t={:.3} txn={} {}->sw{} late copy lost to partition",
-                    c.due_ms, c.txn, c.op, c.switch
-                ));
-                continue;
-            }
-            if c.term < link.term {
+                EventKind::Note {
+                    cmd,
+                    what: "late copy lost to partition",
+                }
+            } else if c.term < link.term {
                 self.stats.stale_rejects += 1;
-                let cur = link.term;
-                self.logf(format_args!(
-                    "t={:.3} txn={} {}->sw{} late copy fenced (term {} < {})",
-                    c.due_ms, c.txn, c.op, c.switch, c.term, cur
-                ));
-                continue;
-            }
-            debug_assert!(link.seen(c.txn), "late copies exist only for applied txns");
-            self.stats.dup_suppressed += 1;
-            self.logf(format_args!(
-                "t={:.3} txn={} {}->sw{} late duplicate suppressed by dedup window",
-                c.due_ms, c.txn, c.op, c.switch
-            ));
+                EventKind::LateCopyFenced {
+                    cmd,
+                    term: c.term,
+                    current: link.term,
+                }
+            } else {
+                debug_assert!(link.seen(c.txn), "late copies exist only for applied txns");
+                self.stats.dup_suppressed += 1;
+                EventKind::Note {
+                    cmd,
+                    what: "late duplicate suppressed by dedup window",
+                }
+            };
+            self.log(c.due_ms, kind);
         }
     }
 
@@ -475,8 +553,11 @@ impl ControlChannel {
         let term = self.term;
         self.stats.commands += 1;
         let max = self.cfg.retry.max_attempts.max(1);
+        let cmd = Cmd { txn, op, switch };
         let mut apply = Some(apply);
-        let mut outcome: Option<Result<TxnResult, FlymonError>> = None;
+        // The outcome lives in the link's dedup window from the moment
+        // the command applies; this only remembers that it did.
+        let mut applied = false;
         for attempt in 1..=max {
             if attempt > 1 {
                 self.stats.retries += 1;
@@ -504,46 +585,40 @@ impl ControlChannel {
             if req_lost {
                 self.stats.request_drops += 1;
                 self.now_ms += self.cfg.timeout_ms;
-                let now = self.now_ms;
-                self.logf(format_args!(
-                    "t={now:.3} txn={txn} {op}->sw{switch} request lost (attempt {attempt}/{max})"
-                ));
+                self.log(self.now_ms, EventKind::Attempt { cmd, how: "request lost", attempt, max });
                 continue;
             }
             // Delivered: fencing first.
-            if term < self.links[switch].term {
+            let current = self.links[switch].term;
+            if term < current {
                 self.stats.stale_rejects += 1;
-                let current = self.links[switch].term;
-                let now = self.now_ms;
-                self.logf(format_args!(
-                    "t={now:.3} txn={txn} {op}->sw{switch} REJECTED: stale term {term} < {current}"
-                ));
+                self.log(self.now_ms, EventKind::Rejected { cmd, term, current });
                 return Err(FlymonError::Fenced {
                     op,
                     stale_term: term,
                     current_term: current,
                 });
             }
-            self.links[switch].term = term.max(self.links[switch].term);
+            self.links[switch].term = term;
             // Exactly-once application.
-            let result = if self.links[switch].seen(txn) {
+            let ok = if self.links[switch].seen(txn) {
                 self.stats.dup_suppressed += 1;
-                let now = self.now_ms;
-                self.logf(format_args!(
-                    "t={now:.3} txn={txn} {op}->sw{switch} retransmission suppressed, cached outcome"
-                ));
-                self.links[switch]
-                    .results
-                    .get(&txn)
-                    .cloned()
-                    .expect("in-flight txn cannot be evicted from its own window")
+                self.log(
+                    self.now_ms,
+                    EventKind::Note {
+                        cmd,
+                        what: "retransmission suppressed, cached outcome",
+                    },
+                );
+                self.cached(switch, txn).is_ok()
             } else {
                 let r = (apply.take().expect("exactly-once violated: apply ran twice"))();
+                let ok = r.is_ok();
                 let window = self.cfg.dedup_window;
-                self.links[switch].record(txn, r.clone(), window);
-                r
+                self.links[switch].record(txn, r, window);
+                ok
             };
-            outcome = Some(result.clone());
+            applied = true;
             // In-flight duplication of the (delivered) request.
             let duplicated = match step {
                 Some(s) => s == ScriptStep::DuplicateDeliver,
@@ -559,9 +634,13 @@ impl ControlChannel {
                     term,
                     op,
                 });
-                self.logf(format_args!(
-                    "t={due_ms:.3} txn={txn} {op}->sw{switch} duplicate copy scheduled"
-                ));
+                self.log(
+                    due_ms,
+                    EventKind::Note {
+                        cmd,
+                        what: "duplicate copy scheduled",
+                    },
+                );
             }
             // Reply leg.
             self.now_ms += self.flight_ms();
@@ -573,43 +652,41 @@ impl ControlChannel {
             if reply_lost {
                 self.stats.reply_drops += 1;
                 self.now_ms += self.cfg.timeout_ms;
-                let now = self.now_ms;
-                self.logf(format_args!(
-                    "t={now:.3} txn={txn} {op}->sw{switch} reply lost (attempt {attempt}/{max})"
-                ));
+                self.log(self.now_ms, EventKind::Attempt { cmd, how: "reply lost", attempt, max });
                 continue;
             }
-            let now = self.now_ms;
-            let verdict = match &result {
-                Ok(_) => "ok",
-                Err(_) => "apply-error",
-            };
-            self.logf(format_args!(
-                "t={now:.3} txn={txn} {op}->sw{switch} {verdict} (attempt {attempt}/{max})"
-            ));
-            return result;
+            let how = if ok { "ok" } else { "apply-error" };
+            self.log(self.now_ms, EventKind::Attempt { cmd, how, attempt, max });
+            return self.cached(switch, txn).clone();
         }
-        if let Some(result) = outcome {
+        if applied {
             // Applied, but every reply was lost: the controller's
             // out-of-band outcome probe recovers the cached result
             // (see module docs — outcome determinacy).
             self.stats.reconciled += 1;
-            let now = self.now_ms;
-            self.logf(format_args!(
-                "t={now:.3} txn={txn} {op}->sw{switch} reconciled via outcome probe"
-            ));
-            return result;
+            self.log(
+                self.now_ms,
+                EventKind::Note {
+                    cmd,
+                    what: "reconciled via outcome probe",
+                },
+            );
+            return self.cached(switch, txn).clone();
         }
         self.stats.timeouts += 1;
-        let now = self.now_ms;
-        self.logf(format_args!(
-            "t={now:.3} txn={txn} {op}->sw{switch} TIMEOUT after {max} attempts (never applied)"
-        ));
+        self.log(self.now_ms, EventKind::Timeout { cmd, max });
         Err(FlymonError::ChannelTimeout {
             op,
             switch,
             attempts: max,
         })
+    }
+
+    /// The outcome `switch` cached for the in-flight `txn`.
+    fn cached(&self, switch: usize, txn: u64) -> &Result<TxnResult, FlymonError> {
+        self.links[switch]
+            .cached(txn)
+            .expect("in-flight txn cannot be evicted from its own window")
     }
 
     /// Broadcasts the controller's current term to every switch with a
@@ -748,6 +825,26 @@ mod tests {
         // The copy is still pending; later traffic (or time) delivers it.
         ch.advance(10.0);
         assert_eq!(ch.stats().dup_suppressed, 1, "late copy deduped, not re-applied");
+    }
+
+    #[test]
+    fn dedup_window_is_a_ring_backstopped_by_the_watermark() {
+        let mut link = SwitchLink::new();
+        let handle = |id| Ok(TxnResult::Handle(TaskHandle(flymon::task::TaskId(id))));
+        for txn in [3u64, 5, 9] {
+            link.record(txn, handle(txn as u32), 2);
+        }
+        // Two slots: the oldest outcome is gone, its txn still counts
+        // as applied; the two newest answer from the cache.
+        assert_eq!(link.window.len(), 2);
+        assert!(link.seen(3) && link.cached(3).is_none());
+        assert_eq!(link.cached(5), Some(&handle(5)));
+        assert_eq!(link.cached(9), Some(&handle(9)));
+        assert!(!link.seen(10));
+        link.record(12, Err(FlymonError::NoSuchTask), 2);
+        assert!(link.cached(5).is_none());
+        assert_eq!(link.cached(9), Some(&handle(9)));
+        assert_eq!(link.cached(12), Some(&Err(FlymonError::NoSuchTask)));
     }
 
     #[test]

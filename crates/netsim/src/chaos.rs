@@ -639,7 +639,7 @@ pub fn run_schedule(seed: u64, cfg: &ChaosConfig) -> ChaosReport {
     report.lost = fleet.lost_packets();
     if let Some(ch) = fleet.channel() {
         report.stale_rejects = ch.stats().stale_rejects;
-        report.channel_events = ch.event_log().to_vec();
+        report.channel_events = ch.event_log();
     }
     report
 }

@@ -496,3 +496,50 @@ fn every_mutation_path_rebuilds_the_compiled_program() {
     }
     assert_eq!(registers(&fm), registers(&twin));
 }
+
+/// Binding mutations recompile only the CMUs they touch, so the
+/// rollback of a *partly* installed deploy — bindings already on some
+/// CMUs, taken off one by one — is where a stale program would hide:
+/// refuse the install at every op position in turn and check every
+/// group's program, then that the batch path still agrees with the
+/// per-packet interpreter.
+#[test]
+fn rollback_of_a_partial_install_leaves_fresh_programs() {
+    let resident = TaskDefinition::builder("resident")
+        .key(KeySpec::SRC_IP)
+        .attribute(Attribute::frequency_packets())
+        .algorithm(Algorithm::Cms { d: 2 })
+        .memory(2048)
+        .build();
+    let sumax = TaskDefinition::builder("sumax")
+        .key(KeySpec::DST_IP)
+        .attribute(Attribute::frequency_bytes())
+        .algorithm(Algorithm::SuMaxSum { d: 2 })
+        .memory(1024)
+        .build();
+    let mut fm = FlyMon::new(config());
+    fm.deploy(&resident).unwrap();
+    let mut refused = 0;
+    for nth in 1.. {
+        fm.arm_faults(FaultPlan::new(0).fail_nth(nth));
+        let outcome = fm.deploy(&sumax);
+        fm.disarm_faults();
+        assert_programs_fresh(&fm, &format!("deploy refused at op {nth}"));
+        match outcome {
+            Err(_) => refused += 1,
+            Ok(h) => {
+                fm.remove(h).unwrap();
+                assert_programs_fresh(&fm, "remove");
+                break;
+            }
+        }
+    }
+    assert!(refused >= 4, "the sweep must reach the binding installs, refused only {refused}");
+    let t = trace(4_000);
+    let mut twin = FlyMon::restore(&fm.checkpoint(CaptureMode::Full)).unwrap();
+    fm.process_batch(&t);
+    for p in &t {
+        twin.process(p);
+    }
+    assert_eq!(registers(&fm), registers(&twin));
+}

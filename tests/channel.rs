@@ -338,3 +338,95 @@ fn lossy_channel_soak_completes_every_cycle_with_retries() {
     assert_eq!(stats.stale_rejects, 0, "no promotion ran, nothing may be fenced");
     assert!(fleet.ledger().balanced(), "{:?}", fleet.ledger());
 }
+
+/// A scripted scenario that makes the channel write every kind of
+/// event-log line at least once, followed by a seeded lossy stretch so
+/// the dice's draw order is in the text too. Returns the rendered log.
+fn every_line_kind_scenario() -> Vec<String> {
+    use ScriptStep::*;
+    let cfg = ChannelConfig {
+        retry: RetryPolicy::with_attempts(3).with_jitter(0.5),
+        ..ChannelConfig::default()
+    };
+    let mut ch = ControlChannel::new(3, 0x60_1D, cfg).unwrap();
+    let unit = || Ok(TxnResult::Unit);
+    // ok; request lost then ok; reply lost then retransmission suppressed.
+    ch.invoke(0, "deploy", unit).unwrap();
+    ch.push_script([DropRequest, Deliver]);
+    ch.invoke(1, "remove", unit).unwrap();
+    ch.push_script([DropReply, Deliver]);
+    ch.invoke(2, "reallocate", unit).unwrap();
+    // A logical apply error is an outcome like any other.
+    ch.push_script([Deliver]);
+    ch.invoke(0, "deploy", || {
+        Err::<TxnResult, _>(FlymonError::InvalidPolicy("rejected by the switch"))
+    })
+    .unwrap_err();
+    // Duplicate scheduled, then delivered late and suppressed.
+    ch.push_script([DuplicateDeliver]);
+    ch.invoke(0, "sync", unit).unwrap();
+    ch.advance(10.0);
+    // A late copy that dies with a partition; the partitioned link then
+    // times a command out, and heals.
+    ch.push_script([DuplicateDeliver]);
+    ch.invoke(1, "reset", unit).unwrap();
+    ch.set_partitioned(1, true);
+    ch.advance(10.0);
+    ch.invoke(1, "reset", unit).unwrap_err();
+    assert_eq!(ch.heal_all(), 1);
+    // Applied, every reply lost: reconciled by the outcome probe.
+    ch.push_script([DropReply, DropReply, DropReply]);
+    ch.invoke(2, "promote", unit).unwrap();
+    // A late copy overtaken by a promotion is fenced; so is a stale
+    // primary's next command.
+    ch.push_script([DuplicateDeliver]);
+    ch.invoke(0, "sync", unit).unwrap();
+    let term = ch.mint_term();
+    ch.invoke(0, "term-sync", unit).unwrap();
+    ch.advance(10.0);
+    ch.force_term(term - 1);
+    ch.invoke(0, "deploy", unit).unwrap_err();
+    ch.force_term(term);
+    assert_eq!(ch.broadcast_term(), 3);
+    // Seeded dice from here on.
+    ch.set_rates(0.3, 0.2, 0.2).unwrap();
+    for i in 0..40usize {
+        let _ = ch.invoke(i % 3, ["deploy", "reallocate", "remove"][i % 3], unit);
+    }
+    ch.advance(10.0);
+    ch.event_log().to_vec()
+}
+
+/// The event log is a contract on its *text*: the rendered lines of the
+/// scenario above are checked in, so a change to the line format, the
+/// virtual clock or the order of the dice shows up as a diff against
+/// the file and not only as run-against-run disagreement.
+#[test]
+fn event_log_text_matches_the_checked_in_golden() {
+    let mut rendered = every_line_kind_scenario().join("\n");
+    rendered.push('\n');
+    for kind in [
+        "request lost (attempt",
+        "reply lost (attempt",
+        " ok (attempt",
+        " apply-error (attempt",
+        "retransmission suppressed, cached outcome",
+        "duplicate copy scheduled",
+        "late duplicate suppressed by dedup window",
+        "late copy fenced (term",
+        "late copy lost to partition",
+        "REJECTED: stale term",
+        "reconciled via outcome probe",
+        "TIMEOUT after 3 attempts (never applied)",
+        "term minted -> 1",
+        "sw1 partitioned",
+        "sw1 healed",
+    ] {
+        assert!(rendered.contains(kind), "the scenario never logged {kind:?}");
+    }
+    let golden = include_str!("golden/channel_events.log");
+    assert_eq!(
+        rendered, golden,
+        "the rendered event log drifted from tests/golden/channel_events.log"
+    );
+}

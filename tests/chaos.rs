@@ -165,6 +165,29 @@ fn twenty_lossy_channel_schedules_run_clean() {
     );
 }
 
+/// `chaos_soak --smoke --partition --seed 7 --event-log` is checked in:
+/// the same schedule rendered here must equal it byte for byte, so the
+/// determinism CI diffs run against run is also pinned to the text.
+#[test]
+fn partition_soak_seed_7_event_log_matches_the_checked_in_golden() {
+    let cfg = ChaosConfig {
+        channel: Some(soak_channel_config()),
+        ..soak_config()
+    };
+    let report = run_schedule(7, &cfg);
+    assert!(report.is_clean(), "{:#?}", report.violations);
+    let rendered: String = report
+        .channel_events
+        .iter()
+        .map(|line| format!("seed=7 {line}\n"))
+        .collect();
+    assert_eq!(
+        rendered,
+        include_str!("golden/chaos_soak_partition_seed7.log"),
+        "the soak's event log drifted from tests/golden/chaos_soak_partition_seed7.log"
+    );
+}
+
 #[test]
 fn lossy_channel_schedules_are_seed_deterministic_with_event_logs() {
     // The channel's virtual clock and seeded dice make the whole

@@ -242,6 +242,64 @@ fn failed_remove_restores_registers_and_keeps_task() {
     assert_clean(&fm);
 }
 
+/// Remove and reset copy a partition aside only while a fault plan is
+/// armed. Armed, a refusal at any op of the transaction — the second
+/// row's register write (row 0 already cleared), the last row's, or,
+/// for remove, a rule deletion after every row was cleared — must put
+/// every bucket back exactly; unarmed, nothing can refuse and the same
+/// calls simply complete.
+#[test]
+fn refused_remove_and_reset_restore_every_row_bit_for_bit() {
+    type Op = fn(&mut FlyMon, TaskHandle) -> Result<(), FlymonError>;
+    let ops: [(&str, Op, std::ops::RangeInclusive<u64>); 2] = [
+        // Three register writes, then three rule deletions.
+        ("remove", |fm, h| fm.remove(h), 2..=6),
+        ("reset", |fm, h| fm.reset_task(h), 2..=3),
+    ];
+    for (name, op, refusals) in ops {
+        let mut fm = small();
+        let bystander = fm.deploy(&cms("bystander", 1, 128)).unwrap();
+        let h = fm.deploy(&cms("t", 3, 256)).unwrap();
+        for i in 0..4_000u32 {
+            fm.process(&Packet::tcp(0x0a00_0000 | ((i * 7919) % 1_000), i, 3, 4));
+        }
+        let pre = snapshot(&fm);
+        assert!(
+            (0..3).all(|row| fm.read_row(h, row).unwrap().iter().any(|&v| v > 1)),
+            "every row must hold counts worth restoring"
+        );
+
+        for nth in refusals {
+            fm.arm_faults(FaultPlan::new(0).fail_nth(nth));
+            let refused = op(&mut fm, h);
+            assert!(matches!(refused, Err(FlymonError::Install(_))), "{name} op {nth}: {refused:?}");
+            fm.disarm_faults();
+            assert_eq!(snapshot(&fm), pre, "{name} refused at op {nth} left registers changed");
+            assert_clean(&fm);
+        }
+
+        // Unarmed: no snapshot is taken and none is needed.
+        op(&mut fm, h).unwrap();
+        if name == "reset" {
+            for row in 0..3 {
+                assert!(fm.read_row(h, row).unwrap().iter().all(|&v| v == 0), "row {row}");
+            }
+            assert_eq!(fm.task_count(), 2);
+        } else {
+            assert_eq!(fm.task_count(), 1);
+        }
+        assert_eq!(
+            fm.read_row(bystander, 0).unwrap(),
+            {
+                let r = fm.task(bystander).unwrap().rows[0].clone();
+                pre.registers[r.group][r.cmu][r.offset..r.offset + r.size].to_vec()
+            },
+            "{name} touched a bystander's partition"
+        );
+        assert_clean(&fm);
+    }
+}
+
 /// Transient faults are absorbed by retry-with-backoff: the deploy
 /// succeeds, and the modeled backoff shows up in the install latency.
 #[test]
