@@ -20,10 +20,12 @@ use flymon_rmt::salu::{OpOutput, Salu, StatefulOp};
 use flymon_rmt::RmtError;
 
 use crate::addr::AddrTranslation;
-use crate::keysel::KeySelect;
+use crate::keysel::{KeySelect, KeySource};
 use crate::params::{PacketContext, ParamSource};
 use crate::prep::PrepAction;
-use crate::program::{CompiledBinding, CompiledCmu, GroupProgram};
+use crate::program::{
+    coupon_bit, CompiledBinding, GroupProgram, KeyPrep, MatchRule, OperandKernel, PacketField,
+};
 use crate::scratch::{BatchScratch, CoinScratch, PacketScratch};
 use crate::task::TaskId;
 
@@ -222,24 +224,29 @@ pub struct CmuGroup {
     cold_scratch: PacketScratch,
 }
 
-/// Recomputes which hash units any binding reads (key source or
-/// compressed-key parameter) — shared by the in-place rebuild and the
-/// non-mutating reference compile.
+/// The hash units whose digests `b` reads: its key source and any
+/// compressed-key parameter. Allocation-free — every binding mutation
+/// walks every binding of the group through this.
+fn binding_units(b: &CmuBinding) -> impl Iterator<Item = usize> + '_ {
+    let units = |src: KeySource| {
+        let (a, b) = match src {
+            KeySource::Unit(a) => (a, None),
+            KeySource::Xor(a, b) => (a, Some(b)),
+        };
+        std::iter::once(a).chain(b)
+    };
+    let params = [&b.p1, &b.p2].into_iter().filter_map(|p| match p {
+        ParamSource::CompressedKey(src) => Some(*src),
+        _ => None,
+    });
+    units(b.key.source).chain(params.flat_map(units))
+}
+
+/// Recomputes which hash units any binding reads.
 fn compute_unit_usage(cmus: &[Cmu]) -> [bool; MAX_HASH_UNITS] {
     let mut used = [false; MAX_HASH_UNITS];
-    for cmu in cmus {
-        for b in &cmu.bindings {
-            for u in b.key.source.units() {
-                used[u] = true;
-            }
-            for p in [&b.p1, &b.p2] {
-                if let ParamSource::CompressedKey(src) = p {
-                    for u in src.units() {
-                        used[u] = true;
-                    }
-                }
-            }
-        }
+    for unit in cmus.iter().flat_map(|c| &c.bindings).flat_map(binding_units) {
+        used[unit] = true;
     }
     used
 }
@@ -284,13 +291,7 @@ impl CmuGroup {
                 .map(|_| Cmu::new(config.buckets_per_cmu, config.bucket_bits))
                 .collect(),
             unit_used: [false; MAX_HASH_UNITS],
-            // The empty program (what compile() yields with no bindings).
-            program: GroupProgram {
-                bucket_mask: config.buckets_per_cmu - 1,
-                unit_used: [false; MAX_HASH_UNITS],
-                cmus: vec![CompiledCmu::default(); config.cmus],
-                reads_ctx: false,
-            },
+            program: GroupProgram::compile(config.buckets_per_cmu, &vec![&[][..]; config.cmus]),
             program_version: 0,
             cold_scratch: PacketScratch::default(),
         }
@@ -301,17 +302,15 @@ impl CmuGroup {
     /// CMUs' compiled bindings depend on nothing that changed. The
     /// caller follows with [`CmuGroup::refresh_program`].
     fn recompile_cmu(&mut self, cmu: usize) {
-        self.program.cmus[cmu] =
-            CompiledCmu::compile(&self.cmus[cmu].bindings, self.config.buckets_per_cmu);
+        self.program.cmus[cmu].recompile(&self.cmus[cmu].bindings, self.config.buckets_per_cmu);
     }
 
     /// Re-derives what the program keeps about the group as a whole
-    /// ([`CmuGroup::unit_used`], `reads_ctx`) after some CMU was
-    /// recompiled, and bumps [`CmuGroup::program_version`].
+    /// ([`GroupProgram::refresh`]) after some CMU was recompiled, and
+    /// bumps [`CmuGroup::program_version`].
     fn refresh_program(&mut self) {
         self.unit_used = compute_unit_usage(&self.cmus);
-        self.program.unit_used = self.unit_used;
-        self.program.reads_ctx = self.program.cmus.iter().any(CompiledCmu::reads_ctx);
+        self.program.refresh();
         self.program_version += 1;
     }
 
@@ -343,11 +342,7 @@ impl CmuGroup {
     pub fn reference_program(&self) -> GroupProgram {
         let bindings: Vec<&[CmuBinding]> =
             self.cmus.iter().map(|c| c.bindings.as_slice()).collect();
-        GroupProgram::compile(
-            self.config.buckets_per_cmu,
-            compute_unit_usage(&self.cmus),
-            &bindings,
-        )
+        GroupProgram::compile(self.config.buckets_per_cmu, &bindings)
     }
 
     /// Group position in the pipeline.
@@ -409,32 +404,39 @@ impl CmuGroup {
 
     /// Installs a binding on CMU `cmu`.
     ///
-    /// Rejects bindings whose `prob_log2` exceeds [`MAX_PROB_LOG2`]: the
-    /// 32-bit sampling coin cannot express rates below 2⁻³², and an
-    /// unchecked exponent would overflow the coin mask shift.
+    /// Rejects, before anything changes, every binding the packet path
+    /// could not execute: a `prob_log2` above [`MAX_PROB_LOG2`] (the
+    /// 32-bit sampling coin cannot express rates below 2⁻³², and the
+    /// exponent would overflow the coin mask shift), a key or
+    /// compressed-key parameter naming a hash unit the group does not
+    /// have, and a preparation whose shift or modulus leaves 32 bits
+    /// (a zero or oversized one-hot width, more than 32 coupons, a ρ
+    /// that skips the whole key).
     pub fn install(&mut self, cmu: usize, binding: CmuBinding) -> Result<(), RmtError> {
-        if cmu >= self.cmus.len() {
-            return Err(RmtError::IndexOutOfRange {
-                what: "CMU",
-                index: cmu,
-                limit: self.cmus.len(),
-            });
-        }
-        if binding.prob_log2 > MAX_PROB_LOG2 {
-            return Err(RmtError::IndexOutOfRange {
-                what: "sampling exponent prob_log2",
-                index: usize::from(binding.prob_log2),
-                limit: usize::from(MAX_PROB_LOG2) + 1,
-            });
-        }
-        for src in binding.key.source.units() {
-            if src >= self.units.len() {
-                return Err(RmtError::IndexOutOfRange {
-                    what: "hash unit",
-                    index: src,
-                    limit: self.units.len(),
-                });
+        let below = |what, index: usize, limit: usize| {
+            if index < limit {
+                Ok(())
+            } else {
+                Err(RmtError::IndexOutOfRange { what, index, limit })
             }
+        };
+        below("CMU", cmu, self.cmus.len())?;
+        below(
+            "sampling exponent prob_log2",
+            usize::from(binding.prob_log2),
+            usize::from(MAX_PROB_LOG2) + 1,
+        )?;
+        for unit in binding_units(&binding) {
+            below("hash unit", unit, self.units.len())?;
+        }
+        match binding.prep {
+            PrepAction::OneHotBit { bits } | PrepAction::OneHotBitGated { bits, .. } => {
+                // The highest selectable bit; a zero width wraps past it.
+                below("one-hot top bit", usize::from(bits.wrapping_sub(1)), 32)?;
+            }
+            PrepAction::Coupon { coupons, .. } => below("coupon count", usize::from(coupons), 33)?,
+            PrepAction::Rho { skip_top, .. } => below("rho skip_top", usize::from(skip_top), 32)?,
+            PrepAction::None | PrepAction::MapZero { .. } | PrepAction::IntervalGated { .. } => {}
         }
         self.cmus[cmu].bindings.push(binding);
         self.cmus[cmu].hits.push(0);
@@ -571,28 +573,35 @@ impl CmuGroup {
     ///
     /// Where [`CmuGroup::process_with_scratch`] walks one packet through
     /// all four pipeline stages, this sweeps the whole chunk through the
-    /// compiled [`GroupProgram`] in three passes:
+    /// compiled [`GroupProgram`] in three passes, each doing per packet
+    /// only what depends on the packet:
     ///
-    /// 1. **match + coin** per CMU, producing a compact matched-index
-    ///    list in packet order (packet order is what keeps same-bucket
-    ///    register updates applied in arrival order);
+    /// 1. **match + coin** once per match signature
+    ///    ([`GroupProgram::match_of`] — the rows of one sketch share
+    ///    one), producing a compact matched list in packet order
+    ///    (packet order is what keeps same-bucket register updates
+    ///    applied in arrival order);
     /// 2. **extract + digest** unit-major: each used hash unit writes the
-    ///    keys of a lane group of matched packets straight from the
-    ///    packets through its compiled key plan and digests them in
-    ///    lockstep ([`HashUnit::compute_lanes`]), so one unit's tables
-    ///    stay hot and no key is ever staged per packet;
+    ///    keys of a lane group of packets straight from the packets
+    ///    through its compiled key plan and digests them in lockstep
+    ///    ([`HashUnit::compute_lanes`]) — every packet for a unit an
+    ///    unconditional CMU reads ([`GroupProgram::dense_units`]), the
+    ///    packets that matched somewhere for any other;
     /// 3. **resolve + apply** per CMU, fused: one [`Salu::sweep`] per run
-    ///    of matched packets sharing an operation resolves each packet's
-    ///    address and parameters and applies them in the same loop,
-    ///    recording the forwarded output into the packet's PHV context
-    ///    on the way out.
+    ///    of matched packets sharing a binding, with the operand closure
+    ///    chosen once per run from the binding's
+    ///    [`OperandKernel`] ([`sweep_binding`]), recording the forwarded
+    ///    output into the packet's PHV context on the way out.
     ///
     /// Pass 3 runs per CMU *in index order* because downstream CMUs'
     /// parameters may read upstream results from the packet's context
     /// (`PrevResult`/`ChainMin`/gated preps) — the same order the serial
     /// path establishes, which is what makes the two paths bit-identical.
-    /// Matching (pass 1) reads only packet fields and the coin, never
-    /// the context, so hoisting it is unobservable.
+    /// Matching (pass 1) reads only packet fields and the coin, a
+    /// stateless hash of packet fields and the task id, never the
+    /// context or a register: hoisting it, and running it once for
+    /// several CMUs, is unobservable. A digest slot pass 2 skips is one
+    /// no compiled plan reads.
     ///
     /// `mark_executed` flags packets that executed a task here in
     /// `batch.executed` (the caller's recirculation accounting for
@@ -600,10 +609,9 @@ impl CmuGroup {
     /// reads PHV contexts" flag — when false, context recording is
     /// skipped (the values would be unobservable).
     ///
-    /// `lanes` is the lane-group width of passes 1 and 2 (clamped to
-    /// `1..=CRC_LANES`): branch-reduced filter masks over `lanes` packets
-    /// at a time, then `lanes` keys digested in lockstep. A width of one
-    /// runs the same kernels on groups of one; every width is
+    /// `lanes` is the lane-group width of pass 2 (clamped to
+    /// `1..=CRC_LANES`): that many keys digested in lockstep. A width of
+    /// one runs the same kernel on groups of one; every width is
     /// bit-identical (pinned by `tests/batch.rs`).
     pub fn process_chunk(
         &mut self,
@@ -627,105 +635,62 @@ impl CmuGroup {
         let n = pkts.len();
         batch.begin_group(cmus.len(), n);
 
-        // Pass 1: match + coin, per CMU — first matching binding wins.
-        // A CMU whose first binding is unconditional matches every
-        // packet at binding 0: one hit-counter bump stands in for the
-        // whole loop, and pass 3 will iterate the chunk directly.
-        let mut any_always = false;
-        for (cmu, (cprog, matched)) in cmus
-            .iter_mut()
-            .zip(program.cmus.iter().zip(batch.matched.iter_mut()))
-        {
-            if cprog.bindings.is_empty() {
+        // Pass 1: one matched list per match signature, built by the
+        // first CMU that has it. An unconditional CMU matches every
+        // packet at binding 0 and needs no list: pass 3 iterates the
+        // chunk directly.
+        let mut any_sparse = false;
+        for (ci, cprog) in program.cmus.iter().enumerate() {
+            if cprog.bindings.is_empty() || cprog.always || program.match_of[ci] != ci {
                 continue;
             }
-            if cprog.always {
-                cmu.hits[0] += n as u64;
-                any_always = true;
-                continue;
-            }
-            // Binding-outer over each lane group, tracking which lanes
-            // are still unmatched in an `alive` bitmask. A lane's first
-            // matching binding retires it, so the probe set per (packet,
-            // binding) — including which coins get flipped — is exactly
-            // the per-packet path's, and first-match-wins order is
-            // preserved by appending `chosen` lanes in lane order.
-            for (g, lane_pkts) in pkts.chunks(lanes).enumerate() {
-                let base = g * lanes;
-                let m = lane_pkts.len();
-                let mut chosen = [u16::MAX; CRC_LANES];
-                let mut alive: u32 = (1u32 << m) - 1;
-                for (bi, cb) in cprog.bindings.iter().enumerate() {
-                    if alive == 0 {
-                        break;
-                    }
-                    // Branch-reduced filter evaluation over the lane
-                    // group: both prefix compares fold into one boolean
-                    // per lane, collected into a bitmask.
-                    let mut filter_mask: u32 = 0;
-                    for (l, pkt) in lane_pkts.iter().enumerate() {
-                        let hit = ((pkt.src_ip & cb.src_mask) == cb.src_net)
-                            & ((pkt.dst_ip & cb.dst_mask) == cb.dst_net);
-                        filter_mask |= u32::from(hit) << l;
-                    }
-                    let mut cand = alive & filter_mask;
-                    if cb.coin_mask != 0 && cand != 0 {
-                        // Sampling coins stay per lane (the rare case):
-                        // one task word folded into the packet's
-                        // memoized coin state per candidate.
-                        let mut passed = 0u32;
-                        let mut c = cand;
-                        while c != 0 {
-                            let l = c.trailing_zeros() as usize;
-                            c &= c - 1;
-                            let coin = batch.coins[base + l].coin(&lane_pkts[l], cb.task);
-                            if u64::from(coin) & cb.coin_mask == 0 {
-                                passed |= 1 << l;
-                            }
-                        }
-                        cand = passed;
-                    }
-                    if cand != 0 {
-                        cmu.hits[bi] += u64::from(cand.count_ones());
-                        let mut c = cand;
-                        while c != 0 {
-                            let l = c.trailing_zeros() as usize;
-                            c &= c - 1;
-                            chosen[l] = bi as u16;
-                        }
-                        alive &= !cand;
-                    }
-                }
-                for (l, &bi) in chosen[..m].iter().enumerate() {
-                    if bi != u16::MAX {
-                        let pi = base + l;
-                        matched.push((pi as u32, bi));
-                        batch.need_digest[pi] = true;
-                    }
-                }
-            }
+            any_sparse = true;
+            let matched = &mut batch.matched[ci];
+            matched.clear();
+            matched.resize(n, (0, 0));
+            // The loop is chosen per rule list, not per packet: a list
+            // with no sampled rule runs without the coin compiled in.
+            let match_rules = if cprog.sampled {
+                match_rules::<true>
+            } else {
+                match_rules::<false>
+            };
+            let len = match_rules(
+                &cprog.rules,
+                pkts,
+                &mut batch.coins[..n],
+                matched,
+                &mut batch.need_digest[..n],
+            );
+            matched.truncate(len);
         }
 
-        // Pass 2: extract + digest, unit-major over the packed list of
-        // packets that matched something. Units nothing reads keep stale
-        // slots — compiled plans never index them (exactly the serial
-        // path's lazy-zero slots).
+        // Pass 2: extract + digest, unit-major. A dense unit's domain is
+        // the whole chunk; any other used unit's is the packed list of
+        // packets that matched some conditional CMU. Slots outside a
+        // unit's domain keep stale values no compiled plan reads
+        // (exactly the serial path's lazy-zero slots).
         batch.digest_idx.clear();
-        if any_always {
-            batch.digest_idx.extend(0..n as u32);
-        } else {
-            for pi in 0..n {
-                if batch.need_digest[pi] {
-                    batch.digest_idx.push(pi as u32);
-                }
+        if any_sparse {
+            batch.digest_idx.resize(n, 0);
+            let mut len = 0;
+            for (pi, &need) in batch.need_digest[..n].iter().enumerate() {
+                batch.digest_idx[len] = pi as u32;
+                len += usize::from(need);
             }
+            batch.digest_idx.truncate(len);
         }
         let mut out = [0u32; CRC_LANES];
         for (u, unit) in units.iter().enumerate() {
             if !program.unit_used[u] {
                 continue;
             }
-            for idx_group in batch.digest_idx.chunks(lanes) {
+            let domain = if program.dense_units[u] {
+                &batch.all_idx[..n]
+            } else {
+                batch.digest_idx.as_slice()
+            };
+            for idx_group in domain.chunks(lanes) {
                 let out = &mut out[..idx_group.len()];
                 unit.compute_lanes(idx_group.iter().map(|&pi| &pkts[pi as usize]), out);
                 for (&pi, &digest) in idx_group.iter().zip(out.iter()) {
@@ -736,79 +701,42 @@ impl CmuGroup {
 
         // Pass 3: fused resolve + apply, per CMU in index order
         // (cross-CMU PHV deps).
-        let bucket_mask = program.bucket_mask;
-        let digests = batch.digests.as_slice();
-        let digests_of = |p: usize| &digests[p * MAX_HASH_UNITS..(p + 1) * MAX_HASH_UNITS];
         let ctxs = batch.ctxs.as_mut_slice();
         for (ci, (cmu, cprog)) in cmus.iter_mut().zip(program.cmus.iter()).enumerate() {
-            let record = record_ctx.then_some((group_index, ci));
+            let chunk = ChunkView {
+                pkts,
+                digests: &batch.digests,
+                bucket_mask: program.bucket_mask,
+                record: record_ctx.then_some((group_index, ci)),
+            };
+            if cprog.bindings.is_empty() {
+                continue;
+            }
             if cprog.always {
-                // Dense path: packet index *is* the step index — no
-                // matched list, one binding, one operation.
-                let cb = &cprog.bindings[0];
-                let target = |p: usize| (p, cb.forward);
-                match cb.const_params {
-                    // Constant parameters (every CMS row): the loop
-                    // resolves nothing but the address.
-                    Some((p1, p2)) => fused_sweep(
-                        &mut cmu.salu,
-                        cb.op,
-                        n,
-                        ctxs,
-                        record,
-                        |_, p| (cb.address(digests_of(p), bucket_mask), p1, p2),
-                        target,
-                    ),
-                    None => fused_sweep(
-                        &mut cmu.salu,
-                        cb.op,
-                        n,
-                        ctxs,
-                        record,
-                        |ctxs, p| operands(cb, &pkts[p], digests_of(p), &ctxs[p], bucket_mask),
-                        target,
-                    ),
-                }
+                // Dense: the packet index *is* the step index.
+                cmu.hits[0] += n as u64;
+                sweep_binding(&mut cmu.salu, &cprog.bindings[0], n, |k| k, &chunk, ctxs);
                 if mark_executed {
                     batch.executed[..n].fill(true);
                 }
                 continue;
             }
-            // Sparse path: the matched list, cut into runs of one
-            // operation so each run is a single sweep. Bindings of one
-            // CMU mostly share an operation (rows of the same sketch
-            // family), so a run is usually the whole list.
-            let mut rest = batch.matched[ci].as_slice();
-            while let Some(&(_, first)) = rest.first() {
-                let op = cprog.bindings[usize::from(first)].op;
-                let len = rest
-                    .iter()
-                    .position(|&(_, bi)| cprog.bindings[usize::from(bi)].op != op)
-                    .unwrap_or(rest.len());
+            // Sparse: the signature's matched list, cut into runs of one
+            // binding so each run is a single sweep with one kernel. A
+            // CMU mostly holds one binding per traffic class, so a run
+            // is usually the whole list.
+            let matched = batch.matched[program.match_of[ci]].as_slice();
+            let mut rest = matched;
+            while let Some(&(_, bi)) = rest.first() {
+                let len = rest.iter().position(|&(_, b)| b != bi).unwrap_or(rest.len());
                 let (run, tail) = rest.split_at(len);
-                let entry = |k: usize| {
-                    let (pi, bi) = run[k];
-                    (pi as usize, &cprog.bindings[usize::from(bi)])
-                };
-                fused_sweep(
-                    &mut cmu.salu,
-                    op,
-                    run.len(),
-                    ctxs,
-                    record,
-                    |ctxs, k| {
-                        let (p, cb) = entry(k);
-                        operands(cb, &pkts[p], digests_of(p), &ctxs[p], bucket_mask)
-                    },
-                    |k| {
-                        let (p, cb) = entry(k);
-                        (p, cb.forward)
-                    },
-                );
+                cmu.hits[usize::from(bi)] += len as u64;
+                let cb = &cprog.bindings[usize::from(bi)];
+                sweep_binding(&mut cmu.salu, cb, len, move |k| run[k].0 as usize, &chunk, ctxs);
                 rest = tail;
             }
             if mark_executed {
-                for &(pi, _) in &batch.matched[ci] {
+                for &(pi, _) in matched {
                     batch.executed[pi as usize] = true;
                 }
             }
@@ -816,41 +744,148 @@ impl CmuGroup {
     }
 }
 
-/// One packet's SALU operands under `cb`: the translated register
-/// address and the prepared parameters — pipeline stages 2 and 3 for the
-/// matched binding.
-#[inline]
-fn operands(
-    cb: &CompiledBinding,
-    pkt: &Packet,
-    digests: &[u32],
-    ctx: &PacketContext,
-    bucket_mask: usize,
-) -> (usize, u32, u32) {
-    let (p1, p2) = cb.params(pkt, digests, ctx);
-    (cb.address(digests, bucket_mask), p1, p2)
+/// Pass 1 for one rule list: writes `(packet, binding)` for every packet
+/// of `pkts` some rule takes into the front of `matched`, in packet
+/// order, flags the packet in `need_digest`, and returns how many it
+/// wrote. All three slices are as long as `pkts`.
+fn match_rules<const SAMPLED: bool>(
+    rules: &[MatchRule],
+    pkts: &[Packet],
+    coins: &mut [CoinScratch],
+    matched: &mut [(u32, u16)],
+    need_digest: &mut [bool],
+) -> usize {
+    let none = rules.len();
+    let mut len = 0;
+    for (pi, ((pkt, coin), need)) in pkts.iter().zip(coins).zip(need_digest).enumerate() {
+        // First match wins: walked backwards, the last rule to overwrite
+        // `chosen` is the first in match order, and no iteration depends
+        // on the one before it. The probe set may exceed the per-packet
+        // path's (it stops at its first match); filters and coins are
+        // pure, so the extra probes are unobservable.
+        let mut chosen = none;
+        for (bi, rule) in rules.iter().enumerate().rev() {
+            let mut hit = rule.filter_matches(pkt);
+            if SAMPLED && rule.coin_mask != 0 && hit {
+                hit = u64::from(coin.coin(pkt, rule.task)) & rule.coin_mask == 0;
+            }
+            if hit {
+                chosen = bi;
+            }
+        }
+        // Branch-free emission: write the slot, keep it on a hit.
+        let hit = chosen != none;
+        matched[len] = (pi as u32, chosen as u16);
+        len += usize::from(hit);
+        *need |= hit;
+    }
+    len
 }
 
-/// One [`Salu::sweep`] of the batch path's pass 3. `operands(ctxs, k)`
-/// resolves step `k`; `target(k)` names the packet whose PHV context
-/// receives the step's forwarded output and the selector that picks it.
-/// `record` is the `(group, cmu)` to record under, or `None` when no
-/// program reads PHV contexts — the sink is then a no-op.
+/// What pass 3 reads of the chunk, the same for every binding of a CMU.
+#[derive(Clone, Copy)]
+struct ChunkView<'a> {
+    pkts: &'a [Packet],
+    /// The packet-major digest matrix ([`BatchScratch::digests`]).
+    digests: &'a [u32],
+    bucket_mask: usize,
+    /// The `(group, cmu)` to record forwarded outputs under, or `None`
+    /// when no program reads PHV contexts.
+    record: Option<(usize, usize)>,
+}
+
+impl ChunkView<'_> {
+    #[inline]
+    fn digests_of(&self, p: usize) -> &[u32] {
+        &self.digests[p * MAX_HASH_UNITS..(p + 1) * MAX_HASH_UNITS]
+    }
+}
+
+/// Pass 3 for `count` packets that execute binding `cb` — pipeline
+/// stages 2 to 4, fused. Step `k` is packet `index(k)` of the chunk.
+///
+/// The closure that yields a packet's prepared `(p1, p2)` is selected
+/// here, outside the loop, from the binding's [`OperandKernel`]: the
+/// loop itself then reads what the kernel names and nothing else. The
+/// ranges the arithmetic relies on (one-hot widths and coupon counts
+/// within 32 bits, ρ shifts below 32, unit indices the group has) are
+/// checked by [`CmuGroup::install`].
+fn sweep_binding(
+    salu: &mut Salu,
+    cb: &CompiledBinding,
+    count: usize,
+    index: impl Fn(usize) -> usize + Copy,
+    chunk: &ChunkView<'_>,
+    ctxs: &mut [PacketContext],
+) {
+    // Every closure below owns what it reads (`move`): handed to the
+    // sweep by value, its captures are the loop's own and stay in
+    // registers, where a borrowed capture is re-read from the caller's
+    // frame after every bucket store.
+    let view = *chunk;
+    let pkts = view.pkts;
+    macro_rules! sweep {
+        ($params:expr) => {
+            fused_sweep(salu, cb, count, index, chunk, ctxs, $params)
+        };
+    }
+    match cb.kernel {
+        OperandKernel::Const(p1, p2) => sweep!(move |_, _| (p1, p2)),
+        OperandKernel::Field { field, p2 } => match field {
+            PacketField::Bytes => sweep!(move |_, p| (u32::from(pkts[p].len), p2)),
+            PacketField::TimestampUs => sweep!(move |_, p| ((pkts[p].ts_ns / 1_000) as u32, p2)),
+            PacketField::QueueLen => sweep!(move |_, p| (pkts[p].queue_len, p2)),
+            PacketField::QueueDelayUs => sweep!(move |_, p| (pkts[p].queue_delay_ns / 1_000, p2)),
+        },
+        OperandKernel::Key { key, prep, p2 } => {
+            let key = move |p: usize| key.resolve(view.digests_of(p));
+            match prep {
+                KeyPrep::None => sweep!(move |_, p| (key(p), p2)),
+                KeyPrep::OneHotMask(mask) => sweep!(move |_, p| (1 << (key(p) & mask), p2)),
+                KeyPrep::OneHotMod(bits) => sweep!(move |_, p| (1 << (key(p) % bits), p2)),
+                KeyPrep::Coupon { recip, total } => {
+                    sweep!(move |_, p| (coupon_bit(key(p), recip, total), p2))
+                }
+                KeyPrep::Rho {
+                    skip_top,
+                    consider_bits,
+                } => sweep!(move |_, p| {
+                    let rho = (key(p) << skip_top).leading_zeros().min(consider_bits) + 1;
+                    (rho, p2)
+                }),
+            }
+        }
+        OperandKernel::Interpreted => sweep!(move |ctxs: &[PacketContext], p| {
+            cb.params(&pkts[p], view.digests_of(p), &ctxs[p])
+        }),
+    }
+}
+
+/// One [`Salu::sweep`] under binding `cb`: step `k` resolves packet
+/// `index(k)`'s translated address and its prepared `params(ctxs, p)`,
+/// applies `cb.op`, and records the output `cb.forward` selects into
+/// that packet's PHV context (a no-op sink when `chunk.record` is
+/// `None`).
 fn fused_sweep(
     salu: &mut Salu,
-    op: StatefulOp,
+    cb: &CompiledBinding,
     count: usize,
+    index: impl Fn(usize) -> usize + Copy,
+    chunk: &ChunkView<'_>,
     ctxs: &mut [PacketContext],
-    record: Option<(usize, usize)>,
-    operands: impl Fn(&[PacketContext], usize) -> (usize, u32, u32),
-    target: impl Fn(usize) -> (usize, Forward),
+    params: impl Fn(&[PacketContext], usize) -> (u32, u32),
 ) {
-    match record {
-        Some((group, cmu)) => salu.sweep(op, count, ctxs, operands, |ctxs, k, p1, out| {
-            let (p, forward) = target(k);
-            ctxs[p].record(group, cmu, forward.select(p1, out));
+    let (addr, forward, view) = (cb.addr, cb.forward, *chunk);
+    let operands = move |ctxs: &[PacketContext], k: usize| {
+        let p = index(k);
+        let (p1, p2) = params(ctxs, p);
+        (addr.address(view.digests_of(p), view.bucket_mask), p1, p2)
+    };
+    match view.record {
+        Some((group, cmu)) => salu.sweep(cb.op, count, ctxs, operands, move |ctxs, k, p1, out| {
+            ctxs[index(k)].record(group, cmu, forward.select(p1, out));
         }),
-        None => salu.sweep(op, count, ctxs, operands, |_, _, _, _| {}),
+        None => salu.sweep(cb.op, count, ctxs, operands, |_, _, _, _| {}),
     }
     .expect("installed ops are pre-loaded and addresses in range");
 }
@@ -859,7 +894,6 @@ fn fused_sweep(
 mod tests {
     use super::*;
     use crate::addr::TranslationMethod;
-    use crate::keysel::KeySource;
     use flymon_packet::KeySpec;
 
     fn small_group() -> CmuGroup {
@@ -1029,6 +1063,90 @@ mod tests {
     }
 
     #[test]
+    fn hostile_preparations_and_parameter_units_rejected_at_install() {
+        // Regression: each of these used to install and then panic on
+        // the first matching packet — a division by zero, a shift past
+        // 32 bits, a digest slot the group does not have.
+        use crate::params::CmuRef;
+        let seen = CmuRef { group: 0, cmu: 0 };
+        let key = |src| ParamSource::CompressedKey(src);
+        let with_prep = |prep| CmuBinding {
+            p1: key(KeySource::Unit(0)),
+            prep,
+            ..count_binding(1)
+        };
+        let mut bad_key = count_binding(1);
+        bad_key.key.source = KeySource::Xor(5, 0);
+        let hostile = [
+            ("zero one-hot width", with_prep(PrepAction::OneHotBit { bits: 0 })),
+            ("one-hot width 33", with_prep(PrepAction::OneHotBit { bits: 33 })),
+            (
+                "gated zero one-hot width",
+                with_prep(PrepAction::OneHotBitGated { bits: 0, seen }),
+            ),
+            (
+                "gated one-hot width 200",
+                with_prep(PrepAction::OneHotBitGated { bits: 200, seen }),
+            ),
+            (
+                "33 coupons",
+                with_prep(PrepAction::Coupon { coupons: 33, space: 1 << 20 }),
+            ),
+            (
+                "rho skipping 32 bits",
+                with_prep(PrepAction::Rho { skip_top: 32, consider_bits: 16 }),
+            ),
+            (
+                "p1 from unit 3 of 3",
+                CmuBinding { p1: key(KeySource::Unit(3)), ..count_binding(1) },
+            ),
+            (
+                "p2 from unit 7",
+                CmuBinding { p2: key(KeySource::Unit(7)), ..count_binding(1) },
+            ),
+            (
+                "p1 from 0 ^ unit 3",
+                CmuBinding { p1: key(KeySource::Xor(0, 3)), ..count_binding(1) },
+            ),
+            ("key from 5 ^ unit 0", bad_key),
+        ];
+        let mut g = small_group();
+        g.install(1, count_binding(9)).unwrap();
+        let before = (g.program().clone(), g.program_version());
+        for (what, b) in hostile {
+            let err = g.install(0, b).expect_err(what);
+            assert!(matches!(err, RmtError::IndexOutOfRange { .. }), "{what}: {err}");
+            // Rejected before anything was pushed or recompiled.
+            assert!(g.cmus()[0].bindings().is_empty(), "{what}");
+            assert_eq!((g.program().clone(), g.program_version()), before, "{what}");
+        }
+        // The widest values that are in range install and execute.
+        let edges = [
+            PrepAction::OneHotBit { bits: 1 },
+            PrepAction::OneHotBit { bits: 32 },
+            PrepAction::Coupon { coupons: 32, space: 1 << 27 },
+            PrepAction::Coupon { coupons: 32, space: 0 },
+            PrepAction::Rho { skip_top: 31, consider_bits: 255 },
+        ];
+        for (task, prep) in edges.into_iter().enumerate() {
+            let mut b = count_binding(task as u32);
+            b.p1 = key(KeySource::Xor(0, 2));
+            b.prep = prep.clone();
+            b.op = StatefulOp::AndOr;
+            let mut g = small_group();
+            g.install(0, b).unwrap_or_else(|e| panic!("{prep:?}: {e}"));
+            let pkts: Vec<Packet> = (0..300u32)
+                .map(|i| Packet::tcp(i.wrapping_mul(0x0101_0101), 2, 3, 4))
+                .collect();
+            let mut batch = BatchScratch::default();
+            batch.begin_chunk(pkts.len(), false);
+            g.process_chunk(&pkts, &mut batch, false, false, CRC_LANES);
+            let mut ctx = PacketContext::default();
+            g.process(&pkts[0], &mut ctx);
+        }
+    }
+
+    #[test]
     fn prob_log2_32_behaves_as_never_sample() {
         let mut g = small_group();
         let mut b = count_binding(1);
@@ -1082,6 +1200,9 @@ mod tests {
         let mut version = g.program_version();
         let mut fresh = |g: &CmuGroup, what: &str| {
             assert_eq!(g.program(), &g.reference_program(), "{what}");
+            // Two derivations of one fact: the program's from the
+            // compiled bindings, the per-packet path's from the installed.
+            assert_eq!(g.program().unit_used, g.unit_used, "{what}");
             assert!(g.program_version() > version, "{what} did not bump the version");
             version = g.program_version();
         };
@@ -1090,25 +1211,246 @@ mod tests {
         g.install(0, filtered).unwrap();
         fresh(&g, "install on CMU 0");
         assert!(!g.program().cmus[0].always);
+        assert_eq!(g.program().dense_units, [false; MAX_HASH_UNITS]);
         let mut chained = count_binding(2);
         chained.key.source = KeySource::Unit(1);
         chained.p1 = ParamSource::PrevResult(CmuRef { group: 0, cmu: 0 });
         g.install(2, chained).unwrap();
         fresh(&g, "install on CMU 2");
         assert!(g.program().reads_ctx && g.program().unit_used[1]);
+        // CMU 2 is unconditional and reads unit 1; unit 0 is read by the
+        // filtered CMU 0 only.
+        assert_eq!(g.program().dense_units[..2], [false, true]);
         g.install(0, count_binding(2)).unwrap();
         g.install(1, count_binding(3)).unwrap();
         fresh(&g, "installs on CMUs 0 and 1");
+        assert_eq!(g.program().match_of, [0, 1, 2]);
+        // A second row of task 1's sketch under task 3 on CMU 1: the
+        // rule lists of CMUs 0 and 1 still differ (order matters) ...
+        let mut row = count_binding(1);
+        row.filter = TaskFilter::src(0x0a00_0000, 8);
+        g.install(1, row.clone()).unwrap();
+        fresh(&g, "second install on CMU 1");
+        assert_eq!(g.program().match_of, [0, 1, 2]);
+        // ... and two CMUs share a matched list exactly while their
+        // lists are equal, rule for rule.
+        assert!(g.uninstall(1, TaskId(3)));
+        g.install(1, count_binding(2)).unwrap();
+        fresh(&g, "reorder CMU 1");
+        assert_eq!(g.program().match_of, [0, 0, 2]);
+        assert!(g.uninstall(1, TaskId(2)));
+        fresh(&g, "uninstall the second rule of CMU 1");
+        assert_eq!(g.program().match_of, [0, 1, 2]);
+        assert!(g.uninstall(1, TaskId(1)));
+        g.install(1, count_binding(3)).unwrap();
         assert!(g.uninstall(0, TaskId(1)));
         fresh(&g, "uninstall from CMU 0");
         assert!(g.program().cmus[0].always, "the unconditional binding is first now");
+        assert_eq!(g.program().dense_units[..2], [true, true]);
         assert!(!g.uninstall(1, TaskId(9)));
         assert_eq!(g.remove_task(TaskId(2)), 2);
         fresh(&g, "remove_task across CMUs 0 and 2");
         assert!(!g.program().reads_ctx && !g.program().unit_used[1]);
+        assert_eq!(g.program().dense_units[..2], [true, false]);
         assert_eq!(g.program().cmus[1].bindings.len(), 1);
         g.invalidate_program();
         fresh(&g, "invalidate");
+    }
+
+    /// Every binding shape `compiler::build_bindings` emits — each
+    /// `Algorithm` variant, byte counts, both queue maxima, XOR keys —
+    /// placed on CMUs of three 3-unit groups, then a few it does not
+    /// emit; as `(label, binding)`.
+    fn binding_shapes() -> Vec<(String, CmuBinding)> {
+        use crate::compiler::{build_bindings, PlacedRow};
+        use crate::task::{Algorithm, Attribute, MaxParam, TaskDefinition};
+        let row = |group: usize, cmu: usize, xor: bool| PlacedRow {
+            group,
+            cmu,
+            slice_shift: 8 * cmu as u8,
+            translation: AddrTranslation::new(2, 1 + cmu as u32, TranslationMethod::TcamBased),
+            offset: 0,
+            size: 64,
+            key_source: if xor { KeySource::Xor(0, 2) } else { KeySource::Unit(0) },
+            param_source: Some(if xor { KeySource::Xor(1, 2) } else { KeySource::Unit(1) }),
+            bucket_max: 0xffff,
+        };
+        let def = |key, attribute| TaskDefinition::builder("t").key(key).attribute(attribute).build();
+        let frequency = def(KeySpec::SRC_IP, Attribute::frequency_packets());
+        let bytes = def(KeySpec::SRC_IP, Attribute::frequency_bytes());
+        let distinct = def(KeySpec::DST_IP, Attribute::Distinct(KeySpec::SRC_IP));
+        let cardinality = def(KeySpec::NONE, Attribute::Distinct(KeySpec::FIVE_TUPLE));
+        let existence = def(KeySpec::NONE, Attribute::Existence(KeySpec::SRC_IP));
+        let queue_len = def(KeySpec::DST_IP, Attribute::Max(MaxParam::QueueLen));
+        let queue_delay = def(KeySpec::DST_IP, Attribute::Max(MaxParam::QueueDelayUs));
+        let interval = def(KeySpec::FIVE_TUPLE, Attribute::Max(MaxParam::PacketIntervalUs));
+        let cases = [
+            (&frequency, Algorithm::Cms { d: 3 }, false),
+            (&bytes, Algorithm::Cms { d: 2 }, false),
+            (&bytes, Algorithm::SuMaxSum { d: 3 }, true),
+            (&frequency, Algorithm::Mrac, false),
+            (&frequency, Algorithm::Tower { d: 3 }, false),
+            (&frequency, Algorithm::CounterBraids, true),
+            (&cardinality, Algorithm::Hll, false),
+            (&distinct, Algorithm::Hll, true),
+            (&cardinality, Algorithm::LinearCounting, true),
+            (&distinct, Algorithm::BeauCoup { d: 3 }, false),
+            (&distinct, Algorithm::BeauCoup { d: 2 }, true),
+            (&existence, Algorithm::Bloom { d: 3, bit_optimized: true }, false),
+            (&existence, Algorithm::Bloom { d: 2, bit_optimized: true }, true),
+            (&existence, Algorithm::Bloom { d: 2, bit_optimized: false }, false),
+            (&queue_len, Algorithm::SuMaxMax { d: 2 }, false),
+            (&queue_delay, Algorithm::SuMaxMax { d: 2 }, true),
+            (&existence, Algorithm::OddSketch, false),
+            (&existence, Algorithm::OddSketch, true),
+            (&interval, Algorithm::MaxInterval { d: 1 }, false),
+        ];
+        let mut out = Vec::new();
+        for (def, alg, xor) in cases {
+            // Chained algorithms want ascending groups; one row per
+            // group serves the single-group ones just as well.
+            let rows: Vec<PlacedRow> = (0..alg.cmus_used()).map(|i| row(i / 3, i % 3, xor)).collect();
+            for (i, b) in build_bindings(def, TaskId(7), alg, &rows).unwrap() {
+                out.push((format!("{} row {i} (xor keys: {xor})", alg.name()), b));
+            }
+        }
+        // What no recipe emits but `install` accepts: a second parameter
+        // the preparation must override or pass through, a width that is
+        // no power of two, a prepared packet field or constant.
+        let shape = |p1: ParamSource, p2: u32, prep: PrepAction| CmuBinding {
+            p1,
+            p2: ParamSource::Const(p2),
+            prep,
+            ..count_binding(7)
+        };
+        let key = || ParamSource::CompressedKey(KeySource::Xor(1, 2));
+        let coupon = PrepAction::Coupon {
+            coupons: 32,
+            space: 3 << 20,
+        };
+        let rho = PrepAction::Rho {
+            skip_top: 7,
+            consider_bits: 9,
+        };
+        for b in [
+            shape(key(), 0, PrepAction::OneHotBit { bits: 16 }),
+            shape(key(), 0, PrepAction::OneHotBit { bits: 12 }),
+            shape(key(), 0, coupon.clone()),
+            shape(key(), 5, rho),
+            shape(key(), 77, PrepAction::None),
+            shape(ParamSource::PacketBytes, 0, PrepAction::OneHotBit { bits: 16 }),
+            shape(ParamSource::QueueLen, 3, PrepAction::MapZero { when_zero: 9, otherwise: 2 }),
+            shape(ParamSource::Const(1 << 21), 0, coupon),
+        ] {
+            out.push((format!("hand-built {:?} of {:?}", b.prep, b.p1), b));
+        }
+        out
+    }
+
+    #[test]
+    fn operand_kernels_equal_the_interpreter() {
+        // For every binding shape, under its own operation and under
+        // each other one (Cond-ADD's threshold and AND-OR's selector
+        // make a wrong `p2` visible, XOR a wrong `p1` bit), the sweep
+        // `sweep_binding` selects must leave exactly the register, the
+        // dirty range and the forwarded outputs the per-packet oracle
+        // leaves: `ParamSource::resolve` + `PrepAction::apply` +
+        // `translate` + `Salu::execute`.
+        use crate::params::CmuRef;
+        use crate::program::CompiledCmu;
+        use flymon_packet::{PacketBuilder, SplitMix64};
+        const N: usize = 2_000;
+        const BUCKETS: usize = 256;
+        let mut rng = SplitMix64::new(0x0b5e_55ed);
+        let pkts: Vec<Packet> = (0..N)
+            .map(|_| {
+                PacketBuilder::new()
+                    .src_ip(rng.next_u32())
+                    .dst_ip(rng.next_u32())
+                    .len(rng.next_u16())
+                    .ts_ns(rng.next_u64() >> (rng.next_u32() % 40))
+                    .queue_len(rng.next_u32() >> (rng.next_u32() % 32))
+                    .queue_delay_ns(rng.next_u32())
+                    .build()
+            })
+            .collect();
+        // Digests of every magnitude: coupon windows and ρ patterns live
+        // at the small end of the hash space.
+        let digests: Vec<u32> = (0..N * MAX_HASH_UNITS)
+            .map(|_| rng.next_u32() >> (rng.next_u32() % 32))
+            .collect();
+        // Upstream results for the chained rows, zeros ("did not
+        // update") included; the row under test records as (2, 2).
+        let upstream: Vec<PacketContext> = (0..N)
+            .map(|_| {
+                let mut ctx = PacketContext::default();
+                for (group, cmu) in [(0, 0), (0, 1), (0, 2), (1, 0)] {
+                    match rng.next_u32() % 3 {
+                        0 => {}
+                        1 => ctx.record(group, cmu, 0),
+                        _ => ctx.record(group, cmu, rng.next_u32() >> (rng.next_u32() % 32)),
+                    }
+                }
+                ctx
+            })
+            .collect();
+        let own = CmuRef { group: 2, cmu: 2 };
+        let seed: Vec<u32> = (0..BUCKETS).map(|_| rng.next_u32() >> (rng.next_u32() % 32)).collect();
+        let every_third: Vec<usize> = (0..N).step_by(3).collect();
+        let ops = [StatefulOp::CondAdd, StatefulOp::Max, StatefulOp::AndOr, StatefulOp::Xor];
+
+        let mut kernels = std::collections::HashSet::new();
+        for (label, b) in binding_shapes() {
+            let cb = CompiledCmu::compile(std::slice::from_ref(&b), BUCKETS).bindings.remove(0);
+            kernels.insert(std::mem::discriminant(&cb.kernel));
+            for (op, width) in ops.iter().flat_map(|&op| [(op, 16u8), (op, 32)]) {
+                let (b, cb) = (CmuBinding { op, ..b.clone() }, CompiledBinding { op, ..cb.clone() });
+                let fresh = || {
+                    let mut cmu = Cmu::new(BUCKETS, width);
+                    let max = cmu.register().max_value();
+                    for (addr, &v) in seed.iter().enumerate() {
+                        cmu.register_mut().write(addr, v & max).unwrap();
+                    }
+                    cmu.register_mut().clear_dirty();
+                    cmu.salu
+                };
+                for steps in [&(0..N).collect::<Vec<_>>(), &every_third] {
+                    let what = format!("{label} as {op:?} on {width} bits, {} steps", steps.len());
+                    let mut oracle = fresh();
+                    let mut expected = upstream.clone();
+                    for &p in steps {
+                        let compressed = &digests[p * MAX_HASH_UNITS..][..MAX_HASH_UNITS];
+                        let ctx = &mut expected[p];
+                        let raw = b.key.address(compressed, BUCKETS.ilog2() as u8);
+                        let p1 = b.p1.resolve(&pkts[p], compressed, ctx);
+                        let p2 = b.p2.resolve(&pkts[p], compressed, ctx);
+                        let addr = b.translation.translate(raw, BUCKETS);
+                        let (p1, p2) = b.prep.apply(p1, p2, ctx);
+                        let out = oracle.execute(op, addr, p1, p2).unwrap();
+                        ctx.record(own.group, own.cmu, b.forward.select(p1, out));
+                    }
+                    let mut swept = fresh();
+                    let mut ctxs = upstream.clone();
+                    let chunk = ChunkView {
+                        pkts: &pkts,
+                        digests: &digests,
+                        bucket_mask: BUCKETS - 1,
+                        record: Some((own.group, own.cmu)),
+                    };
+                    sweep_binding(&mut swept, &cb, steps.len(), |k| steps[k], &chunk, &mut ctxs);
+                    assert_eq!(
+                        swept.register().read_range(0, BUCKETS).unwrap(),
+                        oracle.register().read_range(0, BUCKETS).unwrap(),
+                        "{what}"
+                    );
+                    assert_eq!(swept.register().dirty_range(), oracle.register().dirty_range(), "{what}");
+                    for (p, (got, want)) in ctxs.iter().zip(&expected).enumerate() {
+                        assert_eq!((got.len(), got.get(own)), (want.len(), want.get(own)), "{what}, packet {p}");
+                    }
+                }
+            }
+        }
+        assert_eq!(kernels.len(), 4, "the bindings must reach all four kernels");
     }
 
     #[test]

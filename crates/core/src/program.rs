@@ -10,17 +10,26 @@
 //! binding mutation** into a [`GroupProgram`]:
 //!
 //! - filters become four words (`(ip & mask) == net`, source and
-//!   destination), no `PrefixFilter` indirection;
-//! - the sampling coin becomes a single pre-shifted 64-bit mask
-//!   (`0` = always pass), so unsampled bindings cost one compare;
+//!   destination), no `PrefixFilter` indirection, and the sampling coin
+//!   a single pre-shifted 64-bit mask (`0` = always pass) — together a
+//!   [`MatchRule`], kept apart from what the match executes so that the
+//!   match loop walks a dense array and CMUs can compare rule lists;
 //! - key selection becomes raw unit indices plus the slice rotation;
 //! - address translation folds `translate(addr, m) = base + ((addr % m)
 //!   >> p)` into a precomputed `addr_base`/`addr_shift` pair (with the
 //!   group-level `bucket_mask` replacing the `% m`);
 //! - parameter and preparation plans become flat [`ParamPlan`] /
 //!   [`PrepPlan`] ops with their constants pre-widened (no `u32::from`
-//!   or multiply in the hot loop), and all-constant parameters are
-//!   prepared once into `const_params`.
+//!   or multiply in the hot loop), and the pair is classified once into
+//!   an [`OperandKernel`] — constants prepared at compile time, a packet
+//!   field, a compressed key through a context-free preparation — so
+//!   the batch path picks one operand closure per (CMU, chunk) and only
+//!   context-reading plans are still interpreted per packet.
+//!
+//! The group as a whole compiles too ([`GroupProgram::refresh`]): which
+//! CMUs' binding lists match identically (every row of one sketch), so
+//! the match runs once per task, and which hash units an unconditional
+//! CMU reads, so the others digest only the packets that matched.
 //!
 //! The compression stage's half of the compile step lives with the hash
 //! unit: `HashUnit::set_mask` compiles the `KeySpec` to a fixed-length
@@ -30,12 +39,12 @@
 //! **Invalidation rule**: every binding mutation — `install`,
 //! `uninstall`, `remove_task` — recompiles the [`CompiledCmu`]s whose
 //! bindings it changed before it returns, then refreshes the group-wide
-//! facts (`unit_used`, `reads_ctx`) and bumps the version; the explicit
-//! control-plane invalidation after register-only resets recompiles
-//! every CMU the same way. Checkpoint restore and WAL replay reinstall bindings through
-//! those same entry points, so a restored or recovered switch can never
-//! execute a stale program (`tests/batch.rs` pins this for every
-//! mutation path).
+//! facts (`unit_used`, `reads_ctx`, `match_of`, `dense_units`) and bumps
+//! the version; the explicit control-plane invalidation after
+//! register-only resets recompiles every CMU the same way. Checkpoint
+//! restore and WAL replay reinstall bindings through those same entry
+//! points, so a restored or recovered switch can never execute a stale
+//! program (`tests/batch.rs` pins this for every mutation path).
 //!
 //! Everything here derives `PartialEq` so tests can assert
 //! `group.program() == &group.reference_program()` after any mutation.
@@ -271,6 +280,206 @@ impl PrepPlan {
     }
 }
 
+/// The hash unit(s) a 32-bit dynamic key is drawn from, as raw indices
+/// into a packet's digest slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyUnits {
+    /// First unit index.
+    pub a: u8,
+    /// Second unit index, XORed in — or [`NO_UNIT`].
+    pub b: u8,
+}
+
+impl KeyUnits {
+    fn compile(source: KeySource) -> KeyUnits {
+        match source {
+            KeySource::Unit(i) => KeyUnits {
+                a: i as u8,
+                b: NO_UNIT,
+            },
+            KeySource::Xor(i, j) => KeyUnits {
+                a: i as u8,
+                b: j as u8,
+            },
+        }
+    }
+
+    /// The key, from the packet's digest slice — exactly
+    /// [`KeySource::resolve`].
+    #[inline]
+    pub fn resolve(self, digests: &[u32]) -> u32 {
+        let a = digests[usize::from(self.a)];
+        if self.b == NO_UNIT {
+            a
+        } else {
+            a ^ digests[usize::from(self.b)]
+        }
+    }
+
+    fn mark(self, units: &mut [bool; MAX_HASH_UNITS]) {
+        units[usize::from(self.a)] = true;
+        if self.b != NO_UNIT {
+            units[usize::from(self.b)] = true;
+        }
+    }
+}
+
+/// The packet field an [`OperandKernel::Field`] reads as `p1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PacketField {
+    /// Packet length in bytes.
+    Bytes,
+    /// Ingress timestamp in µs.
+    TimestampUs,
+    /// Egress queue occupancy.
+    QueueLen,
+    /// Queuing delay in µs.
+    QueueDelayUs,
+}
+
+/// What an [`OperandKernel::Key`] does to the compressed key before it
+/// becomes `p1` — the [`PrepPlan`]s that read no PHV context, with
+/// their divisions strength-reduced at compile time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeyPrep {
+    /// The key itself.
+    None,
+    /// One-hot bit on a power-of-two width: `1 << (key & mask)`.
+    OneHotMask(u32),
+    /// One-hot bit on any other width: `1 << (key % bits)`.
+    OneHotMod(u32),
+    /// BeauCoup coupon draw, branch-free: `1 << (key / space)` under
+    /// `key < total`, else 0 ([`coupon_bit`]).
+    Coupon {
+        /// [`reciprocal`] of the per-coupon space.
+        recip: u128,
+        /// `space · coupons` — the draw window.
+        total: u64,
+    },
+    /// HyperLogLog ρ.
+    Rho {
+        /// Bits discarded from the top.
+        skip_top: u32,
+        /// Bits participating in the pattern.
+        consider_bits: u32,
+    },
+}
+
+/// `⌈2⁶⁴ / d⌉` for a divisor `1 ≤ d < 2³²`: with it,
+/// [`div_by_reciprocal`] is exact for every 32-bit numerator (Lemire,
+/// Kaser & Kurz, "Faster remainder by direct computation", Theorem 1
+/// with N = 32, F = 64). `d = 1` yields 2⁶⁴, hence the `u128`.
+pub(crate) fn reciprocal(d: u32) -> u128 {
+    u128::from(u64::MAX) / u128::from(d) + 1
+}
+
+/// `h / d`, given `recip = reciprocal(d)`: one widening multiply.
+#[inline]
+pub(crate) fn div_by_reciprocal(h: u32, recip: u128) -> u32 {
+    ((u128::from(h) * recip) >> 64) as u32
+}
+
+/// The coupon one-hot of [`PrepAction::Coupon`] without its branch or
+/// its division: coupon `h / space` when `h < total`, no bit otherwise.
+/// Install-time validation caps `coupons` at 32, so the quotient of an
+/// in-window `h` is a valid shift; an out-of-window quotient is wrapped
+/// and then masked away.
+#[inline]
+pub(crate) fn coupon_bit(h: u32, recip: u128, total: u64) -> u32 {
+    let in_window = u32::from(u64::from(h) < total);
+    1u32.wrapping_shl(div_by_reciprocal(h, recip)) & in_window.wrapping_neg()
+}
+
+/// How the batch path obtains a packet's prepared `(p1, p2)` under one
+/// binding — chosen once per binding mutation from the parameter and
+/// preparation plans, so pass 3 selects one operand closure per
+/// (CMU, chunk) instead of re-interpreting the plans per packet.
+///
+/// Every kernel but [`OperandKernel::Interpreted`] has a constant
+/// second parameter (what `PrepPlan` forces it to, or the installed
+/// constant) and reads no PHV context.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OperandKernel {
+    /// Both sources constant and a context-free preparation (every CMS
+    /// and plain-Bloom row): prepared at compile time, the sweep
+    /// resolves nothing but the address.
+    Const(u32, u32),
+    /// `p1` is a packet field, unprepared (byte counts, queue maxima,
+    /// arrival recorders).
+    Field {
+        /// The field read.
+        field: PacketField,
+        /// The constant second parameter.
+        p2: u32,
+    },
+    /// `p1` is a compressed key through a context-free preparation
+    /// (Bloom, BeauCoup, HLL, Linear Counting rows).
+    Key {
+        /// The parameter key.
+        key: KeyUnits,
+        /// The preparation.
+        prep: KeyPrep,
+        /// The second parameter after preparation.
+        p2: u32,
+    },
+    /// Anything else — a source or preparation that reads the PHV
+    /// context (`PrevResult`, `ChainMin`, gated preps), `MapZero`, a
+    /// prepared packet field: [`CompiledBinding::params`] per packet.
+    Interpreted,
+}
+
+impl OperandKernel {
+    fn select(p1: &ParamPlan, p2: &ParamPlan, prep: &PrepPlan) -> OperandKernel {
+        let ParamPlan::Const(c2) = *p2 else {
+            return OperandKernel::Interpreted;
+        };
+        let field = |field| match prep {
+            PrepPlan::None => OperandKernel::Field { field, p2: c2 },
+            _ => OperandKernel::Interpreted,
+        };
+        let key = |key| {
+            let (prep, p2) = match *prep {
+                PrepPlan::None => (KeyPrep::None, c2),
+                PrepPlan::OneHotBit { bits } if bits.is_power_of_two() => {
+                    (KeyPrep::OneHotMask(bits - 1), 1)
+                }
+                PrepPlan::OneHotBit { bits } => (KeyPrep::OneHotMod(bits), 1),
+                // An empty coupon space never draws.
+                PrepPlan::Coupon { space: 0, .. } => return OperandKernel::Const(0, 1),
+                PrepPlan::Coupon { space, total } => {
+                    let recip = reciprocal(space as u32);
+                    (KeyPrep::Coupon { recip, total }, 1)
+                }
+                PrepPlan::Rho {
+                    skip_top,
+                    consider_bits,
+                } => (
+                    KeyPrep::Rho {
+                        skip_top,
+                        consider_bits,
+                    },
+                    c2,
+                ),
+                _ => return OperandKernel::Interpreted,
+            };
+            OperandKernel::Key { key, prep, p2 }
+        };
+        match *p1 {
+            ParamPlan::Const(c1) if !prep.reads_ctx() => {
+                let (p1, p2) = prep.apply(c1, c2, &PacketContext::default());
+                OperandKernel::Const(p1, p2)
+            }
+            ParamPlan::PacketBytes => field(PacketField::Bytes),
+            ParamPlan::TimestampUs => field(PacketField::TimestampUs),
+            ParamPlan::QueueLen => field(PacketField::QueueLen),
+            ParamPlan::QueueDelayUs => field(PacketField::QueueDelayUs),
+            ParamPlan::KeyUnit(a) => key(KeyUnits { a, b: NO_UNIT }),
+            ParamPlan::KeyXor(a, b) => key(KeyUnits { a, b }),
+            _ => OperandKernel::Interpreted,
+        }
+    }
+}
+
 /// The top `bits` bits set — the prefix mask `PrefixFilter` compares
 /// under. `bits == 0` yields the all-pass mask `0`.
 fn prefix_mask(bits: u8) -> u32 {
@@ -281,11 +490,14 @@ fn prefix_mask(bits: u8) -> u32 {
     }
 }
 
-/// One binding, compiled flat. Everything the four pipeline stages need
-/// for this binding, in execution order, with no further lookups.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompiledBinding {
-    /// Owning task (coin seed patch + hit attribution).
+/// Which packets one binding takes, compiled flat: the whole input of
+/// pass 1. Two CMUs whose rule lists are equal match the same packets
+/// at the same binding index — the filter reads packet fields and the
+/// coin is a stateless hash of packet fields and the task id — so they
+/// share one matched list ([`GroupProgram::match_of`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MatchRule {
+    /// Owning task (the coin's seed patch).
     pub task: TaskId,
     /// Source-prefix network, host bits zero.
     pub src_net: u32,
@@ -296,56 +508,16 @@ pub struct CompiledBinding {
     /// Destination-prefix mask.
     pub dst_mask: u32,
     /// Pre-shifted sampling-coin mask; `0` = always pass (the common
-    /// unsampled case short-circuits before hashing a coin).
+    /// unsampled case never hashes a coin).
     pub coin_mask: u64,
-    /// First key unit index.
-    pub key_a: u8,
-    /// Second key unit index ([`NO_UNIT`] for single-unit keys; the
-    /// digest is XORed when present).
-    pub key_b: u8,
-    /// Right-rotation applied to the 32-bit key before addressing.
-    pub slice_shift: u32,
-    /// `partitions_log2` of the binding's address translation.
-    pub addr_shift: u32,
-    /// First bucket of the binding's partition
-    /// ([`crate::addr::AddrTranslation::base`]).
-    pub addr_base: usize,
-    /// First parameter plan.
-    pub p1: ParamPlan,
-    /// Second parameter plan.
-    pub p2: ParamPlan,
-    /// Preparation plan.
-    pub prep: PrepPlan,
-    /// The prepared `(p1, p2)` when no packet can change them — both
-    /// sources constant and a preparation that reads no PHV context
-    /// (every CMS and plain-Bloom row). The fused sweep then resolves
-    /// nothing but the address per packet.
-    pub const_params: Option<(u32, u32)>,
-    /// The stateful operation.
-    pub op: StatefulOp,
-    /// Which SALU output is forwarded downstream.
-    pub forward: Forward,
 }
 
-impl CompiledBinding {
-    fn compile(b: &CmuBinding, buckets: usize) -> CompiledBinding {
+impl MatchRule {
+    fn compile(b: &CmuBinding) -> MatchRule {
         let flat = |f: &PrefixFilter| (f.net, prefix_mask(f.bits));
         let (src_net, src_mask) = flat(&b.filter.src);
         let (dst_net, dst_mask) = flat(&b.filter.dst);
-        let (key_a, key_b) = match b.key.source {
-            KeySource::Unit(i) => (i as u8, NO_UNIT),
-            KeySource::Xor(i, j) => (i as u8, j as u8),
-        };
-        let p1 = ParamPlan::compile(&b.p1);
-        let p2 = ParamPlan::compile(&b.p2);
-        let prep = PrepPlan::compile(&b.prep);
-        let const_params = match (&p1, &p2) {
-            (ParamPlan::Const(c1), ParamPlan::Const(c2)) if !prep.reads_ctx() => {
-                Some(prep.apply(*c1, *c2, &PacketContext::default()))
-            }
-            _ => None,
-        };
-        CompiledBinding {
+        MatchRule {
             task: b.task,
             src_net,
             src_mask,
@@ -358,26 +530,14 @@ impl CompiledBinding {
             } else {
                 (1u64 << u32::from(b.prob_log2.min(63))) - 1
             },
-            key_a,
-            key_b,
-            slice_shift: u32::from(b.key.slice_shift),
-            addr_shift: u32::from(b.translation.partitions_log2),
-            addr_base: b.translation.base(buckets),
-            p1,
-            p2,
-            prep,
-            const_params,
-            op: b.op,
-            forward: b.forward,
         }
     }
 
-    /// True when every packet passes this binding's filter and coin —
-    /// the ubiquitous "whole-traffic, unsampled task" shape. Stage-major
-    /// execution exploits it: a CMU whose *first* binding is
-    /// unconditional matches every packet at binding 0 (first match
-    /// wins), so the per-packet match loop and the matched-index list
-    /// vanish entirely.
+    /// True when every packet passes this rule's filter and coin — the
+    /// ubiquitous "whole-traffic, unsampled task" shape. Stage-major
+    /// execution exploits it: a CMU whose *first* rule is unconditional
+    /// matches every packet at binding 0 (first match wins), so the
+    /// match loop and the matched list vanish entirely.
     #[inline]
     pub fn is_unconditional(&self) -> bool {
         // PrefixFilter keeps `net`'s host bits zero, so mask == 0
@@ -392,37 +552,31 @@ impl CompiledBinding {
     /// The flattened filter predicate — identical to
     /// `TaskFilter::matches` (`PrefixFilter` guarantees `net` has no
     /// host bits, so `(ip & mask) == net ⇔ mask_prefix(ip, bits) == net`).
+    /// Both prefix compares fold into one boolean without a branch: the
+    /// match loop evaluates it for every packet.
     #[inline]
     pub fn filter_matches(&self, pkt: &Packet) -> bool {
-        (pkt.src_ip & self.src_mask) == self.src_net
-            && (pkt.dst_ip & self.dst_mask) == self.dst_net
+        ((pkt.src_ip & self.src_mask) == self.src_net)
+            & ((pkt.dst_ip & self.dst_mask) == self.dst_net)
     }
+}
 
-    /// The prepared `(p1, p2)` of one packet — the initialization-stage
-    /// parameter selection followed by the preparation stage.
-    #[inline]
-    pub fn params(&self, pkt: &Packet, digests: &[u32], ctx: &PacketContext) -> (u32, u32) {
-        match self.const_params {
-            Some(params) => params,
-            None => {
-                let p1 = self.p1.resolve(pkt, digests, ctx);
-                let p2 = self.p2.resolve(pkt, digests, ctx);
-                self.prep.apply(p1, p2, ctx)
-            }
-        }
-    }
+/// Key selection and address translation of one binding, compiled
+/// flat — small and `Copy`, so a sweep carries it by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AddressPlan {
+    /// The addressing key.
+    pub key: KeyUnits,
+    /// Right-rotation applied to the 32-bit key before addressing.
+    pub slice_shift: u32,
+    /// `partitions_log2` of the binding's address translation.
+    pub addr_shift: u32,
+    /// First bucket of the binding's partition
+    /// ([`crate::addr::AddrTranslation::base`]).
+    pub addr_base: usize,
+}
 
-    /// The binding's 32-bit dynamic key from the packet's digest slice.
-    #[inline]
-    pub fn key(&self, digests: &[u32]) -> u32 {
-        let a = digests[usize::from(self.key_a)];
-        if self.key_b == NO_UNIT {
-            a
-        } else {
-            a ^ digests[usize::from(self.key_b)]
-        }
-    }
-
+impl AddressPlan {
     /// Translated register address for `digests` — exactly
     /// `translation.translate(key.address(compressed, addr_bits), m)`:
     /// the `addr_bits` mask is subsumed by `& bucket_mask` (both equal
@@ -430,32 +584,116 @@ impl CompiledBinding {
     /// `& bucket_mask`.
     #[inline]
     pub fn address(&self, digests: &[u32], bucket_mask: usize) -> usize {
-        let rotated = self.key(digests).rotate_right(self.slice_shift);
+        let rotated = self.key.resolve(digests).rotate_right(self.slice_shift);
         self.addr_base + ((rotated as usize & bucket_mask) >> self.addr_shift)
+    }
+}
+
+/// What a matched packet executes under one binding, compiled flat:
+/// everything pipeline stages 2 to 4 need, in execution order, with no
+/// further lookups.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CompiledBinding {
+    /// Where the packet's bucket is.
+    pub addr: AddressPlan,
+    /// First parameter plan.
+    pub p1: ParamPlan,
+    /// Second parameter plan.
+    pub p2: ParamPlan,
+    /// Preparation plan.
+    pub prep: PrepPlan,
+    /// How pass 3 obtains a packet's prepared `(p1, p2)`, chosen from
+    /// the three plans above.
+    pub kernel: OperandKernel,
+    /// The stateful operation.
+    pub op: StatefulOp,
+    /// Which SALU output is forwarded downstream.
+    pub forward: Forward,
+}
+
+impl CompiledBinding {
+    fn compile(b: &CmuBinding, buckets: usize) -> CompiledBinding {
+        let p1 = ParamPlan::compile(&b.p1);
+        let p2 = ParamPlan::compile(&b.p2);
+        let prep = PrepPlan::compile(&b.prep);
+        let kernel = OperandKernel::select(&p1, &p2, &prep);
+        CompiledBinding {
+            addr: AddressPlan {
+                key: KeyUnits::compile(b.key.source),
+                slice_shift: u32::from(b.key.slice_shift),
+                addr_shift: u32::from(b.translation.partitions_log2),
+                addr_base: b.translation.base(buckets),
+            },
+            p1,
+            p2,
+            prep,
+            kernel,
+            op: b.op,
+            forward: b.forward,
+        }
+    }
+
+    /// Flags in `units` every hash unit whose digest this binding reads
+    /// (key and compressed-key parameters).
+    fn mark_units_read(&self, units: &mut [bool; MAX_HASH_UNITS]) {
+        self.addr.key.mark(units);
+        for p in [&self.p1, &self.p2] {
+            match *p {
+                ParamPlan::KeyUnit(a) => KeyUnits { a, b: NO_UNIT }.mark(units),
+                ParamPlan::KeyXor(a, b) => KeyUnits { a, b }.mark(units),
+                _ => {}
+            }
+        }
+    }
+
+    /// The prepared `(p1, p2)` of one packet, interpreted from the plans
+    /// — the initialization-stage parameter selection followed by the
+    /// preparation stage. What [`OperandKernel::Interpreted`] runs per
+    /// packet, and what every other kernel must equal.
+    #[inline]
+    pub fn params(&self, pkt: &Packet, digests: &[u32], ctx: &PacketContext) -> (u32, u32) {
+        let p1 = self.p1.resolve(pkt, digests, ctx);
+        let p2 = self.p2.resolve(pkt, digests, ctx);
+        self.prep.apply(p1, p2, ctx)
     }
 }
 
 /// One CMU's compiled bindings, in match (install) order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CompiledCmu {
-    /// First match wins, exactly like the interpreted path.
+    /// Who matches: first match wins, exactly like the interpreted path.
+    pub rules: Vec<MatchRule>,
+    /// What a match executes, parallel to `rules`.
     pub bindings: Vec<CompiledBinding>,
-    /// `bindings[0]` exists and is unconditional: every packet matches
-    /// it, so stage 1 reduces to a single hit-counter bump and stages
-    /// 3–4 iterate the chunk directly without a matched list.
+    /// `rules[0]` exists and is unconditional: every packet matches it,
+    /// so stage 1 reduces to a single hit-counter bump and stages 3–4
+    /// iterate the chunk directly without a matched list.
     pub always: bool,
+    /// Some rule flips a sampling coin: pass 1 runs the match loop that
+    /// has the coin compiled in.
+    pub sampled: bool,
 }
 
 impl CompiledCmu {
     /// Compiles one CMU's binding list (match order) for a register of
     /// `buckets` buckets.
     pub(crate) fn compile(bindings: &[CmuBinding], buckets: usize) -> CompiledCmu {
-        let bindings: Vec<CompiledBinding> = bindings
-            .iter()
-            .map(|b| CompiledBinding::compile(b, buckets))
-            .collect();
-        let always = bindings.first().is_some_and(CompiledBinding::is_unconditional);
-        CompiledCmu { bindings, always }
+        let mut cmu = CompiledCmu::default();
+        cmu.recompile(bindings, buckets);
+        cmu
+    }
+
+    /// [`CompiledCmu::compile`] in place, into the vectors this CMU
+    /// already owns: a binding mutation on a warm switch allocates
+    /// nothing for it.
+    pub(crate) fn recompile(&mut self, bindings: &[CmuBinding], buckets: usize) {
+        self.rules.clear();
+        self.rules.extend(bindings.iter().map(MatchRule::compile));
+        self.bindings.clear();
+        self.bindings
+            .extend(bindings.iter().map(|b| CompiledBinding::compile(b, buckets)));
+        self.always = self.rules.first().is_some_and(MatchRule::is_unconditional);
+        self.sampled = self.rules.iter().any(|r| r.coin_mask != 0);
     }
 
     /// Some binding's parameters or preparation read the PHV context.
@@ -479,8 +717,9 @@ pub struct GroupProgram {
     /// translation arithmetic in one constant.
     pub bucket_mask: usize,
     /// `unit_used[i]` ⇔ some compiled binding reads unit `i`'s digest.
-    /// The batch digest pass computes exactly these (mirrors
-    /// `CmuGroup::unit_used`).
+    /// The batch digest pass computes exactly these (derived from the
+    /// compiled bindings; equals `CmuGroup::unit_used`, which the
+    /// per-packet path derives from the installed ones).
     pub unit_used: [bool; MAX_HASH_UNITS],
     /// Per-CMU compiled bindings, indexed like the group's CMUs.
     pub cmus: Vec<CompiledCmu>,
@@ -492,27 +731,59 @@ pub struct GroupProgram {
     /// upstream group's results), so the control plane ORs this flag
     /// over every group before each chunk.
     pub reads_ctx: bool,
+    /// `match_of[c]` is the first CMU whose rule list equals CMU `c`'s
+    /// (`c` itself when none earlier does). Rows of one sketch share a
+    /// task, a filter and a coin, so pass 1 builds one matched list per
+    /// distinct rule list and the other rows execute from it.
+    pub match_of: Vec<usize>,
+    /// `dense_units[i]` ⇔ the binding an unconditional CMU executes
+    /// reads unit `i`: it digests every packet of a chunk. Every other
+    /// used unit digests only the packets that matched somewhere.
+    pub dense_units: [bool; MAX_HASH_UNITS],
 }
 
 impl GroupProgram {
     /// Compiles the live bindings of one group. `cmu_bindings[ci]` is
     /// CMU `ci`'s binding list in match order; `buckets` the register
-    /// bucket count; `unit_used` the group's freshly rebuilt usage mask.
-    pub(crate) fn compile(
-        buckets: usize,
-        unit_used: [bool; MAX_HASH_UNITS],
-        cmu_bindings: &[&[CmuBinding]],
-    ) -> GroupProgram {
+    /// bucket count.
+    pub(crate) fn compile(buckets: usize, cmu_bindings: &[&[CmuBinding]]) -> GroupProgram {
         let cmus: Vec<CompiledCmu> = cmu_bindings
             .iter()
             .map(|bindings| CompiledCmu::compile(bindings, buckets))
             .collect();
-        let reads_ctx = cmus.iter().any(CompiledCmu::reads_ctx);
-        GroupProgram {
+        let mut program = GroupProgram {
             bucket_mask: buckets - 1,
-            unit_used,
+            unit_used: [false; MAX_HASH_UNITS],
             cmus,
-            reads_ctx,
+            reads_ctx: false,
+            match_of: Vec::new(),
+            dense_units: [false; MAX_HASH_UNITS],
+        };
+        program.refresh();
+        program
+    }
+
+    /// Re-derives everything the program keeps about the group as a
+    /// whole from its compiled CMUs — after a from-scratch compile, and
+    /// after every mutation recompiled the CMUs it touched.
+    pub(crate) fn refresh(&mut self) {
+        self.reads_ctx = self.cmus.iter().any(CompiledCmu::reads_ctx);
+        self.match_of.clear();
+        for (ci, cmu) in self.cmus.iter().enumerate() {
+            let first = self.cmus[..ci]
+                .iter()
+                .position(|earlier| earlier.rules == cmu.rules);
+            self.match_of.push(first.unwrap_or(ci));
+        }
+        self.unit_used = [false; MAX_HASH_UNITS];
+        self.dense_units = [false; MAX_HASH_UNITS];
+        for cmu in &self.cmus {
+            for cb in &cmu.bindings {
+                cb.mark_units_read(&mut self.unit_used);
+            }
+            if cmu.always {
+                cmu.bindings[0].mark_units_read(&mut self.dense_units);
+            }
         }
     }
 
@@ -570,11 +841,12 @@ mod tests {
                 op: StatefulOp::CondAdd,
                 forward: Forward::Result,
             };
-            let cb = CompiledBinding::compile(&b, 256);
+            let rule = MatchRule::compile(&b);
+            assert_eq!(rule.is_unconditional(), f == TaskFilter::ANY);
             for src in [0u32, 0x0a00_0001, 0x0a80_0000, 0xc0a8_0101, u32::MAX] {
                 for dst in [0u32, 0x0a80_0000, 0xc0a8_0101, 0xc0a8_01ff] {
                     let pkt = Packet::tcp(src, dst, 1, 2);
-                    assert_eq!(cb.filter_matches(&pkt), f.matches(&pkt));
+                    assert_eq!(rule.filter_matches(&pkt), f.matches(&pkt));
                 }
             }
         }
@@ -615,7 +887,7 @@ mod tests {
             ] {
                 let raw = key.address(&digests, addr_bits);
                 assert_eq!(
-                    cb.address(&digests, buckets - 1),
+                    cb.addr.address(&digests, buckets - 1),
                     trans.translate(raw, buckets),
                     "source {source:?} shift {shift}"
                 );
@@ -645,18 +917,30 @@ mod tests {
         let mut ctx = PacketContext::default();
         ctx.record(0, 0, 9);
         let digests = [0u32; MAX_HASH_UNITS];
-        for (p1, prep, constant) in [
-            (ParamSource::Const(1), PrepAction::None, Some((1, u32::MAX))),
-            (ParamSource::Const(21), PrepAction::OneHotBit { bits: 16 }, Some((1 << 5, 1))),
-            // A packet field, or a preparation gated on the PHV context,
-            // varies per packet: nothing to hoist.
-            (ParamSource::PacketBytes, PrepAction::None, None),
-            (ParamSource::Const(21), PrepAction::OneHotBitGated { bits: 16, seen }, None),
+        let bytes = OperandKernel::Field {
+            field: PacketField::Bytes,
+            p2: u32::MAX,
+        };
+        for (p1, prep, kernel) in [
+            (ParamSource::Const(1), PrepAction::None, OperandKernel::Const(1, u32::MAX)),
+            (
+                ParamSource::Const(21),
+                PrepAction::OneHotBit { bits: 16 },
+                OperandKernel::Const(1 << 5, 1),
+            ),
+            // A packet field varies per packet, and a preparation gated
+            // on the PHV context has to be interpreted: nothing to hoist.
+            (ParamSource::PacketBytes, PrepAction::None, bytes),
+            (
+                ParamSource::Const(21),
+                PrepAction::OneHotBitGated { bits: 16, seen },
+                OperandKernel::Interpreted,
+            ),
         ] {
             let b = binding(p1, prep);
             let cb = CompiledBinding::compile(&b, 256);
-            assert_eq!(cb.const_params, constant, "{b:?}");
-            // Hoisted or not, `params` is the interpreted resolve + prep.
+            assert_eq!(cb.kernel, kernel, "{b:?}");
+            // Whatever the kernel, `params` is the interpreted resolve + prep.
             let r1 = b.p1.resolve(&pkt, &digests, &ctx);
             let r2 = b.p2.resolve(&pkt, &digests, &ctx);
             assert_eq!(cb.params(&pkt, &digests, &ctx), b.prep.apply(r1, r2, &ctx));
@@ -692,6 +976,44 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn reciprocal_division_is_exact_at_every_boundary() {
+        // The strength-reduced coupon division against the `/` it
+        // replaces, where a rounded reciprocal would first go wrong:
+        // either side of every multiple of the divisor the window can
+        // reach, and both ends of the 32-bit range.
+        let spaces = [1u32, 2, 3, 7, 1 << 4, 1 << 20, (1 << 27) - 1, 1 << 27, 1 << 31, u32::MAX];
+        for space in spaces {
+            let recip = reciprocal(space);
+            for coupons in [1u64, 5, 16, 32] {
+                let total = u64::from(space) * coupons;
+                let multiples = (0..=coupons + 1).map(|k| k * u64::from(space));
+                let edges = multiples
+                    .flat_map(|m| [m.wrapping_sub(1), m, m + 1])
+                    .chain([u64::from(space) - 1, total - 1, total, u64::from(u32::MAX)])
+                    .filter_map(|h| u32::try_from(h).ok());
+                for h in edges {
+                    assert_eq!(div_by_reciprocal(h, recip), h / space, "{h} / {space}");
+                    let action = PrepAction::Coupon {
+                        coupons: coupons as u8,
+                        space,
+                    };
+                    assert_eq!(
+                        (coupon_bit(h, recip, total), 1),
+                        action.apply(h, 9, &PacketContext::default()),
+                        "{action:?} on {h}"
+                    );
+                }
+            }
+        }
+        // ... and wherever else a random numerator lands.
+        let mut rng = flymon_packet::SplitMix64::new(0x00d1_71de);
+        for _ in 0..20_000 {
+            let (h, space) = (rng.next_u32(), (rng.next_u32() >> (rng.next_u32() % 32)).max(1));
+            assert_eq!(div_by_reciprocal(h, reciprocal(space)), h / space, "{h} / {space}");
         }
     }
 

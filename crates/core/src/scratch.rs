@@ -124,17 +124,22 @@ pub struct BatchScratch {
     /// unused units hold stale garbage by design — compiled programs
     /// never reference them (mirrors the serial path's lazy zeros).
     pub(crate) digests: Vec<u32>,
-    /// Which packets matched some binding in the current group (gate for
-    /// the bulk digest pass). Reset per group.
+    /// Which packets matched some conditional binding in the current
+    /// group (gate for the sparse digest domain). Reset per group.
     pub(crate) need_digest: Vec<bool>,
-    /// Packed packet indices needing digests this group — the dense
-    /// iteration domain of the lane-group digest pass (built from
-    /// `need_digest`, or `0..n` when any CMU matches unconditionally).
-    /// Reset per group.
+    /// Packed packet indices of `need_digest` — the digest domain of
+    /// every used hash unit no unconditional CMU reads. Rebuilt per
+    /// group that has a conditional CMU.
     pub(crate) digest_idx: Vec<u32>,
-    /// Per-CMU matched lists `(packet index, binding index)`, in packet
-    /// order — packet order is what keeps same-bucket SALU updates
-    /// applied in arrival order. Reset per group.
+    /// The identity list `0, 1, 2, …` — the digest domain of a unit an
+    /// unconditional CMU reads is its first `n` entries. Grown, never
+    /// rewritten.
+    pub(crate) all_idx: Vec<u32>,
+    /// Matched lists `(packet index, binding index)`, in packet order —
+    /// packet order is what keeps same-bucket SALU updates applied in
+    /// arrival order. Slot `c` is rebuilt by a group whose CMU `c` is
+    /// the first with its match signature and read by every CMU sharing
+    /// it; any other slot is stale and unread.
     pub(crate) matched: Vec<Vec<(u32, u16)>>,
     /// Which packets executed a task on a spliced group this chunk (the
     /// per-packet recirculation flag). Reset per chunk.
@@ -160,6 +165,7 @@ impl BatchScratch {
             self.need_digest.resize(n, false);
             self.executed.resize(n, false);
             self.digests.resize(n * MAX_HASH_UNITS, 0);
+            self.all_idx.extend(self.all_idx.len() as u32..n as u32);
         }
         for i in 0..n {
             if reset_ctx {
@@ -171,14 +177,11 @@ impl BatchScratch {
     }
 
     /// Prepares the per-group state for a group with `cmus` CMUs over
-    /// the current `n`-packet chunk: empty matched lists, no digests
-    /// requested yet.
+    /// the current `n`-packet chunk: a matched-list slot per CMU, no
+    /// digests requested yet.
     pub(crate) fn begin_group(&mut self, cmus: usize, n: usize) {
         if self.matched.len() < cmus {
             self.matched.resize_with(cmus, Vec::new);
-        }
-        for m in &mut self.matched[..cmus] {
-            m.clear();
         }
         self.need_digest[..n].fill(false);
     }

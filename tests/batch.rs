@@ -293,14 +293,22 @@ fn task_mix_is_bit_identical_at_every_slice_length_and_lane_width() {
     let partial = hits.iter().flatten().filter(|&&h| 0 < h && h < total).count();
     assert!(partial >= 4, "bloom2 and cms2_sampled rows must match partially: {hits:?}");
 
-    // Slices around the lane width (7/8/9) and the chunk size
-    // (63/64/65), a single packet, and several chunks at once (200):
-    // every slice ends in a ragged lane group at some width.
+    assert_batch_path_matches(deployed, &reference, &t);
+}
+
+/// Replays `t` through a fresh `deployed()` switch with `process_batch`
+/// at every lane width, in slices around the lane width (7/8/9) and
+/// the chunk size (63/64/65), a single packet, and several chunks at
+/// once (200) — every slice ends in a ragged lane group at some width
+/// — and requires the state `reference` reached packet by packet:
+/// every register cell, every binding's hit counter, the recirculation
+/// count.
+fn assert_batch_path_matches(deployed: impl Fn() -> FlyMon, reference: &FlyMon, t: &[Packet]) {
     let slice_lengths = [1usize, 7, 8, 9, 63, 64, 65, 200];
     for lanes in 1..=8usize {
         let mut batched = deployed();
         batched.set_lane_width(lanes);
-        let mut rest = t.as_slice();
+        let mut rest = t;
         for &len in slice_lengths.iter().cycle() {
             if rest.is_empty() {
                 break;
@@ -311,12 +319,235 @@ fn task_mix_is_bit_identical_at_every_slice_length_and_lane_width() {
         }
         assert_eq!(
             registers(&batched),
-            registers(&reference),
+            registers(reference),
             "registers diverged at lane width {lanes}"
         );
-        assert_eq!(hit_counters(&batched), hits, "hit counters diverged at lane width {lanes}");
+        assert_eq!(
+            hit_counters(&batched),
+            hit_counters(reference),
+            "hit counters diverged at lane width {lanes}"
+        );
         assert_eq!(batched.recirculated_packets(), reference.recirculated_packets());
     }
+}
+
+/// One spliced group of three CMUs: every task lands on the same group,
+/// and every packet that executes anything counts as recirculated.
+fn one_spliced_group() -> FlyMonConfig {
+    FlyMonConfig {
+        groups: 1,
+        buckets_per_cmu: 4096,
+        preconfigure_five_tuple: false,
+        spliced_groups: 1,
+        ..FlyMonConfig::default()
+    }
+}
+
+/// Deploys `defs` on [`one_spliced_group`], replays `t` per packet, and
+/// returns the deploy closure with the reference switch.
+fn deployed_and_reference<'a>(
+    defs: &'a [TaskDefinition],
+    t: &[Packet],
+) -> (impl Fn() -> FlyMon + 'a, FlyMon) {
+    let deployed = move || {
+        let mut fm = FlyMon::new(one_spliced_group());
+        for def in defs {
+            fm.deploy(def).unwrap_or_else(|e| panic!("deploying {}: {e}", def.name));
+        }
+        fm
+    };
+    let mut reference = deployed();
+    for p in t {
+        reference.process(p);
+    }
+    (deployed, reference)
+}
+
+#[test]
+fn stacked_filtered_tasks_share_multi_binding_lists() {
+    // Two filtered tasks on the same three CMUs: every CMU holds both
+    // bindings in the same order, so one two-rule matched list serves
+    // all three rows and every list interleaves runs of both bindings
+    // (a constant-parameter kernel and a packet-field one). A tenth of
+    // the traffic (sources in 32/3) matches neither.
+    let defs = [
+        TaskDefinition::builder("low")
+            .filter(TaskFilter::src(0x0000_0000, 3))
+            .key(KeySpec::SRC_IP)
+            .attribute(Attribute::frequency_packets())
+            .algorithm(Algorithm::Cms { d: 3 })
+            .memory(1024)
+            .build(),
+        TaskDefinition::builder("high")
+            .filter(TaskFilter::src(0x8000_0000, 1))
+            .key(KeySpec::SRC_IP)
+            .attribute(Attribute::frequency_bytes())
+            .algorithm(Algorithm::Cms { d: 3 })
+            .memory(1024)
+            .build(),
+    ];
+    let t = trace(6_000);
+    let (deployed, reference) = deployed_and_reference(&defs, &t);
+    let group = &reference.groups()[0];
+    assert!(group.cmus().iter().all(|c| c.bindings().len() == 2), "the tasks must stack");
+    assert_eq!(group.program().match_of, [0, 0, 0]);
+    let hits = hit_counters(&reference);
+    assert!(hits.iter().flatten().all(|&h| 0 < h && h < t.len() as u64), "{hits:?}");
+    assert!(reference.recirculated_packets() < t.len() as u64);
+    assert_batch_path_matches(deployed, &reference, &t);
+}
+
+#[test]
+fn uninstalling_one_row_stops_the_cmus_sharing() {
+    // The stacked pair again, on a bare group so that one row of one
+    // task can come off one CMU: CMU 1's rule list is then one rule
+    // short, and it must match for itself from that call on while CMUs
+    // 0 and 2 go on sharing. (No recirculation count at this level; the
+    // registers and hit counters are the witnesses.)
+    use flymon::addr::{AddrTranslation, TranslationMethod};
+    use flymon::group::{CmuBinding, CmuGroup, Forward, GroupConfig};
+    use flymon::keysel::{KeySelect, KeySource};
+    use flymon::params::{PacketContext, ParamSource};
+    use flymon::prep::PrepAction;
+    use flymon::scratch::BatchScratch;
+    use flymon::task::TaskId;
+    use flymon_rmt::salu::StatefulOp;
+
+    let binding = |task: u32, filter, p1, cmu: u8| CmuBinding {
+        task: TaskId(task),
+        filter,
+        prob_log2: 0,
+        key: KeySelect {
+            source: KeySource::Unit(0),
+            slice_shift: 8 * cmu,
+        },
+        p1,
+        p2: ParamSource::Const(0xffff),
+        prep: PrepAction::None,
+        translation: AddrTranslation::new(1, task - 1, TranslationMethod::TcamBased),
+        op: StatefulOp::CondAdd,
+        forward: Forward::Result,
+    };
+    let stacked = || {
+        let mut g = CmuGroup::new(0, GroupConfig {
+            buckets_per_cmu: 2048,
+            ..GroupConfig::default()
+        });
+        g.unit_mut(0).set_mask(KeySpec::SRC_IP);
+        for cmu in 0..3u8 {
+            let low = binding(1, TaskFilter::src(0, 3), ParamSource::Const(1), cmu);
+            let high = binding(2, TaskFilter::src(0x8000_0000, 1), ParamSource::PacketBytes, cmu);
+            g.install(usize::from(cmu), low).unwrap();
+            g.install(usize::from(cmu), high).unwrap();
+        }
+        g
+    };
+    let state = |g: &CmuGroup| -> Vec<(Vec<u32>, Vec<u64>)> {
+        let cell = |c: &flymon::group::Cmu| {
+            let r = c.register();
+            let hits = (0..c.bindings().len()).map(|i| c.hits(i)).collect();
+            (r.read_range(0, r.len()).unwrap().to_vec(), hits)
+        };
+        g.cmus().iter().map(cell).collect()
+    };
+    let t = trace(6_000);
+    let (before, after) = t.split_at(t.len() / 2);
+
+    let mut reference = stacked();
+    let mut ctx = PacketContext::default();
+    for p in before {
+        reference.process(p, &mut ctx);
+    }
+    assert!(reference.uninstall(1, TaskId(1)));
+    for p in after {
+        reference.process(p, &mut ctx);
+    }
+    assert!(state(&reference).iter().all(|(_, hits)| hits.iter().all(|&h| h > 0)));
+
+    let slice_lengths = [1usize, 7, 8, 9, 63, 64, 65, 200];
+    for lanes in 1..=8usize {
+        let mut batched = stacked();
+        let mut scratch = BatchScratch::default();
+        let mut feed = |g: &mut CmuGroup, mut rest: &[Packet]| {
+            for &len in slice_lengths.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (slice, tail) = rest.split_at(len.min(rest.len()));
+                scratch.begin_chunk(slice.len(), false);
+                g.process_chunk(slice, &mut scratch, false, false, lanes);
+                rest = tail;
+            }
+        };
+        assert_eq!(batched.program().match_of, [0, 0, 0]);
+        feed(&mut batched, before);
+        assert!(batched.uninstall(1, TaskId(1)));
+        assert_eq!(batched.program(), &batched.reference_program());
+        assert_eq!(batched.program().match_of, [0, 1, 0]);
+        feed(&mut batched, after);
+        assert_eq!(state(&batched), state(&reference), "diverged at lane width {lanes}");
+    }
+}
+
+#[test]
+fn a_sampled_and_an_unsampled_task_with_equal_filters_do_not_share() {
+    // Same filter, but only one flips a coin: intersecting traffic
+    // keeps them on different CMUs, and their rule lists differ in the
+    // coin mask alone — the sampled rows share a list with each other,
+    // never with the unsampled row.
+    let filter = TaskFilter::src(0x8000_0000, 1);
+    let defs = [
+        TaskDefinition::builder("every")
+            .filter(filter)
+            .key(KeySpec::SRC_IP)
+            .attribute(Attribute::frequency_packets())
+            .algorithm(Algorithm::Cms { d: 1 })
+            .memory(1024)
+            .build(),
+        TaskDefinition::builder("sampled")
+            .filter(filter)
+            .key(KeySpec::SRC_IP)
+            .attribute(Attribute::frequency_packets())
+            .algorithm(Algorithm::Cms { d: 2 })
+            .memory(1024)
+            .probability_log2(2)
+            .build(),
+    ];
+    let t = trace(6_000);
+    let (deployed, reference) = deployed_and_reference(&defs, &t);
+    assert_eq!(reference.groups()[0].program().match_of, [0, 1, 1]);
+    let hits = hit_counters(&reference);
+    assert!(hits[1][0] > 0 && hits[1][0] < hits[0][0] && hits[1] == hits[2], "{hits:?}");
+    assert_batch_path_matches(deployed, &reference, &t);
+}
+
+#[test]
+fn a_filtered_cmu_reads_a_unit_the_unconditional_cmu_does_not() {
+    // Digest domains: unit 0 (SrcIP) is read by the unconditional CMU
+    // and digests every packet; unit 1 (DstIP) only by the filtered
+    // CMUs, and digests only what they matched.
+    let defs = [
+        TaskDefinition::builder("all")
+            .key(KeySpec::SRC_IP)
+            .attribute(Attribute::frequency_packets())
+            .algorithm(Algorithm::Cms { d: 1 })
+            .memory(1024)
+            .build(),
+        TaskDefinition::builder("some")
+            .filter(TaskFilter::src(0x8000_0000, 1))
+            .key(KeySpec::DST_IP)
+            .attribute(Attribute::frequency_bytes())
+            .algorithm(Algorithm::Cms { d: 2 })
+            .memory(1024)
+            .build(),
+    ];
+    let t = trace(6_000);
+    let (deployed, reference) = deployed_and_reference(&defs, &t);
+    let program = reference.groups()[0].program();
+    assert_eq!(program.unit_used[..3], [true, true, false]);
+    assert_eq!(program.dense_units[..3], [true, false, false]);
+    assert_eq!(reference.recirculated_packets(), t.len() as u64);
+    assert_batch_path_matches(deployed, &reference, &t);
 }
 
 #[test]
@@ -443,8 +674,20 @@ fn every_mutation_path_rebuilds_the_compiled_program() {
     let h_cms = fm.deploy(&cms).unwrap();
     assert_ne!(versions(&fm), before, "deploy did not bump any program");
     assert_programs_fresh(&fm, "deploy");
+    // The group-wide facts move with the bindings: both CMS rows match
+    // alike and are unconditional, so their unit digests every packet.
+    let facts = |fm: &FlyMon| -> Vec<_> {
+        let programs = fm.groups().iter().map(|g| g.program());
+        programs.map(|p| (p.match_of.clone(), p.dense_units, p.unit_used)).collect()
+    };
+    let with_cms = facts(&fm);
+    let (match_of, dense, used) = &with_cms[0];
+    assert_eq!(match_of[..2], [0, 0]);
+    assert!(dense.contains(&true) && dense == used);
     let h_bloom = fm.deploy(&bloom).unwrap();
     assert_programs_fresh(&fm, "second deploy");
+    let with_bloom = facts(&fm);
+    assert_ne!(with_bloom, with_cms, "the Bloom rows changed no group fact");
 
     // reallocate
     let before = versions(&fm);
@@ -464,6 +707,7 @@ fn every_mutation_path_rebuilds_the_compiled_program() {
     fm.remove(h_bloom).unwrap();
     assert_ne!(versions(&fm), before, "remove did not bump any program");
     assert_programs_fresh(&fm, "remove");
+    assert_ne!(facts(&fm), with_bloom, "removing the Bloom rows changed no group fact");
 
     // rollback: a fault-injected deploy fails, undoes its partial
     // installs, and must leave a fresh program behind.
