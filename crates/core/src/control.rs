@@ -187,10 +187,6 @@ pub struct FlyMon {
     batch: BatchScratch,
     batch_size: usize,
     lane_width: usize,
-    /// Claimed-packet staging buffer for [`FlyMon::process_batch_if`],
-    /// kept on the instance so repeated claim scans reuse one
-    /// allocation.
-    claim_buf: Vec<Packet>,
     pub(crate) packets_processed: u64,
     pub(crate) recirculated_packets: u64,
     pub(crate) total_install_ms: f64,
@@ -199,17 +195,17 @@ pub struct FlyMon {
     wal: Option<WriteAheadLog>,
 }
 
-/// Default stage-major batch size: 64 packets keeps the whole chunk's
+/// The stage-major batch size: 64 packets keeps the whole chunk's
 /// contexts, digests and resolved ops inside L1 while amortizing
-/// per-group dispatch over enough packets to matter (the bench's
-/// batch-size sweep backs this choice; see `results/BENCH_datapath.json`).
-pub const DEFAULT_BATCH_SIZE: usize = 64;
+/// per-group dispatch over enough packets to matter. The sweep that
+/// settled it read 46.0 / 56.2 / 56.9 M pkt/s at 16 / 64 / 256.
+pub const BATCH_SIZE: usize = 64;
 
-/// Default SIMD lane-group width of the stage-major passes: the full
-/// [`CRC_LANES`](flymon_rmt::hash::CRC_LANES) width. Every width in
-/// `1..=8` is bit-identical (the bench sweeps 1/4/8); 8 keeps enough
+/// The SIMD lane-group width of the stage-major passes: the full
+/// [`CRC_LANES`](flymon_rmt::hash::CRC_LANES) width, which keeps enough
 /// independent CRC chains in flight to saturate the core's load ports.
-pub const DEFAULT_LANE_WIDTH: usize = flymon_rmt::hash::CRC_LANES;
+/// The sweep that settled it read 39.0 / 47.2 / 56.2 M pkt/s at 1 / 4 / 8.
+pub const LANE_WIDTH: usize = flymon_rmt::hash::CRC_LANES;
 
 impl FlyMon {
     /// Builds the data plane.
@@ -256,9 +252,8 @@ impl FlyMon {
             ctx: PacketContext::default(),
             scratch: PacketScratch::default(),
             batch: BatchScratch::default(),
-            batch_size: DEFAULT_BATCH_SIZE,
-            lane_width: DEFAULT_LANE_WIDTH,
-            claim_buf: Vec::new(),
+            batch_size: BATCH_SIZE,
+            lane_width: LANE_WIDTH,
             packets_processed: 0,
             recirculated_packets: 0,
             total_install_ms: 0.0,
@@ -395,38 +390,29 @@ impl FlyMon {
         self.process_batch(trace);
     }
 
-    /// Sets the stage-major batch size (clamped to ≥ 1). Any size is
-    /// bit-identical to any other — chunk boundaries carry no state —
-    /// so this is purely a throughput knob (the bench sweeps 16/64/256).
+    /// Test hook: overrides [`BATCH_SIZE`] (clamped to ≥ 1) so the
+    /// bit-identity sweeps of `tests/batch.rs` can show that chunk
+    /// boundaries carry no state. Not a tuning knob.
+    #[doc(hidden)]
     pub fn set_batch_size(&mut self, size: usize) {
         self.batch_size = size.max(1);
     }
 
-    /// The stage-major batch size.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
-    /// Sets the SIMD lane-group width of the stage-major passes (clamped
-    /// to `1..=CRC_LANES`). Purely a throughput knob — every width is
-    /// bit-identical (the bench sweeps 1/4/8; `tests/batch.rs` pins the
-    /// identity).
+    /// Test hook: overrides [`LANE_WIDTH`] (clamped to
+    /// `1..=CRC_LANES`) so `tests/batch.rs` can pin every width
+    /// bit-identical. Not a tuning knob.
+    #[doc(hidden)]
     pub fn set_lane_width(&mut self, lanes: usize) {
         self.lane_width = lanes.clamp(1, flymon_rmt::hash::CRC_LANES);
     }
 
-    /// The SIMD lane-group width of the stage-major passes.
-    pub fn lane_width(&self) -> usize {
-        self.lane_width
-    }
-
     /// Processes a batch of packets and reports what the batch did —
-    /// the worker-facing entry point of the sharded datapath
-    /// (`flymon_netsim::datapath`), which partitions a trace across
-    /// per-worker replicas and calls this on each shard.
+    /// the entry point the fleet and the sharded datapath
+    /// (`flymon_netsim::datapath::replay`) call once per member per
+    /// staged block.
     ///
     /// This is the stage-major hot path: the slice is cut into
-    /// [`FlyMon::batch_size`] chunks and each chunk sweeps through every
+    /// [`BATCH_SIZE`] chunks and each chunk sweeps through every
     /// group's compiled [`crate::program::GroupProgram`] one pipeline
     /// stage at a time ([`CmuGroup::process_chunk`]). Register contents,
     /// PHV results, hit counters and recirculation accounting are
@@ -462,46 +448,6 @@ impl FlyMon {
         }
         self.recirculated_packets += self.batch.executed_count();
         self.packets_processed += chunk.len() as u64;
-    }
-
-    /// Processes the packets of `pkts` that `keep` accepts, in order —
-    /// the zero-copy sharded datapath's entry point: every worker scans
-    /// the *shared* trace slice in fixed-size chunks and claims its own
-    /// packets here, so no per-shard packet vectors are ever built.
-    /// Returns the stats of the packets actually processed.
-    ///
-    /// Claimed packets are staged into a reused buffer and flushed
-    /// through the stage-major path at every [`FlyMon::batch_size`]
-    /// boundary, so sharded workers get the same batched execution as
-    /// [`FlyMon::process_batch`].
-    pub fn process_batch_if(
-        &mut self,
-        pkts: &[Packet],
-        mut keep: impl FnMut(&Packet) -> bool,
-    ) -> BatchStats {
-        let recirc_before = self.recirculated_packets;
-        let mut packets = 0u64;
-        let mut buf = std::mem::take(&mut self.claim_buf);
-        buf.clear();
-        for pkt in pkts {
-            if keep(pkt) {
-                buf.push(*pkt);
-                if buf.len() == self.batch_size {
-                    self.process_chunk(&buf);
-                    packets += buf.len() as u64;
-                    buf.clear();
-                }
-            }
-        }
-        if !buf.is_empty() {
-            self.process_chunk(&buf);
-            packets += buf.len() as u64;
-        }
-        self.claim_buf = buf;
-        BatchStats {
-            packets,
-            recirculated: self.recirculated_packets - recirc_before,
-        }
     }
 
     // ------------------------------------------------------------------

@@ -49,7 +49,7 @@ use flymon_packet::{Packet, TaskFilter};
 use flymon_sketches::hll::estimate_from_registers;
 
 use crate::channel::{ChannelConfig, ControlChannel, TxnResult};
-use crate::datapath::{self, MergeLaw, WorkerStats};
+use crate::datapath::{self, MergeLaw};
 
 /// Routes one controller→switch command through the fleet's control
 /// channel when one is attached, or applies it directly (the perfect
@@ -232,19 +232,10 @@ pub struct SwitchFleet {
     /// packet call saw ([`SwitchFleet::resolve_targets`]); scratch, not
     /// state — rebuilt at the top of every packet call.
     targets: Vec<Option<usize>>,
-    /// Per-switch staging buckets of [`SwitchFleet::process_trace`]:
-    /// reused across calls, never more than [`STAGE_BLOCK`] packets in
-    /// all of them together.
+    /// Per-switch staging buckets of [`SwitchFleet::process_trace`]
+    /// (`datapath::replay`'s), reused across calls.
     staging: Vec<Vec<Packet>>,
 }
-
-/// Packets [`SwitchFleet::process_trace`] buckets before it flushes the
-/// buckets through [`FlyMon::process_batch`]. Bounds the staging memory
-/// whatever the slice length (32-byte packets: 128 KB across the whole
-/// fleet, cache-resident between the bucketing pass and the batches),
-/// and is long enough that each switch's share still fills the
-/// stage-major chunks.
-const STAGE_BLOCK: usize = 4096;
 
 /// One epoch's merged pre-reset readout ([`SwitchFleet::rotate_epoch`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1318,87 +1309,23 @@ impl SwitchFleet {
     /// fleet records every packet as dropped instead of panicking on
     /// the ingress modulus.
     ///
-    /// Failover is resolved once per call, then each [`STAGE_BLOCK`] of
-    /// the slice is bucketed by target switch in one pass (into staging
-    /// buffers the fleet owns and reuses) and every non-empty bucket
-    /// goes through one [`FlyMon::process_batch`]. Switches are
-    /// disjoint state, bucketing preserves each switch's packet order,
-    /// and batch ≡ per-packet is a pinned invariant of the core
-    /// (`tests/batch.rs`) — so registers, hit counters and the ledger
-    /// end bit-identical to `for p in trace { process(shard_of(p, n),
-    /// p) }` (pinned by `tests/fleet_batch.rs`).
+    /// Failover is resolved once per call; the packets then go through
+    /// `datapath::replay`, the loop a [`ShardedDatapath`] runs too.
+    /// Registers, hit counters and the ledger end bit-identical to
+    /// `for p in trace { process(shard_of(p, n), p) }` (pinned by
+    /// `tests/fleet_batch.rs`).
+    ///
+    /// [`ShardedDatapath`]: crate::ShardedDatapath
     pub fn process_trace(&mut self, trace: &[Packet]) {
-        let n = self.switches.len();
-        if n == 0 {
-            self.total_fed += trace.len() as u64;
-            self.dropped_packets += trace.len() as u64;
-            return;
-        }
         self.resolve_targets();
-        for block in trace.chunks(STAGE_BLOCK) {
-            let mut dropped = 0u64;
-            for p in block {
-                match self.targets[datapath::shard_of(p, n)] {
-                    Some(i) => self.staging[i].push(*p),
-                    None => dropped += 1,
-                }
-            }
-            self.total_fed += block.len() as u64;
-            self.dropped_packets += dropped;
-            for (i, bucket) in self.staging.iter_mut().enumerate() {
-                if !bucket.is_empty() {
-                    self.represented[i] += self.switches[i].process_batch(bucket).packets;
-                    bucket.clear();
-                }
-            }
-        }
-    }
-
-    /// Parallel [`SwitchFleet::process_trace`]: routes every packet to
-    /// the switch the serial path would pick (ingress hash + failover
-    /// target, resolved once for the replay) through the shared
-    /// ingress/worker pipeline. Switches are disjoint state, so the
-    /// resulting registers — and therefore every merged readout — are
-    /// bit-identical to the serial replay.
-    ///
-    /// Routing must be honored exactly (failover targets, drop
-    /// attribution on dead switches), so the replay never stripes:
-    /// `can_stripe` is false and the routing closure runs once per
-    /// packet on the ingress thread.
-    ///
-    /// Returns per-worker throughput stats; fleet-level
-    /// [`SwitchFleet::dropped_packets`] accounting is updated as usual,
-    /// with each drop attributed to the dead ingress switch's stats row.
-    pub fn process_trace_parallel(&mut self, trace: &[Packet]) -> Vec<WorkerStats> {
-        let n = self.switches.len();
         self.total_fed += trace.len() as u64;
-        if n == 0 {
-            self.dropped_packets += trace.len() as u64;
-            return Vec::new();
-        }
-        self.resolve_targets();
-        let targets = &self.targets;
-        let mut stats = Vec::new();
-        let total = datapath::replay_pipeline(
+        self.dropped_packets += datapath::replay(
             &mut self.switches,
+            &self.targets,
+            &mut self.staging,
             trace,
-            |p| {
-                let ingress = datapath::shard_of(p, n);
-                datapath::Assignment {
-                    ingress,
-                    to: targets[ingress],
-                }
-            },
-            false,
-            None,
-            &mut stats,
+            &mut self.represented,
         );
-        debug_assert_eq!(stats.len(), n, "one stats row per switch");
-        for s in &stats {
-            self.represented[s.worker] += s.packets;
-        }
-        self.dropped_packets += total.dropped;
-        stats
     }
 
     /// Alive switches paired with their handles for the primary task.
@@ -1641,8 +1568,6 @@ mod tests {
         fleet.process_trace(&t);
         fleet.process(0, &flow);
         assert_eq!(fleet.dropped_packets(), 6);
-        assert!(fleet.process_trace_parallel(&t).is_empty());
-        assert_eq!(fleet.dropped_packets(), 11);
         // Readouts fail cleanly rather than returning garbage.
         assert!(fleet.merged_frequency(&flow).is_err());
         assert!(fleet.merged_cardinality().is_err());
@@ -1667,35 +1592,6 @@ mod tests {
         match empty.merged_frequency(&flow) {
             Err(FlymonError::BadTask(why)) => assert!(why.contains("no task"), "{why}"),
             other => panic!("expected BadTask, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parallel_replay_matches_serial_through_failover() {
-        // One dead switch forces the failover probe; the parallel path
-        // must route identically and count the same drops.
-        let def = cms_def(2);
-        let t = trace();
-
-        let mut serial = SwitchFleet::deploy(3, config(), &def).unwrap();
-        serial.fail_switch(1);
-        serial.process_trace(&t);
-
-        let mut parallel = SwitchFleet::deploy(3, config(), &def).unwrap();
-        parallel.fail_switch(1);
-        let stats = parallel.process_trace_parallel(&t);
-        assert_eq!(stats.iter().map(|s| s.packets).sum::<u64>(), t.len() as u64);
-        assert_eq!(stats[1].packets, 0, "dead switch takes no traffic");
-        assert_eq!(parallel.dropped_packets(), serial.dropped_packets());
-
-        let (mut s, mut p) = (ReadoutScratch::default(), ReadoutScratch::default());
-        for row in 0..2 {
-            serial.merged_task_row_into(0, row, &mut s).unwrap();
-            parallel.merged_task_row_into(0, row, &mut p).unwrap();
-            assert_eq!(
-                s.acc, p.acc,
-                "row {row} diverged between serial and parallel replay"
-            );
         }
     }
 
@@ -1892,7 +1788,7 @@ mod tests {
         fleet.enable_standby();
         fleet.process_trace(&t[..20_000]);
         fleet.fail_switch(2);
-        fleet.process_trace_parallel(&t[20_000..40_000]);
+        fleet.process_trace(&t[20_000..40_000]);
         fleet.sync_standby();
         fleet.promote_standby(2).unwrap();
         fleet.fail_switch(0);

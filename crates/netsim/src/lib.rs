@@ -13,9 +13,10 @@
 //!   memory reallocation, comparing FlyMon against a statically
 //!   provisioned sketch.
 //!
-//! [`datapath`] is the substrate both lean on for scale: a sharded,
-//! multi-threaded trace replay whose merged readouts are bit-identical
-//! to a serial single-switch replay for linear/max/OR-mergeable sketches.
+//! [`datapath`] holds the merge laws and the one packet-replay loop:
+//! replicas of a switch (or the switches of a fleet) split a trace by
+//! source address, and their merged readouts are bit-identical to a
+//! serial single-switch replay for linear/max/OR-mergeable sketches.
 //! [`fleet`] layers network-wide measurement (merged readouts, WAL-backed
 //! switches, warm-standby failover) on top, [`adapt`] closes the loop
 //! with an epoch-driven controller that grows, shrinks and splits tasks
@@ -46,9 +47,7 @@ pub use chaos::{
     run_ingest_schedule, run_ingest_soak, run_schedule, run_soak, soak_channel_config, ChaosConfig,
     ChaosReport, IngestChaosConfig, IngestChaosReport,
 };
-pub use datapath::{
-    MergeLaw, ReplayMode, ReplayStats, RowOccupancy, ShardedDatapath, WorkerStats,
-};
+pub use datapath::{MergeLaw, ReplayStats, RowOccupancy, ShardedDatapath, WorkerStats};
 pub use epochs::{run_accuracy_timeline, AccuracyPoint, EpochTimelineConfig};
 pub use fleet::{
     BoundedEstimate, EpochReadout, FleetEpoch, FleetTaskInfo, PacketLedger, SwitchFleet, TaskEpoch,

@@ -38,20 +38,12 @@
 //!   (failed rule installs, dead groups, flaky channels) plus bounded
 //!   retry-with-backoff — the adversary the control plane's transactional
 //!   reconfiguration is tested against.
-//! - [`affinity`]: best-effort CPU pinning for the parallel datapath's
-//!   worker threads (raw `sched_setaffinity` on Linux/x86_64, no-op
-//!   elsewhere).
 //!
 //! Nothing here knows about sketches or tasks: this crate is "hardware".
 
-// `deny` rather than the workspace's usual `forbid`: the one sanctioned
-// exception is the scoped allow in [`affinity`] (the raw
-// sched_setaffinity syscall). Everything else in this crate is still
-// rejected at compile time.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod affinity;
 pub mod checkpoint;
 pub mod fault;
 pub mod hash;

@@ -1,9 +1,11 @@
-//! Determinism of the sharded parallel datapath: merged readouts must be
+//! Determinism of the sharded datapath: merged readouts must be
 //! bit-identical to a serial single-switch replay of the same trace, for
-//! every merge law (sum / max / OR), at every worker count.
+//! every merge law (sum / max / OR), at every worker count — and the
+//! replay loop it shares with `SwitchFleet::process_trace` must split a
+//! trace the same way for both.
 
 use flymon::prelude::*;
-use flymon_netsim::ShardedDatapath;
+use flymon_netsim::{datapath, ShardedDatapath, SwitchFleet};
 use flymon_packet::{KeySpec, Packet};
 use flymon_traffic::gen::{TraceConfig, TraceGenerator};
 
@@ -185,46 +187,112 @@ fn summed_merge_clamps_at_the_register_ceiling() {
 }
 
 #[test]
-fn rebalanced_fanout_bounds_imbalance_under_zipf_skew() {
-    // Satellite regression: the naive `hash % n` split of this zipf-1.1
-    // trace measured up to 2.7× worst/best worker packets. The mixed
-    // (fmix32) flow hash plus the profiled LPT slot table must keep
-    // every worker within 1.2× of the best-fed one — with merged rows
-    // still bit-identical to serial, since sum-law rows reconstruct
-    // from any disjoint partition.
-    let d = 2;
+fn sharded_merge_is_exact_at_every_staging_block_boundary() {
+    // The replay loop stages 4 096-packet blocks: slices that are empty,
+    // a single packet, one short of a block, exactly a block, one over,
+    // and several blocks plus a tail must all merge to the serial
+    // switch's registers, for one task of every merge law.
+    let defs = [
+        TaskDefinition::builder("cms")
+            .key(KeySpec::SRC_IP)
+            .attribute(Attribute::frequency_packets())
+            .algorithm(Algorithm::Cms { d: 3 })
+            .memory(4096)
+            .build(),
+        TaskDefinition::builder("hll")
+            .key(KeySpec::NONE)
+            .attribute(Attribute::Distinct(KeySpec::FIVE_TUPLE))
+            .algorithm(Algorithm::Hll)
+            .memory(2048)
+            .build(),
+        TaskDefinition::builder("bloom")
+            .key(KeySpec::NONE)
+            .attribute(Attribute::Existence(KeySpec::FIVE_TUPLE))
+            .memory(4096)
+            .build(),
+        TaskDefinition::builder("sumax")
+            .key(KeySpec::DST_IP)
+            .attribute(Attribute::Max(MaxParam::QueueLen))
+            .algorithm(Algorithm::SuMaxMax { d: 2 })
+            .memory(2048)
+            .build(),
+    ];
+    let mut t = trace();
+    for (i, p) in t.iter_mut().enumerate() {
+        p.queue_len = (i as u32).wrapping_mul(2_654_435_761) >> 20;
+    }
+    for def in &defs {
+        for len in [0, 1, 4095, 4096, 4097, 3 * 4096 + 17] {
+            let (serial, h) = serial_switch(def, &t[..len]);
+            let rows = serial.task(h).unwrap().rows.len();
+            for workers in 1..=4 {
+                let mut dp = ShardedDatapath::deploy(workers, config(), def).unwrap();
+                let stats = dp.process_trace(&t[..len]);
+                assert_eq!(stats.packets, len as u64);
+                assert_eq!(stats.dropped, 0);
+                for row in 0..rows {
+                    assert_eq!(
+                        dp.merged_row(row).unwrap(),
+                        serial.read_row(h, row).unwrap(),
+                        "{}: {len} packets on {workers} replicas, row {row}",
+                        def.name
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn replicas_and_a_healthy_fleet_split_a_trace_the_same_way() {
+    // One loop, one split: replica w of a sharded datapath and switch w
+    // of a healthy same-sized fleet both take exactly the packets
+    // `shard_of` sends to w, and end with the same registers.
     let def = TaskDefinition::builder("freq")
         .key(KeySpec::SRC_IP)
         .attribute(Attribute::frequency_packets())
-        .algorithm(Algorithm::Cms { d })
+        .algorithm(Algorithm::Cms { d: 2 })
         .memory(8192)
         .build();
     let t = trace();
-    let (serial, h) = serial_switch(&def, &t);
+    for n in 1..=4 {
+        let mut histogram = vec![0u64; n];
+        for p in &t {
+            histogram[datapath::shard_of(p, n)] += 1;
+        }
+        let mut dp = ShardedDatapath::deploy(n, config(), &def).unwrap();
+        let mut fleet = SwitchFleet::deploy(n, config(), &def).unwrap();
+        // Two calls: the per-worker counters accumulate across them.
+        let (head, tail) = t.split_at(50_001);
+        let stats = [dp.process_trace(head), dp.process_trace(tail)];
+        fleet.process_trace(head);
+        fleet.process_trace(tail);
 
-    for workers in [2, 3, 4] {
-        let mut dp = ShardedDatapath::deploy(workers, config(), &def).unwrap();
-        // Force the pipelined ingress/worker path (and its fanout
-        // table) even on a 1-CPU CI host.
-        dp.set_parallelism_hint(Some(workers + 1));
-        let stats = dp.process_trace(&t);
-        assert_eq!(stats.packets, t.len() as u64);
-        assert!(
-            stats.imbalance < 1.2,
-            "{workers}-worker fanout imbalance {:.3}× breaches the 1.2× bound",
-            stats.imbalance
-        );
-        assert_eq!(
-            flymon_netsim::WorkerStats::imbalance_ratio(dp.worker_stats()),
-            stats.imbalance,
-            "single-replay and cumulative imbalance must agree here"
-        );
-        for row in 0..d {
-            assert_eq!(
-                dp.merged_row(row).unwrap(),
-                serial.read_row(h, row).unwrap(),
-                "{workers}-worker rebalanced merge diverged from serial"
-            );
+        assert_eq!(dp.worker_stats().len(), n);
+        for (w, ws) in dp.worker_stats().iter().enumerate() {
+            assert_eq!(ws.worker, w);
+            assert_eq!(ws.packets, histogram[w], "replica {w} of {n}");
+            assert_eq!(ws.dropped, 0);
+            let (replica, rh) = dp.replica(w);
+            let (switch, sh) = fleet.switch(w);
+            assert_eq!(switch.packets_processed(), ws.packets, "switch {w} of {n}");
+            for row in 0..2 {
+                assert_eq!(
+                    replica.read_row(rh, row).unwrap(),
+                    switch.read_row(sh.unwrap(), row).unwrap(),
+                    "replica and switch {w} of {n} diverged at row {row}"
+                );
+            }
+        }
+        assert_eq!(stats[0].packets + stats[1].packets, t.len() as u64);
+        let ledger = fleet.ledger();
+        assert!(ledger.balanced(), "{ledger:?}");
+        assert_eq!(ledger.represented, t.len() as u64);
+        if n > 1 {
+            let last = datapath::shard_trace(tail, n);
+            let max = last.iter().map(Vec::len).max().unwrap() as f64;
+            let min = last.iter().map(Vec::len).min().unwrap() as f64;
+            assert_eq!(stats[1].imbalance, max / min, "imbalance is per replay");
         }
     }
 }
@@ -251,12 +319,7 @@ fn replay_is_deterministic_across_repeated_runs() {
 }
 
 #[test]
-fn fleet_drop_accounting_agrees_between_serial_and_parallel_replay() {
-    // Satellite invariant: under mid-fleet failures, `dropped_packets`
-    // totals and per-worker drop attribution must agree between
-    // `process_trace` and `process_trace_parallel`.
-    use flymon_netsim::{datapath, SwitchFleet};
-
+fn dead_and_empty_fleets_drop_every_packet_with_a_balanced_ledger() {
     let def = TaskDefinition::builder("freq")
         .key(KeySpec::SRC_IP)
         .attribute(Attribute::frequency_packets())
@@ -266,49 +329,45 @@ fn fleet_drop_accounting_agrees_between_serial_and_parallel_replay() {
     let t = trace();
     let n = 4;
 
-    // Phase 1: partial failure — survivors absorb every reroute, so
-    // both paths must drop exactly nothing and keep dead rows idle.
-    let mut serial = SwitchFleet::deploy(n, config(), &def).unwrap();
-    let mut parallel = SwitchFleet::deploy(n, config(), &def).unwrap();
+    // Partial failure: survivors absorb every reroute, so nothing is
+    // dropped and the dead switches stay idle.
+    let mut fleet = SwitchFleet::deploy(n, config(), &def).unwrap();
     for i in [1, 3] {
-        serial.fail_switch(i);
-        parallel.fail_switch(i);
+        fleet.fail_switch(i);
     }
-    serial.process_trace(&t);
-    let stats = parallel.process_trace_parallel(&t);
-    assert_eq!(parallel.dropped_packets(), serial.dropped_packets());
-    assert_eq!(serial.dropped_packets(), 0, "survivors must absorb reroutes");
+    fleet.process_trace(&t);
+    assert_eq!(fleet.dropped_packets(), 0, "survivors must absorb reroutes");
     for i in [1, 3] {
-        assert_eq!(stats[i].packets, 0, "dead switch {i} processed traffic");
-        assert_eq!(stats[i].dropped, 0, "no drops while survivors exist");
-    }
-    assert!(serial.ledger().balanced());
-    assert!(parallel.ledger().balanced());
-
-    // Phase 2: the whole fleet is dead. Both paths drop everything, and
-    // the parallel path attributes each drop to the packet's dead
-    // *ingress* switch — exactly the serial path's routing decision.
-    for i in 0..n {
-        serial.fail_switch(i);
-        parallel.fail_switch(i);
-    }
-    serial.process_trace(&t);
-    let stats = parallel.process_trace_parallel(&t);
-    assert_eq!(parallel.dropped_packets(), serial.dropped_packets());
-    assert_eq!(serial.dropped_packets(), t.len() as u64);
-
-    let mut expected = vec![0u64; n];
-    for p in &t {
-        expected[datapath::shard_of(p, n)] += 1;
-    }
-    for i in 0..n {
         assert_eq!(
-            stats[i].dropped, expected[i],
-            "drop attribution for ingress {i} diverged from the shard split"
+            fleet.switch(i).0.packets_processed(),
+            0,
+            "dead switch {i} processed traffic"
         );
-        assert_eq!(stats[i].packets, 0);
     }
-    assert_eq!(stats.iter().map(|s| s.dropped).sum::<u64>(), t.len() as u64);
-    assert!(serial.ledger().balanced());
-    assert!(parallel.ledger().balanced());
+    assert!(fleet.ledger().balanced());
+
+    // The whole fleet is dead: every packet is dropped, none processed.
+    for i in 0..n {
+        fleet.fail_switch(i);
+    }
+    let before: Vec<u64> = (0..n)
+        .map(|i| fleet.switch(i).0.packets_processed())
+        .collect();
+    fleet.process_trace(&t);
+    assert_eq!(fleet.dropped_packets(), t.len() as u64);
+    for (i, &b) in before.iter().enumerate() {
+        assert_eq!(fleet.switch(i).0.packets_processed(), b);
+    }
+    let ledger = fleet.ledger();
+    assert_eq!(ledger.fed, 2 * t.len() as u64);
+    assert!(ledger.balanced(), "{ledger:?}");
+
+    // No switches at all: the same loop, nothing to route to.
+    let mut empty = SwitchFleet::deploy(0, config(), &def).unwrap();
+    empty.process_trace(&t);
+    empty.process_trace(&[]);
+    let ledger = empty.ledger();
+    assert_eq!(ledger.fed, t.len() as u64);
+    assert_eq!(ledger.dropped, t.len() as u64);
+    assert!(ledger.balanced(), "{ledger:?}");
 }

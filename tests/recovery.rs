@@ -146,7 +146,7 @@ fn multi_switch_failover_round_trip_stays_within_loss_bound() {
     let mut fleet = SwitchFleet::deploy(4, config(), &def).unwrap();
     fleet.enable_standby();
 
-    fleet.process_trace_parallel(&t[..30_000]);
+    fleet.process_trace(&t[..30_000]);
     fleet.sync_standby();
     fleet.process_trace(&t[30_000..]);
 
