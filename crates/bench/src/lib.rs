@@ -38,19 +38,6 @@ pub fn small_trace() -> Vec<Packet> {
     })
 }
 
-/// A ~100k-packet trace for CI smoke runs of the datapath bench: big
-/// enough to exercise sharding and the merge laws, small enough that a
-/// cold CI runner finishes in seconds. Never used for recorded numbers.
-pub fn smoke_trace() -> Vec<Packet> {
-    TraceGenerator::new(0x51DE).wide_like(&TraceConfig {
-        flows: 10_000,
-        packets: 100_000,
-        zipf_alpha: 1.1,
-        duration_ns: 1_000_000_000,
-        seed: 0x51DE,
-    })
-}
-
 /// One representative packet per flow of `key` — queries replay the
 /// data-plane path, so they need a packet, not just key bytes.
 pub fn representatives(trace: &[Packet], key: KeySpec) -> HashMap<FlowKeyBytes, Packet> {
@@ -100,87 +87,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!();
 }
 
-/// A minimal wall-clock micro-benchmark harness.
-///
-/// Replaces the external `criterion` dependency so `cargo bench` works
-/// fully offline: each measured function is warmed up once, timed over
-/// `samples` runs, and summarized as min/median wall time (min is the
-/// most noise-robust point estimate for short deterministic kernels).
-/// `elements` adds a throughput line in Melem/s based on the median.
-pub fn bench<R>(name: &str, samples: usize, elements: Option<u64>, mut f: impl FnMut() -> R) {
-    assert!(samples > 0, "need at least one sample");
-    std::hint::black_box(f()); // warm-up: faults pages, fills caches
-    let mut times: Vec<std::time::Duration> = (0..samples)
-        .map(|_| {
-            let start = std::time::Instant::now();
-            std::hint::black_box(f());
-            start.elapsed()
-        })
-        .collect();
-    times.sort();
-    let min = times[0];
-    let median = times[times.len() / 2];
-    print!("{name:<28} min {min:>12.3?}  median {median:>12.3?}");
-    if let Some(n) = elements {
-        let melems = n as f64 / median.as_secs_f64() / 1e6;
-        print!("  {melems:>8.2} Melem/s");
-    }
-    println!();
-}
-
-/// Writes a benchmark artifact into the repo's `results/` directory
-/// (next to the committed figure regenerations) and returns its path.
-/// Benchmarks use this to leave machine-readable perf trajectories
-/// (e.g. `BENCH_datapath.json`) that later PRs can compare against.
-pub fn emit_results_file(name: &str, contents: &str) -> std::path::PathBuf {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../results")
-        .join(name);
-    std::fs::write(&path, contents)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    path
-}
-
-/// Appends one line to a results artifact (creating the file if it does
-/// not exist yet) and returns its path. The JSONL perf-history logs
-/// (e.g. `BENCH_history.jsonl`) use this: every full benchmark run adds
-/// one self-contained record, so the trajectory across PRs and machines
-/// survives the per-file overwrites of [`emit_results_file`].
-pub fn append_results_line(name: &str, line: &str) -> std::path::PathBuf {
-    use std::io::Write;
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../results")
-        .join(name);
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .unwrap_or_else(|e| panic!("cannot open {}: {e}", path.display()));
-    writeln!(file, "{}", line.trim_end())
-        .unwrap_or_else(|e| panic!("cannot append to {}: {e}", path.display()));
-    path
-}
-
-/// Reads one numeric field out of a committed results artifact by plain
-/// string search. The artifacts are emitted by this crate with stable
-/// formatting, so a JSON parser would be a dependency for nothing; the
-/// first occurrence of `"field":` wins. Returns `None` when the file or
-/// the field is missing or malformed — callers treat that as "no
-/// baseline recorded yet".
-pub fn read_results_field(name: &str, field: &str) -> Option<f64> {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../results")
-        .join(name);
-    let text = std::fs::read_to_string(path).ok()?;
-    let key = format!("\"{field}\"");
-    let rest = &text[text.find(&key)? + key.len()..];
-    let rest = rest[rest.find(':')? + 1..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || ".+-eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Formats a byte count the way the paper labels its x-axes.
 pub fn fmt_bytes(bytes: usize) -> String {
     if bytes >= 1024 * 1024 {
@@ -217,16 +123,6 @@ mod tests {
             "want a plausible HH population, got {}",
             hh.len()
         );
-    }
-
-    #[test]
-    fn results_field_reader_finds_the_committed_baseline() {
-        // The datapath artifact is committed, so the string-search
-        // reader must find its baseline on any checkout.
-        let pps = read_results_field("BENCH_datapath.json", "serial_packets_per_sec");
-        assert!(pps.is_some_and(|v| v > 0.0), "baseline field unreadable");
-        assert!(read_results_field("BENCH_datapath.json", "no_such_field").is_none());
-        assert!(read_results_field("no_such_file.json", "x").is_none());
     }
 
     #[test]

@@ -95,7 +95,7 @@ pub struct PacketLedger {
     pub fed: u64,
     /// Packets whose register updates live in some switch's registers
     /// (alive or dead), plus packets archived by epoch rotations
-    /// ([`SwitchFleet::rotate_epoch`]) — their counts were read out
+    /// ([`SwitchFleet::rotate_epoch_all`]) — their counts were read out
     /// before the registers were cleared, so they are represented in
     /// the archived readouts rather than vanished.
     pub represented: u64,
@@ -235,17 +235,6 @@ pub struct SwitchFleet {
     /// Per-switch staging buckets of [`SwitchFleet::process_trace`]
     /// (`datapath::replay`'s), reused across calls.
     staging: Vec<Vec<Packet>>,
-}
-
-/// One epoch's merged pre-reset readout ([`SwitchFleet::rotate_epoch`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EpochReadout {
-    /// Per-row merged registers of the alive fleet at the boundary,
-    /// merged by the task algorithm's law (sum / max / OR).
-    pub rows: Vec<Vec<u32>>,
-    /// Packets these rows represent (the alive switches' absorbed
-    /// counts, now archived).
-    pub packets: u64,
 }
 
 /// One member's live row for a merge, or `None` when its epoch
@@ -643,25 +632,6 @@ impl SwitchFleet {
         self.rotated_packets
     }
 
-    /// Epoch-boundary rotation of the **primary** task: merges its rows
-    /// across the alive fleet, then clears *every* fleet task on every
-    /// alive switch through the logged reset path, returning the
-    /// primary task's archived readout. Equivalent to
-    /// [`SwitchFleet::rotate_epoch_all`] with the secondary readouts
-    /// discarded — single-task callers keep their old contract.
-    pub fn rotate_epoch(&mut self) -> Result<EpochReadout, FlymonError> {
-        let epoch = self.rotate_epoch_all()?;
-        let primary = epoch
-            .tasks
-            .into_iter()
-            .next()
-            .expect("rotate_epoch_all errors on a taskless fleet");
-        Ok(EpochReadout {
-            rows: primary.rows,
-            packets: epoch.packets,
-        })
-    }
-
     /// Epoch-boundary rotation: merges every row of every fleet task
     /// across the alive fleet — each task by its algorithm's
     /// [`MergeLaw`], the same canonical table the sharded datapath
@@ -688,12 +658,8 @@ impl SwitchFleet {
     /// archives is deferred to bank retirement, off the stall path.
     /// Untouched registers skip the swap entirely (their rows are
     /// provably zero — the identity of every merge law), so an idle
-    /// task's rotation costs a watermark check. Switches hosting tasks
-    /// outside the fleet list (where a whole-register swap would clear
-    /// state the fleet does not own) fall back to the merge-then-clear
-    /// sweep, vectorized and elided but fully inside the stall; both
-    /// paths produce bit-identical epochs. The stall is observable via
-    /// [`SwitchFleet::last_rotation_stall`].
+    /// task's rotation costs a watermark check. The stall is observable
+    /// via [`SwitchFleet::last_rotation_stall`].
     ///
     /// Accounting: the alive switches' absorbed counts move to
     /// [`SwitchFleet::rotated_packets`] (still `represented`, now in
@@ -704,12 +670,15 @@ impl SwitchFleet {
     /// skipped (their registers are unreachable); they settle through
     /// revival or promotion as usual.
     ///
-    /// Errors if every switch is dead (no rows to read), a task's
-    /// algorithm has no merge law, or a logged reset fails mid-sweep —
-    /// switches already rotated stay rotated (each per-switch reset is
-    /// itself atomic; their archived epochs are discarded, exactly as
-    /// the merge-then-clear path discards its merged readout), and the
-    /// error surfaces which switch refused.
+    /// Errors if every switch is dead (no rows to read) or an alive
+    /// switch hosts a task outside the fleet's list (deployed through
+    /// [`SwitchFleet::switch_mut`]; the whole-register swap would clear
+    /// state the fleet does not own) — both before any bank is swapped
+    /// or any ledger field moves. Also errors if a task's algorithm has
+    /// no merge law, or a logged reset fails mid-sweep — switches
+    /// already rotated stay rotated (each per-switch reset is itself
+    /// atomic; their archived epochs are discarded), and the error
+    /// surfaces which switch refused.
     pub fn rotate_epoch_all(&mut self) -> Result<FleetEpoch, FlymonError> {
         if self.alive_task_members(0).next().is_none() {
             return Err(FlymonError::NoCapacity(
@@ -719,13 +688,16 @@ impl SwitchFleet {
         // The bank swap clears whole registers, so it is only sound
         // when the fleet's task list covers every task on every alive
         // switch (always true unless a caller deployed out-of-band).
-        let bankable = (0..self.switches.len()).all(|i| {
-            !self.alive[i]
-                || self.switches[i].task_count()
-                    == self.tasks.iter().filter(|t| t.handles[i].is_some()).count()
+        let unbankable = (0..self.switches.len()).find(|&i| {
+            self.alive[i]
+                && self.switches[i].task_count()
+                    != self.tasks.iter().filter(|t| t.handles[i].is_some()).count()
         });
-        if !bankable {
-            return self.rotate_epoch_all_merge_then_clear();
+        if let Some(i) = unbankable {
+            return Err(FlymonError::BadTask(format!(
+                "switch {i} hosts a task the fleet does not track; \
+                 a bank rotation would clear it"
+            )));
         }
         // Phase 1 — the ingestion stall: O(rows) logged bank swaps per
         // alive switch, plus ledger accounting.
@@ -761,7 +733,7 @@ impl SwitchFleet {
         // Phase 2 — off the stall path: merge the archived banks (they
         // are immutable; ingestion writes land in the fresh live
         // banks), fusing the occupancy scan into the same pass.
-        let tasks = self.merge_epochs(true)?;
+        let tasks = self.merge_epochs()?;
         // Phase 3 — retire (re-zero) the archives: the O(memory)
         // memset the swap deferred out of the stall.
         for i in 0..self.switches.len() {
@@ -772,59 +744,12 @@ impl SwitchFleet {
         Ok(FleetEpoch { tasks, packets })
     }
 
-    /// The pre-bank rotation path: merge every task's rows from the
-    /// live registers (vectorized, untouched rows elided), then clear
-    /// every task through the logged reset sweep. Kept for switches
-    /// hosting out-of-band tasks, where a whole-register bank swap
-    /// would clear state the fleet does not own. The whole sweep is an
-    /// ingestion stall — which is what the bank path exists to avoid.
-    fn rotate_epoch_all_merge_then_clear(&mut self) -> Result<FleetEpoch, FlymonError> {
-        let stall_begun = Instant::now();
-        let task_epochs = self.merge_epochs(false)?;
-        let mut packets = 0;
-        let mut chan = self.channel.take();
-        for i in 0..self.switches.len() {
-            if !self.alive[i] {
-                continue;
-            }
-            let handles: Vec<TaskHandle> = self
-                .tasks
-                .iter()
-                .filter_map(|t| t.handles[i])
-                .collect();
-            let sw = &mut self.switches[i];
-            let reset = send(&mut chan, i, "epoch-reset", || {
-                for h in &handles {
-                    sw.reset_task(*h)?;
-                }
-                Ok(TxnResult::Unit)
-            });
-            if let Err(e) = reset {
-                self.channel = chan;
-                self.note_rotation_stall(stall_begun.elapsed());
-                return Err(e);
-            }
-            packets += self.represented[i];
-            self.rotated_packets += self.represented[i];
-            self.represented[i] = 0;
-            self.checkpoint_represented[i] = 0;
-        }
-        self.channel = chan;
-        self.note_rotation_stall(stall_begun.elapsed());
-        Ok(FleetEpoch {
-            tasks: task_epochs,
-            packets,
-        })
-    }
-
-    /// Merges every fleet task's rows across the alive fleet — from the
-    /// archived epoch banks when `archived` (the double-buffered path;
-    /// a register that skipped the swap contributes nothing), or from
-    /// the live registers otherwise (rows provably untouched are
-    /// elided). Each row is one [`MergeLaw::merge_rows`]: the occupancy
-    /// scan and row 0's heavy-candidate collection ride the sweep that
-    /// folds the last member in.
-    fn merge_epochs(&self, archived: bool) -> Result<Vec<TaskEpoch>, FlymonError> {
+    /// Merges every fleet task's rows across the alive fleet from the
+    /// archived epoch banks (a register that skipped the swap
+    /// contributes nothing). Each row is one [`MergeLaw::merge_rows`]:
+    /// the occupancy scan and row 0's heavy-candidate collection ride
+    /// the sweep that folds the last member in.
+    fn merge_epochs(&self) -> Result<Vec<TaskEpoch>, FlymonError> {
         let mut task_epochs = Vec::with_capacity(self.tasks.len());
         for ti in 0..self.tasks.len() {
             let law = MergeLaw::of(self.tasks[ti].algorithm)?;
@@ -843,13 +768,9 @@ impl SwitchFleet {
                     MergeLaw::Max | MergeLaw::Or => u32::MAX,
                 };
                 let candidates = (row == 0).then_some(&mut heavy_candidates);
-                let members = self.alive_task_members(ti).filter_map(|(m, mh)| {
-                    if archived {
-                        m.archived_row(mh, row).transpose()
-                    } else {
-                        touched_row(m, mh, row)
-                    }
-                });
+                let members = self
+                    .alive_task_members(ti)
+                    .filter_map(|(m, mh)| m.archived_row(mh, row).transpose());
                 let mut acc = Vec::new();
                 occupancy.push(law.merge_rows(
                     &mut acc,
@@ -883,8 +804,7 @@ impl SwitchFleet {
 
     /// Ingestion-stall time of the most recent epoch rotation: the
     /// bank-swap sweep only — the merge and archive retirement run
-    /// after ingestion resumes. The merge-then-clear fallback counts
-    /// its whole sweep (there, everything is inside the stall).
+    /// after ingestion resumes.
     pub fn last_rotation_stall(&self) -> Duration {
         self.last_rotation_stall
     }

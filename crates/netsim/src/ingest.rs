@@ -63,7 +63,7 @@ use flymon_packet::{Packet, SplitMix64, TaskFilter};
 use flymon_traffic::gen::{PhasedSource, ShiftingSource};
 
 use crate::adapt::{AdaptiveController, ControllerReport};
-use crate::fleet::{EpochReadout, SwitchFleet};
+use crate::fleet::{FleetEpoch, SwitchFleet};
 
 /// A producer of packet chunks: the streaming runtime pulls one chunk
 /// per step (when its backlog is clear) instead of loading a trace.
@@ -560,7 +560,7 @@ pub struct StreamingRuntime {
     /// (compared against [`IngestConfig::channel_grace_steps`]).
     channel_wait_steps: usize,
     watch: Option<WatchFlow>,
-    last_epoch: Option<EpochReadout>,
+    last_epoch: Option<FleetEpoch>,
     /// The closed-loop adaptive controller, when attached; it observes
     /// every epoch rotation and reconfigures the fleet through the
     /// logged control plane — paused whenever health is off `Healthy`.
@@ -671,9 +671,10 @@ impl StreamingRuntime {
         &mut self.fleet
     }
 
-    /// The most recent epoch rotation's archived readout — one readout
-    /// is retained, not the whole history (constant memory).
-    pub fn last_epoch(&self) -> Option<&EpochReadout> {
+    /// The most recent epoch rotation's archived readout, every fleet
+    /// task's — one readout is retained, not the whole history
+    /// (constant memory).
+    pub fn last_epoch(&self) -> Option<&FleetEpoch> {
         self.last_epoch.as_ref()
     }
 
@@ -957,11 +958,6 @@ impl StreamingRuntime {
                 w.archived += self.fleet.merged_frequency(&w.pkt).unwrap_or(0);
             }
             let epoch = self.fleet.rotate_epoch_all()?;
-            let primary = epoch.tasks.first().expect("a rotating fleet has a task");
-            self.last_epoch = Some(EpochReadout {
-                rows: primary.rows.clone(),
-                packets: epoch.packets,
-            });
             // Close the loop: the controller sees every rotation but
             // only acts while the runtime is healthy — backpressure,
             // shedding and recovery all pause adaptation.
@@ -969,6 +965,7 @@ impl StreamingRuntime {
                 let paused = self.health != RuntimeHealth::Healthy;
                 ctl.on_epoch(&mut self.fleet, &epoch, paused)?;
             }
+            self.last_epoch = Some(epoch);
             self.stats.epochs_rotated += 1;
             self.processed_since_rotate = 0;
             out.rotated = true;
@@ -1458,6 +1455,12 @@ mod tests {
         );
         let watch = Packet::tcp(0x0a00_0042, 0x0a00_0001, 443, 50_000);
         rt.watch(watch);
+        let seen = TaskDefinition::builder("stream-seen")
+            .key(KeySpec::NONE)
+            .attribute(Attribute::Existence(KeySpec::FIVE_TUPLE))
+            .memory(1024)
+            .build();
+        rt.fleet_mut().deploy_task(&seen).unwrap();
         // A stream with a steady share of the watched flow.
         let mut trace = Vec::new();
         let mut rng = SplitMix64::new(99);
@@ -1497,7 +1500,11 @@ mod tests {
             live < processed / 2,
             "rotation should have cleared most counts (live {live} of {processed})"
         );
-        assert!(rt.last_epoch().is_some());
+        // The retained readout is the whole fleet epoch, not only the
+        // primary task's rows.
+        let names: Vec<&str> =
+            rt.last_epoch().unwrap().tasks.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(names, ["stream-freq", "stream-seen"]);
     }
 
     #[test]

@@ -49,9 +49,7 @@ pub use chaos::{
 };
 pub use datapath::{MergeLaw, ReplayStats, RowOccupancy, ShardedDatapath, WorkerStats};
 pub use epochs::{run_accuracy_timeline, AccuracyPoint, EpochTimelineConfig};
-pub use fleet::{
-    BoundedEstimate, EpochReadout, FleetEpoch, FleetTaskInfo, PacketLedger, SwitchFleet, TaskEpoch,
-};
+pub use fleet::{BoundedEstimate, FleetEpoch, FleetTaskInfo, PacketLedger, SwitchFleet, TaskEpoch};
 pub use ingest::{
     AdmissionConfig, BoundedQueue, ChunkSource, IngestConfig, IngestError, IngestFault,
     QueueStats, RuntimeHealth, RuntimeReport, RuntimeStats, StepOutcome, StreamLedger,

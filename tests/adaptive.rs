@@ -1,7 +1,7 @@
 //! Integration tests for the epoch-merge law matrix and the closed-loop
 //! adaptive controller.
 //!
-//! The merge-law matrix pins [`SwitchFleet::rotate_epoch`]'s routing
+//! The merge-law matrix pins [`SwitchFleet::rotate_epoch_all`]'s routing
 //! through the canonical [`MergeLaw`] table for every algorithm family
 //! the fleet hosts — the regression here is the old special-case code
 //! that summed everything it did not recognize, silently inflating
@@ -43,7 +43,7 @@ fn rotate_pair(def: &TaskDefinition) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
     let t = trace(40_000);
     let mut fleet = SwitchFleet::deploy(3, config(), def).unwrap();
     fleet.process_trace(&t);
-    let fleet_rows = fleet.rotate_epoch().unwrap().rows;
+    let fleet_rows = fleet.rotate_epoch_all().unwrap().tasks.remove(0).rows;
 
     let mut single = FlyMon::new(config());
     let h = single.deploy(def).unwrap();
@@ -143,7 +143,7 @@ fn rotate_epoch_sumax_sum_merges_by_clamped_row_sum() {
         }
     }
 
-    let rotated = fleet.rotate_epoch().unwrap().rows;
+    let rotated = fleet.rotate_epoch_all().unwrap().tasks.remove(0).rows;
     assert_eq!(rotated, reference, "Sum law: per-bucket clamped sums");
 }
 
@@ -160,10 +160,10 @@ fn rotate_epoch_clears_registers_for_the_next_epoch() {
     let t = trace(20_000);
     let mut fleet = SwitchFleet::deploy(2, config(), &def).unwrap();
     fleet.process_trace(&t);
-    let first = fleet.rotate_epoch().unwrap();
+    let first = fleet.rotate_epoch_all().unwrap();
     fleet.process_trace(&t);
-    let second = fleet.rotate_epoch().unwrap();
-    assert_eq!(first.rows, second.rows, "identical epochs rotate identically");
+    let second = fleet.rotate_epoch_all().unwrap();
+    assert_eq!(first.tasks[0].rows, second.tasks[0].rows, "identical epochs rotate identically");
     assert_eq!(first.packets, second.packets);
 }
 

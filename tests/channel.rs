@@ -1,8 +1,10 @@
 //! Lossy control channel, end to end: the exhaustive interleaving
 //! sweep (every drop/duplicate/reorder schedule of commit and abort
 //! deliveries applies exactly once), split-brain fencing (a stale
-//! primary's late writes are rejected with zero state divergence), and
-//! a lossy soak where every control cycle completes through retries.
+//! primary's late writes are rejected with zero state divergence),
+//! a lossy soak where every control cycle completes through retries,
+//! and the modeled cost of loss (latency grows with the drop rate, 10 %
+//! drop retries but never times out).
 
 use flymon::prelude::*;
 use flymon_netsim::channel::{ChannelConfig, ControlChannel, ScriptStep, TxnResult};
@@ -281,8 +283,50 @@ fn stale_primary_is_fenced_with_zero_divergence() {
     assert!(fleet.ledger().balanced(), "{:?}", fleet.ledger());
 }
 
+/// Runs `op` until it returns something other than a channel timeout,
+/// counting the timeouts. Retrying is safe: a timed-out deploy never
+/// applied (or was rolled back), a timed-out remove leaves its swept
+/// switches cleared and the retry skips them.
+fn until_delivered<T>(
+    timeouts: &mut u32,
+    what: &str,
+    mut op: impl FnMut() -> Result<T, FlymonError>,
+) -> T {
+    loop {
+        match op() {
+            Ok(v) => return v,
+            Err(FlymonError::ChannelTimeout { .. }) => *timeouts += 1,
+            Err(e) => panic!("{what} failed {e:?}"),
+        }
+        assert!(*timeouts < 100, "{what}: the channel never converges");
+    }
+}
+
+/// One control cycle — deploy an extra task, reallocate the anchor,
+/// rotate the fleet epoch, remove the extra task — each a fleet-level
+/// operation fanning out one command per switch.
+fn control_cycle(fleet: &mut SwitchFleet, cycle: usize, timeouts: &mut u32) {
+    let extra = bloom_def("cycle-extra");
+    let what = format!("cycle {cycle}");
+    let idx = until_delivered(timeouts, &what, || fleet.deploy_task(&extra));
+    let buckets = if cycle.is_multiple_of(2) { 4096 } else { 8192 };
+    until_delivered(timeouts, &what, || fleet.reallocate_task(0, buckets));
+    until_delivered(timeouts, &what, || fleet.rotate_epoch_all());
+    until_delivered(timeouts, &what, || fleet.remove_task(idx));
+}
+
+/// Every switch ends a run of control cycles holding exactly the
+/// anchor task, with a clean audit.
+fn assert_only_the_anchor_remains(fleet: &SwitchFleet) {
+    for i in 0..fleet.len() {
+        let fm = fleet.switch(i).0;
+        assert_eq!(fm.task_count(), 1, "switch {i} did not end with exactly the anchor task");
+        assert!(fm.audit().is_empty(), "switch {i}: {:?}", fm.audit());
+    }
+}
+
 /// Lossy soak: at 30% per-leg drop, 20% duplication and 20% reordering,
-/// a dozen deploy/remove cycles across the fleet all complete — the
+/// a dozen control cycles across the fleet all complete — the
 /// retry/dedup machinery absorbs every fault, the switches end with
 /// exactly the anchor task, and the channel counters prove the faults
 /// actually fired.
@@ -301,34 +345,10 @@ fn lossy_channel_soak_completes_every_cycle_with_retries() {
 
     let mut timeout_retries = 0u32;
     for cycle in 0..12 {
-        let extra = bloom_def("soak-extra");
-        let idx = loop {
-            match fleet.deploy_task(&extra) {
-                Ok(i) => break i,
-                // Never applied (or fully rolled back) — retrying is safe.
-                Err(FlymonError::ChannelTimeout { .. }) => timeout_retries += 1,
-                Err(e) => panic!("cycle {cycle}: deploy failed {e:?}"),
-            }
-        };
-        loop {
-            match fleet.remove_task(idx) {
-                Ok(()) => break,
-                // Swept switches stay cleared; the retry skips them.
-                Err(FlymonError::ChannelTimeout { .. }) => timeout_retries += 1,
-                Err(e) => panic!("cycle {cycle}: remove failed {e:?}"),
-            }
-        }
-        assert!(timeout_retries < 100, "cycle {cycle}: the channel never converges");
+        control_cycle(&mut fleet, cycle, &mut timeout_retries);
     }
 
-    for i in 0..2 {
-        assert_eq!(
-            fleet.switch(i).0.task_count(),
-            1,
-            "switch {i} did not end with exactly the anchor task"
-        );
-        assert!(fleet.switch(i).0.audit().is_empty(), "switch {i}");
-    }
+    assert_only_the_anchor_remains(&fleet);
     let stats = *fleet.channel().unwrap().stats();
     assert!(stats.retries > 0, "a 30% drop rate must force retries: {stats:?}");
     assert!(stats.request_drops > 0 && stats.reply_drops > 0, "{stats:?}");
@@ -337,6 +357,46 @@ fn lossy_channel_soak_completes_every_cycle_with_retries() {
     assert!(stats.reordered > 0, "reordering never fired: {stats:?}");
     assert_eq!(stats.stale_rejects, 0, "no promotion ran, nothing may be fenced");
     assert!(fleet.ledger().balanced(), "{:?}", fleet.ledger());
+}
+
+/// Loss is paid in modeled latency, never in correctness: the same 200
+/// control cycles at 0, 1 % and 10 % per-leg drop (with matching
+/// duplication and reordering) cost strictly more virtual time per
+/// cycle as the loss grows, 10 % forces retries yet times nothing out,
+/// and every switch ends clean. The clock is the channel's seeded
+/// model, so the figures repeat exactly.
+#[test]
+fn modeled_latency_grows_with_the_drop_rate_and_ten_percent_times_nothing_out() {
+    let mut mean_cycle_ms = Vec::new();
+    for rate in [0.0, 0.01, 0.10] {
+        let mut fleet = SwitchFleet::deploy(3, config(), &cms_def(2)).unwrap();
+        let cfg = ChannelConfig {
+            drop_rate: rate,
+            dup_rate: rate,
+            reorder_rate: rate,
+            ..ChannelConfig::default()
+        };
+        fleet.attach_channel(0xBE4C_0DE5 ^ (rate * 1e4) as u64, cfg).unwrap();
+        let mut timeouts = 0u32;
+        for cycle in 0..200 {
+            control_cycle(&mut fleet, cycle, &mut timeouts);
+        }
+        assert_only_the_anchor_remains(&fleet);
+        let channel = fleet.channel().unwrap();
+        if rate == 0.10 {
+            assert!(channel.stats().retries > 0, "a 10% drop rate must force retries");
+            assert_eq!(
+                (timeouts, channel.stats().timeouts),
+                (0, 0),
+                "10% drop timed a command out"
+            );
+        }
+        mean_cycle_ms.push(channel.now_ms() / 200.0);
+    }
+    assert!(
+        mean_cycle_ms.windows(2).all(|w| w[0] < w[1]),
+        "latency must grow monotonically with the drop rate: {mean_cycle_ms:?}"
+    );
 }
 
 /// A scripted scenario that makes the channel write every kind of

@@ -11,8 +11,9 @@
 //!    merging its zeros would have;
 //! 3. the double-buffered rotation (bank swap + post-stall merge)
 //!    returns epochs bit-identical to the scalar merge of the live
-//!    registers taken just before the rotation, and survives a
-//!    20-seed fault soak with the packet ledger conserved;
+//!    registers taken just before the rotation, refuses — changing
+//!    nothing — a switch carrying a task the fleet does not track, and
+//!    survives a 20-seed fault soak with the packet ledger conserved;
 //! 4. the fused merge+stats signals (occupancy, heavy candidates)
 //!    equal what a separate scan of the merged rows would report, and
 //!    a standby promotion after bank rotations recovers registers
@@ -273,6 +274,41 @@ fn bank_rotation_epoch_is_bit_identical_to_scalar_merge() {
             .collect();
         assert_eq!(te.heavy_candidates, nonzero0);
     }
+}
+
+/// The bank swap clears whole registers, so a switch carrying a task
+/// the fleet does not track refuses the rotation — before any bank is
+/// swapped or any ledger field moves.
+#[test]
+fn rotation_refuses_a_switch_with_an_out_of_band_task_and_changes_nothing() {
+    let mut fleet = SwitchFleet::deploy(2, config(), &cms_def(2)).unwrap();
+    let stray = TaskDefinition::builder("stray")
+        .key(KeySpec::NONE)
+        .attribute(Attribute::Existence(KeySpec::FIVE_TUPLE))
+        .memory(1024)
+        .build();
+    fleet.switch_mut(1).deploy(&stray).unwrap();
+    fleet.process_trace(&trace(0xD1CE, 20_000));
+
+    let state = |fleet: &mut SwitchFleet| {
+        let registers: Vec<_> = (0..2)
+            .map(|i| fleet.switch_mut(i).checkpoint(CaptureMode::Full).registers)
+            .collect();
+        (
+            registers,
+            fleet.ledger(),
+            fleet.rotated_packets(),
+            fleet.rotation_stall_totals(),
+        )
+    };
+    let before = state(&mut fleet);
+    let err = fleet.rotate_epoch_all().unwrap_err();
+    assert!(
+        matches!(&err, FlymonError::BadTask(why) if why.contains("switch 1")),
+        "{err:?}"
+    );
+    let after = state(&mut fleet);
+    assert!(before == after, "a refused rotation moved state");
 }
 
 #[test]
