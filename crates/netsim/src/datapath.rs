@@ -115,19 +115,16 @@ impl MergeLaw {
     /// Bulk form of [`MergeLaw::combine`]: folds `src` into `acc`
     /// bucket-by-bucket (`acc[i] = combine(acc[i], src[i], cap)`). The
     /// per-law loops have no branch and stay in `u32`, so they
-    /// autovectorize. Bit-identical to the per-element path for every
-    /// law, cap and length (pinned by `tests/readout.rs`).
+    /// autovectorize — at the host's vector width, see [`sweep`].
+    /// Bit-identical to the per-element path for every law, cap and
+    /// length (pinned by `tests/readout.rs`).
     ///
     /// # Panics
     /// Panics if the rows differ in length — partial registers of one
     /// deployment always share a geometry, so a mismatch is a caller
     /// bug, not a data condition.
     pub fn combine_rows(self, acc: &mut [u32], src: &[u32], cap: u32) {
-        match self {
-            MergeLaw::Sum => fold(acc, src, |a, s| a.saturating_add(s).min(cap)),
-            MergeLaw::Max => fold(acc, src, u32::max),
-            MergeLaw::Or => fold(acc, src, |a, s| a | s),
-        }
+        sweep(self, acc, src, cap, None);
     }
 
     /// [`MergeLaw::combine_rows`] fused with the occupancy scan: merges
@@ -155,13 +152,7 @@ impl MergeLaw {
         saturation_cap: u32,
         candidates: Option<&mut Vec<u32>>,
     ) -> RowOccupancy {
-        match self {
-            MergeLaw::Sum => fold_scan(acc, src, saturation_cap, candidates, |a, s| {
-                a.saturating_add(s).min(cap)
-            }),
-            MergeLaw::Max => fold_scan(acc, src, saturation_cap, candidates, u32::max),
-            MergeLaw::Or => fold_scan(acc, src, saturation_cap, candidates, |a, s| a | s),
-        }
+        sweep(self, acc, src, cap, Some((saturation_cap, candidates)))
     }
 
     /// One row merged across `members` into `acc`, in one sweep per
@@ -205,6 +196,101 @@ impl MergeLaw {
     }
 }
 
+/// What a fused sweep does beyond the fold: the ceiling it counts
+/// saturated buckets against, and where the nonzero indices go.
+type Scan<'a> = (u32, Option<&'a mut Vec<u32>>);
+
+/// One row sweep — `src` folded into `acc` under `law`, with the
+/// occupancy scan (and candidates) when `scan` asks — at the widest
+/// vector unit this host has.
+///
+/// The workspace builds for baseline x86-64, whose sse2 has no unsigned
+/// 32-bit min or saturating add, so the portable loops spend most of
+/// their time emulating `pminud`. Rather than a second algorithm in
+/// intrinsics, the *same* safe body ([`sweep_body`]) is compiled twice:
+/// [`sweep_portable`] for the build's baseline and [`sweep_avx2`] under
+/// `#[target_feature(enable = "avx2")]`, where the autovectorizer emits
+/// 8-lane `vpminud`/`vpmaxud`/`vpor`. The choice is the host's cpuid
+/// (cached by std: one atomic load per row) and nothing else; the
+/// portable instantiation is the fallback on every other host and the
+/// oracle the unit test below holds the wide one to.
+#[allow(unsafe_code)]
+fn sweep(
+    law: MergeLaw,
+    acc: &mut [u32],
+    src: &[u32],
+    cap: u32,
+    scan: Option<Scan<'_>>,
+) -> RowOccupancy {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: avx2 was just detected on the running CPU, the one
+        // requirement of calling a `#[target_feature(enable = "avx2")]`
+        // function; its body is safe code.
+        return unsafe { sweep_avx2(law, acc, src, cap, scan) };
+    }
+    sweep_portable(law, acc, src, cap, scan)
+}
+
+/// [`sweep_body`] compiled for the build's baseline target.
+fn sweep_portable(
+    law: MergeLaw,
+    acc: &mut [u32],
+    src: &[u32],
+    cap: u32,
+    scan: Option<Scan<'_>>,
+) -> RowOccupancy {
+    sweep_body(law, acc, src, cap, scan)
+}
+
+/// [`sweep_body`] compiled with AVX2 enabled; callable only once the
+/// feature is detected ([`sweep`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sweep_avx2(
+    law: MergeLaw,
+    acc: &mut [u32],
+    src: &[u32],
+    cap: u32,
+    scan: Option<Scan<'_>>,
+) -> RowOccupancy {
+    sweep_body(law, acc, src, cap, scan)
+}
+
+/// The per-law dispatch every instantiation inlines: one closure per
+/// law, handed to [`fold`] or, with `scan`, to [`fold_scan`].
+#[inline(always)]
+fn sweep_body(
+    law: MergeLaw,
+    acc: &mut [u32],
+    src: &[u32],
+    cap: u32,
+    scan: Option<Scan<'_>>,
+) -> RowOccupancy {
+    #[inline(always)]
+    fn run(
+        acc: &mut [u32],
+        src: &[u32],
+        scan: Option<Scan<'_>>,
+        op: impl Fn(u32, u32) -> u32,
+    ) -> RowOccupancy {
+        match scan {
+            None => {
+                fold(acc, src, op);
+                RowOccupancy::default()
+            }
+            Some((saturation_cap, candidates)) => {
+                fold_scan(acc, src, saturation_cap, candidates, op)
+            }
+        }
+    }
+    match law {
+        MergeLaw::Sum => run(acc, src, scan, |a, s| a.saturating_add(s).min(cap)),
+        MergeLaw::Max => run(acc, src, scan, u32::max),
+        MergeLaw::Or => run(acc, src, scan, |a, s| a | s),
+    }
+}
+
 /// `acc[i] = op(acc[i], src[i])` over two rows of one geometry.
 #[inline(always)]
 fn fold(acc: &mut [u32], src: &[u32], op: impl Fn(u32, u32) -> u32) {
@@ -221,9 +307,11 @@ fn fold(acc: &mut [u32], src: &[u32], op: impl Fn(u32, u32) -> u32) {
 /// Buckets per block of [`fold_scan`]: a block of both rows and of the
 /// index buffer stays in L1 between the fold and the candidate step.
 /// Inside a block the occupancy counts are `u32`, as wide as the
-/// buckets, so the loop keeps every vector lane (`usize` counters halve
-/// them on the sse2 build); across blocks they add up in `usize`, so
-/// no row is long enough to wrap them.
+/// buckets, so they ride in the same vector lanes as the fold under
+/// either instantiation (`usize` counters are twice as wide as a
+/// bucket and would halve the lanes of every vector, 4 → 2 or 8 → 4);
+/// across blocks they add up in `usize`, so no row is long enough to
+/// wrap them.
 const SCAN_BLOCK: usize = 1024;
 
 /// [`fold`] fused with the occupancy scan of the merged row and, with
@@ -674,6 +762,63 @@ mod tests {
             let generic = fmix32(murmur3_32(INGRESS_HASH_SEED, &ip.to_be_bytes())) as usize;
             for n in 1..=8 {
                 assert_eq!(shard_of(&pkt, n), generic % n, "ip {ip:#x} n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn both_sweep_instantiations_agree_with_the_scalar_law() {
+        // `sweep_portable` directly, and `sweep` — which on a host with
+        // AVX2 is the wide instantiation — on the same inputs: rows,
+        // occupancy and candidates must equal each other and what
+        // `combine` says per element, so neither body goes untested
+        // whichever one dispatch picks.
+        use flymon_packet::SplitMix64;
+        type Sweep = fn(MergeLaw, &mut [u32], &[u32], u32, Option<Scan<'_>>) -> RowOccupancy;
+        let bodies: [(&str, Sweep); 2] = [("portable", sweep_portable), ("dispatched", sweep)];
+        let mut rng = SplitMix64::new(0x51_3d);
+        for len in [0, 1, 7, 8, 9, 31, 32, 33, 1_023, 1_024, 1_025, 2_049, 5_000] {
+            for law in [MergeLaw::Sum, MergeLaw::Max, MergeLaw::Or] {
+                for cap in [0u32, 1, 255, 65_535, u32::MAX] {
+                    // A third zeros, a third small counts, the rest
+                    // anywhere in `u32` (so sums overflow it).
+                    let mut pick = || match rng.next_u32() % 3 {
+                        0 => 0,
+                        1 => rng.next_u32() % 300,
+                        _ => rng.next_u32(),
+                    };
+                    let acc0: Vec<u32> = (0..len).map(|_| pick()).collect();
+                    let src: Vec<u32> = (0..len).map(|_| pick()).collect();
+                    let expected: Vec<u32> = acc0
+                        .iter()
+                        .zip(&src)
+                        .map(|(&a, &s)| law.combine(a, s, cap))
+                        .collect();
+                    let occupancy = RowOccupancy {
+                        nonzero: expected.iter().filter(|&&v| v > 0).count(),
+                        saturated: expected.iter().filter(|&&v| v >= cap).count(),
+                    };
+                    let nonzero: Vec<u32> = (0u32..)
+                        .zip(&expected)
+                        .filter(|(_, &v)| v > 0)
+                        .map(|(i, _)| i)
+                        .collect();
+                    for (name, body) in bodies {
+                        let case = format!("{name} {law:?} cap={cap} len={len}");
+                        let mut acc = acc0.clone();
+                        let occ = body(law, &mut acc, &src, cap, None);
+                        assert_eq!(acc, expected, "{case}: fold");
+                        assert_eq!(occ, RowOccupancy::default(), "{case}: no scan asked");
+
+                        let mut acc = acc0.clone();
+                        let mut candidates = vec![7; 3];
+                        let occ =
+                            body(law, &mut acc, &src, cap, Some((cap, Some(&mut candidates))));
+                        assert_eq!(acc, expected, "{case}: fused fold");
+                        assert_eq!(occ, occupancy, "{case}: occupancy");
+                        assert_eq!(candidates, nonzero, "{case}: candidates");
+                    }
+                }
             }
         }
     }

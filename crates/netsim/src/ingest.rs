@@ -132,7 +132,7 @@ pub struct QueueStats {
 
 /// The bounded SPSC ring between admission and the datapath worker.
 ///
-/// Modeled as a `VecDeque` under the crate's `forbid(unsafe_code)` —
+/// Modeled as a `VecDeque` under the crate's `deny(unsafe_code)` —
 /// the ring semantics (fixed capacity, reject-on-full, FIFO) are what
 /// the backpressure model needs, not lock-free memory orderings.
 #[derive(Debug)]

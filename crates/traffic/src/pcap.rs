@@ -22,6 +22,14 @@ pub enum PcapError {
     BadMagic(u32),
     /// Truncated record or header.
     Truncated,
+    /// A record claims more captured bytes than the capture's snaplen
+    /// allows; refused before anything is allocated for it.
+    RecordTooLong {
+        /// The record header's `incl_len`.
+        incl_len: u32,
+        /// The most a record of this capture may hold.
+        limit: u32,
+    },
 }
 
 impl std::fmt::Display for PcapError {
@@ -30,6 +38,12 @@ impl std::fmt::Display for PcapError {
             PcapError::Io(e) => write!(f, "pcap I/O error: {e}"),
             PcapError::BadMagic(m) => write!(f, "not a pcap file (magic {m:#010x})"),
             PcapError::Truncated => write!(f, "truncated pcap record"),
+            PcapError::RecordTooLong { incl_len, limit } => {
+                write!(
+                    f,
+                    "pcap record of {incl_len} bytes exceeds the {limit}-byte snaplen"
+                )
+            }
         }
     }
 }
@@ -44,6 +58,10 @@ impl From<std::io::Error> for PcapError {
 
 const MAGIC_US: u32 = 0xa1b2_c3d4;
 const MAGIC_NS: u32 = 0xa1b2_3c4d;
+
+/// The most bytes one record may claim when the global header's snaplen
+/// is 0 ("unlimited") or larger: `tcpdump`'s own maximum, 256 KiB.
+const MAX_SNAPLEN: u32 = 256 * 1024;
 
 struct Endian {
     swap: bool,
@@ -78,7 +96,9 @@ fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<bool, PcapErr
 
 /// Reads a pcap capture, returning the IPv4 packets it contains (other
 /// link-layer payloads are skipped). Timestamps are normalized so the
-/// first packet is at t = 0.
+/// first record is at t = 0; a record stamped earlier than the first
+/// (captures are not always in order) reads t = 0 too. A record longer
+/// than the capture's snaplen is an error, not an allocation.
 pub fn read_pcap<R: Read>(mut r: R) -> Result<Vec<Packet>, PcapError> {
     let mut header = [0u8; 24];
     if !read_exact_or_eof(&mut r, &mut header)? {
@@ -104,6 +124,10 @@ pub fn read_pcap<R: Read>(mut r: R) -> Result<Vec<Packet>, PcapError> {
         },
         m => return Err(PcapError::BadMagic(m)),
     };
+    let limit = match endian.u32([header[16], header[17], header[18], header[19]]) {
+        0 => MAX_SNAPLEN,
+        snaplen => snaplen.min(MAX_SNAPLEN),
+    };
 
     let mut out = Vec::new();
     let mut first_ts: Option<u64> = None;
@@ -114,16 +138,19 @@ pub fn read_pcap<R: Read>(mut r: R) -> Result<Vec<Packet>, PcapError> {
         }
         let ts_sec = endian.u32([rec[0], rec[1], rec[2], rec[3]]) as u64;
         let ts_frac = endian.u32([rec[4], rec[5], rec[6], rec[7]]) as u64;
-        let incl_len = endian.u32([rec[8], rec[9], rec[10], rec[11]]) as usize;
+        let incl_len = endian.u32([rec[8], rec[9], rec[10], rec[11]]);
         let orig_len = endian.u32([rec[12], rec[13], rec[14], rec[15]]);
-        let mut frame = vec![0u8; incl_len];
+        if incl_len > limit {
+            return Err(PcapError::RecordTooLong { incl_len, limit });
+        }
+        let mut frame = vec![0u8; incl_len as usize];
         if !read_exact_or_eof(&mut r, &mut frame)? {
             return Err(PcapError::Truncated);
         }
         let ts_ns = ts_sec * 1_000_000_000 + if endian.nanos { ts_frac } else { ts_frac * 1_000 };
         let base = *first_ts.get_or_insert(ts_ns);
 
-        if let Some(pkt) = parse_ethernet_ipv4(&frame, ts_ns - base, orig_len) {
+        if let Some(pkt) = parse_ethernet_ipv4(&frame, ts_ns.saturating_sub(base), orig_len) {
             out.push(pkt);
         }
     }
@@ -143,8 +170,10 @@ fn parse_ethernet_ipv4(frame: &[u8], ts_ns: u64, orig_len: u32) -> Option<Packet
     if ip.len() < 20 || ip[0] >> 4 != 4 {
         return None;
     }
+    // A header shorter than five words would put the "L4 ports" inside
+    // the IP header itself.
     let ihl = usize::from(ip[0] & 0x0f) * 4;
-    if ip.len() < ihl {
+    if ihl < 20 || ip.len() < ihl {
         return None;
     }
     let protocol = ip[9];
@@ -324,5 +353,94 @@ mod tests {
         let parsed = read_pcap(buf.as_slice()).unwrap();
         assert_eq!(parsed[0].ts_ns, 0);
         assert_eq!(parsed[1].ts_ns, 500_000);
+    }
+
+    /// A well-formed ~50-packet capture image for the hostile-input
+    /// tests.
+    fn image() -> Vec<u8> {
+        let trace = TraceGenerator::new(9).wide_like(&TraceConfig {
+            flows: 12,
+            packets: 50,
+            ..TraceConfig::default()
+        });
+        let mut buf = Vec::new();
+        write_pcap(&mut buf, &trace).unwrap();
+        buf
+    }
+
+    #[test]
+    fn mutated_and_truncated_captures_never_panic() {
+        // Every byte that enters from outside yields `Ok` or `Err`. Run
+        // in the debug profile, so an arithmetic overflow is a panic
+        // here, not a wrap.
+        let clean = image();
+        assert_eq!(read_pcap(clean.as_slice()).unwrap().len(), 50);
+        let mut buf = clean.clone();
+        for at in 0..clean.len() {
+            for byte in [0x00, 0xff, clean[at] ^ 0x80] {
+                buf[at] = byte;
+                let _ = read_pcap(buf.as_slice());
+            }
+            buf[at] = clean[at];
+        }
+        for len in 0..clean.len() {
+            let _ = read_pcap(&clean[..len]);
+        }
+    }
+
+    #[test]
+    fn out_of_order_timestamps_saturate_at_zero() {
+        let mut late = flymon_packet::Packet::tcp(1, 2, 3, 4);
+        late.ts_ns = 7_000_000_000;
+        let mut early = late;
+        early.ts_ns = 6_999_000_000;
+        let mut after = late;
+        after.ts_ns = 7_000_250_000;
+        let mut buf = Vec::new();
+        write_pcap(&mut buf, &[late, early, after]).unwrap();
+        let parsed = read_pcap(buf.as_slice()).unwrap();
+        let stamps: Vec<u64> = parsed.iter().map(|p| p.ts_ns).collect();
+        assert_eq!(stamps, [0, 0, 250_000]);
+    }
+
+    #[test]
+    fn oversized_incl_len_is_refused_before_allocating() {
+        // Sixteen hostile bytes must not ask the allocator for 4 GiB.
+        let mut buf = image();
+        buf.truncate(24);
+        buf.extend_from_slice(&[0; 8]);
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        buf.extend_from_slice(&60u32.to_le_bytes());
+        assert!(matches!(
+            read_pcap(buf.as_slice()),
+            Err(PcapError::RecordTooLong {
+                incl_len: u32::MAX,
+                limit: 65535
+            })
+        ));
+        // A header that declares no snaplen (or an absurd one) falls
+        // back to the 256 KiB ceiling.
+        for snaplen in [0u32, u32::MAX] {
+            buf[16..20].copy_from_slice(&snaplen.to_le_bytes());
+            assert!(matches!(
+                read_pcap(buf.as_slice()),
+                Err(PcapError::RecordTooLong {
+                    limit: MAX_SNAPLEN,
+                    ..
+                })
+            ));
+        }
+    }
+
+    #[test]
+    fn short_ip_header_length_is_skipped() {
+        let mut buf = Vec::new();
+        write_pcap(&mut buf, &[flymon_packet::Packet::udp(1, 2, 3, 4)]).unwrap();
+        let version_ihl = 24 + 16 + 14;
+        assert_eq!(buf[version_ihl], 0x45);
+        for ihl in 0..5 {
+            buf[version_ihl] = 0x40 | ihl;
+            assert!(read_pcap(buf.as_slice()).unwrap().is_empty(), "ihl {ihl}");
+        }
     }
 }

@@ -126,12 +126,15 @@ fn naive_occupancy(row: &[u32], cap: u32) -> RowOccupancy {
 #[test]
 fn merge_kernels_bit_identical_across_laws_caps_lengths_and_densities() {
     let mut rng = SplitMix64::new(0x1234_5678_9abc_def0);
-    // Sub-block, ragged and whole-row lengths: 1..=17 around the vector
-    // widths, 65 536 across the kernel's blocks.
-    let lengths = (1usize..=17).chain([65_536]);
+    // Empty, sub-block, ragged and whole-row lengths: 1..=17 around the
+    // 4-lane width, 31..=65 around the 8-lane main loop and its
+    // unrolled remainder, 1 023..=1 025 and 2 049 around the kernel's
+    // 1 024-bucket blocks, 65 536 across many of them.
+    let lengths = (0usize..=17).chain([31, 32, 33, 63, 64, 65, 1_023, 1_024, 1_025, 2_049, 65_536]);
     for len in lengths {
         for law in [MergeLaw::Sum, MergeLaw::Max, MergeLaw::Or] {
-            for cap in [255u32, 65_535, u32::MAX] {
+            // Under caps 0 and 1 every nonzero sum is clamped.
+            for cap in [0u32, 1, 255, 65_535, u32::MAX] {
                 // Share of nonzero buckets per input row: none, about
                 // 40 % once merged, all.
                 for percent in [0u64, 23, 100] {
@@ -149,7 +152,7 @@ fn merge_kernels_bit_identical_across_laws_caps_lengths_and_densities() {
                             1 => cap.saturating_sub(((r >> 16) % 3) as u32).max(1),
                             2 => cap,
                             3 => u32::MAX - ((r >> 16) % 3) as u32,
-                            _ => 1 + (r >> 32) as u32 % cap,
+                            _ => 1 + (r >> 32) as u32 % cap.max(1),
                         }
                     };
                     let acc0: Vec<u32> = (0..len).map(|_| pick()).collect();
