@@ -54,7 +54,7 @@ fn slice_sharing_vs_independent_hashes() {
                     .build(),
             )
             .expect("deploys");
-        fm.process_trace(&trace);
+        fm.process_batch(&trace);
         let shared = average_relative_error(truth.frequency.iter().map(|(k, &v)| (*k, v)), |k| {
             fm.query_frequency(h, &reps[k]) as f64
         });
@@ -124,7 +124,7 @@ fn xor_composition_vs_dedicated_unit() {
             )
             .expect("pair deploys");
         let masks = fm.task(h).unwrap().install.hash_mask_rules;
-        fm.process_trace(&trace);
+        fm.process_batch(&trace);
         let are = average_relative_error(truth.frequency.iter().map(|(k, &v)| (*k, v)), |k| {
             fm.query_frequency(h, &reps[k]) as f64
         });

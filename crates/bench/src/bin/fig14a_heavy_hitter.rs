@@ -37,7 +37,7 @@ fn flymon_hh(
 ) -> (usize, HashSet<FlowKeyBytes>) {
     let mut fm = FlyMon::new(flymon_config());
     let h = fm.deploy(def).expect("deploys");
-    fm.process_trace(trace);
+    fm.process_batch(trace);
     let reported = reps
         .iter()
         .filter(|(_, p)| report(&fm, h, p))

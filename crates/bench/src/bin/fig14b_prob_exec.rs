@@ -48,7 +48,7 @@ fn main() {
                 ..FlyMonConfig::default()
             });
             let h = fm.deploy(&def).expect("deploys");
-            fm.process_trace(&trace);
+            fm.process_batch(&trace);
             let scale = 1u64 << prob_log2;
             let reported: HashSet<FlowKeyBytes> = reps
                 .iter()

@@ -91,7 +91,7 @@ fn main() {
                 ..FlyMonConfig::default()
             });
             let h = fm.deploy(&def).expect("deploys");
-            fm.process_trace(&trace);
+            fm.process_batch(&trace);
             let reported: HashSet<FlowKeyBytes> = reps
                 .iter()
                 .filter(|(_, p)| fm.beaucoup_reports(h, p))

@@ -52,7 +52,7 @@ fn main() {
             ..FlyMonConfig::default()
         });
         let h = fm.deploy(&def).expect("deploys");
-        fm.process_trace(&trace);
+        fm.process_batch(&trace);
         row.push(format!("{:.3}", relative_error(truth, fm.cardinality(h))));
         rows.push(row);
     }

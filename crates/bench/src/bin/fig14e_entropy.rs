@@ -49,7 +49,7 @@ fn main() {
             ..FlyMonConfig::default()
         });
         let h = fm.deploy(&def).expect("deploys");
-        fm.process_trace(&trace);
+        fm.process_batch(&trace);
         row.push(format!("{:.3}", relative_error(truth, fm.entropy(h, 10))));
         rows.push(row);
     }

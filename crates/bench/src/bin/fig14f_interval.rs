@@ -59,7 +59,7 @@ fn main() {
                 ..FlyMonConfig::default()
             });
             let h = fm.deploy(&def).expect("deploys");
-            fm.process_trace(&trace);
+            fm.process_batch(&trace);
             let are = average_relative_error(truth.iter().map(|&(k, v)| (k, v)), |k| {
                 fm.query_max(h, &reps[k]) as f64
             });

@@ -40,9 +40,8 @@ fn main() {
                 ..FlyMonConfig::default()
             });
             let h = fm.deploy(&def).expect("deploys");
-            for i in 0..inserted {
-                fm.process(&probe_packet(i));
-            }
+            let members: Vec<_> = (0..inserted).map(probe_packet).collect();
+            fm.process_batch(&members);
             // Probe: first `inserted` are members (must all hit — no
             // false negatives), the rest are absent.
             let mut fp = 0usize;

@@ -308,18 +308,31 @@ impl Session {
 
     fn cmd_gen(&mut self, args: &[&str]) -> Result<String, String> {
         let kv = parse_kv(args)?;
-        let get = |k: &str, default: u64| -> Result<u64, String> {
-            kv.get(k)
-                .map(|v| v.parse().map_err(|_| format!("bad {k}")))
-                .transpose()
-                .map(|o| o.unwrap_or(default))
+        if let Some(k) = kv.keys().find(|k| !GEN_OPTIONS.contains(k)) {
+            return Err(format!("unknown gen option '{k}' (have {})", GEN_OPTIONS.join(", ")));
+        }
+        // Every number is checked here: the generator asserts on an
+        // empty flow set or time span, and allocates what it is told.
+        let get = |k: &str, default: u64, min: u64, max: u64| -> Result<u64, String> {
+            let v = match kv.get(k) {
+                Some(v) => v.parse().map_err(|_| format!("bad {k}"))?,
+                None => default,
+            };
+            if (min..=max).contains(&v) {
+                Ok(v)
+            } else {
+                Err(format!("{k} must be between {min} and {max}"))
+            }
         };
+        let duration_ns = get("duration_ms", 1_000, 1, u64::MAX)?
+            .checked_mul(1_000_000)
+            .ok_or("duration_ms overflows 64-bit nanoseconds")?;
         let cfg = TraceConfig {
-            flows: get("flows", 10_000)? as usize,
-            packets: get("packets", 200_000)?,
+            flows: get("flows", 10_000, 1, MAX_GEN_FLOWS)? as usize,
+            packets: get("packets", 200_000, 0, MAX_GEN_PACKETS)?,
             zipf_alpha: 1.1,
-            duration_ns: get("duration_ms", 1_000)? * 1_000_000,
-            seed: get("seed", 1)?,
+            duration_ns,
+            seed: get("seed", 1, 0, u64::MAX)?,
         };
         self.trace = TraceGenerator::new(cfg.seed).wide_like(&cfg);
         Ok(format!(
@@ -341,7 +354,7 @@ impl Session {
         if self.trace.is_empty() {
             return Err("no trace loaded (use 'gen' or 'load')".into());
         }
-        self.switch.process_trace(&self.trace);
+        self.switch.process_batch(&self.trace);
         Ok(format!("processed {} packets", self.trace.len()))
     }
 
@@ -456,6 +469,14 @@ impl Session {
         Ok(format!("saved {} packets to {path}", self.trace.len()))
     }
 }
+
+/// What `gen` accepts; anything else is a typo, not a default.
+const GEN_OPTIONS: [&str; 4] = ["flows", "packets", "seed", "duration_ms"];
+
+/// Ceilings on what one `gen` may allocate: the generator holds about
+/// 32 bytes per flow while it draws and 32 per packet afterwards.
+const MAX_GEN_FLOWS: u64 = 1_000_000;
+const MAX_GEN_PACKETS: u64 = 10_000_000;
 
 fn parse_kv<'a>(args: &[&'a str]) -> Result<HashMap<&'a str, &'a str>, String> {
     let mut out = HashMap::new();
@@ -575,6 +596,114 @@ mod tests {
         assert!(out.contains("no tasks"), "{out}");
     }
 
+    /// A session on a small switch with one task of each readout kind,
+    /// a generated trace, and that trace fed through.
+    fn primed() -> Session {
+        let mut s = Session::new(FlyMonConfig {
+            groups: 4,
+            buckets_per_cmu: 1024,
+            ..FlyMonConfig::default()
+        });
+        for line in [
+            "deploy hh key=SrcIP attr=frequency mem=256 alg=cms d=2",
+            "deploy card key=none attr=distinct param=SrcIP alg=hll mem=256",
+            "deploy fsd key=5tuple attr=frequency alg=mrac mem=256",
+            "deploy a key=none attr=distinct param=SrcIP alg=oddsketch mem=256 filter=10.0.0.0/8",
+            "deploy b key=none attr=distinct param=SrcIP alg=oddsketch mem=256 filter=47.0.0.0/8",
+            "gen packets=300 flows=20 seed=3 duration_ms=10",
+            "run",
+        ] {
+            let out = text(s.execute(line));
+            assert!(!out.starts_with("error:"), "{line}: {out}");
+        }
+        s
+    }
+
+    #[test]
+    fn every_line_yields_text_never_a_panic() {
+        // The lines that used to kill the REPL: a task with no rows
+        // (`rows[0]`), an empty flow set, an empty or overflowing time
+        // span, an allocation as large as the number typed.
+        for line in [
+            "deploy z key=srcip attr=frequency alg=cms d=0",
+            "deploy z key=srcip attr=frequency alg=sumax d=0",
+            "deploy z key=srcip attr=frequency alg=tower d=0",
+            "deploy z key=dstip attr=distinct param=srcip alg=beaucoup d=0",
+            "deploy z key=none attr=existence alg=bloom d=0",
+            "deploy z key=dstip attr=maxqueue alg=sumaxmax d=0",
+            "deploy z key=5tuple attr=maxinterval alg=maxinterval d=0",
+            "gen flows=0 packets=10",
+            "gen flows=10 packets=10 duration_ms=0",
+            "gen duration_ms=18446744073709551615",
+            "gen flows=18446744073709551615",
+            "gen packets=18446744073709551615",
+            "gen flow=5",
+        ] {
+            let out = text(primed().execute(line));
+            assert!(out.starts_with("error:"), "{line}: {out}");
+        }
+
+        // One valid line per command, every truncation of it and every
+        // byte of it replaced by a digit, a separator or a non-UTF-8
+        // byte (as the REPL's lossy decode would hand it over).
+        let valid = [
+            "help",
+            "quit",
+            "deploy x key=SrcIP/24 attr=bytes mem=256 alg=sumax d=2 param=DstIP \
+             filter=10.0.0.0/8->47.0.0.0/8 threshold=5 prob=1/2^1",
+            "remove hh",
+            "realloc hh 512",
+            "reset hh",
+            "list",
+            "stats",
+            "map",
+            "gen packets=300 flows=20 seed=3 duration_ms=10",
+            "load /no-such-dir/trace.csv",
+            "save /no-such-dir/trace.csv",
+            "run",
+            "query hh 10.0.0.1 47.0.0.1 80 443",
+            "topk hh 5",
+            "cardinality card",
+            "entropy fsd",
+            "similarity a b",
+        ];
+        let mut lines = 0;
+        for line in valid {
+            // `save` creates whatever path it is handed: its variants
+            // run where there is no trace to save, so none reaches the
+            // file system.
+            let fresh = || if line.starts_with("save") { Session::default() } else { primed() };
+            let mut s = fresh();
+            let tasks = text(s.execute("list"));
+            let bytes = line.as_bytes();
+            let truncations = (0..=bytes.len()).map(|n| bytes[..n].to_vec());
+            let replacements = (0..bytes.len()).flat_map(|i| {
+                [b'0', b'=', b'/', b'9', 0xff].map(|b| {
+                    let mut mutated = bytes.to_vec();
+                    mutated[i] = b;
+                    mutated
+                })
+            });
+            for mutated in truncations.chain(replacements) {
+                let mutated = String::from_utf8_lossy(&mutated);
+                match s.execute(&mutated) {
+                    Outcome::Text(_) => {}
+                    Outcome::Quit => assert!(
+                        matches!(mutated.trim(), "quit" | "exit"),
+                        "'{mutated}' quit the session"
+                    ),
+                }
+                lines += 1;
+                // A variant that deployed, removed or moved a task would
+                // shadow the ones after it ("already exists").
+                if text(s.execute("list")) != tasks {
+                    s = fresh();
+                }
+            }
+        }
+        assert!(lines > 2_000, "{lines} lines");
+    }
+
     #[test]
     fn cardinality_and_entropy_paths() {
         let mut s = Session::default();
@@ -658,10 +787,10 @@ mod tests {
             "deploy b key=none attr=distinct param=SrcIP alg=oddsketch mem=4096 filter=20.0.0.0/8",
         ));
         // Identical source sets on both links.
-        for i in 0..500u32 {
-            s.switch_mut().process(&Packet::tcp(i, 0x0a000001, 1, 1));
-            s.switch_mut().process(&Packet::tcp(i, 0x14000001, 1, 1));
-        }
+        let feed: Vec<Packet> = (0..500u32)
+            .flat_map(|i| [Packet::tcp(i, 0x0a000001, 1, 1), Packet::tcp(i, 0x14000001, 1, 1)])
+            .collect();
+        s.switch_mut().process_batch(&feed);
         let out = text(s.execute("similarity a b"));
         assert!(out.contains("Jaccard"), "{out}");
         let j: f64 = out

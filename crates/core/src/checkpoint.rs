@@ -385,6 +385,7 @@ impl FlyMon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::PerPacket;
     use crate::task::Attribute;
     use flymon_packet::{Packet, TaskFilter};
 

@@ -27,6 +27,7 @@ use std::collections::HashMap;
 
 use flymon_packet::{KeySpec, Packet};
 use flymon_rmt::fault::{FaultPlan, InstallOpKind, RetryPolicy};
+use flymon_rmt::register::Register;
 use flymon_rmt::rules::{InstallPlan, RuleKind};
 
 use crate::addr::{AddrTranslation, TranslationMethod};
@@ -97,17 +98,6 @@ pub struct BatchStats {
     pub packets: u64,
     /// Packets mirrored to the recirculation port by the batch.
     pub recirculated: u64,
-}
-
-/// Occupancy of one placed row ([`FlyMon::row_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RowStats {
-    /// Buckets placed for the row.
-    pub buckets: usize,
-    /// Buckets holding a nonzero value (the fill signal).
-    pub nonzero: usize,
-    /// Buckets pinned at the register ceiling (the saturation signal).
-    pub saturated: usize,
 }
 
 /// A deployed task's record.
@@ -182,8 +172,10 @@ pub struct FlyMon {
     pub(crate) units: Vec<Vec<UnitState>>,
     pub(crate) tasks: HashMap<TaskId, DeployedTask>,
     pub(crate) next_id: u32,
-    ctx: PacketContext,
-    scratch: PacketScratch,
+    /// One packet's PHV context and scratch: what
+    /// [`crate::oracle::PerPacket::process`] scribbles on.
+    pub(crate) ctx: PacketContext,
+    pub(crate) scratch: PacketScratch,
     batch: BatchScratch,
     batch_size: usize,
     lane_width: usize,
@@ -320,11 +312,6 @@ impl FlyMon {
         Ok(())
     }
 
-    /// The current retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Attaches a write-ahead log: until detached, every mutating
     /// task-management call appends an intent record before touching
     /// state and resolves it when the transaction finishes (see
@@ -348,6 +335,22 @@ impl FlyMon {
         self.tasks.get(&h.0).ok_or(FlymonError::NoSuchTask)
     }
 
+    /// Row `row` of task `h`: its placement, the binding installed for
+    /// it and the register it lives in — or `BadTask` for a row the
+    /// task does not have.
+    fn placed_row(
+        &self,
+        h: TaskHandle,
+        row: usize,
+    ) -> Result<(&PlacedRow, &CmuBinding, &Register), FlymonError> {
+        let task = self.task(h)?;
+        // `bindings` is kept parallel to `rows`.
+        let (Some(r), Some(binding)) = (task.rows.get(row), task.bindings.get(row)) else {
+            return Err(FlymonError::BadTask(format!("row {row} out of range")));
+        };
+        Ok((r, binding, self.groups[r.group].cmus()[r.cmu].register()))
+    }
+
     /// Number of tasks currently deployed.
     pub fn task_count(&self) -> usize {
         self.tasks.len()
@@ -356,39 +359,6 @@ impl FlyMon {
     // ------------------------------------------------------------------
     // Data plane
     // ------------------------------------------------------------------
-
-    /// Processes one packet through every CMU Group in pipeline order.
-    ///
-    /// Groups configured as *spliced* (Appendix E) live past the end of
-    /// the physical pipeline; a packet reaches them by being mirrored to
-    /// a recirculation port. The model executes them identically but
-    /// counts each packet that runs a task there as recirculated
-    /// bandwidth ("only packets that need to perform the tasks on these
-    /// spliced CMU Groups will incur additional bandwidth overhead").
-    pub fn process(&mut self, pkt: &Packet) {
-        self.ctx.reset();
-        // One scratch per FlyMon instance — i.e. per worker thread in a
-        // sharded replay — reset (not reallocated) at packet boundaries.
-        self.scratch.begin_packet();
-        let first_spliced = self.config.groups - self.config.spliced_groups.min(self.config.groups);
-        let mut recirculated = false;
-        for (g, group) in self.groups.iter_mut().enumerate() {
-            let before = self.ctx.len();
-            group.process_with_scratch(pkt, &mut self.ctx, &mut self.scratch);
-            if g >= first_spliced && self.ctx.len() > before {
-                recirculated = true;
-            }
-        }
-        if recirculated {
-            self.recirculated_packets += 1;
-        }
-        self.packets_processed += 1;
-    }
-
-    /// Processes a whole trace.
-    pub fn process_trace(&mut self, trace: &[Packet]) {
-        self.process_batch(trace);
-    }
 
     /// Test hook: overrides [`BATCH_SIZE`] (clamped to ≥ 1) so the
     /// bit-identity sweeps of `tests/batch.rs` can show that chunk
@@ -416,7 +386,8 @@ impl FlyMon {
     /// group's compiled [`crate::program::GroupProgram`] one pipeline
     /// stage at a time ([`CmuGroup::process_chunk`]). Register contents,
     /// PHV results, hit counters and recirculation accounting are
-    /// bit-identical to calling [`FlyMon::process`] per packet.
+    /// bit-identical to the per-packet reference,
+    /// [`crate::oracle::PerPacket::process`].
     pub fn process_batch(&mut self, pkts: &[Packet]) -> BatchStats {
         let recirc_before = self.recirculated_packets;
         for chunk in pkts.chunks(self.batch_size) {
@@ -467,6 +438,9 @@ impl FlyMon {
     /// With a write-ahead log attached, the intent is appended before
     /// any mutation and resolved committed/aborted afterwards.
     pub fn deploy(&mut self, def: &TaskDefinition) -> Result<TaskHandle, FlymonError> {
+        // A definition that cannot be a task is refused before it is
+        // logged: the WAL holds intents, not typos.
+        def.validate()?;
         let Some(mut wal) = self.wal.take() else {
             return self.deploy_unlogged(def);
         };
@@ -940,33 +914,6 @@ impl FlyMon {
         }
     }
 
-    /// Epoch-boundary readout-and-reset: reads every row of `h`, then
-    /// clears the task's buckets through the logged
-    /// [`FlyMon::reset_task`] path, returning the pre-reset rows.
-    ///
-    /// This is the constant-memory streaming hook (StreaMon-style epoch
-    /// semantics): the control plane archives one epoch's registers and
-    /// hands the data plane a clean slate without redeploying anything —
-    /// hash configurations, bindings and partitions are untouched, so
-    /// traffic keeps flowing through the same compiled programs (they
-    /// are rebuilt lazily after the reset's invalidation).
-    ///
-    /// The reset is WAL-logged like any reset: a recovery that replays
-    /// past this boundary reproduces the cleared registers rather than
-    /// resurrecting the archived epoch. If the reset fails (fault
-    /// injection), the rollback restores the pre-readout registers and
-    /// the error is returned — the caller must not treat the readout as
-    /// archived.
-    pub fn rotate_epoch(&mut self, h: TaskHandle) -> Result<Vec<Vec<u32>>, FlymonError> {
-        let rows = self.task(h)?.rows.len();
-        let mut readout = Vec::with_capacity(rows);
-        for row in 0..rows {
-            readout.push(self.read_row(h, row)?);
-        }
-        self.reset_task(h)?;
-        Ok(readout)
-    }
-
     /// Double-buffered epoch reset of *every* deployed task at once:
     /// each touched register's live bank is swapped with its zeroed
     /// shadow bank in O(1), so the whole sweep costs O(rows) watermark
@@ -1089,14 +1036,8 @@ impl FlyMon {
     /// register holds no archive — it was untouched when the rotation
     /// ran, so the row's epoch contents were all-zero.
     pub fn archived_row(&self, h: TaskHandle, row: usize) -> Result<Option<&[u32]>, FlymonError> {
-        let task = self.task(h)?;
-        let r = task
-            .rows
-            .get(row)
-            .ok_or_else(|| FlymonError::BadTask(format!("row {row} out of range")))?;
-        Ok(self.groups[r.group].cmus()[r.cmu]
-            .register()
-            .archived_range(r.offset, r.offset + r.size)?)
+        let (r, _, reg) = self.placed_row(h, row)?;
+        Ok(reg.archived_range(r.offset, r.offset + r.size)?)
     }
 
     /// Re-zeroes every shadow bank after the archived epoch has been
@@ -1118,14 +1059,8 @@ impl FlyMon {
     /// epoch merge kernels consume. The slice aliases live SRAM: it
     /// reflects whatever the data plane wrote up to this call.
     pub fn row_view(&self, h: TaskHandle, row: usize) -> Result<&[u32], FlymonError> {
-        let task = self.task(h)?;
-        let r = task
-            .rows
-            .get(row)
-            .ok_or_else(|| FlymonError::BadTask(format!("row {row} out of range")))?;
-        Ok(self.groups[r.group].cmus()[r.cmu]
-            .register()
-            .read_range(r.offset, r.offset + r.size)?)
+        let (r, _, reg) = self.placed_row(h, row)?;
+        Ok(reg.read_range(r.offset, r.offset + r.size)?)
     }
 
     /// Copies one row's partition into `out`, reusing its capacity —
@@ -1154,58 +1089,14 @@ impl FlyMon {
     /// paths use this to elide idle rows — a skipped row contributes
     /// exactly what merging its zeros would have.
     pub fn row_untouched(&self, h: TaskHandle, row: usize) -> Result<bool, FlymonError> {
-        let task = self.task(h)?;
-        let r = task
-            .rows
-            .get(row)
-            .ok_or_else(|| FlymonError::BadTask(format!("row {row} out of range")))?;
-        Ok(self.groups[r.group].cmus()[r.cmu]
-            .register()
-            .is_untouched(r.offset, r.offset + r.size))
-    }
-
-    /// Occupancy statistics of one row — the per-switch health signal
-    /// an adaptive controller aggregates into fill and saturation
-    /// ratios. A bucket at the row's register ceiling was saturated by
-    /// Cond-ADD, not exactly counted, so `saturated > 0` means the
-    /// placement is undersized for its traffic.
-    ///
-    /// Counts in one pass over the borrowed partition (no row copy),
-    /// and elides the scan entirely when the register's epoch watermark
-    /// proves the row is still all-zero.
-    pub fn row_stats(&self, h: TaskHandle, row: usize) -> Result<RowStats, FlymonError> {
-        let task = self.task(h)?;
-        let r = task
-            .rows
-            .get(row)
-            .ok_or_else(|| FlymonError::BadTask(format!("row {row} out of range")))?;
-        let cap = r.bucket_max;
-        let reg = self.groups[r.group].cmus()[r.cmu].register();
-        if reg.is_untouched(r.offset, r.offset + r.size) {
-            return Ok(RowStats {
-                buckets: r.size,
-                nonzero: 0,
-                saturated: 0,
-            });
-        }
-        let mut nonzero = 0;
-        let mut saturated = 0;
-        for &v in reg.read_range(r.offset, r.offset + r.size)? {
-            nonzero += usize::from(v > 0);
-            saturated += usize::from(v >= cap);
-        }
-        Ok(RowStats {
-            buckets: r.size,
-            nonzero,
-            saturated,
-        })
+        let (r, _, reg) = self.placed_row(h, row)?;
+        Ok(reg.is_untouched(r.offset, r.offset + r.size))
     }
 
     /// The bucket a row's data-plane path addresses for `pkt` —
     /// *relative to the row's partition*. Hashing state goes through
     /// the caller's scratch, so a query loop over many rows or packets
-    /// allocates nothing (the [`crate::scratch::PacketScratch`] idiom
-    /// the data plane's `process` uses).
+    /// allocates nothing. A `row` the task does not have is `BadTask`.
     pub fn locate_with(
         &self,
         h: TaskHandle,
@@ -1213,9 +1104,7 @@ impl FlyMon {
         pkt: &Packet,
         scratch: &mut flymon_rmt::hash::HashScratch,
     ) -> Result<usize, FlymonError> {
-        let task = self.task(h)?;
-        let r = &task.rows[row];
-        let binding = &task.bindings[row];
+        let (r, binding, _) = self.placed_row(h, row)?;
         self.groups[r.group].compress_into(pkt, scratch);
         let raw = binding
             .key
@@ -1233,13 +1122,8 @@ impl FlyMon {
         self.locate_with(h, row, pkt, &mut scratch)
     }
 
-    /// The absolute bucket value a row holds for `pkt`.
-    pub fn row_value(&self, h: TaskHandle, row: usize, pkt: &Packet) -> Result<u32, FlymonError> {
-        let mut scratch = flymon_rmt::hash::HashScratch::default();
-        self.row_value_with(h, row, pkt, &mut scratch)
-    }
-
-    /// [`FlyMon::row_value`] through a caller-held hash scratch.
+    /// The absolute bucket value a row holds for `pkt`, hashed through a
+    /// caller-held scratch.
     pub fn row_value_with(
         &self,
         h: TaskHandle,
@@ -1247,12 +1131,9 @@ impl FlyMon {
         pkt: &Packet,
         scratch: &mut flymon_rmt::hash::HashScratch,
     ) -> Result<u32, FlymonError> {
-        let task = self.task(h)?;
-        let r = &task.rows[row];
         let idx = self.locate_with(h, row, pkt, scratch)?;
-        Ok(self.groups[r.group].cmus()[r.cmu]
-            .register()
-            .read(r.offset + idx)?)
+        let (r, _, reg) = self.placed_row(h, row)?;
+        Ok(reg.read(r.offset + idx)?)
     }
 
     /// Frequency estimate for the flow `pkt` belongs to.
@@ -1580,6 +1461,7 @@ struct PlacedSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::PerPacket;
     use crate::task::Attribute;
     use flymon_packet::TaskFilter;
 
@@ -1610,6 +1492,36 @@ mod tests {
         assert_eq!(fm.query_frequency(h, &Packet::tcp(0x0a000001, 9, 9, 9)), 7);
         assert_eq!(fm.query_frequency(h, &Packet::tcp(0x0b000001, 9, 9, 9)), 1);
         assert_eq!(fm.packets_processed(), 8);
+    }
+
+    #[test]
+    fn zero_row_definitions_and_out_of_range_rows_are_errors() {
+        // Both used to get past the control plane and panic later: a
+        // `d = 0` task deployed with no rows (the REPL indexed
+        // `rows[0]`), and the locate/value queries indexed `rows[row]`.
+        let mut fm = small();
+        fm.attach_wal(WriteAheadLog::new());
+        let zero = TaskDefinition::builder("z")
+            .key(KeySpec::SRC_IP)
+            .attribute(Attribute::frequency_packets())
+            .algorithm(Algorithm::Cms { d: 0 })
+            .build();
+        assert!(matches!(fm.deploy(&zero), Err(FlymonError::BadTask(_))));
+        assert!(fm.wal().unwrap().is_empty(), "refused before the intent is appended");
+        assert_eq!(fm.task_count(), 0);
+
+        let h = fm.deploy(&cms_task("t", 256)).unwrap();
+        let rows = fm.task(h).unwrap().rows.len();
+        let pkt = Packet::tcp(0x0a000001, 2, 3, 4);
+        let mut scratch = flymon_rmt::hash::HashScratch::default();
+        assert!(fm.locate_with(h, rows - 1, &pkt, &mut scratch).is_ok());
+        assert_eq!(fm.row_value_with(h, rows - 1, &pkt, &mut scratch).unwrap(), 0);
+        for row in [rows, usize::MAX] {
+            let located = fm.locate_with(h, row, &pkt, &mut scratch);
+            assert!(matches!(located, Err(FlymonError::BadTask(_))), "{located:?}");
+            let value = fm.row_value_with(h, row, &pkt, &mut scratch);
+            assert!(matches!(value, Err(FlymonError::BadTask(_))), "{value:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! CMU Groups: the data-plane pipeline of §3.2 (Figure 7).
 //!
 //! A CMU Group spans four MAU stages. In this model each stage is a
-//! phase of [`CmuGroup::process`]:
+//! phase of [`PerPacketGroup::process`](crate::oracle::PerPacketGroup::process)
+//! (one packet at a time, the reference) and a pass of
+//! [`CmuGroup::process_chunk`] (a chunk at a time, what runs):
 //!
 //! 1. **Compression** — the shared hash units turn the candidate key set
 //!    into a few 32-bit compressed keys, per their dynamic hash masks.
@@ -26,7 +28,7 @@ use crate::prep::PrepAction;
 use crate::program::{
     coupon_bit, CompiledBinding, GroupProgram, KeyPrep, MatchRule, OperandKernel, PacketField,
 };
-use crate::scratch::{BatchScratch, CoinScratch, PacketScratch};
+use crate::scratch::{BatchScratch, CoinScratch};
 use crate::task::TaskId;
 
 /// Geometry of one CMU Group.
@@ -119,7 +121,7 @@ impl CmuBinding {
     /// coins (§5.3 probabilistic execution). The seed's 20 packet bytes
     /// are built once per packet in `coin` and reused across bindings;
     /// only the task id is patched in here.
-    fn coin_passes(&self, pkt: &Packet, coin: &mut CoinScratch) -> bool {
+    pub(crate) fn coin_passes(&self, pkt: &Packet, coin: &mut CoinScratch) -> bool {
         if self.prob_log2 == 0 {
             return true;
         }
@@ -136,11 +138,11 @@ impl CmuBinding {
 /// One Composable Measurement Unit: a SALU plus its installed bindings.
 #[derive(Debug)]
 pub struct Cmu {
-    salu: Salu,
-    bindings: Vec<CmuBinding>,
+    pub(crate) salu: Salu,
+    pub(crate) bindings: Vec<CmuBinding>,
     /// Packets matched per binding (parallel to `bindings`) — the
     /// per-task hit counters an operator reads alongside the sketch.
-    hits: Vec<u64>,
+    pub(crate) hits: Vec<u64>,
 }
 
 impl Cmu {
@@ -202,14 +204,8 @@ impl Cmu {
 pub struct CmuGroup {
     index: usize,
     config: GroupConfig,
-    units: Vec<HashUnit>,
-    cmus: Vec<Cmu>,
-    /// `unit_used[i]` ⇔ some installed binding reads unit `i`'s digest
-    /// (via its key source or a compressed-key parameter). Maintained on
-    /// install/uninstall so the per-packet path skips digests nothing
-    /// consumes — the hardware hashes unconditionally (wires are free),
-    /// but the digests are pure, so skipping unread ones is unobservable.
-    unit_used: [bool; MAX_HASH_UNITS],
+    pub(crate) units: Vec<HashUnit>,
+    pub(crate) cmus: Vec<Cmu>,
     /// The live bindings compiled flat for the batched datapath. Every
     /// binding mutation recompiles the CMUs it touched before it
     /// returns ([`CmuGroup::recompile_cmu`]), so this can never go stale
@@ -218,16 +214,12 @@ pub struct CmuGroup {
     /// Rebuild counter — bumps on every recompilation, letting tests
     /// pin that each mutation path invalidated the program.
     program_version: u64,
-    /// Scratch reused by the cold-path [`CmuGroup::process`], so one-off
-    /// packet calls stop paying a fresh `PacketScratch` allocation each
-    /// time (the hot paths thread worker-owned scratch instead).
-    cold_scratch: PacketScratch,
 }
 
 /// The hash units whose digests `b` reads: its key source and any
 /// compressed-key parameter. Allocation-free — every binding mutation
 /// walks every binding of the group through this.
-fn binding_units(b: &CmuBinding) -> impl Iterator<Item = usize> + '_ {
+pub(crate) fn binding_units(b: &CmuBinding) -> impl Iterator<Item = usize> + '_ {
     let units = |src: KeySource| {
         let (a, b) = match src {
             KeySource::Unit(a) => (a, None),
@@ -240,15 +232,6 @@ fn binding_units(b: &CmuBinding) -> impl Iterator<Item = usize> + '_ {
         _ => None,
     });
     units(b.key.source).chain(params.flat_map(units))
-}
-
-/// Recomputes which hash units any binding reads.
-fn compute_unit_usage(cmus: &[Cmu]) -> [bool; MAX_HASH_UNITS] {
-    let mut used = [false; MAX_HASH_UNITS];
-    for unit in cmus.iter().flat_map(|c| &c.bindings).flat_map(binding_units) {
-        used[unit] = true;
-    }
-    used
 }
 
 impl CmuGroup {
@@ -290,10 +273,8 @@ impl CmuGroup {
             cmus: (0..config.cmus)
                 .map(|_| Cmu::new(config.buckets_per_cmu, config.bucket_bits))
                 .collect(),
-            unit_used: [false; MAX_HASH_UNITS],
             program: GroupProgram::compile(config.buckets_per_cmu, &vec![&[][..]; config.cmus]),
             program_version: 0,
-            cold_scratch: PacketScratch::default(),
         }
     }
 
@@ -309,8 +290,8 @@ impl CmuGroup {
     /// ([`GroupProgram::refresh`]) after some CMU was recompiled, and
     /// bumps [`CmuGroup::program_version`].
     fn refresh_program(&mut self) {
-        self.unit_used = compute_unit_usage(&self.cmus);
-        self.program.refresh();
+        self.program
+            .refresh(self.cmus.iter().map(|c| c.bindings.as_slice()));
         self.program_version += 1;
     }
 
@@ -485,94 +466,12 @@ impl CmuGroup {
         removed
     }
 
-    /// Processes one packet through the four stages. `ctx` carries
-    /// PHV-resident results between groups; the caller processes groups
-    /// in pipeline order.
-    ///
-    /// Convenience wrapper over [`CmuGroup::process_with_scratch`]
-    /// against the group-owned cold-path scratch — one-off packet calls
-    /// reset it instead of allocating a fresh `PacketScratch` per call;
-    /// trace replay goes through `FlyMon`, which owns one scratch per
-    /// worker.
-    pub fn process(&mut self, pkt: &Packet, ctx: &mut PacketContext) {
-        let mut scratch = std::mem::take(&mut self.cold_scratch);
-        scratch.begin_packet();
-        self.process_with_scratch(pkt, ctx, &mut scratch);
-        self.cold_scratch = scratch;
-    }
-
-    /// [`CmuGroup::process`] against caller-owned per-packet scratch —
-    /// the trace-replay hot path. The caller must have called
-    /// [`PacketScratch::begin_packet`] at the packet boundary (shared
-    /// scratch state spans groups; stale entries would alias the
-    /// previous packet's keys).
-    pub fn process_with_scratch(
-        &mut self,
-        pkt: &Packet,
-        ctx: &mut PacketContext,
-        scratch: &mut PacketScratch,
-    ) {
-        let addr_bits = self.addr_bits();
-        let buckets = self.config.buckets_per_cmu;
-        let group_index = self.index;
-        // Destructured so the compression borrow (units) and the CMU
-        // iteration (cmus) are visibly disjoint.
-        let CmuGroup {
-            units,
-            cmus,
-            unit_used,
-            ..
-        } = self;
-        let PacketScratch { hash, keys, coin } = scratch;
-
-        // Stage 1 (compression) runs lazily: digests are pure functions
-        // of the packet, and only packets that match some binding consume
-        // them, so a group whose bindings all miss does zero hash work.
-        // Units no binding reads contribute a constant 0 slot — same as
-        // an unconfigured unit — keeping slice indices aligned.
-        let mut compressed_ready = false;
-        for (ci, cmu) in cmus.iter_mut().enumerate() {
-            // Stage 2: initialization — first matching task wins.
-            let Some(bi) = cmu
-                .bindings
-                .iter()
-                .position(|b| b.filter.matches(pkt) && b.coin_passes(pkt, coin))
-            else {
-                continue;
-            };
-            if !compressed_ready {
-                hash.clear();
-                for (u, used) in units.iter().zip(unit_used.iter()) {
-                    hash.push(if *used { u.compute_cached(pkt, keys) } else { 0 });
-                }
-                compressed_ready = true;
-            }
-            let compressed = hash.as_slice();
-            cmu.hits[bi] += 1;
-            let binding = &cmu.bindings[bi];
-            let raw_addr = binding.key.address(compressed, addr_bits);
-            let p1 = binding.p1.resolve(pkt, compressed, ctx);
-            let p2 = binding.p2.resolve(pkt, compressed, ctx);
-
-            // Stage 3: preparation.
-            let addr = binding.translation.translate(raw_addr, buckets);
-            let (p1, p2) = binding.prep.apply(p1, p2, ctx);
-
-            // Stage 4: operation.
-            let out = cmu
-                .salu
-                .execute(binding.op, addr, p1, p2)
-                .expect("installed ops are pre-loaded and addresses in range");
-            ctx.record(group_index, ci, binding.forward.select(p1, out));
-        }
-    }
-
     /// Stage-major batch execution of this group over one packet chunk —
     /// the hot path of `FlyMon::process_batch` (DESIGN.md § "Stage-major
     /// batching").
     ///
-    /// Where [`CmuGroup::process_with_scratch`] walks one packet through
-    /// all four pipeline stages, this sweeps the whole chunk through the
+    /// Where the [`crate::oracle`] walks one packet through all four
+    /// pipeline stages, this sweeps the whole chunk through the
     /// compiled [`GroupProgram`] in three passes, each doing per packet
     /// only what depends on the packet:
     ///
@@ -712,10 +611,18 @@ impl CmuGroup {
             if cprog.bindings.is_empty() {
                 continue;
             }
+            // A compiled binding and the installed one it came from sit
+            // at the same index; the sweep reads the latter only under
+            // `OperandKernel::Interpreted`.
+            let Cmu {
+                salu,
+                bindings,
+                hits,
+            } = cmu;
             if cprog.always {
                 // Dense: the packet index *is* the step index.
-                cmu.hits[0] += n as u64;
-                sweep_binding(&mut cmu.salu, &cprog.bindings[0], n, |k| k, &chunk, ctxs);
+                hits[0] += n as u64;
+                sweep_binding(salu, &cprog.bindings[0], &bindings[0], n, |k| k, &chunk, ctxs);
                 if mark_executed {
                     batch.executed[..n].fill(true);
                 }
@@ -730,9 +637,10 @@ impl CmuGroup {
             while let Some(&(_, bi)) = rest.first() {
                 let len = rest.iter().position(|&(_, b)| b != bi).unwrap_or(rest.len());
                 let (run, tail) = rest.split_at(len);
-                cmu.hits[usize::from(bi)] += len as u64;
-                let cb = &cprog.bindings[usize::from(bi)];
-                sweep_binding(&mut cmu.salu, cb, len, move |k| run[k].0 as usize, &chunk, ctxs);
+                let bi = usize::from(bi);
+                hits[bi] += len as u64;
+                let (cb, b) = (&cprog.bindings[bi], &bindings[bi]);
+                sweep_binding(salu, cb, b, len, move |k| run[k].0 as usize, &chunk, ctxs);
                 rest = tail;
             }
             if mark_executed {
@@ -802,7 +710,9 @@ impl ChunkView<'_> {
 }
 
 /// Pass 3 for `count` packets that execute binding `cb` — pipeline
-/// stages 2 to 4, fused. Step `k` is packet `index(k)` of the chunk.
+/// stages 2 to 4, fused. Step `k` is packet `index(k)` of the chunk;
+/// `installed` is the binding `cb` was compiled from, read only under
+/// [`OperandKernel::Interpreted`].
 ///
 /// The closure that yields a packet's prepared `(p1, p2)` is selected
 /// here, outside the loop, from the binding's [`OperandKernel`]: the
@@ -813,6 +723,7 @@ impl ChunkView<'_> {
 fn sweep_binding(
     salu: &mut Salu,
     cb: &CompiledBinding,
+    installed: &CmuBinding,
     count: usize,
     index: impl Fn(usize) -> usize + Copy,
     chunk: &ChunkView<'_>,
@@ -855,8 +766,13 @@ fn sweep_binding(
                 }),
             }
         }
+        // The reference leaves themselves: initialization-stage
+        // parameter selection, then the preparation stage.
         OperandKernel::Interpreted => sweep!(move |ctxs: &[PacketContext], p| {
-            cb.params(&pkts[p], view.digests_of(p), &ctxs[p])
+            let (pkt, digests, ctx) = (&pkts[p], view.digests_of(p), &ctxs[p]);
+            let p1 = installed.p1.resolve(pkt, digests, ctx);
+            let p2 = installed.p2.resolve(pkt, digests, ctx);
+            installed.prep.apply(p1, p2, ctx)
         }),
     }
 }
@@ -894,6 +810,7 @@ fn fused_sweep(
 mod tests {
     use super::*;
     use crate::addr::TranslationMethod;
+    use crate::oracle::PerPacketGroup;
     use flymon_packet::KeySpec;
 
     fn small_group() -> CmuGroup {
@@ -1200,9 +1117,6 @@ mod tests {
         let mut version = g.program_version();
         let mut fresh = |g: &CmuGroup, what: &str| {
             assert_eq!(g.program(), &g.reference_program(), "{what}");
-            // Two derivations of one fact: the program's from the
-            // compiled bindings, the per-packet path's from the installed.
-            assert_eq!(g.program().unit_used, g.unit_used, "{what}");
             assert!(g.program_version() > version, "{what} did not bump the version");
             version = g.program_version();
         };
@@ -1260,8 +1174,12 @@ mod tests {
     /// Every binding shape `compiler::build_bindings` emits — each
     /// `Algorithm` variant, byte counts, both queue maxima, XOR keys —
     /// placed on CMUs of three 3-unit groups, then a few it does not
-    /// emit; as `(label, binding)`.
-    fn binding_shapes() -> Vec<(String, CmuBinding)> {
+    /// emit; as `(label, binding, kernel)`, the last being the
+    /// [`OperandKernel`] `select` gives the binding: `C`onst, `F`ield,
+    /// `K`ey or `I`nterpreted. The `I`s are the whole list of recipe
+    /// rows that are interpreted — each reads an upstream CMU's result
+    /// off the PHV.
+    fn binding_shapes() -> Vec<(String, CmuBinding, char)> {
         use crate::compiler::{build_bindings, PlacedRow};
         use crate::task::{Algorithm, Attribute, MaxParam, TaskDefinition};
         let row = |group: usize, cmu: usize, xor: bool| PlacedRow {
@@ -1285,33 +1203,35 @@ mod tests {
         let queue_delay = def(KeySpec::DST_IP, Attribute::Max(MaxParam::QueueDelayUs));
         let interval = def(KeySpec::FIVE_TUPLE, Attribute::Max(MaxParam::PacketIntervalUs));
         let cases = [
-            (&frequency, Algorithm::Cms { d: 3 }, false),
-            (&bytes, Algorithm::Cms { d: 2 }, false),
-            (&bytes, Algorithm::SuMaxSum { d: 3 }, true),
-            (&frequency, Algorithm::Mrac, false),
-            (&frequency, Algorithm::Tower { d: 3 }, false),
-            (&frequency, Algorithm::CounterBraids, true),
-            (&cardinality, Algorithm::Hll, false),
-            (&distinct, Algorithm::Hll, true),
-            (&cardinality, Algorithm::LinearCounting, true),
-            (&distinct, Algorithm::BeauCoup { d: 3 }, false),
-            (&distinct, Algorithm::BeauCoup { d: 2 }, true),
-            (&existence, Algorithm::Bloom { d: 3, bit_optimized: true }, false),
-            (&existence, Algorithm::Bloom { d: 2, bit_optimized: true }, true),
-            (&existence, Algorithm::Bloom { d: 2, bit_optimized: false }, false),
-            (&queue_len, Algorithm::SuMaxMax { d: 2 }, false),
-            (&queue_delay, Algorithm::SuMaxMax { d: 2 }, true),
-            (&existence, Algorithm::OddSketch, false),
-            (&existence, Algorithm::OddSketch, true),
-            (&interval, Algorithm::MaxInterval { d: 1 }, false),
+            (&frequency, Algorithm::Cms { d: 3 }, false, "CCC"),
+            (&bytes, Algorithm::Cms { d: 2 }, false, "FF"),
+            (&bytes, Algorithm::SuMaxSum { d: 3 }, true, "FII"),
+            (&frequency, Algorithm::Mrac, false, "C"),
+            (&frequency, Algorithm::Tower { d: 3 }, false, "CCC"),
+            (&frequency, Algorithm::CounterBraids, true, "CI"),
+            (&cardinality, Algorithm::Hll, false, "K"),
+            (&distinct, Algorithm::Hll, true, "K"),
+            (&cardinality, Algorithm::LinearCounting, true, "K"),
+            (&distinct, Algorithm::BeauCoup { d: 3 }, false, "KKK"),
+            (&distinct, Algorithm::BeauCoup { d: 2 }, true, "KK"),
+            (&existence, Algorithm::Bloom { d: 3, bit_optimized: true }, false, "KKK"),
+            (&existence, Algorithm::Bloom { d: 2, bit_optimized: true }, true, "KK"),
+            (&existence, Algorithm::Bloom { d: 2, bit_optimized: false }, false, "CC"),
+            (&queue_len, Algorithm::SuMaxMax { d: 2 }, false, "FF"),
+            (&queue_delay, Algorithm::SuMaxMax { d: 2 }, true, "FF"),
+            (&existence, Algorithm::OddSketch, false, "KI"),
+            (&existence, Algorithm::OddSketch, true, "KI"),
+            (&interval, Algorithm::MaxInterval { d: 1 }, false, "KFI"),
         ];
         let mut out = Vec::new();
-        for (def, alg, xor) in cases {
+        for (def, alg, xor, kernels) in cases {
             // Chained algorithms want ascending groups; one row per
             // group serves the single-group ones just as well.
             let rows: Vec<PlacedRow> = (0..alg.cmus_used()).map(|i| row(i / 3, i % 3, xor)).collect();
-            for (i, b) in build_bindings(def, TaskId(7), alg, &rows).unwrap() {
-                out.push((format!("{} row {i} (xor keys: {xor})", alg.name()), b));
+            let bindings = build_bindings(def, TaskId(7), alg, &rows).unwrap();
+            assert_eq!(bindings.len(), kernels.len(), "{}", alg.name());
+            for ((i, b), kernel) in bindings.into_iter().zip(kernels.chars()) {
+                out.push((format!("{} row {i} (xor keys: {xor})", alg.name()), b, kernel));
             }
         }
         // What no recipe emits but `install` accepts: a second parameter
@@ -1332,17 +1252,17 @@ mod tests {
             skip_top: 7,
             consider_bits: 9,
         };
-        for b in [
-            shape(key(), 0, PrepAction::OneHotBit { bits: 16 }),
-            shape(key(), 0, PrepAction::OneHotBit { bits: 12 }),
-            shape(key(), 0, coupon.clone()),
-            shape(key(), 5, rho),
-            shape(key(), 77, PrepAction::None),
-            shape(ParamSource::PacketBytes, 0, PrepAction::OneHotBit { bits: 16 }),
-            shape(ParamSource::QueueLen, 3, PrepAction::MapZero { when_zero: 9, otherwise: 2 }),
-            shape(ParamSource::Const(1 << 21), 0, coupon),
+        for (b, kernel) in [
+            (shape(key(), 0, PrepAction::OneHotBit { bits: 16 }), 'K'),
+            (shape(key(), 0, PrepAction::OneHotBit { bits: 12 }), 'K'),
+            (shape(key(), 0, coupon.clone()), 'K'),
+            (shape(key(), 5, rho), 'K'),
+            (shape(key(), 77, PrepAction::None), 'K'),
+            (shape(ParamSource::PacketBytes, 0, PrepAction::OneHotBit { bits: 16 }), 'I'),
+            (shape(ParamSource::QueueLen, 3, PrepAction::MapZero { when_zero: 9, otherwise: 2 }), 'I'),
+            (shape(ParamSource::Const(1 << 21), 0, coupon), 'C'),
         ] {
-            out.push((format!("hand-built {:?} of {:?}", b.prep, b.p1), b));
+            out.push((format!("hand-built {:?} of {:?}", b.prep, b.p1), b, kernel));
         }
         out
     }
@@ -1400,11 +1320,19 @@ mod tests {
         let ops = [StatefulOp::CondAdd, StatefulOp::Max, StatefulOp::AndOr, StatefulOp::Xor];
 
         let mut kernels = std::collections::HashSet::new();
-        for (label, b) in binding_shapes() {
+        for (label, b, kernel) in binding_shapes() {
             let cb = CompiledCmu::compile(std::slice::from_ref(&b), BUCKETS).bindings.remove(0);
+            // `select`'s decision table, row by row.
+            let selected = match cb.kernel {
+                OperandKernel::Const(..) => 'C',
+                OperandKernel::Field { .. } => 'F',
+                OperandKernel::Key { .. } => 'K',
+                OperandKernel::Interpreted => 'I',
+            };
+            assert_eq!(selected, kernel, "{label}: {:?}", cb.kernel);
             kernels.insert(std::mem::discriminant(&cb.kernel));
             for (op, width) in ops.iter().flat_map(|&op| [(op, 16u8), (op, 32)]) {
-                let (b, cb) = (CmuBinding { op, ..b.clone() }, CompiledBinding { op, ..cb.clone() });
+                let (b, cb) = (CmuBinding { op, ..b.clone() }, CompiledBinding { op, ..cb });
                 let fresh = || {
                     let mut cmu = Cmu::new(BUCKETS, width);
                     let max = cmu.register().max_value();
@@ -1437,7 +1365,7 @@ mod tests {
                         bucket_mask: BUCKETS - 1,
                         record: Some((own.group, own.cmu)),
                     };
-                    sweep_binding(&mut swept, &cb, steps.len(), |k| steps[k], &chunk, &mut ctxs);
+                    sweep_binding(&mut swept, &cb, &b, steps.len(), |k| steps[k], &chunk, &mut ctxs);
                     assert_eq!(
                         swept.register().read_range(0, BUCKETS).unwrap(),
                         oracle.register().read_range(0, BUCKETS).unwrap(),

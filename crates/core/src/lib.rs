@@ -19,13 +19,17 @@
 //! - [`task`]: the task algebra — [`task::Attribute`]s,
 //!   [`task::TaskDefinition`]s, built-in [`task::Algorithm`]s.
 //! - [`group`]: the data plane — [`group::CmuGroup`] with its four
-//!   pipeline stages, per-packet execution.
+//!   pipeline stages, swept a chunk of packets at a time
+//!   ([`control::FlyMon::process_batch`]).
 //! - [`keysel`] / [`params`] / [`prep`] / [`addr`]: the reconfigurable
 //!   pieces a CMU binding is assembled from (key selection, parameter
 //!   sourcing, preparation-stage processing, address translation).
 //! - [`program`]: the install-time compilation of a group's live
 //!   bindings into the dense [`program::GroupProgram`] the stage-major
 //!   batch path executes.
+//! - [`oracle`]: the reference semantics — the same bindings
+//!   interpreted one packet at a time, which every batch result is held
+//!   bit-identical to. Tests import it; nothing in [`prelude`] does.
 //! - [`alloc`]: the buddy allocator behind dynamic memory management.
 //! - [`compiler`]: lowers a task definition onto concrete CMUs and counts
 //!   rules/resources (Table 3 deployment delays, Figure 2/13 footprints).
@@ -61,10 +65,11 @@
 //!     .build();
 //! let handle = flymon.deploy(&task).expect("deploys");
 //!
-//! // Feed packets.
-//! for i in 0..100u32 {
-//!     flymon.process(&Packet::tcp(0x0a000001, i, 80, 80));
-//! }
+//! // Feed packets: the data plane takes them a slice at a time.
+//! let packets: Vec<Packet> = (0..100u32)
+//!     .map(|i| Packet::tcp(0x0a000001, i, 80, 80))
+//!     .collect();
+//! flymon.process_batch(&packets);
 //!
 //! // Query: per-flow estimate for a representative packet.
 //! let est = flymon.query_frequency(handle, &Packet::tcp(0x0a000001, 7, 80, 80));
@@ -83,6 +88,7 @@ pub mod compiler;
 pub mod control;
 pub mod group;
 pub mod keysel;
+pub mod oracle;
 pub mod params;
 pub mod prep;
 pub mod program;
@@ -98,10 +104,10 @@ pub use error::FlymonError;
 pub mod prelude {
     pub use crate::audit::Divergence;
     pub use crate::checkpoint::SwitchCheckpoint;
-    pub use crate::control::{BatchStats, FlyMon, FlyMonConfig, RowStats, TaskHandle};
+    pub use crate::control::{BatchStats, FlyMon, FlyMonConfig, TaskHandle};
     pub use crate::wal::WriteAheadLog;
     pub use flymon_rmt::checkpoint::CaptureMode;
-    pub use crate::scratch::{PacketScratch, ReadoutScratch};
+    pub use crate::scratch::ReadoutScratch;
     pub use crate::task::{Algorithm, Attribute, FreqParam, MaxParam, TaskDefinition};
     pub use crate::FlymonError;
     pub use flymon_rmt::fault::{FaultPlan, InstallOpKind, RetryPolicy};

@@ -83,7 +83,15 @@ impl PacketContext {
 }
 
 impl ParamSource {
+    /// True when resolution reads the per-packet PHV context — the batch
+    /// path only maintains contexts when some installed source or
+    /// preparation reads one.
+    pub fn reads_ctx(&self) -> bool {
+        matches!(self, ParamSource::PrevResult(_) | ParamSource::ChainMin(_))
+    }
+
     /// Resolves the parameter value for one packet.
+    #[inline]
     pub fn resolve(&self, pkt: &Packet, compressed: &[u32], ctx: &PacketContext) -> u32 {
         match self {
             ParamSource::Const(v) => *v,

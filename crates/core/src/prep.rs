@@ -73,7 +73,16 @@ pub enum PrepAction {
 }
 
 impl PrepAction {
+    /// True when application reads the per-packet PHV context.
+    pub fn reads_ctx(&self) -> bool {
+        matches!(
+            self,
+            PrepAction::IntervalGated { .. } | PrepAction::OneHotBitGated { .. }
+        )
+    }
+
     /// Applies the transformation.
+    #[inline]
     pub fn apply(&self, p1: u32, p2: u32, ctx: &PacketContext) -> (u32, u32) {
         match self {
             PrepAction::None => (p1, p2),

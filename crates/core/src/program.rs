@@ -2,12 +2,15 @@
 //! Group's live bindings into the dense representation the stage-major
 //! batch path executes (DESIGN.md § "Stage-major batching").
 //!
-//! [`CmuGroup::process_with_scratch`](crate::group::CmuGroup::process_with_scratch)
-//! re-interprets enum-heavy binding state per packet: `TaskFilter`
-//! prefix matches, `ParamSource`/`PrepAction` dispatch, per-binding
-//! address translation arithmetic. None of that state changes between
-//! reconfigurations, so — StreaMon-style — it is compiled **once per
-//! binding mutation** into a [`GroupProgram`]:
+//! The packet semantics are stated in **two tiers**, nothing between.
+//! The reference leaves — `TaskFilter::matches`, the sampling coin,
+//! `KeySelect::address`, [`ParamSource::resolve`], [`PrepAction::apply`],
+//! `AddrTranslation::translate` — say what one packet does under one
+//! installed binding; [`crate::oracle`] runs them per packet, and every
+//! test of the batch path compares against that. None of the state they
+//! dispatch on changes between reconfigurations, so — StreaMon-style —
+//! what is hot is compiled **once per binding mutation** into a
+//! [`GroupProgram`]:
 //!
 //! - filters become four words (`(ip & mask) == net`, source and
 //!   destination), no `PrefixFilter` indirection, and the sampling coin
@@ -17,19 +20,42 @@
 //! - key selection becomes raw unit indices plus the slice rotation;
 //! - address translation folds `translate(addr, m) = base + ((addr % m)
 //!   >> p)` into a precomputed `addr_base`/`addr_shift` pair (with the
-//!   group-level `bucket_mask` replacing the `% m`);
-//! - parameter and preparation plans become flat [`ParamPlan`] /
-//!   [`PrepPlan`] ops with their constants pre-widened (no `u32::from`
-//!   or multiply in the hot loop), and the pair is classified once into
-//!   an [`OperandKernel`] — constants prepared at compile time, a packet
-//!   field, a compressed key through a context-free preparation — so
-//!   the batch path picks one operand closure per (CMU, chunk) and only
-//!   context-reading plans are still interpreted per packet.
+//!   group-level `bucket_mask` replacing the `% m`) — an [`AddressPlan`];
+//! - the installed parameter sources and preparation are classified
+//!   (`OperandKernel::select`) into an [`OperandKernel`] — constants
+//!   prepared at compile time, a packet field, a compressed key through
+//!   a context-free preparation with its constants pre-widened and its
+//!   division strength-reduced — so the batch path picks one operand
+//!   closure per (CMU, run).
+//!
+//! A binding `select` cannot classify gets [`OperandKernel::Interpreted`]:
+//! the sweep then calls the reference leaves themselves on the installed
+//! binding, per packet. There is no flattened copy of a parameter source
+//! or a preparation. Of the rows `compiler::build_bindings` emits, these
+//! are interpreted, each because it reads what an *upstream CMU did to
+//! this packet* off the PHV context, which no per-binding constant can
+//! stand for:
+//!
+//! - SuMax(Sum) rows 1.. — `p2 = ChainMin(rows above)`, the conservative
+//!   update's running minimum;
+//! - the Counter Braids high layer — `p1 = PrevResult(low layer)`
+//!   through `MapZero` (carry when the low layer was saturated);
+//! - the Odd Sketch parity row — `OneHotBitGated` on the Bloom row's
+//!   "seen before?" output;
+//! - the max-interval maximizer — `p2 = PrevResult(arrival recorder)`
+//!   through `IntervalGated` on the membership row.
+//!
+//! (`install` also accepts shapes no recipe emits — a prepared packet
+//! field, `MapZero` of one — and those are interpreted too.) Every other
+//! row of every algorithm runs a context-free kernel; `group::tests`
+//! holds the table, row by row.
 //!
 //! The group as a whole compiles too ([`GroupProgram::refresh`]): which
 //! CMUs' binding lists match identically (every row of one sketch), so
-//! the match runs once per task, and which hash units an unconditional
-//! CMU reads, so the others digest only the packets that matched.
+//! the match runs once per task; which hash units any binding reads and
+//! which an unconditional CMU reads, so the others digest only the
+//! packets that matched; and whether anything reads a PHV context at
+//! all — the last three by one walk of the installed bindings.
 //!
 //! The compression stage's half of the compile step lives with the hash
 //! unit: `HashUnit::set_mask` compiles the `KeySpec` to a fixed-length
@@ -53,232 +79,14 @@ use flymon_packet::{Packet, PrefixFilter};
 use flymon_rmt::hash::MAX_HASH_UNITS;
 use flymon_rmt::salu::StatefulOp;
 
-use crate::group::{CmuBinding, Forward};
+use crate::group::{binding_units, CmuBinding, Forward};
 use crate::keysel::KeySource;
-use crate::params::{CmuRef, PacketContext, ParamSource};
+use crate::params::{PacketContext, ParamSource};
 use crate::prep::PrepAction;
 use crate::task::TaskId;
 
-/// Sentinel unit index marking "no second key unit" in
-/// [`CompiledBinding::key_b`].
+/// Sentinel unit index marking "no second key unit" in [`KeyUnits::b`].
 pub const NO_UNIT: u8 = u8::MAX;
-
-/// A parameter source flattened for batch execution.
-///
-/// Mirrors [`ParamSource`] value-for-value (the resolve semantics are
-/// bit-identical) with the indirections compiled away: compressed-key
-/// sources carry raw unit indices into the per-packet digest slice, and
-/// the chain list is the only heap allocation (built at compile time,
-/// only iterated per packet).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParamPlan {
-    /// A control-plane constant.
-    Const(u32),
-    /// Packet length in bytes.
-    PacketBytes,
-    /// Ingress timestamp in µs.
-    TimestampUs,
-    /// Egress queue occupancy.
-    QueueLen,
-    /// Queuing delay in µs.
-    QueueDelayUs,
-    /// One unit's compressed key.
-    KeyUnit(u8),
-    /// XOR of two units' compressed keys.
-    KeyXor(u8, u8),
-    /// An upstream CMU's forwarded output.
-    PrevResult(CmuRef),
-    /// Minimum over upstream results, ignoring zeros.
-    ChainMin(Vec<CmuRef>),
-}
-
-impl ParamPlan {
-    /// True when resolution reads the per-packet PHV context — the batch
-    /// path only maintains contexts when some plan somewhere reads one.
-    fn reads_ctx(&self) -> bool {
-        matches!(self, ParamPlan::PrevResult(_) | ParamPlan::ChainMin(_))
-    }
-
-    fn compile(src: &ParamSource) -> ParamPlan {
-        match src {
-            ParamSource::Const(v) => ParamPlan::Const(*v),
-            ParamSource::PacketBytes => ParamPlan::PacketBytes,
-            ParamSource::TimestampUs => ParamPlan::TimestampUs,
-            ParamSource::QueueLen => ParamPlan::QueueLen,
-            ParamSource::QueueDelayUs => ParamPlan::QueueDelayUs,
-            ParamSource::CompressedKey(KeySource::Unit(i)) => ParamPlan::KeyUnit(*i as u8),
-            ParamSource::CompressedKey(KeySource::Xor(a, b)) => {
-                ParamPlan::KeyXor(*a as u8, *b as u8)
-            }
-            ParamSource::PrevResult(r) => ParamPlan::PrevResult(*r),
-            ParamSource::ChainMin(refs) => ParamPlan::ChainMin(refs.clone()),
-        }
-    }
-
-    /// Resolves the parameter for one packet. `digests` is the packet's
-    /// [`MAX_HASH_UNITS`]-stride digest slice (slots of unused units are
-    /// never referenced by a compiled plan). Semantics are exactly
-    /// [`ParamSource::resolve`].
-    #[inline]
-    pub fn resolve(&self, pkt: &Packet, digests: &[u32], ctx: &PacketContext) -> u32 {
-        match self {
-            ParamPlan::Const(v) => *v,
-            ParamPlan::PacketBytes => u32::from(pkt.len),
-            ParamPlan::TimestampUs => (pkt.ts_ns / 1_000) as u32,
-            ParamPlan::QueueLen => pkt.queue_len,
-            ParamPlan::QueueDelayUs => pkt.queue_delay_ns / 1_000,
-            ParamPlan::KeyUnit(i) => digests[usize::from(*i)],
-            ParamPlan::KeyXor(a, b) => digests[usize::from(*a)] ^ digests[usize::from(*b)],
-            ParamPlan::PrevResult(r) => ctx.get(*r),
-            ParamPlan::ChainMin(refs) => refs
-                .iter()
-                .map(|&r| ctx.get(r))
-                .filter(|&v| v != 0)
-                .min()
-                .unwrap_or(u32::MAX),
-        }
-    }
-}
-
-/// A preparation-stage action flattened for batch execution.
-///
-/// Mirrors [`PrepAction::apply`] bit-for-bit; the per-packet
-/// conversions (`u32::from(bits)`, the `space · coupons` product) are
-/// hoisted to compile time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrepPlan {
-    /// Pass through.
-    None,
-    /// `p1 ← 1 << (p1 % bits)`, `p2 ← 1`.
-    OneHotBit {
-        /// Addressable bits, pre-widened.
-        bits: u32,
-    },
-    /// BeauCoup coupon draw with the total space precomputed.
-    Coupon {
-        /// Hash-space slice per coupon, pre-widened.
-        space: u64,
-        /// `space · coupons` — the draw window.
-        total: u64,
-    },
-    /// HyperLogLog ρ.
-    Rho {
-        /// Bits discarded from the top, pre-widened.
-        skip_top: u32,
-        /// Bits participating in the pattern, pre-widened.
-        consider_bits: u32,
-    },
-    /// Counter Braids carry.
-    MapZero {
-        /// Replacement when `p1 == 0`.
-        when_zero: u32,
-        /// Replacement otherwise.
-        otherwise: u32,
-    },
-    /// Max-inter-arrival gate.
-    IntervalGated {
-        /// The membership CMU.
-        seen: CmuRef,
-    },
-    /// First-occurrence-gated one-hot bit.
-    OneHotBitGated {
-        /// Addressable bits, pre-widened.
-        bits: u32,
-        /// The membership CMU.
-        seen: CmuRef,
-    },
-}
-
-impl PrepPlan {
-    /// True when application reads the per-packet PHV context.
-    fn reads_ctx(&self) -> bool {
-        matches!(
-            self,
-            PrepPlan::IntervalGated { .. } | PrepPlan::OneHotBitGated { .. }
-        )
-    }
-
-    fn compile(prep: &PrepAction) -> PrepPlan {
-        match prep {
-            PrepAction::None => PrepPlan::None,
-            PrepAction::OneHotBit { bits } => PrepPlan::OneHotBit {
-                bits: u32::from(*bits),
-            },
-            PrepAction::Coupon { coupons, space } => PrepPlan::Coupon {
-                space: u64::from(*space),
-                total: u64::from(*space) * u64::from(*coupons),
-            },
-            PrepAction::Rho {
-                skip_top,
-                consider_bits,
-            } => PrepPlan::Rho {
-                skip_top: u32::from(*skip_top),
-                consider_bits: u32::from(*consider_bits),
-            },
-            PrepAction::MapZero {
-                when_zero,
-                otherwise,
-            } => PrepPlan::MapZero {
-                when_zero: *when_zero,
-                otherwise: *otherwise,
-            },
-            PrepAction::IntervalGated { seen } => PrepPlan::IntervalGated { seen: *seen },
-            PrepAction::OneHotBitGated { bits, seen } => PrepPlan::OneHotBitGated {
-                bits: u32::from(*bits),
-                seen: *seen,
-            },
-        }
-    }
-
-    /// Applies the transformation; semantics are exactly
-    /// [`PrepAction::apply`].
-    #[inline]
-    pub fn apply(&self, p1: u32, p2: u32, ctx: &PacketContext) -> (u32, u32) {
-        match self {
-            PrepPlan::None => (p1, p2),
-            PrepPlan::OneHotBit { bits } => (1u32 << (p1 % bits), 1),
-            PrepPlan::Coupon { space, total } => {
-                let h = u64::from(p1);
-                if *space == 0 || h >= *total {
-                    (0, 1)
-                } else {
-                    (1u32 << (h / space), 1)
-                }
-            }
-            PrepPlan::Rho {
-                skip_top,
-                consider_bits,
-            } => {
-                let v = p1 << skip_top;
-                (v.leading_zeros().min(*consider_bits) + 1, p2)
-            }
-            PrepPlan::MapZero {
-                when_zero,
-                otherwise,
-            } => {
-                if p1 == 0 {
-                    (*when_zero, p2)
-                } else {
-                    (*otherwise, p2)
-                }
-            }
-            PrepPlan::IntervalGated { seen } => {
-                if ctx.get(*seen) == 0 {
-                    (0, 0)
-                } else {
-                    (p1.saturating_sub(p2), 0)
-                }
-            }
-            PrepPlan::OneHotBitGated { bits, seen } => {
-                if ctx.get(*seen) != 0 {
-                    (0, 0)
-                } else {
-                    (1u32 << (p1 % bits), 0)
-                }
-            }
-        }
-    }
-}
 
 /// The hash unit(s) a 32-bit dynamic key is drawn from, as raw indices
 /// into a packet's digest slice.
@@ -315,13 +123,6 @@ impl KeyUnits {
             a ^ digests[usize::from(self.b)]
         }
     }
-
-    fn mark(self, units: &mut [bool; MAX_HASH_UNITS]) {
-        units[usize::from(self.a)] = true;
-        if self.b != NO_UNIT {
-            units[usize::from(self.b)] = true;
-        }
-    }
 }
 
 /// The packet field an [`OperandKernel::Field`] reads as `p1`.
@@ -338,8 +139,9 @@ pub enum PacketField {
 }
 
 /// What an [`OperandKernel::Key`] does to the compressed key before it
-/// becomes `p1` — the [`PrepPlan`]s that read no PHV context, with
-/// their divisions strength-reduced at compile time.
+/// becomes `p1` — the [`PrepAction`]s that read no PHV context, with
+/// their constants pre-widened and their divisions strength-reduced at
+/// compile time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeyPrep {
     /// The key itself.
@@ -391,13 +193,13 @@ pub(crate) fn coupon_bit(h: u32, recip: u128, total: u64) -> u32 {
 }
 
 /// How the batch path obtains a packet's prepared `(p1, p2)` under one
-/// binding — chosen once per binding mutation from the parameter and
-/// preparation plans, so pass 3 selects one operand closure per
-/// (CMU, chunk) instead of re-interpreting the plans per packet.
+/// binding — chosen once per binding mutation from the installed
+/// parameter sources and preparation, so pass 3 selects one operand
+/// closure per (CMU, run) instead of dispatching on them per packet.
 ///
 /// Every kernel but [`OperandKernel::Interpreted`] has a constant
-/// second parameter (what `PrepPlan` forces it to, or the installed
-/// constant) and reads no PHV context.
+/// second parameter (what the preparation forces it to, or the
+/// installed constant) and reads no PHV context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OperandKernel {
     /// Both sources constant and a context-free preparation (every CMS
@@ -424,57 +226,64 @@ pub enum OperandKernel {
     },
     /// Anything else — a source or preparation that reads the PHV
     /// context (`PrevResult`, `ChainMin`, gated preps), `MapZero`, a
-    /// prepared packet field: [`CompiledBinding::params`] per packet.
+    /// prepared packet field: [`ParamSource::resolve`] and
+    /// [`PrepAction::apply`] on the installed binding, per packet.
     Interpreted,
 }
 
 impl OperandKernel {
-    fn select(p1: &ParamPlan, p2: &ParamPlan, prep: &PrepPlan) -> OperandKernel {
-        let ParamPlan::Const(c2) = *p2 else {
+    /// Classifies one installed binding's parameter sources and
+    /// preparation. The second parameter must be a constant for any
+    /// kernel; the first decides which.
+    fn select(p1: &ParamSource, p2: &ParamSource, prep: &PrepAction) -> OperandKernel {
+        let ParamSource::Const(c2) = *p2 else {
             return OperandKernel::Interpreted;
         };
         let field = |field| match prep {
-            PrepPlan::None => OperandKernel::Field { field, p2: c2 },
+            PrepAction::None => OperandKernel::Field { field, p2: c2 },
             _ => OperandKernel::Interpreted,
         };
-        let key = |key| {
+        let key = |source| {
             let (prep, p2) = match *prep {
-                PrepPlan::None => (KeyPrep::None, c2),
-                PrepPlan::OneHotBit { bits } if bits.is_power_of_two() => {
-                    (KeyPrep::OneHotMask(bits - 1), 1)
+                PrepAction::None => (KeyPrep::None, c2),
+                PrepAction::OneHotBit { bits } if bits.is_power_of_two() => {
+                    (KeyPrep::OneHotMask(u32::from(bits) - 1), 1)
                 }
-                PrepPlan::OneHotBit { bits } => (KeyPrep::OneHotMod(bits), 1),
+                PrepAction::OneHotBit { bits } => (KeyPrep::OneHotMod(u32::from(bits)), 1),
                 // An empty coupon space never draws.
-                PrepPlan::Coupon { space: 0, .. } => return OperandKernel::Const(0, 1),
-                PrepPlan::Coupon { space, total } => {
-                    let recip = reciprocal(space as u32);
-                    (KeyPrep::Coupon { recip, total }, 1)
+                PrepAction::Coupon { space: 0, .. } => return OperandKernel::Const(0, 1),
+                PrepAction::Coupon { coupons, space } => {
+                    let total = u64::from(space) * u64::from(coupons);
+                    (KeyPrep::Coupon { recip: reciprocal(space), total }, 1)
                 }
-                PrepPlan::Rho {
+                PrepAction::Rho {
                     skip_top,
                     consider_bits,
                 } => (
                     KeyPrep::Rho {
-                        skip_top,
-                        consider_bits,
+                        skip_top: u32::from(skip_top),
+                        consider_bits: u32::from(consider_bits),
                     },
                     c2,
                 ),
                 _ => return OperandKernel::Interpreted,
             };
-            OperandKernel::Key { key, prep, p2 }
+            OperandKernel::Key {
+                key: KeyUnits::compile(source),
+                prep,
+                p2,
+            }
         };
         match *p1 {
-            ParamPlan::Const(c1) if !prep.reads_ctx() => {
+            ParamSource::Const(c1) if !prep.reads_ctx() => {
                 let (p1, p2) = prep.apply(c1, c2, &PacketContext::default());
                 OperandKernel::Const(p1, p2)
             }
-            ParamPlan::PacketBytes => field(PacketField::Bytes),
-            ParamPlan::TimestampUs => field(PacketField::TimestampUs),
-            ParamPlan::QueueLen => field(PacketField::QueueLen),
-            ParamPlan::QueueDelayUs => field(PacketField::QueueDelayUs),
-            ParamPlan::KeyUnit(a) => key(KeyUnits { a, b: NO_UNIT }),
-            ParamPlan::KeyXor(a, b) => key(KeyUnits { a, b }),
+            ParamSource::PacketBytes => field(PacketField::Bytes),
+            ParamSource::TimestampUs => field(PacketField::TimestampUs),
+            ParamSource::QueueLen => field(PacketField::QueueLen),
+            ParamSource::QueueDelayUs => field(PacketField::QueueDelayUs),
+            ParamSource::CompressedKey(source) => key(source),
             _ => OperandKernel::Interpreted,
         }
     }
@@ -591,19 +400,14 @@ impl AddressPlan {
 
 /// What a matched packet executes under one binding, compiled flat:
 /// everything pipeline stages 2 to 4 need, in execution order, with no
-/// further lookups.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// further lookups — except under [`OperandKernel::Interpreted`], where
+/// the sweep reads the parameters off the installed [`CmuBinding`] this
+/// was compiled from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompiledBinding {
     /// Where the packet's bucket is.
     pub addr: AddressPlan,
-    /// First parameter plan.
-    pub p1: ParamPlan,
-    /// Second parameter plan.
-    pub p2: ParamPlan,
-    /// Preparation plan.
-    pub prep: PrepPlan,
-    /// How pass 3 obtains a packet's prepared `(p1, p2)`, chosen from
-    /// the three plans above.
+    /// How pass 3 obtains a packet's prepared `(p1, p2)`.
     pub kernel: OperandKernel,
     /// The stateful operation.
     pub op: StatefulOp,
@@ -613,10 +417,6 @@ pub struct CompiledBinding {
 
 impl CompiledBinding {
     fn compile(b: &CmuBinding, buckets: usize) -> CompiledBinding {
-        let p1 = ParamPlan::compile(&b.p1);
-        let p2 = ParamPlan::compile(&b.p2);
-        let prep = PrepPlan::compile(&b.prep);
-        let kernel = OperandKernel::select(&p1, &p2, &prep);
         CompiledBinding {
             addr: AddressPlan {
                 key: KeyUnits::compile(b.key.source),
@@ -624,37 +424,10 @@ impl CompiledBinding {
                 addr_shift: u32::from(b.translation.partitions_log2),
                 addr_base: b.translation.base(buckets),
             },
-            p1,
-            p2,
-            prep,
-            kernel,
+            kernel: OperandKernel::select(&b.p1, &b.p2, &b.prep),
             op: b.op,
             forward: b.forward,
         }
-    }
-
-    /// Flags in `units` every hash unit whose digest this binding reads
-    /// (key and compressed-key parameters).
-    fn mark_units_read(&self, units: &mut [bool; MAX_HASH_UNITS]) {
-        self.addr.key.mark(units);
-        for p in [&self.p1, &self.p2] {
-            match *p {
-                ParamPlan::KeyUnit(a) => KeyUnits { a, b: NO_UNIT }.mark(units),
-                ParamPlan::KeyXor(a, b) => KeyUnits { a, b }.mark(units),
-                _ => {}
-            }
-        }
-    }
-
-    /// The prepared `(p1, p2)` of one packet, interpreted from the plans
-    /// — the initialization-stage parameter selection followed by the
-    /// preparation stage. What [`OperandKernel::Interpreted`] runs per
-    /// packet, and what every other kernel must equal.
-    #[inline]
-    pub fn params(&self, pkt: &Packet, digests: &[u32], ctx: &PacketContext) -> (u32, u32) {
-        let p1 = self.p1.resolve(pkt, digests, ctx);
-        let p2 = self.p2.resolve(pkt, digests, ctx);
-        self.prep.apply(p1, p2, ctx)
     }
 }
 
@@ -695,13 +468,6 @@ impl CompiledCmu {
         self.always = self.rules.first().is_some_and(MatchRule::is_unconditional);
         self.sampled = self.rules.iter().any(|r| r.coin_mask != 0);
     }
-
-    /// Some binding's parameters or preparation read the PHV context.
-    pub(crate) fn reads_ctx(&self) -> bool {
-        self.bindings
-            .iter()
-            .any(|b| b.p1.reads_ctx() || b.p2.reads_ctx() || b.prep.reads_ctx())
-    }
 }
 
 /// A CMU Group's bindings compiled into one dense program.
@@ -716,10 +482,11 @@ pub struct GroupProgram {
     /// `buckets_per_cmu - 1` — the address mask and the `% m` of the
     /// translation arithmetic in one constant.
     pub bucket_mask: usize,
-    /// `unit_used[i]` ⇔ some compiled binding reads unit `i`'s digest.
-    /// The batch digest pass computes exactly these (derived from the
-    /// compiled bindings; equals `CmuGroup::unit_used`, which the
-    /// per-packet path derives from the installed ones).
+    /// `unit_used[i]` ⇔ some installed binding reads unit `i`'s digest
+    /// (key source or compressed-key parameter). Both the batch digest
+    /// pass and the per-packet oracle compute exactly these — the
+    /// hardware hashes unconditionally, but digests are pure, so
+    /// skipping unread ones is unobservable.
     pub unit_used: [bool; MAX_HASH_UNITS],
     /// Per-CMU compiled bindings, indexed like the group's CMUs.
     pub cmus: Vec<CompiledCmu>,
@@ -759,15 +526,17 @@ impl GroupProgram {
             match_of: Vec::new(),
             dense_units: [false; MAX_HASH_UNITS],
         };
-        program.refresh();
+        program.refresh(cmu_bindings.iter().copied());
         program
     }
 
     /// Re-derives everything the program keeps about the group as a
-    /// whole from its compiled CMUs — after a from-scratch compile, and
-    /// after every mutation recompiled the CMUs it touched.
-    pub(crate) fn refresh(&mut self) {
-        self.reads_ctx = self.cmus.iter().any(CompiledCmu::reads_ctx);
+    /// whole — after a from-scratch compile, and after every mutation
+    /// recompiled the CMUs it touched. `installed` yields each CMU's
+    /// binding list, parallel to `self.cmus`: which units are read, and
+    /// whether a PHV context is, are facts of the installed sources, so
+    /// one walk of them serves the batch path and the per-packet oracle.
+    pub(crate) fn refresh<'a>(&mut self, installed: impl Iterator<Item = &'a [CmuBinding]>) {
         self.match_of.clear();
         for (ci, cmu) in self.cmus.iter().enumerate() {
             let first = self.cmus[..ci]
@@ -775,14 +544,17 @@ impl GroupProgram {
                 .position(|earlier| earlier.rules == cmu.rules);
             self.match_of.push(first.unwrap_or(ci));
         }
+        self.reads_ctx = false;
         self.unit_used = [false; MAX_HASH_UNITS];
         self.dense_units = [false; MAX_HASH_UNITS];
-        for cmu in &self.cmus {
-            for cb in &cmu.bindings {
-                cb.mark_units_read(&mut self.unit_used);
-            }
-            if cmu.always {
-                cmu.bindings[0].mark_units_read(&mut self.dense_units);
+        for (cmu, bindings) in self.cmus.iter().zip(installed) {
+            for (bi, b) in bindings.iter().enumerate() {
+                self.reads_ctx |= b.p1.reads_ctx() || b.p2.reads_ctx() || b.prep.reads_ctx();
+                let dense = cmu.always && bi == 0;
+                for unit in binding_units(b) {
+                    self.unit_used[unit] = true;
+                    self.dense_units[unit] |= dense;
+                }
             }
         }
     }
@@ -797,6 +569,7 @@ impl GroupProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::CmuRef;
     use flymon_packet::TaskFilter;
 
     #[test]
@@ -940,41 +713,12 @@ mod tests {
             let b = binding(p1, prep);
             let cb = CompiledBinding::compile(&b, 256);
             assert_eq!(cb.kernel, kernel, "{b:?}");
-            // Whatever the kernel, `params` is the interpreted resolve + prep.
-            let r1 = b.p1.resolve(&pkt, &digests, &ctx);
-            let r2 = b.p2.resolve(&pkt, &digests, &ctx);
-            assert_eq!(cb.params(&pkt, &digests, &ctx), b.prep.apply(r1, r2, &ctx));
-        }
-    }
-
-    #[test]
-    fn prep_plan_mirrors_prep_action() {
-        let mut ctx = PacketContext::default();
-        ctx.record(0, 0, 5);
-        let seen = CmuRef { group: 0, cmu: 0 };
-        let unseen = CmuRef { group: 1, cmu: 1 };
-        let actions = [
-            PrepAction::None,
-            PrepAction::OneHotBit { bits: 16 },
-            PrepAction::Coupon { coupons: 4, space: 1 << 20 },
-            PrepAction::Coupon { coupons: 4, space: 0 },
-            PrepAction::Rho { skip_top: 16, consider_bits: 16 },
-            PrepAction::MapZero { when_zero: 7, otherwise: 3 },
-            PrepAction::IntervalGated { seen },
-            PrepAction::IntervalGated { seen: unseen },
-            PrepAction::OneHotBitGated { bits: 16, seen },
-            PrepAction::OneHotBitGated { bits: 16, seen: unseen },
-        ];
-        for a in &actions {
-            let plan = PrepPlan::compile(a);
-            for p1 in [0u32, 1, 21, 0x0000_8000, (1 << 21) - 1, 1 << 30, u32::MAX] {
-                for p2 in [0u32, 1, 300] {
-                    assert_eq!(
-                        plan.apply(p1, p2, &ctx),
-                        a.apply(p1, p2, &ctx),
-                        "{a:?} p1={p1} p2={p2}"
-                    );
-                }
+            // What was hoisted is what the reference resolve + prep
+            // yields for any packet, digests and context.
+            if let OperandKernel::Const(c1, c2) = cb.kernel {
+                let r1 = b.p1.resolve(&pkt, &digests, &ctx);
+                let r2 = b.p2.resolve(&pkt, &digests, &ctx);
+                assert_eq!((c1, c2), b.prep.apply(r1, r2, &ctx), "{b:?}");
             }
         }
     }
@@ -1014,45 +758,6 @@ mod tests {
         for _ in 0..20_000 {
             let (h, space) = (rng.next_u32(), (rng.next_u32() >> (rng.next_u32() % 32)).max(1));
             assert_eq!(div_by_reciprocal(h, reciprocal(space)), h / space, "{h} / {space}");
-        }
-    }
-
-    #[test]
-    fn param_plan_mirrors_param_source() {
-        let pkt = flymon_packet::PacketBuilder::new()
-            .len(1200)
-            .ts_ns(3_000_000)
-            .queue_len(42)
-            .queue_delay_ns(7_000)
-            .build();
-        let mut ctx = PacketContext::default();
-        ctx.record(0, 1, 77);
-        ctx.record(1, 0, 0);
-        let digests = [0xdead_beef, 0x1111_0000, 9, 0, 0, 0, 0, 0];
-        let refs = vec![
-            CmuRef { group: 0, cmu: 1 },
-            CmuRef { group: 1, cmu: 0 },
-        ];
-        let sources = [
-            ParamSource::Const(9),
-            ParamSource::PacketBytes,
-            ParamSource::TimestampUs,
-            ParamSource::QueueLen,
-            ParamSource::QueueDelayUs,
-            ParamSource::CompressedKey(KeySource::Unit(1)),
-            ParamSource::CompressedKey(KeySource::Xor(0, 1)),
-            ParamSource::PrevResult(CmuRef { group: 0, cmu: 1 }),
-            ParamSource::PrevResult(CmuRef { group: 5, cmu: 0 }),
-            ParamSource::ChainMin(refs.clone()),
-            ParamSource::ChainMin(vec![CmuRef { group: 1, cmu: 0 }]),
-        ];
-        for s in &sources {
-            let plan = ParamPlan::compile(s);
-            assert_eq!(
-                plan.resolve(&pkt, &digests, &ctx),
-                s.resolve(&pkt, &digests, &ctx),
-                "{s:?}"
-            );
         }
     }
 }

@@ -1,15 +1,15 @@
-//! Per-packet scratch state, owned once per worker.
+//! Scratch state, owned once per switch.
 //!
 //! The datapath's allocation-free convention (DESIGN.md § "Sharded
 //! datapath") says every per-packet buffer must be a fixed-capacity
 //! stack object. This module goes one step further: the scratch is not
 //! even *stack-per-packet* — it lives inside each
-//! [`FlyMon`](crate::control::FlyMon) instance (one instance per worker
-//! thread), and every packet merely resets it. That removes three
-//! per-packet costs the profiler attributed to the PR-2 hot loop:
+//! [`FlyMon`](crate::control::FlyMon) instance and every packet (the
+//! per-packet oracle's [`PacketScratch`]) or chunk (the batch path's
+//! [`BatchScratch`]) merely resets it. For the oracle that removes
+//! three per-packet costs:
 //!
-//! - a fresh `HashScratch` constructed in every `CmuGroup::process` call
-//!   (once per group per packet);
+//! - a fresh `HashScratch` constructed per group per packet;
 //! - re-serializing the same flow key for every hash unit sharing a
 //!   `KeySpec` (the standing 5-tuple mask on unit 0 of *every* group);
 //! - rehashing the 24-byte sampling-coin seed for every binding probed
@@ -72,10 +72,10 @@ impl CoinScratch {
     }
 }
 
-/// Everything the per-packet hot path scribbles on, aggregated so one
+/// Everything the per-packet oracle scribbles on, aggregated so one
 /// `&mut PacketScratch` threads through
-/// [`FlyMon::process`](crate::control::FlyMon::process) into every
-/// [`CmuGroup::process_with_scratch`](crate::group::CmuGroup::process_with_scratch).
+/// [`PerPacket::process`](crate::oracle::PerPacket::process) into every
+/// group.
 ///
 /// The extraction cache and coin scratch deliberately live *across* CMU
 /// groups: key specs repeat between groups (the standing 5-tuple), and

@@ -271,7 +271,14 @@ impl TaskDefinition {
                 crate::group::MAX_PROB_LOG2
             )));
         }
-        match (&self.attribute, self.effective_algorithm()) {
+        let algorithm = self.effective_algorithm();
+        if algorithm.cmus_used() == 0 {
+            return Err(BadTask(format!(
+                "{}: d = 0 places no rows (d must be at least 1)",
+                algorithm.name()
+            )));
+        }
+        match (&self.attribute, algorithm) {
             (Attribute::Frequency(_), a)
                 if !matches!(
                     a,
@@ -473,6 +480,41 @@ mod tests {
 
         let zero = TaskDefinition::builder("zero").memory(0).build();
         assert!(zero.validate().is_err());
+    }
+
+    #[test]
+    fn zero_row_algorithms_are_rejected() {
+        // Every `{d}` variant under an attribute it implements: d = 1
+        // validates, d = 0 — which used to deploy as a task with no
+        // rows — is a `BadTask` that names `d`.
+        let frequency = Attribute::frequency_packets;
+        type WithD = fn(usize) -> Algorithm;
+        let cases: [(Attribute, WithD); 7] = [
+            (frequency(), |d| Algorithm::Cms { d }),
+            (frequency(), |d| Algorithm::SuMaxSum { d }),
+            (frequency(), |d| Algorithm::Tower { d }),
+            (Attribute::Distinct(KeySpec::SRC_IP), |d| Algorithm::BeauCoup { d }),
+            (Attribute::Existence(KeySpec::SRC_IP), |d| Algorithm::Bloom {
+                d,
+                bit_optimized: true,
+            }),
+            (Attribute::Max(MaxParam::QueueLen), |d| Algorithm::SuMaxMax { d }),
+            (Attribute::Max(MaxParam::PacketIntervalUs), |d| Algorithm::MaxInterval { d }),
+        ];
+        for (attribute, with_d) in cases {
+            let def = |d| {
+                TaskDefinition::builder("t")
+                    .key(KeySpec::DST_IP)
+                    .attribute(attribute)
+                    .algorithm(with_d(d))
+                    .build()
+            };
+            assert!(def(1).validate().is_ok(), "{}", with_d(1).name());
+            match def(0).validate() {
+                Err(crate::FlymonError::BadTask(why)) => assert!(why.contains("d = 0"), "{why}"),
+                other => panic!("{}: {other:?}", with_d(0).name()),
+            }
+        }
     }
 
     #[test]

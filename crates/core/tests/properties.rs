@@ -5,6 +5,7 @@
 //! identical case set every run) — no external property-testing framework,
 //! so the workspace builds fully offline.
 
+use flymon::oracle::PerPacket;
 use flymon::addr::{AddrTranslation, TranslationMethod};
 use flymon::alloc::{AllocMode, BuddyAllocator};
 use flymon_packet::SplitMix64;

@@ -407,11 +407,6 @@ impl ControlChannel {
         self.links[switch].partitioned = partitioned;
     }
 
-    /// Whether the link to `switch` is currently partitioned.
-    pub fn is_partitioned(&self, switch: usize) -> bool {
-        self.links[switch].partitioned
-    }
-
     /// Heals every partition, returning how many links were down.
     pub fn heal_all(&mut self) -> usize {
         let down: Vec<usize> = (0..self.links.len())

@@ -904,8 +904,8 @@ mod tests {
         for (w, sub) in shard_trace(&trace, n).iter().enumerate() {
             let mut solo = FlyMon::new(cfg);
             let h = solo.deploy(&def).unwrap();
-            solo.process_trace(sub);
-            solo.process_trace(sub);
+            solo.process_batch(sub);
+            solo.process_batch(sub);
             let (replica, rh) = dp.replica(w);
             for row in 0..3 {
                 assert_eq!(

@@ -204,8 +204,8 @@ pub fn run_accuracy_timeline(config: &EpochTimelineConfig) -> Vec<AccuracyPoint>
         // after every reconfiguration wave, faults or not.
         debug_assert!(flymon.audit().is_empty(), "audit: {:?}", flymon.audit());
 
-        flymon.process_trace(trace);
-        static_dep.process_trace(trace);
+        flymon.process_batch(trace);
+        static_dep.process_batch(trace);
 
         // Per-epoch ARE of task A over every flow of the epoch.
         let truth = GroundTruth::packet_counts(trace, KeySpec::SRC_IP);

@@ -43,6 +43,7 @@
 
 use std::time::{Duration, Instant};
 
+use flymon::oracle::PerPacket;
 use flymon::prelude::*;
 use flymon::FlymonError;
 use flymon_packet::{Packet, TaskFilter};
@@ -349,12 +350,6 @@ impl SwitchFleet {
     pub fn attach_channel(&mut self, seed: u64, cfg: ChannelConfig) -> Result<(), FlymonError> {
         self.channel = Some(ControlChannel::new(self.switches.len(), seed, cfg)?);
         Ok(())
-    }
-
-    /// Detaches the control channel (subsequent commands apply
-    /// directly), returning it with its stats and event log intact.
-    pub fn detach_channel(&mut self) -> Option<ControlChannel> {
-        self.channel.take()
     }
 
     /// The attached control channel, if any.
@@ -1175,7 +1170,9 @@ impl SwitchFleet {
     ///
     /// This is the single-packet API and the reference semantics of the
     /// batched [`SwitchFleet::process_trace`]: it runs the per-packet
-    /// interpreter ([`FlyMon::process`]), one packet, one ledger tick.
+    /// oracle ([`PerPacket::process`]), one packet, one ledger tick, at
+    /// an ingress the caller names where `process_trace` derives it from
+    /// the packet.
     ///
     /// # Panics
     /// Panics if `ingress` is out of range on a non-empty fleet.
@@ -1192,7 +1189,7 @@ impl SwitchFleet {
         self.resolve_targets();
         match self.targets[ingress] {
             Some(i) => {
-                self.switches[i].process(pkt);
+                PerPacket::process(&mut self.switches[i], pkt);
                 self.represented[i] += 1;
             }
             None => self.dropped_packets += 1,
@@ -1455,7 +1452,7 @@ mod tests {
 
         let mut single = FlyMon::new(config());
         let h = single.deploy(&def).unwrap();
-        single.process_trace(&t);
+        single.process_batch(&t);
 
         let mut checked = 0;
         let mut seen = std::collections::HashSet::new();

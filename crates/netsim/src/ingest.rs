@@ -895,7 +895,7 @@ impl StreamingRuntime {
                 // The dying worker scribbles a register update for a
                 // packet that was never admitted (the escape hatch
                 // bypasses the ledger), then unwinds mid-batch.
-                fleet.switch_mut(victim).process(&poison);
+                fleet.switch_mut(victim).process_batch(std::slice::from_ref(&poison));
                 panic!("injected worker panic at step {step}");
             }));
             std::panic::set_hook(prev_hook);

@@ -31,9 +31,7 @@ where
 {
     let epochs = split_epochs(trace, epoch_ns);
     for (i, epoch) in epochs.iter().enumerate() {
-        for pkt in *epoch {
-            switch.process(pkt);
-        }
+        switch.process_batch(epoch);
         on_epoch(i, epoch, switch);
         for &h in tasks {
             switch.reset_task(h)?;

@@ -50,7 +50,7 @@ fn main() {
         let file = std::fs::File::open(&pcap_path).expect("open pcap");
         read_pcap(std::io::BufReader::new(file)).expect("read pcap")
     };
-    switch.process_trace(&loaded);
+    switch.process_batch(&loaded);
     println!(
         "loaded {} blacklisted flows into '{}' ({})\n",
         loaded.len(),

@@ -60,7 +60,7 @@ fn main() {
         switch.task(handle).unwrap().install.latency_ms()
     );
 
-    switch.process_trace(&trace);
+    switch.process_batch(&trace);
 
     // Ground truth and reported sets over all destinations seen.
     let truth_counts = distinct_counts(&trace, KeySpec::DST_IP, KeySpec::SRC_IP);

@@ -41,7 +41,7 @@ fn main() {
     let watch = switch.deploy(&congestion).expect("deploys");
     println!("== phase 1: congestion watch ({}) ==", congestion.name);
 
-    switch.process_trace(&trace);
+    switch.process_batch(&trace);
 
     // Find the /8 aggregate with the worst queue — that's where to look.
     let mut worst: (u32, u64) = (0, 0);
@@ -76,7 +76,7 @@ fn main() {
         switch.task(hh).unwrap().install.latency_ms()
     );
 
-    switch.process_trace(&trace);
+    switch.process_batch(&trace);
 
     // Report the elephants: flows above the threshold, checked against
     // exact ground truth.

@@ -65,11 +65,13 @@ fn main() {
         (flymon_packet::parse_ipv4("10.0.0.2").unwrap(), 120u32),
         (flymon_packet::parse_ipv4("192.168.7.9").unwrap(), 13u32),
     ];
-    for &(src, count) in &talkers {
-        for i in 0..count {
-            switch.process(&Packet::tcp(src, 0x0a00_0063, 4000 + i as u16, 443));
-        }
-    }
+    let workload: Vec<Packet> = talkers
+        .iter()
+        .flat_map(|&(src, count)| {
+            (0..count).map(move |i| Packet::tcp(src, 0x0a00_0063, 4000 + i as u16, 443))
+        })
+        .collect();
+    switch.process_batch(&workload);
     println!("\nprocessed {} packets; estimates:", switch.packets_processed());
     for &(src, truth) in &talkers {
         let est = switch.query_frequency(handle, &Packet::tcp(src, 0x0a00_0063, 1, 443));
@@ -85,9 +87,10 @@ fn main() {
         .memory(1024)
         .build();
     let card = switch.deploy(&cardinality).expect("deploys");
-    for i in 0..5_000u32 {
-        switch.process(&Packet::udp(i, 0x0a00_0063, (i % 50_000) as u16, 53));
-    }
+    let flows: Vec<Packet> = (0..5_000u32)
+        .map(|i| Packet::udp(i, 0x0a00_0063, (i % 50_000) as u16, 53))
+        .collect();
+    switch.process_batch(&flows);
     println!(
         "\nswapped to '{}' ({}): 5000 distinct flows, estimated {:.0}",
         cardinality.name,

@@ -7,6 +7,7 @@
 //! that summed everything it did not recognize, silently inflating
 //! max-law readouts across epoch boundaries.
 
+use flymon::oracle::PerPacket;
 use flymon::prelude::*;
 use flymon_netsim::{
     AdaptiveController, ControllerConfig, IngestConfig, RuntimeHealth, StreamingRuntime,
@@ -47,7 +48,7 @@ fn rotate_pair(def: &TaskDefinition) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
 
     let mut single = FlyMon::new(config());
     let h = single.deploy(def).unwrap();
-    single.process_trace(&t);
+    single.process_batch(&t);
     let union_rows = single.rotate_epoch(h).unwrap();
     (fleet_rows, union_rows)
 }

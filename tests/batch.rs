@@ -10,6 +10,7 @@
 //! stale: every mutation path (deploy, remove, reallocate, reset,
 //! rollback, restore, WAL recovery) has to rebuild it.
 
+use flymon::oracle::{PerPacket, PerPacketGroup};
 use flymon::prelude::*;
 use flymon_packet::{KeySpec, Packet, TaskFilter};
 use flymon_traffic::gen::{TraceConfig, TraceGenerator};
@@ -294,6 +295,67 @@ fn task_mix_is_bit_identical_at_every_slice_length_and_lane_width() {
     assert!(partial >= 4, "bloom2 and cms2_sampled rows must match partially: {hits:?}");
 
     assert_batch_path_matches(deployed, &reference, &t);
+
+    // The rows no operand kernel covers: each reads an upstream CMU's
+    // result off the PHV, so the sweep interprets the installed binding
+    // per packet — on the 32-bit registers the interval recipe needs.
+    let chained = || {
+        let mut fm = FlyMon::new(FlyMonConfig {
+            bucket_bits: 32,
+            ..config
+        });
+        for def in chained_recipes() {
+            fm.deploy(&def).unwrap_or_else(|e| panic!("deploying {}: {e}", def.name));
+        }
+        fm
+    };
+    let mut reference = chained();
+    for p in &t {
+        reference.process(p);
+    }
+    let interpreted = reference
+        .groups()
+        .iter()
+        .flat_map(|g| &g.program().cmus)
+        .flat_map(|c| &c.bindings)
+        .filter(|b| b.kernel == flymon::program::OperandKernel::Interpreted)
+        .count();
+    assert_eq!(interpreted, 5, "two SuMax rows, the braid's high layer, a parity row, a maximizer");
+    assert_batch_path_matches(chained, &reference, &t);
+}
+
+/// One task per recipe whose later rows are chained through the PHV:
+/// SuMax(Sum) rows 1 and 2 (`ChainMin`), the Counter Braids high layer
+/// (`PrevResult` + `MapZero`), the Odd Sketch parity row
+/// (`OneHotBitGated`) and the max-interval maximizer (`IntervalGated`).
+fn chained_recipes() -> Vec<TaskDefinition> {
+    vec![
+        TaskDefinition::builder("sumax3")
+            .key(KeySpec::SRC_IP)
+            .attribute(Attribute::frequency_bytes())
+            .algorithm(Algorithm::SuMaxSum { d: 3 })
+            .memory(2048)
+            .build(),
+        TaskDefinition::builder("braids")
+            .key(KeySpec::DST_IP)
+            .attribute(Attribute::frequency_packets())
+            .algorithm(Algorithm::CounterBraids)
+            .memory(2048)
+            .build(),
+        TaskDefinition::builder("odd")
+            .filter(TaskFilter::src(0x8000_0000, 1))
+            .key(KeySpec::NONE)
+            .attribute(Attribute::Distinct(KeySpec::SRC_IP))
+            .algorithm(Algorithm::OddSketch)
+            .memory(2048)
+            .build(),
+        TaskDefinition::builder("interval")
+            .key(KeySpec::FIVE_TUPLE)
+            .attribute(Attribute::Max(MaxParam::PacketIntervalUs))
+            .algorithm(Algorithm::MaxInterval { d: 1 })
+            .memory(2048)
+            .build(),
+    ]
 }
 
 /// Replays `t` through a fresh `deployed()` switch with `process_batch`

@@ -30,7 +30,7 @@ fn trace() -> Vec<Packet> {
 fn serial_switch(def: &TaskDefinition, t: &[Packet]) -> (FlyMon, TaskHandle) {
     let mut fm = FlyMon::new(config());
     let h = fm.deploy(def).unwrap();
-    fm.process_trace(t);
+    fm.process_batch(t);
     (fm, h)
 }
 

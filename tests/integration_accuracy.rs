@@ -1,6 +1,7 @@
 //! Cross-crate accuracy checks: CMU-hosted algorithms versus exact
 //! ground truth and versus their software reference implementations.
 
+use flymon::oracle::PerPacket;
 use flymon::prelude::*;
 use flymon_packet::{KeySpec, Packet};
 use flymon_traffic::gen::{DdosConfig, TraceConfig, TraceGenerator};
@@ -93,7 +94,7 @@ fn cmu_cms_matches_software_cms_accuracy() {
                 .build(),
         )
         .unwrap();
-    fm.process_trace(&t);
+    fm.process_batch(&t);
     let cmu_are = average_relative_error(truth.frequency.iter().map(|(k, &v)| (*k, v)), |k| {
         fm.query_frequency(h, &r[k]) as f64
     });
@@ -131,7 +132,7 @@ fn sumax_beats_cms_at_equal_memory() {
                     .build(),
             )
             .unwrap();
-        fm.process_trace(&t);
+        fm.process_batch(&t);
         average_relative_error(truth.frequency.iter().map(|(k, &v)| (*k, v)), |k| {
             fm.query_frequency(h, &r[k]) as f64
         })
@@ -163,7 +164,7 @@ fn mrac_entropy_close_to_truth() {
                 .build(),
         )
         .unwrap();
-    fm.process_trace(&t);
+    fm.process_batch(&t);
     let est = fm.entropy(h, 10);
     let re = relative_error(truth, est);
     assert!(re < 0.1, "entropy RE {re:.4} (est {est:.3}, truth {truth:.3})");
@@ -204,7 +205,7 @@ fn beaucoup_ddos_detection_f1_high_at_adequate_memory() {
                 .build(),
         )
         .unwrap();
-    fm.process_trace(&t);
+    fm.process_batch(&t);
     let reported: std::collections::HashSet<_> = r
         .iter()
         .filter(|(_, p)| fm.beaucoup_reports(h, p))
@@ -238,7 +239,7 @@ fn tower_and_braids_exact_in_sparse_regime() {
                     .build(),
             )
             .unwrap();
-        fm.process_trace(&t);
+        fm.process_batch(&t);
         let mut exact = 0usize;
         for (k, &v) in &truth.frequency {
             if fm.query_frequency(h, &r[k]) == v {
@@ -357,7 +358,7 @@ fn max_interval_accuracy_on_synthetic_flows() {
                 .build(),
         )
         .unwrap();
-    fm.process_trace(&t);
+    fm.process_batch(&t);
     let are = average_relative_error(truth.iter().map(|&(k, v)| (k, v)), |k| {
         fm.query_max(h, &r[k]) as f64
     });

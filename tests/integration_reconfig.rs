@@ -1,5 +1,6 @@
 //! On-the-fly reconfiguration: the system behaviors §5.1 demonstrates.
 
+use flymon::oracle::PerPacket;
 use flymon::prelude::*;
 use flymon_packet::{KeySpec, Packet, TaskFilter};
 

@@ -1,5 +1,6 @@
 //! Resource-management behaviors: the §5.2 capacity story end-to-end.
 
+use flymon::oracle::PerPacket;
 use flymon::compiler::{cmu_group_footprint, phv_limited_cmus};
 use flymon::group::GroupConfig;
 use flymon::prelude::*;

@@ -1,6 +1,7 @@
 //! End-to-end task lifecycle: every built-in algorithm deploys, measures
 //! and answers queries through the public API.
 
+use flymon::oracle::PerPacket;
 use flymon::prelude::*;
 use flymon_packet::{KeySpec, Packet, PacketBuilder, TaskFilter};
 use flymon_traffic::gen::{TraceConfig, TraceGenerator};
@@ -49,7 +50,7 @@ fn every_frequency_algorithm_counts() {
             .memory(16384)
             .build();
         let h = fm.deploy(&def).unwrap_or_else(|e| panic!("{alg:?}: {e}"));
-        fm.process_trace(&trace);
+        fm.process_batch(&trace);
         // The heaviest source must be counted to within 2x by every
         // frequency algorithm at this (generous) memory.
         let est = fm.query_frequency(h, rep);
@@ -310,7 +311,7 @@ fn pcap_capture_drives_the_switch_end_to_end() {
                 .build(),
         )
         .unwrap();
-    fm.process_trace(&replay);
+    fm.process_batch(&replay);
     // Counts agree with ground truth computed on the original trace
     // (header fields round-trip bit-exact through pcap).
     let truth =
@@ -474,7 +475,7 @@ fn mrac_flow_size_distribution_wmre() {
                 .build(),
         )
         .unwrap();
-    fm.process_trace(&trace);
+    fm.process_batch(&trace);
     let est = fm.flow_size_distribution(h, 10);
     let score = wmre(&truth_dist, &est);
     assert!(score < 0.5, "flow-size distribution WMRE {score:.3}");

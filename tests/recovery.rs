@@ -5,6 +5,7 @@
 //! checkpoint epoch, whose audit is clean, and whose merged estimates
 //! stay within the documented loss-window bound.
 
+use flymon::oracle::PerPacket;
 use flymon::prelude::*;
 use flymon_netsim::SwitchFleet;
 use flymon_packet::{KeySpec, Packet};
@@ -62,7 +63,7 @@ fn promoted_standby_is_bit_identical_to_unfailed_replica_at_checkpoint_epoch() {
     let mut replica = FlyMon::new(config());
     let rh = replica.deploy(&def).unwrap();
     fleet.process_trace(&t1);
-    replica.process_trace(&t1);
+    replica.process_batch(&t1);
 
     // Checkpoint epoch: the standby ingests a full image here.
     fleet.enable_standby();

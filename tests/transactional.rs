@@ -6,6 +6,7 @@
 //! back to the exact pre-call state: no leaked hash-unit references, no
 //! orphaned partitions, no stray bindings, no dirty registers.
 
+use flymon::oracle::PerPacket;
 use flymon::control::DeployedTask;
 use flymon::prelude::*;
 use flymon_packet::{KeySpec, Packet, TaskFilter};
