@@ -27,7 +27,7 @@ use std::collections::HashMap;
 
 use flymon_packet::{KeySpec, Packet};
 use flymon_rmt::fault::{FaultPlan, InstallOpKind, RetryPolicy};
-use flymon_rmt::register::Register;
+use flymon_rmt::register::{ArchiveDrain, Register};
 use flymon_rmt::rules::{InstallPlan, RuleKind};
 
 use crate::addr::{AddrTranslation, TranslationMethod};
@@ -919,9 +919,10 @@ impl FlyMon {
     /// shadow bank in O(1), so the whole sweep costs O(rows) watermark
     /// checks and pointer swaps instead of an O(memory) read-and-clear
     /// — the data plane can resume the instant this returns. The
-    /// retired epoch stays readable through [`FlyMon::archived_row`]
-    /// until [`FlyMon::retire_epoch_banks`] re-zeroes the shadows
-    /// (the O(memory) memset, paid off the ingestion-stall path).
+    /// retired epoch stays readable — once — through
+    /// [`FlyMon::drain_archived_row`], which zeroes what it hands out;
+    /// [`FlyMon::retire_epoch_banks`] re-zeroes whatever of the
+    /// shadows was not drained, off the ingestion-stall path.
     ///
     /// Untouched registers (idle tasks) are not swapped at all: their
     /// live bank is already zero, so their archived rows read as `None`
@@ -1030,19 +1031,31 @@ impl FlyMon {
         Ok(())
     }
 
-    /// The archived (pre-rotation) contents of one row, readable
-    /// between [`FlyMon::rotate_banks`] and
-    /// [`FlyMon::retire_epoch_banks`]. `Ok(None)` means the row's
-    /// register holds no archive — it was untouched when the rotation
-    /// ran, so the row's epoch contents were all-zero.
-    pub fn archived_row(&self, h: TaskHandle, row: usize) -> Result<Option<&[u32]>, FlymonError> {
-        let (r, _, reg) = self.placed_row(h, row)?;
-        Ok(reg.archived_range(r.offset, r.offset + r.size)?)
+    /// The archived (pre-rotation) contents of one row, handed over
+    /// for good between [`FlyMon::rotate_banks`] and
+    /// [`FlyMon::retire_epoch_banks`]: the drain zeroes the row as the
+    /// reader lets go of it, and retirement no longer owes it
+    /// ([`flymon_rmt::register::Register::drain_archived_range`]).
+    /// `Ok(None)` means the row's register holds no archive — it was
+    /// untouched when the rotation ran, so the row's epoch contents
+    /// were all-zero.
+    pub fn drain_archived_row(
+        &mut self,
+        h: TaskHandle,
+        row: usize,
+    ) -> Result<Option<ArchiveDrain<'_>>, FlymonError> {
+        let (r, ..) = self.placed_row(h, row)?;
+        let (g, c, start, end) = (r.group, r.cmu, r.offset, r.offset + r.size);
+        Ok(self.groups[g]
+            .cmu_mut(c)
+            .register_mut()
+            .drain_archived_range(start, end)?)
     }
 
-    /// Re-zeroes every shadow bank after the archived epoch has been
-    /// merged — the O(memory) half of a rotation, run after ingestion
-    /// has already resumed on the fresh banks.
+    /// Re-zeroes what the merge left of every archived epoch — the
+    /// hulls of rows nobody drained (a failed switch's, an error
+    /// path's) — after ingestion has already resumed on the fresh
+    /// banks. Registers whose every partition was drained owe nothing.
     pub fn retire_epoch_banks(&mut self) {
         for g in 0..self.groups.len() {
             for c in 0..self.groups[g].cmus().len() {

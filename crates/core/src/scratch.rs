@@ -203,10 +203,6 @@ pub struct ReadoutScratch {
     /// Merge accumulator for one row at a time
     /// (`MergeLaw::combine_rows` folds member rows into it).
     pub acc: Vec<u32>,
-    /// Heavy-bucket candidate indices collected during the fused
-    /// merge+stats pass (nonzero buckets of the rows that feed churn
-    /// tracking).
-    pub candidates: Vec<u32>,
     /// Hash scratch for `locate_with` in query sweeps over the readout.
     pub hash: HashScratch,
 }
@@ -217,7 +213,6 @@ impl ReadoutScratch {
     pub fn begin_row(&mut self, n: usize) -> &mut Vec<u32> {
         self.acc.clear();
         self.acc.reserve(n);
-        self.candidates.clear();
         &mut self.acc
     }
 }

@@ -251,13 +251,13 @@ impl AdaptiveController {
 
     /// Signals for one task epoch, given the fleet-wide loss delta.
     ///
-    /// A fleet-rotated epoch carries occupancy counters and the row-0
-    /// heavy-candidate set computed during the merge itself
-    /// ([`TaskEpoch::occupancy`], [`TaskEpoch::heavy_candidates`]), so
-    /// fill/saturation cost nothing here and the churn signal only
-    /// ranks the candidates instead of rescanning the row. Hand-built
-    /// epochs without fused stats fall back to the full scan; both
-    /// paths produce identical signals.
+    /// A fleet-rotated epoch carries occupancy counters computed during
+    /// the merge itself ([`TaskEpoch::occupancy`]), so fill/saturation
+    /// cost nothing here. Hand-built epochs without them fall back to
+    /// the full scan; both paths produce identical signals. The churn
+    /// signal ranks row 0 ([`heavy_buckets`]) — the one pass over an
+    /// epoch's rows that only a controller wants, so only a fleet with
+    /// a controller attached pays for it.
     fn signals(epoch: &TaskEpoch, loss_delta: u64, prev: Option<&Vec<usize>>, top_k: usize) -> (TaskSignals, Vec<usize>) {
         let mut fill = 0.0f64;
         let mut saturation = 0.0f64;
@@ -284,23 +284,7 @@ impl AdaptiveController {
             }
         }
         let row0 = epoch.rows.first().map_or(&[][..], |r| r.as_slice());
-        let candidates_valid = fused
-            && epoch
-                .heavy_candidates
-                .last()
-                .is_none_or(|&i| (i as usize) < row0.len());
-        let heavy = if candidates_valid {
-            // The candidates are exactly row 0's nonzero indices in
-            // ascending order — the same set heavy_buckets filters —
-            // so ranking them reproduces heavy_buckets bit for bit.
-            let mut idx: Vec<usize> =
-                epoch.heavy_candidates.iter().map(|&i| i as usize).collect();
-            idx.sort_unstable_by(|&a, &b| row0[b].cmp(&row0[a]).then(a.cmp(&b)));
-            idx.truncate(top_k);
-            idx
-        } else {
-            heavy_buckets(row0, top_k)
-        };
+        let heavy = heavy_buckets(row0, top_k);
         let churn = prev.map(|p| 1.0 - jaccard(p, &heavy));
         (
             TaskSignals {
@@ -492,11 +476,20 @@ fn wal_anchor(fleet: &SwitchFleet) -> u64 {
     fleet.switch(0).0.wal().map_or(0, |w| w.last_seq())
 }
 
-/// Indices of the top-`k` buckets of `row` by value, zeros excluded.
+/// Indices of the top-`k` buckets of `row` by value (ties to the lower
+/// index), zeros excluded. Value-descending then index-ascending is a
+/// total order, so selecting the `k` first and sorting only those
+/// yields what sorting every nonzero bucket and truncating would.
 fn heavy_buckets(row: &[u32], k: usize) -> Vec<usize> {
+    let heavier = |&a: &usize, &b: &usize| row[b].cmp(&row[a]).then(a.cmp(&b));
     let mut idx: Vec<usize> = (0..row.len()).filter(|&i| row[i] > 0).collect();
-    idx.sort_unstable_by(|&a, &b| row[b].cmp(&row[a]).then(a.cmp(&b)));
-    idx.truncate(k);
+    if k < idx.len() {
+        if k > 0 {
+            idx.select_nth_unstable_by(k - 1, heavier);
+        }
+        idx.truncate(k);
+    }
+    idx.sort_unstable_by(heavier);
     idx
 }
 
@@ -579,6 +572,26 @@ mod tests {
         ));
         // At the ceiling, unsplittable: stuck, no action.
         assert_eq!(c.desired_action(&sig("t", 0.9, 0.02, Some(0.0)), max, false), None);
+    }
+
+    #[test]
+    fn heavy_buckets_select_what_a_full_sort_keeps() {
+        use flymon_packet::SplitMix64;
+        let mut rng = SplitMix64::new(0x70_9c);
+        for len in [1usize, 2, 17, 300, 5_000] {
+            // With four values a quarter are zeros and ties are
+            // everywhere, so the index half of the rule decides.
+            for spread in [4u32, 50, u32::MAX] {
+                let row: Vec<u32> = (0..len).map(|_| rng.next_u32() % spread).collect();
+                let mut sorted: Vec<usize> = (0..len).filter(|&i| row[i] > 0).collect();
+                sorted.sort_unstable_by(|&a, &b| row[b].cmp(&row[a]).then(a.cmp(&b)));
+                let nonzero = sorted.len();
+                for k in [0, 1, nonzero / 2, nonzero.saturating_sub(1), nonzero, nonzero + 1] {
+                    let kept = &sorted[..k.min(nonzero)];
+                    assert_eq!(heavy_buckets(&row, k), kept, "len {len} spread {spread} k {k}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -135,13 +135,6 @@ impl MergeLaw {
     /// `saturation_cap` is the row's cell ceiling (what Cond-ADD
     /// saturates at), which for Sum rows coincides with the clamp cap.
     ///
-    /// With `candidates`, the same sweep also collects the merged row's
-    /// nonzero bucket indices, ascending, replacing the vector's
-    /// contents. The collection is branch-free — every index is
-    /// written, the cursor advances only past nonzero buckets — because
-    /// a half-full row makes a `if v > 0 { push }` loop mispredict on
-    /// every other bucket.
-    ///
     /// # Panics
     /// Panics if the rows differ in length.
     pub fn combine_rows_scan(
@@ -150,59 +143,99 @@ impl MergeLaw {
         src: &[u32],
         cap: u32,
         saturation_cap: u32,
-        candidates: Option<&mut Vec<u32>>,
     ) -> RowOccupancy {
-        sweep(self, acc, src, cap, Some((saturation_cap, candidates)))
+        sweep(self, acc, src, cap, Some(saturation_cap))
     }
 
     /// One row merged across `members` into `acc`, in one sweep per
     /// member: the first row is copied, the middle ones fold in through
     /// [`MergeLaw::combine_rows`], and the last goes through the fused
-    /// [`MergeLaw::combine_rows_scan`], which also yields the occupancy
-    /// (and `candidates`). Callers leave out members whose row is
-    /// provably zero; with none left the row is `size` zeros. A lone
-    /// member folds into zeros instead of being copied — 0 is the
-    /// identity of every law and a register never holds more than its
-    /// ceiling — so it too gets the fused sweep.
-    pub(crate) fn merge_rows<'a>(
+    /// [`MergeLaw::combine_rows_scan`], which also yields the
+    /// occupancy. Callers leave out members whose row is provably zero;
+    /// with none left the row is `size` zeros. A lone member folds into
+    /// zeros instead of being copied — 0 is the identity of every law
+    /// and a register never holds more than its ceiling — so it too
+    /// gets the fused sweep.
+    ///
+    /// Every sweep walks its member in [`MERGE_CHUNK`]s and tells
+    /// `retire` how far it has got (`retire(member, buckets_done)`)
+    /// after each: a rotation hands in archived rows that zero
+    /// themselves behind the walk, while the chunk is still in L1 from
+    /// being read ([`flymon_rmt::register::ArchiveDrain::retire_to`]);
+    /// a live readout's rows are borrowed and its `retire` does
+    /// nothing. The occupancy adds up across chunks.
+    pub(crate) fn merge_rows<S: AsRef<[u32]>>(
         self,
         acc: &mut Vec<u32>,
         size: usize,
-        mut members: impl Iterator<Item = Result<&'a [u32], FlymonError>>,
+        mut members: impl Iterator<Item = Result<S, FlymonError>>,
         cap: u32,
         saturation_cap: u32,
-        candidates: Option<&mut Vec<u32>>,
+        retire: impl Fn(&mut S, usize),
     ) -> Result<RowOccupancy, FlymonError> {
         acc.clear();
         let Some(mut last) = members.next().transpose()? else {
             acc.resize(size, 0);
-            if let Some(out) = candidates {
-                out.clear();
-            }
             return Ok(RowOccupancy::default());
         };
         match members.next().transpose()? {
-            None => acc.resize(last.len(), 0),
+            None => acc.resize(last.as_ref().len(), 0),
             Some(second) => {
-                acc.extend_from_slice(last);
+                let len = last.as_ref().len();
+                acc.reserve(len);
+                for done in (0..len).step_by(MERGE_CHUNK) {
+                    let upto = (done + MERGE_CHUNK).min(len);
+                    acc.extend_from_slice(&last.as_ref()[done..upto]);
+                    retire(&mut last, upto);
+                }
                 last = second;
                 for next in members {
-                    self.combine_rows(acc, last, cap);
+                    walk(acc, &mut last, &retire, |a, s| self.combine_rows(a, s, cap));
                     last = next?;
                 }
             }
         }
-        Ok(self.combine_rows_scan(acc, last, cap, saturation_cap, candidates))
+        let mut occupancy = RowOccupancy::default();
+        walk(acc, &mut last, &retire, |a, s| {
+            let chunk = self.combine_rows_scan(a, s, cap, saturation_cap);
+            occupancy.nonzero += chunk.nonzero;
+            occupancy.saturated += chunk.saturated;
+        });
+        Ok(occupancy)
     }
 }
 
-/// What a fused sweep does beyond the fold: the ceiling it counts
-/// saturated buckets against, and where the nonzero indices go.
-type Scan<'a> = (u32, Option<&'a mut Vec<u32>>);
+/// One member swept into `acc`, front to back in [`MERGE_CHUNK`]s:
+/// `sweep(acc chunk, member chunk)`, then `retire(member, buckets_done)`.
+fn walk<S: AsRef<[u32]>>(
+    acc: &mut [u32],
+    member: &mut S,
+    retire: &impl Fn(&mut S, usize),
+    mut sweep: impl FnMut(&mut [u32], &[u32]),
+) {
+    assert_eq!(
+        acc.len(),
+        member.as_ref().len(),
+        "merged rows must share a geometry"
+    );
+    let mut done = 0;
+    for a in acc.chunks_mut(MERGE_CHUNK) {
+        let upto = done + a.len();
+        sweep(a, &member.as_ref()[done..upto]);
+        retire(member, upto);
+        done = upto;
+    }
+}
+
+/// Buckets per step of [`MergeLaw::merge_rows`]' walk over a member: a
+/// chunk of the accumulator and of the member (8 KB each) sit in L1
+/// together, so zeroing the member's chunk right after the sweep read
+/// it writes lines the core still holds.
+const MERGE_CHUNK: usize = 2 * SCAN_BLOCK;
 
 /// One row sweep — `src` folded into `acc` under `law`, with the
-/// occupancy scan (and candidates) when `scan` asks — at the widest
-/// vector unit this host has.
+/// occupancy scan against the ceiling `scan` names when it names one —
+/// at the widest vector unit this host has.
 ///
 /// The workspace builds for baseline x86-64, whose sse2 has no unsigned
 /// 32-bit min or saturating add, so the portable loops spend most of
@@ -211,17 +244,11 @@ type Scan<'a> = (u32, Option<&'a mut Vec<u32>>);
 /// [`sweep_portable`] for the build's baseline and [`sweep_avx2`] under
 /// `#[target_feature(enable = "avx2")]`, where the autovectorizer emits
 /// 8-lane `vpminud`/`vpmaxud`/`vpor`. The choice is the host's cpuid
-/// (cached by std: one atomic load per row) and nothing else; the
+/// (cached by std: one atomic load per sweep) and nothing else; the
 /// portable instantiation is the fallback on every other host and the
 /// oracle the unit test below holds the wide one to.
 #[allow(unsafe_code)]
-fn sweep(
-    law: MergeLaw,
-    acc: &mut [u32],
-    src: &[u32],
-    cap: u32,
-    scan: Option<Scan<'_>>,
-) -> RowOccupancy {
+fn sweep(law: MergeLaw, acc: &mut [u32], src: &[u32], cap: u32, scan: Option<u32>) -> RowOccupancy {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: avx2 was just detected on the running CPU, the one
@@ -238,7 +265,7 @@ fn sweep_portable(
     acc: &mut [u32],
     src: &[u32],
     cap: u32,
-    scan: Option<Scan<'_>>,
+    scan: Option<u32>,
 ) -> RowOccupancy {
     sweep_body(law, acc, src, cap, scan)
 }
@@ -252,7 +279,7 @@ fn sweep_avx2(
     acc: &mut [u32],
     src: &[u32],
     cap: u32,
-    scan: Option<Scan<'_>>,
+    scan: Option<u32>,
 ) -> RowOccupancy {
     sweep_body(law, acc, src, cap, scan)
 }
@@ -265,13 +292,13 @@ fn sweep_body(
     acc: &mut [u32],
     src: &[u32],
     cap: u32,
-    scan: Option<Scan<'_>>,
+    scan: Option<u32>,
 ) -> RowOccupancy {
     #[inline(always)]
     fn run(
         acc: &mut [u32],
         src: &[u32],
-        scan: Option<Scan<'_>>,
+        scan: Option<u32>,
         op: impl Fn(u32, u32) -> u32,
     ) -> RowOccupancy {
         match scan {
@@ -279,9 +306,7 @@ fn sweep_body(
                 fold(acc, src, op);
                 RowOccupancy::default()
             }
-            Some((saturation_cap, candidates)) => {
-                fold_scan(acc, src, saturation_cap, candidates, op)
-            }
+            Some(saturation_cap) => fold_scan(acc, src, saturation_cap, op),
         }
     }
     match law {
@@ -304,25 +329,20 @@ fn fold(acc: &mut [u32], src: &[u32], op: impl Fn(u32, u32) -> u32) {
     }
 }
 
-/// Buckets per block of [`fold_scan`]: a block of both rows and of the
-/// index buffer stays in L1 between the fold and the candidate step.
-/// Inside a block the occupancy counts are `u32`, as wide as the
-/// buckets, so they ride in the same vector lanes as the fold under
-/// either instantiation (`usize` counters are twice as wide as a
-/// bucket and would halve the lanes of every vector, 4 → 2 or 8 → 4);
-/// across blocks they add up in `usize`, so no row is long enough to
-/// wrap them.
+/// Buckets per block of [`fold_scan`]. Inside a block the occupancy
+/// counts are `u32`, as wide as the buckets, so they ride in the same
+/// vector lanes as the fold under either instantiation (`usize`
+/// counters are twice as wide as a bucket and would halve the lanes of
+/// every vector, 4 → 2 or 8 → 4); across blocks they add up in `usize`,
+/// so no row is long enough to wrap them.
 const SCAN_BLOCK: usize = 1024;
 
-/// [`fold`] fused with the occupancy scan of the merged row and, with
-/// `candidates`, the collection of its nonzero indices — block by
-/// block, so the candidate step reads the buckets the fold just wrote.
+/// [`fold`] fused with the occupancy scan of the merged row.
 #[inline(always)]
 fn fold_scan(
     acc: &mut [u32],
     src: &[u32],
     saturation_cap: u32,
-    mut candidates: Option<&mut Vec<u32>>,
     op: impl Fn(u32, u32) -> u32,
 ) -> RowOccupancy {
     assert_eq!(
@@ -330,13 +350,7 @@ fn fold_scan(
         src.len(),
         "merged rows must share a geometry"
     );
-    if let Some(out) = candidates.as_deref_mut() {
-        out.clear();
-        out.reserve(acc.len());
-    }
     let mut occ = RowOccupancy::default();
-    let mut indices = [0u32; SCAN_BLOCK];
-    let mut base = 0u32;
     for (a, s) in acc.chunks_mut(SCAN_BLOCK).zip(src.chunks(SCAN_BLOCK)) {
         let (mut nonzero, mut saturated) = (0u32, 0u32);
         for (a, &s) in a.iter_mut().zip(s) {
@@ -347,17 +361,6 @@ fn fold_scan(
         }
         occ.nonzero += nonzero as usize;
         occ.saturated += saturated as usize;
-        if let Some(out) = candidates.as_deref_mut() {
-            // Every index is written at the cursor; the cursor moves
-            // only past a nonzero bucket, so it never passes the index.
-            let mut kept = 0;
-            for (i, &v) in (base..).zip(a.iter()) {
-                indices[kept] = i;
-                kept += usize::from(v > 0);
-            }
-            out.extend_from_slice(&indices[..kept]);
-            base += SCAN_BLOCK as u32;
-        }
     }
     occ
 }
@@ -769,12 +772,12 @@ mod tests {
     #[test]
     fn both_sweep_instantiations_agree_with_the_scalar_law() {
         // `sweep_portable` directly, and `sweep` — which on a host with
-        // AVX2 is the wide instantiation — on the same inputs: rows,
-        // occupancy and candidates must equal each other and what
-        // `combine` says per element, so neither body goes untested
-        // whichever one dispatch picks.
+        // AVX2 is the wide instantiation — on the same inputs: rows
+        // and occupancy must equal each other and what `combine` says
+        // per element, so neither body goes untested whichever one
+        // dispatch picks.
         use flymon_packet::SplitMix64;
-        type Sweep = fn(MergeLaw, &mut [u32], &[u32], u32, Option<Scan<'_>>) -> RowOccupancy;
+        type Sweep = fn(MergeLaw, &mut [u32], &[u32], u32, Option<u32>) -> RowOccupancy;
         let bodies: [(&str, Sweep); 2] = [("portable", sweep_portable), ("dispatched", sweep)];
         let mut rng = SplitMix64::new(0x51_3d);
         for len in [0, 1, 7, 8, 9, 31, 32, 33, 1_023, 1_024, 1_025, 2_049, 5_000] {
@@ -798,11 +801,6 @@ mod tests {
                         nonzero: expected.iter().filter(|&&v| v > 0).count(),
                         saturated: expected.iter().filter(|&&v| v >= cap).count(),
                     };
-                    let nonzero: Vec<u32> = (0u32..)
-                        .zip(&expected)
-                        .filter(|(_, &v)| v > 0)
-                        .map(|(i, _)| i)
-                        .collect();
                     for (name, body) in bodies {
                         let case = format!("{name} {law:?} cap={cap} len={len}");
                         let mut acc = acc0.clone();
@@ -811,12 +809,9 @@ mod tests {
                         assert_eq!(occ, RowOccupancy::default(), "{case}: no scan asked");
 
                         let mut acc = acc0.clone();
-                        let mut candidates = vec![7; 3];
-                        let occ =
-                            body(law, &mut acc, &src, cap, Some((cap, Some(&mut candidates))));
+                        let occ = body(law, &mut acc, &src, cap, Some(cap));
                         assert_eq!(acc, expected, "{case}: fused fold");
                         assert_eq!(occ, occupancy, "{case}: occupancy");
-                        assert_eq!(candidates, nonzero, "{case}: candidates");
                     }
                 }
             }

@@ -47,6 +47,7 @@ use flymon::oracle::PerPacket;
 use flymon::prelude::*;
 use flymon::FlymonError;
 use flymon_packet::{Packet, TaskFilter};
+use flymon_rmt::register::ArchiveDrain;
 use flymon_sketches::hll::estimate_from_registers;
 
 use crate::channel::{ChannelConfig, ControlChannel, TxnResult};
@@ -172,10 +173,6 @@ pub struct TaskEpoch {
     /// in the same pass that merged the rows — row index parallel to
     /// `rows`.
     pub occupancy: Vec<datapath::RowOccupancy>,
-    /// Ascending nonzero bucket indices of row 0: the heavy-bucket
-    /// candidate set, collected during the merge so the controller's
-    /// heavy-churn signal never rescans the merged row.
-    pub heavy_candidates: Vec<u32>,
 }
 
 /// A whole fleet epoch: every task's archived readout plus the packet
@@ -665,15 +662,16 @@ impl SwitchFleet {
     /// skipped (their registers are unreachable); they settle through
     /// revival or promotion as usual.
     ///
-    /// Errors if every switch is dead (no rows to read) or an alive
+    /// Errors if every switch is dead (no rows to read), an alive
     /// switch hosts a task outside the fleet's list (deployed through
     /// [`SwitchFleet::switch_mut`]; the whole-register swap would clear
-    /// state the fleet does not own) — both before any bank is swapped
-    /// or any ledger field moves. Also errors if a task's algorithm has
-    /// no merge law, or a logged reset fails mid-sweep — switches
-    /// already rotated stay rotated (each per-switch reset is itself
-    /// atomic; their archived epochs are discarded), and the error
-    /// surfaces which switch refused.
+    /// state the fleet does not own), or a task's algorithm has no
+    /// merge law ([`MergeLaw::of`]) — all before any bank is swapped or
+    /// any ledger field moves. Also errors if a logged reset fails
+    /// mid-sweep — switches already rotated stay rotated (each
+    /// per-switch reset is itself atomic; their archived epochs are
+    /// discarded and their banks retired), and the error surfaces which
+    /// switch refused.
     pub fn rotate_epoch_all(&mut self) -> Result<FleetEpoch, FlymonError> {
         if self.alive_task_members(0).next().is_none() {
             return Err(FlymonError::NoCapacity(
@@ -694,11 +692,17 @@ impl SwitchFleet {
                  a bank rotation would clear it"
             )));
         }
+        // Nor is an epoch worth archiving if some task's rows cannot be
+        // merged out of the archive afterwards.
+        for t in &self.tasks {
+            MergeLaw::of(t.algorithm)?;
+        }
         // Phase 1 — the ingestion stall: O(rows) logged bank swaps per
         // alive switch, plus ledger accounting.
         let stall_begun = Instant::now();
         let mut packets = 0;
         let mut chan = self.channel.take();
+        let mut refused = None;
         for i in 0..self.switches.len() {
             if !self.alive[i] {
                 continue;
@@ -714,9 +718,8 @@ impl SwitchFleet {
                 Ok(TxnResult::Unit)
             });
             if let Err(e) = reset {
-                self.channel = chan;
-                self.note_rotation_stall(stall_begun.elapsed());
-                return Err(e);
+                refused = Some(e);
+                break;
             }
             packets += self.represented[i];
             self.rotated_packets += self.represented[i];
@@ -726,65 +729,75 @@ impl SwitchFleet {
         self.channel = chan;
         self.note_rotation_stall(stall_begun.elapsed());
         // Phase 2 — off the stall path: merge the archived banks (they
-        // are immutable; ingestion writes land in the fresh live
-        // banks), fusing the occupancy scan into the same pass.
-        let tasks = self.merge_epochs()?;
-        // Phase 3 — retire (re-zero) the archives: the O(memory)
-        // memset the swap deferred out of the stall.
-        for i in 0..self.switches.len() {
-            if self.alive[i] {
-                self.switches[i].retire_epoch_banks();
-            }
+        // are out of ingestion's way; its writes land in the fresh live
+        // banks), fusing the occupancy scan into the same pass and
+        // zeroing each archived chunk behind it.
+        let merged = match refused {
+            None => self.merge_epochs(),
+            Some(e) => Err(e),
+        };
+        // Phase 3 — retire what the merge did not drain: nothing after
+        // a clean merge of a fully alive fleet; on an error path, the
+        // archives of whatever did rotate, so that the next rotation's
+        // swap does not have to zero them inside the stall.
+        for (sw, _) in self.switches.iter_mut().zip(&self.alive).filter(|&(_, &alive)| alive) {
+            sw.retire_epoch_banks();
         }
-        Ok(FleetEpoch { tasks, packets })
+        Ok(FleetEpoch {
+            tasks: merged?,
+            packets,
+        })
     }
 
-    /// Merges every fleet task's rows across the alive fleet from the
-    /// archived epoch banks (a register that skipped the swap
-    /// contributes nothing). Each row is one [`MergeLaw::merge_rows`]:
-    /// the occupancy scan and row 0's heavy-candidate collection ride
-    /// the sweep that folds the last member in.
-    fn merge_epochs(&self) -> Result<Vec<TaskEpoch>, FlymonError> {
+    /// Merges every fleet task's rows across the alive fleet out of
+    /// the archived epoch banks, draining them (a register that
+    /// skipped the swap contributes nothing). Each row is one
+    /// [`MergeLaw::merge_rows`]: the occupancy scan rides the sweep
+    /// that folds the last member in, and every member's archived
+    /// chunk is zeroed right behind the sweep that read it.
+    fn merge_epochs(&mut self) -> Result<Vec<TaskEpoch>, FlymonError> {
         let mut task_epochs = Vec::with_capacity(self.tasks.len());
-        for ti in 0..self.tasks.len() {
-            let law = MergeLaw::of(self.tasks[ti].algorithm)?;
-            let (fm, h) = self
-                .alive_task_members(ti)
-                .next()
+        for task in &self.tasks {
+            let law = MergeLaw::of(task.algorithm)?;
+            // The first alive member's placement stands for the fleet's.
+            let (first, h) = (0..self.switches.len())
+                .find_map(|i| task.handles[i].filter(|_| self.alive[i]).map(|h| (i, h)))
                 .expect("liveness was checked above");
-            let placed = &fm.task(h)?.rows;
+            let placed = &self.switches[first].task(h)?.rows;
             let row_caps: Vec<u32> = placed.iter().map(|r| r.bucket_max).collect();
-            let mut rows = Vec::with_capacity(placed.len());
-            let mut occupancy = Vec::with_capacity(placed.len());
-            let mut heavy_candidates = Vec::new();
-            for (row, r) in placed.iter().enumerate() {
+            let mut rows = Vec::with_capacity(row_caps.len());
+            let mut occupancy = Vec::with_capacity(row_caps.len());
+            for (row, &bucket_max) in row_caps.iter().enumerate() {
+                let size = self.switches[first].task(h)?.rows[row].size;
                 let cap = match law {
-                    MergeLaw::Sum => r.bucket_max,
+                    MergeLaw::Sum => bucket_max,
                     MergeLaw::Max | MergeLaw::Or => u32::MAX,
                 };
-                let candidates = (row == 0).then_some(&mut heavy_candidates);
                 let members = self
-                    .alive_task_members(ti)
-                    .filter_map(|(m, mh)| m.archived_row(mh, row).transpose());
+                    .switches
+                    .iter_mut()
+                    .zip(&task.handles)
+                    .zip(&self.alive)
+                    .filter(|&(_, &alive)| alive)
+                    .filter_map(|((m, mh), _)| m.drain_archived_row((*mh)?, row).transpose());
                 let mut acc = Vec::new();
                 occupancy.push(law.merge_rows(
                     &mut acc,
-                    r.size,
+                    size,
                     members,
                     cap,
-                    r.bucket_max,
-                    candidates,
+                    bucket_max,
+                    ArchiveDrain::retire_to,
                 )?);
                 rows.push(acc);
             }
             task_epochs.push(TaskEpoch {
-                name: self.tasks[ti].def.name.clone(),
-                filter: self.tasks[ti].def.filter,
-                algorithm: self.tasks[ti].algorithm,
+                name: task.def.name.clone(),
+                filter: task.def.filter,
+                algorithm: task.algorithm,
                 rows,
                 row_caps,
                 occupancy,
-                heavy_candidates,
             });
         }
         Ok(task_epochs)
@@ -1308,7 +1321,7 @@ impl SwitchFleet {
                 .filter_map(|(fm, h)| touched_row(fm, h, row)),
             cap,
             placed.bucket_max,
-            None,
+            |_live, _done| {},
         )
     }
 

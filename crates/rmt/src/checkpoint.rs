@@ -18,9 +18,12 @@
 //! [`RegisterCheckpoint`] bundles one snapshot per register in a pipeline
 //! in canonical order; [`RegisterCheckpoint::overlay`] folds a delta
 //! checkpoint onto a full base so the standby always holds a single
-//! restorable image.
+//! restorable image. A full image keeps the register's untouched-hull
+//! watermark ([`RegisterSnapshot::hull`]), so an overlay costs what the
+//! delta can change, not what it covers: zeros shipped onto buckets the
+//! image already knows to be zero are not written again.
 
-use crate::register::Register;
+use crate::register::{extend, subtract, Register};
 use crate::RmtError;
 
 /// Format version stamped into every snapshot. Restore refuses a
@@ -95,12 +98,25 @@ pub struct RegisterSnapshot {
     pub len: usize,
     /// Captured payload.
     pub data: SnapshotData,
+    /// Of a full image: the half-open hull outside which every bucket
+    /// of `data` is zero — the image's copy of the watermark the live
+    /// register keeps ([`Register::touched_range`], which a full
+    /// capture takes it from); `None` says the whole image is zero.
+    /// [`RegisterSnapshot::merge_delta`] keeps it current and reads it
+    /// to leave alone what is already zero. An image put together by
+    /// hand states `Some((0, len))` unless it knows better. Unused
+    /// (`None`) on a delta.
+    pub hull: Option<(usize, usize)>,
 }
 
 impl RegisterSnapshot {
     /// Captures `reg` and clears its dirty watermark (the snapshot
     /// barrier: the next delta covers only writes after this call).
     pub fn capture(reg: &mut Register, mode: CaptureMode) -> Self {
+        let hull = match mode {
+            CaptureMode::Full => reg.touched_range(),
+            CaptureMode::Delta => None,
+        };
         let data = match mode {
             CaptureMode::Full => {
                 SnapshotData::Full(reg.read_range(0, reg.len()).expect("full range").to_vec())
@@ -140,6 +156,7 @@ impl RegisterSnapshot {
             width_bits: reg.width_bits(),
             len: reg.len(),
             data,
+            hull,
         }
     }
 
@@ -206,6 +223,13 @@ impl RegisterSnapshot {
     /// Folds a delta snapshot of the same register onto this full
     /// snapshot, producing the image a restore would yield after
     /// applying both in order.
+    ///
+    /// Costs what the delta changes: a value span is copied and joins
+    /// the image's hull; a zero span is filled only where it meets the
+    /// hull — outside it the image is zero already — and then leaves
+    /// it. So the zeros a bank rotation ships onto an image the
+    /// previous post-rotation sync already zeroed are O(1), and any
+    /// other overlay writes exactly the buckets that can differ.
     pub fn merge_delta(&mut self, delta: &RegisterSnapshot) -> Result<(), RmtError> {
         if self.version != delta.version {
             return Err(RmtError::CheckpointMismatch("snapshot version"));
@@ -224,15 +248,31 @@ impl RegisterSnapshot {
             SnapshotData::Full(_) => {
                 // A full snapshot supersedes the base outright.
                 self.data = delta.data.clone();
+                self.hull = delta.hull;
                 return Ok(());
             }
         };
         for span in spans {
             let range = span.range(base.len())?;
-            let covered = &mut base[range];
             match span {
-                DirtySpan::Values { data, .. } => covered.copy_from_slice(data),
-                DirtySpan::Zeros { .. } => covered.fill(0),
+                DirtySpan::Values { data, .. } => {
+                    if !data.is_empty() {
+                        self.hull = Some(extend(self.hull, range.start, range.end));
+                    }
+                    base[range].copy_from_slice(data);
+                }
+                DirtySpan::Zeros { .. } => {
+                    if let Some((lo, hi)) = self.hull {
+                        // Clamped to the span, which was just checked
+                        // against the image: whatever a hostile hull
+                        // says, the slice is in range.
+                        let (from, to) = (range.start.max(lo), range.end.min(hi));
+                        if from < to {
+                            base[from..to].fill(0);
+                        }
+                    }
+                    self.hull = subtract(self.hull, range.start, range.end);
+                }
             }
         }
         Ok(())
@@ -527,6 +567,126 @@ mod tests {
         src.clear_range(40, 50).unwrap();
         assert_eq!(sync(&mut src, &mut base), [zeros(40, 10)]);
         assert_eq!(sync(&mut src, &mut base), []);
+    }
+
+    /// The image's buckets, and its hull checked against them: every
+    /// bucket outside it must be zero.
+    fn image_buckets(image: &RegisterSnapshot, case: &str) -> Vec<u32> {
+        let SnapshotData::Full(buckets) = &image.data else {
+            panic!("{case}: the image is not full");
+        };
+        let (lo, hi) = image.hull.unwrap_or((0, 0));
+        for (i, &v) in buckets.iter().enumerate() {
+            assert!(v == 0 || (lo..hi).contains(&i), "{case}: bucket {i} = {v} outside {:?}", image.hull);
+        }
+        buckets.clone()
+    }
+
+    #[test]
+    fn image_hull_tracks_the_register_through_seeded_histories() {
+        use flymon_packet::SplitMix64;
+        let mut rng = SplitMix64::new(0x1d_a6e5);
+        for (buckets, width) in [(16, 1), (64, 16), (256, 32), (4096, 16), (1024, 1), (32, 32)] {
+            for history in 0..24 {
+                let mut reg = Register::new(buckets, width);
+                // Half the histories attach the standby to a register
+                // that already carries traffic.
+                if history % 2 == 1 {
+                    let at = rng.range_u64(0, buckets as u64) as usize;
+                    reg.write(at, rng.next_u32() | 1).unwrap();
+                }
+                let mut image = RegisterSnapshot::capture(&mut reg, CaptureMode::Full);
+                assert_eq!(image.hull, reg.touched_range(), "a full capture takes the live hull");
+                let mut reference = image_buckets(&image, "attach");
+                for step in 0..40 {
+                    let case = format!("{buckets}x{width} history {history} step {step}");
+                    let (a, b) = (
+                        rng.range_u64(0, buckets as u64 + 1) as usize,
+                        rng.range_u64(0, buckets as u64 + 1) as usize,
+                    );
+                    let (start, end) = (a.min(b), a.max(b));
+                    match rng.next_u32() % 8 {
+                        0 | 1 => reg.write(start.min(buckets - 1), rng.next_u32()).unwrap(),
+                        2 => {
+                            let values: Vec<u32> = (start..end).map(|_| rng.next_u32() % 3).collect();
+                            reg.load_range(start, &values).unwrap();
+                        }
+                        3 => reg.clear_range(start, end).unwrap(),
+                        // A rotation: the bank swap clears the whole
+                        // register, here two partitions' worth.
+                        4 if reg.touched_range().is_some() => {
+                            reg.swap_epoch_bank();
+                            reg.mark_epoch_cleared(0, start).unwrap();
+                            reg.mark_epoch_cleared(start, buckets).unwrap();
+                            reg.retire_shadow();
+                        }
+                        5 => {
+                            // A second full capture supersedes the base.
+                            let full = RegisterSnapshot::capture(&mut reg, CaptureMode::Full);
+                            image.merge_delta(&full).unwrap();
+                            assert_eq!(image, full, "{case}: superseded");
+                            reference = image_buckets(&image, &case);
+                        }
+                        _ => {}
+                    }
+                    if rng.next_u32().is_multiple_of(3) {
+                        continue; // let operations pile up under one delta
+                    }
+                    let delta = RegisterSnapshot::capture(&mut reg, CaptureMode::Delta);
+                    let SnapshotData::Delta(spans) = &delta.data else {
+                        panic!("{case}: expected a delta");
+                    };
+                    // The reference overlay fills every zero span,
+                    // whatever the image already holds there.
+                    for span in spans {
+                        match span {
+                            DirtySpan::Values { start, data } => {
+                                reference[*start..start + data.len()].copy_from_slice(data)
+                            }
+                            DirtySpan::Zeros { start, len } => reference[*start..start + len].fill(0),
+                        }
+                    }
+                    image.merge_delta(&delta).unwrap();
+                    let overlaid = image_buckets(&image, &case);
+                    assert_eq!(overlaid, reference, "{case}: the hull skipped a bucket that differed");
+                    assert_eq!(overlaid, contents(&reg), "{case}: image != live register");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hand_built_image_states_the_whole_register_as_its_hull() {
+        // The geometry comes from a capture (`..base`), the buckets and
+        // the hull are stated: nothing is known to be zero, so a zero
+        // span must fill all of itself.
+        let mut reg = Register::new(32, 16);
+        let base = RegisterSnapshot::capture(&mut reg, CaptureMode::Full);
+        assert_eq!(base.hull, None, "an untouched register's image is all zero");
+        let mut image = RegisterSnapshot {
+            data: SnapshotData::Full(vec![7; 32]),
+            hull: Some((0, 32)),
+            ..base.clone()
+        };
+        let zeros = |start, len| RegisterSnapshot {
+            data: SnapshotData::Delta(vec![DirtySpan::Zeros { start, len }]),
+            ..base.clone()
+        };
+        image.merge_delta(&zeros(8, 8)).unwrap();
+        assert_eq!(image.hull, Some((0, 32)), "an interior span leaves the hull");
+        image.merge_delta(&zeros(0, 8)).unwrap();
+        image.merge_delta(&zeros(24, 8)).unwrap();
+        assert_eq!(image.hull, Some((8, 24)), "edge spans shrink it");
+        let mut expected = vec![0; 32];
+        expected[16..24].fill(7);
+        assert_eq!(image_buckets(&image, "hand-built"), expected);
+        // Zeros onto what is zero already, inside the hull or out.
+        image.merge_delta(&zeros(0, 16)).unwrap();
+        assert_eq!(image.hull, Some((16, 24)));
+        assert_eq!(image_buckets(&image, "hand-built"), expected);
+        image.merge_delta(&zeros(10, 22)).unwrap();
+        assert_eq!(image.hull, None);
+        assert_eq!(image_buckets(&image, "zeroed"), vec![0; 32]);
     }
 
     #[test]

@@ -40,16 +40,77 @@ pub struct Register {
 #[derive(Debug, Clone)]
 struct ShadowBank {
     buckets: Vec<u32>,
-    /// True while the bank holds an archived (not yet retired) epoch.
-    holding: bool,
+    /// Half-open hull of the archived (not yet retired) epoch: the live
+    /// bank's touched hull at the swap, less what the rotation has
+    /// drained since ([`Register::drain_archived_range`]). Every bucket
+    /// outside it is zero, so it is all [`Register::retire_shadow`]
+    /// still owes; `None` means the bank holds no archive.
+    owed: Option<(usize, usize)>,
 }
 
 /// Union of a watermark hull with `[start, end)` (callers ensure
 /// `start < end`).
-fn extend(hull: Option<(usize, usize)>, start: usize, end: usize) -> (usize, usize) {
+pub(crate) fn extend(hull: Option<(usize, usize)>, start: usize, end: usize) -> (usize, usize) {
     match hull {
         Some((lo, hi)) => (lo.min(start), hi.max(end)),
         None => (start, end),
+    }
+}
+
+/// A watermark hull less `[start, end)`. A hull is an interval, so only
+/// a span that reaches an edge can shrink it; an interior span leaves
+/// the hull as a conservative over-cover — whoever reads by it may then
+/// visit some zero buckets, but never skips a nonzero one.
+pub(crate) fn subtract(
+    hull: Option<(usize, usize)>,
+    start: usize,
+    end: usize,
+) -> Option<(usize, usize)> {
+    let (lo, hi) = hull?;
+    if start <= lo && end >= hi {
+        None
+    } else if start <= lo {
+        Some((end.max(lo), hi))
+    } else if end >= hi {
+        Some((lo, start.min(hi)))
+    } else {
+        Some((lo, hi))
+    }
+}
+
+/// A span of an archived epoch on its way out
+/// ([`Register::drain_archived_range`]): readable whole, zeroed from
+/// the front as the reader lets go of it, and zeroed to the end when
+/// dropped — so whatever the reader does, an early return included,
+/// the shadow bank gets the span back all-zero.
+#[derive(Debug)]
+pub struct ArchiveDrain<'a> {
+    span: &'a mut [u32],
+    /// Buckets of `span`, from its start, already zeroed.
+    retired: usize,
+}
+
+impl ArchiveDrain<'_> {
+    /// Zeroes the span up to bucket `upto` (relative to its start): the
+    /// reader is done with everything before it.
+    pub fn retire_to(&mut self, upto: usize) {
+        if upto > self.retired {
+            self.span[self.retired..upto].fill(0);
+            self.retired = upto;
+        }
+    }
+}
+
+impl AsRef<[u32]> for ArchiveDrain<'_> {
+    /// The whole span; what was retired reads as the zeros it now is.
+    fn as_ref(&self) -> &[u32] {
+        self.span
+    }
+}
+
+impl Drop for ArchiveDrain<'_> {
+    fn drop(&mut self) {
+        self.span[self.retired..].fill(0);
     }
 }
 
@@ -100,25 +161,6 @@ impl Register {
         self.dirty = Some(extend(self.dirty, start, end));
     }
 
-    /// Subtracts `[start, end)` from the touched hull. A hull is an
-    /// interval, so only clears that reach an edge can shrink it; an
-    /// interior clear leaves the hull as a conservative over-cover —
-    /// elision may then scan some zero buckets, but never skips a
-    /// nonzero one.
-    fn retire_touched(&mut self, start: usize, end: usize) {
-        if let Some((lo, hi)) = self.touched {
-            self.touched = if start <= lo && end >= hi {
-                None
-            } else if start <= lo {
-                Some((end.max(lo), hi))
-            } else if end >= hi {
-                Some((lo, start.min(hi)))
-            } else {
-                Some((lo, hi))
-            };
-        }
-    }
-
     /// The half-open bucket range written since the last
     /// [`Register::clear_dirty`] (or construction), if any. A single
     /// watermark range, not an exact set: it may cover untouched buckets
@@ -155,9 +197,11 @@ impl Register {
 
     /// Double-buffered epoch reset: swaps the live bucket bank with the
     /// zeroed shadow bank in O(1), leaving the epoch's data readable
-    /// through [`Register::archived_range`] until
+    /// until it is drained ([`Register::drain_archived_range`]) or
     /// [`Register::retire_shadow`] re-zeroes it. After the swap the
-    /// live bank is all-zero, so the touched hull drops to `None`.
+    /// live bank is all-zero, so the touched hull drops to `None` — and
+    /// becomes the hull of the archive, the only part of the shadow
+    /// bank anyone has to zero again.
     ///
     /// The checkpoint watermark is *not* extended here: the register
     /// does not know which sub-ranges were task partitions. The control
@@ -170,16 +214,13 @@ impl Register {
     /// an unretired archive (an aborted rotation) is re-zeroed first,
     /// so stale epochs can never leak into the live bank.
     pub fn swap_epoch_bank(&mut self) {
+        self.retire_shadow();
         let bank = self.shadow.get_or_insert_with(|| ShadowBank {
             buckets: vec![0; self.buckets.len()],
-            holding: false,
+            owed: None,
         });
-        if bank.holding {
-            bank.buckets.fill(0);
-        }
         std::mem::swap(&mut self.buckets, &mut bank.buckets);
-        bank.holding = true;
-        self.touched = None;
+        bank.owed = self.touched.take();
     }
 
     /// Records that `[start, end)` was reset to zero by a bank swap:
@@ -188,23 +229,15 @@ impl Register {
     /// is not inspected — the caller asserts the span is zero, which
     /// [`Register::swap_epoch_bank`] guarantees for the whole bank.
     pub fn mark_epoch_cleared(&mut self, start: usize, end: usize) -> Result<(), RmtError> {
-        if end > self.buckets.len() || start > end {
-            return Err(RmtError::IndexOutOfRange {
-                what: "bucket range end",
-                index: end,
-                limit: self.buckets.len(),
-            });
-        }
+        self.check_range(start, end)?;
         self.extend_dirty(start, end);
-        self.retire_touched(start, end);
+        self.touched = subtract(self.touched, start, end);
         Ok(())
     }
 
-    /// The archived epoch's `[start, end)`, if the shadow bank holds an
-    /// unretired archive. `Ok(None)` means no archive — either no swap
-    /// happened or it was retired — and the caller should treat the
-    /// span as all-zero.
-    pub fn archived_range(&self, start: usize, end: usize) -> Result<Option<&[u32]>, RmtError> {
+    /// Refuses a bucket range that is inverted or runs past the
+    /// register.
+    fn check_range(&self, start: usize, end: usize) -> Result<(), RmtError> {
         if end > self.buckets.len() || start > end {
             return Err(RmtError::IndexOutOfRange {
                 what: "bucket range end",
@@ -212,27 +245,58 @@ impl Register {
                 limit: self.buckets.len(),
             });
         }
-        Ok(self
-            .shadow
-            .as_ref()
-            .filter(|b| b.holding)
-            .map(|b| &b.buckets[start..end]))
+        Ok(())
     }
 
-    /// Whether the shadow bank holds an unretired archived epoch.
+    /// The archived epoch's `[start, end)`, handed over for good, if
+    /// the shadow bank holds an unretired archive. `Ok(None)` means no
+    /// archive — no swap happened, or everything it archived was
+    /// drained or retired — and the caller should treat the span as
+    /// all-zero.
+    ///
+    /// The span leaves the register's books here: it is subtracted from
+    /// what [`Register::retire_shadow`] still owes (from an edge of the
+    /// archive's hull, like every hull subtraction in this module), and
+    /// the [`ArchiveDrain`] zeroes it instead — chunk by chunk as the
+    /// caller finishes reading, each while it is still in cache from
+    /// being read, so the epoch's archive is written once rather than
+    /// read cold a second time to be cleared.
+    pub fn drain_archived_range(
+        &mut self,
+        start: usize,
+        end: usize,
+    ) -> Result<Option<ArchiveDrain<'_>>, RmtError> {
+        self.check_range(start, end)?;
+        let Some(bank) = self.shadow.as_mut().filter(|b| b.owed.is_some()) else {
+            return Ok(None);
+        };
+        bank.owed = subtract(bank.owed, start, end);
+        Ok(Some(ArchiveDrain {
+            span: &mut bank.buckets[start..end],
+            retired: 0,
+        }))
+    }
+
+    /// Whether the shadow bank holds an archived epoch that is neither
+    /// drained nor retired.
     pub fn has_archive(&self) -> bool {
-        self.shadow.as_ref().is_some_and(|b| b.holding)
+        self.shadow.as_ref().is_some_and(|b| b.owed.is_some())
     }
 
-    /// Re-zeroes the shadow bank after the archived epoch has been
-    /// merged — the O(memory) part of a rotation, paid off the
-    /// ingestion-stall path. No-op when nothing is archived.
+    /// Re-zeroes what is left of the archived epoch once it has been
+    /// merged: the archive's hull, less the spans the merge drained —
+    /// nothing at all when it drained every partition of the register.
+    /// Paid off the ingestion-stall path. No-op when nothing is
+    /// archived.
     pub fn retire_shadow(&mut self) {
         if let Some(bank) = self.shadow.as_mut() {
-            if bank.holding {
-                bank.buckets.fill(0);
-                bank.holding = false;
+            if let Some((lo, hi)) = bank.owed.take() {
+                bank.buckets[lo..hi].fill(0);
             }
+            debug_assert!(
+                bank.buckets.iter().all(|&v| v == 0),
+                "a retired shadow bank must be all-zero"
+            );
         }
     }
 
@@ -318,18 +382,12 @@ impl Register {
     /// Zeroes a half-open bucket range (a control-plane reset of one
     /// task's partition at epoch boundaries or on reallocation).
     pub fn clear_range(&mut self, start: usize, end: usize) -> Result<(), RmtError> {
-        if end > self.buckets.len() || start > end {
-            return Err(RmtError::IndexOutOfRange {
-                what: "bucket range end",
-                index: end,
-                limit: self.buckets.len(),
-            });
-        }
+        self.check_range(start, end)?;
         self.buckets[start..end].fill(0);
         // The zeros must reach the next delta checkpoint, but the span
         // is now *less* touched: retire it from the elision hull.
         self.extend_dirty(start, end);
-        self.retire_touched(start, end);
+        self.touched = subtract(self.touched, start, end);
         Ok(())
     }
 
@@ -346,13 +404,7 @@ impl Register {
 
     /// Snapshot of a bucket range (the control plane's periodic readout).
     pub fn read_range(&self, start: usize, end: usize) -> Result<&[u32], RmtError> {
-        if end > self.buckets.len() || start > end {
-            return Err(RmtError::IndexOutOfRange {
-                what: "bucket range end",
-                index: end,
-                limit: self.buckets.len(),
-            });
-        }
+        self.check_range(start, end)?;
         Ok(&self.buckets[start..end])
     }
 }
@@ -478,15 +530,22 @@ mod tests {
         // Live bank is zero, archive holds the epoch.
         assert_eq!(r.read_range(0, 8).unwrap(), &[0; 8]);
         assert_eq!(r.touched_range(), None);
-        assert_eq!(
-            r.archived_range(0, 8).unwrap().unwrap(),
-            &[1, 2, 3, 4, 5, 6, 7, 8]
-        );
+        assert!(r.has_archive());
         r.mark_epoch_cleared(0, 8).unwrap();
         assert_eq!(r.dirty_range(), Some((0, 8)), "reset reaches the delta");
+        // Half of it is drained, the other half left to retirement.
+        let mut drain = r.drain_archived_range(0, 4).unwrap().unwrap();
+        assert_eq!(drain.as_ref(), &[1, 2, 3, 4]);
+        drain.retire_to(2);
+        assert_eq!(drain.as_ref(), &[0, 0, 3, 4], "zeroed behind the reader");
+        drop(drain);
+        assert!(r.has_archive(), "[4, 8) is still owed");
         r.retire_shadow();
         assert!(!r.has_archive());
-        assert_eq!(r.archived_range(0, 8).unwrap(), None);
+        assert!(r.drain_archived_range(0, 8).unwrap().is_none());
+        // The bank comes back all-zero, drained and retired halves alike.
+        r.swap_epoch_bank();
+        assert_eq!(r.read_range(0, 8).unwrap(), &[0; 8]);
         // New traffic lands in the fresh bank.
         r.write(2, 9).unwrap();
         assert_eq!(r.touched_range(), Some((2, 3)));
@@ -503,7 +562,7 @@ mod tests {
         r.swap_epoch_bank();
         assert_eq!(r.read_range(0, 4).unwrap(), &[0; 4], "live is clean");
         assert_eq!(
-            r.archived_range(0, 4).unwrap().unwrap(),
+            r.drain_archived_range(0, 4).unwrap().unwrap().as_ref(),
             &[0, 22, 0, 0],
             "archive holds only the epoch just rotated, not the aborted one"
         );
@@ -512,10 +571,12 @@ mod tests {
     #[test]
     fn archived_range_checks_bounds() {
         let mut r = Register::new(4, 16);
-        assert!(r.archived_range(0, 5).is_err());
+        assert!(r.drain_archived_range(0, 5).is_err());
         assert!(r.mark_epoch_cleared(3, 2).is_err());
+        r.write(0, 1).unwrap();
         r.swap_epoch_bank();
-        assert!(r.archived_range(2, 1).is_err());
+        assert!(r.drain_archived_range(2, 1).is_err());
+        assert!(r.has_archive(), "a refused range drains nothing");
     }
 
     #[test]

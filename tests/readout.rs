@@ -3,19 +3,21 @@
 //! Six claims are pinned here:
 //!
 //! 1. the vectorized merge kernels ([`MergeLaw::combine_rows`], and
-//!    [`MergeLaw::combine_rows_scan`] with its fused occupancy and
-//!    candidate collection) are bit-identical to the per-element law
-//!    across laws, cap boundaries, densities and ragged row lengths;
+//!    [`MergeLaw::combine_rows_scan`] with its fused occupancy) are
+//!    bit-identical to the per-element law across laws, cap
+//!    boundaries, densities and ragged row lengths;
 //! 2. dirty-row elision is invisible: a member row skipped because its
 //!    epoch watermark proves it untouched contributes exactly what
 //!    merging its zeros would have;
-//! 3. the double-buffered rotation (bank swap + post-stall merge)
-//!    returns epochs bit-identical to the scalar merge of the live
-//!    registers taken just before the rotation, refuses — changing
-//!    nothing — a switch carrying a task the fleet does not track, and
-//!    survives a 20-seed fault soak with the packet ledger conserved;
-//! 4. the fused merge+stats signals (occupancy, heavy candidates)
-//!    equal what a separate scan of the merged rows would report, and
+//! 3. the double-buffered rotation (bank swap + post-stall merge that
+//!    drains the archive behind itself) returns epochs bit-identical to
+//!    the scalar merge of the live registers taken just before the
+//!    rotation, leaves every shadow bank all-zero, refuses — changing
+//!    nothing — a switch carrying a task the fleet does not track or a
+//!    task no single law merges, and survives a 20-seed fault soak with
+//!    the packet ledger conserved;
+//! 4. the fused merge+stats signals (occupancy) equal what a separate
+//!    scan of the merged rows would report, and
 //!    a standby promotion after bank rotations recovers registers
 //!    bit-identical to an unfailed twin at the sync barrier;
 //! 5. a point-read `merged_frequency` answers what merging whole rows
@@ -26,7 +28,7 @@
 use flymon::prelude::*;
 use flymon::task::TaskId;
 use flymon_netsim::{MergeLaw, RowOccupancy, SwitchFleet};
-use flymon_packet::{KeySpec, Packet, SplitMix64};
+use flymon_packet::{KeySpec, Packet, SplitMix64, TaskFilter};
 use flymon_rmt::checkpoint::{DirtySpan, SnapshotData};
 use flymon_traffic::gen::{TraceConfig, TraceGenerator};
 
@@ -164,29 +166,15 @@ fn merge_kernels_bit_identical_across_laws_caps_lengths_and_densities() {
                         .map(|(&a, &b)| law.combine(a, b, cap))
                         .collect();
                     let occupancy = naive_occupancy(&expected, cap);
-                    let nonzero: Vec<u32> = (0u32..)
-                        .zip(&expected)
-                        .filter(|(_, &v)| v > 0)
-                        .map(|(i, _)| i)
-                        .collect();
 
                     let mut acc = acc0.clone();
                     law.combine_rows(&mut acc, &src, cap);
                     assert_eq!(acc, expected, "{case}: fold diverged from the scalar law");
 
                     let mut acc = acc0.clone();
-                    let occ = law.combine_rows_scan(&mut acc, &src, cap, cap, None);
+                    let occ = law.combine_rows_scan(&mut acc, &src, cap, cap);
                     assert_eq!(acc, expected, "{case}: fused fold diverged");
                     assert_eq!(occ, occupancy, "{case}: fused occupancy");
-
-                    // Stale contents must not survive in the candidates.
-                    let mut candidates = vec![7; 3];
-                    let mut acc = acc0.clone();
-                    let occ =
-                        law.combine_rows_scan(&mut acc, &src, cap, cap, Some(&mut candidates));
-                    assert_eq!(acc, expected, "{case}: fused fold with candidates diverged");
-                    assert_eq!(occ, occupancy, "{case}: fused occupancy with candidates");
-                    assert_eq!(candidates, nonzero, "{case}: candidates");
                 }
             }
         }
@@ -230,7 +218,6 @@ fn untouched_members_elide_without_changing_the_merge() {
         assert_eq!(row.len(), exp.len());
         assert!(row.iter().all(|&v| v == 0), "idle epoch must be all-zero");
     }
-    assert!(idle.tasks[0].heavy_candidates.is_empty());
     assert!(idle.tasks[0]
         .occupancy
         .iter()
@@ -269,14 +256,23 @@ fn bank_rotation_epoch_is_bit_identical_to_scalar_merge() {
         for ((row, &cap), occ) in te.rows.iter().zip(&te.row_caps).zip(&te.occupancy) {
             assert_eq!(*occ, naive_occupancy(row, cap));
         }
-        let nonzero0: Vec<u32> = te.rows[0]
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v > 0)
-            .map(|(i, _)| i as u32)
-            .collect();
-        assert_eq!(te.heavy_candidates, nonzero0);
     }
+}
+
+/// Everything a refused rotation must leave alone: every register of
+/// every switch, the ledger, the archived-packet count and the stall
+/// bookkeeping.
+fn rotation_state(fleet: &mut SwitchFleet) -> impl PartialEq + std::fmt::Debug {
+    let registers: Vec<_> = (0..fleet.len())
+        .map(|i| fleet.switch_mut(i).checkpoint(CaptureMode::Full).registers)
+        .collect();
+    (
+        registers,
+        fleet.ledger(),
+        fleet.rotated_packets(),
+        fleet.rotation_stall_totals(),
+        fleet.last_rotation_stall(),
+    )
 }
 
 /// The bank swap clears whole registers, so a switch carrying a task
@@ -293,25 +289,49 @@ fn rotation_refuses_a_switch_with_an_out_of_band_task_and_changes_nothing() {
     fleet.switch_mut(1).deploy(&stray).unwrap();
     fleet.process_trace(&trace(0xD1CE, 20_000));
 
-    let state = |fleet: &mut SwitchFleet| {
-        let registers: Vec<_> = (0..2)
-            .map(|i| fleet.switch_mut(i).checkpoint(CaptureMode::Full).registers)
-            .collect();
-        (
-            registers,
-            fleet.ledger(),
-            fleet.rotated_packets(),
-            fleet.rotation_stall_totals(),
-        )
-    };
-    let before = state(&mut fleet);
+    let before = rotation_state(&mut fleet);
     let err = fleet.rotate_epoch_all().unwrap_err();
     assert!(
         matches!(&err, FlymonError::BadTask(why) if why.contains("switch 1")),
         "{err:?}"
     );
-    let after = state(&mut fleet);
-    assert!(before == after, "a refused rotation moved state");
+    assert_eq!(before, rotation_state(&mut fleet), "a refused rotation moved state");
+}
+
+/// A task whose rows have no single merge law (`deploy_task` accepts an
+/// Odd Sketch) cannot be rotated — and must say so before anybody's
+/// epoch is archived, not after every bank was swapped and the merge
+/// then gave up on the lot.
+#[test]
+fn rotation_refuses_an_unmergeable_task_and_keeps_everyones_epoch() {
+    let mut fleet = SwitchFleet::deploy(2, config(), &cms_def(2)).unwrap();
+    let odd = TaskDefinition::builder("odd")
+        .filter(TaskFilter::src(0x8000_0000, 1))
+        .key(KeySpec::NONE)
+        .attribute(Attribute::Distinct(KeySpec::SRC_IP))
+        .algorithm(Algorithm::OddSketch)
+        .memory(2048)
+        .build();
+    let odd_at = fleet.deploy_task(&odd).unwrap();
+    let fed = trace(0xD1CE, 20_000);
+    fleet.process_trace(&fed);
+
+    let before = rotation_state(&mut fleet);
+    let err = fleet.rotate_epoch_all().unwrap_err();
+    assert!(
+        matches!(&err, FlymonError::BadTask(why) if why.contains("OddSketch")),
+        "{err:?}"
+    );
+    assert_eq!(before, rotation_state(&mut fleet), "a refused rotation moved state");
+
+    // Without the offender the next rotation returns the whole epoch.
+    fleet.remove_task(odd_at).unwrap();
+    let expected = scalar_merged_rows(&fleet);
+    let epoch = fleet.rotate_epoch_all().unwrap();
+    assert_eq!(epoch.packets, fed.len() as u64);
+    assert_eq!(epoch.tasks.len(), 1);
+    assert_eq!(epoch.tasks[0].rows, expected);
+    assert!(fleet.ledger().balanced(), "{:?}", fleet.ledger());
 }
 
 #[test]
@@ -328,6 +348,99 @@ fn scratch_readout_through_shared_scratch_matches_scalar_merge() {
             fm.task(h).unwrap().rows[row].bucket_max
         };
         assert_eq!(occ, naive_occupancy(exp, cap));
+    }
+}
+
+/// Every shadow bank of every switch is back to all-zero and owes
+/// nothing: swapping a copy of the register shows the bank.
+fn assert_shadow_banks_clean(fleet: &SwitchFleet, stage: &str) {
+    for i in 0..fleet.len() {
+        for (g, group) in fleet.switch(i).0.groups().iter().enumerate() {
+            for (c, cmu) in group.cmus().iter().enumerate() {
+                let mut reg = cmu.register().clone();
+                assert!(!reg.has_archive(), "{stage}: switch {i} register {g}/{c} kept an archive");
+                reg.swap_epoch_bank();
+                assert!(
+                    reg.read_range(0, reg.len()).unwrap().iter().all(|&v| v == 0),
+                    "{stage}: switch {i} register {g}/{c} has a stale shadow bank"
+                );
+            }
+        }
+    }
+}
+
+/// The archive is zeroed chunk by chunk inside the merge, and
+/// retirement zeroes only what the merge did not drain — so a chunk
+/// either of them missed would sit in the recycled bank and resurface
+/// as counts two epochs later. Six epochs on a fleet built to miss
+/// one: two tasks sharing registers at different offsets, an idle
+/// task, a reallocation and a failed switch on the way.
+#[test]
+fn fused_retire_leaves_clean_banks_across_epochs_tasks_and_failures() {
+    let cms = |name: &str, dst: u32, memory: usize| {
+        TaskDefinition::builder(name)
+            .filter(TaskFilter::dst(dst << 24, 8))
+            .key(KeySpec::SRC_IP)
+            .attribute(Attribute::frequency_packets())
+            .algorithm(Algorithm::Cms { d: 2 })
+            .memory(memory)
+            .build()
+    };
+    // The generator's destinations are 10/47/88/140/192/203 `/8`s.
+    let names = ["ten", "rest", "idle"];
+    let mut fleet = SwitchFleet::deploy(3, config(), &cms(names[0], 10, 8192)).unwrap();
+    let rest = fleet
+        .deploy_task(
+            &TaskDefinition::builder(names[1])
+                .filter(TaskFilter::dst(128 << 24, 1))
+                .key(KeySpec::SRC_IP)
+                .attribute(Attribute::frequency_packets())
+                .algorithm(Algorithm::Cms { d: 2 })
+                .memory(4096)
+                .build(),
+        )
+        .unwrap();
+    fleet.deploy_task(&cms(names[2], 20, 2048)).unwrap();
+    let placement = |fleet: &SwitchFleet, name: &str| -> Vec<(usize, usize, usize)> {
+        let fm = fleet.switch(0).0;
+        let task = fm.task(handle_by_name(fm, name).unwrap()).unwrap();
+        task.rows.iter().map(|r| (r.group, r.cmu, r.offset)).collect()
+    };
+    let (ten, others) = (placement(&fleet, names[0]), placement(&fleet, names[1]));
+    assert!(
+        ten.iter()
+            .any(|&(g, c, at)| others.iter().any(|&(og, oc, oat)| (g, c) == (og, oc) && at != oat)),
+        "the tasks must share a register at different offsets: {ten:?} {others:?}"
+    );
+
+    for epoch in 0..6u64 {
+        let stage = format!("epoch {epoch}");
+        fleet.process_trace(&trace(0xFA57 + epoch, 12_000));
+        match epoch {
+            2 => fleet.reallocate_task(rest, 2048).unwrap(),
+            3 => fleet.fail_switch(2),
+            _ => {}
+        }
+        let expected: Vec<Vec<Vec<u32>>> = names
+            .iter()
+            .map(|name| scalar_merged_rows_of(&fleet, |i| handle_by_name(fleet.switch(i).0, name)))
+            .collect();
+        // The reallocation redeployed its task empty just now.
+        let busy = |rows: &[Vec<u32>]| rows.iter().flatten().any(|&v| v > 0);
+        assert!(busy(&expected[0]), "{stage}");
+        assert_eq!(busy(&expected[1]), epoch != 2, "{stage}");
+        assert!(!busy(&expected[2]), "{stage}: the idle task saw traffic");
+
+        let rotated = fleet.rotate_epoch_all().unwrap();
+        for ((te, name), rows) in rotated.tasks.iter().zip(names).zip(&expected) {
+            assert_eq!(te.name, name);
+            assert_eq!(&te.rows, rows, "{stage}: task {name} diverged from the scalar merge");
+            for ((row, &cap), occ) in te.rows.iter().zip(&te.row_caps).zip(&te.occupancy) {
+                assert_eq!(*occ, naive_occupancy(row, cap), "{stage}: task {name}");
+            }
+        }
+        assert_shadow_banks_clean(&fleet, &stage);
+        assert!(fleet.ledger().balanced(), "{stage}: {:?}", fleet.ledger());
     }
 }
 
