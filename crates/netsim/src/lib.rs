@@ -43,7 +43,6 @@ pub mod epochs;
 pub mod fleet;
 pub mod forwarding;
 pub mod ingest;
-pub mod runner;
 
 pub use adapt::{
     AdaptAction, AdaptiveController, ControllerConfig, ControllerReport, Decision, TaskSignals,
@@ -61,7 +60,6 @@ pub use ingest::{
     QueueStats, RuntimeHealth, RuntimeReport, RuntimeStats, StepOutcome, StreamLedger,
     StreamingRuntime, TraceChunks,
 };
-pub use runner::run_epochs;
 pub use forwarding::{
     run_forwarding, DeploymentStyle, ForwardingConfig, ReconfigEvent, ThroughputSample,
 };

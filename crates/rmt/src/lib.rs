@@ -17,16 +17,9 @@
 //!   [`salu::MAX_REGISTER_ACTIONS`] register actions and access their
 //!   register once per packet — the constraints behind the reduced
 //!   operation set (§3.1.2) and the one-task-per-packet limitation (§3.3).
-//! - [`tcam`]: ternary/range match tables with entry accounting, used by
-//!   the preparation stage for address translation and one-hot parameter
-//!   mapping.
-//! - [`table`]: exact-match match-action tables (Select Key / Select
-//!   Param / Select Operation).
 //! - [`resources`]: the Tofino resource model — per-stage capacities and
 //!   a [`resources::ResourceVector`] bookkeeping type; includes the
 //!   `switch.p4` baseline occupancy used by Figure 13a.
-//! - [`phv`]: Packet Header Vector budget accounting (the "PHV copy"
-//!   problem and the less-copy strategy of §3.1.1, Figure 13c).
 //! - [`stacking`]: cross-stacked placement of CMU Groups over MAU stages
 //!   (§3.2 Figure 8), including the Appendix E mirror/recirculate splicing.
 //! - [`rules`]: runtime rule kinds and the measured install-latency model
@@ -47,15 +40,12 @@
 pub mod checkpoint;
 pub mod fault;
 pub mod hash;
-pub mod phv;
 pub mod pipeline;
 pub mod register;
 pub mod resources;
 pub mod rules;
 pub mod salu;
 pub mod stacking;
-pub mod table;
-pub mod tcam;
 
 /// Errors surfaced by the RMT substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -6,40 +6,8 @@
 
 use flymon_packet::{KeySpec, SplitMix64};
 use flymon_rmt::salu::{Salu, StatefulOp};
-use flymon_rmt::tcam::RangeField;
 
 const CASES: usize = 256;
-
-/// Prefix expansion of a range is minimal-ish and, above all, correct:
-/// the expansion cost of an aligned power-of-two range is 1, and any
-/// range costs at most 2*32 entries (the classic bound).
-#[test]
-fn range_expansion_bounds() {
-    let mut r = SplitMix64::new(0xA1);
-    for _ in 0..CASES {
-        let lo = r.next_u32();
-        let len = r.range_u64(1, 1_000_000) as u32;
-        let hi = lo.saturating_add(len - 1);
-        let cost = RangeField::new(lo, hi).expansion_cost();
-        assert!(cost >= 1);
-        assert!(cost <= 62, "cost {cost} exceeds the 2w-2 bound");
-    }
-}
-
-#[test]
-fn aligned_ranges_cost_one() {
-    let mut r = SplitMix64::new(0xA2);
-    for _ in 0..CASES {
-        let bits = r.range_u64(0, 31) as u32;
-        let index = r.range_u64(0, 1024) as u32;
-        let size = 1u32 << bits;
-        let lo = index.wrapping_mul(size);
-        let hi = lo.saturating_add(size - 1);
-        if lo.checked_add(size - 1).is_some() {
-            assert_eq!(RangeField::new(lo, hi).expansion_cost(), 1);
-        }
-    }
-}
 
 /// Cond-ADD with a threshold never pushes a bucket past it, and the
 /// bucket value never decreases.
@@ -120,12 +88,3 @@ fn hash_respects_mask() {
     }
 }
 
-/// Range membership agrees between the range itself and its prefix
-/// expansion semantics (sampled check).
-#[test]
-fn range_matches_are_exact() {
-    let r = RangeField::new(1000, 5000);
-    for x in [0u32, 999, 1000, 3000, 5000, 5001, 100_000] {
-        assert_eq!(r.matches(x), (1000..=5000).contains(&x));
-    }
-}

@@ -8,16 +8,20 @@
 //! the paper's related work and Figures 14a/14e.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 
 use flymon_rmt::hash::murmur3_32;
 
 use crate::count_sketch::CountSketch;
 
 /// Top-k tracker: keeps the k keys with the largest running estimates.
+/// The map hashes with fixed keys, so its iteration order — which of
+/// several equal minima is evicted, the order the estimators sum in,
+/// hence every estimate — repeats from run to run.
 #[derive(Debug, Clone)]
 struct TopK {
     k: usize,
-    entries: HashMap<Vec<u8>, i64>,
+    entries: HashMap<Vec<u8>, i64, BuildHasherDefault<DefaultHasher>>,
     cached_min: i64,
 }
 
@@ -25,7 +29,7 @@ impl TopK {
     fn new(k: usize) -> Self {
         TopK {
             k,
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             cached_min: i64::MIN,
         }
     }
@@ -238,6 +242,22 @@ mod tests {
             re < 0.35,
             "entropy RE {re:.3} (est {est:.3}, truth {truth:.3})"
         );
+    }
+
+    #[test]
+    fn estimates_repeat_across_instances() {
+        // Many equal-sized flows: the trackers evict among tied minima
+        // and the estimators sum floats in map order, so two instances
+        // agree only if that order is fixed.
+        let flows: Vec<(u32, u32)> = (0..3_000).map(|i| (i, i % 7 + 1)).collect();
+        let run = || {
+            let mut um = UnivMon::with_memory(64 * 1024);
+            feed(&mut um, &flows);
+            let mut heavy = um.heavy_hitters(5);
+            heavy.sort();
+            (um.entropy().to_bits(), um.cardinality().to_bits(), heavy)
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]
