@@ -425,6 +425,55 @@ impl FlyMon {
     // Task management interfaces (§3.4)
     // ------------------------------------------------------------------
 
+    /// Runs `body` as one logged transaction. With a write-ahead log
+    /// attached, every one of `intents` is appended before `body`
+    /// mutates anything and resolved when it returns; without one this
+    /// is just `body` (and `intents` is never built). The log is taken
+    /// out for the duration, so the logged calls `body` itself makes
+    /// (a reallocation's deploys and removes) add no records of their
+    /// own.
+    ///
+    /// A record resolves by the call's *net effect* on the task set
+    /// rather than by `Ok`/`Err` alone, because a reallocation can fail
+    /// and still have changed state (`ReallocationReverted` lands under
+    /// a fresh handle) and replay must reproduce what actually
+    /// happened: `retires` is the task the call may remove — recorded
+    /// as removed if it existed before and is gone after — and ids are
+    /// handed out in order, so whatever the call created and left
+    /// behind sits in `first_new..next_id`. A failed call with no
+    /// effect is aborted.
+    fn logged<T>(
+        &mut self,
+        intents: impl IntoIterator<Item = WalIntent>,
+        retires: Option<TaskId>,
+        body: impl FnOnce(&mut Self) -> Result<T, FlymonError>,
+    ) -> Result<T, FlymonError> {
+        let Some(mut wal) = self.wal.take() else {
+            return body(self);
+        };
+        let first_seq = wal.last_seq() + 1;
+        for intent in intents {
+            wal.append(intent);
+        }
+        let retires = retires.filter(|id| self.tasks.contains_key(id));
+        let first_new = self.next_id;
+        let result = body(self);
+        let removed = retires.filter(|id| !self.tasks.contains_key(id));
+        let deployed = (first_new..self.next_id).find_map(|id| {
+            let t = self.tasks.get(&TaskId(id))?;
+            Some((TaskId(id), t.rows.first().map_or(0, |r| r.size)))
+        });
+        for seq in first_seq..=wal.last_seq() {
+            if result.is_ok() || removed.is_some() || deployed.is_some() {
+                wal.commit(seq, removed, deployed);
+            } else {
+                wal.abort(seq);
+            }
+        }
+        self.wal = Some(wal);
+        result
+    }
+
     /// Deploys a task: picks groups/CMUs/partitions, configures hash
     /// units, installs bindings, and returns the handle. Pure runtime
     /// reconfiguration — no running packet is disturbed.
@@ -435,26 +484,14 @@ impl FlyMon {
     /// replayed in reverse, restoring the system exactly to its pre-call
     /// state before the error is returned.
     ///
-    /// With a write-ahead log attached, the intent is appended before
-    /// any mutation and resolved committed/aborted afterwards.
+    /// Logged ([`FlyMon::logged`]): committed with the new task's id
+    /// and rounded geometry, aborted if the deployment rolled back.
     pub fn deploy(&mut self, def: &TaskDefinition) -> Result<TaskHandle, FlymonError> {
         // A definition that cannot be a task is refused before it is
         // logged: the WAL holds intents, not typos.
         def.validate()?;
-        let Some(mut wal) = self.wal.take() else {
-            return self.deploy_unlogged(def);
-        };
-        let seq = wal.append(WalIntent::Deploy(Box::new(def.clone())));
-        let result = self.deploy_unlogged(def);
-        match &result {
-            Ok(h) => {
-                let size = self.tasks[&h.0].rows.first().map(|r| r.size).unwrap_or(0);
-                wal.commit(seq, None, Some((h.0, size)));
-            }
-            Err(_) => wal.abort(seq),
-        }
-        self.wal = Some(wal);
-        result
+        let intent = std::iter::once_with(|| WalIntent::Deploy(Box::new(def.clone())));
+        self.logged(intent, None, |fm| fm.deploy_unlogged(def))
     }
 
     /// [`FlyMon::deploy`] without write-ahead logging — the body the
@@ -685,20 +722,10 @@ impl FlyMon {
     /// deployed. Only once every op has succeeded does the infallible
     /// bookkeeping phase retire the task.
     ///
-    /// With a write-ahead log attached, the intent is appended before
-    /// any mutation and resolved committed/aborted afterwards.
+    /// Logged ([`FlyMon::logged`]): committed as the task's removal,
+    /// aborted if it stayed deployed.
     pub fn remove(&mut self, h: TaskHandle) -> Result<(), FlymonError> {
-        let Some(mut wal) = self.wal.take() else {
-            return self.remove_unlogged(h);
-        };
-        let seq = wal.append(WalIntent::Remove(h.0));
-        let result = self.remove_unlogged(h);
-        match &result {
-            Ok(()) => wal.commit(seq, Some(h.0), None),
-            Err(_) => wal.abort(seq),
-        }
-        self.wal = Some(wal);
-        result
+        self.logged([WalIntent::Remove(h.0)], Some(h.0), |fm| fm.remove_unlogged(h))
     }
 
     /// [`FlyMon::remove`] without write-ahead logging — the body the
@@ -743,42 +770,20 @@ impl FlyMon {
     /// built-ins cannot resize without accuracy interference, so the old
     /// instance is frozen and retired. Returns the new handle.
     ///
-    /// With a write-ahead log attached, the intent is appended before
-    /// any mutation; the resolution records the *net effect* (which task
-    /// was retired, which was created at what rounded geometry) because
-    /// a reallocation can land in several states — moved, reverted under
-    /// a fresh handle, or untouched — and replay must reproduce the one
-    /// that actually happened.
+    /// Logged ([`FlyMon::logged`]) by its net effect — which task was
+    /// retired, which was created at what rounded geometry — because a
+    /// reallocation can land in several states: moved, reverted under a
+    /// fresh handle, or untouched.
     pub fn reallocate_memory(
         &mut self,
         h: TaskHandle,
         new_buckets: usize,
     ) -> Result<TaskHandle, FlymonError> {
-        let Some(mut wal) = self.wal.take() else {
-            return self.reallocate_unlogged(h, new_buckets);
-        };
-        let seq = wal.append(WalIntent::Reallocate {
+        let intent = WalIntent::Reallocate {
             task: h.0,
             new_buckets,
-        });
-        let first_new = self.next_id;
-        let result = self.reallocate_unlogged(h, new_buckets);
-        // Diff the task set rather than trusting Ok/Err: some failure
-        // paths still change state (e.g. ReallocationReverted). Ids are
-        // handed out in order, so whatever the call created and left
-        // behind sits in `first_new..next_id`.
-        let removed = (!self.tasks.contains_key(&h.0)).then_some(h.0);
-        let deployed = (first_new..self.next_id).find_map(|id| {
-            let t = self.tasks.get(&TaskId(id))?;
-            Some((TaskId(id), t.rows.first().map(|r| r.size).unwrap_or(0)))
-        });
-        if removed.is_none() && deployed.is_none() {
-            wal.abort(seq);
-        } else {
-            wal.commit(seq, removed, deployed);
-        }
-        self.wal = Some(wal);
-        result
+        };
+        self.logged([intent], Some(h.0), |fm| fm.reallocate_unlogged(h, new_buckets))
     }
 
     /// [`FlyMon::reallocate_memory`] without write-ahead logging — the
@@ -828,22 +833,11 @@ impl FlyMon {
     /// All-or-nothing: each clear is a fault-judged register write, and
     /// a failure restores the partitions already cleared.
     ///
-    /// With a write-ahead log attached, the intent is appended before
-    /// any mutation and resolved committed/aborted afterwards — a reset
-    /// is a control-plane mutation a recovered instance must replay, or
-    /// it would resurrect pre-reset counts from the checkpoint.
+    /// Logged ([`FlyMon::logged`]) — a reset is a control-plane
+    /// mutation a recovered instance must replay, or it would resurrect
+    /// pre-reset counts from the checkpoint.
     pub fn reset_task(&mut self, h: TaskHandle) -> Result<(), FlymonError> {
-        let Some(mut wal) = self.wal.take() else {
-            return self.reset_unlogged(h);
-        };
-        let seq = wal.append(WalIntent::Reset(h.0));
-        let result = self.reset_unlogged(h);
-        match &result {
-            Ok(()) => wal.commit(seq, None, None),
-            Err(_) => wal.abort(seq),
-        }
-        self.wal = Some(wal);
-        result
+        self.logged([WalIntent::Reset(h.0)], None, |fm| fm.reset_unlogged(h))
     }
 
     /// [`FlyMon::reset_task`] without write-ahead logging — the body the
@@ -856,17 +850,21 @@ impl FlyMon {
             self.restore_rows(&rows, snapshots);
             return Err(e);
         }
-        // A reset leaves bindings untouched, but it is still a
-        // reconfiguration: force a program rebuild on every group it
-        // touched so *no* mutation path can leave a compiled program
-        // behind (the staleness contract of `tests/batch.rs`).
-        let mut touched: Vec<usize> = rows.iter().map(|r| r.group).collect();
+        self.invalidate_programs(rows.iter().map(|r| r.group));
+        Ok(())
+    }
+
+    /// Forces a program rebuild on each of `groups`, once. A reset
+    /// leaves bindings untouched, but it is still a reconfiguration:
+    /// *no* mutation path may leave a compiled program behind (the
+    /// staleness contract of `tests/batch.rs`).
+    fn invalidate_programs(&mut self, groups: impl Iterator<Item = usize>) {
+        let mut touched: Vec<usize> = groups.collect();
         touched.sort_unstable();
         touched.dedup();
         for g in touched {
             self.groups[g].invalidate_program();
         }
-        Ok(())
     }
 
     /// Validates every row's range and, **only while a fault plan is
@@ -945,22 +943,8 @@ impl FlyMon {
     /// keeps state in them. Callers rotating a subset use
     /// [`FlyMon::reset_task`] per handle instead.
     pub fn rotate_banks(&mut self, handles: &[TaskHandle]) -> Result<(), FlymonError> {
-        let Some(mut wal) = self.wal.take() else {
-            return self.rotate_banks_unlogged(handles);
-        };
-        let seqs: Vec<u64> = handles
-            .iter()
-            .map(|h| wal.append(WalIntent::Reset(h.0)))
-            .collect();
-        let result = self.rotate_banks_unlogged(handles);
-        for seq in seqs {
-            match &result {
-                Ok(()) => wal.commit(seq, None, None),
-                Err(_) => wal.abort(seq),
-            }
-        }
-        self.wal = Some(wal);
-        result
+        let intents = handles.iter().map(|h| WalIntent::Reset(h.0));
+        self.logged(intents, None, |fm| fm.rotate_banks_unlogged(handles))
     }
 
     /// [`FlyMon::rotate_banks`] without write-ahead logging. (WAL
@@ -1020,14 +1004,7 @@ impl FlyMon {
                 reg.mark_epoch_cleared(off, off + size)?;
             }
         }
-        // Same staleness contract as reset_unlogged: every touched
-        // group's compiled program is rebuilt lazily.
-        let mut touched: Vec<usize> = rows.iter().map(|r| r.0).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        for g in touched {
-            self.groups[g].invalidate_program();
-        }
+        self.invalidate_programs(rows.iter().map(|r| r.0));
         Ok(())
     }
 
@@ -1272,44 +1249,36 @@ impl FlyMon {
         Ok(self.config.alloc_mode.round(request).clamp(min, self.config.buckets_per_cmu))
     }
 
-    /// Finds (or plans to create) a key source for `spec` in group `g`
-    /// without mutating state; returns whether it is possible and how
-    /// many new masks it would take.
-    fn key_available(&self, g: usize, spec: &KeySpec, free_budget: &mut usize) -> bool {
+    /// Where group `g` would get the compressed key `spec` from, without
+    /// mutating state — the §3.4 preference order, stated once for the
+    /// placer that plans it and the committer that applies it
+    /// ([`FlyMon::acquire_key`]): a unit already configured with `spec`,
+    /// else the XOR of two configured units, else the first free unit
+    /// past the `promised` ones the same plan already claimed.
+    fn plan_key(&self, g: usize, spec: &KeySpec, promised: usize) -> Option<KeyPlan> {
         let states = &self.units[g];
-        if states
-            .iter()
-            .any(|u| u.spec.as_ref() == Some(spec))
-        {
-            return true;
+        if let Some(i) = states.iter().position(|u| u.spec.as_ref() == Some(spec)) {
+            return Some(KeyPlan::Unit(i));
         }
-        // XOR composition of two configured units.
         for i in 0..states.len() {
             for j in (i + 1)..states.len() {
                 if let (Some(a), Some(b)) = (&states[i].spec, &states[j].spec) {
                     if a.merge_disjoint(b) == Some(*spec) {
-                        return true;
+                        return Some(KeyPlan::Xor(i, j));
                     }
                 }
             }
         }
-        // A free unit we have not yet promised away.
-        if *free_budget > 0 {
-            *free_budget -= 1;
-            return true;
-        }
-        false
+        let mut free = (0..states.len()).filter(|&i| states[i].spec.is_none());
+        free.nth(promised).map(KeyPlan::Fresh)
     }
 
-    fn free_units(&self, g: usize) -> usize {
-        self.units[g].iter().filter(|u| u.spec.is_none()).count()
-    }
-
-    /// Acquires a key source in group `g`, configuring a fresh unit if
-    /// needed. Every refcount bump is mirrored into the undo log, so a
-    /// later failure in the same transaction releases exactly what was
-    /// acquired — including a key acquired for `key_source` before a
-    /// failed `param_source` acquisition (the historical leak).
+    /// Acquires a key source in group `g` as [`FlyMon::plan_key`] picks
+    /// it, configuring a fresh unit if needed. Every refcount bump is
+    /// mirrored into the undo log, so a later failure in the same
+    /// transaction releases exactly what was acquired — including a key
+    /// acquired for `key_source` before a failed `param_source`
+    /// acquisition (the historical leak).
     fn acquire_key(
         &mut self,
         g: usize,
@@ -1318,47 +1287,40 @@ impl FlyMon {
         undo: &mut Vec<UndoOp>,
         exec: &mut ExecStats,
     ) -> Result<KeySource, FlymonError> {
-        // Exact reuse.
-        if let Some(i) = self.units[g]
-            .iter()
-            .position(|u| u.spec == Some(spec))
-        {
-            self.units[g][i].refs += 1;
-            undo.push(UndoOp::UnitRef { group: g, unit: i });
-            return Ok(KeySource::Unit(i));
-        }
-        // XOR composition.
-        let n = self.units[g].len();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if let (Some(a), Some(b)) = (&self.units[g][i].spec, &self.units[g][j].spec) {
-                    if a.merge_disjoint(b) == Some(spec) {
-                        self.units[g][i].refs += 1;
-                        self.units[g][j].refs += 1;
-                        undo.push(UndoOp::UnitRef { group: g, unit: i });
-                        undo.push(UndoOp::UnitRef { group: g, unit: j });
-                        return Ok(KeySource::Xor(i, j));
-                    }
-                }
+        let plan = self.plan_key(g, &spec, 0).ok_or_else(|| {
+            FlymonError::NoCapacity(format!(
+                "group {g} has no hash unit for {}",
+                spec.describe()
+            ))
+        })?;
+        let mut add_ref = |unit: usize| {
+            self.units[g][unit].refs += 1;
+            undo.push(UndoOp::UnitRef { group: g, unit });
+        };
+        match plan {
+            KeyPlan::Unit(i) => {
+                add_ref(i);
+                Ok(KeySource::Unit(i))
+            }
+            KeyPlan::Xor(i, j) => {
+                add_ref(i);
+                add_ref(j);
+                Ok(KeySource::Xor(i, j))
+            }
+            KeyPlan::Fresh(i) => {
+                // A hash-mask rule install, judged by the fault plan
+                // before any state changes.
+                self.exec_op(InstallOpKind::Rule(RuleKind::HashMask), g, exec)?;
+                self.units[g][i] = UnitState {
+                    spec: Some(spec),
+                    refs: 1,
+                };
+                self.groups[g].unit_mut(i).set_mask(spec);
+                new_masks.insert(spec);
+                undo.push(UndoOp::FreshUnit { group: g, unit: i });
+                Ok(KeySource::Unit(i))
             }
         }
-        // Configure a fresh unit (a hash-mask rule install, judged by
-        // the fault plan before any state changes).
-        if let Some(i) = self.units[g].iter().position(|u| u.spec.is_none()) {
-            self.exec_op(InstallOpKind::Rule(RuleKind::HashMask), g, exec)?;
-            self.units[g][i] = UnitState {
-                spec: Some(spec),
-                refs: 1,
-            };
-            self.groups[g].unit_mut(i).set_mask(spec);
-            new_masks.insert(spec);
-            undo.push(UndoOp::FreshUnit { group: g, unit: i });
-            return Ok(KeySource::Unit(i));
-        }
-        Err(FlymonError::NoCapacity(format!(
-            "group {g} has no hash unit for {}",
-            spec.describe()
-        )))
     }
 
     /// Releases one reference on unit `u` of group `g`, clearing the
@@ -1400,65 +1362,53 @@ impl FlyMon {
         stage_rows: &[usize],
         size: usize,
     ) -> Result<Vec<PlacedSlot>, FlymonError> {
-        // Score a group: can it host `rows` rows, and does it already own
-        // the needed compressed keys (greedy preference, §3.4)?
-        let group_fit = |g: usize, rows: usize| -> Option<usize> {
-            let mut free_budget = self.free_units(g);
-            if let Some(spec) = &needs.key {
-                if !self.key_available(g, spec, &mut free_budget) {
-                    return None;
+        // Score a group: can it host `rows` rows (on which CMUs), and
+        // does it already own the needed compressed keys (greedy
+        // preference, §3.4)? The score is the new masks it would take —
+        // fewer is better.
+        let group_fit = |g: usize, rows: usize| -> Option<(usize, PlacedSlot)> {
+            let mut new_masks = 0;
+            for spec in [&needs.key, &needs.param].into_iter().flatten() {
+                if let KeyPlan::Fresh(_) = self.plan_key(g, spec, new_masks)? {
+                    new_masks += 1;
                 }
             }
-            if let Some(spec) = &needs.param {
-                if !self.key_available(g, spec, &mut free_budget) {
-                    return None;
-                }
-            }
-            let cmus = self.usable_cmus(g, def, size);
+            let mut cmus = self.usable_cmus(g, def, size);
             if cmus.len() < rows {
                 return None;
             }
-            // Score: fewer new masks is better.
-            let used_budget = self.free_units(g) - free_budget;
-            Some(used_budget)
+            cmus.truncate(rows);
+            Some((new_masks, PlacedSlot { group: g, cmus }))
         };
 
         if stage_rows.len() == 1 {
             let rows = stage_rows[0];
             let best = (0..self.config.groups)
-                .filter_map(|g| group_fit(g, rows).map(|score| (score, g)))
-                .min();
-            let (_, g) = best.ok_or_else(|| {
+                .filter_map(|g| group_fit(g, rows))
+                .min_by_key(|(score, slot)| (*score, slot.group));
+            let (_, slot) = best.ok_or_else(|| {
                 FlymonError::NoCapacity(format!(
                     "no group can host {} rows of {} buckets for task {}",
                     rows, size, def.name
                 ))
             })?;
-            let cmus = self.usable_cmus(g, def, size);
-            return Ok(vec![PlacedSlot {
-                group: g,
-                cmus: cmus[..rows].to_vec(),
-            }]);
+            return Ok(vec![slot]);
         }
 
         // Chained recipes: ascending distinct groups, one per stage.
         let mut slots = Vec::with_capacity(stage_rows.len());
         let mut next_group = 0usize;
         for &rows in stage_rows {
-            let g = (next_group..self.config.groups)
-                .find(|&g| group_fit(g, rows).is_some())
+            let (_, slot) = (next_group..self.config.groups)
+                .find_map(|g| group_fit(g, rows))
                 .ok_or_else(|| {
                     FlymonError::NoCapacity(format!(
                         "no ascending group chain for task {} (stage needs {rows} rows)",
                         def.name
                     ))
                 })?;
-            let cmus = self.usable_cmus(g, def, size);
-            slots.push(PlacedSlot {
-                group: g,
-                cmus: cmus[..rows].to_vec(),
-            });
-            next_group = g + 1;
+            next_group = slot.group + 1;
+            slots.push(slot);
         }
         Ok(slots)
     }
@@ -1471,12 +1421,30 @@ struct PlacedSlot {
     cmus: Vec<usize>,
 }
 
+/// How a group serves a compressed key ([`FlyMon::plan_key`]).
+#[derive(Debug, Clone, Copy)]
+enum KeyPlan {
+    /// Unit `i` already hashes exactly this key.
+    Unit(usize),
+    /// The XOR of two configured units' digests is this key's.
+    Xor(usize, usize),
+    /// Free unit `i` gets configured with it (a new hash-mask rule).
+    Fresh(usize),
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::PerPacket;
     use crate::task::Attribute;
     use flymon_packet::TaskFilter;
+
+    impl FlyMon {
+        /// Unconfigured hash units in group `g` (what `remove_frees_everything` counts).
+        fn free_units(&self, g: usize) -> usize {
+            self.units[g].iter().filter(|u| u.spec.is_none()).count()
+        }
+    }
 
     fn small() -> FlyMon {
         FlyMon::new(FlyMonConfig {

@@ -262,26 +262,18 @@ impl AdaptiveController {
         let mut fill = 0.0f64;
         let mut saturation = 0.0f64;
         let fused = epoch.occupancy.len() == epoch.rows.len();
-        if fused {
-            for (row, occ) in epoch.rows.iter().zip(&epoch.occupancy) {
-                if row.is_empty() {
-                    continue;
-                }
-                let n = row.len() as f64;
-                fill = fill.max(occ.nonzero as f64 / n);
-                saturation = saturation.max(occ.saturated as f64 / n);
+        for (i, (row, &cap)) in epoch.rows.iter().zip(&epoch.row_caps).enumerate() {
+            if row.is_empty() {
+                continue;
             }
-        } else {
-            for (row, &cap) in epoch.rows.iter().zip(&epoch.row_caps) {
-                if row.is_empty() {
-                    continue;
-                }
-                let n = row.len() as f64;
-                let nonzero = row.iter().filter(|&&v| v > 0).count() as f64;
-                let at_cap = row.iter().filter(|&&v| v >= cap).count() as f64;
-                fill = fill.max(nonzero / n);
-                saturation = saturation.max(at_cap / n);
-            }
+            let (nonzero, at_cap) = if fused {
+                (epoch.occupancy[i].nonzero, epoch.occupancy[i].saturated)
+            } else {
+                let at_cap = row.iter().filter(|&&v| v >= cap).count();
+                (row.iter().filter(|&&v| v > 0).count(), at_cap)
+            };
+            fill = fill.max(nonzero as f64 / row.len() as f64);
+            saturation = saturation.max(at_cap as f64 / row.len() as f64);
         }
         let row0 = epoch.rows.first().map_or(&[][..], |r| r.as_slice());
         let heavy = heavy_buckets(row0, top_k);
@@ -308,9 +300,9 @@ impl AdaptiveController {
     /// action fires. A fleet with any dead switch pauses itself for the
     /// same reason reconfiguration ops refuse it.
     ///
-    /// Errors propagate from the underlying fleet ops; the fleet's
-    /// per-switch control planes stay audit-clean in that case and the
-    /// caller should stop adapting until the fleet heals.
+    /// A [`FlymonError::ChannelTimeout`] is absorbed (counted in
+    /// [`ControllerReport::channel_timeouts`]); any other error of the
+    /// underlying fleet op propagates, the op's sweep unwound.
     pub fn on_epoch(
         &mut self,
         fleet: &mut SwitchFleet,
@@ -373,40 +365,32 @@ impl AdaptiveController {
             }
             // Apply through the transactional control plane. A lossy
             // control channel can time a command out; that is a
-            // transient, not a controller bug — abandon the action,
-            // rest the task, and retry at the adaptation cadence.
-            match &action {
+            // transient, not a controller bug, and every fleet op
+            // answers it the same way — the sweep is unwound and the
+            // task list still describes every switch — so: abandon the
+            // action, rest the task, and retry at the adaptation cadence.
+            let applied = match &action {
                 AdaptAction::Grow { to, .. } | AdaptAction::Shrink { to, .. } => {
-                    match fleet.reallocate_task(info.index, *to) {
-                        Ok(()) => {}
-                        Err(FlymonError::ChannelTimeout { .. }) => {
-                            self.report.channel_timeouts += 1;
-                            self.cooldown_until
-                                .insert(sig.name.clone(), self.epoch + self.cfg.cooldown_epochs);
-                            continue;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                    self.cooldown_until
-                        .insert(sig.name.clone(), self.epoch + self.cfg.cooldown_epochs);
+                    fleet.reallocate_task(info.index, *to)
                 }
-                AdaptAction::Split { low, high } => {
-                    match fleet.split_task(info.index) {
-                        Ok(_) => {}
-                        Err(FlymonError::ChannelTimeout { .. }) => {
-                            self.report.channel_timeouts += 1;
-                            self.cooldown_until
-                                .insert(sig.name.clone(), self.epoch + self.cfg.cooldown_epochs);
-                            continue;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                    // Both children rest; the parent name retires.
-                    self.cooldown_until
-                        .insert(low.clone(), self.epoch + self.cfg.cooldown_epochs);
-                    self.cooldown_until
-                        .insert(high.clone(), self.epoch + self.cfg.cooldown_epochs);
+                AdaptAction::Split { .. } => fleet.split_task(info.index).map(drop),
+            };
+            let rest_until = self.epoch + self.cfg.cooldown_epochs;
+            match (applied, &action) {
+                (Err(FlymonError::ChannelTimeout { .. }), _) => {
+                    self.report.channel_timeouts += 1;
+                    self.cooldown_until.insert(sig.name.clone(), rest_until);
+                    continue;
+                }
+                (Err(e), _) => return Err(e),
+                // Both children rest; the parent name retires.
+                (Ok(()), AdaptAction::Split { low, high }) => {
+                    self.cooldown_until.insert(low.clone(), rest_until);
+                    self.cooldown_until.insert(high.clone(), rest_until);
                     self.cooldown_until.remove(&sig.name);
+                }
+                (Ok(()), _) => {
+                    self.cooldown_until.insert(sig.name.clone(), rest_until);
                 }
             }
             match &action {

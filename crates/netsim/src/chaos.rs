@@ -39,7 +39,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use flymon::prelude::*;
 use flymon_packet::{KeySpec, Packet, SplitMix64};
 
-use crate::channel::ChannelConfig;
+use crate::channel::{ChannelConfig, ControlChannel};
 use crate::fleet::SwitchFleet;
 use crate::ingest::{ChunkSource, IngestConfig, IngestFault, RuntimeHealth, StreamingRuntime};
 
@@ -242,20 +242,31 @@ fn batch_boundary_restore_divergence(probe: &mut FlyMon) -> Option<String> {
     None
 }
 
-fn check_invariants(
-    fleet: &SwitchFleet,
-    true_sentinel: u64,
-    event_index: usize,
-    event: &ChaosEvent,
-    violations: &mut Vec<Violation>,
-) {
-    let mut fail = |detail: String| {
-        violations.push(Violation {
-            event_index,
-            event: format!("{event:?}"),
-            detail,
-        })
-    };
+/// One invariant failure after (or inside) `event`.
+fn violation(event_index: usize, event: &dyn std::fmt::Debug, detail: String) -> Violation {
+    Violation {
+        event_index,
+        event: format!("{event:?}"),
+        detail,
+    }
+}
+
+/// A panicking schedule as the one violation its report carries.
+fn panic_violation(panic: Box<dyn std::any::Any + Send>) -> Violation {
+    let detail = panic
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into());
+    Violation {
+        event_index: usize::MAX,
+        event: "panic".into(),
+        detail,
+    }
+}
+
+/// Invariant 1: every switch, dead or alive, audits clean.
+fn check_audits(fleet: &SwitchFleet, mut fail: impl FnMut(String)) {
     for i in 0..fleet.len() {
         let divergences = fleet.switch(i).0.audit();
         if !divergences.is_empty() {
@@ -266,6 +277,71 @@ fn check_invariants(
             ));
         }
     }
+}
+
+/// Per-switch task counts — what exactly-once application is checked by.
+fn task_counts(fleet: &SwitchFleet) -> Vec<usize> {
+    (0..fleet.len())
+        .map(|s| fleet.switch(s).0.task_count())
+        .collect()
+}
+
+/// The fleet's control channel, inside an event whose guard saw one.
+fn attached(fleet: &mut SwitchFleet) -> &mut ControlChannel {
+    fleet.channel_mut().expect("channel checked above")
+}
+
+/// Deploys `def` fleet-wide, then (unless `keep`) removes it, proving
+/// exactly-once application through the channel — a duplicated commit
+/// that applied twice would leave the per-switch task counts off by
+/// one. A channel timeout abandons the cycle (counted in `failed_ops`:
+/// the command never applied). Returns what broke, if anything did.
+fn exactly_once_cycle(
+    fleet: &mut SwitchFleet,
+    def: &TaskDefinition,
+    keep: bool,
+    failed_ops: &mut usize,
+) -> Option<String> {
+    let before = task_counts(fleet);
+    let removed = match fleet.deploy_task(def) {
+        Ok(t) if !keep => fleet.remove_task(t),
+        Ok(_) => return None,
+        Err(FlymonError::ChannelTimeout { .. }) => {
+            *failed_ops += 1;
+            return None;
+        }
+        // Any other failure rolled back (the invariant check proves it
+        // left no trace) — kept ephemerals can legitimately starve
+        // capacity.
+        Err(_) => return None,
+    };
+    match removed {
+        Ok(()) => {
+            let after = task_counts(fleet);
+            (after != before).then(|| {
+                format!(
+                    "exactly-once broken: task counts {before:?} -> {after:?} after a \
+                     deploy/remove cycle"
+                )
+            })
+        }
+        Err(FlymonError::ChannelTimeout { .. }) => {
+            *failed_ops += 1;
+            None
+        }
+        Err(e) => Some(format!("channel-routed remove failed: {e}")),
+    }
+}
+
+fn check_invariants(
+    fleet: &SwitchFleet,
+    true_sentinel: u64,
+    event_index: usize,
+    event: &ChaosEvent,
+    violations: &mut Vec<Violation>,
+) {
+    let mut fail = |detail: String| violations.push(violation(event_index, event, detail));
+    check_audits(fleet, &mut fail);
     let ledger = fleet.ledger();
     if !ledger.balanced() {
         fail(format!("packet ledger out of balance: {ledger:?}"));
@@ -354,6 +430,8 @@ pub fn run_schedule(seed: u64, cfg: &ChaosConfig) -> ChaosReport {
             _ => ChaosEvent::SplitBrainProbe,
         };
 
+        let mut fail =
+            |detail: String| report.violations.push(violation(event_index, &event, detail));
         match &event {
             ChaosEvent::Traffic { packets } => {
                 let slice = gen_slice(&mut rng, *packets, &mut true_sentinel);
@@ -361,11 +439,7 @@ pub fn run_schedule(seed: u64, cfg: &ChaosConfig) -> ChaosReport {
                 fleet.process_trace(&slice);
                 probe.process_batch(&slice);
                 if let Some(detail) = batch_boundary_restore_divergence(&mut probe) {
-                    report.violations.push(Violation {
-                        event_index,
-                        event: format!("{event:?}"),
-                        detail,
-                    });
+                    fail(detail);
                 }
             }
             ChaosEvent::Sync => {
@@ -381,63 +455,24 @@ pub fn run_schedule(seed: u64, cfg: &ChaosConfig) -> ChaosReport {
                 // channel never applied: the switch stays dead, the
                 // schedule moves on — tolerated, not a violation.
                 Err(FlymonError::ChannelTimeout { .. }) => report.failed_ops += 1,
-                Err(e) => report.violations.push(Violation {
-                    event_index,
-                    event: format!("{event:?}"),
-                    detail: format!("promotion of a synced switch failed: {e}"),
-                }),
+                Err(e) => fail(format!("promotion of a synced switch failed: {e}")),
             },
             ChaosEvent::Revive(i) => match fleet.revive_switch(*i) {
                 Ok(()) => report.revives += 1,
                 Err(FlymonError::ChannelTimeout { .. }) => report.failed_ops += 1,
-                Err(e) => report.violations.push(Violation {
-                    event_index,
-                    event: format!("{event:?}"),
-                    detail: format!("revival of a deployed switch failed: {e}"),
-                }),
+                Err(e) => fail(format!("revival of a deployed switch failed: {e}")),
             },
             ChaosEvent::Reconfigure(i) => {
                 report.reconfigs += 1;
                 if fleet.channel().is_some() && fleet.fully_alive() {
                     // Channel-routed: deploy fleet-wide, then (usually)
-                    // remove, proving exactly-once application — a
-                    // duplicated commit that applied twice would leave
-                    // the per-switch task counts off by one.
+                    // remove.
                     let keep = rng.next_u64().is_multiple_of(4);
                     let def = ephemeral_def(rng.next_u64() % 1_000_000);
-                    let before: Vec<usize> = (0..fleet.len())
-                        .map(|s| fleet.switch(s).0.task_count())
-                        .collect();
-                    match fleet.deploy_task(&def) {
-                        Ok(t) if !keep => match fleet.remove_task(t) {
-                            Ok(()) => {
-                                let after: Vec<usize> = (0..fleet.len())
-                                    .map(|s| fleet.switch(s).0.task_count())
-                                    .collect();
-                                if after != before {
-                                    report.violations.push(Violation {
-                                        event_index,
-                                        event: format!("{event:?}"),
-                                        detail: format!(
-                                            "exactly-once broken: task counts {before:?} -> \
-                                             {after:?} after a deploy/remove cycle"
-                                        ),
-                                    });
-                                }
-                            }
-                            Err(FlymonError::ChannelTimeout { .. }) => report.failed_ops += 1,
-                            Err(e) => report.violations.push(Violation {
-                                event_index,
-                                event: format!("{event:?}"),
-                                detail: format!("channel-routed remove failed: {e}"),
-                            }),
-                        },
-                        Ok(_) => {}
-                        Err(FlymonError::ChannelTimeout { .. }) => report.failed_ops += 1,
-                        // Any other failure rolled back (the invariant
-                        // check below proves it left no trace) — kept
-                        // ephemerals can legitimately starve capacity.
-                        Err(_) => {}
+                    if let Some(detail) =
+                        exactly_once_cycle(&mut fleet, &def, keep, &mut report.failed_ops)
+                    {
+                        fail(detail);
                     }
                 } else {
                     let faulted = rng.next_u64().is_multiple_of(3);
@@ -490,48 +525,19 @@ pub fn run_schedule(seed: u64, cfg: &ChaosConfig) -> ChaosReport {
             ChaosEvent::DupStorm => {
                 let base = fleet.channel().map(|c| *c.config());
                 if let Some(base) = base {
-                    fleet
-                        .channel_mut()
-                        .expect("channel checked above")
+                    attached(&mut fleet)
                         .set_rates(base.drop_rate, 0.5, 0.5)
                         .expect("storm rates validate");
                     fleet.sync_standby();
                     if fleet.fully_alive() {
-                        let before: Vec<usize> = (0..fleet.len())
-                            .map(|s| fleet.switch(s).0.task_count())
-                            .collect();
                         let def = ephemeral_def(rng.next_u64() % 1_000_000);
-                        match fleet.deploy_task(&def) {
-                            Ok(t) => match fleet.remove_task(t) {
-                                Ok(()) => {
-                                    let after: Vec<usize> = (0..fleet.len())
-                                        .map(|s| fleet.switch(s).0.task_count())
-                                        .collect();
-                                    if after != before {
-                                        report.violations.push(Violation {
-                                            event_index,
-                                            event: format!("{event:?}"),
-                                            detail: format!(
-                                                "dup storm broke exactly-once: task counts \
-                                                 {before:?} -> {after:?}"
-                                            ),
-                                        });
-                                    }
-                                }
-                                Err(FlymonError::ChannelTimeout { .. }) => report.failed_ops += 1,
-                                Err(e) => report.violations.push(Violation {
-                                    event_index,
-                                    event: format!("{event:?}"),
-                                    detail: format!("storm remove failed: {e}"),
-                                }),
-                            },
-                            Err(FlymonError::ChannelTimeout { .. }) => report.failed_ops += 1,
-                            Err(_) => {}
+                        if let Some(detail) =
+                            exactly_once_cycle(&mut fleet, &def, false, &mut report.failed_ops)
+                        {
+                            fail(format!("dup storm: {detail}"));
                         }
                     }
-                    fleet
-                        .channel_mut()
-                        .expect("channel checked above")
+                    attached(&mut fleet)
                         .set_rates(base.drop_rate, base.dup_rate, base.reorder_rate)
                         .expect("base rates validated at attach");
                 }
@@ -542,62 +548,35 @@ pub fn run_schedule(seed: u64, cfg: &ChaosConfig) -> ChaosReport {
                     // and announce the term (minting one if no
                     // promotion has happened yet), so the rewound
                     // command below tests fencing, not propagation lag.
-                    {
-                        let ch = fleet.channel_mut().expect("channel checked above");
-                        ch.heal_all();
-                        if ch.term() == 0 {
-                            ch.mint_term();
-                        }
+                    let ch = attached(&mut fleet);
+                    ch.heal_all();
+                    if ch.term() == 0 {
+                        ch.mint_term();
                     }
-                    fleet
-                        .channel_mut()
-                        .expect("channel checked above")
-                        .broadcast_term();
-                    let term = fleet.channel().expect("channel checked above").term();
-                    let before: Vec<usize> = (0..fleet.len())
-                        .map(|s| fleet.switch(s).0.task_count())
-                        .collect();
+                    ch.broadcast_term();
+                    let term = ch.term();
+                    let before = task_counts(&fleet);
                     // The stale primary writes: rewind the controller's
                     // term and issue a fleet-wide deploy.
-                    fleet
-                        .channel_mut()
-                        .expect("channel checked above")
-                        .force_term(term - 1);
+                    attached(&mut fleet).force_term(term - 1);
                     let def = ephemeral_def(rng.next_u64() % 1_000_000);
                     let outcome = fleet.deploy_task(&def);
-                    fleet
-                        .channel_mut()
-                        .expect("channel checked above")
-                        .force_term(term);
-                    let after: Vec<usize> = (0..fleet.len())
-                        .map(|s| fleet.switch(s).0.task_count())
-                        .collect();
+                    attached(&mut fleet).force_term(term);
+                    let after = task_counts(&fleet);
                     match outcome {
                         Err(FlymonError::Fenced { .. }) => {
                             if after != before {
-                                report.violations.push(Violation {
-                                    event_index,
-                                    event: format!("{event:?}"),
-                                    detail: format!(
-                                        "fenced command still mutated state: task counts \
-                                         {before:?} -> {after:?}"
-                                    ),
-                                });
+                                fail(format!(
+                                    "fenced command still mutated state: task counts \
+                                     {before:?} -> {after:?}"
+                                ));
                             }
                         }
-                        Ok(_) => report.violations.push(Violation {
-                            event_index,
-                            event: format!("{event:?}"),
-                            detail: "stale-term command was accepted: split brain".into(),
-                        }),
+                        Ok(_) => fail("stale-term command was accepted: split brain".into()),
                         // All-attempts-dropped is astronomically rare
                         // but possible; the command still never applied.
                         Err(FlymonError::ChannelTimeout { .. }) => report.failed_ops += 1,
-                        Err(e) => report.violations.push(Violation {
-                            event_index,
-                            event: format!("{event:?}"),
-                            detail: format!("split-brain probe failed unexpectedly: {e}"),
-                        }),
+                        Err(e) => fail(format!("split-brain probe failed unexpectedly: {e}")),
                     }
                 }
             }
@@ -649,18 +628,9 @@ pub fn run_soak(seeds: impl IntoIterator<Item = u64>, cfg: &ChaosConfig) -> Vec<
         .into_iter()
         .map(|seed| {
             catch_unwind(AssertUnwindSafe(|| run_schedule(seed, cfg))).unwrap_or_else(|panic| {
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".into());
                 ChaosReport {
                     seed,
-                    violations: vec![Violation {
-                        event_index: usize::MAX,
-                        event: "panic".into(),
-                        detail: msg,
-                    }],
+                    violations: vec![panic_violation(panic)],
                     ..ChaosReport::default()
                 }
             })
@@ -863,21 +833,13 @@ pub fn run_ingest_schedule(seed: u64, cfg: &IngestChaosConfig) -> IngestChaosRep
         let out = match rt.step(&mut src) {
             Ok(out) => out,
             Err(e) => {
-                report.violations.push(Violation {
-                    event_index: step_index,
-                    event: "step".into(),
-                    detail: format!("streaming step failed: {e}"),
-                });
+                let detail = format!("streaming step failed: {e}");
+                report.violations.push(violation(step_index, &format_args!("step"), detail));
                 break;
             }
         };
-        let mut fail = |detail: String| {
-            report.violations.push(Violation {
-                event_index: step_index,
-                event: format!("{out:?}"),
-                detail,
-            })
-        };
+        let mut fail =
+            |detail: String| report.violations.push(violation(step_index, &out, detail));
         let ledger = rt.ledger();
         if !ledger.conserved() {
             fail(format!("stream ledger out of balance: {ledger:?}"));
@@ -889,16 +851,7 @@ pub fn run_ingest_schedule(seed: u64, cfg: &IngestChaosConfig) -> IngestChaosRep
                 ));
             }
         }
-        for i in 0..rt.fleet().len() {
-            let divergences = rt.fleet().switch(i).0.audit();
-            if !divergences.is_empty() {
-                fail(format!(
-                    "switch {i} audit found {} divergence(s): {:?}",
-                    divergences.len(),
-                    divergences[0]
-                ));
-            }
-        }
+        check_audits(rt.fleet(), &mut fail);
         step_index += 1;
         if out.source_dry && rt.ledger().in_flight == 0 {
             break;
@@ -909,19 +862,13 @@ pub fn run_ingest_schedule(seed: u64, cfg: &IngestChaosConfig) -> IngestChaosRep
     // quiescent invariants.
     let _ = rt.run(&mut src);
     let ledger = rt.ledger();
+    let mut unsettled =
+        |detail: String| report.violations.push(violation(step_index, &format_args!("settle"), detail));
     if ledger.in_flight != 0 || !ledger.conserved() {
-        report.violations.push(Violation {
-            event_index: step_index,
-            event: "settle".into(),
-            detail: format!("quiescent ledger not conserved: {ledger:?}"),
-        });
+        unsettled(format!("quiescent ledger not conserved: {ledger:?}"));
     }
     if rt.health() != RuntimeHealth::Healthy {
-        report.violations.push(Violation {
-            event_index: step_index,
-            event: "settle".into(),
-            detail: format!("runtime did not settle to Healthy: {:?}", rt.health()),
-        });
+        unsettled(format!("runtime did not settle to Healthy: {:?}", rt.health()));
     }
 
     let stats = rt.stats();
@@ -943,21 +890,10 @@ pub fn run_ingest_soak(
         .into_iter()
         .map(|seed| {
             catch_unwind(AssertUnwindSafe(|| run_ingest_schedule(seed, cfg))).unwrap_or_else(
-                |panic| {
-                    let msg = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".into());
-                    IngestChaosReport {
-                        seed,
-                        violations: vec![Violation {
-                            event_index: usize::MAX,
-                            event: "panic".into(),
-                            detail: msg,
-                        }],
-                        ..IngestChaosReport::default()
-                    }
+                |panic| IngestChaosReport {
+                    seed,
+                    violations: vec![panic_violation(panic)],
+                    ..IngestChaosReport::default()
                 },
             )
         })

@@ -39,7 +39,8 @@ use flymon::prelude::*;
 use flymon::FlymonError;
 use flymon_packet::Packet;
 use flymon_rmt::hash::{fmix32, murmur3_32_word};
-use flymon_sketches::hll::estimate_from_registers;
+
+use crate::merged;
 
 /// Seed of the ingress/shard hash. Shared with
 /// [`SwitchFleet::process_trace`](crate::SwitchFleet::process_trace) so a
@@ -155,7 +156,11 @@ impl MergeLaw {
     /// with none left the row is `size` zeros. A lone member folds into
     /// zeros instead of being copied — 0 is the identity of every law
     /// and a register never holds more than its ceiling — so it too
-    /// gets the fused sweep.
+    /// gets the fused sweep. `bucket_max` is the row's register cell
+    /// ceiling: what the occupancy scan counts as saturated, and what a
+    /// summed bucket clamps at — Cond-ADD saturates a counter there, so
+    /// the merge must too, or a bucket that saturated in a serial
+    /// replay reads higher merged.
     ///
     /// Every sweep walks its member in [`MERGE_CHUNK`]s and tells
     /// `retire` how far it has got (`retire(member, buckets_done)`)
@@ -169,10 +174,13 @@ impl MergeLaw {
         acc: &mut Vec<u32>,
         size: usize,
         mut members: impl Iterator<Item = Result<S, FlymonError>>,
-        cap: u32,
-        saturation_cap: u32,
+        bucket_max: u32,
         retire: impl Fn(&mut S, usize),
     ) -> Result<RowOccupancy, FlymonError> {
+        let cap = match self {
+            MergeLaw::Sum => bucket_max,
+            MergeLaw::Max | MergeLaw::Or => u32::MAX,
+        };
         acc.clear();
         let Some(mut last) = members.next().transpose()? else {
             acc.resize(size, 0);
@@ -197,7 +205,7 @@ impl MergeLaw {
         }
         let mut occupancy = RowOccupancy::default();
         walk(acc, &mut last, &retire, |a, s| {
-            let chunk = self.combine_rows_scan(a, s, cap, saturation_cap);
+            let chunk = self.combine_rows_scan(a, s, cap, bucket_max);
             occupancy.nonzero += chunk.nonzero;
             occupancy.saturated += chunk.saturated;
         });
@@ -532,52 +540,6 @@ impl ReplayStats {
     }
 }
 
-/// Count-min estimate of `pkt`'s flow merged across `members` (the
-/// alive switches of a fleet, the replicas of a sharded datapath): per
-/// row, the one bucket the flow hashes to is read from every member and
-/// summed, clamped at the row's cell ceiling as Cond-ADD saturates it;
-/// the estimate is the minimum over the rows. The bucket is located
-/// through the first member — deployments are deterministic, so every
-/// member shares its layout. A query costs rows × members bucket
-/// reads, and is bit-identical to merging whole rows and indexing the
-/// result: the clamped fold of single buckets is what the row merge
-/// computes at that index.
-pub(crate) fn merged_point_frequency<'a>(
-    algorithm: Algorithm,
-    members: impl Iterator<Item = (&'a FlyMon, TaskHandle)> + Clone,
-    pkt: &Packet,
-) -> Result<u64, FlymonError> {
-    let d = match algorithm {
-        Algorithm::Cms { d } => d,
-        Algorithm::Mrac => 1,
-        other => {
-            return Err(FlymonError::BadTask(format!(
-                "{} readouts do not merge by summation",
-                other.name()
-            )))
-        }
-    };
-    let (locator, locator_h) = members.clone().next().ok_or_else(|| {
-        FlymonError::NoCapacity("every switch in the fleet has failed".into())
-    })?;
-    let mut best = u64::MAX;
-    let mut scratch = flymon_rmt::hash::HashScratch::default();
-    for row in 0..d {
-        let cap = locator
-            .task(locator_h)?
-            .rows
-            .get(row)
-            .map_or(u32::MAX, |r| r.bucket_max);
-        let idx = locator.locate_with(locator_h, row, pkt, &mut scratch)?;
-        let mut sum = locator.row_view(locator_h, row)?[idx];
-        for (fm, h) in members.clone().skip(1) {
-            sum = MergeLaw::Sum.combine(sum, fm.row_view(h, row)?[idx], cap);
-        }
-        best = best.min(u64::from(sum));
-    }
-    Ok(best)
-}
-
 /// A sharded datapath for **one logical switch**: a set of [`FlyMon`]
 /// replicas that together replay a trace and answer queries as if a
 /// single switch had processed it serially.
@@ -669,71 +631,37 @@ impl ShardedDatapath {
         }
     }
 
+    /// Every replica paired with its task handle.
+    fn members(&self) -> impl Iterator<Item = (&FlyMon, TaskHandle)> + Clone {
+        self.replicas.iter().zip(self.handles.iter().copied())
+    }
+
     /// One row's merged register, per the deployed algorithm's merge law
     /// (cap-clamped sum for counter rows, max for MAX-op rows, OR for
     /// bitmap rows). For sum/max/OR-law algorithms this is bit-identical
     /// to the row a serial replay of the same trace would have produced;
     /// for [`Algorithm::MaxInterval`] it is only an approximation (the
     /// arrival-time state is not mergeable — see DESIGN.md).
-    ///
-    /// The first replica's row is copied once, then every further
-    /// replica's *borrowed* row folds in through
-    /// [`MergeLaw::combine_rows`].
     pub fn merged_row(&self, row: usize) -> Result<Vec<u32>, FlymonError> {
-        let law = MergeLaw::of(self.algorithm)?;
-        // Cond-ADD saturates at the hosting register's cell ceiling, so
-        // a summed merge must clamp there too — otherwise a bucket that
-        // saturated in the serial replay reads higher in the merged one.
-        let cap = match law {
-            MergeLaw::Sum => {
-                let task = self.replicas[0].task(self.handles[0])?;
-                task.rows.get(row).map_or(u32::MAX, |r| r.bucket_max)
-            }
-            MergeLaw::Max | MergeLaw::Or => u32::MAX,
-        };
-        let mut acc = self.replicas[0].read_row(self.handles[0], row)?;
-        for (fm, h) in self.replicas.iter().zip(&self.handles).skip(1) {
-            law.combine_rows(&mut acc, fm.row_view(*h, row)?, cap);
-        }
+        let mut acc = Vec::new();
+        merged::row_into(self.algorithm, self.members(), row, &mut acc)?;
         Ok(acc)
     }
 
     /// Merged frequency estimate: per-bucket sums, then the row-wise
     /// minimum — identical to the serial estimate by linearity.
     pub fn merged_frequency(&self, pkt: &Packet) -> Result<u64, FlymonError> {
-        merged_point_frequency(
-            self.algorithm,
-            self.replicas.iter().zip(self.handles.iter().copied()),
-            pkt,
-        )
+        merged::point_frequency(self.algorithm, self.members(), pkt)
     }
 
     /// Merged cardinality estimate: HLL registers merge by max.
     pub fn merged_cardinality(&self) -> Result<f64, FlymonError> {
-        if !matches!(self.algorithm, Algorithm::Hll) {
-            return Err(FlymonError::BadTask(
-                "merged cardinality needs an HLL task".into(),
-            ));
-        }
-        let merged = self.merged_row(0)?;
-        let regs: Vec<u8> = merged.into_iter().map(|v| v.min(255) as u8).collect();
-        Ok(estimate_from_registers(&regs))
+        merged::cardinality(self.algorithm, self.members())
     }
 
-    /// Merged existence check: a key inserted anywhere was inserted on
-    /// exactly one replica, so union membership is the OR of the
-    /// per-replica checks.
+    /// Merged existence check: the OR of the per-replica checks.
     pub fn merged_exists(&self, pkt: &Packet) -> Result<bool, FlymonError> {
-        if !matches!(self.algorithm, Algorithm::Bloom { .. }) {
-            return Err(FlymonError::BadTask(
-                "merged existence needs a Bloom task".into(),
-            ));
-        }
-        Ok(self
-            .replicas
-            .iter()
-            .zip(&self.handles)
-            .any(|(fm, h)| fm.query_exists(*h, pkt)))
+        merged::exists(self.algorithm, self.members(), pkt)
     }
 }
 

@@ -48,26 +48,10 @@ use flymon::prelude::*;
 use flymon::FlymonError;
 use flymon_packet::{Packet, TaskFilter};
 use flymon_rmt::register::ArchiveDrain;
-use flymon_sketches::hll::estimate_from_registers;
 
 use crate::channel::{ChannelConfig, ControlChannel, TxnResult};
 use crate::datapath::{self, MergeLaw};
-
-/// Routes one controller→switch command through the fleet's control
-/// channel when one is attached, or applies it directly (the perfect
-/// in-process channel) otherwise. The channel is threaded through as a
-/// taken-out local so `apply` can borrow fleet fields freely.
-fn send(
-    chan: &mut Option<ControlChannel>,
-    switch: usize,
-    op: &'static str,
-    apply: impl FnOnce() -> Result<TxnResult, FlymonError>,
-) -> Result<TxnResult, FlymonError> {
-    match chan.as_mut() {
-        Some(c) => c.invoke(switch, op, apply),
-        None => apply(),
-    }
-}
+use crate::merged;
 
 /// A merged estimate paired with an explicit bound on what it can miss.
 ///
@@ -235,14 +219,31 @@ pub struct SwitchFleet {
     staging: Vec<Vec<Packet>>,
 }
 
-/// One member's live row for a merge, or `None` when its epoch
-/// watermark proves the row untouched: all zero, the identity of every
-/// merge law, so leaving it out changes nothing.
-fn touched_row(fm: &FlyMon, h: TaskHandle, row: usize) -> Option<Result<&[u32], FlymonError>> {
-    match fm.row_untouched(h, row) {
-        Ok(true) => None,
-        Ok(false) => Some(fm.row_view(h, row)),
-        Err(e) => Some(Err(e)),
+/// One controller→switch command of a reconfiguration sweep
+/// ([`SwitchFleet::sweep`]). It reads or fills slot `i` of a *column* —
+/// one `Option<TaskHandle>` per switch: a fleet task's `handles`, or a
+/// new task's — and names enough to be taken back ([`Cmd::inverse`]).
+#[derive(Clone, Copy)]
+enum Cmd<'a> {
+    /// Deploy `def`; the new handle fills column `col`.
+    Deploy { def: &'a TaskDefinition, col: usize },
+    /// Remove column `col`'s task, emptying the slot; `def` is what it
+    /// ran (definitions are deterministic, so deploying it again lands
+    /// back in an equivalent placement).
+    Remove { def: &'a TaskDefinition, col: usize },
+    /// Resize column `col`'s task from `from` to `to` buckets per row,
+    /// reminting its handle.
+    Resize { col: usize, from: usize, to: usize },
+}
+
+impl Cmd<'_> {
+    /// The command that undoes this one on a switch that completed it.
+    fn inverse(self) -> Self {
+        match self {
+            Cmd::Deploy { def, col } => Cmd::Remove { def, col },
+            Cmd::Remove { def, col } => Cmd::Deploy { def, col },
+            Cmd::Resize { col, from, to } => Cmd::Resize { col, from: to, to: from },
+        }
     }
 }
 
@@ -409,11 +410,7 @@ impl SwitchFleet {
         if self.alive[i] {
             return Ok(());
         }
-        let handles: Vec<TaskHandle> = self
-            .tasks
-            .iter()
-            .filter_map(|t| t.handles[i])
-            .collect();
+        let handles = self.handles_on(i);
         if handles.is_empty() {
             return Err(FlymonError::NoSuchTask);
         }
@@ -423,16 +420,12 @@ impl SwitchFleet {
         // why the sync barrier drops to zero too. One channel command
         // covers the whole reset sweep: either the switch performed it
         // (exactly once) or the revival never happened.
-        let mut chan = self.channel.take();
-        let sw = &mut self.switches[i];
-        let result = send(&mut chan, i, "revive-reset", || {
+        Self::send(&mut self.channel, &mut self.switches[i], i, "revive-reset", |sw| {
             for h in &handles {
                 sw.reset_task(*h)?;
             }
             Ok(TxnResult::Unit)
-        });
-        self.channel = chan;
-        result?;
+        })?;
         self.alive[i] = true;
         self.lost_packets += self.represented[i];
         self.represented[i] = 0;
@@ -467,22 +460,16 @@ impl SwitchFleet {
     /// dead switch's, which is exactly what the loss window measures —
     /// and the failure is counted in the channel stats and event log.
     pub fn sync_standby(&mut self) -> usize {
-        if self.standby.is_none() {
+        let Some(images) = self.standby.as_mut() else {
             return 0;
-        }
-        let mut chan = self.channel.take();
+        };
         let mut shipped = 0;
-        for i in 0..self.switches.len() {
+        for (i, slot) in images.iter_mut().enumerate() {
             if !self.alive[i] {
                 continue;
             }
-            let slot = &mut self
-                .standby
-                .as_mut()
-                .expect("checked above")[i];
-            let sw = &mut self.switches[i];
             let mut payload = 0usize;
-            let synced = send(&mut chan, i, "sync-standby", || {
+            let synced = Self::send(&mut self.channel, &mut self.switches[i], i, "sync-standby", |sw| {
                 let barrier = match slot {
                     Some(base) => {
                         let delta = sw.checkpoint(CaptureMode::Delta);
@@ -510,7 +497,6 @@ impl SwitchFleet {
                 self.checkpoint_represented[i] = self.represented[i];
             }
         }
-        self.channel = chan;
         shipped
     }
 
@@ -549,12 +535,10 @@ impl SwitchFleet {
         let image = images[i]
             .as_ref()
             .ok_or(FlymonError::Checkpoint("standby holds no image for this switch"))?;
-        let mut chan = self.channel.take();
-        if let Some(c) = chan.as_mut() {
+        if let Some(c) = self.channel.as_mut() {
             c.mint_term();
         }
-        let sw = &mut self.switches[i];
-        let result = send(&mut chan, i, "promote-standby", || {
+        let result = Self::send(&mut self.channel, &mut self.switches[i], i, "promote-standby", |sw| {
             let wal = sw
                 .detach_wal()
                 .ok_or(FlymonError::Checkpoint("failed switch has no WAL"))?;
@@ -570,12 +554,9 @@ impl SwitchFleet {
                 }
             }
         });
-        if result.is_ok() {
-            if let Some(c) = chan.as_mut() {
-                c.broadcast_term();
-            }
+        if let (Ok(_), Some(c)) = (&result, self.channel.as_mut()) {
+            c.broadcast_term();
         }
-        self.channel = chan;
         result?;
         self.alive[i] = true;
         let loss = self.represented[i] - self.checkpoint_represented[i];
@@ -701,19 +682,13 @@ impl SwitchFleet {
         // alive switch, plus ledger accounting.
         let stall_begun = Instant::now();
         let mut packets = 0;
-        let mut chan = self.channel.take();
         let mut refused = None;
         for i in 0..self.switches.len() {
             if !self.alive[i] {
                 continue;
             }
-            let handles: Vec<TaskHandle> = self
-                .tasks
-                .iter()
-                .filter_map(|t| t.handles[i])
-                .collect();
-            let sw = &mut self.switches[i];
-            let reset = send(&mut chan, i, "epoch-reset", || {
+            let handles = self.handles_on(i);
+            let reset = Self::send(&mut self.channel, &mut self.switches[i], i, "epoch-reset", |sw| {
                 sw.rotate_banks(&handles)?;
                 Ok(TxnResult::Unit)
             });
@@ -726,7 +701,6 @@ impl SwitchFleet {
             self.represented[i] = 0;
             self.checkpoint_represented[i] = 0;
         }
-        self.channel = chan;
         self.note_rotation_stall(stall_begun.elapsed());
         // Phase 2 — off the stall path: merge the archived banks (they
         // are out of ingestion's way; its writes land in the fresh live
@@ -769,10 +743,6 @@ impl SwitchFleet {
             let mut occupancy = Vec::with_capacity(row_caps.len());
             for (row, &bucket_max) in row_caps.iter().enumerate() {
                 let size = self.switches[first].task(h)?.rows[row].size;
-                let cap = match law {
-                    MergeLaw::Sum => bucket_max,
-                    MergeLaw::Max | MergeLaw::Or => u32::MAX,
-                };
                 let members = self
                     .switches
                     .iter_mut()
@@ -785,7 +755,6 @@ impl SwitchFleet {
                     &mut acc,
                     size,
                     members,
-                    cap,
                     bucket_max,
                     ArchiveDrain::retire_to,
                 )?);
@@ -847,11 +816,133 @@ impl SwitchFleet {
     }
 
     /// True when every switch is alive — the precondition for fleet-wide
-    /// reconfiguration ([`SwitchFleet::reallocate_task`],
-    /// [`SwitchFleet::split_task`]): reconfiguring around a dead switch
+    /// reconfiguration ([`SwitchFleet::deploy_task`],
+    /// [`SwitchFleet::reallocate_task`], [`SwitchFleet::split_task`],
+    /// [`SwitchFleet::remove_task`]): reconfiguring around a dead switch
     /// would leave its task set diverged from the fleet's.
     pub fn fully_alive(&self) -> bool {
         self.alive.iter().all(|&a| a)
+    }
+
+    /// [`SwitchFleet::fully_alive`] as the error the reconfiguration ops
+    /// refuse with.
+    fn require_fully_alive(&self) -> Result<(), FlymonError> {
+        if self.fully_alive() {
+            return Ok(());
+        }
+        Err(FlymonError::NoCapacity(
+            "fleet reconfiguration needs every switch alive".into(),
+        ))
+    }
+
+    /// Routes one controller→switch command to switch `i` (`sw`): through
+    /// the control channel when one is attached, directly — the perfect
+    /// in-process channel — otherwise. Takes the two fields it needs and
+    /// not `&mut self`, so `apply` may keep borrowing the rest of the
+    /// fleet (a standby image, a task's handle column).
+    fn send(
+        channel: &mut Option<ControlChannel>,
+        sw: &mut FlyMon,
+        i: usize,
+        op: &'static str,
+        apply: impl FnOnce(&mut FlyMon) -> Result<TxnResult, FlymonError>,
+    ) -> Result<TxnResult, FlymonError> {
+        match channel {
+            Some(c) => c.invoke(i, op, || apply(sw)),
+            None => apply(sw),
+        }
+    }
+
+    /// One command of a sweep on switch `i` (`sw`): sent as channel op
+    /// `op`, its reply recorded in the column it names. `roll_forward`
+    /// is [`SwitchFleet::remove_task`]'s: an empty slot is one an
+    /// earlier, partially failed removal already cleared, and is skipped.
+    fn run(
+        channel: &mut Option<ControlChannel>,
+        sw: &mut FlyMon,
+        i: usize,
+        (op, cmd): (&'static str, Cmd<'_>),
+        cols: &mut [&mut Vec<Option<TaskHandle>>],
+        roll_forward: bool,
+    ) -> Result<(), FlymonError> {
+        match cmd {
+            Cmd::Deploy { def, col } => {
+                let reply =
+                    Self::send(channel, sw, i, op, |sw| sw.deploy(def).map(TxnResult::Handle))?;
+                cols[col][i] = Some(reply.handle());
+            }
+            Cmd::Remove { col, .. } if roll_forward && cols[col][i].is_none() => {}
+            Cmd::Remove { col, .. } => {
+                let h = cols[col][i].ok_or(FlymonError::NoSuchTask)?;
+                Self::send(channel, sw, i, op, |sw| sw.remove(h).map(|()| TxnResult::Unit))?;
+                cols[col][i] = None;
+            }
+            Cmd::Resize { col, to, .. } => {
+                let h = cols[col][i].ok_or(FlymonError::NoSuchTask)?;
+                let reply = Self::send(channel, sw, i, op, |sw| {
+                    sw.reallocate_memory(h, to).map(TxnResult::Handle)
+                });
+                // A reverted reallocation is a refusal, but it reminted
+                // the handle on its way back to the old geometry.
+                if let Err(FlymonError::ReallocationReverted { restored }) = &reply {
+                    cols[col][i] = Some(*restored);
+                }
+                cols[col][i] = Some(reply?.handle());
+            }
+        }
+        Ok(())
+    }
+
+    /// The one fleet transaction every reconfiguration op is: `cmds`,
+    /// in order, on switch 0, then on switch 1, … each its own channel
+    /// command, replies landing in `cols` (what [`Cmd`]'s `col` indexes).
+    /// The first refusal — a [`FlymonError::ChannelTimeout`], a fencing
+    /// reject, an install fault, a missing handle — ends the sweep and
+    /// surfaces, after the sweep has run **backwards**: last switch
+    /// first, every switch takes back the commands it completed, newest
+    /// first, each inverse a channel command named `rollback`. So after
+    /// an `Err` every switch hosts what it hosted before, under
+    /// refreshed handles, and the op can simply be retried.
+    ///
+    /// The unwind crosses the same channel, so it is best-effort: a
+    /// switch it cannot reach, or that refuses an inverse, is left
+    /// *diverged* — its slot in every column goes `None`. Merged
+    /// readouts skip such a switch, later sweeps stop at it with
+    /// [`FlymonError::NoSuchTask`], and while it hosts a task the fleet
+    /// lost the handle to, [`SwitchFleet::rotate_epoch_all`] refuses
+    /// with an `Err` (never a panic).
+    ///
+    /// `rollback: None` **rolls forward** instead
+    /// ([`SwitchFleet::remove_task`]): nothing is unwound, swept
+    /// switches keep their emptied slots, and a retry skips them.
+    fn sweep(
+        channel: &mut Option<ControlChannel>,
+        switches: &mut [FlyMon],
+        cmds: &[(&'static str, Cmd<'_>)],
+        cols: &mut [&mut Vec<Option<TaskHandle>>],
+        rollback: Option<&'static str>,
+    ) -> Result<(), FlymonError> {
+        for i in 0..switches.len() {
+            for (k, &cmd) in cmds.iter().enumerate() {
+                let sent = Self::run(channel, &mut switches[i], i, cmd, cols, rollback.is_none());
+                let Err(e) = sent else { continue };
+                let Some(undo_op) = rollback else { return Err(e) };
+                // Switch `i` completed `cmds[..k]`, every switch before
+                // it all of `cmds`.
+                for j in (0..=i).rev() {
+                    let done = if j == i { &cmds[..k] } else { cmds };
+                    let undone = done.iter().rev().try_for_each(|&(_, cmd)| {
+                        let undo = (undo_op, cmd.inverse());
+                        Self::run(channel, &mut switches[j], j, undo, cols, false)
+                    });
+                    if undone.is_err() {
+                        cols.iter_mut().for_each(|col| col[j] = None);
+                    }
+                }
+                return Err(e);
+            }
+        }
+        Ok(())
     }
 
     /// Resizes fleet task `task` to `new_buckets` buckets per row on
@@ -860,48 +951,25 @@ impl SwitchFleet {
     /// instance is deployed, traffic diverts, the old one is retired —
     /// counts do not carry over, so callers rotate the epoch first).
     ///
-    /// Requires a fully alive fleet. Switches are identical (same
-    /// config, same deterministic task set), so per-switch outcomes
-    /// agree; if a reallocation nevertheless fails or reverts
-    /// mid-sweep, the per-switch control planes stay audit-clean, the
-    /// affected handle is refreshed, and the error surfaces — callers
-    /// should treat the fleet's task list as authoritative and retry or
-    /// stop adapting.
+    /// Requires a fully alive fleet. A refusal unwinds
+    /// ([`SwitchFleet::sweep`]): every switch already resized is resized
+    /// back, so the fleet never holds one task at two geometries.
     pub fn reallocate_task(&mut self, task: usize, new_buckets: usize) -> Result<(), FlymonError> {
-        if !self.fully_alive() {
-            return Err(FlymonError::NoCapacity(
-                "fleet reconfiguration needs every switch alive".into(),
-            ));
-        }
-        if task >= self.tasks.len() {
-            return Err(FlymonError::NoSuchTask);
-        }
-        let mut chan = self.channel.take();
-        let mut outcome = Ok(());
-        for i in 0..self.switches.len() {
-            let Some(h) = self.tasks[task].handles[i] else {
-                outcome = Err(FlymonError::NoSuchTask);
-                break;
-            };
-            let sw = &mut self.switches[i];
-            match send(&mut chan, i, "reallocate", || {
-                sw.reallocate_memory(h, new_buckets).map(TxnResult::Handle)
-            }) {
-                Ok(r) => self.tasks[task].handles[i] = Some(r.handle()),
-                Err(FlymonError::ReallocationReverted { restored }) => {
-                    self.tasks[task].handles[i] = Some(restored);
-                    outcome = Err(FlymonError::ReallocationReverted { restored });
-                    break;
-                }
-                Err(e) => {
-                    outcome = Err(e);
-                    break;
-                }
-            }
-        }
-        self.channel = chan;
-        outcome?;
-        self.tasks[task].def.memory = new_buckets;
+        self.require_fully_alive()?;
+        let t = self.tasks.get_mut(task).ok_or(FlymonError::NoSuchTask)?;
+        let resize = Cmd::Resize {
+            col: 0,
+            from: t.def.memory,
+            to: new_buckets,
+        };
+        Self::sweep(
+            &mut self.channel,
+            &mut self.switches,
+            &[("reallocate", resize)],
+            &mut [&mut t.handles],
+            Some("reallocate-rollback"),
+        )?;
+        t.def.memory = new_buckets;
         Ok(())
     }
 
@@ -913,124 +981,42 @@ impl SwitchFleet {
     /// replays the split. The parent's registers are retired with it
     /// (callers rotate the epoch first, as with reallocation).
     ///
-    /// Requires a fully alive fleet. On a per-switch failure the whole
-    /// sweep unwinds: the parent is redeployed on the failing switch
-    /// and every switch that already split rolls its children back to
-    /// the parent (definitions are deterministic, so it lands back in
-    /// an equivalent placement), with the recorded handles refreshed —
-    /// so after a [`FlymonError::ChannelTimeout`] the task list is
-    /// still authoritative and the split can simply be retried.
-    /// Rollback is itself channel-routed and best-effort; a switch
-    /// whose rollback fails is left with a `None` handle (diverged
-    /// until revived). Returns the two child task indices: the first
-    /// child takes the parent's slot, the second is appended.
+    /// Requires a fully alive fleet. A refusal unwinds
+    /// ([`SwitchFleet::sweep`]): the children are removed and the parent
+    /// redeployed wherever the split got to. Returns the two child task
+    /// indices: the first child takes the parent's slot, the second is
+    /// appended.
     pub fn split_task(&mut self, task: usize) -> Result<(usize, usize), FlymonError> {
-        if !self.fully_alive() {
-            return Err(FlymonError::NoCapacity(
-                "fleet reconfiguration needs every switch alive".into(),
-            ));
-        }
-        if task >= self.tasks.len() {
-            return Err(FlymonError::NoSuchTask);
-        }
-        let parent_def = self.tasks[task].def.clone();
-        let (lo, hi) = parent_def.filter.split().ok_or_else(|| {
+        self.require_fully_alive()?;
+        let parent = self.tasks.get_mut(task).ok_or(FlymonError::NoSuchTask)?;
+        let (lo, hi) = parent.def.filter.split().ok_or_else(|| {
             FlymonError::BadTask(format!(
                 "task '{}' filter {} cannot split further",
-                parent_def.name,
-                parent_def.filter.describe()
+                parent.def.name,
+                parent.def.filter.describe()
             ))
         })?;
-        let mut lo_def = parent_def.clone();
-        lo_def.name = format!("{}/0", parent_def.name);
-        lo_def.filter = lo;
-        let mut hi_def = parent_def.clone();
-        hi_def.name = format!("{}/1", parent_def.name);
-        hi_def.filter = hi;
-        let n = self.switches.len();
-        let mut chan = self.channel.take();
-        let swept = (|| {
-            let mut lo_handles: Vec<TaskHandle> = Vec::with_capacity(n);
-            let mut hi_handles: Vec<TaskHandle> = Vec::with_capacity(n);
-            let mut failure: Option<FlymonError> = None;
-            'sweep: for i in 0..n {
-                let h = match self.tasks[task].handles[i].ok_or(FlymonError::NoSuchTask) {
-                    Ok(h) => h,
-                    Err(e) => {
-                        failure = Some(e);
-                        break 'sweep;
-                    }
-                };
-                let sw = &mut self.switches[i];
-                if let Err(e) = send(&mut chan, i, "split-remove", || {
-                    sw.remove(h).map(|_| TxnResult::Unit)
-                }) {
-                    // Nothing changed on this switch; its recorded
-                    // parent handle is still valid.
-                    failure = Some(e);
-                    break 'sweep;
-                }
-                let sw = &mut self.switches[i];
-                let lo_h = match send(&mut chan, i, "split-deploy", || {
-                    sw.deploy(&lo_def).map(TxnResult::Handle)
-                }) {
-                    Ok(r) => r.handle(),
-                    Err(e) => {
-                        let sw = &mut self.switches[i];
-                        let restored = send(&mut chan, i, "split-rollback", || {
-                            sw.deploy(&parent_def).map(TxnResult::Handle)
-                        });
-                        self.tasks[task].handles[i] = restored.ok().map(|r| r.handle());
-                        failure = Some(e);
-                        break 'sweep;
-                    }
-                };
-                let sw = &mut self.switches[i];
-                let hi_h = match send(&mut chan, i, "split-deploy", || {
-                    sw.deploy(&hi_def).map(TxnResult::Handle)
-                }) {
-                    Ok(r) => r.handle(),
-                    Err(e) => {
-                        let sw = &mut self.switches[i];
-                        let restored = send(&mut chan, i, "split-rollback", || {
-                            sw.remove(lo_h)
-                                .and_then(|_| sw.deploy(&parent_def))
-                                .map(TxnResult::Handle)
-                        });
-                        self.tasks[task].handles[i] = restored.ok().map(|r| r.handle());
-                        failure = Some(e);
-                        break 'sweep;
-                    }
-                };
-                lo_handles.push(lo_h);
-                hi_handles.push(hi_h);
-            }
-            if let Some(e) = failure {
-                // Unwind switches that already split so the fleet stays
-                // uniform: remove both children, restore the parent, and
-                // refresh the recorded handle (a redeploy mints a new
-                // one). Best-effort: a switch whose rollback itself
-                // fails is marked `None` — diverged until revived.
-                for j in (0..lo_handles.len()).rev() {
-                    let (lo_j, hi_j) = (lo_handles[j], hi_handles[j]);
-                    let sw = &mut self.switches[j];
-                    let restored = send(&mut chan, j, "split-rollback", || {
-                        sw.remove(lo_j)?;
-                        sw.remove(hi_j)?;
-                        sw.deploy(&parent_def).map(TxnResult::Handle)
-                    });
-                    self.tasks[task].handles[j] = restored.ok().map(|r| r.handle());
-                }
-                return Err(e);
-            }
-            Ok((lo_handles, hi_handles))
-        })();
-        self.channel = chan;
-        let (lo_handles, hi_handles) = swept?;
-        let lo_handles: Vec<Option<TaskHandle>> = lo_handles.into_iter().map(Some).collect();
-        let hi_handles: Vec<Option<TaskHandle>> = hi_handles.into_iter().map(Some).collect();
-        let algorithm = self.tasks[task].algorithm;
-        self.tasks[task] = FleetTask {
+        let child = |half: u8, filter| TaskDefinition {
+            name: format!("{}/{half}", parent.def.name),
+            filter,
+            ..parent.def.clone()
+        };
+        let (lo_def, hi_def) = (child(0, lo), child(1, hi));
+        let n = parent.handles.len();
+        let (mut lo_handles, mut hi_handles) = (vec![None; n], vec![None; n]);
+        Self::sweep(
+            &mut self.channel,
+            &mut self.switches,
+            &[
+                ("split-remove", Cmd::Remove { def: &parent.def, col: 0 }),
+                ("split-deploy", Cmd::Deploy { def: &lo_def, col: 1 }),
+                ("split-deploy", Cmd::Deploy { def: &hi_def, col: 2 }),
+            ],
+            &mut [&mut parent.handles, &mut lo_handles, &mut hi_handles],
+            Some("split-rollback"),
+        )?;
+        let algorithm = parent.algorithm;
+        *parent = FleetTask {
             def: lo_def,
             algorithm,
             handles: lo_handles,
@@ -1048,45 +1034,22 @@ impl SwitchFleet {
     /// it to the fleet's task list. Requires a fully alive fleet —
     /// deploying around a dead switch would diverge its task set.
     ///
-    /// On a per-switch failure the already-deployed switches are rolled
-    /// back (best-effort removes, themselves channel-routed) and the
-    /// error surfaces; the fleet's task list is unchanged. Returns the
-    /// new task's index.
+    /// A refusal unwinds ([`SwitchFleet::sweep`]): the switches already
+    /// deployed remove the task again and the fleet's task list is
+    /// unchanged. Returns the new task's index.
     pub fn deploy_task(&mut self, def: &TaskDefinition) -> Result<usize, FlymonError> {
         if self.switches.is_empty() {
             return Err(FlymonError::NoCapacity("fleet has no switches".into()));
         }
-        if !self.fully_alive() {
-            return Err(FlymonError::NoCapacity(
-                "fleet reconfiguration needs every switch alive".into(),
-            ));
-        }
-        let n = self.switches.len();
-        let mut chan = self.channel.take();
-        let swept = (|| {
-            let mut handles: Vec<Option<TaskHandle>> = Vec::with_capacity(n);
-            for i in 0..n {
-                let sw = &mut self.switches[i];
-                match send(&mut chan, i, "deploy", || {
-                    sw.deploy(def).map(TxnResult::Handle)
-                }) {
-                    Ok(r) => handles.push(Some(r.handle())),
-                    Err(e) => {
-                        for (j, h) in handles.iter().enumerate() {
-                            let Some(h) = *h else { continue };
-                            let sw = &mut self.switches[j];
-                            let _ = send(&mut chan, j, "deploy-rollback", || {
-                                sw.remove(h).map(|_| TxnResult::Unit)
-                            });
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-            Ok(handles)
-        })();
-        self.channel = chan;
-        let handles = swept?;
+        self.require_fully_alive()?;
+        let mut handles = vec![None; self.switches.len()];
+        Self::sweep(
+            &mut self.channel,
+            &mut self.switches,
+            &[("deploy", Cmd::Deploy { def, col: 0 })],
+            &mut [&mut handles],
+            Some("deploy-rollback"),
+        )?;
         let h = handles[0].expect("every deploy succeeded above");
         let algorithm = self.switches[0].task(h)?.algorithm;
         self.tasks.push(FleetTask {
@@ -1103,10 +1066,12 @@ impl SwitchFleet {
     /// API and cannot be removed. Like [`SwitchFleet::split_task`],
     /// removal shifts the indices of later tasks.
     ///
-    /// A per-switch failure surfaces mid-sweep: switches already swept
-    /// stay cleared (their handle slots are `None`), so a later retry
-    /// skips them — retrying after a [`FlymonError::ChannelTimeout`] is
-    /// idempotent.
+    /// The one op that rolls forward ([`SwitchFleet::sweep`] without a
+    /// rollback): whatever happens next, its caller wants the task gone
+    /// everywhere, and redeploying it on the swept switches would only
+    /// give the retry more to remove. So a refusal surfaces with the
+    /// swept switches still cleared and the task still listed —
+    /// retrying after a [`FlymonError::ChannelTimeout`] is idempotent.
     pub fn remove_task(&mut self, task: usize) -> Result<(), FlymonError> {
         if task == 0 {
             return Err(FlymonError::BadTask(
@@ -1116,30 +1081,15 @@ impl SwitchFleet {
         if task >= self.tasks.len() {
             return Err(FlymonError::NoSuchTask);
         }
-        if !self.fully_alive() {
-            return Err(FlymonError::NoCapacity(
-                "fleet reconfiguration needs every switch alive".into(),
-            ));
-        }
-        let mut chan = self.channel.take();
-        let mut outcome = Ok(());
-        for i in 0..self.switches.len() {
-            let Some(h) = self.tasks[task].handles[i] else {
-                continue; // cleared by a previous, partially failed sweep
-            };
-            let sw = &mut self.switches[i];
-            match send(&mut chan, i, "remove", || {
-                sw.remove(h).map(|_| TxnResult::Unit)
-            }) {
-                Ok(_) => self.tasks[task].handles[i] = None,
-                Err(e) => {
-                    outcome = Err(e);
-                    break;
-                }
-            }
-        }
-        self.channel = chan;
-        outcome?;
+        self.require_fully_alive()?;
+        let t = &mut self.tasks[task];
+        Self::sweep(
+            &mut self.channel,
+            &mut self.switches,
+            &[("remove", Cmd::Remove { def: &t.def, col: 0 })],
+            &mut [&mut t.handles],
+            None,
+        )?;
         self.tasks.remove(task);
         Ok(())
     }
@@ -1258,9 +1208,9 @@ impl SwitchFleet {
         );
     }
 
-    /// Alive switches paired with their handles for the primary task.
-    fn alive_members(&self) -> impl Iterator<Item = (&FlyMon, TaskHandle)> {
-        self.alive_task_members(0)
+    /// Switch `i`'s handle for every fleet task it hosts, in task order.
+    fn handles_on(&self, i: usize) -> Vec<TaskHandle> {
+        self.tasks.iter().filter_map(|t| t.handles[i]).collect()
     }
 
     /// Alive switches paired with their handles for fleet task `ti`
@@ -1294,35 +1244,11 @@ impl SwitchFleet {
         row: usize,
         scratch: &mut ReadoutScratch,
     ) -> Result<datapath::RowOccupancy, FlymonError> {
-        let law = MergeLaw::of(
-            self.tasks
-                .get(ti)
-                .ok_or_else(|| {
-                    FlymonError::BadTask(format!("fleet task {ti} does not exist"))
-                })?
-                .algorithm,
-        )?;
-        let (first, first_h) = self.alive_task_members(ti).next().ok_or_else(|| {
-            FlymonError::NoCapacity("every switch in the fleet has failed".into())
-        })?;
-        let placed = first
-            .task(first_h)?
-            .rows
-            .get(row)
-            .ok_or_else(|| FlymonError::BadTask(format!("task has no row {row}")))?;
-        let cap = match law {
-            MergeLaw::Sum => placed.bucket_max,
-            MergeLaw::Max | MergeLaw::Or => u32::MAX,
-        };
-        law.merge_rows(
-            scratch.begin_row(placed.size),
-            placed.size,
-            self.alive_task_members(ti)
-                .filter_map(|(fm, h)| touched_row(fm, h, row)),
-            cap,
-            placed.bucket_max,
-            |_live, _done| {},
-        )
+        let task = self
+            .tasks
+            .get(ti)
+            .ok_or_else(|| FlymonError::BadTask(format!("fleet task {ti} does not exist")))?;
+        merged::row_into(task.algorithm, self.alive_task_members(ti), row, &mut scratch.acc)
     }
 
     /// Network-wide frequency estimate for a flow: per-bucket sums of
@@ -1334,11 +1260,7 @@ impl SwitchFleet {
     /// `pkt` — after a split, each child answers for its own prefix, so
     /// callers keep querying the fleet without tracking the task list.
     pub fn merged_frequency(&self, pkt: &Packet) -> Result<u64, FlymonError> {
-        if self.tasks.is_empty() {
-            return Err(FlymonError::BadTask(
-                "the fleet hosts no task to query".into(),
-            ));
-        }
+        self.primary()?;
         let ti = self
             .tasks
             .iter()
@@ -1346,7 +1268,7 @@ impl SwitchFleet {
             .ok_or_else(|| {
                 FlymonError::BadTask("no fleet task's filter admits this packet".into())
             })?;
-        datapath::merged_point_frequency(
+        merged::point_frequency(
             self.tasks[ti].algorithm,
             self.alive_task_members(ti),
             pkt,
@@ -1366,40 +1288,23 @@ impl SwitchFleet {
         })
     }
 
+    /// The primary task, which the single-task readouts answer for.
+    fn primary(&self) -> Result<&FleetTask, FlymonError> {
+        self.tasks
+            .first()
+            .ok_or_else(|| FlymonError::BadTask("the fleet hosts no task to query".into()))
+    }
+
     /// Network-wide cardinality estimate: HLL registers merge by max.
     /// Answers for the primary task.
     pub fn merged_cardinality(&self) -> Result<f64, FlymonError> {
-        if !matches!(
-            self.tasks.first().map(|t| t.algorithm),
-            Some(Algorithm::Hll)
-        ) {
-            return Err(FlymonError::BadTask(
-                "merged cardinality needs an HLL task".into(),
-            ));
-        }
-        let mut scratch = ReadoutScratch::default();
-        self.merged_task_row_into(0, 0, &mut scratch)?;
-        let regs: Vec<u8> = scratch.acc.iter().map(|&v| v.min(255) as u8).collect();
-        Ok(estimate_from_registers(&regs))
+        merged::cardinality(self.primary()?.algorithm, self.alive_task_members(0))
     }
 
-    /// Network-wide existence check. A key inserted anywhere was
-    /// inserted on exactly one switch (its ingress), which set *all* of
-    /// its filter rows — so union membership is the OR of the per-switch
-    /// checks: no false negatives, and at most the sum of the per-switch
-    /// false-positive rates.
+    /// Network-wide existence check (the primary task's): the OR of the
+    /// alive switches' checks.
     pub fn merged_exists(&self, pkt: &Packet) -> Result<bool, FlymonError> {
-        if !matches!(
-            self.tasks.first().map(|t| t.algorithm),
-            Some(Algorithm::Bloom { .. })
-        ) {
-            return Err(FlymonError::BadTask(
-                "merged existence needs a Bloom task".into(),
-            ));
-        }
-        Ok(self
-            .alive_members()
-            .any(|(fm, h)| fm.query_exists(h, pkt)))
+        merged::exists(self.primary()?.algorithm, self.alive_task_members(0), pkt)
     }
 
     /// Access one switch (diagnostics, per-ingress queries, audits),

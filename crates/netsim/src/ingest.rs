@@ -664,9 +664,11 @@ impl StreamingRuntime {
         &self.fleet
     }
 
-    /// Mutable fleet access — the chaos harness's hook for attaching a
-    /// control channel, partitioning and healing it, or forcing terms
-    /// mid-stream. Not part of the steady-state datapath.
+    /// Mutable fleet access: deploying a second task on, or partitioning
+    /// and healing the control channel of, a fleet the runtime already
+    /// owns. Only this module's own tests call it (the chaos harness
+    /// configures its fleet before handing it over); not part of the
+    /// steady-state datapath.
     pub fn fleet_mut(&mut self) -> &mut SwitchFleet {
         &mut self.fleet
     }

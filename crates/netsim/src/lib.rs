@@ -17,6 +17,8 @@
 //! replicas of a switch (or the switches of a fleet) split a trace by
 //! source address, and their merged readouts are bit-identical to a
 //! serial single-switch replay for linear/max/OR-mergeable sketches.
+//! The merged readouts themselves are stated once, in the private
+//! `merged` module, over whichever members are asking.
 //! [`fleet`] layers network-wide measurement (merged readouts, WAL-backed
 //! switches, warm-standby failover) on top, [`adapt`] closes the loop
 //! with an epoch-driven controller that grows, shrinks and splits tasks
@@ -43,6 +45,7 @@ pub mod epochs;
 pub mod fleet;
 pub mod forwarding;
 pub mod ingest;
+mod merged;
 
 pub use adapt::{
     AdaptAction, AdaptiveController, ControllerConfig, ControllerReport, Decision, TaskSignals,

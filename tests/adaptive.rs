@@ -10,8 +10,8 @@
 use flymon::oracle::PerPacket;
 use flymon::prelude::*;
 use flymon_netsim::{
-    AdaptiveController, ControllerConfig, IngestConfig, RuntimeHealth, StreamingRuntime,
-    SwitchFleet,
+    AdaptiveController, ControllerConfig, FleetEpoch, IngestConfig, RuntimeHealth,
+    StreamingRuntime, SwitchFleet, TaskEpoch,
 };
 use flymon_packet::{KeySpec, Packet};
 use flymon_traffic::gen::{ShiftPhase, ShiftingConfig, ShiftingSource, TraceConfig, TraceGenerator};
@@ -388,4 +388,62 @@ fn streaming_runtime_adapts_under_shifting_load() {
     for i in 0..rt.fleet().len() {
         assert!(rt.fleet().switch(i).0.audit().is_empty(), "switch {i} diverged");
     }
+}
+
+/// A grow that times out must not cost the next epoch: the controller
+/// abandons the action with one link partitioned (the reallocation had
+/// already resized the switches before it), counts the timeout, rests
+/// the task — and the fleet it hands back still rotates under the
+/// streaming runtime, which then keeps adapting. (Before reallocations
+/// unwound, that rotation merged a 2048-bucket row with a 1024-bucket
+/// one and panicked.)
+#[test]
+fn controller_survives_a_grow_that_times_out() {
+    let mut fleet = SwitchFleet::deploy(3, config(), &freq_def("flaky", 1024)).unwrap();
+    fleet.attach_channel(0x71AE, flymon_netsim::ChannelConfig::default()).unwrap();
+    let mut ctl = AdaptiveController::new(policy());
+    // A readout with every bucket taken, handed over with no traffic
+    // behind it: the runtime below wants a fleet whose ledger is empty.
+    let info = fleet.task_infos().remove(0);
+    let epoch = FleetEpoch {
+        tasks: vec![TaskEpoch {
+            name: info.name,
+            filter: info.filter,
+            algorithm: info.algorithm,
+            rows: vec![vec![1; 1024]; 2],
+            row_caps: vec![u32::from(u16::MAX); 2],
+            occupancy: Vec::new(),
+        }],
+        packets: 2048,
+    };
+
+    fleet.channel_mut().unwrap().set_partitioned(2, true);
+    let taken = ctl.on_epoch(&mut fleet, &epoch, false).unwrap();
+    fleet.channel_mut().unwrap().heal_all();
+    assert!(taken.is_empty(), "the timed-out grow is not a decision: {taken:?}");
+    assert_eq!(ctl.report().channel_timeouts, 1, "{:?}", ctl.report());
+    assert_eq!(fleet.task_infos()[0].requested_buckets, 1024);
+    for i in 0..3 {
+        let (fm, h) = fleet.switch(i);
+        assert_eq!(fm.task(h.unwrap()).unwrap().rows[0].size, 1024, "switch {i} kept the grow");
+    }
+
+    let mut rt = StreamingRuntime::new(
+        fleet,
+        IngestConfig {
+            queue_capacity: 16_384,
+            drain_chunk: 8_192,
+            epoch_packets: 20_000,
+            ..IngestConfig::default()
+        },
+    );
+    rt.attach_controller(ctl);
+    let mut source = flymon_netsim::TraceChunks::new(trace(120_000), 4_096);
+    let report = rt.run(&mut source).unwrap();
+    assert!(report.stats.epochs_rotated >= 4, "{:?}", report.stats);
+    assert_eq!(report.health, RuntimeHealth::Healthy);
+    let ctl = rt.controller_report().unwrap();
+    assert_eq!(ctl.channel_timeouts, 1);
+    assert!(ctl.grows >= 1, "the rested task must grow once its cooldown ends: {ctl:?}");
+    assert!(rt.fleet().task_infos()[0].requested_buckets > 1024);
 }

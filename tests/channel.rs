@@ -490,3 +490,257 @@ fn event_log_text_matches_the_checked_in_golden() {
         "the rendered event log drifted from tests/golden/channel_events.log"
     );
 }
+
+/// The four fleet-wide reconfiguration ops, as the refusal table below
+/// drives them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum FleetOp {
+    Deploy,
+    Reallocate,
+    Split,
+    Remove,
+}
+
+impl FleetOp {
+    fn apply(self, fleet: &mut SwitchFleet) -> Result<(), FlymonError> {
+        match self {
+            FleetOp::Deploy => fleet.deploy_task(&bloom_def("late")).map(drop),
+            FleetOp::Reallocate => fleet.reallocate_task(0, 4096),
+            FleetOp::Split => fleet.split_task(0).map(drop),
+            FleetOp::Remove => fleet.remove_task(1),
+        }
+    }
+}
+
+/// How one switch is made to refuse its part of a sweep.
+#[derive(Debug, Clone, Copy)]
+enum Refusal {
+    /// Its control link is partitioned: commands time out, never applied.
+    Partition(usize),
+    /// Its install ops fail: commands arrive and are refused.
+    InstallFault(usize),
+}
+
+/// Three switches behind a clean channel, carrying traffic, with the
+/// extra task `FleetOp::Remove` removes already deployed.
+fn reconfig_fleet(op: FleetOp) -> SwitchFleet {
+    let mut fleet = SwitchFleet::deploy(3, config(), &cms_def(2)).unwrap();
+    fleet.attach_channel(0x5EED_0F0F, ChannelConfig::default()).unwrap();
+    if op == FleetOp::Remove {
+        assert_eq!(fleet.deploy_task(&bloom_def("doomed")).unwrap(), 1);
+    }
+    fleet.process_trace(&trace(21, 6_000));
+    fleet
+}
+
+/// Every binding on every CMU with its task id blanked: a switch's task
+/// set and per-row geometry, comparable across switches (and fleets)
+/// whose handles differ.
+fn layout(fm: &FlyMon) -> Vec<String> {
+    let mut rows = Vec::new();
+    for (g, group) in fm.groups().iter().enumerate() {
+        for (c, cmu) in group.cmus().iter().enumerate() {
+            for binding in cmu.bindings() {
+                let mut binding = binding.clone();
+                binding.task = flymon::task::TaskId(0);
+                rows.push(format!("group {g} cmu {c}: {binding:?}"));
+            }
+        }
+    }
+    rows.sort();
+    rows
+}
+
+/// The primary task's count-min estimate computed the slow way: every
+/// switch locates the flow's bucket in its *own* layout, the buckets add
+/// up (clamped at the register ceiling), rows take the minimum.
+fn scalar_merged_frequency(fleet: &SwitchFleet, pkt: &Packet) -> u64 {
+    let mut scratch = flymon_rmt::hash::HashScratch::default();
+    let (fm0, h0) = fleet.switch(0);
+    let rows = &fm0.task(h0.unwrap()).unwrap().rows;
+    (0..rows.len())
+        .map(|row| {
+            let sum: u64 = (0..fleet.len())
+                .map(|i| {
+                    let (fm, h) = fleet.switch(i);
+                    u64::from(fm.row_value_with(h.unwrap(), row, pkt, &mut scratch).unwrap())
+                })
+                .sum();
+            sum.min(u64::from(rows[row].bucket_max))
+        })
+        .min()
+        .unwrap()
+}
+
+/// What must hold of a fleet whatever its ops went through: clean
+/// audits, a balanced ledger, and merged readouts that mean what a
+/// scalar sum over the switches means.
+fn assert_fleet_is_sound(fleet: &SwitchFleet, probes: &[Packet], row: &str) {
+    for i in 0..fleet.len() {
+        let fm = fleet.switch(i).0;
+        assert!(fm.audit().is_empty(), "{row}: switch {i}: {:?}", fm.audit());
+    }
+    assert!(fleet.ledger().balanced(), "{row}: {:?}", fleet.ledger());
+    // (After a split the primary task answers for its own prefix only.)
+    let primary = fleet.task_infos()[0].filter;
+    for p in probes.iter().filter(|p| primary.matches(p)) {
+        assert_eq!(
+            fleet.merged_frequency(p).unwrap(),
+            scalar_merged_frequency(fleet, p),
+            "{row}: merged estimate is not the sum of the per-switch buckets"
+        );
+    }
+}
+
+/// Every switch hosts the same task set at the same per-row geometry,
+/// and the fleet's task list describes what switch 0 actually holds.
+fn assert_fleet_is_uniform(fleet: &SwitchFleet, row: &str) {
+    for i in 1..fleet.len() {
+        assert_eq!(
+            layout(fleet.switch(i).0),
+            layout(fleet.switch(0).0),
+            "{row}: switch {i} hosts something other than switch 0"
+        );
+    }
+    let (fm, h) = fleet.switch(0);
+    let infos = fleet.task_infos();
+    assert_eq!(infos.len(), fm.task_count(), "{row}: {infos:?}");
+    let primary = fm.task(h.unwrap()).unwrap();
+    assert_eq!(infos[0].requested_buckets, primary.def.memory, "{row}");
+    let cfg = fm.config();
+    let placed = cfg.groups * cfg.cmus_per_group * cfg.buckets_per_cmu - fm.free_buckets();
+    assert_eq!(
+        infos.iter().map(|t| t.allocated_buckets).sum::<usize>(),
+        placed,
+        "{row}: the task list's buckets are not the buckets switch 0 placed"
+    );
+}
+
+/// The failure paths of the one fleet transaction, as a table: each of
+/// {deploy, reallocate, split, remove} is refused mid-sweep at each
+/// switch index (a partitioned link, and an install fault on the middle
+/// switch) and must return `Err` with the fleet as it found it — or, for
+/// remove, rolled forward as documented. Healed, the fleet rotates; the
+/// op retried, it succeeds and ends bit-identical to a twin fleet that
+/// never saw the failure. (Before the sweep unwound reallocations, the
+/// reallocate rows left 4096/4096/8192 buckets per row behind and the
+/// next rotation panicked in the row merge.)
+#[test]
+fn a_refused_sweep_leaves_the_fleet_as_it_found_it_and_the_retry_matches_a_twin() {
+    let t = trace(22, 12_000);
+    let probes = &t[..40];
+    let refusals = [
+        Refusal::Partition(0),
+        Refusal::Partition(1),
+        Refusal::Partition(2),
+        Refusal::InstallFault(1),
+    ];
+    for op in [FleetOp::Deploy, FleetOp::Reallocate, FleetOp::Split, FleetOp::Remove] {
+        for refusal in refusals {
+            let row = format!("{op:?} x {refusal:?}");
+            let mut fleet = reconfig_fleet(op);
+            let before: Vec<_> = (0..3).map(|i| layout(fleet.switch(i).0)).collect();
+            let infos_before = fleet.task_infos();
+
+            match refusal {
+                Refusal::Partition(s) => fleet.channel_mut().unwrap().set_partitioned(s, true),
+                Refusal::InstallFault(s) => fleet
+                    .switch_mut(s)
+                    .arm_faults(FaultPlan::new(9).fail_probability(1.0)),
+            }
+            let refused = op.apply(&mut fleet).unwrap_err();
+            match refusal {
+                Refusal::Partition(s) => {
+                    assert!(matches!(refused, FlymonError::ChannelTimeout { .. }), "{row}: {refused:?}");
+                    assert_eq!(fleet.channel_mut().unwrap().heal_all(), 1, "{row}: link {s}");
+                }
+                Refusal::InstallFault(s) => {
+                    assert!(matches!(refused, FlymonError::Install(_)), "{row}: {refused:?}");
+                    fleet.switch_mut(s).disarm_faults();
+                }
+            }
+
+            // The task list never moves on an `Err`, and (remove aside)
+            // neither has any switch.
+            assert_eq!(fleet.task_infos(), infos_before, "{row}");
+            if op == FleetOp::Remove {
+                // Rolled forward: the switches before the refusing one
+                // are cleared, the rest still host the task.
+                let (Refusal::Partition(s) | Refusal::InstallFault(s)) = refusal;
+                for i in 0..3 {
+                    let hosted = fleet.switch(i).0.task_count();
+                    assert_eq!(hosted, if i < s { 1 } else { 2 }, "{row}: switch {i}");
+                }
+            } else {
+                for (i, was) in before.iter().enumerate() {
+                    assert_eq!(&layout(fleet.switch(i).0), was, "{row}: switch {i} moved");
+                }
+                assert_fleet_is_uniform(&fleet, &row);
+            }
+            fleet.process_trace(&t[..4_000]);
+            assert_fleet_is_sound(&fleet, probes, &row);
+            fleet.rotate_epoch_all().unwrap_or_else(|e| panic!("{row}: rotation refused: {e}"));
+
+            // Retried, the op lands — exactly where it lands on a fleet
+            // that was never refused.
+            op.apply(&mut fleet).unwrap_or_else(|e| panic!("{row}: retry failed: {e}"));
+            let mut twin = reconfig_fleet(op);
+            twin.process_trace(&t[..4_000]);
+            twin.rotate_epoch_all().unwrap();
+            op.apply(&mut twin).unwrap();
+            for f in [&mut fleet, &mut twin] {
+                f.process_trace(&t[4_000..]);
+            }
+            assert_fleet_is_uniform(&fleet, &row);
+            assert_fleet_is_sound(&fleet, probes, &row);
+            assert_eq!(fleet.task_infos(), twin.task_infos(), "{row}");
+            for i in 0..3 {
+                assert_eq!(layout(fleet.switch(i).0), layout(twin.switch(i).0), "{row}: switch {i}");
+                assert_eq!(
+                    all_registers(fleet.switch(i).0),
+                    all_registers(twin.switch(i).0),
+                    "{row}: switch {i} registers differ from the twin's"
+                );
+            }
+            for p in probes {
+                assert_eq!(fleet.merged_frequency(p).unwrap(), twin.merged_frequency(p).unwrap(), "{row}");
+            }
+            fleet.rotate_epoch_all().unwrap();
+        }
+    }
+}
+
+/// The unwind crosses the channel it is unwinding for, so it can fail
+/// too. A switch that cannot be taken back is left *diverged* — its
+/// handle slots `None` — which the fleet must refuse to rotate over,
+/// not panic on: here switch 0 is resized, switch 1's command is lost,
+/// and so is the command that would have resized switch 0 back.
+#[test]
+fn an_unwind_that_cannot_reach_a_switch_leaves_it_diverged_not_panicking() {
+    use ScriptStep::*;
+    let mut fleet = SwitchFleet::deploy(3, config(), &cms_def(2)).unwrap();
+    let cfg = ChannelConfig {
+        retry: RetryPolicy::with_attempts(2),
+        ..ChannelConfig::default()
+    };
+    fleet.attach_channel(0xD1FE, cfg).unwrap();
+    fleet.process_trace(&trace(23, 3_000));
+    fleet
+        .channel_mut()
+        .unwrap()
+        .push_script([Deliver, DropRequest, DropRequest, DropRequest, DropRequest]);
+    let err = fleet.reallocate_task(0, 4096).unwrap_err();
+    assert!(matches!(err, FlymonError::ChannelTimeout { .. }), "{err:?}");
+
+    assert!(fleet.switch(0).1.is_none(), "switch 0 kept a handle it could not take back");
+    assert_eq!(fleet.task_infos()[0].requested_buckets, 8192);
+    // Readouts skip the diverged switch; nothing panics, rotation says no.
+    let probe = trace(23, 3_000)[0];
+    fleet.merged_frequency(&probe).unwrap();
+    assert!(matches!(fleet.rotate_epoch_all(), Err(FlymonError::BadTask(_))));
+    assert!(matches!(fleet.reallocate_task(0, 4096), Err(FlymonError::NoSuchTask)));
+    for i in 0..3 {
+        assert!(fleet.switch(i).0.audit().is_empty(), "switch {i}");
+    }
+    assert!(fleet.ledger().balanced(), "{:?}", fleet.ledger());
+}

@@ -260,6 +260,27 @@ fn recovery_immediately_after_rolled_back_deploy_skips_the_aborted_record() {
     assert_eq!(recovered.query_frequency(h, &Packet::tcp(0x0a00_0001, 9, 9, 9)), 7);
 }
 
+/// A call refused because its handle names no task changed nothing, so
+/// its record aborts. A reallocation's record resolves by diffing the
+/// task set, and "absent afterwards" used to read as "this call removed
+/// it": the refusal was committed as the removal of a task the switch
+/// never hosted, and recovery died replaying it.
+#[test]
+fn recovery_skips_a_reallocation_refused_for_an_unknown_handle() {
+    let mut fm = FlyMon::new(config());
+    fm.attach_wal(WriteAheadLog::new());
+    let h = fm.deploy(&cms_def(2)).unwrap();
+    let chk = fm.checkpoint(CaptureMode::Full);
+    let stale = fm.reallocate_memory(h, 4096).unwrap();
+    assert!(matches!(fm.reallocate_memory(h, 8192), Err(FlymonError::NoSuchTask)));
+    assert!(matches!(fm.remove(h), Err(FlymonError::NoSuchTask)));
+
+    let wal = fm.wal().unwrap();
+    assert_eq!(wal.committed_after(chk.wal_seq).count(), 1, "{:?}", wal.records());
+    let recovered = FlyMon::recover(wal, &chk).unwrap();
+    assert_eq!(recovered.task(stale).unwrap().rows[0].size, 4096);
+}
+
 /// Off-barrier WAL compaction (aborted-record pruning) must not change
 /// what recovery produces: two fleets share an identical history heavy
 /// with rolled-back deploys; one prunes mid-stream, and both promote to
