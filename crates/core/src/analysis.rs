@@ -11,7 +11,9 @@ use flymon_packet::Packet;
 use flymon_sketches::hll::estimate_from_registers;
 use flymon_sketches::mrac::{entropy_from_counters, estimate_distribution_from_counters};
 
-use crate::compiler::{CmuCouponConfig, BRAIDS_LOW_CAP, TOWER_LEVEL_BITS};
+use flymon_rmt::register::Buckets;
+
+use crate::compiler::{CmuCouponConfig, BRAIDS_LOW_CAP, ONE_HOT_BITS, TOWER_LEVEL_BITS};
 use crate::control::{FlyMon, TaskHandle};
 use crate::params::PacketContext;
 use crate::task::Algorithm;
@@ -163,22 +165,12 @@ pub fn cardinality(fm: &FlyMon, h: TaskHandle) -> Result<f64, FlymonError> {
             let regs: Vec<u8> = fm
                 .row_view(h, 0)?
                 .iter()
-                .map(|&v| v.min(255) as u8)
+                .map(|v| v.min(255) as u8)
                 .collect();
             Ok(estimate_from_registers(&regs))
         }
-        Algorithm::LinearCounting => {
-            // Buckets are 16-bit bitmaps; LC over the bit population.
-            let buckets = fm.row_view(h, 0)?;
-            let m = (buckets.len() * 16) as f64;
-            let ones: u32 = buckets.iter().map(|b| b.count_ones()).sum();
-            let zeros = m - f64::from(ones);
-            if zeros == 0.0 {
-                Ok(m * m.ln())
-            } else {
-                Ok(m * (m / zeros).ln())
-            }
-        }
+        // Buckets are one-hot bitmaps; LC over the bit population.
+        Algorithm::LinearCounting => Ok(linear_counting(fm.row_view(h, 0)?)),
         other => Err(FlymonError::BadTask(format!(
             "{} has no cardinality query",
             other.name()
@@ -193,15 +185,15 @@ pub fn flow_size_distribution(
     em_iterations: usize,
 ) -> Result<Vec<f64>, FlymonError> {
     expect_mrac(fm, h)?;
-    let counters = fm.row_view(h, 0)?;
-    Ok(estimate_distribution_from_counters(counters, em_iterations))
+    let counters = fm.read_row(h, 0)?;
+    Ok(estimate_distribution_from_counters(&counters, em_iterations))
 }
 
 /// MRAC flow-entropy estimate.
 pub fn entropy(fm: &FlyMon, h: TaskHandle, em_iterations: usize) -> Result<f64, FlymonError> {
     expect_mrac(fm, h)?;
-    let counters = fm.row_view(h, 0)?;
-    Ok(entropy_from_counters(counters, em_iterations))
+    let counters = fm.read_row(h, 0)?;
+    Ok(entropy_from_counters(&counters, em_iterations))
 }
 
 /// Jaccard similarity of the traffic sets recorded by two Odd-Sketch
@@ -227,10 +219,10 @@ pub fn jaccard_similarity(
             "Odd Sketch tasks must have equal memory to compare".into(),
         ));
     }
-    let n = (parity_a.len() * 16) as f64;
+    let n = (parity_a.len() * usize::from(ONE_HOT_BITS)) as f64;
     let odd: u32 = parity_a
         .iter()
-        .zip(parity_b)
+        .zip(parity_b.iter())
         .map(|(x, y)| (x ^ y).count_ones())
         .sum();
     let frac = 2.0 * f64::from(odd) / n;
@@ -241,23 +233,26 @@ pub fn jaccard_similarity(
     };
 
     // |A|, |B| via Linear Counting over the Bloom-gate rows.
-    let lc = |row: &[u32]| {
-        let m = (row.len() * 16) as f64;
-        let ones: u32 = row.iter().map(|b| b.count_ones()).sum();
-        let zeros = m - f64::from(ones);
-        if zeros == 0.0 {
-            m * m.ln()
-        } else {
-            m * (m / zeros).ln()
-        }
-    };
-    let size_a = lc(fm.row_view(a, 0)?);
-    let size_b = lc(fm.row_view(b, 0)?);
+    let size_a = linear_counting(fm.row_view(a, 0)?);
+    let size_b = linear_counting(fm.row_view(b, 0)?);
     let den = size_a + size_b + sym_diff;
     if den <= 0.0 {
         return Ok(1.0);
     }
     Ok(((size_a + size_b - sym_diff) / den).clamp(0.0, 1.0))
+}
+
+/// Linear Counting over a row of one-hot bitmaps: `m ln(m / zeros)`
+/// with `m` the row's bits.
+fn linear_counting(row: Buckets<'_>) -> f64 {
+    let m = (row.len() * usize::from(ONE_HOT_BITS)) as f64;
+    let ones: u32 = row.iter().map(u32::count_ones).sum();
+    let zeros = m - f64::from(ones);
+    if zeros == 0.0 {
+        m * m.ln()
+    } else {
+        m * (m / zeros).ln()
+    }
 }
 
 fn expect_mrac(fm: &FlyMon, h: TaskHandle) -> Result<(), FlymonError> {

@@ -223,10 +223,10 @@ impl FlyMon {
                 let Ok(buckets) = self.groups[g].cmus()[c].register().read_range(0, total) else {
                     continue;
                 };
-                if let Some((offset, &value)) = buckets
+                if let Some((offset, value)) = buckets
                     .iter()
                     .enumerate()
-                    .find(|&(i, &v)| v != 0 && !covered[i])
+                    .find(|&(i, v)| v != 0 && !covered[i])
                 {
                     out.push(Divergence::DirtyFreeMemory {
                         group: g,

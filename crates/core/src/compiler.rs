@@ -84,6 +84,11 @@ impl PlacedRow {
     }
 }
 
+/// Bits of a bucket the one-hot recipes address (bit-optimized Bloom,
+/// Linear Counting, Odd Sketch: one bit of this many; BeauCoup: this
+/// many coupons). Deploy refuses a narrower register.
+pub const ONE_HOT_BITS: u8 = 16;
+
 /// FlyMon-BeauCoup per-CMU coupon configuration: 16 coupons carved from a
 /// 16-bit bucket, 12 required to report, draw probability calibrated so
 /// the expected number of distinct values to collect 12 of 16 coupons
@@ -103,7 +108,7 @@ pub struct CmuCouponConfig {
 impl CmuCouponConfig {
     /// Calibrates for a distinct-count detection threshold.
     pub fn for_threshold(distinct_threshold: u64) -> Self {
-        let coupons = 16u32;
+        let coupons = u32::from(ONE_HOT_BITS);
         let threshold_coupons = 12u32;
         let harmonic = |n: u32| (1..=n).map(|i| 1.0 / f64::from(i)).sum::<f64>();
         let draws = harmonic(coupons) - harmonic(coupons - threshold_coupons);
@@ -265,7 +270,7 @@ pub fn build_bindings(
             } else {
                 // Linear Counting: one bit per value, same data plane as
                 // the bit-optimized Bloom filter.
-                b.prep = PrepAction::OneHotBit { bits: 16 };
+                b.prep = PrepAction::OneHotBit { bits: ONE_HOT_BITS };
                 b.op = StatefulOp::AndOr;
                 b.p2 = ParamSource::Const(1);
             }
@@ -308,7 +313,7 @@ pub fn build_bindings(
                 b.p2 = ParamSource::Const(1);
                 if bit_optimized {
                     b.p1 = ParamSource::CompressedKey(param);
-                    b.prep = PrepAction::OneHotBit { bits: 16 };
+                    b.prep = PrepAction::OneHotBit { bits: ONE_HOT_BITS };
                 } else {
                     // Whole bucket as one bit: memory-wasteful variant
                     // (Fig. 14g "w/o Opt").
@@ -353,7 +358,7 @@ pub fn build_bindings(
             let param = bf.param_source.unwrap_or(bf.key_source);
             let mut b_bf = base(bf);
             b_bf.p1 = ParamSource::CompressedKey(param);
-            b_bf.prep = PrepAction::OneHotBit { bits: 16 };
+            b_bf.prep = PrepAction::OneHotBit { bits: ONE_HOT_BITS };
             b_bf.op = StatefulOp::AndOr;
             b_bf.p2 = ParamSource::Const(1);
             b_bf.forward = Forward::OldAndP1;
@@ -369,7 +374,7 @@ pub fn build_bindings(
             let mut b_odd = base(odd);
             b_odd.p1 = ParamSource::CompressedKey(odd_param);
             b_odd.prep = PrepAction::OneHotBitGated {
-                bits: 16,
+                bits: ONE_HOT_BITS,
                 seen: bf.cmu_ref(),
             };
             b_odd.op = StatefulOp::Xor;
@@ -393,7 +398,7 @@ pub fn build_bindings(
 
                 let mut b_bf = base(bf);
                 b_bf.p1 = ParamSource::CompressedKey(bf.key_source);
-                b_bf.prep = PrepAction::OneHotBit { bits: 16 };
+                b_bf.prep = PrepAction::OneHotBit { bits: ONE_HOT_BITS };
                 b_bf.op = StatefulOp::AndOr;
                 b_bf.p2 = ParamSource::Const(1);
                 b_bf.forward = Forward::OldAndP1;

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 
 use flymon_packet::{KeySpec, Packet};
 use flymon_rmt::fault::{FaultPlan, InstallOpKind, RetryPolicy};
-use flymon_rmt::register::{ArchiveDrain, Register};
+use flymon_rmt::register::{ArchiveDrain, Buckets, Register};
 use flymon_rmt::rules::{InstallPlan, RuleKind};
 
 use crate::addr::{AddrTranslation, TranslationMethod};
@@ -618,6 +618,17 @@ impl FlyMon {
         }
 
         let bindings = compiler::build_bindings(def, id, alg, &rows)?;
+        // Like the max-interval guard of `deploy_unlogged`, but read off
+        // what was compiled: the SALU masks results to the register
+        // width, so a one-hot bit above it would be set and lost.
+        let one_hot = bindings.iter().map(|(_, b)| b.prep.one_hot_bits()).max().unwrap_or(0);
+        if one_hot > self.config.bucket_bits {
+            return Err(FlymonError::BadTask(format!(
+                "{} sets one bit of {one_hot} per bucket and needs {one_hot}-bit registers \
+                 (configure `bucket_bits: {one_hot}`)",
+                alg.name()
+            )));
+        }
         let mut install = compiler::install_plan(&bindings, new_masks.len());
         for (row_idx, binding) in &bindings {
             let row = &rows[*row_idx];
@@ -1045,10 +1056,11 @@ impl FlyMon {
     // Readout & queries
     // ------------------------------------------------------------------
 
-    /// Borrowed view of one row's partition — the zero-copy readout the
-    /// epoch merge kernels consume. The slice aliases live SRAM: it
-    /// reflects whatever the data plane wrote up to this call.
-    pub fn row_view(&self, h: TaskHandle, row: usize) -> Result<&[u32], FlymonError> {
+    /// Borrowed view of one row's partition, in the register's own
+    /// cells — the zero-copy readout the epoch merge kernels consume.
+    /// The view aliases live SRAM: it reflects whatever the data plane
+    /// wrote up to this call.
+    pub fn row_view(&self, h: TaskHandle, row: usize) -> Result<Buckets<'_>, FlymonError> {
         let (r, _, reg) = self.placed_row(h, row)?;
         Ok(reg.read_range(r.offset, r.offset + r.size)?)
     }
@@ -1064,13 +1076,13 @@ impl FlyMon {
     ) -> Result<(), FlymonError> {
         let view = self.row_view(h, row)?;
         out.clear();
-        out.extend_from_slice(view);
+        out.extend(view.iter());
         Ok(())
     }
 
     /// Reads one row's partition (the control plane's periodic readout).
     pub fn read_row(&self, h: TaskHandle, row: usize) -> Result<Vec<u32>, FlymonError> {
-        self.row_view(h, row).map(<[u32]>::to_vec)
+        self.row_view(h, row).map(Buckets::to_vec)
     }
 
     /// True when the row's partition is provably all-zero: untouched

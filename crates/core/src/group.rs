@@ -890,7 +890,7 @@ mod tests {
         }
         // Task 2's partition [128, 256) must be untouched.
         let upper = g.cmus()[0].register().read_range(128, 256).unwrap();
-        assert!(upper.iter().all(|&v| v == 0), "second task must not run");
+        assert!(upper.iter().all(|v| v == 0), "second task must not run");
     }
 
     #[test]

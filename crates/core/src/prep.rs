@@ -132,6 +132,16 @@ impl PrepAction {
         }
     }
 
+    /// Bits of a bucket the action's one-hot `p1` can land on (0 when it
+    /// makes none): a narrower register masks the high bits away.
+    pub fn one_hot_bits(&self) -> u8 {
+        match self {
+            PrepAction::OneHotBit { bits } | PrepAction::OneHotBitGated { bits, .. } => *bits,
+            PrepAction::Coupon { coupons, .. } => *coupons,
+            _ => 0,
+        }
+    }
+
     /// TCAM entries this mapping costs in the preparation stage.
     pub fn tcam_entries(&self) -> usize {
         match self {

@@ -39,6 +39,7 @@ use flymon::prelude::*;
 use flymon::FlymonError;
 use flymon_packet::Packet;
 use flymon_rmt::hash::{fmix32, murmur3_32_word};
+use flymon_rmt::register::{ArchiveDrain, Buckets, Cell};
 
 use crate::merged;
 
@@ -149,37 +150,42 @@ impl MergeLaw {
     }
 
     /// One row merged across `members` into `acc`, in one sweep per
-    /// member: the first row is copied, the middle ones fold in through
-    /// [`MergeLaw::combine_rows`], and the last goes through the fused
+    /// member: the first row is copied, the middle ones fold in, and
+    /// the last goes through the fused sweep of
     /// [`MergeLaw::combine_rows_scan`], which also yields the
-    /// occupancy. Callers leave out members whose row is provably zero;
-    /// with none left the row is `size` zeros. A lone member folds into
-    /// zeros instead of being copied — 0 is the identity of every law
-    /// and a register never holds more than its ceiling — so it too
-    /// gets the fused sweep. `bucket_max` is the row's register cell
-    /// ceiling: what the occupancy scan counts as saturated, and what a
-    /// summed bucket clamps at — Cond-ADD saturates a counter there, so
-    /// the merge must too, or a bucket that saturated in a serial
-    /// replay reads higher merged.
+    /// occupancy. Members are read in their registers' own cells, widened
+    /// into the `u32` accumulator. Callers leave out members whose row
+    /// is provably zero; with none left the row is `size` zeros. A lone
+    /// member folds into zeros instead of being copied — 0 is the
+    /// identity of every law and a register never holds more than its
+    /// ceiling — so it too gets the fused sweep. `bucket_max` is the
+    /// row's register cell ceiling: what the occupancy scan counts as
+    /// saturated, and what a summed bucket clamps at — Cond-ADD
+    /// saturates a counter there, so the merge must too, or a bucket
+    /// that saturated in a serial replay reads higher merged.
     ///
-    /// Every sweep walks its member in [`MERGE_CHUNK`]s and tells
-    /// `retire` how far it has got (`retire(member, buckets_done)`)
-    /// after each: a rotation hands in archived rows that zero
-    /// themselves behind the walk, while the chunk is still in L1 from
-    /// being read ([`flymon_rmt::register::ArchiveDrain::retire_to`]);
-    /// a live readout's rows are borrowed and its `retire` does
-    /// nothing. The occupancy adds up across chunks.
-    pub(crate) fn merge_rows<S: AsRef<[u32]>>(
+    /// Every sweep walks its member in [`MERGE_CHUNK`]s and tells it
+    /// how far it has got ([`Member::retire_to`]) after each: a
+    /// rotation hands in archived rows that zero themselves behind the
+    /// walk, while the chunk is still in L1 from being read
+    /// ([`flymon_rmt::register::ArchiveDrain::retire_to`]); a live
+    /// readout's rows are borrowed views that ignore it. The occupancy
+    /// adds up across chunks.
+    pub(crate) fn merge_rows<S: Member>(
         self,
         acc: &mut Vec<u32>,
         size: usize,
         mut members: impl Iterator<Item = Result<S, FlymonError>>,
         bucket_max: u32,
-        retire: impl Fn(&mut S, usize),
     ) -> Result<RowOccupancy, FlymonError> {
         let cap = match self {
             MergeLaw::Sum => bucket_max,
             MergeLaw::Max | MergeLaw::Or => u32::MAX,
+        };
+        // One match on the member's cell width per sweep.
+        let fold = |a: &mut [u32], s: Buckets<'_>, scan| match s {
+            Buckets::U16(s) => sweep(self, a, s, cap, scan),
+            Buckets::U32(s) => sweep(self, a, s, cap, scan),
         };
         acc.clear();
         let Some(mut last) = members.next().transpose()? else {
@@ -187,25 +193,27 @@ impl MergeLaw {
             return Ok(RowOccupancy::default());
         };
         match members.next().transpose()? {
-            None => acc.resize(last.as_ref().len(), 0),
+            None => acc.resize(last.buckets().len(), 0),
             Some(second) => {
-                let len = last.as_ref().len();
+                let len = last.buckets().len();
                 acc.reserve(len);
                 for done in (0..len).step_by(MERGE_CHUNK) {
                     let upto = (done + MERGE_CHUNK).min(len);
-                    acc.extend_from_slice(&last.as_ref()[done..upto]);
-                    retire(&mut last, upto);
+                    acc.extend(last.buckets().slice(done, upto).iter());
+                    last.retire_to(upto);
                 }
                 last = second;
                 for next in members {
-                    walk(acc, &mut last, &retire, |a, s| self.combine_rows(a, s, cap));
+                    walk(acc, &mut last, |a, s| {
+                        fold(a, s, None);
+                    });
                     last = next?;
                 }
             }
         }
         let mut occupancy = RowOccupancy::default();
-        walk(acc, &mut last, &retire, |a, s| {
-            let chunk = self.combine_rows_scan(a, s, cap, bucket_max);
+        walk(acc, &mut last, |a, s| {
+            let chunk = fold(a, s, Some(bucket_max));
             occupancy.nonzero += chunk.nonzero;
             occupancy.saturated += chunk.saturated;
         });
@@ -213,24 +221,44 @@ impl MergeLaw {
     }
 }
 
+/// A row [`MergeLaw::merge_rows`] folds in: a borrowed view of live
+/// SRAM, or an archived row draining behind the walk.
+pub(crate) trait Member {
+    /// The row, in its register's cells.
+    fn buckets(&self) -> Buckets<'_>;
+    /// The walk is done with the row's first `upto` buckets.
+    fn retire_to(&mut self, _upto: usize) {}
+}
+
+impl Member for Buckets<'_> {
+    fn buckets(&self) -> Buckets<'_> {
+        *self
+    }
+}
+
+impl Member for ArchiveDrain<'_> {
+    fn buckets(&self) -> Buckets<'_> {
+        ArchiveDrain::buckets(self)
+    }
+
+    fn retire_to(&mut self, upto: usize) {
+        ArchiveDrain::retire_to(self, upto);
+    }
+}
+
 /// One member swept into `acc`, front to back in [`MERGE_CHUNK`]s:
-/// `sweep(acc chunk, member chunk)`, then `retire(member, buckets_done)`.
-fn walk<S: AsRef<[u32]>>(
-    acc: &mut [u32],
-    member: &mut S,
-    retire: &impl Fn(&mut S, usize),
-    mut sweep: impl FnMut(&mut [u32], &[u32]),
-) {
+/// `sweep(acc chunk, member chunk)`, then the member retires the chunk.
+fn walk(acc: &mut [u32], member: &mut impl Member, mut sweep: impl FnMut(&mut [u32], Buckets<'_>)) {
     assert_eq!(
         acc.len(),
-        member.as_ref().len(),
+        member.buckets().len(),
         "merged rows must share a geometry"
     );
     let mut done = 0;
     for a in acc.chunks_mut(MERGE_CHUNK) {
         let upto = done + a.len();
-        sweep(a, &member.as_ref()[done..upto]);
-        retire(member, upto);
+        sweep(a, member.buckets().slice(done, upto));
+        member.retire_to(upto);
         done = upto;
     }
 }
@@ -248,15 +276,16 @@ const MERGE_CHUNK: usize = 2 * SCAN_BLOCK;
 /// The workspace builds for baseline x86-64, whose sse2 has no unsigned
 /// 32-bit min or saturating add, so the portable loops spend most of
 /// their time emulating `pminud`. Rather than a second algorithm in
-/// intrinsics, the *same* safe body ([`sweep_body`]) is compiled twice:
-/// [`sweep_portable`] for the build's baseline and [`sweep_avx2`] under
-/// `#[target_feature(enable = "avx2")]`, where the autovectorizer emits
-/// 8-lane `vpminud`/`vpmaxud`/`vpor`. The choice is the host's cpuid
-/// (cached by std: one atomic load per sweep) and nothing else; the
-/// portable instantiation is the fallback on every other host and the
-/// oracle the unit test below holds the wide one to.
+/// intrinsics, the *same* safe body ([`sweep_body`]) is compiled twice
+/// per [`Cell`] width: [`sweep_portable`] for the build's baseline and
+/// [`sweep_avx2`] under `#[target_feature(enable = "avx2")]`, where the
+/// autovectorizer widens `u16` members with `vpmovzxwd` and emits 8-lane
+/// `vpminud`/`vpmaxud`/`vpor`. The choice is the host's cpuid (cached
+/// by std: one atomic load per sweep) and nothing else; the portable
+/// instantiation is the fallback on every other host and the oracle
+/// the unit test below holds the wide one to.
 #[allow(unsafe_code)]
-fn sweep(law: MergeLaw, acc: &mut [u32], src: &[u32], cap: u32, scan: Option<u32>) -> RowOccupancy {
+fn sweep<C: Cell>(law: MergeLaw, acc: &mut [u32], src: &[C], cap: u32, scan: Option<u32>) -> RowOccupancy {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: avx2 was just detected on the running CPU, the one
@@ -268,10 +297,10 @@ fn sweep(law: MergeLaw, acc: &mut [u32], src: &[u32], cap: u32, scan: Option<u32
 }
 
 /// [`sweep_body`] compiled for the build's baseline target.
-fn sweep_portable(
+fn sweep_portable<C: Cell>(
     law: MergeLaw,
     acc: &mut [u32],
-    src: &[u32],
+    src: &[C],
     cap: u32,
     scan: Option<u32>,
 ) -> RowOccupancy {
@@ -282,10 +311,10 @@ fn sweep_portable(
 /// feature is detected ([`sweep`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn sweep_avx2(
+fn sweep_avx2<C: Cell>(
     law: MergeLaw,
     acc: &mut [u32],
-    src: &[u32],
+    src: &[C],
     cap: u32,
     scan: Option<u32>,
 ) -> RowOccupancy {
@@ -295,17 +324,17 @@ fn sweep_avx2(
 /// The per-law dispatch every instantiation inlines: one closure per
 /// law, handed to [`fold`] or, with `scan`, to [`fold_scan`].
 #[inline(always)]
-fn sweep_body(
+fn sweep_body<C: Cell>(
     law: MergeLaw,
     acc: &mut [u32],
-    src: &[u32],
+    src: &[C],
     cap: u32,
     scan: Option<u32>,
 ) -> RowOccupancy {
     #[inline(always)]
-    fn run(
+    fn run<C: Cell>(
         acc: &mut [u32],
-        src: &[u32],
+        src: &[C],
         scan: Option<u32>,
         op: impl Fn(u32, u32) -> u32,
     ) -> RowOccupancy {
@@ -324,16 +353,17 @@ fn sweep_body(
     }
 }
 
-/// `acc[i] = op(acc[i], src[i])` over two rows of one geometry.
+/// `acc[i] = op(acc[i], src[i])` over two rows of one geometry, the
+/// member's cells widened into the accumulator's `u32`.
 #[inline(always)]
-fn fold(acc: &mut [u32], src: &[u32], op: impl Fn(u32, u32) -> u32) {
+fn fold<C: Cell>(acc: &mut [u32], src: &[C], op: impl Fn(u32, u32) -> u32) {
     assert_eq!(
         acc.len(),
         src.len(),
         "merged rows must share a geometry"
     );
     for (a, &s) in acc.iter_mut().zip(src) {
-        *a = op(*a, s);
+        *a = op(*a, s.into());
     }
 }
 
@@ -347,9 +377,9 @@ const SCAN_BLOCK: usize = 1024;
 
 /// [`fold`] fused with the occupancy scan of the merged row.
 #[inline(always)]
-fn fold_scan(
+fn fold_scan<C: Cell>(
     acc: &mut [u32],
-    src: &[u32],
+    src: &[C],
     saturation_cap: u32,
     op: impl Fn(u32, u32) -> u32,
 ) -> RowOccupancy {
@@ -362,7 +392,7 @@ fn fold_scan(
     for (a, s) in acc.chunks_mut(SCAN_BLOCK).zip(src.chunks(SCAN_BLOCK)) {
         let (mut nonzero, mut saturated) = (0u32, 0u32);
         for (a, &s) in a.iter_mut().zip(s) {
-            let v = op(*a, s);
+            let v = op(*a, s.into());
             *a = v;
             nonzero += u32::from(v > 0);
             saturated += u32::from(v >= saturation_cap);
@@ -740,6 +770,36 @@ mod tests {
                         let occ = body(law, &mut acc, &src, cap, Some(cap));
                         assert_eq!(acc, expected, "{case}: fused fold");
                         assert_eq!(occ, occupancy, "{case}: occupancy");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn u16_members_sweep_like_their_widened_rows() {
+        // The same two instantiations at the narrow cell: a `u16` member
+        // widened into the `u32` accumulator must give what the member
+        // widened by hand gives, fold and occupancy alike.
+        use flymon_packet::SplitMix64;
+        type Sweep = fn(MergeLaw, &mut [u32], &[u16], u32, Option<u32>) -> RowOccupancy;
+        let bodies: [(&str, Sweep); 2] = [("portable", sweep_portable), ("dispatched", sweep)];
+        let mut rng = SplitMix64::new(0x1616);
+        for len in [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 1_023, 1_024, 1_025, 2_049, 5_000] {
+            for law in [MergeLaw::Sum, MergeLaw::Max, MergeLaw::Or] {
+                for cap in [0u32, 1, 255, 32_767, 65_535, u32::MAX] {
+                    let acc0: Vec<u32> = (0..len).map(|_| rng.next_u32() % 70_000).collect();
+                    let src: Vec<u16> = (0..len).map(|_| rng.next_u32() as u16).collect();
+                    let wide: Vec<u32> = src.iter().map(|&v| u32::from(v)).collect();
+                    for (name, body) in bodies {
+                        let case = format!("{name} {law:?} cap={cap} len={len}");
+                        for scan in [None, Some(cap)] {
+                            let (mut narrow_acc, mut wide_acc) = (acc0.clone(), acc0.clone());
+                            let narrow = body(law, &mut narrow_acc, &src, cap, scan);
+                            let widened = sweep_portable(law, &mut wide_acc, &wide, cap, scan);
+                            assert_eq!(narrow_acc, wide_acc, "{case} {scan:?}: fold");
+                            assert_eq!(narrow, widened, "{case} {scan:?}: occupancy");
+                        }
                     }
                 }
             }

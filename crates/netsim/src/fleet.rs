@@ -47,7 +47,6 @@ use flymon::oracle::PerPacket;
 use flymon::prelude::*;
 use flymon::FlymonError;
 use flymon_packet::{Packet, TaskFilter};
-use flymon_rmt::register::ArchiveDrain;
 
 use crate::channel::{ChannelConfig, ControlChannel, TxnResult};
 use crate::datapath::{self, MergeLaw};
@@ -751,13 +750,7 @@ impl SwitchFleet {
                     .filter(|&(_, &alive)| alive)
                     .filter_map(|((m, mh), _)| m.drain_archived_row((*mh)?, row).transpose());
                 let mut acc = Vec::new();
-                occupancy.push(law.merge_rows(
-                    &mut acc,
-                    size,
-                    members,
-                    bucket_max,
-                    ArchiveDrain::retire_to,
-                )?);
+                occupancy.push(law.merge_rows(&mut acc, size, members, bucket_max)?);
                 rows.push(acc);
             }
             task_epochs.push(TaskEpoch {

@@ -55,9 +55,12 @@ pub(crate) fn point_frequency<'a>(
             .get(row)
             .map_or(u32::MAX, |r| r.bucket_max);
         let idx = locator.locate_with(locator_h, row, pkt, &mut scratch)?;
-        let mut sum = locator.row_view(locator_h, row)?[idx];
+        let bucket = |fm: &FlyMon, h| {
+            fm.row_view(h, row).map(|v| v.get(idx).expect("members share the row's geometry"))
+        };
+        let mut sum = bucket(locator, locator_h)?;
         for (fm, h) in members.clone().skip(1) {
-            sum = MergeLaw::Sum.combine(sum, fm.row_view(h, row)?[idx], cap);
+            sum = MergeLaw::Sum.combine(sum, bucket(fm, h)?, cap);
         }
         best = best.min(u64::from(sum));
     }
@@ -86,7 +89,7 @@ pub(crate) fn row_into<'a>(
         Ok(false) => Some(fm.row_view(h, row)),
         Err(e) => Some(Err(e)),
     });
-    MergeLaw::of(algorithm)?.merge_rows(acc, placed.size, touched, placed.bucket_max, |_live, _done| {})
+    MergeLaw::of(algorithm)?.merge_rows(acc, placed.size, touched, placed.bucket_max)
 }
 
 /// Cardinality estimate of an HLL deployment: registers merge by max.

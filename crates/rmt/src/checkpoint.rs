@@ -441,6 +441,44 @@ mod tests {
             snap.apply(&mut ok),
             Err(RmtError::CheckpointMismatch("snapshot version"))
         ));
+
+        // Across the u16/u32 cell cutoff, either way: applied or
+        // overlaid, refused, and nothing written.
+        for (from, onto) in [(32u8, 16u8), (16, 32)] {
+            let mut src = filled(64, from, 3);
+            let full = RegisterSnapshot::capture(&mut src, CaptureMode::Full);
+            src.write(7, 1).unwrap();
+            let delta = RegisterSnapshot::capture(&mut src, CaptureMode::Delta);
+            let mut dst = Register::new(64, onto);
+            for snap in [&full, &delta] {
+                assert!(matches!(
+                    snap.apply(&mut dst),
+                    Err(RmtError::CheckpointMismatch("register width"))
+                ));
+            }
+            assert_eq!(contents(&dst), [0; 64], "{from} onto {onto} bits");
+            let mut base = RegisterSnapshot::capture(&mut dst, CaptureMode::Full);
+            assert!(matches!(
+                base.merge_delta(&delta),
+                Err(RmtError::CheckpointMismatch("register geometry"))
+            ));
+        }
+
+        // A hand-built image with values over a narrow ceiling loads
+        // masked to the width, the way every write is.
+        for width in [8u8, 15, 16] {
+            let mut reg = Register::new(64, width);
+            let base = RegisterSnapshot::capture(&mut reg, CaptureMode::Full);
+            let values: Vec<u32> = (0..64u32).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
+            let image = RegisterSnapshot {
+                data: SnapshotData::Full(values.clone()),
+                hull: Some((0, 64)),
+                ..base
+            };
+            image.apply(&mut reg).unwrap();
+            let masked: Vec<u32> = values.iter().map(|v| v & reg.max_value()).collect();
+            assert_eq!(contents(&reg), masked, "{width} bits");
+        }
     }
 
     #[test]
@@ -738,5 +776,21 @@ mod tests {
             short.apply(&mut reg),
             Err(RmtError::CheckpointMismatch("full image length"))
         ));
+        // And a value span past a narrow register, values over its
+        // ceiling and all.
+        let mut narrow = Register::new(16, 8);
+        let base = RegisterSnapshot::capture(&mut narrow, CaptureMode::Full);
+        let delta = RegisterSnapshot {
+            data: SnapshotData::Delta(vec![DirtySpan::Values {
+                start: 14,
+                data: vec![0x1_0000; 3],
+            }]),
+            ..base
+        };
+        assert!(matches!(
+            delta.apply(&mut narrow),
+            Err(RmtError::CheckpointMismatch("delta span range"))
+        ));
+        assert_eq!(contents(&narrow), [0; 16]);
     }
 }

@@ -10,12 +10,16 @@ use crate::RmtError;
 /// runtime". FlyMon's dynamic memory management never resizes a register;
 /// it re-maps address ranges instead.
 ///
-/// Values are stored as `u32` and masked to the configured width on write,
-/// so a 16-bit register wraps at 65535 exactly like hardware.
+/// Buckets are stored at the register's width: one [`Cell`] of 16 bits
+/// per bucket when the register is at most 16 bits wide (FlyMon's
+/// default), of 32 otherwise — the width picks the cell, no knob does.
+/// Values enter and leave as `u32`: masked to the configured width on
+/// write, so a 16-bit register wraps at 65535 exactly like hardware,
+/// and widened on read.
 #[derive(Debug, Clone)]
 pub struct Register {
     width_bits: u8,
-    buckets: Vec<u32>,
+    bank: Bank,
     /// Half-open bucket range written since the last
     /// [`Register::clear_dirty`] (`None` = untouched). Checkpoint delta
     /// capture reads this so periodic snapshots copy only the SRAM that
@@ -39,13 +43,139 @@ pub struct Register {
 /// The spare bucket bank a double-buffered epoch rotation swaps in.
 #[derive(Debug, Clone)]
 struct ShadowBank {
-    buckets: Vec<u32>,
+    bank: Bank,
     /// Half-open hull of the archived (not yet retired) epoch: the live
     /// bank's touched hull at the swap, less what the rotation has
     /// drained since ([`Register::drain_archived_range`]). Every bucket
     /// outside it is zero, so it is all [`Register::retire_shadow`]
     /// still owes; `None` means the bank holds no archive.
     owed: Option<(usize, usize)>,
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for u16 {}
+    impl Sealed for u32 {}
+}
+
+/// The storage type of one bucket, sealed to `u16` and `u32`. Bulk code
+/// — the SALU sweep, the merge kernels — is generic over it and matches
+/// on a register's width once per sweep ([`Buckets`]), never per bucket.
+pub trait Cell: Copy + Default + Into<u32> + sealed::Sealed {
+    /// `v`, already masked to the register width, as a cell.
+    fn truncate(v: u32) -> Self;
+}
+
+impl Cell for u16 {
+    #[inline(always)]
+    fn truncate(v: u32) -> Self {
+        v as u16
+    }
+}
+
+impl Cell for u32 {
+    #[inline(always)]
+    fn truncate(v: u32) -> Self {
+        v
+    }
+}
+
+/// One bucket bank of a register, in the cells its width picks.
+#[derive(Debug, Clone)]
+pub(crate) enum Bank {
+    U16(Vec<u16>),
+    U32(Vec<u32>),
+}
+
+/// `$body` with `$cells` bound to the cells of a [`Bank`] or [`Buckets`]
+/// (`$kind`): one body, compiled once per [`Cell`].
+macro_rules! at_width {
+    ($kind:ident, $bank:expr, $cells:ident => $body:expr) => {
+        match $bank {
+            $kind::U16($cells) => $body,
+            $kind::U32($cells) => $body,
+        }
+    };
+}
+pub(crate) use at_width;
+
+impl Bank {
+    fn zeroed(len: usize, width_bits: u8) -> Bank {
+        if width_bits <= 16 {
+            Bank::U16(vec![0; len])
+        } else {
+            Bank::U32(vec![0; len])
+        }
+    }
+
+    fn len(&self) -> usize {
+        at_width!(Bank, self, cells => cells.len())
+    }
+
+    fn zero(&mut self, start: usize, end: usize) {
+        at_width!(Bank, self, cells => cells[start..end].fill(Default::default()));
+    }
+
+    fn buckets(&self, start: usize, end: usize) -> Buckets<'_> {
+        match self {
+            Bank::U16(cells) => Buckets::U16(&cells[start..end]),
+            Bank::U32(cells) => Buckets::U32(&cells[start..end]),
+        }
+    }
+}
+
+/// A borrowed run of buckets in the register's own cells
+/// ([`Register::read_range`]). Element reads widen to `u32`; a bulk
+/// reader matches on the variant once, then loops over its [`Cell`]s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Buckets<'a> {
+    /// Buckets of a register at most 16 bits wide.
+    U16(&'a [u16]),
+    /// Buckets of a wider register.
+    U32(&'a [u32]),
+}
+
+impl<'a> Buckets<'a> {
+    /// Number of buckets.
+    pub fn len(self) -> usize {
+        at_width!(Buckets, self, cells => cells.len())
+    }
+
+    /// True when the run holds no bucket.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bucket `i`, widened; `None` past the end.
+    pub fn get(self, i: usize) -> Option<u32> {
+        match self {
+            Buckets::U16(cells) => cells.get(i).map(|&v| v.into()),
+            Buckets::U32(cells) => cells.get(i).copied(),
+        }
+    }
+
+    /// The buckets, widened, in address order.
+    pub fn iter(self) -> impl Iterator<Item = u32> + 'a {
+        // One iterator type for both widths: the other half is empty.
+        let (narrow, wide): (&[u16], &[u32]) = match self {
+            Buckets::U16(cells) => (cells, &[]),
+            Buckets::U32(cells) => (&[], cells),
+        };
+        narrow.iter().map(|&v| u32::from(v)).chain(wide.iter().copied())
+    }
+
+    /// The sub-run `[start, end)`; panics out of bounds, like slicing.
+    pub fn slice(self, start: usize, end: usize) -> Buckets<'a> {
+        match self {
+            Buckets::U16(cells) => Buckets::U16(&cells[start..end]),
+            Buckets::U32(cells) => Buckets::U32(&cells[start..end]),
+        }
+    }
+
+    /// The buckets, widened, as an owned row.
+    pub fn to_vec(self) -> Vec<u32> {
+        self.iter().collect()
+    }
 }
 
 /// Union of a watermark hull with `[start, end)` (callers ensure
@@ -85,8 +215,11 @@ pub(crate) fn subtract(
 /// the shadow bank gets the span back all-zero.
 #[derive(Debug)]
 pub struct ArchiveDrain<'a> {
-    span: &'a mut [u32],
-    /// Buckets of `span`, from its start, already zeroed.
+    bank: &'a mut Bank,
+    /// The span of `bank` handed over: `[start, end)`.
+    start: usize,
+    end: usize,
+    /// Buckets of the span, from its start, already zeroed.
     retired: usize,
 }
 
@@ -95,22 +228,20 @@ impl ArchiveDrain<'_> {
     /// reader is done with everything before it.
     pub fn retire_to(&mut self, upto: usize) {
         if upto > self.retired {
-            self.span[self.retired..upto].fill(0);
+            self.bank.zero(self.start + self.retired, self.start + upto);
             self.retired = upto;
         }
     }
-}
 
-impl AsRef<[u32]> for ArchiveDrain<'_> {
     /// The whole span; what was retired reads as the zeros it now is.
-    fn as_ref(&self) -> &[u32] {
-        self.span
+    pub fn buckets(&self) -> Buckets<'_> {
+        self.bank.buckets(self.start, self.end)
     }
 }
 
 impl Drop for ArchiveDrain<'_> {
     fn drop(&mut self) {
-        self.span[self.retired..].fill(0);
+        self.bank.zero(self.start + self.retired, self.end);
     }
 }
 
@@ -128,7 +259,7 @@ impl Register {
         );
         Register {
             width_bits,
-            buckets: vec![0; buckets],
+            bank: Bank::zeroed(buckets, width_bits),
             dirty: None,
             touched: None,
             shadow: None,
@@ -215,12 +346,13 @@ impl Register {
     /// so stale epochs can never leak into the live bank.
     pub fn swap_epoch_bank(&mut self) {
         self.retire_shadow();
-        let bank = self.shadow.get_or_insert_with(|| ShadowBank {
-            buckets: vec![0; self.buckets.len()],
+        let (len, width_bits) = (self.len(), self.width_bits);
+        let shadow = self.shadow.get_or_insert_with(|| ShadowBank {
+            bank: Bank::zeroed(len, width_bits),
             owed: None,
         });
-        std::mem::swap(&mut self.buckets, &mut bank.buckets);
-        bank.owed = self.touched.take();
+        std::mem::swap(&mut self.bank, &mut shadow.bank);
+        shadow.owed = self.touched.take();
     }
 
     /// Records that `[start, end)` was reset to zero by a bank swap:
@@ -238,11 +370,11 @@ impl Register {
     /// Refuses a bucket range that is inverted or runs past the
     /// register.
     fn check_range(&self, start: usize, end: usize) -> Result<(), RmtError> {
-        if end > self.buckets.len() || start > end {
+        if end > self.len() || start > end {
             return Err(RmtError::IndexOutOfRange {
                 what: "bucket range end",
                 index: end,
-                limit: self.buckets.len(),
+                limit: self.len(),
             });
         }
         Ok(())
@@ -267,12 +399,14 @@ impl Register {
         end: usize,
     ) -> Result<Option<ArchiveDrain<'_>>, RmtError> {
         self.check_range(start, end)?;
-        let Some(bank) = self.shadow.as_mut().filter(|b| b.owed.is_some()) else {
+        let Some(shadow) = self.shadow.as_mut().filter(|b| b.owed.is_some()) else {
             return Ok(None);
         };
-        bank.owed = subtract(bank.owed, start, end);
+        shadow.owed = subtract(shadow.owed, start, end);
         Ok(Some(ArchiveDrain {
-            span: &mut bank.buckets[start..end],
+            bank: &mut shadow.bank,
+            start,
+            end,
             retired: 0,
         }))
     }
@@ -289,12 +423,12 @@ impl Register {
     /// Paid off the ingestion-stall path. No-op when nothing is
     /// archived.
     pub fn retire_shadow(&mut self) {
-        if let Some(bank) = self.shadow.as_mut() {
-            if let Some((lo, hi)) = bank.owed.take() {
-                bank.buckets[lo..hi].fill(0);
+        if let Some(shadow) = self.shadow.as_mut() {
+            if let Some((lo, hi)) = shadow.owed.take() {
+                shadow.bank.zero(lo, hi);
             }
             debug_assert!(
-                bank.buckets.iter().all(|&v| v == 0),
+                shadow.bank.buckets(0, shadow.bank.len()).iter().all(|v| v == 0),
                 "a retired shadow bank must be all-zero"
             );
         }
@@ -316,42 +450,42 @@ impl Register {
 
     /// Number of buckets.
     pub fn len(&self) -> usize {
-        self.buckets.len()
+        self.bank.len()
     }
 
     /// True when the register has no buckets (never the case after
     /// construction; provided for API completeness).
     pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
+        self.len() == 0
     }
 
     /// SRAM footprint in bits.
     pub fn size_bits(&self) -> u64 {
-        self.buckets.len() as u64 * u64::from(self.width_bits)
+        self.len() as u64 * u64::from(self.width_bits)
     }
 
     /// Reads the bucket at `addr`.
     pub fn read(&self, addr: usize) -> Result<u32, RmtError> {
-        self.buckets
-            .get(addr)
-            .copied()
-            .ok_or(RmtError::IndexOutOfRange {
-                what: "bucket",
-                index: addr,
-                limit: self.buckets.len(),
-            })
+        let limit = self.len();
+        self.bank.buckets(0, limit).get(addr).ok_or(RmtError::IndexOutOfRange {
+            what: "bucket",
+            index: addr,
+            limit,
+        })
     }
 
     /// Writes the bucket at `addr`, masking to the register width.
     pub fn write(&mut self, addr: usize, value: u32) -> Result<(), RmtError> {
-        let max = self.max_value();
-        let limit = self.buckets.len();
-        let slot = self.buckets.get_mut(addr).ok_or(RmtError::IndexOutOfRange {
-            what: "bucket",
-            index: addr,
-            limit,
-        })?;
-        *slot = value & max;
+        let limit = self.len();
+        if addr >= limit {
+            return Err(RmtError::IndexOutOfRange {
+                what: "bucket",
+                index: addr,
+                limit,
+            });
+        }
+        let value = value & self.max_value();
+        at_width!(Bank, &mut self.bank, cells => cells[addr] = Cell::truncate(value));
         self.mark_dirty(addr, addr + 1);
         Ok(())
     }
@@ -363,7 +497,7 @@ impl Register {
     /// bucket.
     pub(crate) fn load_range(&mut self, start: usize, values: &[u32]) -> Result<(), RmtError> {
         let max = self.max_value();
-        let limit = self.buckets.len();
+        let limit = self.len();
         let end = start
             .checked_add(values.len())
             .filter(|&end| end <= limit)
@@ -372,9 +506,11 @@ impl Register {
                 index: start.saturating_add(values.len()),
                 limit,
             })?;
-        for (slot, &value) in self.buckets[start..end].iter_mut().zip(values) {
-            *slot = value & max;
-        }
+        at_width!(Bank, &mut self.bank, cells => {
+            for (slot, &value) in cells[start..end].iter_mut().zip(values) {
+                *slot = Cell::truncate(value & max);
+            }
+        });
         self.mark_dirty(start, end);
         Ok(())
     }
@@ -383,7 +519,7 @@ impl Register {
     /// task's partition at epoch boundaries or on reallocation).
     pub fn clear_range(&mut self, start: usize, end: usize) -> Result<(), RmtError> {
         self.check_range(start, end)?;
-        self.buckets[start..end].fill(0);
+        self.bank.zero(start, end);
         // The zeros must reach the next delta checkpoint, but the span
         // is now *less* touched: retire it from the elision hull.
         self.extend_dirty(start, end);
@@ -398,14 +534,15 @@ impl Register {
     /// the dirty watermark honest. [`crate::salu::Salu::sweep`]
     /// pairs this with an explicit [`Register::mark_dirty`] covering
     /// every bucket it wrote.
-    pub(crate) fn buckets_mut(&mut self) -> &mut [u32] {
-        &mut self.buckets
+    pub(crate) fn bank_mut(&mut self) -> &mut Bank {
+        &mut self.bank
     }
 
-    /// Snapshot of a bucket range (the control plane's periodic readout).
-    pub fn read_range(&self, start: usize, end: usize) -> Result<&[u32], RmtError> {
+    /// Borrowed view of a bucket range, in the register's own cells
+    /// (the control plane's periodic readout).
+    pub fn read_range(&self, start: usize, end: usize) -> Result<Buckets<'_>, RmtError> {
         self.check_range(start, end)?;
-        Ok(&self.buckets[start..end])
+        Ok(self.bank.buckets(start, end))
     }
 }
 
@@ -528,16 +665,16 @@ mod tests {
         assert!(!r.has_archive());
         r.swap_epoch_bank();
         // Live bank is zero, archive holds the epoch.
-        assert_eq!(r.read_range(0, 8).unwrap(), &[0; 8]);
+        assert_eq!(r.read_range(0, 8).unwrap().to_vec(), [0; 8]);
         assert_eq!(r.touched_range(), None);
         assert!(r.has_archive());
         r.mark_epoch_cleared(0, 8).unwrap();
         assert_eq!(r.dirty_range(), Some((0, 8)), "reset reaches the delta");
         // Half of it is drained, the other half left to retirement.
         let mut drain = r.drain_archived_range(0, 4).unwrap().unwrap();
-        assert_eq!(drain.as_ref(), &[1, 2, 3, 4]);
+        assert_eq!(drain.buckets().to_vec(), [1, 2, 3, 4]);
         drain.retire_to(2);
-        assert_eq!(drain.as_ref(), &[0, 0, 3, 4], "zeroed behind the reader");
+        assert_eq!(drain.buckets().to_vec(), [0, 0, 3, 4], "zeroed behind the reader");
         drop(drain);
         assert!(r.has_archive(), "[4, 8) is still owed");
         r.retire_shadow();
@@ -545,7 +682,7 @@ mod tests {
         assert!(r.drain_archived_range(0, 8).unwrap().is_none());
         // The bank comes back all-zero, drained and retired halves alike.
         r.swap_epoch_bank();
-        assert_eq!(r.read_range(0, 8).unwrap(), &[0; 8]);
+        assert_eq!(r.read_range(0, 8).unwrap().to_vec(), [0; 8]);
         // New traffic lands in the fresh bank.
         r.write(2, 9).unwrap();
         assert_eq!(r.touched_range(), Some((2, 3)));
@@ -560,10 +697,10 @@ mod tests {
         // epoch's traffic and swap must not resurrect bucket values.
         r.write(1, 22).unwrap();
         r.swap_epoch_bank();
-        assert_eq!(r.read_range(0, 4).unwrap(), &[0; 4], "live is clean");
+        assert_eq!(r.read_range(0, 4).unwrap().to_vec(), [0; 4], "live is clean");
         assert_eq!(
-            r.drain_archived_range(0, 4).unwrap().unwrap().as_ref(),
-            &[0, 22, 0, 0],
+            r.drain_archived_range(0, 4).unwrap().unwrap().buckets().to_vec(),
+            [0, 22, 0, 0],
             "archive holds only the epoch just rotated, not the aborted one"
         );
     }
@@ -589,7 +726,7 @@ mod tests {
             single.write(5 + i, v).unwrap();
         }
         assert_eq!(bulk.read_range(0, 16).unwrap(), single.read_range(0, 16).unwrap());
-        assert_eq!(bulk.read_range(5, 9).unwrap(), &[0xff, 0, 7, 0], "masked to 8 bits");
+        assert_eq!(bulk.read_range(5, 9).unwrap().to_vec(), [0xff, 0, 7, 0], "masked to 8 bits");
         assert_eq!(bulk.dirty_range(), single.dirty_range());
         assert_eq!(bulk.touched_range(), single.touched_range());
         // Past the end (or past `usize`): refused whole, nothing marked.
@@ -597,7 +734,7 @@ mod tests {
         assert!(bulk.load_range(14, &values).is_err());
         assert!(bulk.load_range(usize::MAX, &values).is_err());
         assert_eq!(bulk.dirty_range(), None);
-        assert_eq!(bulk.read_range(14, 16).unwrap(), &[0, 0]);
+        assert_eq!(bulk.read_range(14, 16).unwrap().to_vec(), [0, 0]);
     }
 
     #[test]
@@ -607,6 +744,6 @@ mod tests {
             r.write(i, 7).unwrap();
         }
         r.clear_range(2, 5).unwrap();
-        assert_eq!(r.read_range(0, 8).unwrap(), &[7, 7, 0, 0, 0, 7, 7, 7]);
+        assert_eq!(r.read_range(0, 8).unwrap().to_vec(), [7, 7, 0, 0, 0, 7, 7, 7]);
     }
 }

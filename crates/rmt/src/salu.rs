@@ -1,6 +1,6 @@
 //! Stateful ALUs and the reduced operation set (Appendix A).
 
-use crate::register::Register;
+use crate::register::{at_width, Bank, Cell, Register};
 use crate::RmtError;
 
 /// Maximum register actions a SALU can pre-load (§3.1.2: "each SALU in
@@ -189,8 +189,9 @@ impl Salu {
     ///
     /// What is per-op in `execute` is hoisted out of the loop here: the
     /// loaded-op check runs once, the dispatch on `op` happens outside
-    /// the loop (each operation gets its own monomorphic loop), the
-    /// width mask is computed once, and the dirty watermark is marked
+    /// the loop (each operation gets its own monomorphic loop, per
+    /// [`crate::register::Cell`] width of the register), the width
+    /// mask is computed once, and the dirty watermark is marked
     /// once with the running `(min, max)` of written addresses (a union
     /// of marks equals the mark of the union, so delta checkpoints
     /// cannot tell the difference). The bounds check stays per step.
@@ -198,13 +199,13 @@ impl Salu {
     /// On an out-of-range address the steps before the offending one
     /// remain applied and are reflected in the dirty mark — the same
     /// partial state a caller of the scalar path would have produced.
-    pub fn sweep<C: ?Sized>(
+    pub fn sweep<X: ?Sized>(
         &mut self,
         op: StatefulOp,
         count: usize,
-        ctx: &mut C,
-        operands: impl Fn(&C, usize) -> (usize, u32, u32),
-        sink: impl Fn(&mut C, usize, u32, OpOutput),
+        ctx: &mut X,
+        operands: impl Fn(&X, usize) -> (usize, u32, u32),
+        sink: impl Fn(&mut X, usize, u32, OpOutput),
     ) -> Result<(), RmtError> {
         if !self.loaded.contains(&op) {
             return Err(RmtError::NoSuchEntity("pre-loaded register action"));
@@ -245,44 +246,54 @@ impl Salu {
     }
 }
 
-/// The loop of [`Salu::sweep`], monomorphic in the operation's `update`.
-fn sweep_with<C: ?Sized>(
+/// [`Salu::sweep`] for one operation's `update`: dispatches once on the
+/// register's cell width, then marks the running watermark of written
+/// buckets with one `mark_dirty`.
+fn sweep_with<X: ?Sized>(
     register: &mut Register,
     count: usize,
-    ctx: &mut C,
-    operands: impl Fn(&C, usize) -> (usize, u32, u32),
-    sink: impl Fn(&mut C, usize, u32, OpOutput),
+    ctx: &mut X,
+    operands: impl Fn(&X, usize) -> (usize, u32, u32),
+    sink: impl Fn(&mut X, usize, u32, OpOutput),
     update: impl Fn(u32, u32, u32) -> (u32, u32),
 ) -> Result<(), RmtError> {
-    let limit = register.len();
-    // Running watermark of written buckets; one mark_dirty at the end.
-    let mut dirty_lo = usize::MAX;
-    let mut dirty_hi = 0usize;
-    let buckets = register.buckets_mut();
-    let mut res = Ok(());
-    for k in 0..count {
-        let (addr, p1, p2) = operands(ctx, k);
-        let Some(slot) = buckets.get_mut(addr) else {
-            res = Err(RmtError::IndexOutOfRange {
-                what: "bucket",
-                index: addr,
-                limit,
-            });
-            break;
-        };
-        let old = *slot;
-        let (next, result) = update(old, p1, p2);
-        if next != old {
-            *slot = next;
-            dirty_lo = dirty_lo.min(addr);
-            dirty_hi = dirty_hi.max(addr + 1);
-        }
-        sink(ctx, k, p1, OpOutput { result, old });
-    }
+    let ((dirty_lo, dirty_hi), res) = at_width!(Bank, register.bank_mut(), cells => {
+        sweep_cells(cells, count, ctx, operands, sink, update)
+    });
     if dirty_lo < dirty_hi {
         register.mark_dirty(dirty_lo, dirty_hi);
     }
     res
+}
+
+/// The loop of [`Salu::sweep`], monomorphic in the operation's `update`
+/// and the register's [`Cell`]. Returns the `(min, max)` watermark of
+/// the buckets it wrote, and the error of an address that stopped it.
+fn sweep_cells<X: ?Sized, C: Cell>(
+    cells: &mut [C],
+    count: usize,
+    ctx: &mut X,
+    operands: impl Fn(&X, usize) -> (usize, u32, u32),
+    sink: impl Fn(&mut X, usize, u32, OpOutput),
+    update: impl Fn(u32, u32, u32) -> (u32, u32),
+) -> ((usize, usize), Result<(), RmtError>) {
+    let (mut dirty, limit) = ((usize::MAX, 0usize), cells.len());
+    for k in 0..count {
+        let (addr, p1, p2) = operands(ctx, k);
+        let Some(slot) = cells.get_mut(addr) else {
+            let error = RmtError::IndexOutOfRange { what: "bucket", index: addr, limit };
+            return (dirty, Err(error));
+        };
+        let old: u32 = (*slot).into();
+        let (next, result) = update(old, p1, p2);
+        if next != old {
+            // `update` masks to the register width, so `next` fits.
+            *slot = C::truncate(next);
+            dirty = (dirty.0.min(addr), dirty.1.max(addr + 1));
+        }
+        sink(ctx, k, p1, OpOutput { result, old });
+    }
+    (dirty, Ok(()))
 }
 
 #[cfg(test)]
@@ -469,7 +480,7 @@ mod tests {
     #[test]
     fn sweep_rejects_unloaded_op_and_bad_address() {
         let mut s = salu_with(&[StatefulOp::Max]);
-        let untouched = |s: &Salu| s.register().read_range(0, 16).unwrap().iter().all(|&v| v == 0);
+        let untouched = |s: &Salu| s.register().read_range(0, 16).unwrap().iter().all(|v| v == 0);
         assert!(matches!(
             s.sweep(StatefulOp::CondAdd, 3, &mut (), |_, _| (0, 1, 1), |_, _, _, _| {}),
             Err(RmtError::NoSuchEntity(_))

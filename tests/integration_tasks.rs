@@ -128,6 +128,61 @@ fn max_interval_requires_32bit_registers() {
 }
 
 #[test]
+fn one_hot_rows_are_refused_on_registers_narrower_than_their_bits() {
+    // Each sets one bit of 16 per bucket (BeauCoup: one of 16 coupons).
+    // On a narrower register the SALU masks the high bits away, and a
+    // Bloom filter reads inserted keys as absent.
+    let distinct = |name: &str, key, alg| {
+        TaskDefinition::builder(name)
+            .key(key)
+            .attribute(Attribute::Distinct(KeySpec::SRC_IP))
+            .algorithm(alg)
+            .memory(1024)
+            .build()
+    };
+    let defs = [
+        TaskDefinition::builder("bloom")
+            .key(KeySpec::NONE)
+            .attribute(Attribute::Existence(KeySpec::SRC_IP))
+            .algorithm(Algorithm::Bloom { d: 2, bit_optimized: true })
+            .memory(1024)
+            .build(),
+        distinct("lc", KeySpec::NONE, Algorithm::LinearCounting),
+        distinct("odd", KeySpec::NONE, Algorithm::OddSketch),
+        distinct("bc", KeySpec::DST_IP, Algorithm::BeauCoup { d: 2 }),
+    ];
+    let key = |i: u32| Packet::tcp(i.wrapping_mul(0x9e37_79b9), 1, 2, 3);
+    for bits in [8u8, 12, 16, 32] {
+        for def in &defs {
+            let mut fm = FlyMon::new(FlyMonConfig {
+                groups: 2,
+                buckets_per_cmu: 4096,
+                bucket_bits: bits,
+                ..FlyMonConfig::default()
+            });
+            let case = format!("{} at {bits} bits", def.name);
+            match fm.deploy(def) {
+                Err(FlymonError::BadTask(msg)) if bits < 16 => {
+                    assert!(msg.contains("needs 16-bit registers"), "{case}: {msg}");
+                    assert_eq!(fm.task_count(), 0, "{case}: a refused deploy leaves nothing");
+                    assert!(fm.audit().is_empty(), "{case}");
+                }
+                Ok(h) if bits >= 16 => {
+                    for i in 0..500 {
+                        fm.process(&key(i));
+                    }
+                    if def.name == "bloom" {
+                        let absent = (0..500).filter(|&i| !fm.query_exists(h, &key(i))).count();
+                        assert_eq!(absent, 0, "{case}: inserted keys read absent");
+                    }
+                }
+                other => panic!("{case}: {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
 fn existence_check_has_no_false_negatives() {
     let mut fm = switch(1, 65536);
     let def = TaskDefinition::builder("blacklist")

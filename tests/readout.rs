@@ -1,6 +1,6 @@
 //! The O(dirty) readout plane, end to end.
 //!
-//! Six claims are pinned here:
+//! Seven claims are pinned here:
 //!
 //! 1. the vectorized merge kernels ([`MergeLaw::combine_rows`], and
 //!    [`MergeLaw::combine_rows_scan`] with its fused occupancy) are
@@ -23,13 +23,17 @@
 //! 5. a point-read `merged_frequency` answers what merging whole rows
 //!    and indexing the result answered;
 //! 6. a delta checkpoint ships the zeros a rotation left as lengths,
-//!    and still composes onto its base into the full image.
+//!    and still composes onto its base into the full image;
+//! 7. all of the standing invariants hold on both sides of the `u16`
+//!    cell cutoff (15, 16, 17 and 32-bit registers).
 
+use flymon::oracle::PerPacket;
 use flymon::prelude::*;
 use flymon::task::TaskId;
 use flymon_netsim::{MergeLaw, RowOccupancy, SwitchFleet};
 use flymon_packet::{KeySpec, Packet, SplitMix64, TaskFilter};
 use flymon_rmt::checkpoint::{DirtySpan, SnapshotData};
+use flymon_rmt::register::Buckets;
 use flymon_traffic::gen::{TraceConfig, TraceGenerator};
 
 fn config() -> FlyMonConfig {
@@ -361,7 +365,7 @@ fn assert_shadow_banks_clean(fleet: &SwitchFleet, stage: &str) {
                 assert!(!reg.has_archive(), "{stage}: switch {i} register {g}/{c} kept an archive");
                 reg.swap_epoch_bank();
                 assert!(
-                    reg.read_range(0, reg.len()).unwrap().iter().all(|&v| v == 0),
+                    reg.read_range(0, reg.len()).unwrap().iter().all(|v| v == 0),
                     "{stage}: switch {i} register {g}/{c} has a stale shadow bank"
                 );
             }
@@ -726,5 +730,174 @@ fn delta_after_rotation_ships_zero_spans_and_composes_to_the_full_image() {
             restored.read_row(h.unwrap(), row).unwrap(),
             live.read_row(h.unwrap(), row).unwrap()
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// 7. The standing invariants at both cell widths.
+// ---------------------------------------------------------------------
+
+/// Every register bucket of every CMU, widened.
+fn all_registers(fm: &FlyMon) -> Vec<Vec<u32>> {
+    fm.groups()
+        .iter()
+        .flat_map(|g| g.cmus().iter())
+        .map(|c| c.register().read_range(0, c.register().len()).unwrap().to_vec())
+        .collect()
+}
+
+/// Per-binding hit counters of every CMU, in pipeline order.
+fn all_hits(fm: &FlyMon) -> Vec<Vec<u64>> {
+    fm.groups()
+        .iter()
+        .flat_map(|g| g.cmus().iter())
+        .map(|c| (0..c.bindings().len()).map(|i| c.hits(i)).collect())
+        .collect()
+}
+
+fn freq_bytes(name: &str, d: usize, memory: usize) -> TaskDefinition {
+    TaskDefinition::builder(name)
+        .key(KeySpec::SRC_IP)
+        .attribute(Attribute::frequency_bytes())
+        .algorithm(Algorithm::Cms { d })
+        .memory(memory)
+        .build()
+}
+
+/// Rows that saturate (Cond-ADD by packets), wrap (Cond-ADD by bytes,
+/// masked to the width), take maxima (HLL), read upstream rows'
+/// forwarded outputs (SuMax(Sum)'s `ChainMin`, the braid's carry) and —
+/// on a register wide enough for its one-hot bits — set bits.
+fn width_mix(bucket_bits: u8) -> Vec<TaskDefinition> {
+    let mut defs = vec![
+        TaskDefinition { memory: 1024, ..cms_def(2) },
+        freq_bytes("bytes", 1, 256),
+        TaskDefinition::builder("hll")
+            .key(KeySpec::NONE)
+            .attribute(Attribute::Distinct(KeySpec::FIVE_TUPLE))
+            .algorithm(Algorithm::Hll)
+            .memory(1024)
+            .build(),
+        TaskDefinition::builder("sumax")
+            .key(KeySpec::DST_IP)
+            .attribute(Attribute::frequency_bytes())
+            .algorithm(Algorithm::SuMaxSum { d: 2 })
+            .memory(1024)
+            .build(),
+        TaskDefinition::builder("braids")
+            .key(KeySpec::DST_IP)
+            .attribute(Attribute::frequency_packets())
+            .algorithm(Algorithm::CounterBraids)
+            .memory(1024)
+            .build(),
+    ];
+    if bucket_bits >= flymon::compiler::ONE_HOT_BITS {
+        defs.push(
+            TaskDefinition::builder("bloom")
+                .key(KeySpec::NONE)
+                .attribute(Attribute::Existence(KeySpec::SRC_IP))
+                .algorithm(Algorithm::Bloom { d: 2, bit_optimized: true })
+                .memory(1024)
+                .build(),
+        );
+    }
+    defs
+}
+
+/// `fm` restored from a hand-edited full image holding `value(i)` in
+/// bucket `i` of every register (masked to the width on the way in).
+fn with_every_bucket(fm: &mut FlyMon, value: impl Fn(usize) -> u32) -> FlyMon {
+    let mut image = fm.checkpoint(CaptureMode::Full);
+    for snap in &mut image.registers.snapshots {
+        let SnapshotData::Full(data) = &mut snap.data else { unreachable!("a full capture") };
+        for (i, v) in data.iter_mut().enumerate() {
+            *v = value(i);
+        }
+        snap.hull = Some((0, data.len()));
+    }
+    FlyMon::restore(&image).unwrap()
+}
+
+#[test]
+fn standing_invariants_hold_at_both_cell_widths() {
+    // 15 and 16 bits store u16 cells, 17 and 32 store u32: the boundary
+    // on each side of the cutoff, and the widest register.
+    let t = trace(0xCE11, 6_000);
+    let (before, after) = t.split_at(t.len() / 2);
+    for bits in [15u8, 16, 17, 32] {
+        let config = FlyMonConfig {
+            groups: 8,
+            buckets_per_cmu: 2048,
+            bucket_bits: bits,
+            ..FlyMonConfig::default()
+        };
+        let max = if bits == 32 { u32::MAX } else { (1u32 << bits) - 1 };
+        let deployed = || {
+            let mut fm = FlyMon::new(config);
+            fm.attach_wal(WriteAheadLog::new());
+            let handles: Vec<TaskHandle> = width_mix(bits)
+                .iter()
+                .map(|d| fm.deploy(d).unwrap_or_else(|e| panic!("{bits} bits, {}: {e}", d.name)))
+                .collect();
+            (fm, handles)
+        };
+
+        // Batch ≡ per-packet, from every bucket a few counts below the
+        // ceiling (a hand-edited full image), so the trace drives each
+        // counter past it: Cond-ADD saturates, byte counts wrap.
+        let (mut fm, handles) = deployed();
+        let mut reference = with_every_bucket(&mut fm, |i| max - (i % 8) as u32);
+        for p in &t {
+            reference.process(p);
+        }
+        let mut batched = with_every_bucket(&mut fm, |i| max - (i % 8) as u32);
+        for slice in t.chunks(65) {
+            batched.process_batch(slice);
+        }
+        let case = format!("{bits} bits");
+        assert_eq!(all_registers(&batched), all_registers(&reference), "{case}: registers");
+        assert_eq!(all_hits(&batched), all_hits(&reference), "{case}: hit counters");
+        assert_eq!(batched.recirculated_packets(), reference.recirculated_packets(), "{case}");
+        let row = |h, row| batched.read_row(h, row).unwrap();
+        assert!(row(handles[0], 0).contains(&max), "{case}: no packet counter saturated");
+        assert!(row(handles[1], 0).iter().any(|&v| v < max - 8), "{case}: no byte counter wrapped");
+
+        // `read_row_into` is the typed view, widened.
+        let mut buf = Vec::new();
+        for &h in &handles {
+            for r in 0..batched.task(h).unwrap().rows.len() {
+                batched.read_row_into(h, r, &mut buf).unwrap();
+                let view = batched.row_view(h, r).unwrap();
+                assert_eq!(buf, view.iter().collect::<Vec<u32>>(), "{case}: row {r}");
+                assert_eq!(matches!(view, Buckets::U16(_)), bits <= 16, "{case}: cell width");
+            }
+        }
+
+        // Full + delta → restore, and WAL recovery, ≡ the unfailed twin.
+        let mut live = fm;
+        live.process_batch(before);
+        let mut base = live.checkpoint(CaptureMode::Full);
+        live.process_batch(after);
+        base.overlay(live.checkpoint(CaptureMode::Delta)).unwrap();
+        assert_eq!(all_registers(&FlyMon::restore(&base).unwrap()), all_registers(&live), "{case}");
+        let barrier = live.checkpoint(CaptureMode::Full);
+        live.reset_task(handles[0]).unwrap();
+        live.remove(handles[2]).unwrap();
+        let recovered = FlyMon::recover(live.wal().unwrap(), &barrier).unwrap();
+        assert_eq!(all_registers(&recovered), all_registers(&live), "{case}: recovery");
+
+        // Bank rotation ≡ the scalar merge of the rows read just before
+        // it, from buckets over half the ceiling so the summed rows clamp.
+        let mut fleet = SwitchFleet::deploy(2, config, &freq_bytes("bytes", 2, 64)).unwrap();
+        for s in 0..fleet.len() {
+            let seeded = with_every_bucket(fleet.switch_mut(s), |i| max / 2 + (i % 8) as u32);
+            *fleet.switch_mut(s) = seeded;
+        }
+        fleet.process_trace(&t);
+        let expected = scalar_merged_rows(&fleet);
+        assert!(expected.iter().flatten().any(|&v| v == max), "{case}: no merged bucket clamped");
+        let epoch = fleet.rotate_epoch_all().unwrap();
+        assert_eq!(epoch.tasks[0].rows, expected, "{case}: rotation");
+        assert_shadow_banks_clean(&fleet, &case);
     }
 }
