@@ -9,11 +9,10 @@
 //! query exactly as the original did at the capture barrier, and passes
 //! [`FlyMon::audit`] with no divergence.
 //!
-//! Periodic captures use [`CaptureMode::Delta`] — control metadata is
-//! always captured in full (it is small), but register payload covers
-//! only the dirty watermark since the previous barrier.
-//! [`SwitchCheckpoint::overlay`] folds a delta onto a full base so the
-//! standby always holds one restorable image.
+//! A standby keeps one restorable image current with
+//! [`FlyMon::sync_into`], in place and at the cost of what changed. A
+//! [`CaptureMode::Delta`] capture folded in by [`SwitchCheckpoint::overlay`]
+//! lands on the same image: the shipped form of the same sync.
 //!
 //! [`FlyMon::recover`] is checkpoint + WAL: it restores the image, then
 //! replays the committed suffix of a [`WriteAheadLog`] (records after
@@ -23,6 +22,7 @@
 //! that is the bounded loss window the fleet layer accounts for.
 
 use flymon_rmt::checkpoint::{CaptureMode, RegisterCheckpoint, CHECKPOINT_VERSION};
+use flymon_rmt::register::Register;
 use flymon_packet::KeySpec;
 
 use crate::alloc::BuddyAllocator;
@@ -33,7 +33,7 @@ use crate::wal::{WalIntent, WalOutcome, WriteAheadLog};
 use crate::FlymonError;
 
 /// Shadow state of one compression-stage hash unit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct UnitImage {
     /// The key spec the control plane believes is configured.
     pub spec: Option<KeySpec>,
@@ -81,6 +81,10 @@ pub struct SwitchCheckpoint {
     pub recirculated_packets: u64,
     /// Cumulative modeled install latency at capture time.
     pub total_install_ms: f64,
+    /// The switch's control generation at capture time, unique across
+    /// switches: while the live switch is still at it, `tasks`, `units`,
+    /// `groups` (but for hit counters) and `allocators` are current.
+    pub generation: u64,
     /// Deployed task records, sorted by id (canonical form).
     pub tasks: Vec<(TaskId, DeployedTask)>,
     /// Shadow hash-unit state, `[group][unit]`.
@@ -113,7 +117,7 @@ impl SwitchCheckpoint {
     /// by the delta's newer copy — moved, which is why the delta comes
     /// by value. After the overlay this base restores to the live
     /// switch at the delta's capture barrier.
-    pub fn overlay(&mut self, delta: SwitchCheckpoint) -> Result<(), FlymonError> {
+    pub fn overlay(&mut self, mut delta: SwitchCheckpoint) -> Result<(), FlymonError> {
         if self.version != delta.version {
             return Err(FlymonError::Checkpoint("version mismatch"));
         }
@@ -124,51 +128,37 @@ impl SwitchCheckpoint {
             return Err(FlymonError::Checkpoint("delta older than base"));
         }
         self.registers.overlay(&delta.registers)?;
-        self.wal_seq = delta.wal_seq;
-        self.next_id = delta.next_id;
-        self.packets_processed = delta.packets_processed;
-        self.recirculated_packets = delta.recirculated_packets;
-        self.total_install_ms = delta.total_install_ms;
-        self.tasks = delta.tasks;
-        self.units = delta.units;
-        self.groups = delta.groups;
-        self.allocators = delta.allocators;
+        std::mem::swap(&mut self.registers, &mut delta.registers);
+        *self = delta;
         Ok(())
     }
 }
 
 impl FlyMon {
-    /// Captures a whole-switch checkpoint and places the snapshot
-    /// barrier on every register (the next delta covers only writes
-    /// after this call).
-    ///
-    /// Control metadata (tasks, units, bindings, allocators, counters)
-    /// is always captured in full; `mode` governs only the register
-    /// payload. Armed fault plans and retry policies are deliberately
-    /// *not* captured — they are test-harness state, not switch state.
-    pub fn checkpoint(&mut self, mode: CaptureMode) -> SwitchCheckpoint {
-        let wal_seq = self.wal().map(|w| w.last_seq()).unwrap_or(0);
-        let mut tasks: Vec<(TaskId, DeployedTask)> = self
-            .tasks
-            .iter()
-            .map(|(id, t)| (*id, t.clone()))
-            .collect();
+    /// Register files in canonical order (group-major, CMU-minor).
+    fn registers(&self) -> impl Iterator<Item = &Register> {
+        self.groups.iter().flat_map(|g| g.cmus().iter().map(|c| c.register()))
+    }
+
+    /// [`FlyMon::registers`], mutably.
+    fn registers_mut(&mut self) -> impl Iterator<Item = &mut Register> {
+        self.groups.iter_mut().flat_map(|g| g.cmus_mut().map(|c| c.register_mut()))
+    }
+
+    fn wal_seq(&self) -> u64 {
+        self.wal().map(|w| w.last_seq()).unwrap_or(0)
+    }
+
+    /// Deployed task records, sorted by id.
+    fn task_images(&self) -> Vec<(TaskId, DeployedTask)> {
+        let mut tasks: Vec<(TaskId, DeployedTask)> =
+            self.tasks.iter().map(|(id, t)| (*id, t.clone())).collect();
         tasks.sort_by_key(|(id, _)| *id);
-        let units = self
-            .units
-            .iter()
-            .map(|states| {
-                states
-                    .iter()
-                    .map(|s| UnitImage {
-                        spec: s.spec,
-                        refs: s.refs,
-                    })
-                    .collect()
-            })
-            .collect();
-        let groups = self
-            .groups
+        tasks
+    }
+
+    fn group_images(&self) -> Vec<GroupImage> {
+        self.groups
             .iter()
             .map(|g| GroupImage {
                 masks: g.units().iter().map(|u| u.mask().copied()).collect(),
@@ -181,27 +171,84 @@ impl FlyMon {
                     })
                     .collect(),
             })
-            .collect();
-        let registers = RegisterCheckpoint::capture(
-            self.groups
-                .iter_mut()
-                .flat_map(|g| g.cmus_mut().map(|c| c.register_mut())),
-            mode,
-        );
+            .collect()
+    }
+
+    /// Captures a whole-switch checkpoint and places the snapshot
+    /// barrier on every register (the next delta covers only writes
+    /// after this call).
+    ///
+    /// Control metadata (tasks, units, bindings, allocators, counters)
+    /// is always captured in full; `mode` governs only the register
+    /// payload. Armed fault plans and retry policies are deliberately
+    /// *not* captured — they are test-harness state, not switch state.
+    pub fn checkpoint(&mut self, mode: CaptureMode) -> SwitchCheckpoint {
         SwitchCheckpoint {
             version: CHECKPOINT_VERSION,
-            wal_seq,
+            wal_seq: self.wal_seq(),
             config: self.config,
             next_id: self.next_id,
             packets_processed: self.packets_processed,
             recirculated_packets: self.recirculated_packets,
             total_install_ms: self.total_install_ms,
-            tasks,
-            units,
-            groups,
+            generation: self.generation,
+            tasks: self.task_images(),
+            units: self.units.clone(),
+            groups: self.group_images(),
             allocators: self.allocators.clone(),
-            registers,
+            registers: RegisterCheckpoint::capture(self.registers_mut(), mode),
         }
+    }
+
+    /// `image.overlay(self.checkpoint(CaptureMode::Delta))`, in place:
+    /// dirty register spans go straight into the image, and control
+    /// metadata is re-captured only if the control generation moved.
+    /// Generations are unique across switches, so a foreign image's
+    /// metadata is always replaced; its registers, as with an overlay,
+    /// are current only if it was this switch's image at the last
+    /// barrier. Refused, with nothing written, unless `image` matches
+    /// this switch's version, config and register geometry, holds every
+    /// register in full, and is no newer than its WAL. Returns the
+    /// buckets copied.
+    pub fn sync_into(&mut self, image: &mut SwitchCheckpoint) -> Result<usize, FlymonError> {
+        if image.version != CHECKPOINT_VERSION || image.config != self.config {
+            return Err(FlymonError::Checkpoint("not an image of this switch"));
+        }
+        let wal_seq = self.wal_seq();
+        if wal_seq < image.wal_seq {
+            return Err(FlymonError::Checkpoint("image newer than the switch's WAL"));
+        }
+        let snapshots = &mut image.registers.snapshots;
+        if snapshots.len() != self.registers().count() {
+            return Err(flymon_rmt::RmtError::CheckpointMismatch("register count").into());
+        }
+        for (snapshot, reg) in snapshots.iter().zip(self.registers()) {
+            snapshot.check_image_of(reg)?;
+        }
+        let mut payload = 0;
+        for (snapshot, reg) in snapshots.iter_mut().zip(self.registers_mut()) {
+            payload += snapshot.refresh(reg)?;
+        }
+        image.wal_seq = wal_seq;
+        image.next_id = self.next_id;
+        image.packets_processed = self.packets_processed;
+        image.recirculated_packets = self.recirculated_packets;
+        image.total_install_ms = self.total_install_ms;
+        if image.generation == self.generation {
+            let cmus = self.groups.iter().flat_map(|g| g.cmus());
+            for (at, cmu) in image.groups.iter_mut().flat_map(|g| &mut g.cmus).zip(cmus) {
+                for (i, hits) in at.hits.iter_mut().enumerate() {
+                    *hits = cmu.hits(i);
+                }
+            }
+        } else {
+            image.generation = self.generation;
+            image.tasks = self.task_images();
+            image.units.clone_from(&self.units);
+            image.groups = self.group_images();
+            image.allocators.clone_from(&self.allocators);
+        }
+        Ok(payload)
     }
 
     /// Reconstructs a switch from a full checkpoint, bit-identical at
@@ -252,28 +299,14 @@ impl FlyMon {
                 fm.groups[g].cmu_mut(c).restore_hits(&ci.hits);
             }
         }
-        for (g, states) in chk.units.iter().enumerate() {
-            for (u, img) in states.iter().enumerate() {
-                fm.units[g][u] = crate::control::UnitState {
-                    spec: img.spec,
-                    refs: img.refs,
-                };
-            }
-        }
+        fm.units = chk.units.clone();
         fm.allocators = chk.allocators.clone();
         fm.tasks = chk.tasks.iter().cloned().collect();
-        chk.registers.restore(
-            fm.groups
-                .iter_mut()
-                .flat_map(|g| g.cmus_mut().map(|c| c.register_mut())),
-        )?;
+        chk.registers.restore(fm.registers_mut())?;
         // The restore itself dirtied every register; the restored
         // instance starts with a clean baseline.
-        for g in fm.groups.iter_mut() {
-            for c in g.cmus_mut() {
-                c.register_mut().clear_dirty();
-            }
-        }
+        fm.registers_mut().for_each(Register::clear_dirty);
+        fm.generation = chk.generation;
         fm.next_id = chk.next_id;
         fm.packets_processed = chk.packets_processed;
         fm.recirculated_packets = chk.recirculated_packets;
@@ -575,6 +608,262 @@ mod tests {
         let mut rec = recovered;
         let next_rec = rec.deploy(&cms("next", 64, 0x63000000)).unwrap();
         assert_eq!(next_live, next_rec);
+    }
+
+    #[test]
+    fn a_refused_fold_leaves_the_image_whole() {
+        use flymon_rmt::checkpoint::{DirtySpan, SnapshotData};
+        let mut fm = switch();
+        fm.deploy(&cms("a", 256, 0x0a000000)).unwrap();
+        feed(&mut fm, 50);
+        let base = fm.checkpoint(CaptureMode::Full);
+        feed(&mut fm, 50);
+        let dirty: Vec<_> = fm.registers().map(Register::dirty_range).collect();
+        assert!(dirty.iter().any(Option::is_some));
+
+        // The last register's image is not a full image: nothing of the
+        // refresh may land, and every live barrier stays where it was.
+        let mut image = base.clone();
+        let last = image.registers.snapshots.last_mut().unwrap();
+        last.data = SnapshotData::Delta(Vec::new());
+        let before = format!("{image:?}");
+        assert!(fm.sync_into(&mut image).is_err());
+        assert!(format!("{image:?}") == before, "sync_into wrote into a refused image");
+        assert_eq!(fm.registers().map(Register::dirty_range).collect::<Vec<_>>(), dirty);
+
+        // A delta whose last span runs past its register: the sound
+        // spans of the other registers must not land either.
+        let mut delta = fm.checkpoint(CaptureMode::Delta);
+        assert!(delta.payload_buckets() > 0);
+        let len = base.config.buckets_per_cmu;
+        delta.registers.snapshots.last_mut().unwrap().data =
+            SnapshotData::Delta(vec![DirtySpan::Zeros { start: len - 1, len: 2 }]);
+        let mut image = base.clone();
+        assert!(image.overlay(delta).is_err());
+        assert!(format!("{image:?}") == format!("{base:?}"), "overlay wrote into a refused image");
+    }
+
+    /// Field for field: registers with their hulls, the WAL anchor,
+    /// counters, tasks, units, masks, bindings, hits and allocators —
+    /// all but the generation, which is each switch's own.
+    fn assert_same_image(a: &SwitchCheckpoint, b: &SwitchCheckpoint, case: &str) {
+        assert_eq!(a.registers, b.registers, "{case}: registers");
+        let counters = |c: &SwitchCheckpoint| {
+            let n = (c.wal_seq, c.next_id, c.packets_processed, c.recirculated_packets);
+            (n, c.total_install_ms.to_bits())
+        };
+        assert_eq!(counters(a), counters(b), "{case}: counters");
+        assert!(control(a) == control(b), "{case}: control metadata");
+    }
+
+    /// An image's tasks, units, masks, bindings, hits and allocators.
+    fn control(c: &SwitchCheckpoint) -> String {
+        format!("{:?}\n{:?}\n{:?}\n{:?}", c.tasks, c.units, c.groups, c.allocators)
+    }
+
+    /// What a promotion must reproduce: control state, counters, hits
+    /// and every live bucket.
+    fn live_state(fm: &FlyMon) -> String {
+        let buckets: Vec<Vec<u32>> =
+            fm.registers().map(|r| r.read_range(0, r.len()).unwrap().to_vec()).collect();
+        format!(
+            "{:?}\n{:?}\n{:?}\n{:?}\n{:?}",
+            fm.task_images(),
+            fm.units,
+            fm.group_images(),
+            fm.allocators,
+            (fm.next_id, fm.packets_processed, fm.recirculated_packets, buckets)
+        )
+    }
+
+    #[test]
+    fn sync_into_lands_where_a_shipped_delta_does() {
+        use flymon_packet::SplitMix64;
+        let defs = |rng: &mut SplitMix64, i: u32| {
+            let name = format!("t{i}");
+            let memory = 64 << rng.range_u64(0, 4);
+            let net = (10 + rng.range_u64(0, 3) as u32 * 10) << 24;
+            let builder = TaskDefinition::builder(name).memory(memory as usize);
+            match rng.next_u32() % 3 {
+                0 => builder
+                    .key(KeySpec::SRC_IP)
+                    .attribute(Attribute::frequency_packets())
+                    .filter(TaskFilter::src(net, 8))
+                    .build(),
+                1 => builder
+                    .key(KeySpec::NONE)
+                    .attribute(Attribute::Distinct(KeySpec::FIVE_TUPLE))
+                    .algorithm(crate::task::Algorithm::Hll)
+                    .build(),
+                _ => builder
+                    .key(KeySpec::NONE)
+                    .attribute(Attribute::Existence(KeySpec::SRC_IP))
+                    .algorithm(crate::task::Algorithm::Bloom { d: 2, bit_optimized: true })
+                    .filter(TaskFilter::src(net, 8))
+                    .build(),
+            }
+        };
+        let (mut promotions, mut replayed, mut skips) = (0, 0, 0);
+        for bucket_bits in [16u8, 32] {
+            for seed in 0..6u64 {
+                let mut rng = SplitMix64::new(0x5_1c_1d + seed);
+                let config = FlyMonConfig {
+                    groups: 3,
+                    buckets_per_cmu: 1024,
+                    bucket_bits,
+                    ..FlyMonConfig::default()
+                };
+                // Twin switches under one history: `fm[0]`'s image is
+                // refreshed in place, `fm[1]`'s takes shipped deltas.
+                let mut fm = [FlyMon::new(config), FlyMon::new(config)];
+                let mut handles: Vec<TaskHandle> = Vec::new();
+                let mut next_name = 0;
+                for sw in &mut fm {
+                    sw.attach_wal(WriteAheadLog::new());
+                }
+                let mut images = fm.each_mut().map(|sw| sw.checkpoint(CaptureMode::Full));
+                // Runs one control op on both twins; they must agree.
+                let mut control = |fm: &mut [FlyMon; 2],
+                                   handles: &mut Vec<TaskHandle>,
+                                   rng: &mut SplitMix64,
+                                   op: u32| {
+                    let pick = |rng: &mut SplitMix64, handles: &Vec<TaskHandle>| {
+                        handles[rng.range_u64(0, handles.len() as u64) as usize]
+                    };
+                    match op {
+                        0 => {
+                            next_name += 1;
+                            let def = defs(rng, next_name);
+                            let r = fm.each_mut().map(|sw| sw.deploy(&def).ok());
+                            assert_eq!(r[0], r[1]);
+                            handles.extend(r[0]);
+                        }
+                        1 if !handles.is_empty() => {
+                            let h = pick(rng, handles);
+                            let r = fm.each_mut().map(|sw| sw.remove(h).is_ok());
+                            assert_eq!(r[0], r[1]);
+                        }
+                        2 if !handles.is_empty() => {
+                            let h = pick(rng, handles);
+                            let size = 64 << rng.range_u64(0, 4);
+                            let r = fm.each_mut().map(|sw| match sw.reallocate_memory(h, size) {
+                                Ok(new)
+                                | Err(FlymonError::ReallocationReverted { restored: new }) => {
+                                    Some(new)
+                                }
+                                Err(_) => None,
+                            });
+                            assert_eq!(r[0], r[1]);
+                            handles.extend(r[0]);
+                        }
+                        3 if !handles.is_empty() => {
+                            let h = pick(rng, handles);
+                            for sw in fm.iter_mut() {
+                                sw.reset_task(h).unwrap();
+                            }
+                        }
+                        4 if !handles.is_empty() => {
+                            let retire = rng.next_u32().is_multiple_of(2);
+                            for sw in fm.iter_mut() {
+                                sw.rotate_banks(handles).unwrap();
+                                if retire {
+                                    sw.retire_epoch_banks();
+                                }
+                            }
+                        }
+                        // A revival: every task reset through the log.
+                        5 => {
+                            for sw in fm.iter_mut() {
+                                for &h in handles.iter() {
+                                    sw.reset_task(h).unwrap();
+                                }
+                            }
+                        }
+                        _ => {}
+                    }
+                    handles.retain(|&h| fm[0].task(h).is_ok());
+                };
+                let sync = |fm: &mut [FlyMon; 2], images: &mut [SwitchCheckpoint; 2], case: &str| {
+                    let [refreshed, shipped] = fm;
+                    let [image, oracle] = images;
+                    let generation = image.generation;
+                    let payload = refreshed.sync_into(image).unwrap();
+                    let delta = shipped.checkpoint(CaptureMode::Delta);
+                    assert_eq!(payload, delta.payload_buckets(), "{case}: payload");
+                    oracle.overlay(delta).unwrap();
+                    assert_same_image(image, oracle, case);
+                    assert_eq!(image.generation, refreshed.generation, "{case}: generation");
+                    assert!(
+                        live_state(&FlyMon::restore(image).unwrap()) == live_state(refreshed),
+                        "{case}: the image does not restore to the live switch"
+                    );
+                    for (sw, image) in fm.iter_mut().zip(images.iter()) {
+                        let mut wal = sw.detach_wal().unwrap();
+                        wal.compact(image.wal_seq);
+                        sw.attach_wal(wal);
+                    }
+                    generation == images[0].generation
+                };
+                for step in 0..120 {
+                    let case = format!("{bucket_bits} bits, seed {seed}, step {step}");
+                    match rng.next_u32() % 12 {
+                        0..=3 => {
+                            let pkts: Vec<Packet> = (0..rng.range_u64(0, 300))
+                                .map(|_| {
+                                    let net = (10 + rng.range_u64(0, 4) as u32 * 10) << 24;
+                                    Packet::tcp(net | (rng.next_u32() % 64), rng.next_u32(), 1, 2)
+                                })
+                                .collect();
+                            for sw in fm.iter_mut() {
+                                sw.process_batch(&pkts);
+                            }
+                        }
+                        4..=8 => {
+                            let op = rng.next_u32() % 6;
+                            control(&mut fm, &mut handles, &mut rng, op);
+                        }
+                        9 | 10 => skips += usize::from(sync(&mut fm, &mut images, &case)),
+                        _ => {
+                            // Fail and promote, at an empty loss window:
+                            // the promotion must be the unfailed twin,
+                            // with or without control ops to replay.
+                            sync(&mut fm, &mut images, &case);
+                            if rng.next_u32().is_multiple_of(2) {
+                                replayed += 1;
+                                for _ in 0..rng.range_u64(1, 4) {
+                                    let op = [0, 1, 3][rng.range_u64(0, 3) as usize];
+                                    control(&mut fm, &mut handles, &mut rng, op);
+                                }
+                            }
+                            for (sw, image) in fm.iter_mut().zip(images.iter()) {
+                                let wal = sw.detach_wal().unwrap();
+                                let mut promoted = FlyMon::recover(&wal, image).unwrap();
+                                assert!(
+                                    live_state(&promoted) == live_state(sw),
+                                    "{case}: promotion"
+                                );
+                                promoted.attach_wal(wal);
+                                *sw = promoted;
+                            }
+                            promotions += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(promotions > 20 && replayed > 10 && skips > 20, "{promotions} {replayed} {skips}");
+    }
+
+    #[test]
+    fn a_siblings_image_never_reads_as_current() {
+        // Two switches after one deploy each — the same op count, so a
+        // per-switch counter would put them at the same generation.
+        let (mut a, mut b) = (switch(), switch());
+        a.deploy(&cms("a", 64, 0x0a000000)).unwrap();
+        b.deploy(&cms("b", 128, 0x14000000)).unwrap();
+        let mut image = b.checkpoint(CaptureMode::Full);
+        a.sync_into(&mut image).unwrap();
+        assert!(control(&image) == control(&a.checkpoint(CaptureMode::Full)));
     }
 
     #[test]

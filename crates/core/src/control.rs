@@ -24,6 +24,7 @@
 //! control-plane estimates see exactly the buckets the hardware updated.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use flymon_packet::{KeySpec, Packet};
 use flymon_rmt::fault::{FaultPlan, InstallOpKind, RetryPolicy};
@@ -33,6 +34,7 @@ use flymon_rmt::rules::{InstallPlan, RuleKind};
 use crate::addr::{AddrTranslation, TranslationMethod};
 use crate::alloc::{AllocMode, BuddyAllocator};
 use crate::analysis;
+use crate::checkpoint::UnitImage;
 use crate::compiler::{self, CmuCouponConfig, PlacedRow};
 use crate::group::{CmuBinding, CmuGroup, GroupConfig};
 use crate::keysel::KeySource;
@@ -127,12 +129,6 @@ impl DeployedTask {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-pub(crate) struct UnitState {
-    pub(crate) spec: Option<KeySpec>,
-    pub(crate) refs: usize,
-}
-
 /// One staged mutation of a deploy, recorded so a failed install can be
 /// reverted precisely. Rollback replays the log in reverse.
 #[derive(Debug, Clone)]
@@ -163,15 +159,27 @@ struct ExecStats {
     backoff_ms: f64,
 }
 
+/// A control generation no switch in this process has held: unique
+/// across instances, so a sibling's image never reads as current.
+fn next_generation() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 /// The FlyMon system: data plane + control plane.
 #[derive(Debug)]
 pub struct FlyMon {
     pub(crate) config: FlyMonConfig,
     pub(crate) groups: Vec<CmuGroup>,
     pub(crate) allocators: Vec<Vec<BuddyAllocator>>,
-    pub(crate) units: Vec<Vec<UnitState>>,
+    pub(crate) units: Vec<Vec<UnitImage>>,
     pub(crate) tasks: HashMap<TaskId, DeployedTask>,
     pub(crate) next_id: u32,
+    /// Redrawn from [`next_generation`] by every deploy and remove (the
+    /// only ops that touch tasks, units, masks, bindings or allocators),
+    /// inherited by [`FlyMon::restore`]: an image at this generation
+    /// holds the live control metadata.
+    pub(crate) generation: u64,
     /// One packet's PHV context and scratch: what
     /// [`crate::oracle::PerPacket::process`] scribbles on.
     pub(crate) ctx: PacketContext,
@@ -220,7 +228,7 @@ impl FlyMon {
             .map(|i| CmuGroup::new(i, group_config))
             .collect();
         let mut units =
-            vec![vec![UnitState::default(); config.compression_units]; config.groups];
+            vec![vec![UnitImage::default(); config.compression_units]; config.groups];
         if config.preconfigure_five_tuple {
             for (g, group) in groups.iter_mut().enumerate() {
                 group.unit_mut(0).set_mask(KeySpec::FIVE_TUPLE);
@@ -241,6 +249,7 @@ impl FlyMon {
             units,
             tasks: HashMap::new(),
             next_id: 1,
+            generation: next_generation(),
             ctx: PacketContext::default(),
             scratch: PacketScratch::default(),
             batch: BatchScratch::default(),
@@ -500,6 +509,7 @@ impl FlyMon {
         &mut self,
         def: &TaskDefinition,
     ) -> Result<TaskHandle, FlymonError> {
+        self.generation = next_generation();
         def.validate()?;
         let alg = def.effective_algorithm();
         if matches!(alg, Algorithm::MaxInterval { .. }) && self.config.bucket_bits < 32 {
@@ -705,7 +715,7 @@ impl FlyMon {
                     u.refs = u.refs.saturating_sub(1);
                 }
                 UndoOp::FreshUnit { group, unit } => {
-                    self.units[group][unit] = UnitState::default();
+                    self.units[group][unit] = UnitImage::default();
                     self.groups[group].unit_mut(unit).clear_mask();
                 }
                 UndoOp::Partition {
@@ -742,6 +752,7 @@ impl FlyMon {
     /// [`FlyMon::remove`] without write-ahead logging — the body the
     /// logged wrapper and WAL replay both run.
     pub(crate) fn remove_unlogged(&mut self, h: TaskHandle) -> Result<(), FlymonError> {
+        self.generation = next_generation();
         let rows = self.task(h)?.rows.clone();
 
         // Phase 1 (fallible): clear partitions, then delete rules.
@@ -1323,7 +1334,7 @@ impl FlyMon {
                 // A hash-mask rule install, judged by the fault plan
                 // before any state changes.
                 self.exec_op(InstallOpKind::Rule(RuleKind::HashMask), g, exec)?;
-                self.units[g][i] = UnitState {
+                self.units[g][i] = UnitImage {
                     spec: Some(spec),
                     refs: 1,
                 };
@@ -1346,7 +1357,7 @@ impl FlyMon {
             && u == 0
             && state.spec == Some(KeySpec::FIVE_TUPLE);
         if state.refs == 0 && !keep_standing {
-            *state = UnitState::default();
+            *state = UnitImage::default();
             self.groups[g].unit_mut(u).clear_mask();
         }
     }

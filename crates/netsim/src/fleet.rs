@@ -27,16 +27,17 @@
 //! Every switch carries a control-plane [`WriteAheadLog`] from birth, so
 //! each deploy/remove/reallocate/reset is durably intended before it
 //! mutates state. A warm standby ([`SwitchFleet::enable_standby`])
-//! ingests per-switch checkpoints — full once, then cheap dirty-range
-//! deltas on each [`SwitchFleet::sync_standby`]. When a failed switch is
-//! promoted ([`SwitchFleet::promote_standby`]), the standby replays the
-//! WAL suffix onto the last image, the probe routing retargets the
-//! recovered instance, and the packets absorbed *after* the last sync
-//! barrier — the bounded loss window — are moved to the explicit
-//! [`SwitchFleet::lost_packets`] counter instead of silently vanishing
-//! from merged readouts. [`SwitchFleet::revive_switch`] is the cheaper
-//! alternative that resets the switch instead of recovering it: its
-//! whole absorbed count becomes loss. Either way the packet ledger
+//! holds one image per switch: a full checkpoint once, then refreshed
+//! in place over the dirty ranges on each [`SwitchFleet::sync_standby`].
+//! When a failed switch is promoted ([`SwitchFleet::promote_standby`]),
+//! the standby replays the WAL suffix onto the last image, the probe
+//! routing retargets the recovered instance, and the packets absorbed
+//! *after* the last sync barrier — the bounded loss window — are moved
+//! to the explicit [`SwitchFleet::lost_packets`] counter instead of
+//! silently vanishing from merged readouts.
+//! [`SwitchFleet::revive_switch`] is the cheaper alternative that
+//! resets the switch instead of recovering it: its whole absorbed
+//! count becomes loss. Either way the packet ledger
 //! ([`SwitchFleet::ledger`]) stays conserved: every packet ever fed is
 //! represented in some alive register file, explicitly lost, held by a
 //! dead switch, or dropped.
@@ -434,7 +435,7 @@ impl SwitchFleet {
 
     /// Turns on the warm standby and takes the initial full checkpoint
     /// of every alive switch. Subsequent [`SwitchFleet::sync_standby`]
-    /// calls ship only dirty-range deltas.
+    /// calls move only the dirty ranges.
     pub fn enable_standby(&mut self) -> usize {
         if self.standby.is_none() {
             self.standby = Some(vec![None; self.switches.len()]);
@@ -442,8 +443,9 @@ impl SwitchFleet {
         self.sync_standby()
     }
 
-    /// Ships a checkpoint of every alive switch to the standby — full
-    /// for switches it has never seen, dirty-range deltas otherwise —
+    /// Brings the standby's image of every alive switch up to date — a
+    /// full checkpoint for switches it has never seen, an in-place
+    /// refresh of the dirty ranges otherwise ([`FlyMon::sync_into`]) —
     /// and advances each switch's loss-window barrier. Dead switches
     /// are skipped (they are unreachable); their images simply age,
     /// which is exactly what the loss window measures. Each switch's
@@ -469,24 +471,19 @@ impl SwitchFleet {
             }
             let mut payload = 0usize;
             let synced = Self::send(&mut self.channel, &mut self.switches[i], i, "sync-standby", |sw| {
-                let barrier = match slot {
-                    Some(base) => {
-                        let delta = sw.checkpoint(CaptureMode::Delta);
-                        payload = delta.payload_buckets();
-                        base.overlay(delta)
-                            .expect("a delta always composes onto its own base");
-                        base.wal_seq
+                let image = match slot {
+                    Some(image) => {
+                        payload = sw.sync_into(image).expect("an image follows its own switch");
+                        image
                     }
-                    empty @ None => {
-                        let full = sw.checkpoint(CaptureMode::Full);
+                    None => {
+                        let full = slot.insert(sw.checkpoint(CaptureMode::Full));
                         payload = full.payload_buckets();
-                        let barrier = full.wal_seq;
-                        *empty = Some(full);
-                        barrier
+                        full
                     }
                 };
                 if let Some(mut wal) = sw.detach_wal() {
-                    wal.compact(barrier);
+                    wal.compact(image.wal_seq);
                     sw.attach_wal(wal);
                 }
                 Ok(TxnResult::Unit)

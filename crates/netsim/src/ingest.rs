@@ -813,13 +813,14 @@ impl StreamingRuntime {
         }
 
         // 2. Producer: pull a chunk only when the backlog is clear —
-        // a non-empty backlog IS the blocked producer.
+        // a non-empty backlog IS the blocked producer. The chunk's buffer
+        // becomes the backlog as is, so admission moves each packet once.
         if self.backlog.is_empty() {
             match source.next_chunk() {
                 Some(chunk) => {
                     out.pulled = chunk.len();
                     self.stats.offered += chunk.len() as u64;
-                    self.backlog.extend(chunk);
+                    self.backlog = chunk.into();
                 }
                 None => out.source_dry = true,
             }

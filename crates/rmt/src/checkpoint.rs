@@ -23,7 +23,9 @@
 //! delta can change, not what it covers: zeros shipped onto buckets the
 //! image already knows to be zero are not written again.
 
-use crate::register::{extend, subtract, Register};
+use std::ops::Range;
+
+use crate::register::{at_width, extend, subtract, Buckets, Cell, Register};
 use crate::RmtError;
 
 /// Format version stamped into every snapshot. Restore refuses a
@@ -63,16 +65,38 @@ pub enum DirtySpan {
 
 impl DirtySpan {
     /// The bucket range the span covers, refused when it runs past a
-    /// register of `limit` buckets.
-    fn range(&self, limit: usize) -> Result<std::ops::Range<usize>, RmtError> {
-        let (start, len) = match self {
-            DirtySpan::Values { start, data } => (*start, data.len()),
-            DirtySpan::Zeros { start, len } => (*start, *len),
+    /// register of `limit` buckets, and its buckets (`None`: zeros).
+    fn view(&self, limit: usize) -> Result<(Range<usize>, Option<Buckets<'_>>), RmtError> {
+        let (start, len, values) = match self {
+            DirtySpan::Values { start, data } => (*start, data.len(), Some(Buckets::U32(data))),
+            DirtySpan::Zeros { start, len } => (*start, *len, None),
         };
         match start.checked_add(len) {
-            Some(end) if end <= limit => Ok(start..end),
+            Some(end) if end <= limit => Ok((start..end, values)),
             _ => Err(RmtError::CheckpointMismatch("delta span range")),
         }
+    }
+}
+
+/// The span walk of a delta: `reg`'s dirty range cut against its
+/// touched hull — the buckets inside it, zero runs (`None`) on either
+/// side, each only when nonempty.
+fn dirty_spans(reg: &Register) -> impl Iterator<Item = (Range<usize>, Option<Buckets<'_>>)> {
+    let (start, end) = reg.dirty_range().unwrap_or((0, 0));
+    let (lo, hi) = match reg.touched_range() {
+        Some((lo, hi)) if lo < end && start < hi => (lo.max(start), hi.min(end)),
+        _ => (start, start),
+    };
+    let values = reg.read_range(lo, hi).expect("the dirty range lies inside the register");
+    [(start..lo, None), (lo..hi, Some(values)), (hi..end, None)]
+        .into_iter()
+        .filter(|(range, _)| !range.is_empty())
+}
+
+/// `src`'s cells, widened, into `dst` (one length).
+fn widen<C: Cell>(dst: &mut [u32], src: &[C]) {
+    for (slot, &v) in dst.iter_mut().zip(src) {
+        *slot = v.into();
     }
 }
 
@@ -121,34 +145,20 @@ impl RegisterSnapshot {
             CaptureMode::Full => {
                 SnapshotData::Full(reg.read_range(0, reg.len()).expect("full range").to_vec())
             }
-            CaptureMode::Delta => {
-                let mut spans = Vec::new();
-                if let Some((start, end)) = reg.dirty_range() {
-                    // The dirty range cut against the touched hull:
-                    // values inside it, zero runs on either side.
-                    let (lo, hi) = match reg.touched_range() {
-                        Some((lo, hi)) if lo < end && start < hi => (lo.max(start), hi.min(end)),
-                        _ => (start, start),
-                    };
-                    let zeros = |from: usize, to: usize| DirtySpan::Zeros {
-                        start: from,
-                        len: to - from,
-                    };
-                    if start < lo {
-                        spans.push(zeros(start, lo));
-                    }
-                    if lo < hi {
-                        spans.push(DirtySpan::Values {
-                            start: lo,
-                            data: reg.read_range(lo, hi).expect("dirty range").to_vec(),
-                        });
-                    }
-                    if hi < end {
-                        spans.push(zeros(hi, end));
-                    }
-                }
-                SnapshotData::Delta(spans)
-            }
+            CaptureMode::Delta => SnapshotData::Delta(
+                dirty_spans(reg)
+                    .map(|(range, values)| match values {
+                        Some(values) => DirtySpan::Values {
+                            start: range.start,
+                            data: values.to_vec(),
+                        },
+                        None => DirtySpan::Zeros {
+                            start: range.start,
+                            len: range.len(),
+                        },
+                    })
+                    .collect(),
+            ),
         };
         reg.clear_dirty();
         RegisterSnapshot {
@@ -195,21 +205,20 @@ impl RegisterSnapshot {
 
     /// Writes the snapshot into `reg`. A full snapshot overwrites every
     /// bucket; a delta overwrites only its spans (the caller must have
-    /// applied the base image first). Restored writes dirty `reg` like
-    /// any other write; the restoring control plane decides when to
-    /// place the next barrier.
+    /// applied the base image first), all of them checked before the
+    /// first is written. Restored writes dirty `reg` like any other
+    /// write; the restoring control plane decides when to place the
+    /// next barrier.
     pub fn apply(&self, reg: &mut Register) -> Result<(), RmtError> {
         self.check_geometry(reg)?;
         match &self.data {
-            SnapshotData::Full(data) => {
-                if data.len() != reg.len() {
-                    return Err(RmtError::CheckpointMismatch("full image length"));
-                }
-                reg.load_range(0, data)?;
-            }
+            SnapshotData::Full(_) => reg.load_range(0, self.image()?)?,
             SnapshotData::Delta(spans) => {
                 for span in spans {
-                    let range = span.range(reg.len())?;
+                    span.view(reg.len())?;
+                }
+                for span in spans {
+                    let (range, _) = span.view(reg.len())?;
                     match span {
                         DirtySpan::Values { data, .. } => reg.load_range(range.start, data)?,
                         DirtySpan::Zeros { .. } => reg.clear_range(range.start, range.end)?,
@@ -220,62 +229,101 @@ impl RegisterSnapshot {
         Ok(())
     }
 
-    /// Folds a delta snapshot of the same register onto this full
-    /// snapshot, producing the image a restore would yield after
-    /// applying both in order.
-    ///
-    /// Costs what the delta changes: a value span is copied and joins
-    /// the image's hull; a zero span is filled only where it meets the
-    /// hull — outside it the image is zero already — and then leaves
-    /// it. So the zeros a bank rotation ships onto an image the
-    /// previous post-rotation sync already zeroed are O(1), and any
-    /// other overlay writes exactly the buckets that can differ.
-    pub fn merge_delta(&mut self, delta: &RegisterSnapshot) -> Result<(), RmtError> {
+    /// Refuses a delta this full image cannot absorb, span by span.
+    fn check_merge(&self, delta: &RegisterSnapshot) -> Result<(), RmtError> {
         if self.version != delta.version {
             return Err(RmtError::CheckpointMismatch("snapshot version"));
         }
         if self.width_bits != delta.width_bits || self.len != delta.len {
             return Err(RmtError::CheckpointMismatch("register geometry"));
         }
-        let base = match &mut self.data {
-            SnapshotData::Full(data) => data,
-            SnapshotData::Delta(_) => {
-                return Err(RmtError::CheckpointMismatch("merge base must be full"))
-            }
-        };
-        let spans = match &delta.data {
-            SnapshotData::Delta(spans) => spans,
-            SnapshotData::Full(_) => {
-                // A full snapshot supersedes the base outright.
-                self.data = delta.data.clone();
-                self.hull = delta.hull;
-                return Ok(());
-            }
-        };
-        for span in spans {
-            let range = span.range(base.len())?;
-            match span {
-                DirtySpan::Values { data, .. } => {
-                    if !data.is_empty() {
-                        self.hull = Some(extend(self.hull, range.start, range.end));
-                    }
-                    base[range].copy_from_slice(data);
-                }
-                DirtySpan::Zeros { .. } => {
-                    if let Some((lo, hi)) = self.hull {
-                        // Clamped to the span, which was just checked
-                        // against the image: whatever a hostile hull
-                        // says, the slice is in range.
-                        let (from, to) = (range.start.max(lo), range.end.min(hi));
-                        if from < to {
-                            base[from..to].fill(0);
-                        }
-                    }
-                    self.hull = subtract(self.hull, range.start, range.end);
-                }
-            }
+        self.image()?;
+        match &delta.data {
+            SnapshotData::Full(_) => delta.image().map(drop),
+            SnapshotData::Delta(spans) => spans.iter().try_for_each(|s| s.view(self.len).map(drop)),
         }
+    }
+
+    /// Folds a delta snapshot of the same register onto this full
+    /// snapshot, producing the image a restore would yield after
+    /// applying both in order, at the cost of what the delta changes.
+    pub fn merge_delta(&mut self, delta: &RegisterSnapshot) -> Result<(), RmtError> {
+        self.check_merge(delta)?;
+        self.fold(delta);
         Ok(())
+    }
+
+    /// [`RegisterSnapshot::merge_delta`] once `check_merge` has passed.
+    fn fold(&mut self, delta: &RegisterSnapshot) {
+        let SnapshotData::Delta(spans) = &delta.data else {
+            // A full snapshot supersedes the base outright.
+            self.data = delta.data.clone();
+            self.hull = delta.hull;
+            return;
+        };
+        let len = self.len;
+        self.fold_spans(spans.iter().map(|s| s.view(len).expect("check_merge checked every span")));
+    }
+
+    /// Folds `spans` into this full image and keeps its hull current: a
+    /// value span is widened in and joins the hull; a zero span is
+    /// filled only where it meets the hull — outside it the image is
+    /// zero already — and then leaves it, so zeros onto an image already
+    /// zeroed cost O(1). Returns the value buckets folded.
+    fn fold_spans<'a>(
+        &mut self,
+        spans: impl Iterator<Item = (Range<usize>, Option<Buckets<'a>>)>,
+    ) -> usize {
+        let SnapshotData::Full(base) = &mut self.data else {
+            unreachable!("every fold is checked against a full image");
+        };
+        let mut payload = 0;
+        for (range, values) in spans {
+            if let Some(values) = values {
+                payload += values.len();
+                if !range.is_empty() {
+                    self.hull = Some(extend(self.hull, range.start, range.end));
+                }
+                at_width!(Buckets, values, cells => widen(&mut base[range], cells));
+                continue;
+            }
+            if let Some((lo, hi)) = self.hull {
+                // Clamped to the span, whatever a hostile hull says.
+                let (from, to) = (range.start.max(lo), range.end.min(hi));
+                if from < to {
+                    base[from..to].fill(0);
+                }
+            }
+            self.hull = subtract(self.hull, range.start, range.end);
+        }
+        payload
+    }
+
+    /// The buckets of a full image of `len` buckets; refuses anything else.
+    fn image(&self) -> Result<&[u32], RmtError> {
+        match &self.data {
+            SnapshotData::Full(data) if data.len() == self.len => Ok(data),
+            SnapshotData::Full(_) => Err(RmtError::CheckpointMismatch("full image length")),
+            SnapshotData::Delta(_) => Err(RmtError::CheckpointMismatch("merge base must be full")),
+        }
+    }
+
+    /// Refuses a live register this full image cannot follow.
+    pub fn check_image_of(&self, reg: &Register) -> Result<(), RmtError> {
+        self.check_geometry(reg)?;
+        self.image().map(drop)
+    }
+
+    /// What merging `capture(reg, Delta)` does, each value span widened
+    /// straight from `reg` into the image: brings this full image up to
+    /// date in place and places the barrier. Refused, with nothing
+    /// written, where [`RegisterSnapshot::check_image_of`] refuses.
+    /// Returns the delta's [`RegisterSnapshot::payload_buckets`].
+    pub fn refresh(&mut self, reg: &mut Register) -> Result<usize, RmtError> {
+        self.check_image_of(reg)?;
+        let payload = self.fold_spans(dirty_spans(reg));
+        reg.clear_dirty();
+        Ok(payload)
     }
 }
 
@@ -339,8 +387,8 @@ impl RegisterCheckpoint {
     }
 
     /// Folds a delta checkpoint onto this full base, register by
-    /// register. After the overlay this base equals the live pipeline at
-    /// the delta's capture barrier.
+    /// register, all checked before the first is folded. After the
+    /// overlay this base equals the live pipeline at the delta's barrier.
     pub fn overlay(&mut self, delta: &RegisterCheckpoint) -> Result<(), RmtError> {
         if self.version != delta.version {
             return Err(RmtError::CheckpointMismatch("checkpoint version"));
@@ -348,8 +396,11 @@ impl RegisterCheckpoint {
         if self.snapshots.len() != delta.snapshots.len() {
             return Err(RmtError::CheckpointMismatch("register count"));
         }
+        for (base, d) in self.snapshots.iter().zip(&delta.snapshots) {
+            base.check_merge(d)?;
+        }
         for (base, d) in self.snapshots.iter_mut().zip(&delta.snapshots) {
-            base.merge_delta(d)?;
+            base.fold(d);
         }
         Ok(())
     }
@@ -792,5 +843,119 @@ mod tests {
             Err(RmtError::CheckpointMismatch("delta span range"))
         ));
         assert_eq!(contents(&narrow), [0; 16]);
+    }
+
+    #[test]
+    fn a_refused_fold_leaves_its_base_whole() {
+        // Span 0 fits, span 1 runs past the register: nothing of the
+        // delta may land, not even the span that fits.
+        let mut src = filled(64, 16, 1);
+        let base = RegisterSnapshot::capture(&mut src, CaptureMode::Full);
+        let hostile = RegisterSnapshot {
+            data: SnapshotData::Delta(vec![
+                DirtySpan::Values { start: 0, data: vec![7; 8] },
+                DirtySpan::Values { start: 60, data: vec![7; 8] },
+            ]),
+            hull: None,
+            ..base.clone()
+        };
+        let mut image = base.clone();
+        assert!(matches!(
+            image.merge_delta(&hostile),
+            Err(RmtError::CheckpointMismatch("delta span range"))
+        ));
+        assert_eq!(image, base, "merge_delta");
+        assert!(hostile.apply(&mut src).is_err());
+        assert_eq!(contents(&src), image_buckets(&base, "apply"), "apply");
+
+        // Across snapshots: register 0's delta is sound, register 1's
+        // is not, and register 0's image must not move either.
+        let (mut a, mut b) = (filled(64, 16, 1), filled(64, 16, 2));
+        let full = RegisterCheckpoint::capture([&mut a, &mut b], CaptureMode::Full);
+        a.write(3, 9).unwrap();
+        let mut delta = RegisterCheckpoint::capture([&mut a, &mut b], CaptureMode::Delta);
+        delta.snapshots[1] = hostile.clone();
+        let mut image = full.clone();
+        assert!(image.overlay(&delta).is_err());
+        assert_eq!(image, full, "overlay");
+        // And a full snapshot of the wrong length supersedes nothing.
+        let short = RegisterSnapshot {
+            data: SnapshotData::Full(vec![1; 63]),
+            ..base.clone()
+        };
+        let mut image = base.clone();
+        assert!(matches!(
+            image.merge_delta(&short),
+            Err(RmtError::CheckpointMismatch("full image length"))
+        ));
+        assert_eq!(image, base);
+    }
+
+    #[test]
+    fn refresh_is_the_merge_of_a_delta_capture() {
+        use flymon_packet::SplitMix64;
+        let mut rng = SplitMix64::new(0x5e_f5e5);
+        for (buckets, width) in [(64, 16), (256, 32), (1024, 8), (32, 32)] {
+            for history in 0..12 {
+                // Twin registers under one history: one ships deltas
+                // into its image, the other refreshes its image in place.
+                let mut shipped = filled(buckets, width, 1 + history);
+                let mut refreshed = shipped.clone();
+                let mut oracle = RegisterSnapshot::capture(&mut shipped, CaptureMode::Full);
+                let mut image = RegisterSnapshot::capture(&mut refreshed, CaptureMode::Full);
+                for step in 0..40 {
+                    let case = format!("{buckets}x{width} history {history} step {step}");
+                    let (a, b) = (
+                        rng.range_u64(0, buckets as u64 + 1) as usize,
+                        rng.range_u64(0, buckets as u64 + 1) as usize,
+                    );
+                    let (start, end) = (a.min(b), a.max(b));
+                    let value = rng.next_u32();
+                    for reg in [&mut shipped, &mut refreshed] {
+                        match value % 5 {
+                            0 | 1 => reg.write(start.min(buckets - 1), value).unwrap(),
+                            2 => reg.clear_range(start, end).unwrap(),
+                            3 if reg.touched_range().is_some() => {
+                                reg.swap_epoch_bank();
+                                reg.mark_epoch_cleared(0, buckets).unwrap();
+                                reg.retire_shadow();
+                            }
+                            _ => {}
+                        }
+                    }
+                    if rng.next_u32().is_multiple_of(3) {
+                        continue;
+                    }
+                    let delta = RegisterSnapshot::capture(&mut shipped, CaptureMode::Delta);
+                    oracle.merge_delta(&delta).unwrap();
+                    let payload = image.refresh(&mut refreshed).unwrap();
+                    assert_eq!(image, oracle, "{case}: buckets or hull");
+                    assert_eq!(payload, delta.payload_buckets(), "{case}: payload");
+                    assert_eq!(refreshed.dirty_range(), None, "{case}: the barrier");
+                    assert_eq!(
+                        contents(&refreshed),
+                        image_buckets(&image, &case),
+                        "{case}: image != live"
+                    );
+                }
+            }
+        }
+        // An image of another geometry, or a delta, is refused with the
+        // image and the live barrier as they were.
+        let mut reg = filled(64, 16, 3);
+        let mut wide = RegisterSnapshot::capture(&mut Register::new(64, 32), CaptureMode::Full);
+        let mut delta = RegisterSnapshot::capture(&mut reg, CaptureMode::Delta);
+        reg.write(5, 1).unwrap();
+        let (wide_before, delta_before) = (wide.clone(), delta.clone());
+        assert!(matches!(
+            wide.refresh(&mut reg),
+            Err(RmtError::CheckpointMismatch("register width"))
+        ));
+        assert!(matches!(
+            delta.refresh(&mut reg),
+            Err(RmtError::CheckpointMismatch("merge base must be full"))
+        ));
+        assert_eq!((wide, delta), (wide_before, delta_before));
+        assert_eq!(reg.dirty_range(), Some((5, 6)));
     }
 }
