@@ -6,9 +6,15 @@
 //! measurement tasks. The REPL in `main.rs` is a thin loop over
 //! [`Session::execute`], which makes every command unit-testable.
 //!
+//! `deploy` takes a task in the one task grammar, `TaskDefinition`'s
+//! `FromStr` (`flymon::task`), and `list` prints each task in it, so the
+//! text before a `list` line's ` | ` deploys again as it stands.
+//!
 //! ```text
 //! flymon> deploy hh key=SrcIP attr=frequency mem=16384 alg=cms d=3
-//! deployed 'hh' as CMS (d=3) (task #1, 21.3 ms modeled install)
+//! deployed 'hh' as CMS (d=3) (task #1, 21.3 ms modeled install, 16384 buckets/row x 3 rows)
+//! flymon> list
+//! hh key=SrcIP attr=frequency mem=16384 alg=cms d=3 | CMS (d=3), 3 rows x 16384 buckets
 //! flymon> gen flows=10000 packets=200000 seed=7
 //! flymon> run
 //! flymon> query hh 10.1.2.3
@@ -22,7 +28,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use flymon::prelude::*;
-use flymon_packet::{parse_ipv4, KeySpec, Packet, TaskFilter};
+use flymon_packet::{parse_ipv4, KeySpec, Packet};
 use flymon_traffic::gen::{TraceConfig, TraceGenerator};
 use flymon_traffic::ground_truth::GroundTruth;
 
@@ -59,11 +65,6 @@ impl Session {
             tasks: HashMap::new(),
             trace: Vec::new(),
         }
-    }
-
-    /// Direct access to the underlying switch (embedding, tests).
-    pub fn switch_mut(&mut self) -> &mut FlyMon {
-        &mut self.switch
     }
 
     /// Executes one command line; returns printable output or `Quit`.
@@ -112,76 +113,11 @@ impl Session {
     }
 
     fn cmd_deploy(&mut self, args: &[&str]) -> Result<String, String> {
-        let name = args
-            .first()
-            .ok_or("usage: deploy <name> key=... attr=... [mem=N] [alg=...] [d=N] [filter=CIDR] [param=...] [threshold=N] [prob=1/2^k]")?
-            .to_string();
-        if self.tasks.contains_key(&name) {
+        let name = args.first().ok_or("usage: deploy <name> key=<key> attr=<attr> ... (see 'help')")?;
+        if self.tasks.contains_key(*name) {
             return Err(format!("task '{name}' already exists"));
         }
-        let kv = parse_kv(&args[1..])?;
-        let key = parse_keyspec(kv.get("key").copied().unwrap_or("5tuple"))?;
-        let param = kv.get("param").map(|p| parse_keyspec(p)).transpose()?;
-        let attribute = match kv.get("attr").copied().unwrap_or("frequency") {
-            "frequency" | "freq" => Attribute::frequency_packets(),
-            "bytes" => Attribute::frequency_bytes(),
-            "distinct" => Attribute::Distinct(param.unwrap_or(KeySpec::SRC_IP)),
-            "existence" | "exists" => Attribute::Existence(param.unwrap_or(KeySpec::FIVE_TUPLE)),
-            "maxqueue" => Attribute::Max(MaxParam::QueueLen),
-            "maxdelay" => Attribute::Max(MaxParam::QueueDelayUs),
-            "maxinterval" => Attribute::Max(MaxParam::PacketIntervalUs),
-            other => return Err(format!("unknown attr '{other}'")),
-        };
-        let d: usize = kv
-            .get("d")
-            .map(|v| v.parse().map_err(|_| "bad d"))
-            .transpose()?
-            .unwrap_or(3);
-        let algorithm = match kv.get("alg").copied() {
-            None => None,
-            Some("cms") => Some(Algorithm::Cms { d }),
-            Some("sumax") => Some(Algorithm::SuMaxSum { d }),
-            Some("mrac") => Some(Algorithm::Mrac),
-            Some("tower") => Some(Algorithm::Tower { d }),
-            Some("braids") => Some(Algorithm::CounterBraids),
-            Some("hll") => Some(Algorithm::Hll),
-            Some("lc") => Some(Algorithm::LinearCounting),
-            Some("beaucoup") => Some(Algorithm::BeauCoup { d }),
-            Some("bloom") => Some(Algorithm::Bloom {
-                d,
-                bit_optimized: true,
-            }),
-            Some("sumaxmax") => Some(Algorithm::SuMaxMax { d }),
-            Some("oddsketch") => Some(Algorithm::OddSketch),
-            Some("maxinterval") => Some(Algorithm::MaxInterval { d }),
-            Some(other) => return Err(format!("unknown alg '{other}'")),
-        };
-        let mut builder = TaskDefinition::builder(&name)
-            .key(key)
-            .attribute(attribute)
-            .memory(
-                kv.get("mem")
-                    .map(|v| v.parse().map_err(|_| "bad mem"))
-                    .transpose()?
-                    .unwrap_or(4096),
-            );
-        if let Some(alg) = algorithm {
-            builder = builder.algorithm(alg);
-        }
-        if let Some(f) = kv.get("filter") {
-            builder = builder.filter(parse_filter(f)?);
-        }
-        if let Some(t) = kv.get("threshold") {
-            builder = builder.distinct_threshold(t.parse().map_err(|_| "bad threshold")?);
-        }
-        if let Some(p) = kv.get("prob") {
-            let log2 = p
-                .strip_prefix("1/2^")
-                .and_then(|v| v.parse().ok())
-                .ok_or("prob must look like 1/2^k")?;
-            builder = builder.probability_log2(log2);
-        }
-        let def = builder.build();
+        let def: TaskDefinition = args.join(" ").parse().map_err(|e: FlymonError| e.to_string())?;
         let h = self.switch.deploy(&def).map_err(|e| e.to_string())?;
         let task = self.switch.task(h).map_err(|e| e.to_string())?;
         let out = format!(
@@ -192,7 +128,7 @@ impl Session {
             task.rows[0].size,
             task.rows.len(),
         );
-        self.tasks.insert(name, h);
+        self.tasks.insert(def.name, h);
         Ok(out)
     }
 
@@ -227,18 +163,9 @@ impl Session {
         names.sort();
         let mut out = String::new();
         for name in names {
-            let h = self.tasks[name];
-            if let Ok(t) = self.switch.task(h) {
-                let _ = writeln!(
-                    out,
-                    "{name}: {} key={} attr={} filter={} mem={}x{}",
-                    t.algorithm.name(),
-                    t.def.key.describe(),
-                    t.def.attribute.name(),
-                    t.def.filter.describe(),
-                    t.rows[0].size,
-                    t.rows.len(),
-                );
+            if let Ok(t) = self.switch.task(self.tasks[name]) {
+                let (alg, rows, size) = (t.algorithm.name(), t.rows.len(), t.rows[0].size);
+                let _ = writeln!(out, "{} | {alg}, {rows} rows x {size} buckets", t.def);
             }
         }
         out.trim_end().to_string()
@@ -284,7 +211,7 @@ impl Session {
             let units: Vec<String> = group
                 .units()
                 .iter()
-                .map(|u| u.mask().map_or("-".to_string(), |m| m.describe()))
+                .map(|u| u.mask().map_or("-".to_string(), KeySpec::to_string))
                 .collect();
             let _ = writeln!(out, "group {g}: hash units [{}]", units.join(", "));
             for c in 0..group.cmus().len() {
@@ -489,63 +416,13 @@ fn parse_kv<'a>(args: &[&'a str]) -> Result<HashMap<&'a str, &'a str>, String> {
     Ok(out)
 }
 
-fn parse_keyspec(s: &str) -> Result<KeySpec, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "none" | "n/a" => Ok(KeySpec::NONE),
-        "srcip" => Ok(KeySpec::SRC_IP),
-        "dstip" => Ok(KeySpec::DST_IP),
-        "ippair" => Ok(KeySpec::IP_PAIR),
-        "5tuple" | "flowid" => Ok(KeySpec::FIVE_TUPLE),
-        other => {
-            // SrcIP/24, DstIP/16 forms.
-            if let Some(bits) = other.strip_prefix("srcip/") {
-                let b: u8 = bits.parse().map_err(|_| "bad prefix length")?;
-                if b > 32 {
-                    return Err("prefix length > 32".into());
-                }
-                return Ok(KeySpec::src_ip_slash(b));
-            }
-            if let Some(bits) = other.strip_prefix("dstip/") {
-                let b: u8 = bits.parse().map_err(|_| "bad prefix length")?;
-                if b > 32 {
-                    return Err("prefix length > 32".into());
-                }
-                return Ok(KeySpec::dst_ip_slash(b));
-            }
-            Err(format!("unknown key '{other}'"))
-        }
-    }
-}
-
-fn parse_filter(s: &str) -> Result<TaskFilter, String> {
-    // src CIDR, optionally "->" dst CIDR, e.g. 10.0.0.0/8->192.168.0.0/16
-    let parse_cidr = |c: &str| -> Result<(u32, u8), String> {
-        let (ip, bits) = c.split_once('/').ok_or("filter needs CIDR notation")?;
-        let net = parse_ipv4(ip).ok_or("bad filter address")?;
-        let b: u8 = bits.parse().map_err(|_| "bad filter prefix")?;
-        if b > 32 {
-            return Err("filter prefix > 32".into());
-        }
-        Ok((net, b))
-    };
-    if let Some((src, dst)) = s.split_once("->") {
-        let (sn, sb) = parse_cidr(src)?;
-        let (dn, db) = parse_cidr(dst)?;
-        Ok(TaskFilter {
-            src: flymon_packet::PrefixFilter::new(sn, sb),
-            dst: flymon_packet::PrefixFilter::new(dn, db),
-        })
-    } else {
-        let (net, bits) = parse_cidr(s)?;
-        Ok(TaskFilter::src(net, bits))
-    }
-}
-
 const HELP: &str = "\
 commands:
-  deploy <name> key=<SrcIP|DstIP|IPpair|5tuple|SrcIP/N|none> attr=<frequency|bytes|distinct|existence|maxqueue|maxdelay|maxinterval>
-         [mem=N] [alg=<cms|sumax|mrac|tower|braids|hll|lc|beaucoup|bloom|sumaxmax|oddsketch|maxinterval>]
-         [d=N] [param=<key>] [filter=CIDR[->CIDR]] [threshold=N] [prob=1/2^k]
+  deploy <name> key=<key> attr=<attr> [param=<key>] [mem=N] [alg=<alg> [d=N]]
+         [filter=CIDR[->CIDR]] [prob=1/2^k] [threshold=N], e.g. 'deploy ddos key=DstIP
+         attr=distinct param=SrcIP alg=beaucoup d=3 mem=8192'; mem defaults to 1024 buckets,
+         an error names the bad token and lists the good ones, and a 'list' line's text
+         before ' | ' deploys as it stands
   remove <name>              retire a task (runtime rules only)
   realloc <name> <buckets>   move a task to a new memory partition
   reset <name>               clear a task's buckets (epoch boundary)
@@ -589,7 +466,10 @@ mod tests {
         assert!(out.contains("flows over 64"), "{out}");
 
         let out = text(s.execute("list"));
-        assert!(out.contains("hh:"), "{out}");
+        assert!(
+            out.starts_with("hh key=SrcIP attr=frequency mem=8192 alg=cms d=3 | "),
+            "{out}"
+        );
         let out = text(s.execute("remove hh"));
         assert!(out.contains("removed"), "{out}");
         let out = text(s.execute("list"));
@@ -649,8 +529,10 @@ mod tests {
         let valid = [
             "help",
             "quit",
-            "deploy x key=SrcIP/24 attr=bytes mem=256 alg=sumax d=2 param=DstIP \
+            "deploy x key=SrcIP/24 attr=distinct mem=256 alg=beaucoup d=2 param=DstIP \
              filter=10.0.0.0/8->47.0.0.0/8 threshold=5 prob=1/2^1",
+            // `b`'s line as `list` prints it, under a fresh name.
+            "deploy c key=N/A attr=distinct param=SrcIP mem=256 alg=oddsketch filter=47.0.0.0/8->*",
             "remove hh",
             "realloc hh 512",
             "reset hh",
@@ -705,6 +587,33 @@ mod tests {
     }
 
     #[test]
+    fn list_lines_deploy_back_to_equal_definitions() {
+        let mut s = primed();
+        for line in [
+            "deploy ddos key=DstIP attr=distinct param=SrcIP/24 alg=beaucoup d=2 mem=128 \
+             threshold=9",
+            "deploy bl key=N/A attr=existence param=SrcIP+DstPort alg=bloom-plain d=1 mem=128",
+            "deploy web key=SrcIP/16 attr=bytes alg=cms d=1 mem=128 filter=*->47.0.0.0/8",
+            "deploy coin key=5tuple attr=frequency alg=cms d=1 mem=128 prob=1/2^3",
+        ] {
+            let out = text(s.execute(line));
+            assert!(out.starts_with("deployed"), "{line}: {out}");
+        }
+        let listed = text(s.execute("list"));
+        assert_eq!(listed.lines().count(), 9, "{listed}");
+        for line in listed.lines() {
+            let (spec, _placement) = line.split_once(" | ").expect("a spec and a placement");
+            let name = spec.split_whitespace().next().unwrap();
+            let before = s.switch.task(s.tasks[name]).unwrap().def.clone();
+            text(s.execute(&format!("remove {name}")));
+            let out = text(s.execute(&format!("deploy {spec}")));
+            assert!(out.starts_with("deployed"), "{spec}: {out}");
+            assert_eq!(s.switch.task(s.tasks[name]).unwrap().def, before, "{spec}");
+            assert!(text(s.execute("list")).lines().any(|l| l == line), "{line}");
+        }
+    }
+
+    #[test]
     fn cardinality_and_entropy_paths() {
         let mut s = Session::default();
         text(s.execute("deploy card key=none attr=distinct param=5tuple alg=hll mem=4096"));
@@ -727,17 +636,41 @@ mod tests {
         for bad in [
             "bogus",
             "deploy",
-            "deploy t key=wat",
-            "deploy t alg=wat",
             "query nothere 1.2.3.4",
             "remove nothere",
             "run",
             "realloc nothere 128",
-            "deploy t key=SrcIP prob=0.5",
         ] {
             let out = text(s.execute(bad));
             assert!(out.starts_with("error:"), "'{bad}' gave: {out}");
         }
+        // A deploy line is taken whole or refused naming the token it
+        // could not place; nothing is dropped or overwritten silently.
+        for (bad, token) in [
+            ("deploy t key=wat", "'wat'"),
+            ("deploy t alg=wat", "'wat'"),
+            ("deploy t key=SrcIP prob=0.5", "'prob=0.5'"),
+            ("deploy t key=SrcIP memory=8192", "'memory=8192'"),
+            ("deploy t key=SrcIP algo=hll", "'algo=hll'"),
+            ("deploy x key=SrcIP bogus=1", "'bogus=1'"),
+            ("deploy t key=SrcIP key=DstIP", "'key=DstIP'"),
+            ("deploy t key=SrcIP d=2", "'d=2'"),
+            ("deploy t alg=hll attr=distinct d=2", "'d=2'"),
+            // Sized the deploy's per-row vectors, and aborted the REPL.
+            ("deploy t alg=sumax d=18446744073709551615", "'d=18446744073709551615'"),
+            ("deploy t attr=frequency param=SrcIP", "'param=SrcIP'"),
+            ("deploy t key=DstIP/33", "'DstIP/33'"),
+            ("deploy t filter=10.0.0.0/40", "'10.0.0.0/40'"),
+            ("deploy t key=SrcIP mem", "'mem'"),
+            ("deploy key=SrcIP", "'key=SrcIP'"),
+        ] {
+            let out = text(s.execute(bad));
+            assert!(
+                out.starts_with("error:") && out.contains(token),
+                "'{bad}' gave: {out}"
+            );
+        }
+        assert_eq!(text(s.execute("list")), "no tasks deployed");
         // Duplicate names rejected.
         text(s.execute("deploy t key=SrcIP attr=frequency"));
         let out = text(s.execute("deploy t key=SrcIP attr=frequency"));
@@ -790,7 +723,7 @@ mod tests {
         let feed: Vec<Packet> = (0..500u32)
             .flat_map(|i| [Packet::tcp(i, 0x0a000001, 1, 1), Packet::tcp(i, 0x14000001, 1, 1)])
             .collect();
-        s.switch_mut().process_batch(&feed);
+        s.switch.process_batch(&feed);
         let out = text(s.execute("similarity a b"));
         assert!(out.contains("Jaccard"), "{out}");
         let j: f64 = out

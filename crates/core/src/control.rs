@@ -1311,10 +1311,7 @@ impl FlyMon {
         exec: &mut ExecStats,
     ) -> Result<KeySource, FlymonError> {
         let plan = self.plan_key(g, &spec, 0).ok_or_else(|| {
-            FlymonError::NoCapacity(format!(
-                "group {g} has no hash unit for {}",
-                spec.describe()
-            ))
+            FlymonError::NoCapacity(format!("group {g} has no hash unit for {spec}"))
         })?;
         let mut add_ref = |unit: usize| {
             self.units[g][unit].refs += 1;

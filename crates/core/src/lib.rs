@@ -48,7 +48,7 @@
 //!
 //! ```
 //! use flymon::prelude::*;
-//! use flymon_packet::{KeySpec, Packet, TaskFilter};
+//! use flymon_packet::Packet;
 //!
 //! // A switch with two CMU Groups of 3 CMUs, 4096 buckets each.
 //! let mut flymon = FlyMon::new(FlyMonConfig {
@@ -57,12 +57,11 @@
 //!     ..FlyMonConfig::default()
 //! });
 //!
-//! // Deploy a per-source packet counter with 3x2048 buckets.
-//! let task = TaskDefinition::builder("per-src-frequency")
-//!     .key(KeySpec::SRC_IP)
-//!     .attribute(Attribute::frequency_packets())
-//!     .memory(2048)
-//!     .build();
+//! // Deploy a per-source packet counter with 3x2048 buckets. A task is
+//! // one line of the task grammar ([`task`]); it prints back the same.
+//! let line = "per-src-frequency key=SrcIP attr=frequency mem=2048";
+//! let task: TaskDefinition = line.parse().expect("a well-formed task line");
+//! assert_eq!(task.to_string(), line);
 //! let handle = flymon.deploy(&task).expect("deploys");
 //!
 //! // Feed packets: the data plane takes them a slice at a time.

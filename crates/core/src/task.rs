@@ -4,8 +4,17 @@
 //! parameters* and a *memory size*. The attribute names *what* to measure;
 //! the compiler picks (or the user pins) a built-in *algorithm* naming
 //! *how*.
+//!
+//! A [`TaskDefinition`] prints as, and parses from, one line whose
+//! options come in any order, a missing one keeping the builder's default:
+//! `<name> key=<key> attr=<attr> [param=<key>] mem=<n> [alg=<alg> [d=<n>]]
+//! [filter=<cidr>[-><cidr>]] [prob=1/2^k] [threshold=<n>]`.
+
+use std::{fmt, str::FromStr};
 
 use flymon_packet::{KeySpec, TaskFilter};
+
+use crate::FlymonError::{self, BadTask};
 
 /// Identifier of a deployed task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -65,6 +74,20 @@ impl Attribute {
             Attribute::Distinct(_) => "Distinct",
             Attribute::Existence(_) => "Existence",
             Attribute::Max(_) => "Max",
+        }
+    }
+
+    /// The `attr=` token, and the `param=` key for the attributes that
+    /// take one.
+    fn token(&self) -> (&'static str, Option<KeySpec>) {
+        match *self {
+            Attribute::Frequency(FreqParam::Packets) => ("frequency", None),
+            Attribute::Frequency(FreqParam::Bytes) => ("bytes", None),
+            Attribute::Distinct(param) => ("distinct", Some(param)),
+            Attribute::Existence(param) => ("existence", Some(param)),
+            Attribute::Max(MaxParam::QueueLen) => ("maxqueue", None),
+            Attribute::Max(MaxParam::QueueDelayUs) => ("maxdelay", None),
+            Attribute::Max(MaxParam::PacketIntervalUs) => ("maxinterval", None),
         }
     }
 }
@@ -209,6 +232,36 @@ impl Algorithm {
             Algorithm::MaxInterval { d } => format!("Max Interval (d={d})"),
         }
     }
+
+    /// Every variant, at `d` rows where it takes them.
+    fn all(d: usize) -> [Algorithm; 13] {
+        use Algorithm::*;
+        [
+            Cms { d }, SuMaxSum { d }, Mrac, Tower { d }, CounterBraids, Hll, LinearCounting,
+            BeauCoup { d }, Bloom { d, bit_optimized: true }, Bloom { d, bit_optimized: false },
+            SuMaxMax { d }, OddSketch, MaxInterval { d },
+        ]
+    }
+
+    /// The `alg=` token, and `d` for the variants that take it.
+    fn token(&self) -> (&'static str, Option<usize>) {
+        use Algorithm::*;
+        match *self {
+            Cms { d } => ("cms", Some(d)),
+            SuMaxSum { d } => ("sumax", Some(d)),
+            Mrac => ("mrac", None),
+            Tower { d } => ("tower", Some(d)),
+            CounterBraids => ("braids", None),
+            Hll => ("hll", None),
+            LinearCounting => ("lc", None),
+            BeauCoup { d } => ("beaucoup", Some(d)),
+            Bloom { d, bit_optimized: true } => ("bloom", Some(d)),
+            Bloom { d, bit_optimized: false } => ("bloom-plain", Some(d)),
+            SuMaxMax { d } => ("sumaxmax", Some(d)),
+            OddSketch => ("oddsketch", None),
+            MaxInterval { d } => ("maxinterval", Some(d)),
+        }
+    }
 }
 
 /// A complete measurement task definition (§3.4).
@@ -258,9 +311,12 @@ impl TaskDefinition {
             .unwrap_or_else(|| Algorithm::default_for(&self.attribute, &self.key))
     }
 
-    /// Validates internal consistency.
+    /// Validates internal consistency. The name must be one token: not
+    /// empty, no whitespace, no `=`.
     pub fn validate(&self) -> Result<(), crate::FlymonError> {
-        use crate::FlymonError::BadTask;
+        if self.name.is_empty() || self.name.contains(|c: char| c.is_whitespace() || c == '=') {
+            return Err(BadTask(format!("task name '{}' is not one token without '='", self.name)));
+        }
         if self.memory == 0 {
             return Err(crate::FlymonError::BadMemory("zero buckets".into()));
         }
@@ -335,6 +391,116 @@ impl TaskDefinition {
             _ => Ok(()),
         }
     }
+}
+
+/// The line of the module doc: `mem=` always, `param=` for the attributes
+/// that take one, any other option only where it is not the default.
+impl fmt::Display for TaskDefinition {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (attr, param) = self.attribute.token();
+        write!(f, "{} key={} attr={attr}", self.name, self.key)?;
+        if let Some(param) = param {
+            write!(f, " param={param}")?;
+        }
+        write!(f, " mem={}", self.memory)?;
+        if let Some((alg, d)) = self.algorithm.as_ref().map(Algorithm::token) {
+            write!(f, " alg={alg}")?;
+            if let Some(d) = d {
+                write!(f, " d={d}")?;
+            }
+        }
+        let default = TaskDefinition::builder(String::new()).def;
+        if self.filter != default.filter {
+            write!(f, " filter={}", self.filter)?;
+        }
+        if self.prob_log2 != default.prob_log2 {
+            write!(f, " prob=1/2^{}", self.prob_log2)?;
+        }
+        if self.distinct_threshold != default.distinct_threshold {
+            write!(f, " threshold={}", self.distinct_threshold)?;
+        }
+        Ok(())
+    }
+}
+
+/// Parses the line of the module doc over the builder's defaults (`d=3`;
+/// `param=SrcIP` for `distinct`, `5tuple` for `existence`; `freq` and
+/// `exists` are aliases). A token that is unknown, repeated, inapplicable
+/// or malformed is a `BadTask` naming it; deploy does the validation.
+impl FromStr for TaskDefinition {
+    type Err = FlymonError;
+
+    fn from_str(line: &str) -> Result<Self, FlymonError> {
+        const OPTIONS: [&str; 9] =
+            ["key", "attr", "param", "mem", "alg", "d", "filter", "prob", "threshold"];
+        let mut tokens = line.split_whitespace();
+        let name = tokens.next().filter(|name| !name.contains('='));
+        let name = name.ok_or_else(|| BadTask(format!("'{line}' does not start with a name")))?;
+        let mut values = [None; OPTIONS.len()];
+        for token in tokens {
+            let option = token.split_once('=');
+            let option = option.and_then(|(o, v)| Some((OPTIONS.iter().position(|&p| p == o)?, v)));
+            let (i, value) = option.ok_or_else(|| {
+                BadTask(format!("unknown option '{token}' (have {}=...)", OPTIONS.join("=..., ")))
+            })?;
+            if values[i].replace(value).is_some() {
+                return Err(BadTask(format!("repeated option '{token}'")));
+            }
+        }
+        let [key, attr, param, mem, alg, d, filter, prob, threshold] = values;
+        let mut def = TaskDefinition::builder(name).def;
+        def.key = key.map_or(Ok(def.key), str::parse).map_err(BadTask)?;
+        let param_key = param.map(str::parse::<KeySpec>).transpose().map_err(BadTask)?;
+        if let Some(attr) = attr {
+            let attr = match attr {
+                "freq" => "frequency",
+                "exists" => "existence",
+                attr => attr,
+            };
+            let attributes = [
+                Attribute::frequency_packets(),
+                Attribute::frequency_bytes(),
+                Attribute::Distinct(param_key.unwrap_or(KeySpec::SRC_IP)),
+                Attribute::Existence(param_key.unwrap_or(KeySpec::FIVE_TUPLE)),
+                Attribute::Max(MaxParam::QueueLen),
+                Attribute::Max(MaxParam::QueueDelayUs),
+                Attribute::Max(MaxParam::PacketIntervalUs),
+            ];
+            let have = attributes.map(|a| a.token().0).join(", ");
+            let unknown = BadTask(format!("unknown attr '{attr}' (have {have})"));
+            def.attribute = attributes.into_iter().find(|a| a.token().0 == attr).ok_or(unknown)?;
+        }
+        if let (Some(param), (attr, None)) = (param, def.attribute.token()) {
+            return Err(BadTask(format!("'param={param}' does not apply to attr={attr}")));
+        }
+        // No switch has 256 CMUs: a wider `d` is refused here, before the
+        // deploy sizes its per-row vectors by it.
+        let rows = number::<u8>("d", d)?.map_or(3, usize::from);
+        if let Some(alg) = alg {
+            let algorithms = Algorithm::all(rows);
+            let have = algorithms.map(|a| a.token().0).join(", ");
+            let unknown = BadTask(format!("unknown alg '{alg}' (have {have})"));
+            let found = algorithms.into_iter().find(|a| a.token().0 == alg);
+            def.algorithm = Some(found.ok_or(unknown)?);
+        }
+        if let (Some(d), None) = (d, def.algorithm.and_then(|a| a.token().1)) {
+            return Err(BadTask(format!("'d={d}' needs an alg= that takes rows")));
+        }
+        def.memory = number("mem", mem)?.unwrap_or(def.memory);
+        def.filter = filter.map_or(Ok(def.filter), str::parse).map_err(BadTask)?;
+        if let Some(prob) = prob {
+            let log2 = prob.strip_prefix("1/2^").and_then(|k| k.parse().ok());
+            def.prob_log2 = log2.ok_or_else(|| BadTask(format!("'prob={prob}' is not 1/2^k")))?;
+        }
+        def.distinct_threshold = number("threshold", threshold)?.unwrap_or(def.distinct_threshold);
+        Ok(def)
+    }
+}
+
+/// The number an `option=value` token carries, if the option was given.
+fn number<T: FromStr>(option: &str, value: Option<&str>) -> Result<Option<T>, FlymonError> {
+    let bad = |v| BadTask(format!("'{option}={v}' is not a number in range"));
+    value.map(|v| v.parse().map_err(|_| bad(v))).transpose()
 }
 
 /// Builder for [`TaskDefinition`].
@@ -480,6 +646,14 @@ mod tests {
 
         let zero = TaskDefinition::builder("zero").memory(0).build();
         assert!(zero.validate().is_err());
+
+        // A name is one token of the task grammar.
+        for name in ["", "a b", "a=b", "tab\there"] {
+            assert!(
+                TaskDefinition::builder(name).build().validate().is_err(),
+                "{name:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property tests for FlyMon's dynamic memory management and address
-//! translation invariants.
+//! translation invariants, and for the task grammar's round trip.
 //!
 //! Randomized with the in-repo [`SplitMix64`] generator (fixed seeds ⇒
 //! identical case set every run) — no external property-testing framework,
@@ -325,4 +325,140 @@ fn partitioned_neighbor_changes_nothing() {
     // And B actually measured its own traffic.
     let pb = Packet::tcp(0x14000001, 1, 1, 1);
     assert!(cohab.query_frequency(hb, &pb) >= 20);
+}
+
+/// The task grammar's round-trip law: every definition prints to a line
+/// that parses back to it, a canonical line prints back to itself, and a
+/// malformed line is an `Err` that names the token it could not place.
+#[test]
+fn task_lines_round_trip() {
+    use flymon::group::MAX_PROB_LOG2;
+    use flymon::prelude::*;
+    use flymon_packet::{KeySpec, PrefixFilter, TaskFilter};
+
+    let prefixes = [0u8, 1, 8, 24, 31, 32];
+    let mut keys = Vec::new();
+    for src_ip_prefix in prefixes {
+        for dst_ip_prefix in prefixes {
+            for flags in 0..16u8 {
+                keys.push(KeySpec {
+                    src_ip_prefix,
+                    dst_ip_prefix,
+                    src_port: flags & 1 != 0,
+                    dst_port: flags & 2 != 0,
+                    protocol: flags & 4 != 0,
+                    timestamp: flags & 8 != 0,
+                });
+            }
+        }
+    }
+    let attributes = |param| {
+        [
+            Attribute::frequency_packets(),
+            Attribute::frequency_bytes(),
+            Attribute::Distinct(param),
+            Attribute::Existence(param),
+            Attribute::Max(MaxParam::QueueLen),
+            Attribute::Max(MaxParam::QueueDelayUs),
+            Attribute::Max(MaxParam::PacketIntervalUs),
+        ]
+    };
+    let algorithms = |d| {
+        [
+            None,
+            Some(Algorithm::Cms { d }),
+            Some(Algorithm::SuMaxSum { d }),
+            Some(Algorithm::Mrac),
+            Some(Algorithm::Tower { d }),
+            Some(Algorithm::CounterBraids),
+            Some(Algorithm::Hll),
+            Some(Algorithm::LinearCounting),
+            Some(Algorithm::BeauCoup { d }),
+            Some(Algorithm::Bloom {
+                d,
+                bit_optimized: true,
+            }),
+            Some(Algorithm::Bloom {
+                d,
+                bit_optimized: false,
+            }),
+            Some(Algorithm::SuMaxMax { d }),
+            Some(Algorithm::OddSketch),
+            Some(Algorithm::MaxInterval { d }),
+        ]
+    };
+    let name_chars: Vec<char> = "aZ09-_/.:|µ".chars().collect();
+    let mut r = SplitMix64::new(0xB7);
+    let prefix =
+        |r: &mut SplitMix64| PrefixFilter::new(r.next_u32(), prefixes[r.range_usize(0, 6)]);
+    let (mut pairs, mut cases) = (std::collections::HashSet::new(), 0);
+    // Every key, and every attribute × algorithm pair several times over.
+    for (i, &key) in keys.iter().enumerate() {
+        let (a, g) = (i % 7, (i / 7) % 14);
+        pairs.insert((a, g));
+        let name: String = (0..r.range_usize(1, 9))
+            .map(|_| name_chars[r.range_usize(0, name_chars.len())])
+            .collect();
+        let filter = TaskFilter {
+            src: prefix(&mut r),
+            dst: prefix(&mut r),
+        };
+        let mut b = TaskDefinition::builder(name)
+            .key(key)
+            .attribute(attributes(keys[r.range_usize(0, keys.len())])[a])
+            .memory(r.range_usize(1, 1 << 17))
+            .filter(filter)
+            .probability_log2(r.range_u64(0, u64::from(MAX_PROB_LOG2) + 1) as u8)
+            .distinct_threshold([1, 512, r.next_u64()][r.range_usize(0, 3)]);
+        if let Some(algorithm) = algorithms(r.range_usize(0, 256))[g] {
+            b = b.algorithm(algorithm);
+        }
+        let def = b.build();
+        let line = def.to_string();
+        assert_eq!(line.parse::<TaskDefinition>().as_ref(), Ok(&def), "{line}");
+        cases += 1;
+    }
+    assert_eq!((pairs.len(), cases), (7 * 14, 6 * 6 * 16));
+
+    for line in [
+        "hh key=SrcIP attr=frequency mem=4096 alg=cms d=3",
+        "card key=N/A attr=distinct param=SrcIP+DstIP+SrcPort+DstPort+Proto mem=1024 alg=hll",
+        "ddos key=DstIP attr=distinct param=SrcIP mem=8192 alg=beaucoup d=3 \
+         filter=10.0.0.0/8->192.168.0.0/16 threshold=256",
+        "bl key=N/A attr=existence param=SrcIP/24+DstPort mem=2048 alg=bloom-plain d=2",
+        "q key=SrcIP+Proto+Ts attr=maxdelay mem=512 filter=*->47.0.0.0/8 prob=1/2^3",
+        "hh/1 key=SrcIP/31+DstIP/1 attr=bytes mem=64 alg=tower d=2 filter=10.128.0.0/9->*",
+    ] {
+        let def: TaskDefinition = line.parse().unwrap_or_else(|e| panic!("{line}: {e}"));
+        assert_eq!(def.to_string(), line);
+    }
+
+    for (line, token) in [
+        ("hh key=SrcIP attr=frequency memory=4096", "'memory=4096'"),
+        ("hh key=SrcIP algo=hll", "'algo=hll'"),
+        ("hh key=SrcIP key=DstIP", "'key=DstIP'"),
+        ("hh alg=cms d=2 d=3", "'d=3'"),
+        ("hh d=2", "'d=2'"),
+        ("hh alg=hll attr=distinct d=2", "'d=2'"),
+        ("hh alg=cms d=256", "'d=256'"),
+        ("hh key=SrcIP/33", "'SrcIP/33'"),
+        ("hh key=SrcIP+Port", "'Port'"),
+        ("hh key=SrcIP+srcip", "'srcip'"),
+        ("hh attr=freqency", "'freqency'"),
+        ("hh alg=count-min", "'count-min'"),
+        ("hh attr=maxqueue param=SrcIP", "'param=SrcIP'"),
+        ("hh filter=10.0.0.0/33", "'10.0.0.0/33'"),
+        ("hh filter=10.0.0.0/8->300.0.0.0/8", "'300.0.0.0/8'"),
+        ("hh prob=0.5", "'prob=0.5'"),
+        ("hh prob=1/2^x", "'prob=1/2^x'"),
+        ("hh mem=lots", "'mem=lots'"),
+        ("hh threshold=-1", "'threshold=-1'"),
+        ("hh key", "'key'"),
+        ("key=SrcIP attr=frequency", "'key=SrcIP attr=frequency'"),
+    ] {
+        match line.parse::<TaskDefinition>() {
+            Err(FlymonError::BadTask(why)) => assert!(why.contains(token), "{line}: {why}"),
+            other => panic!("{line}: {other:?}"),
+        }
+    }
 }

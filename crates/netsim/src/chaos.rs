@@ -37,7 +37,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use flymon::prelude::*;
-use flymon_packet::{KeySpec, Packet, SplitMix64};
+use flymon_packet::{Packet, SplitMix64};
 
 use crate::channel::{ChannelConfig, ControlChannel};
 use crate::fleet::SwitchFleet;
@@ -197,11 +197,8 @@ fn gen_slice(rng: &mut SplitMix64, packets: usize, true_sentinel: &mut u64) -> V
 }
 
 fn ephemeral_def(tag: u64) -> TaskDefinition {
-    TaskDefinition::builder(format!("chaos-ephemeral-{tag}"))
-        .key(KeySpec::NONE)
-        .attribute(Attribute::Existence(KeySpec::FIVE_TUPLE))
-        .memory(1024)
-        .build()
+    let line = format!("chaos-ephemeral-{tag} key=N/A attr=existence param=5tuple mem=1024");
+    line.parse().expect("the ephemeral task's line is well formed")
 }
 
 /// Indices matching a liveness predicate.
@@ -363,12 +360,9 @@ fn check_invariants(
 /// traffic and report.
 pub fn run_schedule(seed: u64, cfg: &ChaosConfig) -> ChaosReport {
     let mut rng = SplitMix64::new(seed);
-    let def = TaskDefinition::builder("chaos-main")
-        .key(KeySpec::SRC_IP)
-        .attribute(Attribute::frequency_packets())
-        .algorithm(Algorithm::Cms { d: 2 })
-        .memory(8192)
-        .build();
+    let def: TaskDefinition = "chaos-main key=SrcIP attr=frequency mem=8192 alg=cms d=2"
+        .parse()
+        .expect("the chaos task's line is well formed");
     let mut fleet = SwitchFleet::deploy(cfg.switches, cfg.config, &def)
         .expect("chaos fleet deploys cleanly");
     fleet.enable_standby();
@@ -756,12 +750,9 @@ impl ChunkSource for BurstChunks {
 /// and the runtime must settle back to `Healthy`.
 pub fn run_ingest_schedule(seed: u64, cfg: &IngestChaosConfig) -> IngestChaosReport {
     let mut rng = SplitMix64::new(seed);
-    let def = TaskDefinition::builder("ingest-chaos")
-        .key(KeySpec::SRC_IP)
-        .attribute(Attribute::frequency_packets())
-        .algorithm(Algorithm::Cms { d: 2 })
-        .memory(8192)
-        .build();
+    let def: TaskDefinition = "ingest-chaos key=SrcIP attr=frequency mem=8192 alg=cms d=2"
+        .parse()
+        .expect("the chaos task's line is well formed");
     let fleet = SwitchFleet::deploy(cfg.switches, cfg.config, &def)
         .expect("ingest chaos fleet deploys cleanly");
 

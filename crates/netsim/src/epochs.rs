@@ -11,7 +11,7 @@
 //!   it and its ARE blows up (the paper reports 15× higher ARE).
 
 use flymon::prelude::*;
-use flymon_packet::{KeySpec, TaskFilter};
+use flymon_packet::KeySpec;
 use flymon_traffic::gen::{SpikeConfig, TraceGenerator};
 use flymon_traffic::ground_truth::GroundTruth;
 use flymon_traffic::metrics::average_relative_error;
@@ -78,22 +78,13 @@ fn task_a(buckets: usize) -> TaskDefinition {
     // Task A takes two of the group's three CMUs and task B the third:
     // same CMU Group, disjoint CMUs — a CMU executes one task per
     // packet, so two all-traffic tasks cannot share one CMU (§3.3).
-    TaskDefinition::builder("task-A")
-        .key(KeySpec::SRC_IP)
-        .attribute(Attribute::frequency_packets())
-        .algorithm(Algorithm::Cms { d: 2 })
-        .memory(buckets)
-        .filter(TaskFilter::ANY)
-        .build()
+    let line = format!("task-A key=SrcIP attr=frequency mem={buckets} alg=cms d=2");
+    line.parse().expect("task A's line is well formed")
 }
 
 fn task_b(buckets: usize) -> TaskDefinition {
-    TaskDefinition::builder("task-B")
-        .key(KeySpec::DST_IP)
-        .attribute(Attribute::frequency_packets())
-        .algorithm(Algorithm::Cms { d: 1 })
-        .memory(buckets)
-        .build()
+    let line = format!("task-B key=DstIP attr=frequency mem={buckets} alg=cms d=1");
+    line.parse().expect("task B's line is well formed")
 }
 
 /// Runs the timeline; returns one point per epoch.

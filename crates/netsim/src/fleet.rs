@@ -983,7 +983,7 @@ impl SwitchFleet {
             FlymonError::BadTask(format!(
                 "task '{}' filter {} cannot split further",
                 parent.def.name,
-                parent.def.filter.describe()
+                parent.def.filter
             ))
         })?;
         let child = |half: u8, filter| TaskDefinition {

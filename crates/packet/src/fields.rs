@@ -61,7 +61,8 @@ impl HeaderField {
         }
     }
 
-    /// Short human-readable name used in rule dumps and reports.
+    /// The field's name in the key grammar (`KeySpec`'s `Display` and
+    /// `FromStr`).
     pub fn name(self) -> &'static str {
         match self {
             HeaderField::SrcIp => "SrcIP",

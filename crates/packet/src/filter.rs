@@ -1,7 +1,9 @@
 //! Traffic filters used for task isolation and task splitting.
 
+use std::{fmt, str::FromStr};
+
 use crate::key::mask_prefix;
-use crate::{fmt_ipv4, Ipv4, Packet};
+use crate::{fmt_ipv4, parse_ipv4, Ipv4, Packet};
 
 /// An IPv4 prefix filter, e.g. `10.0.0.0/8`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,14 +54,31 @@ impl PrefixFilter {
         let hi = PrefixFilter::new(self.net | (1u32 << (32 - child_bits)), child_bits);
         Some((lo, hi))
     }
+}
 
-    /// Renders as CIDR notation.
-    pub fn describe(&self) -> String {
-        if self.bits == 0 {
-            "*".to_string()
-        } else {
-            format!("{}/{}", fmt_ipv4(self.net), self.bits)
+/// CIDR notation, or `*` for the prefix that matches everything.
+impl fmt::Display for PrefixFilter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.bits {
+            0 => f.write_str("*"),
+            bits => write!(f, "{}/{bits}", fmt_ipv4(self.net)),
         }
+    }
+}
+
+/// Parses `*` or `a.b.c.d/n` with `n <= 32` (host bits are masked off);
+/// the error names the prefix.
+impl FromStr for PrefixFilter {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        if s == "*" {
+            return Ok(PrefixFilter::ANY);
+        }
+        s.split_once('/')
+            .and_then(|(ip, bits)| Some((parse_ipv4(ip)?, bits.parse().ok().filter(|&b| b <= 32)?)))
+            .map(|(net, bits)| PrefixFilter::new(net, bits))
+            .ok_or_else(|| format!("bad prefix '{s}' (want a.b.c.d/n or *)"))
     }
 }
 
@@ -128,17 +147,28 @@ impl TaskFilter {
             TaskFilter { dst: hi, ..*self },
         ))
     }
+}
 
-    /// Renders as `src->dst` CIDR notation.
-    pub fn describe(&self) -> String {
-        format!("{}->{}", self.src.describe(), self.dst.describe())
+/// `src->dst`, each side a [`PrefixFilter`].
+impl fmt::Display for TaskFilter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}->{}", self.src, self.dst)
+    }
+}
+
+/// Parses `src->dst`, or a lone `src` prefix with any destination.
+impl FromStr for TaskFilter {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let (src, dst) = s.split_once("->").unwrap_or((s, "*"));
+        Ok(TaskFilter { src: src.parse()?, dst: dst.parse()? })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_ipv4;
 
     #[test]
     fn prefix_matching() {
@@ -170,8 +200,8 @@ mod tests {
         // filter[SrcIP:10.0.0.0/8] -> [10.0.0.0/9] and [10.128.0.0/9]
         let f = PrefixFilter::new(parse_ipv4("10.0.0.0").unwrap(), 8);
         let (lo, hi) = f.split().unwrap();
-        assert_eq!(lo.describe(), "10.0.0.0/9");
-        assert_eq!(hi.describe(), "10.128.0.0/9");
+        assert_eq!(lo.to_string(), "10.0.0.0/9");
+        assert_eq!(hi.to_string(), "10.128.0.0/9");
         // The halves are disjoint and cover the parent.
         assert!(!lo.intersects(&hi));
         assert!(f.intersects(&lo) && f.intersects(&hi));
@@ -215,8 +245,20 @@ mod tests {
 
     #[test]
     fn describe_forms() {
-        assert_eq!(TaskFilter::ANY.describe(), "*->*");
+        assert_eq!(TaskFilter::ANY.to_string(), "*->*");
         let t = TaskFilter::dst(parse_ipv4("192.168.0.0").unwrap(), 24);
-        assert_eq!(t.describe(), "*->192.168.0.0/24");
+        assert_eq!(t.to_string(), "*->192.168.0.0/24");
+        assert_eq!("*->192.168.0.0/24".parse(), Ok(t));
+        assert_eq!(
+            "10.1.0.0/8".parse(),
+            Ok(TaskFilter::src(parse_ipv4("10.0.0.0").unwrap(), 8))
+        );
+        for bad in ["10.0.0.0/33", "10.0.0/8", "10.0.0.0", "*->**"] {
+            let why = bad.parse::<TaskFilter>().unwrap_err();
+            assert!(
+                why.contains(&format!("'{}'", bad.rsplit("->").next().unwrap())),
+                "{why}"
+            );
+        }
     }
 }

@@ -1,5 +1,7 @@
 //! Flow keys: any partial key of the candidate key set.
 
+use std::{fmt, str::FromStr};
+
 use crate::{fmt_ipv4, HeaderField, Packet};
 
 /// Maximum serialized key length in bytes: SrcIP(4) + DstIP(4) + ports(2+2)
@@ -150,42 +152,6 @@ impl KeySpec {
         }
     }
 
-    /// Destination prefix key, e.g. `KeySpec::dst_ip_slash(16)`.
-    ///
-    /// # Panics
-    /// Panics if `bits > 32`.
-    pub const fn dst_ip_slash(bits: u8) -> KeySpec {
-        assert!(bits <= 32);
-        KeySpec {
-            dst_ip_prefix: bits,
-            ..KeySpec::NONE
-        }
-    }
-
-    /// Returns the fields this key touches, in canonical order.
-    pub fn fields(&self) -> Vec<HeaderField> {
-        let mut out = Vec::new();
-        if self.src_ip_prefix > 0 {
-            out.push(HeaderField::SrcIp);
-        }
-        if self.dst_ip_prefix > 0 {
-            out.push(HeaderField::DstIp);
-        }
-        if self.src_port {
-            out.push(HeaderField::SrcPort);
-        }
-        if self.dst_port {
-            out.push(HeaderField::DstPort);
-        }
-        if self.protocol {
-            out.push(HeaderField::Protocol);
-        }
-        if self.timestamp {
-            out.push(HeaderField::Timestamp);
-        }
-        out
-    }
-
     /// Width of the selected key in bits (prefix bits count as their
     /// prefix length, exactly the "PHV copy" cost of the naive strategy in
     /// §3.1.1).
@@ -274,35 +240,12 @@ impl KeySpec {
         out
     }
 
-    /// Human-readable name, e.g. `SrcIP/24+DstPort`.
-    pub fn describe(&self) -> String {
-        if self.is_empty() {
-            return "N/A".to_string();
-        }
-        let mut parts = Vec::new();
-        match self.src_ip_prefix {
-            0 => {}
-            32 => parts.push("SrcIP".to_string()),
-            n => parts.push(format!("SrcIP/{n}")),
-        }
-        match self.dst_ip_prefix {
-            0 => {}
-            32 => parts.push("DstIP".to_string()),
-            n => parts.push(format!("DstIP/{n}")),
-        }
-        if self.src_port {
-            parts.push("SrcPort".to_string());
-        }
-        if self.dst_port {
-            parts.push("DstPort".to_string());
-        }
-        if self.protocol {
-            parts.push("Proto".to_string());
-        }
-        if self.timestamp {
-            parts.push("Ts".to_string());
-        }
-        parts.join("+")
+    /// The prefix each field of [`HeaderField::ALL`] keeps: 0 = absent,
+    /// 32 = the whole field (what a port, protocol or timestamp always is).
+    fn widths(&self) -> [u8; 6] {
+        let flag = |on: bool| if on { 32 } else { 0 };
+        let (sp, dp) = (flag(self.src_port), flag(self.dst_port));
+        [self.src_ip_prefix, self.dst_ip_prefix, sp, dp, flag(self.protocol), flag(self.timestamp)]
     }
 
     /// Renders the concrete key value of a packet for reports
@@ -341,6 +284,67 @@ impl KeySpec {
             parts.push(format!("t{}", HeaderField::Timestamp.read(pkt)));
         }
         parts.concat()
+    }
+}
+
+/// `SrcIP/24+DstPort`, `SrcIP+DstIP`, or `N/A` for the empty key.
+impl fmt::Display for KeySpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.is_empty() {
+            return f.write_str("N/A");
+        }
+        let mut sep = "";
+        for (field, bits) in HeaderField::ALL.into_iter().zip(self.widths()) {
+            match bits {
+                0 => continue,
+                32 => write!(f, "{sep}{}", field.name())?,
+                n => write!(f, "{sep}{}/{n}", field.name())?,
+            }
+            sep = "+";
+        }
+        Ok(())
+    }
+}
+
+/// Parses what `Display` prints, in any letter case, and the aliases
+/// `none`, `ippair`, `5tuple` and `flowid`. The error names the field
+/// that is unknown, repeated, or has a prefix outside `1..=32`.
+impl FromStr for KeySpec {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "n/a" | "none" => return Ok(KeySpec::NONE),
+            "ippair" => return Ok(KeySpec::IP_PAIR),
+            "5tuple" | "flowid" => return Ok(KeySpec::FIVE_TUPLE),
+            _ => {}
+        }
+        let mut widths = [0u8; 6];
+        for part in s.split('+') {
+            let (name, bits) = part.split_once('/').map_or((part, None), |(n, b)| (n, Some(b)));
+            let field = HeaderField::ALL.iter().position(|f| f.name().eq_ignore_ascii_case(name));
+            let width = match (field, bits) {
+                (Some(0 | 1), Some(b)) => b.parse().ok().filter(|b| (1..=32).contains(b)),
+                (_, None) => Some(32),
+                _ => None,
+            };
+            match field.zip(width) {
+                Some((i, w)) if widths[i] == 0 => widths[i] = w,
+                _ => {
+                    let have = "SrcIP[/n], DstIP[/n], SrcPort, DstPort, Proto, Ts";
+                    return Err(format!("bad key field '{part}' (have {have})"));
+                }
+            }
+        }
+        let [_, _, src_port, dst_port, protocol, timestamp] = widths.map(|w| w > 0);
+        Ok(KeySpec {
+            src_ip_prefix: widths[0],
+            dst_ip_prefix: widths[1],
+            src_port,
+            dst_port,
+            protocol,
+            timestamp,
+        })
     }
 }
 
@@ -589,9 +593,29 @@ mod tests {
 
     #[test]
     fn describe_and_render() {
-        assert_eq!(KeySpec::NONE.describe(), "N/A");
-        assert_eq!(KeySpec::IP_PAIR.describe(), "SrcIP+DstIP");
-        assert_eq!(KeySpec::src_ip_slash(24).describe(), "SrcIP/24");
+        assert_eq!(KeySpec::NONE.to_string(), "N/A");
+        assert_eq!(KeySpec::IP_PAIR.to_string(), "SrcIP+DstIP");
+        assert_eq!(KeySpec::src_ip_slash(24).to_string(), "SrcIP/24");
+        assert_eq!(
+            KeySpec::FIVE_TUPLE.to_string(),
+            "SrcIP+DstIP+SrcPort+DstPort+Proto"
+        );
+        assert_eq!("5tuple".parse(), Ok(KeySpec::FIVE_TUPLE));
+        assert_eq!("srcip/24".parse(), Ok(KeySpec::src_ip_slash(24)));
+        for bad in [
+            "SrcIP/33",
+            "SrcIP/0",
+            "SrcPort/8",
+            "SrcIP+SrcIP",
+            "Port",
+            "",
+        ] {
+            let why = bad.parse::<KeySpec>().unwrap_err();
+            assert!(
+                why.contains(&format!("'{}'", bad.rsplit('+').next().unwrap())),
+                "{why}"
+            );
+        }
         assert_eq!(KeySpec::src_ip_slash(24).render(&pkt()), "10.1.2.0/24");
         assert_eq!(KeySpec::IP_PAIR.render(&pkt()), "10.1.2.3->192.168.0.1");
     }

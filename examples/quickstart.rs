@@ -10,7 +10,7 @@
 //! without touching the "hardware".
 
 use flymon::prelude::*;
-use flymon_packet::{fmt_ipv4, KeySpec, Packet};
+use flymon_packet::{fmt_ipv4, Packet};
 
 fn main() {
     // A small switch: 2 CMU Groups × 3 CMUs × 4096 buckets.
@@ -41,12 +41,11 @@ fn main() {
         println!("  key={key:8} attr={attr:18} -> {use_case}");
     }
 
-    // Deploy a per-source packet counter, on the fly.
-    let task = TaskDefinition::builder("per-src-frequency")
-        .key(KeySpec::SRC_IP)
-        .attribute(Attribute::frequency_packets())
-        .memory(1024)
-        .build();
+    // Deploy a per-source packet counter, on the fly. A task is one line
+    // of the task grammar (`flymon::task`), the same one the CLI takes.
+    let task: TaskDefinition = "per-src-frequency key=SrcIP attr=frequency mem=1024"
+        .parse()
+        .expect("a well-formed task line");
     let handle = switch.deploy(&task).expect("deploys");
     {
         let deployed = switch.task(handle).unwrap();
@@ -81,11 +80,10 @@ fn main() {
     // Reconfigure on the fly: retire the counter, deploy a cardinality
     // task in its place. No pipeline reload, no traffic interruption.
     switch.remove(handle).expect("removes");
-    let cardinality = TaskDefinition::builder("flow-cardinality")
-        .key(KeySpec::NONE)
-        .attribute(Attribute::Distinct(KeySpec::FIVE_TUPLE))
-        .memory(1024)
-        .build();
+    let cardinality: TaskDefinition =
+        "flow-cardinality key=N/A attr=distinct param=5tuple mem=1024"
+            .parse()
+            .expect("a well-formed task line");
     let card = switch.deploy(&cardinality).expect("deploys");
     let flows: Vec<Packet> = (0..5_000u32)
         .map(|i| Packet::udp(i, 0x0a00_0063, (i % 50_000) as u16, 53))

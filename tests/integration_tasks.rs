@@ -43,7 +43,7 @@ fn every_frequency_algorithm_counts() {
         Algorithm::CounterBraids,
     ] {
         let mut fm = switch(3, 65536);
-        let def = TaskDefinition::builder(format!("{alg:?}"))
+        let def = TaskDefinition::builder("frequency")
             .key(KeySpec::SRC_IP)
             .attribute(Attribute::frequency_packets())
             .algorithm(alg)
