@@ -386,8 +386,8 @@ impl FlyMon {
     }
 
     /// Processes a batch of packets and reports what the batch did —
-    /// the entry point the fleet and the sharded datapath
-    /// (`flymon_netsim::datapath::replay`) call once per member per
+    /// the entry point a fleet's replay loop
+    /// (`flymon_netsim::datapath::replay`) calls once per member per
     /// staged block.
     ///
     /// This is the stage-major hot path: the slice is cut into

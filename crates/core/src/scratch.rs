@@ -194,8 +194,7 @@ impl BatchScratch {
 }
 
 /// Reusable buffers for the epoch readout loop (merge + stats), owned
-/// by whoever drives rotations — a fleet, a sharded datapath, a bench
-/// harness. The same grow-once convention as [`BatchScratch`]: every
+/// by whoever drives rotations — a fleet, a benchmark loop. The same grow-once convention as [`BatchScratch`]: every
 /// buffer is `Vec`-backed and sized to the largest row it has serviced,
 /// so the steady-state readout loop allocates nothing.
 #[derive(Debug, Clone, Default)]

@@ -1,37 +1,32 @@
-//! Replicas of one switch with exact merged readouts, and the one
-//! packet-replay loop every multi-member path shares.
+//! The data path of a [`SwitchFleet`]: how its switches split a trace,
+//! the loop that feeds them, and the laws their registers merge by.
 //!
-//! A [`ShardedDatapath`] holds `n` private [`FlyMon`] *replicas* of one
-//! logical switch (deployments are deterministic, so every replica
-//! derives identical hash configurations, partition layouts and
-//! bindings), splits a trace over them by source address ([`shard_of`])
-//! and merges readouts per the deployed sketch's [`MergeLaw`], exactly
-//! as fleet readouts are merged: per-bucket **sum** for linear frequency
-//! rows (CMS/MRAC), **max** for HLL registers, **OR** for Bloom rows.
-//! For those laws the merged registers are *bit-identical* to a serial
-//! replay of the whole trace on one switch for **any** disjoint packet
-//! partition (each packet updates exactly one replica, and the
-//! per-bucket operation is associative and commutative across packets).
-//! Max-inter-arrival differences consecutive timestamps *of the same
-//! flow* inside one register, so it also needs a flow to stay on one
-//! replica across calls — which [`shard_of`] gives every deployment: it
-//! hashes the source address and nothing else.
+//! A fleet deploys one task identically on `n` switches (deployments
+//! are deterministic, so every member derives identical hash
+//! configurations, partition layouts and bindings), splits a trace over
+//! them by source address ([`shard_of`]) and merges readouts per the
+//! deployed sketch's [`MergeLaw`]: per-bucket **sum** for linear
+//! frequency rows (CMS/MRAC), **max** for HLL registers, **OR** for
+//! Bloom rows. For those laws the merged registers are *bit-identical*
+//! to a serial replay of the whole trace on one switch for **any**
+//! disjoint packet partition (each packet updates exactly one member,
+//! and the per-bucket operation is associative and commutative across
+//! packets). Max-inter-arrival differences consecutive timestamps *of
+//! the same flow* inside one register, so it also needs a flow to stay
+//! on one member across calls — which [`shard_of`] gives every
+//! deployment: it hashes the source address and nothing else.
 //!
-//! Packets move through `replay`, the loop
-//! [`SwitchFleet::process_trace`](crate::SwitchFleet::process_trace)
-//! runs too (with its failover table), on the calling thread.
+//! Packets move through `replay`, whose one caller is
+//! [`SwitchFleet::process_trace`], and the merge kernels serve the
+//! fleet's readouts and its epoch rotation. [`ShardedDatapath`] is a
+//! replica set under its old name: a healthy fleet behind the three
+//! calls the repository benchmark makes.
 //!
-//! # Why there are no worker threads
-//!
-//! An ingress thread feeding per-worker rings used to drive the
-//! replicas, and on the 2-vCPU reference host it lost to one serial
-//! switch: 0.66× at two workers as recorded, 0.43–0.72× re-measured.
-//! The best-case reshape (workers striping the shared slice: no ingress
-//! thread, no copy, no hash) reached 1.01–1.21× where a pure-ALU loop
-//! scales 1.9× — a replica's `process_batch` goes from 20 to 35 ns/pkt
-//! once a second runs beside it. Revisit on a host where two concurrent
-//! `process_batch` replicas keep their solo ns/pkt; the full account is
-//! in `DESIGN.md` § "Why there are no worker threads".
+//! The members run one after another on the calling thread: two
+//! `process_batch` calls side by side on the 2-vCPU reference host each
+//! slow from 20 to 35 ns/pkt, so threads lose to one serial switch
+//! (`DESIGN.md` § "Why there are no worker threads" has the
+//! measurements and when to revisit).
 
 use std::time::{Duration, Instant};
 
@@ -41,22 +36,18 @@ use flymon_packet::Packet;
 use flymon_rmt::hash::{fmix32, murmur3_32_word};
 use flymon_rmt::register::{ArchiveDrain, Buckets, Cell};
 
-use crate::merged;
+use crate::SwitchFleet;
 
-/// Seed of the ingress/shard hash. Shared with
-/// [`SwitchFleet::process_trace`](crate::SwitchFleet::process_trace) so a
-/// fleet replay and a sharded replay split a trace identically.
+/// Seed of the ingress hash [`shard_of`] splits a fleet's traces by.
 pub const INGRESS_HASH_SEED: u32 = 0xf1ee7;
 
 /// The per-bucket law by which two partial registers of the same
 /// deployment combine into the register of the union traffic.
 ///
-/// This is *the* canonical table: the sharded datapath's merged readouts
-/// and the fleet's epoch rotation both route through [`MergeLaw::of`],
-/// so a sketch can never be merged under one law in one path and a
-/// different law in another. (That divergence was a real bug: epoch
-/// rotation used to fall through to a blanket sum, silently adding
-/// SuMax-Max rows' maxima across the fleet.)
+/// This is *the* canonical table: the fleet's merged readouts and its
+/// epoch rotation both route through [`MergeLaw::of`], so a sketch can
+/// never be merged under one law in one path and a different law in
+/// another.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergeLaw {
     /// Linear counter rows: per-bucket sum, clamped at the hosting
@@ -425,7 +416,7 @@ pub struct RowOccupancy {
 /// a few percent of uniform.
 ///
 /// # Panics
-/// Panics if `n` is zero — an empty datapath has no shards.
+/// Panics if `n` is zero — an empty fleet has no shards.
 pub fn shard_of(pkt: &Packet, n: usize) -> usize {
     assert!(n > 0, "cannot shard across zero workers");
     let h = ingress_hash(pkt);
@@ -446,31 +437,20 @@ fn ingress_hash(pkt: &Packet) -> u32 {
     fmix32(murmur3_32_word(INGRESS_HASH_SEED, pkt.src_ip.swap_bytes()))
 }
 
-/// Partitions `trace` into `n` shards by [`shard_of`], preserving the
-/// original packet order within each shard. The *reference*
-/// partitioner: `replay` stages a `STAGE_BLOCK` at a time and never
-/// builds whole shards; tests pin the per-member split against this.
-pub fn shard_trace(trace: &[Packet], n: usize) -> Vec<Vec<Packet>> {
-    let mut shards: Vec<Vec<Packet>> = vec![Vec::new(); n];
-    for p in trace {
-        shards[shard_of(p, n)].push(*p);
-    }
-    shards
-}
-
 /// Packets `replay` buckets before it flushes the buckets through
-/// [`FlyMon::process_batch`]. Bounds the staging memory whatever the
+/// [`FlyMon::process_batch`]. Bounds the buckets' memory whatever the
 /// slice length (32-byte packets: 128 KB across all members,
 /// cache-resident between the bucketing pass and the batches), and is
 /// long enough that each member's share still fills the stage-major
 /// chunks.
 const STAGE_BLOCK: usize = 4096;
 
-/// The packet-replay loop of every multi-member path: feeds packet `p`
-/// of `trace` to member `targets[shard_of(p, n)]` (`None` drops it).
+/// The packet-replay loop of [`SwitchFleet::process_trace`], its one
+/// caller: feeds packet `p` of `trace` to switch `targets[shard_of(p,
+/// n)]` (`None` drops it).
 ///
 /// Each `STAGE_BLOCK` of the slice is bucketed by target in one pass
-/// into `staging` (a bucket per member, the caller's so that steady
+/// into the caller's buckets (one per member, reused so that steady
 /// state allocates nothing, empty again on return) and every non-empty
 /// bucket goes through one [`FlyMon::process_batch`]. Members are
 /// disjoint state, bucketing keeps each member's packet order, and
@@ -509,29 +489,10 @@ pub(crate) fn replay(
     dropped
 }
 
-/// Per-replica accounting of a [`ShardedDatapath`]'s replays.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Worker index (= replica index).
-    pub worker: usize,
-    /// Packets this replica processed.
-    pub packets: u64,
-    /// Packets hashed to this replica that no one could take. Always 0:
-    /// a [`ShardedDatapath`]'s routing table has no dead member.
-    pub dropped: u64,
-}
-
-impl WorkerStats {
-    /// Worst/best packet-count ratio across `stats` — the split's
-    /// balance figure of merit (1.0 is perfect). `1.0` when every
-    /// worker is idle (nothing to imbalance); `f64::INFINITY` when some
-    /// worker got packets and another got none.
-    pub fn imbalance_ratio(stats: &[WorkerStats]) -> f64 {
-        imbalance(stats.iter().map(|s| s.packets))
-    }
-}
-
-/// [`WorkerStats::imbalance_ratio`] over bare packet counts.
+/// Worst/best ratio of per-member packet counts — the split's balance
+/// figure of merit (1.0 is perfect). `1.0` when every member is idle
+/// (nothing to imbalance); `f64::INFINITY` when some member got packets
+/// and another got none.
 fn imbalance(packets: impl Iterator<Item = u64> + Clone) -> f64 {
     let max = packets.clone().max().unwrap_or(0);
     let min = packets.min().unwrap_or(0);
@@ -549,12 +510,11 @@ fn imbalance(packets: impl Iterator<Item = u64> + Clone) -> f64 {
 pub struct ReplayStats {
     /// Packets processed across all replicas.
     pub packets: u64,
-    /// Dropped packets across all replicas.
-    pub dropped: u64,
     /// Wall-clock time of the replay.
     pub elapsed: Duration,
-    /// [`WorkerStats::imbalance_ratio`] of *this* replay's per-replica
-    /// packet counts (not the cumulative counters).
+    /// Worst/best ratio of the packets each replica took in *this*
+    /// call: 1.0 is a perfect split, `f64::INFINITY` an idle replica
+    /// beside a busy one.
     pub imbalance: f64,
 }
 
@@ -570,25 +530,19 @@ impl ReplayStats {
     }
 }
 
-/// A sharded datapath for **one logical switch**: a set of [`FlyMon`]
-/// replicas that together replay a trace and answer queries as if a
-/// single switch had processed it serially.
+/// The replicas of **one logical switch**, which are a healthy
+/// [`SwitchFleet`]: every member runs the same task, a trace splits over
+/// them by [`shard_of`], and a row reads back merged as if one switch
+/// had replayed the whole trace serially.
 #[derive(Debug)]
 pub struct ShardedDatapath {
-    replicas: Vec<FlyMon>,
-    handles: Vec<TaskHandle>,
-    algorithm: Algorithm,
-    stats: Vec<WorkerStats>,
-    /// `replay`'s routing table: every replica takes its own shard.
-    targets: Vec<Option<usize>>,
-    /// `replay`'s staging buckets, reused across calls.
-    staging: Vec<Vec<Packet>>,
+    fleet: SwitchFleet,
 }
 
 impl ShardedDatapath {
-    /// Builds `workers` replicas of a switch with `config` and deploys
-    /// `task` on each. Deployment is deterministic, so the replicas end
-    /// up with identical layouts — the precondition for exact merging.
+    /// A fleet of `workers` switches with `config`, each running `task`.
+    /// Refuses zero workers: a replica set without a member reads
+    /// nothing back.
     pub fn deploy(
         workers: usize,
         config: FlyMonConfig,
@@ -599,99 +553,44 @@ impl ShardedDatapath {
                 "a sharded datapath needs at least one worker".into(),
             ));
         }
-        let mut replicas = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        let mut algorithm = None;
-        for _ in 0..workers {
-            let mut fm = FlyMon::new(config);
-            let h = fm.deploy(task)?;
-            algorithm = Some(fm.task(h)?.algorithm);
-            replicas.push(fm);
-            handles.push(h);
-        }
-        Ok(ShardedDatapath {
-            replicas,
-            handles,
-            algorithm: algorithm.expect("workers > 0"),
-            stats: (0..workers)
-                .map(|worker| WorkerStats {
-                    worker,
-                    ..WorkerStats::default()
-                })
-                .collect(),
-            targets: (0..workers).map(Some).collect(),
-            staging: vec![Vec::new(); workers],
-        })
+        let fleet = SwitchFleet::deploy(workers, config, task)?;
+        Ok(ShardedDatapath { fleet })
     }
 
-    /// Cumulative per-worker packet counters, one row per replica.
-    pub fn worker_stats(&self) -> &[WorkerStats] {
-        &self.stats
-    }
-
-    /// One replica and its task handle (diagnostics, per-shard queries).
-    pub fn replica(&self, worker: usize) -> (&FlyMon, TaskHandle) {
-        (&self.replicas[worker], self.handles[worker])
-    }
-
-    /// Replays `trace` over the replicas, packet `p` on replica
-    /// `shard_of(p, workers)` — a flow's packets always share a replica,
-    /// within a call and across calls — through `replay`. Returns
-    /// this replay's stats; per-worker counters accumulate in
-    /// [`ShardedDatapath::worker_stats`].
+    /// Replays `trace` through [`SwitchFleet::process_trace`] and returns
+    /// this call's numbers; what each replica took is the rise of its
+    /// switch's packet counter.
     pub fn process_trace(&mut self, trace: &[Packet]) -> ReplayStats {
-        let mut fed = vec![0u64; self.replicas.len()];
+        let counters = |fleet: &SwitchFleet| -> Vec<u64> {
+            (0..fleet.len())
+                .map(|i| fleet.switch(i).0.packets_processed())
+                .collect()
+        };
+        let before = counters(&self.fleet);
         let begun = Instant::now();
-        let dropped = replay(
-            &mut self.replicas,
-            &self.targets,
-            &mut self.staging,
-            trace,
-            &mut fed,
-        );
+        self.fleet.process_trace(trace);
         let elapsed = begun.elapsed();
-        for (s, &packets) in self.stats.iter_mut().zip(&fed) {
-            s.packets += packets;
-        }
+        let took: Vec<u64> = counters(&self.fleet)
+            .iter()
+            .zip(&before)
+            .map(|(now, then)| now - then)
+            .collect();
         ReplayStats {
-            packets: fed.iter().sum(),
-            dropped,
+            packets: took.iter().sum(),
             elapsed,
-            imbalance: imbalance(fed.iter().copied()),
+            imbalance: imbalance(took.iter().copied()),
         }
     }
 
-    /// Every replica paired with its task handle.
-    fn members(&self) -> impl Iterator<Item = (&FlyMon, TaskHandle)> + Clone {
-        self.replicas.iter().zip(self.handles.iter().copied())
-    }
-
-    /// One row's merged register, per the deployed algorithm's merge law
-    /// (cap-clamped sum for counter rows, max for MAX-op rows, OR for
-    /// bitmap rows). For sum/max/OR-law algorithms this is bit-identical
+    /// One row's merged register ([`SwitchFleet::merged_task_row_into`]
+    /// on the task). For sum/max/OR-law algorithms this is bit-identical
     /// to the row a serial replay of the same trace would have produced;
     /// for [`Algorithm::MaxInterval`] it is only an approximation (the
     /// arrival-time state is not mergeable — see DESIGN.md).
     pub fn merged_row(&self, row: usize) -> Result<Vec<u32>, FlymonError> {
-        let mut acc = Vec::new();
-        merged::row_into(self.algorithm, self.members(), row, &mut acc)?;
-        Ok(acc)
-    }
-
-    /// Merged frequency estimate: per-bucket sums, then the row-wise
-    /// minimum — identical to the serial estimate by linearity.
-    pub fn merged_frequency(&self, pkt: &Packet) -> Result<u64, FlymonError> {
-        merged::point_frequency(self.algorithm, self.members(), pkt)
-    }
-
-    /// Merged cardinality estimate: HLL registers merge by max.
-    pub fn merged_cardinality(&self) -> Result<f64, FlymonError> {
-        merged::cardinality(self.algorithm, self.members())
-    }
-
-    /// Merged existence check: the OR of the per-replica checks.
-    pub fn merged_exists(&self, pkt: &Packet) -> Result<bool, FlymonError> {
-        merged::exists(self.algorithm, self.members(), pkt)
+        let mut scratch = ReadoutScratch::default();
+        self.fleet.merged_task_row_into(0, row, &mut scratch)?;
+        Ok(scratch.acc)
     }
 }
 
@@ -706,6 +605,17 @@ mod tests {
             buckets_per_cmu: 4096,
             ..FlyMonConfig::default()
         }
+    }
+
+    /// Partitions `trace` into `n` shards by [`shard_of`], preserving
+    /// the original packet order within each shard: the reference split
+    /// that `replay`, which never builds whole shards, is held to.
+    fn shard_trace(trace: &[Packet], n: usize) -> Vec<Vec<Packet>> {
+        let mut shards: Vec<Vec<Packet>> = vec![Vec::new(); n];
+        for p in trace {
+            shards[shard_of(p, n)].push(*p);
+        }
+        shards
     }
 
     #[test]
@@ -826,13 +736,52 @@ mod tests {
     }
 
     #[test]
-    fn zero_worker_datapath_is_refused() {
+    fn the_shell_merges_like_serial_and_measures_each_call() {
+        // `ShardedDatapath` is three calls over a fleet, and each still
+        // says what it says: no replica set without a member, every
+        // packet counted once and the split's balance per call, and
+        // rows merged like one serial switch's.
+        use flymon_traffic::gen::{TraceConfig, TraceGenerator};
         let def = TaskDefinition::builder("f")
             .key(KeySpec::SRC_IP)
             .attribute(Attribute::frequency_packets())
-            .memory(256)
+            .algorithm(Algorithm::Cms { d: 2 })
+            .memory(1024)
             .build();
         assert!(ShardedDatapath::deploy(0, config(), &def).is_err());
+        let trace = TraceGenerator::new(0x5ead).wide_like(&TraceConfig {
+            flows: 2_000,
+            packets: 30_000,
+            zipf_alpha: 1.1,
+            duration_ns: 1_000_000_000,
+            seed: 0x5ead,
+        });
+        let mut serial = FlyMon::new(config());
+        let h = serial.deploy(&def).unwrap();
+        serial.process_batch(&trace);
+        let (head, tail) = trace.split_at(10_001);
+        for n in 1..=4 {
+            let mut dp = ShardedDatapath::deploy(n, config(), &def).unwrap();
+            for part in [head, tail] {
+                let stats = dp.process_trace(part);
+                assert_eq!(stats.packets, part.len() as u64, "{n} replicas");
+                let shards = shard_trace(part, n);
+                let max = shards.iter().map(Vec::len).max().unwrap() as f64;
+                let min = shards.iter().map(Vec::len).min().unwrap() as f64;
+                assert_eq!(
+                    stats.imbalance,
+                    max / min,
+                    "{n} replicas: imbalance is per call"
+                );
+            }
+            for row in 0..2 {
+                assert_eq!(
+                    dp.merged_row(row).unwrap(),
+                    serial.read_row(h, row).unwrap(),
+                    "{n} replicas, row {row}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -857,7 +806,7 @@ mod tests {
 
     #[test]
     fn affine_replay_keeps_flows_on_one_replica_across_calls() {
-        // Strongest witness for flow affinity: replica w's registers
+        // Strongest witness for flow affinity: switch w's registers
         // must be bit-identical to a solo switch fed exactly the flows
         // `shard_of` maps to w — across *two* replays, which a split
         // that looked at anything but the source address would shuffle.
@@ -881,58 +830,31 @@ mod tests {
             }
         }
         let n = 2;
-        let mut dp = ShardedDatapath::deploy(n, cfg, &def).unwrap();
-        dp.process_trace(&trace);
-        dp.process_trace(&trace);
+        let mut fleet = SwitchFleet::deploy(n, cfg, &def).unwrap();
+        fleet.process_trace(&trace);
+        fleet.process_trace(&trace);
         for (w, sub) in shard_trace(&trace, n).iter().enumerate() {
             let mut solo = FlyMon::new(cfg);
             let h = solo.deploy(&def).unwrap();
             solo.process_batch(sub);
             solo.process_batch(sub);
-            let (replica, rh) = dp.replica(w);
+            let (switch, sh) = fleet.switch(w);
             for row in 0..3 {
                 assert_eq!(
-                    replica.read_row(rh, row).unwrap(),
+                    switch.read_row(sh.unwrap(), row).unwrap(),
                     solo.read_row(h, row).unwrap(),
-                    "worker {w} row {row} diverged"
+                    "switch {w} row {row} diverged"
                 );
             }
         }
     }
 
     #[test]
-    fn worker_stats_accumulate() {
-        let def = TaskDefinition::builder("f")
-            .key(KeySpec::SRC_IP)
-            .attribute(Attribute::frequency_packets())
-            .memory(256)
-            .build();
-        let mut dp = ShardedDatapath::deploy(2, config(), &def).unwrap();
-        let trace: Vec<Packet> = (0..500u32).map(|i| Packet::tcp(i, 1, 2, 3)).collect();
-        let total = dp.process_trace(&trace);
-        assert_eq!(total.packets, 500);
-        assert_eq!(total.dropped, 0);
-        let per_worker: u64 = dp.worker_stats().iter().map(|s| s.packets).sum();
-        assert_eq!(per_worker, 500);
-        // A second replay accumulates rather than resets.
-        dp.process_trace(&trace);
-        let per_worker: u64 = dp.worker_stats().iter().map(|s| s.packets).sum();
-        assert_eq!(per_worker, 1000);
-    }
-
-    #[test]
     fn imbalance_ratio_edge_cases() {
-        let w = |worker, packets| WorkerStats {
-            worker,
-            packets,
-            ..WorkerStats::default()
-        };
-        assert_eq!(WorkerStats::imbalance_ratio(&[]), 1.0);
-        assert_eq!(WorkerStats::imbalance_ratio(&[w(0, 0), w(1, 0)]), 1.0);
-        assert_eq!(
-            WorkerStats::imbalance_ratio(&[w(0, 5), w(1, 0)]),
-            f64::INFINITY
-        );
-        assert_eq!(WorkerStats::imbalance_ratio(&[w(0, 10), w(1, 8)]), 1.25);
+        let ratio = |packets: &[u64]| imbalance(packets.iter().copied());
+        assert_eq!(ratio(&[]), 1.0);
+        assert_eq!(ratio(&[0, 0]), 1.0);
+        assert_eq!(ratio(&[5, 0]), f64::INFINITY);
+        assert_eq!(ratio(&[10, 8]), 1.25);
     }
 }

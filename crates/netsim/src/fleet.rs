@@ -403,10 +403,11 @@ impl SwitchFleet {
     /// revival that should *not* forfeit the absorbed traffic is a
     /// promotion — see [`SwitchFleet::promote_standby`].
     ///
-    /// Errors if the switch never hosted the task (a rolled-back
-    /// deployment cannot serve the fleet). Reviving an alive switch is
-    /// a no-op.
+    /// Errors if `i` is past the fleet's end or the switch never hosted
+    /// the task (a rolled-back deployment cannot serve the fleet).
+    /// Reviving an alive switch is a no-op.
     pub fn revive_switch(&mut self, i: usize) -> Result<(), FlymonError> {
+        self.require_switch(i)?;
         if self.alive[i] {
             return Ok(());
         }
@@ -506,9 +507,10 @@ impl SwitchFleet {
     /// the bounded loss window; they move to
     /// [`SwitchFleet::lost_packets`] and the count is returned.
     ///
-    /// Errors if the standby is not enabled, holds no image for this
-    /// switch, the switch is still alive, or recovery diverges (in
-    /// which case the fleet is unchanged and the switch stays dead).
+    /// Errors if `i` is past the fleet's end, the standby is not
+    /// enabled, holds no image for this switch, the switch is still
+    /// alive, or recovery diverges (in which case the fleet is
+    /// unchanged and the switch stays dead).
     ///
     /// With a control channel attached, promotion **mints a new fencing
     /// term** before anything else: the promote command and everything
@@ -519,6 +521,7 @@ impl SwitchFleet {
     /// (the target is partitioned), the fleet is unchanged — but the
     /// term stays minted, which is safe: terms only ever rise.
     pub fn promote_standby(&mut self, i: usize) -> Result<u64, FlymonError> {
+        self.require_switch(i)?;
         let images = self
             .standby
             .as_ref()
@@ -603,8 +606,8 @@ impl SwitchFleet {
 
     /// Epoch-boundary rotation: merges every row of every fleet task
     /// across the alive fleet — each task by its algorithm's
-    /// [`MergeLaw`], the same canonical table the sharded datapath
-    /// merges by — then clears all tasks on every alive switch through
+    /// [`MergeLaw`], the same canonical table the live readouts merge
+    /// by — then clears all tasks on every alive switch through
     /// the logged reset path, returning the archived readouts.
     ///
     /// (Routing through the shared table is load-bearing: this path
@@ -823,6 +826,17 @@ impl SwitchFleet {
         Err(FlymonError::NoCapacity(
             "fleet reconfiguration needs every switch alive".into(),
         ))
+    }
+
+    /// Refuses a switch index past the fleet's end, naming it.
+    pub(crate) fn require_switch(&self, i: usize) -> Result<(), FlymonError> {
+        let n = self.switches.len();
+        if i < n {
+            return Ok(());
+        }
+        Err(FlymonError::BadTask(format!(
+            "switch {i} is not in the fleet ({n} switches)"
+        )))
     }
 
     /// Routes one controller→switch command to switch `i` (`sw`): through
@@ -1180,12 +1194,11 @@ impl SwitchFleet {
     /// the ingress modulus.
     ///
     /// Failover is resolved once per call; the packets then go through
-    /// `datapath::replay`, the loop a [`ShardedDatapath`] runs too.
-    /// Registers, hit counters and the ledger end bit-identical to
+    /// `datapath::replay`, whose one caller this is. Registers, hit
+    /// counters and the ledger end bit-identical to
     /// `for p in trace { process(shard_of(p, n), p) }` (pinned by
-    /// `tests/fleet_batch.rs`).
-    ///
-    /// [`ShardedDatapath`]: crate::ShardedDatapath
+    /// `tests/fleet_batch.rs`), and a healthy fleet's merged rows to one
+    /// switch's serial replay (`tests/datapath.rs`).
     pub fn process_trace(&mut self, trace: &[Packet]) {
         self.resolve_targets();
         self.total_fed += trace.len() as u64;
@@ -1603,6 +1616,32 @@ mod tests {
         ));
         assert!(degraded.revive_switch(0).is_err());
         assert!(!degraded.is_alive(0));
+    }
+
+    /// The refusal both index checks below expect: a `BadTask` naming
+    /// the switch.
+    fn refuses_switch_2<T: std::fmt::Debug>(result: Result<T, FlymonError>) {
+        match result {
+            Err(FlymonError::BadTask(why)) => assert!(why.contains("switch 2"), "{why}"),
+            other => panic!("expected the index refused, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reviving_a_switch_past_the_end_is_an_error() {
+        let mut fleet = SwitchFleet::deploy(2, config(), &cms_def(1)).unwrap();
+        refuses_switch_2(fleet.revive_switch(2));
+        assert_eq!(fleet.alive_count(), 2);
+    }
+
+    #[test]
+    fn promoting_a_switch_past_the_end_is_an_error() {
+        // With a standby, so the index is the only thing wrong.
+        let mut fleet = SwitchFleet::deploy(2, config(), &cms_def(1)).unwrap();
+        fleet.enable_standby();
+        refuses_switch_2(fleet.promote_standby(2));
+        assert_eq!(fleet.alive_count(), 2);
+        assert!(fleet.ledger().balanced());
     }
 
     #[test]

@@ -311,7 +311,8 @@ pub enum IngestFault {
     },
     /// At step `at_step` the worker scribbles switch `switch`'s
     /// registers (an un-admitted packet, via the diagnostic escape
-    /// hatch) and panics before processing its batch.
+    /// hatch) and panics before processing its batch. A `switch` past
+    /// the fleet's end makes that step return an error instead.
     WorkerPanic {
         /// The step at which the panic fires.
         at_step: u64,
@@ -887,6 +888,7 @@ impl StreamingRuntime {
             _ => None,
         });
         if let Some(victim) = panic_victim {
+            self.fleet.require_switch(victim)?;
             let poison = Packet::udp(0xdead_0000 | step as u32, 0x0a00_00ff, 6666, 6666);
             let fleet = &mut self.fleet;
             // The supervisor owns this unwind: silence the global panic
@@ -1666,6 +1668,26 @@ mod tests {
             rt.run(&mut src).unwrap()
         };
         assert_eq!(run(), run(), "same seeds, same report");
+    }
+
+    #[test]
+    fn a_worker_panic_past_the_fleet_end_is_an_error() {
+        // Regression: the supervisor caught the unwind and then
+        // quarantined a switch that does not exist — an index panic.
+        let mut rt = StreamingRuntime::new(fleet(2), IngestConfig::default());
+        rt.inject(IngestFault::WorkerPanic {
+            at_step: 1,
+            switch: 2,
+        });
+        let mut src = TraceChunks::new(vec![Packet::tcp(1, 2, 3, 4); 512], 256);
+        match rt.step(&mut src) {
+            Err(IngestError::Control(FlymonError::BadTask(why))) => {
+                assert!(why.contains("switch 2"), "{why}")
+            }
+            other => panic!("expected the index refused, got {other:?}"),
+        }
+        assert_eq!(rt.fleet().alive_count(), 2);
+        assert_eq!(rt.stats().panics_recovered, 0);
     }
 
     /// A respawn blocked only by a partitioned control channel is

@@ -13,20 +13,20 @@
 //!   memory reallocation, comparing FlyMon against a statically
 //!   provisioned sketch.
 //!
-//! [`datapath`] holds the merge laws and the one packet-replay loop:
-//! replicas of a switch (or the switches of a fleet) split a trace by
-//! source address, and their merged readouts are bit-identical to a
-//! serial single-switch replay for linear/max/OR-mergeable sketches.
-//! The merged readouts themselves are stated once, in the private
-//! `merged` module, over whichever members are asking.
-//! [`fleet`] layers network-wide measurement (merged readouts, WAL-backed
-//! switches, warm-standby failover) on top, [`adapt`] closes the loop
-//! with an epoch-driven controller that grows, shrinks and splits tasks
-//! from their own readouts, [`channel`] routes every controller→switch
-//! command through a lossy, deterministic control channel (drops,
-//! duplicates, reorders, partitions; exactly-once delivery and fencing
-//! terms on top), and [`chaos`] soaks that machinery under randomized
-//! seeded fault schedules.
+//! [`fleet`] is network-wide measurement: one task on every switch of a
+//! fleet, WAL-backed switches and warm-standby failover, and merged
+//! readouts bit-identical to a serial single-switch replay for
+//! linear/max/OR-mergeable sketches. [`datapath`] holds what its packets
+//! and rows go through — the split by source address, the one
+//! packet-replay loop and the merge laws — and the private `merged`
+//! module states its merged readouts. A replica set of one switch is a
+//! healthy fleet ([`ShardedDatapath`] keeps the name). [`adapt`] closes
+//! the loop with an epoch-driven controller that grows, shrinks and
+//! splits tasks from their own readouts, [`channel`] routes every
+//! controller→switch command through a lossy, deterministic control
+//! channel (drops, duplicates, reorders, partitions; exactly-once
+//! delivery and fencing terms on top), and [`chaos`] soaks that
+//! machinery under randomized seeded fault schedules.
 //!
 //! `unsafe_code` is denied here, not forbidden as at every other crate
 //! root of the workspace: [`datapath`]'s row sweep is one safe body
@@ -55,7 +55,7 @@ pub use chaos::{
     run_ingest_schedule, run_ingest_soak, run_schedule, run_soak, soak_channel_config, ChaosConfig,
     ChaosReport, IngestChaosConfig, IngestChaosReport,
 };
-pub use datapath::{MergeLaw, ReplayStats, RowOccupancy, ShardedDatapath, WorkerStats};
+pub use datapath::{MergeLaw, ReplayStats, RowOccupancy, ShardedDatapath};
 pub use epochs::{run_accuracy_timeline, AccuracyPoint, EpochTimelineConfig};
 pub use fleet::{BoundedEstimate, FleetEpoch, FleetTaskInfo, PacketLedger, SwitchFleet, TaskEpoch};
 pub use ingest::{

@@ -1,11 +1,11 @@
-//! Merged readouts over the *members* of one deployment: the alive
-//! switches of a fleet task, the replicas of a sharded datapath.
+//! Merged readouts of a [`SwitchFleet`](crate::SwitchFleet) task over
+//! its *members*, the alive switches that host it.
 //!
-//! Both answer the same four questions the same way, so the answers are
-//! stated here once, over an iterator of `(&FlyMon, TaskHandle)`.
-//! Deployments are deterministic: every member derives the same hash
-//! configuration and row geometry, so the first member's placement
-//! locates buckets and sizes rows for all of them.
+//! Four questions — a merged row, a point frequency, a cardinality and
+//! an existence check — answered over an iterator of `(&FlyMon,
+//! TaskHandle)`. Deployments are deterministic: every member derives
+//! the same hash configuration and row geometry, so the first member's
+//! placement locates buckets and sizes rows for all of them.
 
 use flymon::prelude::*;
 use flymon::FlymonError;
@@ -107,7 +107,7 @@ pub(crate) fn cardinality<'a>(
 }
 
 /// Existence check of a Bloom deployment. A key inserted anywhere was
-/// inserted on exactly one member (its ingress, its shard), which set
+/// inserted on exactly one member (its ingress), which set
 /// *all* of its filter rows — so union membership is the OR of the
 /// per-member checks: no false negatives, and at most the sum of the
 /// per-member false-positive rates.

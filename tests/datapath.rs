@@ -1,11 +1,12 @@
-//! Determinism of the sharded datapath: merged readouts must be
+//! Serial ≡ fleet: a healthy `SwitchFleet` splits a trace over its
+//! switches by source address, and its merged readouts must be
 //! bit-identical to a serial single-switch replay of the same trace, for
-//! every merge law (sum / max / OR), at every worker count — and the
-//! replay loop it shares with `SwitchFleet::process_trace` must split a
-//! trace the same way for both.
+//! every merge law (sum / max / OR), at every fleet size and slice
+//! length — with every switch taking exactly the packets `shard_of`
+//! sends it.
 
 use flymon::prelude::*;
-use flymon_netsim::{datapath, ShardedDatapath, SwitchFleet};
+use flymon_netsim::{datapath, SwitchFleet};
 use flymon_packet::{KeySpec, Packet};
 use flymon_traffic::gen::{TraceConfig, TraceGenerator};
 
@@ -34,6 +35,28 @@ fn serial_switch(def: &TaskDefinition, t: &[Packet]) -> (FlyMon, TaskHandle) {
     (fm, h)
 }
 
+/// A healthy `n`-switch fleet running `def`, fed `t` in one call.
+fn fleet_of(n: usize, def: &TaskDefinition, t: &[Packet]) -> SwitchFleet {
+    let mut fleet = SwitchFleet::deploy(n, config(), def).unwrap();
+    fleet.process_trace(t);
+    fleet
+}
+
+/// Row `row` of the fleet's task, merged across its switches.
+fn merged_row(fleet: &SwitchFleet, row: usize) -> Vec<u32> {
+    let mut scratch = ReadoutScratch::default();
+    fleet.merged_task_row_into(0, row, &mut scratch).unwrap();
+    scratch.acc
+}
+
+/// Every packet fed was taken by some switch: none dropped, none lost.
+fn assert_all_represented(fleet: &SwitchFleet, packets: usize) {
+    let ledger = fleet.ledger();
+    assert!(ledger.balanced(), "{ledger:?}");
+    assert_eq!(ledger.represented, packets as u64, "{ledger:?}");
+    assert_eq!(ledger.dropped, 0, "{ledger:?}");
+}
+
 #[test]
 fn sharded_cms_rows_are_bit_identical_to_serial() {
     let d = 3;
@@ -46,24 +69,22 @@ fn sharded_cms_rows_are_bit_identical_to_serial() {
     let t = trace();
     let (serial, h) = serial_switch(&def, &t);
 
-    for workers in [1, 2, 4] {
-        let mut dp = ShardedDatapath::deploy(workers, config(), &def).unwrap();
-        let stats = dp.process_trace(&t);
-        assert_eq!(stats.packets, t.len() as u64);
-        assert_eq!(stats.dropped, 0);
+    for n in [1, 2, 4] {
+        let fleet = fleet_of(n, &def, &t);
+        assert_all_represented(&fleet, t.len());
         for row in 0..d {
             assert_eq!(
-                dp.merged_row(row).unwrap(),
+                merged_row(&fleet, row),
                 serial.read_row(h, row).unwrap(),
-                "{workers}-worker merged row {row} diverged from serial"
+                "{n}-switch merged row {row} diverged from serial"
             );
         }
         // Spot-check the query path too (min over summed rows).
         for p in t.iter().step_by(997) {
             assert_eq!(
-                dp.merged_frequency(p).unwrap(),
+                fleet.merged_frequency(p).unwrap(),
                 serial.query_frequency(h, p),
-                "frequency estimate diverged at {workers} workers"
+                "frequency estimate diverged at {n} switches"
             );
         }
     }
@@ -80,15 +101,14 @@ fn sharded_hll_registers_merge_by_max_to_serial() {
     let t = trace();
     let (serial, h) = serial_switch(&def, &t);
 
-    let mut dp = ShardedDatapath::deploy(4, config(), &def).unwrap();
-    dp.process_trace(&t);
+    let fleet = fleet_of(4, &def, &t);
     assert_eq!(
-        dp.merged_row(0).unwrap(),
+        merged_row(&fleet, 0),
         serial.read_row(h, 0).unwrap(),
         "merged HLL registers diverged from serial"
     );
     let serial_est = serial.cardinality(h);
-    let merged_est = dp.merged_cardinality().unwrap();
+    let merged_est = fleet.merged_cardinality().unwrap();
     assert!(
         (serial_est - merged_est).abs() < 1e-9,
         "estimates diverged: serial {serial_est}, merged {merged_est}"
@@ -105,19 +125,18 @@ fn sharded_bloom_rows_merge_by_or_to_serial() {
     let t = trace();
     let (serial, h) = serial_switch(&def, &t);
 
-    let mut dp = ShardedDatapath::deploy(4, config(), &def).unwrap();
-    dp.process_trace(&t);
+    let fleet = fleet_of(4, &def, &t);
     let rows = serial.task(h).unwrap().rows.len();
     for row in 0..rows {
         assert_eq!(
-            dp.merged_row(row).unwrap(),
+            merged_row(&fleet, row),
             serial.read_row(h, row).unwrap(),
             "merged Bloom row {row} diverged from serial"
         );
     }
     for p in t.iter().step_by(1993) {
         assert_eq!(
-            dp.merged_exists(p).unwrap(),
+            fleet.merged_exists(p).unwrap(),
             serial.query_exists(h, p),
             "existence check diverged"
         );
@@ -126,7 +145,7 @@ fn sharded_bloom_rows_merge_by_or_to_serial() {
     // even false positives are identical).
     let unseen = Packet::tcp(0xdead_0001, 0xdead_0002, 9999, 9999);
     assert_eq!(
-        dp.merged_exists(&unseen).unwrap(),
+        fleet.merged_exists(&unseen).unwrap(),
         serial.query_exists(h, &unseen)
     );
 }
@@ -134,7 +153,7 @@ fn sharded_bloom_rows_merge_by_or_to_serial() {
 #[test]
 fn summed_merge_clamps_at_the_register_ceiling() {
     // Cond-ADD saturates each bucket at the register's cell ceiling
-    // (65535 on 16-bit buckets). Two flows living on *different* shards
+    // (65535 on 16-bit buckets). Two flows living on *different* switches
     // but hashing to the *same* bucket must not merge past that cap:
     // the serial replay holds 65535, and so must the merged readout.
     let def = TaskDefinition::builder("freq")
@@ -176,14 +195,13 @@ fn summed_merge_clamps_at_the_register_ceiling() {
         "the shared bucket must saturate serially for this test to bite"
     );
 
-    let mut dp = ShardedDatapath::deploy(2, config(), &def).unwrap();
-    dp.process_trace(&t);
+    let fleet = fleet_of(2, &def, &t);
     assert_eq!(
-        dp.merged_row(0).unwrap(),
+        merged_row(&fleet, 0),
         serial.read_row(h, 0).unwrap(),
         "merged row must clamp at the cell ceiling like the serial replay"
     );
-    assert_eq!(dp.merged_frequency(&pa).unwrap(), 65535);
+    assert_eq!(fleet.merged_frequency(&pa).unwrap(), 65535);
 }
 
 #[test]
@@ -225,16 +243,14 @@ fn sharded_merge_is_exact_at_every_staging_block_boundary() {
         for len in [0, 1, 4095, 4096, 4097, 3 * 4096 + 17] {
             let (serial, h) = serial_switch(def, &t[..len]);
             let rows = serial.task(h).unwrap().rows.len();
-            for workers in 1..=4 {
-                let mut dp = ShardedDatapath::deploy(workers, config(), def).unwrap();
-                let stats = dp.process_trace(&t[..len]);
-                assert_eq!(stats.packets, len as u64);
-                assert_eq!(stats.dropped, 0);
+            for n in 1..=4 {
+                let fleet = fleet_of(n, def, &t[..len]);
+                assert_all_represented(&fleet, len);
                 for row in 0..rows {
                     assert_eq!(
-                        dp.merged_row(row).unwrap(),
+                        merged_row(&fleet, row),
                         serial.read_row(h, row).unwrap(),
-                        "{}: {len} packets on {workers} replicas, row {row}",
+                        "{}: {len} packets on {n} switches, row {row}",
                         def.name
                     );
                 }
@@ -244,10 +260,10 @@ fn sharded_merge_is_exact_at_every_staging_block_boundary() {
 }
 
 #[test]
-fn replicas_and_a_healthy_fleet_split_a_trace_the_same_way() {
-    // One loop, one split: replica w of a sharded datapath and switch w
-    // of a healthy same-sized fleet both take exactly the packets
-    // `shard_of` sends to w, and end with the same registers.
+fn each_switch_takes_exactly_its_shard_of_the_trace() {
+    // One split: switch w of a healthy fleet takes exactly the packets
+    // `shard_of` sends to w, counted across two calls, and the switches
+    // together take every packet once.
     let def = TaskDefinition::builder("freq")
         .key(KeySpec::SRC_IP)
         .attribute(Attribute::frequency_packets())
@@ -260,47 +276,24 @@ fn replicas_and_a_healthy_fleet_split_a_trace_the_same_way() {
         for p in &t {
             histogram[datapath::shard_of(p, n)] += 1;
         }
-        let mut dp = ShardedDatapath::deploy(n, config(), &def).unwrap();
-        let mut fleet = SwitchFleet::deploy(n, config(), &def).unwrap();
-        // Two calls: the per-worker counters accumulate across them.
         let (head, tail) = t.split_at(50_001);
-        let stats = [dp.process_trace(head), dp.process_trace(tail)];
-        fleet.process_trace(head);
+        let mut fleet = fleet_of(n, &def, head);
         fleet.process_trace(tail);
-
-        assert_eq!(dp.worker_stats().len(), n);
-        for (w, ws) in dp.worker_stats().iter().enumerate() {
-            assert_eq!(ws.worker, w);
-            assert_eq!(ws.packets, histogram[w], "replica {w} of {n}");
-            assert_eq!(ws.dropped, 0);
-            let (replica, rh) = dp.replica(w);
-            let (switch, sh) = fleet.switch(w);
-            assert_eq!(switch.packets_processed(), ws.packets, "switch {w} of {n}");
-            for row in 0..2 {
-                assert_eq!(
-                    replica.read_row(rh, row).unwrap(),
-                    switch.read_row(sh.unwrap(), row).unwrap(),
-                    "replica and switch {w} of {n} diverged at row {row}"
-                );
-            }
+        for (w, &packets) in histogram.iter().enumerate() {
+            assert_eq!(
+                fleet.switch(w).0.packets_processed(),
+                packets,
+                "switch {w} of {n}"
+            );
         }
-        assert_eq!(stats[0].packets + stats[1].packets, t.len() as u64);
-        let ledger = fleet.ledger();
-        assert!(ledger.balanced(), "{ledger:?}");
-        assert_eq!(ledger.represented, t.len() as u64);
-        if n > 1 {
-            let last = datapath::shard_trace(tail, n);
-            let max = last.iter().map(Vec::len).max().unwrap() as f64;
-            let min = last.iter().map(Vec::len).min().unwrap() as f64;
-            assert_eq!(stats[1].imbalance, max / min, "imbalance is per replay");
-        }
+        assert_all_represented(&fleet, t.len());
     }
 }
 
 #[test]
 fn replay_is_deterministic_across_repeated_runs() {
-    // The same trace replayed twice on fresh datapaths must produce the
-    // same merged rows — thread scheduling must not leak into results.
+    // The same trace replayed twice on fresh fleets must produce the
+    // same merged rows.
     let def = TaskDefinition::builder("freq")
         .key(KeySpec::SRC_IP)
         .attribute(Attribute::frequency_packets())
@@ -308,14 +301,8 @@ fn replay_is_deterministic_across_repeated_runs() {
         .memory(4096)
         .build();
     let t = trace();
-    let rows = |dp: &ShardedDatapath| -> Vec<Vec<u32>> {
-        (0..2).map(|r| dp.merged_row(r).unwrap()).collect()
-    };
-    let mut a = ShardedDatapath::deploy(4, config(), &def).unwrap();
-    a.process_trace(&t);
-    let mut b = ShardedDatapath::deploy(4, config(), &def).unwrap();
-    b.process_trace(&t);
-    assert_eq!(rows(&a), rows(&b));
+    let rows = |fleet: &SwitchFleet| [merged_row(fleet, 0), merged_row(fleet, 1)];
+    assert_eq!(rows(&fleet_of(4, &def, &t)), rows(&fleet_of(4, &def, &t)));
 }
 
 #[test]
