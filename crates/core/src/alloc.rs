@@ -156,13 +156,11 @@ impl BuddyAllocator {
 
     /// Largest block that could be allocated right now.
     pub fn largest_free(&self) -> usize {
+        // Level 0 holds the largest blocks.
         self.free
             .iter()
-            .enumerate()
-            .filter(|(_, blocks)| !blocks.is_empty())
-            .map(|(l, _)| self.total >> l)
-            .max()
-            .unwrap_or(0)
+            .position(|blocks| !blocks.is_empty())
+            .map_or(0, |l| self.total >> l)
     }
 
     /// Total buckets managed.

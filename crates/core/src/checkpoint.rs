@@ -21,6 +21,8 @@
 //! register updates after the capture barrier are *not* recoverable —
 //! that is the bounded loss window the fleet layer accounts for.
 
+use std::sync::Arc;
+
 use flymon_rmt::checkpoint::{CaptureMode, RegisterCheckpoint, CHECKPOINT_VERSION};
 use flymon_rmt::register::Register;
 use flymon_packet::KeySpec;
@@ -290,12 +292,13 @@ impl FlyMon {
                     None => fm.groups[g].unit_mut(u).clear_mask(),
                 }
             }
+            // Bindings reinstall in captured order — order is
+            // first-match-wins semantics, not bookkeeping — as one
+            // install per group.
+            let bindings = gi.cmus.iter().enumerate();
+            let bindings = bindings.flat_map(|(c, ci)| ci.bindings.iter().map(move |b| (c, b)));
+            fm.groups[g].install_all(bindings)?;
             for (c, ci) in gi.cmus.iter().enumerate() {
-                // Bindings reinstall in captured order — order is
-                // first-match-wins semantics, not bookkeeping.
-                for b in &ci.bindings {
-                    fm.groups[g].install(c, b.clone())?;
-                }
                 fm.groups[g].cmu_mut(c).restore_hits(&ci.hits);
             }
         }
@@ -350,12 +353,15 @@ impl FlyMon {
             };
             let seq = rec.seq;
             let diverged = |detail: String| FlymonError::RecoveryDivergence { seq, detail };
+            // A decoded definition is validated here: `deploy_unlogged`
+            // trusts its caller to have done so.
             let replay_deploy = |fm: &mut FlyMon,
-                                 def: &TaskDefinition,
+                                 def: &Arc<TaskDefinition>,
                                  want: (TaskId, usize)|
              -> Result<(), FlymonError> {
-                let h = fm
-                    .deploy_unlogged(def)
+                let h = def
+                    .validate()
+                    .and_then(|()| fm.deploy_unlogged(def))
                     .map_err(|e| diverged(format!("replayed deploy failed: {e}")))?;
                 let got = fm.tasks[&h.0].rows.first().map(|r| r.size).unwrap_or(0);
                 if (h.0, got) != want {
@@ -384,18 +390,21 @@ impl FlyMon {
                     // Replay the logged net effect, not the original
                     // fallback dance: remove what was removed, deploy
                     // what was deployed, at the recorded geometry.
-                    let mut def = fm
-                        .task(TaskHandle(*task))
-                        .map_err(|_| diverged(format!("reallocated task {task:?} not found")))?
-                        .def
-                        .clone();
+                    let old = Arc::clone(
+                        &fm.task(TaskHandle(*task))
+                            .map_err(|_| diverged(format!("reallocated task {task:?} not found")))?
+                            .def,
+                    );
                     if let Some(id) = removed {
                         fm.remove_unlogged(TaskHandle(id))
                             .map_err(|e| diverged(format!("replayed remove failed: {e}")))?;
                     }
                     if let Some(want) = deployed {
-                        def.memory = want.1;
-                        replay_deploy(&mut fm, &def, want)?;
+                        let def = TaskDefinition {
+                            memory: want.1,
+                            ..TaskDefinition::clone(&old)
+                        };
+                        replay_deploy(&mut fm, &Arc::new(def), want)?;
                     }
                 }
             }

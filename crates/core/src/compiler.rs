@@ -145,7 +145,8 @@ pub const TOWER_LEVEL_BITS: [u8; 3] = [4, 8, 16];
 /// Appendix D).
 pub const BRAIDS_LOW_CAP: u32 = 255;
 
-/// Builds the per-row bindings for a placed task.
+/// Builds the per-row bindings for a placed task: one `(row, binding)`
+/// per row, in row order.
 ///
 /// Rows must be ordered: for single-group algorithms, row order is the
 /// row index; for chained algorithms (SuMax(Sum), Counter Braids,
@@ -158,6 +159,21 @@ pub fn build_bindings(
     alg: Algorithm,
     rows: &[PlacedRow],
 ) -> Result<Vec<(usize, CmuBinding)>, FlymonError> {
+    let mut out = Vec::with_capacity(rows.len());
+    build_bindings_into(def, id, alg, rows, &mut out)?;
+    Ok(out)
+}
+
+/// [`build_bindings`] into `out`, cleared first: the deploy path keeps
+/// one vector across deploys.
+pub fn build_bindings_into(
+    def: &TaskDefinition,
+    id: TaskId,
+    alg: Algorithm,
+    rows: &[PlacedRow],
+    out: &mut Vec<(usize, CmuBinding)>,
+) -> Result<(), FlymonError> {
+    out.clear();
     let base = |row: &PlacedRow| CmuBinding {
         task: id,
         filter: def.filter,
@@ -187,7 +203,6 @@ pub fn build_bindings(
         }
     };
 
-    let mut out = Vec::with_capacity(rows.len());
     match alg {
         Algorithm::Cms { d } | Algorithm::SuMaxSum { d } => {
             expect_rows(d)?;
@@ -420,7 +435,7 @@ pub fn build_bindings(
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Computes the install plan (rule counts) for a deployment: hash-mask

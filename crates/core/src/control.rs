@@ -24,7 +24,9 @@
 //! control-plane estimates see exactly the buckets the hardware updated.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use flymon_packet::{KeySpec, Packet};
 use flymon_rmt::fault::{FaultPlan, InstallOpKind, RetryPolicy};
@@ -105,8 +107,10 @@ pub struct BatchStats {
 /// A deployed task's record.
 #[derive(Debug, Clone)]
 pub struct DeployedTask {
-    /// The definition as submitted.
-    pub def: TaskDefinition,
+    /// The definition as submitted, shared with the WAL intent that
+    /// logged it (and a fleet's task list). A reallocation deploys a new
+    /// one; nothing edits a shared definition.
+    pub def: Arc<TaskDefinition>,
     /// The algorithm that runs it.
     pub algorithm: Algorithm,
     /// Placed rows, in the recipe's row order.
@@ -144,12 +148,28 @@ enum UndoOp {
         offset: usize,
         size: usize,
     },
-    /// A binding was installed on a CMU.
-    Binding {
-        group: usize,
-        cmu: usize,
-        task: TaskId,
-    },
+    /// A group took the task's rows ([`CmuGroup::install_all`]).
+    Bindings { group: usize, task: TaskId },
+}
+
+/// What a deploy stages before it commits, kept on the switch and
+/// cleared rather than dropped between deploys, like [`BatchScratch`]:
+/// a warm switch places and commits a task without allocating, and what
+/// outlives the op is only what its [`DeployedTask`] record keeps.
+#[derive(Debug, Default)]
+struct DeployScratch {
+    /// One slot per pipeline stage ([`FlyMon::place`]).
+    slots: Vec<PlacedSlot>,
+    /// The slots' CMUs back to back; [`PlacedSlot::cmus`] ranges over it.
+    cmus: Vec<usize>,
+    /// Every staged mutation, oldest first ([`FlyMon::rollback`]);
+    /// empty between deploys (a commit and a rollback both drain it).
+    undo: Vec<UndoOp>,
+    /// The distinct hash masks the deploy configured fresh — at most its
+    /// key's and its parameter's.
+    masks: Vec<KeySpec>,
+    /// `(row, binding)` per placed row, in row order.
+    bindings: Vec<(usize, CmuBinding)>,
 }
 
 /// Retry accounting for one transaction's executed install ops.
@@ -185,6 +205,7 @@ pub struct FlyMon {
     pub(crate) ctx: PacketContext,
     pub(crate) scratch: PacketScratch,
     batch: BatchScratch,
+    deploy_scratch: DeployScratch,
     batch_size: usize,
     lane_width: usize,
     pub(crate) packets_processed: u64,
@@ -253,6 +274,7 @@ impl FlyMon {
             ctx: PacketContext::default(),
             scratch: PacketScratch::default(),
             batch: BatchScratch::default(),
+            deploy_scratch: DeployScratch::default(),
             batch_size: BATCH_SIZE,
             lane_width: LANE_WIDTH,
             packets_processed: 0,
@@ -496,21 +518,28 @@ impl FlyMon {
     /// Logged ([`FlyMon::logged`]): committed with the new task's id
     /// and rounded geometry, aborted if the deployment rolled back.
     pub fn deploy(&mut self, def: &TaskDefinition) -> Result<TaskHandle, FlymonError> {
+        self.deploy_shared(Arc::new(def.clone()))
+    }
+
+    /// [`FlyMon::deploy`] of a definition that is already shared — a
+    /// fleet's, a reallocation's: the task record and the WAL intent
+    /// hold the same `Arc`, so nothing is copied.
+    pub fn deploy_shared(&mut self, def: Arc<TaskDefinition>) -> Result<TaskHandle, FlymonError> {
         // A definition that cannot be a task is refused before it is
         // logged: the WAL holds intents, not typos.
         def.validate()?;
-        let intent = std::iter::once_with(|| WalIntent::Deploy(Box::new(def.clone())));
-        self.logged(intent, None, |fm| fm.deploy_unlogged(def))
+        let intent = std::iter::once_with(|| WalIntent::Deploy(Arc::clone(&def)));
+        self.logged(intent, None, |fm| fm.deploy_unlogged(&def))
     }
 
-    /// [`FlyMon::deploy`] without write-ahead logging — the body the
-    /// logged wrapper and WAL replay both run.
+    /// [`FlyMon::deploy`] without write-ahead logging or validation —
+    /// the body the logged wrapper runs, and WAL replay runs once it has
+    /// validated the definition it decoded.
     pub(crate) fn deploy_unlogged(
         &mut self,
-        def: &TaskDefinition,
+        def: &Arc<TaskDefinition>,
     ) -> Result<TaskHandle, FlymonError> {
         self.generation = next_generation();
-        def.validate()?;
         let alg = def.effective_algorithm();
         if matches!(alg, Algorithm::MaxInterval { .. }) && self.config.bucket_bits < 32 {
             return Err(FlymonError::BadTask(
@@ -521,57 +550,60 @@ impl FlyMon {
         }
         let needs = compiler::required_keys(def, alg);
         let size = self.round_memory(def.memory)?;
-
-        // Stage layout: rows per pipeline slot (slot = distinct group).
-        let stage_rows: Vec<usize> = match alg {
-            Algorithm::SuMaxSum { d } => vec![1; d],
-            Algorithm::CounterBraids | Algorithm::OddSketch => vec![1, 1],
-            Algorithm::MaxInterval { d } => vec![d, d, d],
-            other => vec![other.cmus_used()],
-        };
-
-        let placement = self.place(def, &needs, &stage_rows, size)?;
-        let id = TaskId(self.next_id);
-
-        let mut undo: Vec<UndoOp> = Vec::new();
-        let mut exec = ExecStats::default();
-        match self.deploy_commit(def, alg, &needs, &placement, size, id, &mut undo, &mut exec) {
-            Ok(handle) => Ok(handle),
-            Err(e) => {
-                self.rollback(undo);
-                Err(e)
-            }
+        // The scratch leaves the switch for the op, so staging can fill
+        // it while the switch mutates.
+        let mut s = std::mem::take(&mut self.deploy_scratch);
+        let result = self
+            .place(def, &needs, alg, size, &mut s)
+            .and_then(|()| self.deploy_commit(def, alg, &needs, size, &mut s));
+        if result.is_err() {
+            self.rollback(&mut s.undo);
         }
+        self.deploy_scratch = s;
+        result
     }
 
-    /// The fallible staging half of [`FlyMon::deploy`]. Every mutation
-    /// is mirrored into `undo`; the caller rolls back on `Err`.
-    #[allow(clippy::too_many_arguments)]
+    /// The fallible staging half of [`FlyMon::deploy`], over the slots
+    /// [`FlyMon::place`] left in `s`. Every mutation is mirrored into
+    /// `s.undo`; the caller rolls back on `Err`.
     fn deploy_commit(
         &mut self,
-        def: &TaskDefinition,
+        def: &Arc<TaskDefinition>,
         alg: Algorithm,
         needs: &compiler::KeyNeeds,
-        placement: &[PlacedSlot],
         size: usize,
-        id: TaskId,
-        undo: &mut Vec<UndoOp>,
-        exec: &mut ExecStats,
+        s: &mut DeployScratch,
     ) -> Result<TaskHandle, FlymonError> {
-        let mut new_masks: std::collections::HashSet<KeySpec> = Default::default();
-        let mut rows: Vec<PlacedRow> = Vec::new();
-        for slot in placement {
+        let id = TaskId(self.next_id);
+        let mut exec = ExecStats::default();
+        s.masks.clear();
+        let partitions_log2 = (self.config.buckets_per_cmu / size).ilog2() as u8;
+        let bucket_max = if self.config.bucket_bits >= 32 {
+            u32::MAX
+        } else {
+            (1u32 << self.config.bucket_bits) - 1
+        };
+        let mut rows = Vec::with_capacity(s.cmus.len());
+        for slot in &s.slots {
             let g = slot.group;
-            let key_source = match needs.key {
-                Some(spec) => Some(self.acquire_key(g, spec, &mut new_masks, undo, exec)?),
-                None => None,
+            let key_source = match (needs.key, slot.key) {
+                (Some(spec), Some(plan)) => {
+                    Some(self.acquire_key(g, spec, plan, &mut s.undo, &mut s.masks, &mut exec)?)
+                }
+                _ => None,
             };
+            // Planned only now: a unit the key just took may serve it.
             let param_source = match needs.param {
-                Some(spec) => Some(self.acquire_key(g, spec, &mut new_masks, undo, exec)?),
+                Some(spec) => {
+                    let plan = self.plan_key(g, &spec, 0).ok_or_else(|| {
+                        FlymonError::NoCapacity(format!("group {g} has no hash unit for {spec}"))
+                    })?;
+                    Some(self.acquire_key(g, spec, plan, &mut s.undo, &mut s.masks, &mut exec)?)
+                }
                 None => None,
             };
-            for (i, &cmu) in slot.cmus.iter().enumerate() {
-                self.exec_op(InstallOpKind::BuddyWrite, g, exec)?;
+            for (i, &cmu) in s.cmus[slot.cmus.clone()].iter().enumerate() {
+                self.exec_op(InstallOpKind::BuddyWrite, g, &mut exec)?;
                 // Placement verified capacity, but verify-then-commit is
                 // a race window: surface it as a typed error, never a
                 // panic mid-commit.
@@ -582,29 +614,21 @@ impl FlyMon {
                         buckets: size,
                     },
                 )?;
-                undo.push(UndoOp::Partition {
+                s.undo.push(UndoOp::Partition {
                     group: g,
                     cmu,
                     offset,
                     size,
                 });
-                let partitions_log2 =
-                    (self.config.buckets_per_cmu / size).ilog2() as u8;
-                let translation = AddrTranslation::new(
-                    partitions_log2,
-                    (offset / size) as u32,
-                    TranslationMethod::TcamBased,
-                );
-                let bucket_max = if self.config.bucket_bits >= 32 {
-                    u32::MAX
-                } else {
-                    (1u32 << self.config.bucket_bits) - 1
-                };
                 rows.push(PlacedRow {
                     group: g,
                     cmu,
                     slice_shift: 8 * (i as u8 % 4),
-                    translation,
+                    translation: AddrTranslation::new(
+                        partitions_log2,
+                        (offset / size) as u32,
+                        TranslationMethod::TcamBased,
+                    ),
                     offset,
                     size,
                     key_source: key_source
@@ -618,20 +642,18 @@ impl FlyMon {
 
         // Chained recipes want rows in instance-major order.
         if let Algorithm::MaxInterval { d } = alg {
-            let mut reordered = Vec::with_capacity(rows.len());
-            for inst in 0..d {
-                for stage in 0..3 {
-                    reordered.push(rows[stage * d + inst].clone());
-                }
-            }
-            rows = reordered;
+            let stage_major = std::mem::take(&mut rows);
+            rows = (0..d)
+                .flat_map(|inst| (0..3).map(move |stage| stage * d + inst))
+                .map(|i| stage_major[i].clone())
+                .collect();
         }
 
-        let bindings = compiler::build_bindings(def, id, alg, &rows)?;
+        compiler::build_bindings_into(def, id, alg, &rows, &mut s.bindings)?;
         // Like the max-interval guard of `deploy_unlogged`, but read off
         // what was compiled: the SALU masks results to the register
         // width, so a one-hot bit above it would be set and lost.
-        let one_hot = bindings.iter().map(|(_, b)| b.prep.one_hot_bits()).max().unwrap_or(0);
+        let one_hot = s.bindings.iter().map(|(_, b)| b.prep.one_hot_bits()).max().unwrap_or(0);
         if one_hot > self.config.bucket_bits {
             return Err(FlymonError::BadTask(format!(
                 "{} sets one bit of {one_hot} per bucket and needs {one_hot}-bit registers \
@@ -639,29 +661,30 @@ impl FlyMon {
                 alg.name()
             )));
         }
-        let mut install = compiler::install_plan(&bindings, new_masks.len());
-        for (row_idx, binding) in &bindings {
-            let row = &rows[*row_idx];
-            self.exec_op(InstallOpKind::Rule(RuleKind::TableEntry), row.group, exec)?;
-            self.groups[row.group].install(row.cmu, binding.clone())?;
-            undo.push(UndoOp::Binding {
-                group: row.group,
-                cmu: row.cmu,
-                task: id,
-            });
+        let mut install = compiler::install_plan(&s.bindings, s.masks.len());
+        // Every row's table op is judged, in row order, before the first
+        // binding goes in; then each slot's group takes its rows in one
+        // install, which refreshes its program once.
+        for (row, _) in &s.bindings {
+            let kind = InstallOpKind::Rule(RuleKind::TableEntry);
+            self.exec_op(kind, rows[*row].group, &mut exec)?;
+        }
+        for slot in &s.slots {
+            let g = slot.group;
+            let on_group = s.bindings.iter().filter(|(r, _)| rows[*r].group == g);
+            self.groups[g].install_all(on_group.map(|(r, b)| (rows[*r].cmu, b)))?;
+            s.undo.push(UndoOp::Bindings { group: g, task: id });
         }
 
-        let mut ordered_bindings = vec![None; rows.len()];
-        for (row_idx, binding) in bindings {
-            ordered_bindings[row_idx] = Some(binding);
-        }
         install.retried_ops = exec.retried_ops;
         install.retry_backoff_ms = exec.backoff_ms;
-        let unit_refs: Vec<(usize, usize)> = undo
-            .iter()
+        // Committed: the log is spent, and left empty for the next deploy.
+        let unit_refs = s
+            .undo
+            .drain(..)
             .filter_map(|op| match op {
                 UndoOp::UnitRef { group, unit } | UndoOp::FreshUnit { group, unit } => {
-                    Some((*group, *unit))
+                    Some((group, unit))
                 }
                 _ => None,
             })
@@ -670,13 +693,11 @@ impl FlyMon {
         self.tasks.insert(
             id,
             DeployedTask {
-                def: def.clone(),
+                def: Arc::clone(def),
                 algorithm: alg,
                 rows,
-                bindings: ordered_bindings
-                    .into_iter()
-                    .map(|b| b.expect("every row bound"))
-                    .collect(),
+                // `build_bindings` emits one binding per row, in row order.
+                bindings: s.bindings.drain(..).map(|(_, b)| b).collect(),
                 install,
                 unit_refs,
             },
@@ -706,9 +727,10 @@ impl FlyMon {
     }
 
     /// Replays an undo log in reverse, returning the system to the state
-    /// it had before the failed transaction started staging.
-    fn rollback(&mut self, undo: Vec<UndoOp>) {
-        for op in undo.into_iter().rev() {
+    /// it had before the failed transaction started staging, and leaves
+    /// the log empty.
+    fn rollback(&mut self, undo: &mut Vec<UndoOp>) {
+        for op in undo.drain(..).rev() {
             match op {
                 UndoOp::UnitRef { group, unit } => {
                     let u = &mut self.units[group][unit];
@@ -726,8 +748,8 @@ impl FlyMon {
                 } => {
                     self.allocators[group][cmu].free(offset, size);
                 }
-                UndoOp::Binding { group, cmu, task } => {
-                    self.groups[group].uninstall(cmu, task);
+                UndoOp::Bindings { group, task } => {
+                    self.groups[group].remove_task(task);
                 }
             }
         }
@@ -753,31 +775,25 @@ impl FlyMon {
     /// logged wrapper and WAL replay both run.
     pub(crate) fn remove_unlogged(&mut self, h: TaskHandle) -> Result<(), FlymonError> {
         self.generation = next_generation();
-        let rows = self.task(h)?.rows.clone();
+        // The record leaves the table for the op, so its rows are read
+        // where they are, not copied; a refusal puts it back.
+        let task = self.tasks.remove(&h.0).ok_or(FlymonError::NoSuchTask)?;
 
         // Phase 1 (fallible): clear partitions, then delete rules.
-        let snapshots = self.snapshot_rows(&rows)?;
-        let mut exec = ExecStats::default();
-        let cleared = self.clear_rows(&rows, &mut exec).and_then(|()| {
-            rows.iter().try_for_each(|r| {
-                self.exec_op(InstallOpKind::Rule(RuleKind::TableEntry), r.group, &mut exec)
-            })
-        });
-        if let Err(e) = cleared {
-            // Restore every partition we cleared; the task stays live.
-            self.restore_rows(&rows, snapshots);
+        if let Err(e) = self.clear_rows(&task.rows, true) {
+            // Every cleared partition is restored; the task stays live.
+            self.tasks.insert(h.0, task);
             return Err(e);
         }
 
-        // Phase 2 (infallible): bookkeeping.
-        let task = self
-            .tasks
-            .remove(&h.0)
-            .expect("task existed at phase 1 and nothing removed it since");
-        for group in &mut self.groups {
-            group.remove_task(h.0);
-        }
+        // Phase 2 (infallible): bookkeeping. Bindings go in per row, so
+        // only the rows' groups hold one of this task's.
+        let mut swept = None;
         for row in &task.rows {
+            if swept != Some(row.group) {
+                self.groups[row.group].remove_task(h.0);
+                swept = Some(row.group);
+            }
             self.allocators[row.group][row.cmu].free(row.offset, row.size);
         }
         for &(g, u) in &task.unit_refs {
@@ -816,11 +832,16 @@ impl FlyMon {
         h: TaskHandle,
         new_buckets: usize,
     ) -> Result<TaskHandle, FlymonError> {
-        let mut def = self.task(h)?.def.clone();
-        let old_buckets = std::mem::replace(&mut def.memory, new_buckets);
+        let old = Arc::clone(&self.task(h)?.def);
+        // A new definition for the new geometry: the old one stays what
+        // its record and its WAL intent say it was.
+        let def = Arc::new(TaskDefinition {
+            memory: new_buckets,
+            ..TaskDefinition::clone(&old)
+        });
         // Deploy-first so the task never goes dark; if capacity is tight
         // fall back to remove-then-deploy.
-        match self.deploy(&def) {
+        match self.deploy_shared(Arc::clone(&def)) {
             Ok(new_h) => match self.remove(h) {
                 Ok(()) => Ok(new_h),
                 Err(e) => {
@@ -832,19 +853,15 @@ impl FlyMon {
             },
             Err(first) => {
                 self.remove(h)?;
-                match self.deploy(&def) {
+                match self.deploy_shared(def) {
                     Ok(new_h) => Ok(new_h),
-                    Err(_) => {
-                        // The new geometry lost its race; re-deploying
-                        // the old definition keeps the task alive
-                        // (counts are lost either way, §6
-                        // freeze-and-divert).
-                        def.memory = old_buckets;
-                        match self.deploy(&def) {
-                            Ok(restored) => Err(FlymonError::ReallocationReverted { restored }),
-                            Err(_) => Err(first),
-                        }
-                    }
+                    // The new geometry lost its race; re-deploying the
+                    // old definition keeps the task alive (counts are
+                    // lost either way, §6 freeze-and-divert).
+                    Err(_) => match self.deploy_shared(old) {
+                        Ok(restored) => Err(FlymonError::ReallocationReverted { restored }),
+                        Err(_) => Err(first),
+                    },
                 }
             }
         }
@@ -866,12 +883,7 @@ impl FlyMon {
     /// logged wrapper and WAL replay both run.
     pub(crate) fn reset_unlogged(&mut self, h: TaskHandle) -> Result<(), FlymonError> {
         let rows = self.task(h)?.rows.clone();
-        let snapshots = self.snapshot_rows(&rows)?;
-        let mut exec = ExecStats::default();
-        if let Err(e) = self.clear_rows(&rows, &mut exec) {
-            self.restore_rows(&rows, snapshots);
-            return Err(e);
-        }
+        self.clear_rows(&rows, false)?;
         self.invalidate_programs(rows.iter().map(|r| r.group));
         Ok(())
     }
@@ -910,17 +922,29 @@ impl FlyMon {
         Ok(snapshots)
     }
 
-    /// Clears each row's partition behind a fault-judged register write,
-    /// stopping at the first refusal.
-    fn clear_rows(&mut self, rows: &[PlacedRow], exec: &mut ExecStats) -> Result<(), FlymonError> {
-        for r in rows {
-            self.exec_op(InstallOpKind::RegisterWrite, r.group, exec)?;
-            self.groups[r.group]
-                .cmu_mut(r.cmu)
-                .register_mut()
-                .clear_range(r.offset, r.offset + r.size)?;
+    /// Clears each row's partition behind a fault-judged register write
+    /// and then, for a remove (`delete_rules`), judges one rule deletion
+    /// per row — all or nothing: a refusal writes
+    /// [`FlyMon::snapshot_rows`]' copies back before it returns.
+    fn clear_rows(&mut self, rows: &[PlacedRow], delete_rules: bool) -> Result<(), FlymonError> {
+        let snapshots = self.snapshot_rows(rows)?;
+        let mut exec = ExecStats::default();
+        let cleared = rows
+            .iter()
+            .try_for_each(|r| {
+                self.exec_op(InstallOpKind::RegisterWrite, r.group, &mut exec)?;
+                let reg = self.groups[r.group].cmu_mut(r.cmu).register_mut();
+                Ok::<_, FlymonError>(reg.clear_range(r.offset, r.offset + r.size)?)
+            })
+            .and_then(|()| {
+                rows.iter().filter(|_| delete_rules).try_for_each(|r| {
+                    self.exec_op(InstallOpKind::Rule(RuleKind::TableEntry), r.group, &mut exec)
+                })
+            });
+        if cleared.is_err() {
+            self.restore_rows(rows, snapshots);
         }
-        Ok(())
+        cleared
     }
 
     /// Writes [`FlyMon::snapshot_rows`]' copies back over their rows.
@@ -1296,23 +1320,22 @@ impl FlyMon {
         free.nth(promised).map(KeyPlan::Fresh)
     }
 
-    /// Acquires a key source in group `g` as [`FlyMon::plan_key`] picks
-    /// it, configuring a fresh unit if needed. Every refcount bump is
-    /// mirrored into the undo log, so a later failure in the same
-    /// transaction releases exactly what was acquired — including a key
-    /// acquired for `key_source` before a failed `param_source`
-    /// acquisition (the historical leak).
+    /// Acquires a key source in group `g` as `plan` — what
+    /// [`FlyMon::plan_key`] picks in the group's current state — says,
+    /// configuring a fresh unit if needed; a fresh mask joins `masks`
+    /// once. Every refcount bump is mirrored into the undo log, so a
+    /// later failure in the same transaction releases exactly what was
+    /// acquired — including a key acquired for `key_source` before a
+    /// failed `param_source` acquisition (the historical leak).
     fn acquire_key(
         &mut self,
         g: usize,
         spec: KeySpec,
-        new_masks: &mut std::collections::HashSet<KeySpec>,
+        plan: KeyPlan,
         undo: &mut Vec<UndoOp>,
+        masks: &mut Vec<KeySpec>,
         exec: &mut ExecStats,
     ) -> Result<KeySource, FlymonError> {
-        let plan = self.plan_key(g, &spec, 0).ok_or_else(|| {
-            FlymonError::NoCapacity(format!("group {g} has no hash unit for {spec}"))
-        })?;
         let mut add_ref = |unit: usize| {
             self.units[g][unit].refs += 1;
             undo.push(UndoOp::UnitRef { group: g, unit });
@@ -1336,7 +1359,9 @@ impl FlyMon {
                     refs: 1,
                 };
                 self.groups[g].unit_mut(i).set_mask(spec);
-                new_masks.insert(spec);
+                if !masks.contains(&spec) {
+                    masks.push(spec);
+                }
                 undo.push(UndoOp::FreshUnit { group: g, unit: i });
                 Ok(KeySource::Unit(i))
             }
@@ -1359,86 +1384,115 @@ impl FlyMon {
         }
     }
 
-    /// CMUs in group `g` able to host `rows` new rows of `size` buckets
+    /// Whether CMU `c` of group `g` can host a new row of `size` buckets
     /// under `def`'s filter (§3.3: no traffic intersection on a CMU
     /// unless both tasks sample).
-    fn usable_cmus(&self, g: usize, def: &TaskDefinition, size: usize) -> Vec<usize> {
-        (0..self.config.cmus_per_group)
-            .filter(|&c| {
-                let compatible = self.groups[g].cmus()[c].bindings().iter().all(|b| {
-                    !b.filter.intersects(&def.filter)
-                        || (b.prob_log2 > 0 && def.prob_log2 > 0)
-                });
-                compatible && self.allocators[g][c].largest_free() >= size
+    fn cmu_usable(&self, g: usize, c: usize, def: &TaskDefinition, size: usize) -> bool {
+        self.allocators[g][c].largest_free() >= size
+            && self.groups[g].cmus()[c].bindings().iter().all(|b| {
+                !b.filter.intersects(&def.filter) || (b.prob_log2 > 0 && def.prob_log2 > 0)
             })
-            .collect()
     }
 
-    /// Greedy placement: returns one `PlacedSlot` per pipeline stage.
+    /// Greedy placement into `s`: one [`PlacedSlot`] per pipeline stage
+    /// of `alg`.
     fn place(
         &self,
         def: &TaskDefinition,
         needs: &compiler::KeyNeeds,
-        stage_rows: &[usize],
+        alg: Algorithm,
         size: usize,
-    ) -> Result<Vec<PlacedSlot>, FlymonError> {
-        // Score a group: can it host `rows` rows (on which CMUs), and
-        // does it already own the needed compressed keys (greedy
-        // preference, §3.4)? The score is the new masks it would take —
-        // fewer is better.
-        let group_fit = |g: usize, rows: usize| -> Option<(usize, PlacedSlot)> {
-            let mut new_masks = 0;
-            for spec in [&needs.key, &needs.param].into_iter().flatten() {
+        s: &mut DeployScratch,
+    ) -> Result<(), FlymonError> {
+        let (stages, rows) = stage_layout(alg);
+        let cmus = self.config.cmus_per_group;
+        // Score a group without building anything: does it have `rows`
+        // usable CMUs, and how many new masks would it take (fewer is
+        // better — the greedy preference for groups that already own
+        // the keys, §3.4)? Returns the score and the key's plan.
+        let fit = |g: usize| -> Option<(usize, Option<KeyPlan>)> {
+            let usable = (0..cmus).filter(|&c| self.cmu_usable(g, c, def, size)).count();
+            if usable < rows {
+                return None;
+            }
+            let key = match &needs.key {
+                Some(spec) => Some(self.plan_key(g, spec, 0)?),
+                None => None,
+            };
+            let mut new_masks = usize::from(matches!(key, Some(KeyPlan::Fresh(_))));
+            if let Some(spec) = &needs.param {
                 if let KeyPlan::Fresh(_) = self.plan_key(g, spec, new_masks)? {
                     new_masks += 1;
                 }
             }
-            let mut cmus = self.usable_cmus(g, def, size);
-            if cmus.len() < rows {
-                return None;
-            }
-            cmus.truncate(rows);
-            Some((new_masks, PlacedSlot { group: g, cmus }))
+            Some((new_masks, key))
+        };
+        // Only the chosen group's CMUs are collected.
+        s.slots.clear();
+        s.cmus.clear();
+        let mut take = |group: usize, key: Option<KeyPlan>| {
+            let start = s.cmus.len();
+            s.cmus.extend((0..cmus).filter(|&c| self.cmu_usable(group, c, def, size)).take(rows));
+            s.slots.push(PlacedSlot {
+                group,
+                key,
+                cmus: start..s.cmus.len(),
+            });
         };
 
-        if stage_rows.len() == 1 {
-            let rows = stage_rows[0];
-            let best = (0..self.config.groups)
-                .filter_map(|g| group_fit(g, rows))
-                .min_by_key(|(score, slot)| (*score, slot.group));
-            let (_, slot) = best.ok_or_else(|| {
-                FlymonError::NoCapacity(format!(
-                    "no group can host {} rows of {} buckets for task {}",
-                    rows, size, def.name
-                ))
-            })?;
-            return Ok(vec![slot]);
+        if stages == 1 {
+            let (_, group, key) = (0..self.config.groups)
+                .filter_map(|g| fit(g).map(|(score, key)| (score, g, key)))
+                .min_by_key(|&(score, g, _)| (score, g))
+                .ok_or_else(|| {
+                    FlymonError::NoCapacity(format!(
+                        "no group can host {} rows of {} buckets for task {}",
+                        rows, size, def.name
+                    ))
+                })?;
+            take(group, key);
+            return Ok(());
         }
 
         // Chained recipes: ascending distinct groups, one per stage.
-        let mut slots = Vec::with_capacity(stage_rows.len());
         let mut next_group = 0usize;
-        for &rows in stage_rows {
-            let (_, slot) = (next_group..self.config.groups)
-                .find_map(|g| group_fit(g, rows))
+        for _ in 0..stages {
+            let (group, key) = (next_group..self.config.groups)
+                .find_map(|g| Some((g, fit(g)?.1)))
                 .ok_or_else(|| {
                     FlymonError::NoCapacity(format!(
                         "no ascending group chain for task {} (stage needs {rows} rows)",
                         def.name
                     ))
                 })?;
-            next_group = slot.group + 1;
-            slots.push(slot);
+            take(group, key);
+            next_group = group + 1;
         }
-        Ok(slots)
+        Ok(())
     }
 }
 
-/// One stage's placement: a group and the CMUs used within it.
+/// Pipeline stages a recipe chains through (one group each, ascending)
+/// and the rows each stage places.
+fn stage_layout(alg: Algorithm) -> (usize, usize) {
+    match alg {
+        Algorithm::SuMaxSum { d } => (d, 1),
+        Algorithm::CounterBraids | Algorithm::OddSketch => (2, 1),
+        Algorithm::MaxInterval { d } => (3, d),
+        other => (1, other.cmus_used()),
+    }
+}
+
+/// One stage's placement: a group, the plan for the task's key there,
+/// and the CMUs its rows take.
 #[derive(Debug, Clone)]
 struct PlacedSlot {
     group: usize,
-    cmus: Vec<usize>,
+    /// [`FlyMon::plan_key`]'s answer for the key, which the commit
+    /// carries out: no stage before this one touched the group.
+    key: Option<KeyPlan>,
+    /// The slot's CMUs, as a range of [`DeployScratch::cmus`].
+    cmus: Range<usize>,
 }
 
 /// How a group serves a compressed key ([`FlyMon::plan_key`]).

@@ -383,17 +383,50 @@ impl CmuGroup {
         flymon_rmt::hash::compute_all(&self.units, pkt, out);
     }
 
-    /// Installs a binding on CMU `cmu`.
-    ///
-    /// Rejects, before anything changes, every binding the packet path
-    /// could not execute: a `prob_log2` above [`MAX_PROB_LOG2`] (the
-    /// 32-bit sampling coin cannot express rates below 2⁻³², and the
-    /// exponent would overflow the coin mask shift), a key or
-    /// compressed-key parameter naming a hash unit the group does not
-    /// have, and a preparation whose shift or modulus leaves 32 bits
-    /// (a zero or oversized one-hot width, more than 32 coupons, a ρ
-    /// that skips the whole key).
+    /// Installs a binding on CMU `cmu`: [`CmuGroup::install_all`] of one.
     pub fn install(&mut self, cmu: usize, binding: CmuBinding) -> Result<(), RmtError> {
+        self.install_all(std::iter::once((cmu, &binding)))
+    }
+
+    /// Installs `(cmu, binding)` pairs — a deploy's rows on this group,
+    /// a restored group's whole rule state — as one mutation: every
+    /// binding is checked before the first is pushed, each touched CMU
+    /// is recompiled once per run of pairs naming it, and the program
+    /// is refreshed once. A refusal therefore leaves the bindings, the
+    /// program and [`CmuGroup::program_version`] as they were; an empty
+    /// `bindings` changes nothing either.
+    ///
+    /// Rejects every binding the packet path could not execute: a
+    /// `prob_log2` above [`MAX_PROB_LOG2`] (the 32-bit sampling coin
+    /// cannot express rates below 2⁻³², and the exponent would overflow
+    /// the coin mask shift), a key or compressed-key parameter naming a
+    /// hash unit the group does not have, and a preparation whose shift
+    /// or modulus leaves 32 bits (a zero or oversized one-hot width,
+    /// more than 32 coupons, a ρ that skips the whole key).
+    pub fn install_all<'b>(
+        &mut self,
+        bindings: impl Iterator<Item = (usize, &'b CmuBinding)> + Clone,
+    ) -> Result<(), RmtError> {
+        for (cmu, binding) in bindings.clone() {
+            self.check(cmu, binding)?;
+        }
+        let mut last = None;
+        for (cmu, binding) in bindings {
+            if let Some(done) = last.filter(|&c| c != cmu) {
+                self.recompile_cmu(done);
+            }
+            self.cmus[cmu].bindings.push(binding.clone());
+            self.cmus[cmu].hits.push(0);
+            last = Some(cmu);
+        }
+        let Some(cmu) = last else { return Ok(()) };
+        self.recompile_cmu(cmu);
+        self.refresh_program();
+        Ok(())
+    }
+
+    /// [`CmuGroup::install_all`]'s admission check of one binding.
+    fn check(&self, cmu: usize, binding: &CmuBinding) -> Result<(), RmtError> {
         let below = |what, index: usize, limit: usize| {
             if index < limit {
                 Ok(())
@@ -407,7 +440,7 @@ impl CmuGroup {
             usize::from(binding.prob_log2),
             usize::from(MAX_PROB_LOG2) + 1,
         )?;
-        for unit in binding_units(&binding) {
+        for unit in binding_units(binding) {
             below("hash unit", unit, self.units.len())?;
         }
         match binding.prep {
@@ -419,16 +452,12 @@ impl CmuGroup {
             PrepAction::Rho { skip_top, .. } => below("rho skip_top", usize::from(skip_top), 32)?,
             PrepAction::None | PrepAction::MapZero { .. } | PrepAction::IntervalGated { .. } => {}
         }
-        self.cmus[cmu].bindings.push(binding);
-        self.cmus[cmu].hits.push(0);
-        self.recompile_cmu(cmu);
-        self.refresh_program();
         Ok(())
     }
 
     /// Removes the most recently installed binding of `task` on CMU
-    /// `cmu` — the precise inverse of one [`CmuGroup::install`], used by
-    /// transactional rollback. Returns whether a binding was removed.
+    /// `cmu` — the precise inverse of one [`CmuGroup::install`]. Returns
+    /// whether a binding was removed.
     pub fn uninstall(&mut self, cmu: usize, task: TaskId) -> bool {
         let Some(c) = self.cmus.get_mut(cmu) else {
             return false;
@@ -445,8 +474,10 @@ impl CmuGroup {
         }
     }
 
-    /// Removes every binding of `task` from every CMU; returns how many
-    /// were removed.
+    /// Removes every binding of `task` from every CMU — the inverse of
+    /// the [`CmuGroup::install_all`] that put a deploy's rows here — with
+    /// one program refresh if any was found; returns how many were
+    /// removed.
     pub fn remove_task(&mut self, task: TaskId) -> usize {
         let mut removed = 0;
         for ci in 0..self.cmus.len() {
@@ -1103,6 +1134,25 @@ mod tests {
         assert_eq!(g.remove_task(TaskId(7)), 2);
         assert!(g.cmus()[0].bindings().is_empty());
         assert_eq!(g.cmus()[2].bindings().len(), 1);
+    }
+
+    #[test]
+    fn install_all_checks_every_binding_before_one_refresh() {
+        let mut g = small_group();
+        let version = g.program_version();
+        let row = count_binding(1);
+        g.install_all((0..3).map(|cmu| (cmu, &row))).unwrap();
+        assert_eq!(g.program_version(), version + 1, "three rows, one refresh");
+        assert_eq!(g.program(), &g.reference_program());
+        // A refused binding anywhere in the call refuses all of it.
+        let (good, mut bad) = (count_binding(2), count_binding(2));
+        bad.prob_log2 = MAX_PROB_LOG2 + 1;
+        let before = (g.program().clone(), g.program_version());
+        assert!(g.install_all([(0, &good), (1, &bad)].into_iter()).is_err());
+        assert_eq!((g.program().clone(), g.program_version()), before);
+        assert!(g.cmus().iter().all(|c| c.bindings().len() == 1));
+        g.install_all(std::iter::empty()).unwrap();
+        assert_eq!(g.program_version(), before.1, "an empty install is no mutation");
     }
 
     #[test]

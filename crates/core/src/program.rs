@@ -62,11 +62,12 @@
 //! `KeyPlan` (serialized length + address masks), which is what the
 //! batch path's digest pass extracts and hashes by.
 //!
-//! **Invalidation rule**: every binding mutation — `install`,
+//! **Invalidation rule**: every binding mutation — `install_all` (a
+//! deploy's rows on one group; `install` is its one-binding case),
 //! `uninstall`, `remove_task` — recompiles the [`CompiledCmu`]s whose
 //! bindings it changed before it returns, then refreshes the group-wide
-//! facts (`unit_used`, `reads_ctx`, `match_of`, `dense_units`) and bumps
-//! the version; the explicit control-plane invalidation after
+//! facts (`unit_used`, `reads_ctx`, `match_of`, `dense_units`) once and
+//! bumps the version; the explicit control-plane invalidation after
 //! register-only resets recompiles every CMU the same way. Checkpoint
 //! restore and WAL replay reinstall bindings through those same entry
 //! points, so a restored or recovered switch can never execute a stale

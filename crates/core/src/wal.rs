@@ -79,6 +79,8 @@
 //! [`FlyMon::reset_task`]: crate::control::FlyMon::reset_task
 //! [`FlyMon::recover`]: crate::control::FlyMon::recover
 
+use std::sync::Arc;
+
 use flymon_packet::{KeySpec, PrefixFilter, TaskFilter};
 use flymon_rmt::hash::{crc32, CRC32_POLYNOMIALS};
 
@@ -372,8 +374,9 @@ impl<'a> Reader<'a> {
 /// What a logged operation set out to do, recorded before any mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalIntent {
-    /// Deploy this definition.
-    Deploy(Box<TaskDefinition>),
+    /// Deploy this definition — the one the deployed task record
+    /// shares.
+    Deploy(Arc<TaskDefinition>),
     /// Remove this task.
     Remove(TaskId),
     /// Re-home this task at a new bucket count.
@@ -472,7 +475,7 @@ impl WalRecord {
         let mut r = Reader(payload);
         let seq = r.u64()?;
         let intent = match r.u8()? {
-            1 => WalIntent::Deploy(Box::new(r.definition()?)),
+            1 => WalIntent::Deploy(Arc::new(r.definition()?)),
             2 => WalIntent::Remove(r.task()?),
             3 => WalIntent::Reallocate {
                 task: r.task()?,
@@ -874,7 +877,7 @@ mod tests {
     fn every_variant() -> WriteAheadLog {
         let mut wal = WriteAheadLog::new();
         for (i, def) in definitions().into_iter().enumerate() {
-            let s = wal.append(WalIntent::Deploy(Box::new(def)));
+            let s = wal.append(WalIntent::Deploy(Arc::new(def)));
             match i % 3 {
                 0 => wal.commit(s, None, Some((TaskId(i as u32 + 1), 1 << (i % 17)))),
                 1 => wal.abort(s),
@@ -925,7 +928,7 @@ mod tests {
             .probability_log2(2)
             .build();
         let mut wal = WriteAheadLog::new();
-        let s = wal.append(WalIntent::Deploy(Box::new(def)));
+        let s = wal.append(WalIntent::Deploy(Arc::new(def)));
         wal.commit(s, None, Some((TaskId(7), 8192)));
         let mut bytes = Vec::new();
         wal.records()[0].encode(&mut bytes);

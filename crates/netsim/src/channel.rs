@@ -401,21 +401,37 @@ impl ControlChannel {
     }
 
     /// Partitions or heals the link to `switch`. While partitioned,
-    /// nothing is delivered in either direction.
-    pub fn set_partitioned(&mut self, switch: usize, partitioned: bool) {
+    /// nothing is delivered in either direction. A switch the channel
+    /// has no link to is refused, with nothing logged.
+    pub fn set_partitioned(&mut self, switch: usize, partitioned: bool) -> Result<(), FlymonError> {
+        self.require_link(switch)?;
         self.log(self.now_ms, EventKind::Link { switch, partitioned });
         self.links[switch].partitioned = partitioned;
+        Ok(())
+    }
+
+    /// Refuses a switch index past the channel's links, naming it.
+    fn require_link(&self, switch: usize) -> Result<(), FlymonError> {
+        let n = self.links.len();
+        if switch < n {
+            return Ok(());
+        }
+        Err(FlymonError::BadTask(format!(
+            "switch {switch} has no control link ({n} links)"
+        )))
     }
 
     /// Heals every partition, returning how many links were down.
     pub fn heal_all(&mut self) -> usize {
-        let down: Vec<usize> = (0..self.links.len())
-            .filter(|&i| self.links[i].partitioned)
-            .collect();
-        for &i in &down {
-            self.set_partitioned(i, false);
+        let mut healed = 0;
+        for i in 0..self.links.len() {
+            if self.links[i].partitioned {
+                self.log(self.now_ms, EventKind::Link { switch: i, partitioned: false });
+                self.links[i].partitioned = false;
+                healed += 1;
+            }
         }
-        down.len()
+        healed
     }
 
     /// Replaces the fault rates (drop, duplicate, reorder) — the
@@ -532,7 +548,8 @@ impl ControlChannel {
     /// delivered. `Err(ChannelTimeout)` guarantees it never ran; any
     /// other return value (including logical apply errors, which are
     /// cached and replayed to retransmissions like results) is the
-    /// outcome of its single run.
+    /// outcome of its single run. A switch the channel has no link to
+    /// is refused before anything is sent, counted or logged.
     pub fn invoke<F>(
         &mut self,
         switch: usize,
@@ -542,7 +559,7 @@ impl ControlChannel {
     where
         F: FnOnce() -> Result<TxnResult, FlymonError>,
     {
-        assert!(switch < self.links.len(), "no such switch link");
+        self.require_link(switch)?;
         let txn = self.next_txn;
         self.next_txn += 1;
         let term = self.term;
@@ -729,7 +746,7 @@ mod tests {
     #[test]
     fn partition_times_out_without_applying() {
         let mut ch = lossless();
-        ch.set_partitioned(0, true);
+        ch.set_partitioned(0, true).unwrap();
         let mut applied = 0;
         let err = ch
             .invoke(0, "noop", || {
@@ -741,8 +758,42 @@ mod tests {
         assert_eq!(applied, 0, "outcome determinacy: timeout => never applied");
         // The other link is unaffected.
         assert!(ch.invoke(1, "noop", || Ok(TxnResult::Unit)).is_ok());
-        ch.set_partitioned(0, false);
+        ch.set_partitioned(0, false).unwrap();
         assert!(ch.invoke(0, "noop", || Ok(TxnResult::Unit)).is_ok());
+    }
+
+    #[test]
+    fn invoke_refuses_a_switch_without_a_link() {
+        // Regression: this used to panic on an `assert!`.
+        let mut ch = lossless();
+        let mut applied = 0;
+        let err = ch
+            .invoke(2, "noop", || {
+                applied += 1;
+                Ok(TxnResult::Unit)
+            })
+            .unwrap_err();
+        assert!(matches!(&err, FlymonError::BadTask(why) if why.contains("switch 2")), "{err:?}");
+        assert_eq!(applied, 0);
+        assert_eq!(*ch.stats(), ChannelStats::default(), "nothing was sent or counted");
+        assert!(ch.event_log().is_empty());
+        assert_eq!(ch.now_ms(), 0.0);
+        // The refusal burned no transaction id: the next command is txn 1.
+        assert!(ch.invoke(1, "noop", || Ok(TxnResult::Unit)).is_ok());
+        assert!(ch.event_log()[0].contains("txn=1 noop->sw1"), "{:?}", ch.event_log());
+    }
+
+    #[test]
+    fn set_partitioned_refuses_a_switch_without_a_link() {
+        // Regression: this logged a `Link` event for the missing switch,
+        // then panicked indexing its link.
+        let mut ch = lossless();
+        let err = ch.set_partitioned(5, true).unwrap_err();
+        assert!(matches!(&err, FlymonError::BadTask(why) if why.contains("switch 5")), "{err:?}");
+        assert!(ch.event_log().is_empty(), "a refusal logs nothing");
+        assert_eq!(ch.heal_all(), 0, "no link went down");
+        ch.set_partitioned(1, true).unwrap();
+        assert_eq!(ch.event_log(), ["t=0.000 sw1 partitioned"]);
     }
 
     #[test]

@@ -490,7 +490,8 @@ pub fn run_schedule(seed: u64, cfg: &ChaosConfig) -> ChaosReport {
             }
             ChaosEvent::Partition(i) => {
                 if let Some(ch) = fleet.channel_mut() {
-                    ch.set_partitioned(*i, true);
+                    ch.set_partitioned(*i, true)
+                        .expect("scheduled switches are in the fleet");
                 }
             }
             ChaosEvent::Heal => {
@@ -505,14 +506,16 @@ pub fn run_schedule(seed: u64, cfg: &ChaosConfig) -> ChaosReport {
             }
             ChaosEvent::Flap(i) => {
                 if let Some(ch) = fleet.channel_mut() {
-                    ch.set_partitioned(*i, true);
+                    ch.set_partitioned(*i, true)
+                        .expect("scheduled switches are in the fleet");
                 }
                 // Push a sync into the hole: commands to the flapped
                 // switch burn their retry budget and time out; every
                 // other switch ships normally.
                 fleet.sync_standby();
                 if let Some(ch) = fleet.channel_mut() {
-                    ch.set_partitioned(*i, false);
+                    ch.set_partitioned(*i, false)
+                        .expect("scheduled switches are in the fleet");
                     ch.broadcast_term();
                 }
             }

@@ -42,6 +42,7 @@
 //! represented in some alive register file, explicitly lost, held by a
 //! dead switch, or dropped.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use flymon::oracle::PerPacket;
@@ -106,9 +107,10 @@ impl PacketLedger {
 /// each switch's handle for it.
 #[derive(Debug)]
 struct FleetTask {
-    /// The definition every switch deployed (kept current across
-    /// reallocation and splits).
-    def: TaskDefinition,
+    /// The definition every switch deployed — the one their task
+    /// records and WAL intents share (kept current across reallocation
+    /// and splits).
+    def: Arc<TaskDefinition>,
     /// The algorithm that runs it (identical on every switch).
     algorithm: Algorithm,
     /// One handle per switch; `None` on switches whose deployment
@@ -226,11 +228,11 @@ pub struct SwitchFleet {
 #[derive(Clone, Copy)]
 enum Cmd<'a> {
     /// Deploy `def`; the new handle fills column `col`.
-    Deploy { def: &'a TaskDefinition, col: usize },
+    Deploy { def: &'a Arc<TaskDefinition>, col: usize },
     /// Remove column `col`'s task, emptying the slot; `def` is what it
     /// ran (definitions are deterministic, so deploying it again lands
     /// back in an equivalent placement).
-    Remove { def: &'a TaskDefinition, col: usize },
+    Remove { def: &'a Arc<TaskDefinition>, col: usize },
     /// Resize column `col`'s task from `from` to `to` buckets per row,
     /// reminting its handle.
     Resize { col: usize, from: usize, to: usize },
@@ -272,6 +274,7 @@ impl SwitchFleet {
         task: &TaskDefinition,
         faults: &mut [Option<FaultPlan>],
     ) -> Result<Self, FlymonError> {
+        let task = Arc::new(task.clone());
         let mut switches = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
         let mut alive = Vec::with_capacity(n);
@@ -286,7 +289,7 @@ impl SwitchFleet {
             if let Some(plan) = faults.get_mut(i).and_then(Option::take) {
                 fm.arm_faults(plan);
             }
-            match fm.deploy(task) {
+            match fm.deploy_shared(Arc::clone(&task)) {
                 Ok(h) => {
                     algorithm = Some(fm.task(h)?.algorithm);
                     handles.push(Some(h));
@@ -312,7 +315,7 @@ impl SwitchFleet {
         }
         let tasks = match algorithm {
             Some(algorithm) => vec![FleetTask {
-                def: task.clone(),
+                def: task,
                 algorithm,
                 handles,
             }],
@@ -871,8 +874,9 @@ impl SwitchFleet {
     ) -> Result<(), FlymonError> {
         match cmd {
             Cmd::Deploy { def, col } => {
-                let reply =
-                    Self::send(channel, sw, i, op, |sw| sw.deploy(def).map(TxnResult::Handle))?;
+                let reply = Self::send(channel, sw, i, op, |sw| {
+                    sw.deploy_shared(Arc::clone(def)).map(TxnResult::Handle)
+                })?;
                 cols[col][i] = Some(reply.handle());
             }
             Cmd::Remove { col, .. } if roll_forward && cols[col][i].is_none() => {}
@@ -973,7 +977,10 @@ impl SwitchFleet {
             &mut [&mut t.handles],
             Some("reallocate-rollback"),
         )?;
-        t.def.memory = new_buckets;
+        // Every switch deployed the new geometry's definition; the
+        // fleet shares the first one's.
+        let h = t.handles[0].ok_or(FlymonError::NoSuchTask)?;
+        t.def = Arc::clone(&self.switches[0].task(h)?.def);
         Ok(())
     }
 
@@ -1000,10 +1007,12 @@ impl SwitchFleet {
                 parent.def.filter
             ))
         })?;
-        let child = |half: u8, filter| TaskDefinition {
-            name: format!("{}/{half}", parent.def.name),
-            filter,
-            ..parent.def.clone()
+        let child = |half: u8, filter| {
+            Arc::new(TaskDefinition {
+                name: format!("{}/{half}", parent.def.name),
+                filter,
+                ..TaskDefinition::clone(&parent.def)
+            })
         };
         let (lo_def, hi_def) = (child(0, lo), child(1, hi));
         let n = parent.handles.len();
@@ -1041,23 +1050,27 @@ impl SwitchFleet {
     /// A refusal unwinds ([`SwitchFleet::sweep`]): the switches already
     /// deployed remove the task again and the fleet's task list is
     /// unchanged. Returns the new task's index.
+    ///
+    /// The fleet's list, and every switch's task record and WAL intent,
+    /// share one copy of `def`.
     pub fn deploy_task(&mut self, def: &TaskDefinition) -> Result<usize, FlymonError> {
         if self.switches.is_empty() {
             return Err(FlymonError::NoCapacity("fleet has no switches".into()));
         }
         self.require_fully_alive()?;
+        let def = Arc::new(def.clone());
         let mut handles = vec![None; self.switches.len()];
         Self::sweep(
             &mut self.channel,
             &mut self.switches,
-            &[("deploy", Cmd::Deploy { def, col: 0 })],
+            &[("deploy", Cmd::Deploy { def: &def, col: 0 })],
             &mut [&mut handles],
             Some("deploy-rollback"),
         )?;
         let h = handles[0].expect("every deploy succeeded above");
         let algorithm = self.switches[0].task(h)?.algorithm;
         self.tasks.push(FleetTask {
-            def: def.clone(),
+            def,
             algorithm,
             handles,
         });

@@ -1720,7 +1720,8 @@ mod tests {
         rt.fleet_mut()
             .channel_mut()
             .unwrap()
-            .set_partitioned(1, true);
+            .set_partitioned(1, true)
+            .unwrap();
         for _ in 0..8 {
             rt.step(&mut src)
                 .expect("channel grace must hold the stall detector off");
@@ -1735,7 +1736,8 @@ mod tests {
         rt.fleet_mut()
             .channel_mut()
             .unwrap()
-            .set_partitioned(1, false);
+            .set_partitioned(1, false)
+            .unwrap();
         let report = rt.run(&mut src).unwrap();
         assert_eq!(report.health, RuntimeHealth::Healthy);
         assert_eq!(report.stats.promotions, 1, "respawn used the checkpoint path");
@@ -1769,7 +1771,8 @@ mod tests {
         rt.fleet_mut()
             .channel_mut()
             .unwrap()
-            .set_partitioned(1, true);
+            .set_partitioned(1, true)
+            .unwrap();
         let err = rt.run(&mut src).unwrap_err();
         assert!(
             matches!(err, IngestError::Stalled { .. }),

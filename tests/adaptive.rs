@@ -417,7 +417,7 @@ fn controller_survives_a_grow_that_times_out() {
         packets: 2048,
     };
 
-    fleet.channel_mut().unwrap().set_partitioned(2, true);
+    fleet.channel_mut().unwrap().set_partitioned(2, true).unwrap();
     let taken = ctl.on_epoch(&mut fleet, &epoch, false).unwrap();
     fleet.channel_mut().unwrap().heal_all();
     assert!(taken.is_empty(), "the timed-out grow is not a decision: {taken:?}");

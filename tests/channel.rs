@@ -430,7 +430,7 @@ fn every_line_kind_scenario() -> Vec<String> {
     // times a command out, and heals.
     ch.push_script([DuplicateDeliver]);
     ch.invoke(1, "reset", unit).unwrap();
-    ch.set_partitioned(1, true);
+    ch.set_partitioned(1, true).unwrap();
     ch.advance(10.0);
     ch.invoke(1, "reset", unit).unwrap_err();
     assert_eq!(ch.heal_all(), 1);
@@ -643,7 +643,7 @@ fn a_refused_sweep_leaves_the_fleet_as_it_found_it_and_the_retry_matches_a_twin(
             let infos_before = fleet.task_infos();
 
             match refusal {
-                Refusal::Partition(s) => fleet.channel_mut().unwrap().set_partitioned(s, true),
+                Refusal::Partition(s) => fleet.channel_mut().unwrap().set_partitioned(s, true).unwrap(),
                 Refusal::InstallFault(s) => fleet
                     .switch_mut(s)
                     .arm_faults(FaultPlan::new(9).fail_probability(1.0)),

@@ -7,6 +7,7 @@
 
 use flymon::oracle::PerPacket;
 use flymon::prelude::*;
+use flymon::wal::WalIntent;
 use flymon_netsim::SwitchFleet;
 use flymon_packet::{KeySpec, Packet};
 use flymon_traffic::gen::{TraceConfig, TraceGenerator};
@@ -378,5 +379,55 @@ fn corrupted_wal_suffix_fails_recovery_and_pre_anchor_corruption_does_not() {
     assert!(wal.corrupt_frame(anchor));
     let recovered = FlyMon::recover(&wal, &chk).unwrap();
     assert_eq!(recovered.task_count(), 2);
+    assert!(recovered.audit().is_empty(), "{:?}", recovered.audit());
+}
+
+/// A deployed definition is shared by its task record and the WAL
+/// intent that logged it, so a reallocation must deploy a new one, never
+/// edit the shared one: after two reallocations the first intent still
+/// says what was first deployed, the live record says what runs now,
+/// and replaying the log from a checkpoint taken before either one
+/// lands on the live switch row for row.
+#[test]
+fn reallocation_deploys_a_new_definition_and_replays_from_the_old() {
+    let mut fm = FlyMon::new(config());
+    fm.attach_wal(WriteAheadLog::new());
+    let named = |name: &str, d| TaskDefinition {
+        name: name.into(),
+        ..cms_def(d)
+    };
+    let moved = fm.deploy(&named("moved", 1)).unwrap();
+    fm.deploy(&named("kept", 2)).unwrap();
+    let gone = fm.deploy(&named("gone", 1)).unwrap();
+    fm.process_batch(&trace(0x5EED, 20_000));
+    let chk = fm.checkpoint(CaptureMode::Full);
+
+    let moved = fm.reallocate_memory(moved, 4096).unwrap();
+    let moved = fm.reallocate_memory(moved, 2048).unwrap();
+    fm.remove(gone).unwrap();
+
+    let wal = fm.wal().unwrap();
+    let WalIntent::Deploy(first) = &wal.records()[0].intent else {
+        panic!("the first record is the first deploy: {:?}", wal.records()[0]);
+    };
+    assert_eq!((first.name.as_str(), first.memory), ("moved", 8192));
+    assert_eq!(fm.task(moved).unwrap().def.memory, 2048);
+
+    let recovered = FlyMon::recover(wal, &chk).unwrap();
+    assert_eq!(recovered.task_count(), fm.task_count());
+    // Ids are handed out in order from 1: three deploys, two moves.
+    for t in 1..=5 {
+        let h = TaskHandle(flymon::task::TaskId(t));
+        let (Ok(live), Ok(back)) = (fm.task(h), recovered.task(h)) else {
+            assert_eq!(fm.task(h).is_ok(), recovered.task(h).is_ok(), "task {t}");
+            continue;
+        };
+        assert_eq!(live.def, back.def, "task {t}");
+        assert_eq!(live.rows.len(), back.rows.len(), "task {t}");
+        for (row, (a, b)) in live.rows.iter().zip(&back.rows).enumerate() {
+            assert_eq!(a.size, b.size, "task {t} row {row}");
+            assert_eq!(fm.read_row(h, row).unwrap(), recovered.read_row(h, row).unwrap());
+        }
+    }
     assert!(recovered.audit().is_empty(), "{:?}", recovered.audit());
 }

@@ -111,6 +111,13 @@ fn every_nth_op_failure_rolls_back_to_pristine_state() {
                 assert_eq!(e.op_index, n, "the Nth op must be the one that failed");
                 assert_eq!(snapshot(&fm), pre, "rollback of op #{n} left residue");
                 assert_clean(&fm);
+                for (g, group) in fm.groups().iter().enumerate() {
+                    assert_eq!(
+                        group.program(),
+                        &group.reference_program(),
+                        "rollback of op #{n} left group {g} a stale program"
+                    );
+                }
                 failures += 1;
             }
             Err(other) => panic!("unexpected error at op {n}: {other}"),
@@ -129,6 +136,49 @@ fn every_nth_op_failure_rolls_back_to_pristine_state() {
     }
     assert_eq!(fm.query_frequency(handle, &Packet::tcp(0x0a000001, 9, 9, 9)), 5);
     assert_eq!(fm.query_frequency(tenant, &Packet::tcp(0x14000001, 9, 9, 9)), 9);
+}
+
+/// A deploy installs each group's rows in one call, and a remove sweeps
+/// only the groups its rows are on: each moves `program_version` by
+/// exactly one on every group in the task's rows and leaves every other
+/// group's alone — for a one-group task and for a chain across groups.
+#[test]
+fn deploy_and_remove_refresh_each_touched_group_once() {
+    let mut fm = FlyMon::new(FlyMonConfig {
+        groups: 5,
+        buckets_per_cmu: 1024,
+        ..FlyMonConfig::default()
+    });
+    // A bystander on group 0, the first group every placement tries.
+    let bystander = fm.deploy(&cms("bystander", 3, 256)).unwrap();
+    let versions = |fm: &FlyMon| -> Vec<u64> {
+        fm.groups().iter().map(|g| g.program_version()).collect()
+    };
+    let chain = TaskDefinition::builder("chain")
+        .key(KeySpec::DST_IP)
+        .attribute(Attribute::frequency_packets())
+        .algorithm(Algorithm::SuMaxSum { d: 3 })
+        .memory(128)
+        .build();
+    for def in [cms("rows", 3, 128), chain] {
+        let before = versions(&fm);
+        let h = fm.deploy(&def).unwrap();
+        let mut touched: Vec<usize> = fm.task(h).unwrap().rows.iter().map(|r| r.group).collect();
+        touched.dedup();
+        assert!(!touched.contains(&fm.task(bystander).unwrap().rows[0].group), "{}", def.name);
+        let expect = |before: &[u64]| -> Vec<u64> {
+            let bump = |g| u64::from(touched.contains(&g));
+            before.iter().enumerate().map(|(g, v)| v + bump(g)).collect()
+        };
+        assert_eq!(versions(&fm), expect(&before), "deploy of {}", def.name);
+        let before = versions(&fm);
+        fm.remove(h).unwrap();
+        assert_eq!(versions(&fm), expect(&before), "remove of {}", def.name);
+        for group in fm.groups() {
+            assert_eq!(group.program(), &group.reference_program());
+        }
+        assert_clean(&fm);
+    }
 }
 
 /// Regression for the historical partial-failure leak: a key source
