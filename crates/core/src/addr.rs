@@ -79,13 +79,6 @@ impl AddrTranslation {
     pub fn tcam_entries(&self) -> usize {
         1usize << self.partitions_log2
     }
-
-    /// PHV bits the single-stage shift-based variant costs per CMU:
-    /// one pre-computed 16-bit shifted address per partition level
-    /// (Fig. 11b).
-    pub fn shift_phv_bits(&self) -> usize {
-        16 * usize::from(self.partitions_log2)
-    }
 }
 
 /// Figure 11a: fraction of one MAU stage's TCAM needed to split a CMU

@@ -774,7 +774,7 @@ mod tests {
                         4 if !handles.is_empty() => {
                             let retire = rng.next_u32().is_multiple_of(2);
                             for sw in fm.iter_mut() {
-                                sw.rotate_banks(handles).unwrap();
+                                sw.rotate_banks().unwrap();
                                 if retire {
                                     sw.retire_epoch_banks();
                                 }

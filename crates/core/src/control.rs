@@ -973,49 +973,41 @@ impl FlyMon {
     /// and merge as zeros.
     ///
     /// Semantically equivalent to [`FlyMon::reset_task`] over every
-    /// handle, and logged the same way: one `Reset` intent per task,
-    /// appended before any mutation, so recovery and standby promotion
-    /// replay per-task `clear_range` sweeps onto the checkpoint image
-    /// and land on the same all-zero registers. Each partition is also
-    /// marked on the checkpoint watermark, so the next delta snapshot
-    /// ships the zeros exactly as a clear sweep would have.
+    /// deployed task in task-id order, and logged the same way: one
+    /// `Reset` intent per task, appended before any mutation, so
+    /// recovery and standby promotion replay per-task `clear_range`
+    /// sweeps onto the checkpoint image and land on the same all-zero
+    /// registers. Each partition is also marked on the checkpoint
+    /// watermark, so the next delta snapshot ships the zeros exactly as
+    /// a clear sweep would have.
     ///
     /// All-or-nothing for the whole switch: every reset op is
     /// fault-judged *before* the first swap, so a refused op leaves
     /// every register (and the WAL, via aborts) untouched.
     ///
-    /// `handles` must cover every deployed task — a bank swap clears
-    /// whole registers, which is only a reset if no bystander task
-    /// keeps state in them. Callers rotating a subset use
-    /// [`FlyMon::reset_task`] per handle instead.
-    pub fn rotate_banks(&mut self, handles: &[TaskHandle]) -> Result<(), FlymonError> {
-        let intents = handles.iter().map(|h| WalIntent::Reset(h.0));
-        self.logged(intents, None, |fm| fm.rotate_banks_unlogged(handles))
+    /// A bank swap clears whole registers, which is only a reset when
+    /// it covers every task keeping state in them — hence the whole
+    /// switch. Callers resetting a subset use [`FlyMon::reset_task`]
+    /// per handle instead.
+    pub fn rotate_banks(&mut self) -> Result<(), FlymonError> {
+        let mut ids: Vec<TaskId> = self.tasks.keys().copied().collect();
+        ids.sort_unstable();
+        let intents = ids.iter().map(|&id| WalIntent::Reset(id));
+        self.logged(intents, None, |fm| fm.rotate_banks_unlogged(&ids))
     }
 
-    /// [`FlyMon::rotate_banks`] without write-ahead logging. (WAL
-    /// replay does not run this: the logged intents are plain per-task
-    /// resets, replayed through [`FlyMon::reset_unlogged`].)
-    pub(crate) fn rotate_banks_unlogged(
-        &mut self,
-        handles: &[TaskHandle],
-    ) -> Result<(), FlymonError> {
-        let mut ids: Vec<TaskId> = handles.iter().map(|h| h.0).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        if ids.len() != self.tasks.len() || ids.iter().any(|id| !self.tasks.contains_key(id)) {
-            return Err(FlymonError::BadTask(
-                "rotate_banks must cover every deployed task exactly (bank swaps clear whole \
-                 registers)"
-                    .into(),
-            ));
-        }
-        // (group, cmu, offset, size) per row, in handle order — the same
+    /// [`FlyMon::rotate_banks`] of the tasks `ids` — every deployed one,
+    /// in the order their resets are judged — without write-ahead
+    /// logging. (WAL replay does not run this: the logged intents are
+    /// plain per-task resets, replayed through
+    /// [`FlyMon::reset_unlogged`].)
+    fn rotate_banks_unlogged(&mut self, ids: &[TaskId]) -> Result<(), FlymonError> {
+        // (group, cmu, offset, size) per row, in task order — the same
         // op order a reset_task sweep would judge.
         let mut rows: Vec<(usize, usize, usize, usize)> = Vec::new();
-        for h in handles {
+        for id in ids {
             rows.extend(
-                self.task(*h)?
+                self.tasks[id]
                     .rows
                     .iter()
                     .map(|r| (r.group, r.cmu, r.offset, r.size)),

@@ -206,16 +206,6 @@ pub struct ReadoutScratch {
     pub hash: HashScratch,
 }
 
-impl ReadoutScratch {
-    /// Prepares the accumulator for an `n`-bucket row: cleared, with
-    /// capacity reused across rows and epochs.
-    pub fn begin_row(&mut self, n: usize) -> &mut Vec<u32> {
-        self.acc.clear();
-        self.acc.reserve(n);
-        &mut self.acc
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

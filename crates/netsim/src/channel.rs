@@ -14,7 +14,7 @@
 //!
 //! 1. **Timeout + backoff retries.** The controller retries each
 //!    command up to [`RetryPolicy::max_attempts`] times, waiting
-//!    [`ChannelConfig::timeout_ms`] for each lost leg and backing off
+//!    `TIMEOUT_MS` of virtual time for each lost leg and backing off
 //!    between attempts with seeded jitter
 //!    ([`RetryPolicy::backoff_before_jittered`]) so synchronized
 //!    failures do not produce synchronized retry storms.
@@ -100,7 +100,17 @@ pub enum ScriptStep {
     DuplicateDeliver,
 }
 
-/// Fault and timing model of the control channel.
+/// Base one-way flight time of a command leg, in virtual ms.
+const BASE_DELAY_MS: f64 = 0.1;
+/// Uniform extra flight-time jitter per leg, drawn in
+/// `[0, DELAY_JITTER_MS)` virtual ms.
+const DELAY_JITTER_MS: f64 = 0.05;
+/// How long the controller waits for a reply before declaring the
+/// attempt lost, in virtual ms.
+const TIMEOUT_MS: f64 = 2.0;
+
+/// Fault model of the control channel (its timing is fixed:
+/// `BASE_DELAY_MS`, `DELAY_JITTER_MS` and `TIMEOUT_MS`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelConfig {
     /// Per-leg loss probability in `0.0..=1.0` (request and reply legs
@@ -113,13 +123,6 @@ pub struct ChannelConfig {
     /// late (extra delay; observable as out-of-order arrival times in
     /// the event log).
     pub reorder_rate: f64,
-    /// Base one-way flight time of a command leg, in virtual ms.
-    pub base_delay_ms: f64,
-    /// Uniform extra flight-time jitter in `[0, delay_jitter_ms)`.
-    pub delay_jitter_ms: f64,
-    /// How long the controller waits for a reply before declaring the
-    /// attempt lost, in virtual ms.
-    pub timeout_ms: f64,
     /// Retry budget and backoff schedule per command.
     pub retry: RetryPolicy,
     /// Per-switch dedup window size (applied txns remembered with
@@ -135,9 +138,6 @@ impl Default for ChannelConfig {
             drop_rate: 0.0,
             dup_rate: 0.0,
             reorder_rate: 0.0,
-            base_delay_ms: 0.1,
-            delay_jitter_ms: 0.05,
-            timeout_ms: 2.0,
             retry: RetryPolicy::with_attempts(8).with_jitter(0.5),
             dedup_window: 64,
         }
@@ -145,18 +145,12 @@ impl Default for ChannelConfig {
 }
 
 impl ChannelConfig {
-    /// Validates the configuration: probabilities in `0.0..=1.0`,
-    /// finite non-negative delays, a valid retry policy, and a nonzero
-    /// dedup window.
+    /// Validates the configuration: probabilities in `0.0..=1.0`, a
+    /// valid retry policy, and a nonzero dedup window.
     pub fn validate(&self) -> Result<(), &'static str> {
         for p in [self.drop_rate, self.dup_rate, self.reorder_rate] {
             if !p.is_finite() || !(0.0..=1.0).contains(&p) {
                 return Err("channel fault rates must be finite fractions in 0.0..=1.0");
-            }
-        }
-        for d in [self.base_delay_ms, self.delay_jitter_ms, self.timeout_ms] {
-            if !d.is_finite() || d < 0.0 {
-                return Err("channel delays must be finite and non-negative");
             }
         }
         self.retry.validate()?;
@@ -530,12 +524,7 @@ impl ControlChannel {
     }
 
     fn flight_ms(&mut self) -> f64 {
-        self.cfg.base_delay_ms
-            + if self.cfg.delay_jitter_ms > 0.0 {
-                self.rng.next_f64() * self.cfg.delay_jitter_ms
-            } else {
-                0.0
-            }
+        BASE_DELAY_MS + self.rng.next_f64() * DELAY_JITTER_MS
     }
 
     /// Routes one controller→switch command through the channel: up to
@@ -585,7 +574,7 @@ impl ControlChannel {
             let overtaken = step.is_none() && self.cfg.reorder_rate > 0.0 && self.rng.chance(self.cfg.reorder_rate);
             if overtaken {
                 self.stats.reordered += 1;
-                flight += 2.0 * self.cfg.base_delay_ms + self.flight_ms();
+                flight += 2.0 * BASE_DELAY_MS + self.flight_ms();
             }
             self.now_ms += flight;
             self.flush_late_copies();
@@ -596,7 +585,7 @@ impl ControlChannel {
                 };
             if req_lost {
                 self.stats.request_drops += 1;
-                self.now_ms += self.cfg.timeout_ms;
+                self.now_ms += TIMEOUT_MS;
                 self.log(self.now_ms, EventKind::Attempt { cmd, how: "request lost", attempt, max });
                 continue;
             }
@@ -638,7 +627,7 @@ impl ControlChannel {
             };
             if duplicated {
                 self.stats.duplicates += 1;
-                let due_ms = self.now_ms + 2.0 * self.cfg.base_delay_ms + self.flight_ms();
+                let due_ms = self.now_ms + 2.0 * BASE_DELAY_MS + self.flight_ms();
                 self.pending.push(LateCopy {
                     due_ms,
                     switch,
@@ -663,7 +652,7 @@ impl ControlChannel {
                 };
             if reply_lost {
                 self.stats.reply_drops += 1;
-                self.now_ms += self.cfg.timeout_ms;
+                self.now_ms += TIMEOUT_MS;
                 self.log(self.now_ms, EventKind::Attempt { cmd, how: "reply lost", attempt, max });
                 continue;
             }
@@ -916,9 +905,6 @@ mod tests {
     fn config_validation_rejects_degenerate_channels() {
         assert!(ChannelConfig::default().validate().is_ok());
         assert!(ChannelConfig { drop_rate: 1.5, ..ChannelConfig::default() }.validate().is_err());
-        assert!(ChannelConfig { base_delay_ms: f64::NAN, ..ChannelConfig::default() }
-            .validate()
-            .is_err());
         assert!(ChannelConfig { dedup_window: 0, ..ChannelConfig::default() }.validate().is_err());
         assert!(ChannelConfig {
             retry: RetryPolicy::with_attempts(3).with_jitter(2.0),

@@ -105,9 +105,11 @@ pub enum ChaosEvent {
     Promote(usize),
     /// Revive a dead switch (clearing its registers).
     Revive(usize),
-    /// Deploy an ephemeral secondary task on a switch — sometimes
-    /// through an armed fault plan, sometimes left deployed — then
-    /// usually remove it.
+    /// Deploy an ephemeral task fleet-wide ([`SwitchFleet::deploy_task`])
+    /// — sometimes with a fault plan armed on the named switch,
+    /// sometimes left deployed — then usually remove it
+    /// ([`SwitchFleet::remove_task`]). A fleet with a dead switch
+    /// refuses the deploy.
     Reconfigure(usize),
     /// Partition a switch's control link (channel schedules only).
     Partition(usize),
@@ -440,7 +442,7 @@ pub fn run_schedule(seed: u64, cfg: &ChaosConfig) -> ChaosReport {
                 fleet.sync_standby();
             }
             ChaosEvent::Kill(i) => {
-                fleet.fail_switch(*i);
+                fleet.fail_switch(*i).expect("picked switches are in the fleet");
                 report.kills += 1;
             }
             ChaosEvent::Promote(i) => match fleet.promote_standby(*i) {
@@ -472,20 +474,20 @@ pub fn run_schedule(seed: u64, cfg: &ChaosConfig) -> ChaosReport {
                     let faulted = rng.next_u64().is_multiple_of(3);
                     let keep = rng.next_u64().is_multiple_of(4);
                     let def = ephemeral_def(rng.next_u64() % 1_000_000);
-                    let fm = fleet.switch_mut(*i);
                     if faulted {
-                        fm.arm_faults(FaultPlan::new(rng.next_u64()).fail_probability(0.5));
+                        let plan = FaultPlan::new(rng.next_u64()).fail_probability(0.5);
+                        fleet.set_faults(*i, Some(plan)).expect("picked switches are in the fleet");
                     }
-                    let deployed = fm.deploy(&def);
-                    fm.disarm_faults();
-                    if let Ok(h) = deployed {
+                    let deployed = fleet.deploy_task(&def);
+                    fleet.set_faults(*i, None).expect("picked switches are in the fleet");
+                    if let Ok(t) = deployed {
                         if !keep {
-                            let _ = fleet.switch_mut(*i).remove(h);
+                            let _ = fleet.remove_task(t);
                         }
                     }
-                    // A failed (faulted or capacity-starved) deploy
-                    // rolled back; the invariant check below proves it
-                    // left no trace.
+                    // A refused deploy (faulted, capacity-starved, or
+                    // around a dead switch) unwound; the invariant check
+                    // below proves it left no trace.
                 }
             }
             ChaosEvent::Partition(i) => {

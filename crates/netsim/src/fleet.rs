@@ -15,12 +15,14 @@
 //! - HLL registers merge by per-bucket max;
 //! - Bloom filters merge by per-bucket OR.
 //!
-//! The fleet degrades gracefully: switches can fail mid-epoch
-//! ([`SwitchFleet::fail_switch`]) or refuse a deployment outright
-//! (per-switch [`FaultPlan`]s in [`SwitchFleet::deploy_with_faults`],
-//! which roll back cleanly). Ingress traffic reroutes to survivors and
-//! merged readouts skip the dead — estimates continue from whatever
-//! subset is still standing.
+//! A fleet changes only through its own ops. It is born by the sweep
+//! every later deploy runs ([`SwitchFleet::deploy`] is
+//! [`SwitchFleet::deploy_task`] over fresh switches), so a refused
+//! first deployment unwinds and returns `Err` instead of leaving a
+//! switch born dead. It degrades gracefully: switches can fail
+//! mid-epoch ([`SwitchFleet::fail_switch`]), ingress traffic reroutes to
+//! survivors and merged readouts skip the dead — estimates continue
+//! from whatever subset is still standing.
 //!
 //! # Failure & recovery model
 //!
@@ -113,8 +115,8 @@ struct FleetTask {
     def: Arc<TaskDefinition>,
     /// The algorithm that runs it (identical on every switch).
     algorithm: Algorithm,
-    /// One handle per switch; `None` on switches whose deployment
-    /// failed (and was rolled back).
+    /// One handle per switch; `None` on a switch an unwind could not
+    /// reach ([`SwitchFleet::sweep`] left it diverged).
     handles: Vec<Option<TaskHandle>>,
 }
 
@@ -251,80 +253,29 @@ impl Cmd<'_> {
 
 impl SwitchFleet {
     /// Builds `n` switches with the given config and deploys `task` on
-    /// every one. Deployments are deterministic, so every switch ends up
-    /// with identical hash configurations and partition layouts — the
-    /// precondition for exact register merging.
+    /// every one through [`SwitchFleet::deploy_task`]'s sweep, so a
+    /// refusal unwinds and returns `Err`. Deployments are deterministic,
+    /// so every switch ends up with identical hash configurations and
+    /// partition layouts — the precondition for exact register merging.
     ///
     /// A zero-switch fleet is valid (a region whose last switch was
     /// decommissioned): it hosts no task, drops every packet, and its
     /// merged readouts return errors rather than panicking.
     pub fn deploy(n: usize, config: FlyMonConfig, task: &TaskDefinition) -> Result<Self, FlymonError> {
-        Self::deploy_with_faults(n, config, task, &mut [])
-    }
-
-    /// Like [`SwitchFleet::deploy`], but switch `i` executes its install
-    /// ops through `faults[i]` (when provided). A switch whose
-    /// deployment fails is left running with the deployment rolled back
-    /// and is marked dead for fleet purposes; the fleet survives as long
-    /// as at least one deployment lands. Fails only if every switch's
-    /// deployment fails, returning the first error.
-    pub fn deploy_with_faults(
-        n: usize,
-        config: FlyMonConfig,
-        task: &TaskDefinition,
-        faults: &mut [Option<FaultPlan>],
-    ) -> Result<Self, FlymonError> {
-        let task = Arc::new(task.clone());
-        let mut switches = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        let mut alive = Vec::with_capacity(n);
-        let mut algorithm = None;
-        let mut first_err = None;
-        for i in 0..n {
-            let mut fm = FlyMon::new(config);
-            // WAL from birth: the initial deployment itself is logged,
-            // so a standby image plus the log reconstructs the whole
-            // control-plane history.
-            fm.attach_wal(WriteAheadLog::new());
-            if let Some(plan) = faults.get_mut(i).and_then(Option::take) {
-                fm.arm_faults(plan);
-            }
-            match fm.deploy_shared(Arc::clone(&task)) {
-                Ok(h) => {
-                    algorithm = Some(fm.task(h)?.algorithm);
-                    handles.push(Some(h));
-                    alive.push(true);
-                }
-                Err(e) => {
-                    // Rolled back: the switch is pristine but hosts no
-                    // task, so it cannot serve this fleet's measurement.
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                    handles.push(None);
-                    alive.push(false);
-                }
-            }
-            if let (Some(slot), Some(plan)) = (faults.get_mut(i), fm.disarm_faults()) {
-                *slot = Some(plan);
-            }
-            switches.push(fm);
-        }
-        if algorithm.is_none() && n > 0 {
-            return Err(first_err.expect("n > 0 deployments all failed"));
-        }
-        let tasks = match algorithm {
-            Some(algorithm) => vec![FleetTask {
-                def: task,
-                algorithm,
-                handles,
-            }],
-            None => Vec::new(),
-        };
-        Ok(SwitchFleet {
+        let switches = (0..n)
+            .map(|_| {
+                let mut fm = FlyMon::new(config);
+                // WAL from birth: the initial deployment itself is
+                // logged, so a standby image plus the log reconstructs
+                // the whole control-plane history.
+                fm.attach_wal(WriteAheadLog::new());
+                fm
+            })
+            .collect();
+        let mut fleet = SwitchFleet {
             switches,
-            tasks,
-            alive,
+            tasks: Vec::new(),
+            alive: vec![true; n],
             dropped_packets: 0,
             represented: vec![0; n],
             checkpoint_represented: vec![0; n],
@@ -338,7 +289,11 @@ impl SwitchFleet {
             rotations: 0,
             targets: Vec::with_capacity(n),
             staging: vec![Vec::new(); n],
-        })
+        };
+        if n > 0 {
+            fleet.deploy_task(task)?;
+        }
+        Ok(fleet)
     }
 
     /// Attaches a lossy control channel: from here on, every
@@ -390,8 +345,30 @@ impl SwitchFleet {
     /// *unavailable* (held hostage by the dead registers) until the
     /// switch is revived — which forfeits it — or promoted from the
     /// standby — which recovers everything up to the last sync barrier.
-    pub fn fail_switch(&mut self, i: usize) {
+    ///
+    /// Errors if `i` is past the fleet's end.
+    pub fn fail_switch(&mut self, i: usize) -> Result<(), FlymonError> {
+        self.require_switch(i)?;
         self.alive[i] = false;
+        Ok(())
+    }
+
+    /// Arms `plan` on switch `i`, or disarms it with `None`: the
+    /// commands later fleet ops send that switch are then judged by the
+    /// plan ([`FlyMon::arm_faults`]). Returns the plan it replaces, op
+    /// counter included. Errors if `i` is past the fleet's end.
+    pub fn set_faults(
+        &mut self,
+        i: usize,
+        plan: Option<FaultPlan>,
+    ) -> Result<Option<FaultPlan>, FlymonError> {
+        self.require_switch(i)?;
+        let sw = &mut self.switches[i];
+        let replaced = sw.disarm_faults();
+        if let Some(plan) = plan {
+            sw.arm_faults(plan);
+        }
+        Ok(replaced)
     }
 
     /// Revives a previously failed switch as a *fresh* member: its task
@@ -406,15 +383,16 @@ impl SwitchFleet {
     /// revival that should *not* forfeit the absorbed traffic is a
     /// promotion — see [`SwitchFleet::promote_standby`].
     ///
-    /// Errors if `i` is past the fleet's end or the switch never hosted
-    /// the task (a rolled-back deployment cannot serve the fleet).
-    /// Reviving an alive switch is a no-op.
+    /// Errors if `i` is past the fleet's end or the fleet holds no
+    /// handle on the switch (an unwind that could not reach it left it
+    /// diverged, see [`SwitchFleet::sweep`]). Reviving an alive switch
+    /// is a no-op.
     pub fn revive_switch(&mut self, i: usize) -> Result<(), FlymonError> {
         self.require_switch(i)?;
         if self.alive[i] {
             return Ok(());
         }
-        let handles = self.handles_on(i);
+        let handles: Vec<TaskHandle> = self.tasks.iter().filter_map(|t| t.handles[i]).collect();
         if handles.is_empty() {
             return Err(FlymonError::NoSuchTask);
         }
@@ -646,15 +624,17 @@ impl SwitchFleet {
     /// revival or promotion as usual.
     ///
     /// Errors if every switch is dead (no rows to read), an alive
-    /// switch hosts a task outside the fleet's list (deployed through
-    /// [`SwitchFleet::switch_mut`]; the whole-register swap would clear
-    /// state the fleet does not own), or a task's algorithm has no
-    /// merge law ([`MergeLaw::of`]) — all before any bank is swapped or
-    /// any ledger field moves. Also errors if a logged reset fails
-    /// mid-sweep — switches already rotated stay rotated (each
-    /// per-switch reset is itself atomic; their archived epochs are
-    /// discarded and their banks retired), and the error surfaces which
-    /// switch refused.
+    /// switch hosts a task outside the fleet's list, or a task's
+    /// algorithm has no merge law ([`MergeLaw::of`]) — all before any
+    /// bank is swapped or any ledger field moves. A task outside the
+    /// list is what a sweep leaves on a switch its unwind could not
+    /// reach ([`SwitchFleet::sweep`]): the switch still hosts the task
+    /// but the fleet dropped its handle, and the whole-register swap
+    /// would clear state the fleet no longer owns. Also errors if a
+    /// logged reset fails mid-sweep — switches already rotated stay
+    /// rotated (each per-switch reset is itself atomic; their archived
+    /// epochs are discarded and their banks retired), and the error
+    /// surfaces which switch refused.
     pub fn rotate_epoch_all(&mut self) -> Result<FleetEpoch, FlymonError> {
         if self.alive_task_members(0).next().is_none() {
             return Err(FlymonError::NoCapacity(
@@ -663,7 +643,7 @@ impl SwitchFleet {
         }
         // The bank swap clears whole registers, so it is only sound
         // when the fleet's task list covers every task on every alive
-        // switch (always true unless a caller deployed out-of-band).
+        // switch (always true unless an unwind left one diverged).
         let unbankable = (0..self.switches.len()).find(|&i| {
             self.alive[i]
                 && self.switches[i].task_count()
@@ -689,9 +669,8 @@ impl SwitchFleet {
             if !self.alive[i] {
                 continue;
             }
-            let handles = self.handles_on(i);
             let reset = Self::send(&mut self.channel, &mut self.switches[i], i, "epoch-reset", |sw| {
-                sw.rotate_banks(&handles)?;
+                sw.rotate_banks()?;
                 Ok(TxnResult::Unit)
             });
             if let Err(e) = reset {
@@ -1224,11 +1203,6 @@ impl SwitchFleet {
         );
     }
 
-    /// Switch `i`'s handle for every fleet task it hosts, in task order.
-    fn handles_on(&self, i: usize) -> Vec<TaskHandle> {
-        self.tasks.iter().filter_map(|t| t.handles[i]).collect()
-    }
-
     /// Alive switches paired with their handles for fleet task `ti`
     /// (empty when the task does not exist).
     fn alive_task_members(
@@ -1325,18 +1299,21 @@ impl SwitchFleet {
 
     /// Access one switch (diagnostics, per-ingress queries, audits),
     /// paired with its handle for the *primary* task. Returns `None`
-    /// for the handle on switches whose deployment was rolled back.
+    /// for the handle on a switch an unwind left diverged.
     pub fn switch(&self, i: usize) -> (&FlyMon, Option<TaskHandle>) {
         let h = self.tasks.first().and_then(|t| t.handles[i]);
         (&self.switches[i], h)
     }
 
-    /// Mutable access to one switch's control plane (secondary
-    /// deployments, chaos reconfiguration). The escape hatch is for
-    /// *control-plane* operations: feeding packets or resetting the
-    /// fleet task through it bypasses the packet ledger.
-    pub fn switch_mut(&mut self, i: usize) -> &mut FlyMon {
-        &mut self.switches[i]
+    /// Feeds `pkt` to switch `i`'s registers with no ledger tick: the
+    /// write a dying worker leaves behind before its injected panic
+    /// (`ingest.rs`), which quarantine then discards. The one path
+    /// outside this module that reaches a member mutably.
+    ///
+    /// # Panics
+    /// Panics if `i` is past the fleet's end.
+    pub(crate) fn scribble(&mut self, i: usize, pkt: &Packet) {
+        self.switches[i].process_batch(std::slice::from_ref(pkt));
     }
 }
 
@@ -1500,7 +1477,7 @@ mod tests {
         for _ in 0..10 {
             fleet.process(0, &flow);
         }
-        fleet.fail_switch(0);
+        fleet.fail_switch(0).unwrap();
         assert_eq!(fleet.alive_count(), 2);
         // Ingress 0 now reroutes to switch 1; nothing is dropped.
         for _ in 0..4 {
@@ -1529,7 +1506,7 @@ mod tests {
 
         // A fully dead fleet reports failure, not garbage.
         for i in 0..3 {
-            fleet.fail_switch(i);
+            fleet.fail_switch(i).unwrap();
         }
         assert!(fleet.merged_frequency(&flow).is_err());
         fleet.process(0, &flow);
@@ -1551,7 +1528,7 @@ mod tests {
         for _ in 0..6 {
             fleet.process(0, &flow);
         }
-        fleet.fail_switch(0);
+        fleet.fail_switch(0).unwrap();
 
         let loss = fleet.promote_standby(0).unwrap();
         assert_eq!(loss, 6, "exactly the post-barrier packets are lost");
@@ -1599,7 +1576,7 @@ mod tests {
             fleet.process(datapath::shard_of(&flow, 2), &flow);
         }
         let target = datapath::shard_of(&flow, 2);
-        fleet.fail_switch(target);
+        fleet.fail_switch(target).unwrap();
         assert_eq!(fleet.promote_standby(target).unwrap(), 3);
         assert_eq!(fleet.merged_frequency(&flow).unwrap(), 5);
     }
@@ -1609,7 +1586,7 @@ mod tests {
         let def = cms_def(1);
         let mut fleet = SwitchFleet::deploy(2, config(), &def).unwrap();
         // No standby yet.
-        fleet.fail_switch(0);
+        fleet.fail_switch(0).unwrap();
         assert!(matches!(
             fleet.promote_standby(0),
             Err(FlymonError::Checkpoint("standby not enabled"))
@@ -1618,20 +1595,32 @@ mod tests {
         fleet.enable_standby();
         // Alive switches are not promoted.
         assert!(fleet.promote_standby(0).is_err());
-        // A switch that never deployed has no image and cannot revive.
-        let mut faults = vec![Some(FaultPlan::new(3).fail_nth(1)), None];
-        let mut degraded =
-            SwitchFleet::deploy_with_faults(2, config(), &def, &mut faults).unwrap();
+        // A switch that was dead when the standby came up has no image.
+        let mut degraded = SwitchFleet::deploy(2, config(), &def).unwrap();
+        degraded.fail_switch(0).unwrap();
         degraded.enable_standby();
         assert!(matches!(
             degraded.promote_standby(0),
             Err(FlymonError::Checkpoint("standby holds no image for this switch"))
         ));
-        assert!(degraded.revive_switch(0).is_err());
         assert!(!degraded.is_alive(0));
     }
 
-    /// The refusal both index checks below expect: a `BadTask` naming
+    #[test]
+    fn a_refused_first_deployment_is_an_error() {
+        // The fleet is born by the deploy sweep: a definition its
+        // switches cannot place is refused outright, not left behind as
+        // a fleet of switches born dead.
+        let too_big = TaskDefinition {
+            memory: 4 * config().buckets_per_cmu,
+            ..cms_def(1)
+        };
+        assert!(SwitchFleet::deploy(3, config(), &too_big).is_err());
+        // No switch, no sweep: the empty fleet is still built.
+        assert!(SwitchFleet::deploy(0, config(), &too_big).is_ok());
+    }
+
+    /// The refusal every index check below expects: a `BadTask` naming
     /// the switch.
     fn refuses_switch_2<T: std::fmt::Debug>(result: Result<T, FlymonError>) {
         match result {
@@ -1658,17 +1647,27 @@ mod tests {
     }
 
     #[test]
+    fn failing_a_switch_past_the_end_is_an_error() {
+        // Regression: `fail_switch` indexed its liveness table unchecked
+        // and panicked one past the fleet's end.
+        let mut fleet = SwitchFleet::deploy(2, config(), &cms_def(1)).unwrap();
+        refuses_switch_2(fleet.fail_switch(2));
+        refuses_switch_2(fleet.set_faults(2, None));
+        assert_eq!(fleet.alive_count(), 2);
+    }
+
+    #[test]
     fn ledger_conserves_packets_across_paths_and_failures() {
         let def = cms_def(2);
         let t = trace();
         let mut fleet = SwitchFleet::deploy(4, config(), &def).unwrap();
         fleet.enable_standby();
         fleet.process_trace(&t[..20_000]);
-        fleet.fail_switch(2);
+        fleet.fail_switch(2).unwrap();
         fleet.process_trace(&t[20_000..40_000]);
         fleet.sync_standby();
         fleet.promote_standby(2).unwrap();
-        fleet.fail_switch(0);
+        fleet.fail_switch(0).unwrap();
         fleet.process_trace(&t[40_000..]);
         fleet.revive_switch(0).unwrap();
         let ledger = fleet.ledger();
@@ -1679,38 +1678,63 @@ mod tests {
     }
 
     #[test]
-    fn failed_deployment_rolls_back_and_fleet_degrades() {
-        let def = cms_def(2);
-        // Switch 1's very first install op fails; its deployment must
-        // roll back cleanly while switches 0 and 2 carry the task.
-        let mut faults = vec![None, Some(FaultPlan::new(9).fail_nth(1)), None];
-        let mut fleet = SwitchFleet::deploy_with_faults(3, config(), &def, &mut faults).unwrap();
-        assert_eq!(fleet.alive_count(), 2);
-        assert!(!fleet.is_alive(1));
-
-        // The failed switch is bit-for-bit pristine: zero divergences,
-        // no leaked partitions or refcounts, no task record.
-        let (dead, handle) = fleet.switch(1);
-        assert!(handle.is_none());
-        assert!(dead.audit().is_empty(), "{:?}", dead.audit());
-        assert_eq!(dead.task_count(), 0);
-
-        // Survivors still measure; traffic for ingress 1 reroutes.
-        let flow = Packet::tcp(0x0a000001, 5, 80, 80);
-        for ingress in [0, 1, 2] {
-            fleet.process(ingress, &flow);
+    fn rotation_clamps_summed_rows_at_both_cell_widths() {
+        // Every bucket of both members starts over half its ceiling (a
+        // hand-edited full image swapped in for the switch), so the rows
+        // the rotation sums clamp: the epoch must equal the per-element
+        // law over the rows read just before it, and leave every shadow
+        // bank zeroed. 15 and 16 bits store u16 cells, 17 and 32 u32.
+        let t = trace();
+        let bytes = TaskDefinition::builder("bytes")
+            .key(KeySpec::SRC_IP)
+            .attribute(Attribute::frequency_bytes())
+            .algorithm(Algorithm::Cms { d: 2 })
+            .memory(64)
+            .build();
+        for bits in [15u8, 16, 17, 32] {
+            let config = FlyMonConfig {
+                groups: 8,
+                buckets_per_cmu: 2048,
+                bucket_bits: bits,
+                ..FlyMonConfig::default()
+            };
+            let max = if bits == 32 { u32::MAX } else { (1u32 << bits) - 1 };
+            let mut fleet = SwitchFleet::deploy(2, config, &bytes).unwrap();
+            for sw in &mut fleet.switches {
+                let mut image = sw.checkpoint(CaptureMode::Full);
+                for snap in &mut image.registers.snapshots {
+                    let flymon_rmt::checkpoint::SnapshotData::Full(data) = &mut snap.data else {
+                        unreachable!("a full capture")
+                    };
+                    for (i, v) in data.iter_mut().enumerate() {
+                        *v = max / 2 + (i % 8) as u32;
+                    }
+                    snap.hull = Some((0, data.len()));
+                }
+                *sw = FlyMon::restore(&image).unwrap();
+            }
+            fleet.process_trace(&t);
+            let handles = &fleet.tasks[0].handles;
+            let expected: Vec<Vec<u32>> = (0..2)
+                .map(|row| {
+                    let [a, b] = [0, 1].map(|i| fleet.switches[i].read_row(handles[i].unwrap(), row));
+                    let cap = fleet.switches[0].task(handles[0].unwrap()).unwrap().rows[row].bucket_max;
+                    let pairs = a.unwrap().into_iter().zip(b.unwrap());
+                    pairs.map(|(x, y)| MergeLaw::Sum.combine(x, y, cap)).collect()
+                })
+                .collect();
+            assert!(expected.iter().flatten().any(|&v| v == max), "{bits} bits: nothing clamped");
+            let epoch = fleet.rotate_epoch_all().unwrap();
+            assert_eq!(epoch.tasks[0].rows, expected, "{bits} bits");
+            for sw in &fleet.switches {
+                for cmu in sw.groups().iter().flat_map(|g| g.cmus()) {
+                    let mut reg = cmu.register().clone();
+                    assert!(!reg.has_archive(), "{bits} bits: an archive was kept");
+                    reg.swap_epoch_bank();
+                    let shadow = reg.read_range(0, reg.len()).unwrap();
+                    assert!(shadow.iter().all(|v| v == 0), "{bits} bits: a stale shadow bank");
+                }
+            }
         }
-        assert_eq!(fleet.merged_frequency(&flow).unwrap(), 3);
-        assert_eq!(fleet.dropped_packets(), 0);
-
-        // A fleet whose every deployment fails refuses construction.
-        let mut all_bad = vec![
-            Some(FaultPlan::new(1).fail_nth(1)),
-            Some(FaultPlan::new(2).fail_nth(1)),
-        ];
-        assert!(matches!(
-            SwitchFleet::deploy_with_faults(2, config(), &def, &mut all_bad),
-            Err(FlymonError::Install(_))
-        ));
     }
 }

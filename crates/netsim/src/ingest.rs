@@ -49,9 +49,9 @@
 //! worker panics are injected at chunk boundaries ([`IngestFault`]), so
 //! any soak failure replays exactly from its seed. A panic is injected
 //! *before* the batch mutates fleet state (the poison scribbles
-//! registers through the diagnostic escape hatch instead), which is
-//! what makes checkpoint respawn bit-exact: the interrupted batch is
-//! still in the queue and is simply retried after recovery.
+//! registers through the fleet's crate-private `scribble` instead),
+//! which is what makes checkpoint respawn bit-exact: the interrupted
+//! batch is still in the queue and is simply retried after recovery.
 //!
 //! [`PhasedSource`]: flymon_traffic::gen::PhasedSource
 
@@ -357,6 +357,11 @@ impl From<FlymonError> for IngestError {
     }
 }
 
+/// WAL records per switch above which the sync barrier also runs
+/// off-barrier compaction ([`SwitchFleet::maintain_wals`]: aborted-record
+/// pruning plus a standby sync).
+const WAL_THRESHOLD: usize = 256;
+
 /// Shape of a [`StreamingRuntime`].
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
@@ -385,9 +390,6 @@ pub struct IngestConfig {
     /// stalled — it is waiting; once the grace is spent the ordinary
     /// `max_idle_steps` budget takes over.
     pub channel_grace_steps: usize,
-    /// WAL records per switch above which off-barrier compaction runs
-    /// (aborted-record pruning plus a standby sync).
-    pub wal_threshold: usize,
     /// Seed of the admission controller's shed coin.
     pub seed: u64,
 }
@@ -403,7 +405,6 @@ impl Default for IngestConfig {
             sync_every_steps: 1,
             max_idle_steps: 64,
             channel_grace_steps: 8,
-            wal_threshold: 256,
             seed: 0x57_12EA,
         }
     }
@@ -665,15 +666,6 @@ impl StreamingRuntime {
         &self.fleet
     }
 
-    /// Mutable fleet access: deploying a second task on, or partitioning
-    /// and healing the control channel of, a fleet the runtime already
-    /// owns. Only this module's own tests call it (the chaos harness
-    /// configures its fleet before handing it over); not part of the
-    /// steady-state datapath.
-    pub fn fleet_mut(&mut self) -> &mut SwitchFleet {
-        &mut self.fleet
-    }
-
     /// The most recent epoch rotation's archived readout, every fleet
     /// task's — one readout is retained, not the whole history
     /// (constant memory).
@@ -804,7 +796,7 @@ impl StreamingRuntime {
         // zero-loss respawn window). Off-cadence WAL maintenance rides
         // the same cadence.
         if self.cfg.sync_every_steps > 0 && (step - 1).is_multiple_of(self.cfg.sync_every_steps) {
-            self.fleet.maintain_wals(self.cfg.wal_threshold);
+            self.fleet.maintain_wals(WAL_THRESHOLD);
             self.fleet.sync_standby();
             self.stats.syncs += 1;
             if self.resync_pending && self.respawn_pending.is_none() {
@@ -898,9 +890,9 @@ impl StreamingRuntime {
             std::panic::set_hook(Box::new(|_| {}));
             let caught = catch_unwind(AssertUnwindSafe(|| {
                 // The dying worker scribbles a register update for a
-                // packet that was never admitted (the escape hatch
-                // bypasses the ledger), then unwinds mid-batch.
-                fleet.switch_mut(victim).process_batch(std::slice::from_ref(&poison));
+                // packet that was never admitted (bypassing the
+                // ledger), then unwinds mid-batch.
+                fleet.scribble(victim, &poison);
                 panic!("injected worker panic at step {step}");
             }));
             std::panic::set_hook(prev_hook);
@@ -908,7 +900,7 @@ impl StreamingRuntime {
             self.stats.panics_recovered += 1;
             out.recovered = true;
             // Quarantine: the replica's registers cannot be trusted.
-            self.fleet.fail_switch(victim);
+            self.fleet.fail_switch(victim)?;
             // Respawn from the PR-4 restore path: last standby image +
             // WAL suffix. With a per-step sync barrier the loss window
             // is empty and the respawned registers are bit-identical to
@@ -1465,7 +1457,7 @@ mod tests {
             .attribute(Attribute::Existence(KeySpec::FIVE_TUPLE))
             .memory(1024)
             .build();
-        rt.fleet_mut().deploy_task(&seen).unwrap();
+        rt.fleet.deploy_task(&seen).unwrap();
         // A stream with a steady share of the watched flow.
         let mut trace = Vec::new();
         let mut rng = SplitMix64::new(99);
@@ -1717,7 +1709,7 @@ mod tests {
         let mut src = TraceChunks::new(vec![Packet::tcp(8, 8, 8, 8); 8_192], 512);
         // Partition the victim's control link before the panic fires:
         // the promote command cannot reach it.
-        rt.fleet_mut()
+        rt.fleet
             .channel_mut()
             .unwrap()
             .set_partitioned(1, true)
@@ -1733,7 +1725,7 @@ mod tests {
             rt.stats()
         );
         // Heal the partition: the next step's retry lands.
-        rt.fleet_mut()
+        rt.fleet
             .channel_mut()
             .unwrap()
             .set_partitioned(1, false)
@@ -1768,7 +1760,7 @@ mod tests {
             switch: 1,
         });
         let mut src = TraceChunks::new(vec![Packet::tcp(8, 8, 8, 8); 8_192], 512);
-        rt.fleet_mut()
+        rt.fleet
             .channel_mut()
             .unwrap()
             .set_partitioned(1, true)

@@ -269,11 +269,6 @@ impl FaultPlan {
         self.dead_groups.retain(|&g| g != group);
     }
 
-    /// Whether `group` is currently marked dead.
-    pub fn group_is_dead(&self, group: usize) -> bool {
-        self.dead_groups.contains(&group)
-    }
-
     /// Ops judged so far (the op counter persists while the plan is
     /// armed, across deploy/remove calls).
     pub fn ops_seen(&self) -> u64 {

@@ -8,7 +8,7 @@
 //! operator runs before bringing FlyMon to a shared switch.
 
 use crate::resources::{ResourceKind, ResourceVector, TofinoModel};
-use crate::stacking::{GroupStage, Placement, StageUsage};
+use crate::stacking::{GroupStage, Placement};
 use crate::RmtError;
 
 /// A validated pipeline plan: groups cross-stacked over stages, with the
@@ -96,14 +96,6 @@ impl PipelinePlan {
             (g.first_stage + 2) % n,
             (g.first_stage + 3) % n,
         ])
-    }
-
-    /// Stage-usage totals across the pipeline (diagnostics).
-    pub fn aggregate_stage_usage(&self) -> StageUsage {
-        self.placement
-            .per_stage
-            .iter()
-            .fold(StageUsage::default(), |acc, u| acc.add(u))
     }
 }
 

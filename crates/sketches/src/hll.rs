@@ -52,13 +52,6 @@ impl HyperLogLog {
         }
     }
 
-    /// Merges register `idx` with an externally tracked maximum — used by
-    /// differential tests against the CMU-hosted HLL, which stores ρ
-    /// values in CMU buckets.
-    pub fn raw_register(&self, idx: usize) -> u8 {
-        self.registers[idx]
-    }
-
     /// The cardinality estimate.
     pub fn estimate(&self) -> f64 {
         estimate_from_registers(&self.registers)

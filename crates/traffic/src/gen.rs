@@ -379,12 +379,6 @@ impl ShiftingSource {
         }
     }
 
-    /// The active phase (index into the schedule); `None` once
-    /// exhausted.
-    pub fn current_phase(&self) -> Option<usize> {
-        (self.phase < self.cfg.phases.len()).then_some(self.phase)
-    }
-
     /// Packets emitted so far.
     pub fn emitted(&self) -> u64 {
         self.emitted

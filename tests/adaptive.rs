@@ -298,7 +298,7 @@ fn controller_pauses_on_degradation_and_dead_switches() {
     assert!(ctl.on_epoch(&mut fleet, &epoch, true).unwrap().is_empty());
 
     // A dead switch pauses adaptation even when the caller says go.
-    fleet.fail_switch(1);
+    fleet.fail_switch(1).unwrap();
     fleet.process_trace(&t);
     let epoch = fleet.rotate_epoch_all().unwrap();
     assert!(ctl.on_epoch(&mut fleet, &epoch, false).unwrap().is_empty());
@@ -328,7 +328,7 @@ fn controller_decisions_replay_through_the_wal_on_promotion() {
     assert_eq!(taken.len(), 1, "pressure must reconfigure: {taken:?}");
 
     // Kill and recover switch 0 from image + WAL suffix.
-    fleet.fail_switch(0);
+    fleet.fail_switch(0).unwrap();
     fleet.promote_standby(0).unwrap();
     assert!(fleet.switch(0).0.audit().is_empty(), "recovery must be audit-clean");
 

@@ -222,7 +222,7 @@ fn stale_primary_is_fenced_with_zero_divergence() {
     fleet.sync_standby();
     fleet.process_trace(&t[10_000..]);
 
-    fleet.fail_switch(1);
+    fleet.fail_switch(1).unwrap();
     fleet.promote_standby(1).unwrap();
     let term = fleet.channel().unwrap().term();
     assert!(term >= 1, "promotion must mint a fencing term");
@@ -644,9 +644,10 @@ fn a_refused_sweep_leaves_the_fleet_as_it_found_it_and_the_retry_matches_a_twin(
 
             match refusal {
                 Refusal::Partition(s) => fleet.channel_mut().unwrap().set_partitioned(s, true).unwrap(),
-                Refusal::InstallFault(s) => fleet
-                    .switch_mut(s)
-                    .arm_faults(FaultPlan::new(9).fail_probability(1.0)),
+                Refusal::InstallFault(s) => {
+                    let plan = FaultPlan::new(9).fail_probability(1.0);
+                    assert!(fleet.set_faults(s, Some(plan)).unwrap().is_none(), "{row}");
+                }
             }
             let refused = op.apply(&mut fleet).unwrap_err();
             match refusal {
@@ -656,7 +657,7 @@ fn a_refused_sweep_leaves_the_fleet_as_it_found_it_and_the_retry_matches_a_twin(
                 }
                 Refusal::InstallFault(s) => {
                     assert!(matches!(refused, FlymonError::Install(_)), "{row}: {refused:?}");
-                    fleet.switch_mut(s).disarm_faults();
+                    assert!(fleet.set_faults(s, None).unwrap().is_some(), "{row}");
                 }
             }
 
@@ -742,5 +743,9 @@ fn an_unwind_that_cannot_reach_a_switch_leaves_it_diverged_not_panicking() {
     for i in 0..3 {
         assert!(fleet.switch(i).0.audit().is_empty(), "switch {i}");
     }
+    // The fleet holds no handle there, so it cannot reset the switch to
+    // revive it.
+    fleet.fail_switch(0).unwrap();
+    assert!(matches!(fleet.revive_switch(0), Err(FlymonError::NoSuchTask)));
     assert!(fleet.ledger().balanced(), "{:?}", fleet.ledger());
 }

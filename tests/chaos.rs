@@ -67,52 +67,49 @@ fn chaos_schedules_are_seed_deterministic() {
 #[test]
 fn fault_plans_agree_across_deploy_call_sites() {
     // The same seeded plan must produce the same verdict stream whether
-    // it is armed directly on a FlyMon or threaded through
-    // SwitchFleet::deploy_with_faults — the op sequence of a fresh
-    // deploy is identical, so the outcomes and op counts must be too.
+    // it is armed directly on a FlyMon or on a fleet member through
+    // SwitchFleet::set_faults — the op sequence of a deploy is
+    // identical, so the outcomes and op counts must be too. The sweep
+    // stops at the first refusal, so switch 1 sees the deploy only
+    // when switch 0 accepted it.
     let config = FlyMonConfig {
         groups: 2,
         buckets_per_cmu: 16384,
         ..FlyMonConfig::default()
     };
-    let def = TaskDefinition::builder("freq")
-        .key(KeySpec::SRC_IP)
-        .attribute(Attribute::frequency_packets())
-        .algorithm(Algorithm::Cms { d: 2 })
-        .memory(8192)
-        .build();
+    let task = |name: &str| {
+        TaskDefinition::builder(name)
+            .key(KeySpec::SRC_IP)
+            .attribute(Attribute::frequency_packets())
+            .algorithm(Algorithm::Cms { d: 2 })
+            .memory(8192)
+            .build()
+    };
+    let (anchor, def) = (task("anchor"), task("freq"));
 
     for seed in [5u64, 6, 7, 8] {
         let plan = FaultPlan::new(seed).fail_probability(0.2);
 
         let mut direct = FlyMon::new(config);
+        direct.deploy(&anchor).unwrap();
         direct.arm_faults(plan.clone());
         let direct_ok = direct.deploy(&def).is_ok();
         let direct_plan = direct.disarm_faults().unwrap();
 
-        let mut faults = vec![Some(plan.clone()), Some(plan.clone())];
-        match SwitchFleet::deploy_with_faults(2, config, &def, &mut faults) {
-            Ok(fleet) => {
-                for i in 0..2 {
-                    assert_eq!(
-                        fleet.is_alive(i),
-                        direct_ok,
-                        "seed {seed}: switch {i} disagrees with the direct deploy"
-                    );
-                }
-            }
-            Err(_) => assert!(
-                !direct_ok,
-                "seed {seed}: fleet-wide failure but the direct deploy succeeded"
-            ),
+        let mut fleet = SwitchFleet::deploy(2, config, &anchor).unwrap();
+        for i in 0..2 {
+            fleet.set_faults(i, Some(plan.clone())).unwrap();
         }
-        for slot in &faults {
-            assert_eq!(
-                slot.as_ref().unwrap().ops_seen(),
-                direct_plan.ops_seen(),
-                "seed {seed}: op streams diverged between call sites"
-            );
-        }
+        assert_eq!(
+            fleet.deploy_task(&def).is_ok(),
+            direct_ok,
+            "seed {seed}: the fleet disagrees with the direct deploy"
+        );
+        let ops: Vec<u64> = (0..2)
+            .map(|i| fleet.set_faults(i, None).unwrap().unwrap().ops_seen())
+            .collect();
+        let expected = [direct_plan.ops_seen(), if direct_ok { direct_plan.ops_seen() } else { 0 }];
+        assert_eq!(ops, expected, "seed {seed}: op streams diverged between call sites");
     }
 }
 

@@ -320,7 +320,7 @@ fn dead_and_empty_fleets_drop_every_packet_with_a_balanced_ledger() {
     // dropped and the dead switches stay idle.
     let mut fleet = SwitchFleet::deploy(n, config(), &def).unwrap();
     for i in [1, 3] {
-        fleet.fail_switch(i);
+        fleet.fail_switch(i).unwrap();
     }
     fleet.process_trace(&t);
     assert_eq!(fleet.dropped_packets(), 0, "survivors must absorb reroutes");
@@ -335,7 +335,7 @@ fn dead_and_empty_fleets_drop_every_packet_with_a_balanced_ledger() {
 
     // The whole fleet is dead: every packet is dropped, none processed.
     for i in 0..n {
-        fleet.fail_switch(i);
+        fleet.fail_switch(i).unwrap();
     }
     let before: Vec<u64> = (0..n)
         .map(|i| fleet.switch(i).0.packets_processed())

@@ -229,7 +229,7 @@ fn failover_and_drops_match_the_oracle() {
 
         // One dead switch: it absorbs nothing more, and its ingress
         // traffic fails over to switch 2 (the next in the probe).
-        twins.both(|f| f.fail_switch(1));
+        twins.both(|f| f.fail_switch(1).unwrap());
         let absorbed = |f: &SwitchFleet| -> Vec<u64> {
             (0..3).map(|i| f.switch(i).0.packets_processed()).collect()
         };
@@ -248,8 +248,8 @@ fn failover_and_drops_match_the_oracle() {
         assert_eq!(twins.batched.dropped_packets(), 0);
 
         // All dead: every packet is a drop, for every slice length.
-        twins.both(|f| f.fail_switch(0));
-        twins.both(|f| f.fail_switch(2));
+        twins.both(|f| f.fail_switch(0).unwrap());
+        twins.both(|f| f.fail_switch(2).unwrap());
         let mut rest = c;
         for len in [0usize, 1, 65, 4_097] {
             let (slice, tail) = rest.split_at(len);

@@ -13,9 +13,9 @@
 //!    drains the archive behind itself) returns epochs bit-identical to
 //!    the scalar merge of the live registers taken just before the
 //!    rotation, leaves every shadow bank all-zero, refuses — changing
-//!    nothing — a switch carrying a task the fleet does not track or a
-//!    task no single law merges, and survives a 20-seed fault soak with
-//!    the packet ledger conserved;
+//!    nothing — a switch an unwind left carrying a task the fleet does
+//!    not track or a task no single law merges, and survives a 20-seed
+//!    fault soak with the packet ledger conserved;
 //! 4. the fused merge+stats signals (occupancy) equal what a separate
 //!    scan of the merged rows would report, and
 //!    a standby promotion after bank rotations recovers registers
@@ -30,7 +30,7 @@
 use flymon::oracle::PerPacket;
 use flymon::prelude::*;
 use flymon::task::TaskId;
-use flymon_netsim::{MergeLaw, RowOccupancy, SwitchFleet};
+use flymon_netsim::{ChannelConfig, MergeLaw, RowOccupancy, SwitchFleet};
 use flymon_packet::{KeySpec, Packet, SplitMix64, TaskFilter};
 use flymon_rmt::checkpoint::{DirtySpan, SnapshotData};
 use flymon_rmt::register::Buckets;
@@ -264,14 +264,17 @@ fn bank_rotation_epoch_is_bit_identical_to_scalar_merge() {
 }
 
 /// Everything a refused rotation must leave alone: every register of
-/// every switch, the ledger, the archived-packet count and the stall
-/// bookkeeping.
-fn rotation_state(fleet: &mut SwitchFleet) -> impl PartialEq + std::fmt::Debug {
-    let registers: Vec<_> = (0..fleet.len())
-        .map(|i| fleet.switch_mut(i).checkpoint(CaptureMode::Full).registers)
+/// every switch (and whether it holds an archive), the ledger, the
+/// archived-packet count and the stall bookkeeping.
+fn rotation_state(fleet: &SwitchFleet) -> impl PartialEq + std::fmt::Debug {
+    let registers: Vec<_> = (0..fleet.len()).map(|i| all_registers(fleet.switch(i).0)).collect();
+    let archives: Vec<bool> = (0..fleet.len())
+        .flat_map(|i| fleet.switch(i).0.groups().iter().flat_map(|g| g.cmus()))
+        .map(|c| c.register().has_archive())
         .collect();
     (
         registers,
+        archives,
         fleet.ledger(),
         fleet.rotated_packets(),
         fleet.rotation_stall_totals(),
@@ -281,25 +284,40 @@ fn rotation_state(fleet: &mut SwitchFleet) -> impl PartialEq + std::fmt::Debug {
 
 /// The bank swap clears whole registers, so a switch carrying a task
 /// the fleet does not track refuses the rotation — before any bank is
-/// swapped or any ledger field moves.
+/// swapped or any ledger field moves. Such a task is what a refused
+/// sweep leaves behind when its unwind cannot take a deploy back: here
+/// a partition refuses a deploy at switch 2, and switch 0's rollback
+/// remove fails on an armed register-write fault.
 #[test]
-fn rotation_refuses_a_switch_with_an_out_of_band_task_and_changes_nothing() {
-    let mut fleet = SwitchFleet::deploy(2, config(), &cms_def(2)).unwrap();
+fn rotation_refuses_a_switch_an_unwind_left_diverged_and_changes_nothing() {
+    let mut fleet = SwitchFleet::deploy(3, config(), &cms_def(2)).unwrap();
+    fleet.attach_channel(0xD1FE, ChannelConfig::default()).unwrap();
+    fleet.process_trace(&trace(0xD1CE, 20_000));
     let stray = TaskDefinition::builder("stray")
         .key(KeySpec::NONE)
         .attribute(Attribute::Existence(KeySpec::FIVE_TUPLE))
         .memory(1024)
         .build();
-    fleet.switch_mut(1).deploy(&stray).unwrap();
-    fleet.process_trace(&trace(0xD1CE, 20_000));
+    // A deploy writes no register; the remove that unwinds it does.
+    let no_register_writes = FaultPlan::new(5).fail_kind(InstallOpKind::RegisterWrite);
+    fleet.set_faults(0, Some(no_register_writes)).unwrap();
+    fleet.channel_mut().unwrap().set_partitioned(2, true).unwrap();
+    let err = fleet.deploy_task(&stray).unwrap_err();
+    assert!(matches!(err, FlymonError::ChannelTimeout { .. }), "{err:?}");
+    let hosted: Vec<usize> = (0..3).map(|i| fleet.switch(i).0.task_count()).collect();
+    assert_eq!(hosted, [2, 1, 1], "only switch 0 kept the stray");
+    assert_eq!(fleet.task_infos().len(), 1, "the fleet does not list it");
 
-    let before = rotation_state(&mut fleet);
+    // Healed and disarmed, so the untracked task is all that is wrong.
+    fleet.channel_mut().unwrap().heal_all();
+    fleet.set_faults(0, None).unwrap();
+    let before = rotation_state(&fleet);
     let err = fleet.rotate_epoch_all().unwrap_err();
     assert!(
-        matches!(&err, FlymonError::BadTask(why) if why.contains("switch 1")),
+        matches!(&err, FlymonError::BadTask(why) if why.contains("switch 0")),
         "{err:?}"
     );
-    assert_eq!(before, rotation_state(&mut fleet), "a refused rotation moved state");
+    assert_eq!(before, rotation_state(&fleet), "a refused rotation moved state");
 }
 
 /// A task whose rows have no single merge law (`deploy_task` accepts an
@@ -320,13 +338,13 @@ fn rotation_refuses_an_unmergeable_task_and_keeps_everyones_epoch() {
     let fed = trace(0xD1CE, 20_000);
     fleet.process_trace(&fed);
 
-    let before = rotation_state(&mut fleet);
+    let before = rotation_state(&fleet);
     let err = fleet.rotate_epoch_all().unwrap_err();
     assert!(
         matches!(&err, FlymonError::BadTask(why) if why.contains("OddSketch")),
         "{err:?}"
     );
-    assert_eq!(before, rotation_state(&mut fleet), "a refused rotation moved state");
+    assert_eq!(before, rotation_state(&fleet), "a refused rotation moved state");
 
     // Without the offender the next rotation returns the whole epoch.
     fleet.remove_task(odd_at).unwrap();
@@ -422,7 +440,7 @@ fn fused_retire_leaves_clean_banks_across_epochs_tasks_and_failures() {
         fleet.process_trace(&trace(0xFA57 + epoch, 12_000));
         match epoch {
             2 => fleet.reallocate_task(rest, 2048).unwrap(),
-            3 => fleet.fail_switch(2),
+            3 => fleet.fail_switch(2).unwrap(),
             _ => {}
         }
         let expected: Vec<Vec<Vec<u32>>> = names
@@ -490,7 +508,7 @@ fn bank_rotation_survives_twenty_seed_fault_soak() {
                     if fleet.alive_count() > 1 {
                         let dead = (next() % 3) as usize;
                         if fleet.is_alive(dead) {
-                            fleet.fail_switch(dead);
+                            fleet.fail_switch(dead).unwrap();
                             kills += 1;
                         }
                     }
@@ -543,7 +561,7 @@ fn promotion_after_bank_rotation_matches_unfailed_twin_at_barrier() {
     // Sync barrier after the rotation: the delta must carry both the
     // rotation's zeros and t2's writes.
     fleet.sync_standby();
-    fleet.fail_switch(0);
+    fleet.fail_switch(0).unwrap();
     fleet.promote_standby(0).unwrap();
     assert!(fleet.ledger().balanced(), "{:?}", fleet.ledger());
 
@@ -642,7 +660,7 @@ fn point_read_frequency_matches_the_row_merge_oracle() {
     }
     check(&fleet, "all alive");
 
-    fleet.fail_switch(2);
+    fleet.fail_switch(2).unwrap();
     assert!(fleet.merged_frequency(&heavy).unwrap() < 65_535);
     check(&fleet, "switch 2 failed");
 
@@ -674,17 +692,26 @@ fn delta_spans(delta: &SwitchCheckpoint) -> Vec<&[DirtySpan]> {
         .collect()
 }
 
+/// One switch's side of a fleet rotation: the bank swap, then the
+/// archive retired (what the merge and retirement leave behind).
+fn rotate(fm: &mut FlyMon) {
+    fm.rotate_banks().unwrap();
+    fm.retire_epoch_banks();
+}
+
 #[test]
 fn delta_after_rotation_ships_zero_spans_and_composes_to_the_full_image() {
-    let mut fleet = SwitchFleet::deploy(1, config(), &cms_def(2)).unwrap();
-    fleet.process_trace(&trace(0x5EED, 20_000));
-    let mut base = fleet.switch_mut(0).checkpoint(CaptureMode::Full);
-    fleet.process_trace(&trace(0x5EEE, 5_000));
+    let mut fm = FlyMon::new(config());
+    fm.attach_wal(WriteAheadLog::new());
+    let h = fm.deploy(&cms_def(2)).unwrap();
+    fm.process_batch(&trace(0x5EED, 20_000));
+    let mut base = fm.checkpoint(CaptureMode::Full);
+    fm.process_batch(&trace(0x5EEE, 5_000));
 
     // Straight after a rotation every swapped register is dirty and
     // untouched: its whole dirty range is one zero span, no payload.
-    fleet.rotate_epoch_all().unwrap();
-    let delta = fleet.switch_mut(0).checkpoint(CaptureMode::Delta);
+    rotate(&mut fm);
+    let delta = fm.checkpoint(CaptureMode::Delta);
     assert_eq!(delta.payload_buckets(), 0);
     let swapped: Vec<&[DirtySpan]> = delta_spans(&delta)
         .into_iter()
@@ -698,16 +725,16 @@ fn delta_after_rotation_ships_zero_spans_and_composes_to_the_full_image() {
         );
     }
     base.overlay(delta).unwrap();
-    let full = fleet.switch_mut(0).checkpoint(CaptureMode::Full);
+    let full = fm.checkpoint(CaptureMode::Full);
     assert_eq!(base.registers, full.registers);
 
     // Packets between the rotation and the sync: the touched hull (one
     // flow, one bucket per row) lies inside the dirty range the
     // rotation left, so each row is a value span flanked by zero spans.
-    fleet.process_trace(&trace(0x5EEF, 5_000));
-    fleet.rotate_epoch_all().unwrap();
-    fleet.process_trace(&vec![Packet::tcp(0x0a00_0001, 2, 3, 4); 9]);
-    let delta = fleet.switch_mut(0).checkpoint(CaptureMode::Delta);
+    fm.process_batch(&trace(0x5EEF, 5_000));
+    rotate(&mut fm);
+    fm.process_batch(&vec![Packet::tcp(0x0a00_0001, 2, 3, 4); 9]);
+    let delta = fm.checkpoint(CaptureMode::Delta);
     assert_eq!(delta.payload_buckets(), 2, "one bucket per row");
     for spans in delta_spans(&delta).into_iter().filter(|s| !s.is_empty()) {
         match spans {
@@ -721,14 +748,13 @@ fn delta_after_rotation_ships_zero_spans_and_composes_to_the_full_image() {
         }
     }
     base.overlay(delta).unwrap();
-    let full = fleet.switch_mut(0).checkpoint(CaptureMode::Full);
+    let full = fm.checkpoint(CaptureMode::Full);
     assert_eq!(base.registers, full.registers);
     let restored = FlyMon::restore(&base).unwrap();
-    let (live, h) = fleet.switch(0);
     for row in 0..2 {
         assert_eq!(
-            restored.read_row(h.unwrap(), row).unwrap(),
-            live.read_row(h.unwrap(), row).unwrap()
+            restored.read_row(h, row).unwrap(),
+            fm.read_row(h, row).unwrap()
         );
     }
 }
@@ -885,19 +911,9 @@ fn standing_invariants_hold_at_both_cell_widths() {
         live.remove(handles[2]).unwrap();
         let recovered = FlyMon::recover(live.wal().unwrap(), &barrier).unwrap();
         assert_eq!(all_registers(&recovered), all_registers(&live), "{case}: recovery");
-
-        // Bank rotation ≡ the scalar merge of the rows read just before
-        // it, from buckets over half the ceiling so the summed rows clamp.
-        let mut fleet = SwitchFleet::deploy(2, config, &freq_bytes("bytes", 2, 64)).unwrap();
-        for s in 0..fleet.len() {
-            let seeded = with_every_bucket(fleet.switch_mut(s), |i| max / 2 + (i % 8) as u32);
-            *fleet.switch_mut(s) = seeded;
-        }
-        fleet.process_trace(&t);
-        let expected = scalar_merged_rows(&fleet);
-        assert!(expected.iter().flatten().any(|&v| v == max), "{case}: no merged bucket clamped");
-        let epoch = fleet.rotate_epoch_all().unwrap();
-        assert_eq!(epoch.tasks[0].rows, expected, "{case}: rotation");
-        assert_shadow_banks_clean(&fleet, &case);
+        // Bank rotation ≡ the scalar merge at these widths, from seeded
+        // buckets whose sums clamp, is `fleet.rs`'s
+        // `rotation_clamps_summed_rows_at_both_cell_widths`: only the
+        // fleet reaches its members' registers.
     }
 }

@@ -71,7 +71,7 @@ fn promoted_standby_is_bit_identical_to_unfailed_replica_at_checkpoint_epoch() {
 
     // The loss window: t2 reaches only the doomed switch.
     fleet.process_trace(&t2);
-    fleet.fail_switch(0);
+    fleet.fail_switch(0).unwrap();
     let loss = fleet.promote_standby(0).unwrap();
     assert_eq!(loss, t2.len() as u64, "the whole post-barrier slice is the loss window");
 
@@ -118,18 +118,24 @@ fn recovery_replays_control_plane_operations_after_the_checkpoint() {
     let mut fleet = SwitchFleet::deploy(2, config(), &def).unwrap();
     fleet.enable_standby();
 
-    // Post-checkpoint control-plane history on switch 0: an extra task
-    // deployed (and kept). Recovery must replay it from the WAL.
+    // Post-checkpoint control-plane history: an extra task deployed
+    // (and kept). Recovery must replay it from the WAL.
     let extra = TaskDefinition::builder("post-chk-bloom")
         .key(KeySpec::NONE)
         .attribute(Attribute::Existence(KeySpec::FIVE_TUPLE))
         .memory(1024)
         .build();
-    let eh = fleet.switch_mut(0).deploy(&extra).unwrap();
+    fleet.deploy_task(&extra).unwrap();
     let marked = Packet::tcp(1, 2, 3, 4);
-    fleet.switch_mut(0).process(&marked);
+    fleet.process(0, &marked);
+    // Deployments are deterministic: a lone switch deploying the same
+    // two tasks mints switch 0's handle for the extra one.
+    let mut twin = FlyMon::new(config());
+    twin.deploy(&def).unwrap();
+    let eh = twin.deploy(&extra).unwrap();
+    assert!(fleet.switch(0).0.query_exists(eh, &marked));
 
-    fleet.fail_switch(0);
+    fleet.fail_switch(0).unwrap();
     fleet.promote_standby(0).unwrap();
 
     let (promoted, _) = fleet.switch(0);
@@ -139,6 +145,8 @@ fn recovery_replays_control_plane_operations_after_the_checkpoint() {
     // from the checkpoint epoch (the insert was in the loss window).
     assert!(promoted.task(eh).is_ok());
     assert!(!promoted.query_exists(eh, &marked), "loss-window insert must not survive");
+    assert_eq!(fleet.lost_packets(), 1);
+    assert!(fleet.ledger().balanced(), "{:?}", fleet.ledger());
 }
 
 #[test]
@@ -152,9 +160,9 @@ fn multi_switch_failover_round_trip_stays_within_loss_bound() {
     fleet.sync_standby();
     fleet.process_trace(&t[30_000..]);
 
-    fleet.fail_switch(1);
+    fleet.fail_switch(1).unwrap();
     fleet.promote_standby(1).unwrap();
-    fleet.fail_switch(3);
+    fleet.fail_switch(3).unwrap();
     fleet.revive_switch(3).unwrap();
 
     assert_eq!(fleet.alive_count(), 4);
@@ -300,10 +308,9 @@ fn wal_compaction_leaves_recovery_unaffected() {
         // thirty aborted records in switch 0's log — unbounded growth
         // if never pruned, since barriers only move on sync.
         for k in 0..30 {
-            let fm = fleet.switch_mut(0);
-            fm.arm_faults(FaultPlan::new(k).fail_nth(1));
-            assert!(fm.deploy(&cms_def(1)).is_err(), "fail_nth(1) must reject");
-            fm.disarm_faults();
+            fleet.set_faults(0, Some(FaultPlan::new(k).fail_nth(1))).unwrap();
+            assert!(fleet.deploy_task(&cms_def(1)).is_err(), "fail_nth(1) must reject");
+            fleet.set_faults(0, None).unwrap();
         }
         let wal_before = fleet.switch(0).0.wal().unwrap().len();
         assert!(wal_before >= 30, "aborted records must have accumulated");
@@ -317,7 +324,7 @@ fn wal_compaction_leaves_recovery_unaffected() {
         }
 
         fleet.process_trace(&t[4_000..]);
-        fleet.fail_switch(0);
+        fleet.fail_switch(0).unwrap();
         fleet.promote_standby(0).unwrap();
         assert!(fleet.ledger().balanced(), "{:?}", fleet.ledger());
         (
