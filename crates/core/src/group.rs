@@ -511,9 +511,9 @@ impl CmuGroup {
     ///    one), producing a compact matched list in packet order
     ///    (packet order is what keeps same-bucket register updates
     ///    applied in arrival order);
-    /// 2. **extract + digest** unit-major: each used hash unit writes the
-    ///    keys of a lane group of packets straight from the packets
-    ///    through its compiled key plan and digests them in lockstep
+    /// 2. **extract + digest** unit-major: each used hash unit folds the
+    ///    key fields of a lane group of packets straight into their CRCs
+    ///    through its compiled key plan, in lockstep
     ///    ([`HashUnit::compute_lanes`]) — every packet for a unit an
     ///    unconditional CMU reads ([`GroupProgram::dense_units`]), the
     ///    packets that matched somewhere for any other;

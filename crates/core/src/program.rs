@@ -58,9 +58,9 @@
 //! all — the last three by one walk of the installed bindings.
 //!
 //! The compression stage's half of the compile step lives with the hash
-//! unit: `HashUnit::set_mask` compiles the `KeySpec` to a fixed-length
-//! `KeyPlan` (serialized length + address masks), which is what the
-//! batch path's digest pass extracts and hashes by.
+//! unit: `HashUnit::set_mask` compiles the `KeySpec` to a `KeyPlan`
+//! (address masks + field flags), which folds the key fields straight
+//! into the CRC in the batch path's digest pass.
 //!
 //! **Invalidation rule**: every binding mutation — `install_all` (a
 //! deploy's rows on one group; `install` is its one-binding case),

@@ -312,10 +312,24 @@ impl TaskDefinition {
     }
 
     /// Validates internal consistency. The name must be one token: not
-    /// empty, no whitespace, no `=`.
+    /// empty, no whitespace, no `=`; and every address prefix — in the
+    /// key, the attribute's key and the filter — at most 32 bits, or the
+    /// line the definition prints would not parse back.
     pub fn validate(&self) -> Result<(), crate::FlymonError> {
         if self.name.is_empty() || self.name.contains(|c: char| c.is_whitespace() || c == '=') {
             return Err(BadTask(format!("task name '{}' is not one token without '='", self.name)));
+        }
+        let param = match self.attribute {
+            Attribute::Distinct(k) | Attribute::Existence(k) => k,
+            _ => KeySpec::NONE,
+        };
+        let prefixes = [
+            ("key", self.key.src_ip_prefix.max(self.key.dst_ip_prefix)),
+            ("param", param.src_ip_prefix.max(param.dst_ip_prefix)),
+            ("filter", self.filter.src.bits.max(self.filter.dst.bits)),
+        ];
+        if let Some((what, bits)) = prefixes.into_iter().find(|&(_, bits)| bits > 32) {
+            return Err(BadTask(format!("{what} prefix /{bits} is longer than 32 bits")));
         }
         if self.memory == 0 {
             return Err(crate::FlymonError::BadMemory("zero buckets".into()));
@@ -653,6 +667,45 @@ mod tests {
                 TaskDefinition::builder(name).build().validate().is_err(),
                 "{name:?}"
             );
+        }
+    }
+
+    #[test]
+    fn prefixes_past_32_bits_are_rejected() {
+        // Such a definition used to validate and deploy, and then print a
+        // line (`key=SrcIP/40`) its own parser refuses.
+        use flymon_packet::PrefixFilter;
+        let defs = |bits: u8| {
+            let src = KeySpec { src_ip_prefix: bits, ..KeySpec::NONE };
+            let dst = KeySpec { dst_ip_prefix: bits, ..KeySpec::SRC_IP };
+            let wide = PrefixFilter { net: 0, bits };
+            let def = |key, attribute, filter| {
+                TaskDefinition::builder("t").key(key).attribute(attribute).filter(filter).build()
+            };
+            let count = Attribute::frequency_packets();
+            let any = TaskFilter::ANY;
+            [
+                ("key", def(src, count, any)),
+                ("key", def(dst, count, any)),
+                ("param", def(KeySpec::DST_IP, Attribute::Distinct(src), any)),
+                ("param", def(KeySpec::SRC_IP, Attribute::Existence(dst), any)),
+                ("filter", def(KeySpec::SRC_IP, count, TaskFilter { src: wide, ..any })),
+                ("filter", def(KeySpec::SRC_IP, count, TaskFilter { dst: wide, ..any })),
+            ]
+        };
+        for (what, def) in defs(32) {
+            assert!(def.validate().is_ok(), "{what}: {def}");
+            assert_eq!(def.to_string().parse::<TaskDefinition>().ok().as_ref(), Some(&def), "{what}");
+        }
+        for bits in [33, 40, u8::MAX] {
+            for (what, def) in defs(bits) {
+                match def.validate() {
+                    Err(BadTask(why)) => {
+                        assert!(why.starts_with(what) && why.contains(&format!("/{bits} ")), "{why}")
+                    }
+                    other => panic!("{what} /{bits}: {other:?}"),
+                }
+            }
         }
     }
 

@@ -348,18 +348,17 @@ impl FromStr for KeySpec {
     }
 }
 
-/// A [`KeySpec`] compiled for the batched datapath: the serialized
-/// length and the address masks are worked out once, when a hash mask is
-/// installed, instead of per packet.
+/// A [`KeySpec`] compiled for the compression stage: the address masks
+/// are worked out once, when a hash mask is installed, instead of per
+/// packet.
 ///
-/// [`KeyPlan::write`] produces exactly the bytes of [`KeySpec::extract`]
-/// (which stays the reference), straight into a caller-owned buffer —
-/// no [`FlowKeyBytes`] copy, no memo lookup — and [`KeyPlan::len`] is
-/// the same for every packet, which is what lets the digest kernel run
-/// a whole lane group in lockstep.
+/// [`KeyPlan::fold`] hands a CRC exactly the bytes of
+/// [`KeySpec::extract`] (which stays the reference), field by field and
+/// straight from the packet — no key buffer, no memo lookup. Its steps
+/// depend on the plan alone, never on the packet, which is what lets a
+/// whole lane group of packets be folded in lockstep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyPlan {
-    len: u8,
     /// Prefix mask of the source address; 0 = field absent (a present
     /// field has at least one prefix bit, so its mask is never 0).
     src_mask: u32,
@@ -372,56 +371,53 @@ pub struct KeyPlan {
 }
 
 impl KeyPlan {
-    /// Serialized key length in bytes, fixed per plan.
-    pub fn len(&self) -> usize {
-        usize::from(self.len)
-    }
-
-    /// True for the plan of the `N/A` key.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Writes the key bytes of `pkt` to `out[..self.len()]`; bytes past
-    /// the length are left as they were.
-    #[inline]
-    pub fn write(&self, pkt: &Packet, out: &mut [u8; MAX_KEY_BYTES]) {
-        let mut at = 0;
-        let mut put = |bytes: &[u8]| {
-            out[at..at + bytes.len()].copy_from_slice(bytes);
-            at += bytes.len();
-        };
+    /// Folds the key of each packet in `pkts` (one lane each) into
+    /// `state`, field by field in the order [`KeySpec::extract`]
+    /// serializes them. `word` absorbs four key bytes per lane, given as
+    /// the word `u32::from_le_bytes` reads from them: a masked address,
+    /// the two ports together, the timestamp. `byte` absorbs one: each
+    /// half of a lone port (high byte first) and the protocol.
+    #[inline(always)]
+    pub fn fold<S, const N: usize>(
+        &self,
+        pkts: [&Packet; N],
+        mut state: S,
+        mut word: impl FnMut(S, [u32; N]) -> S,
+        mut byte: impl FnMut(S, [u8; N]) -> S,
+    ) -> S {
         if self.src_mask != 0 {
-            put(&(pkt.src_ip & self.src_mask).to_be_bytes());
+            state = word(state, pkts.map(|p| (p.src_ip & self.src_mask).swap_bytes()));
         }
         if self.dst_mask != 0 {
-            put(&(pkt.dst_ip & self.dst_mask).to_be_bytes());
+            state = word(state, pkts.map(|p| (p.dst_ip & self.dst_mask).swap_bytes()));
         }
-        if self.src_port {
-            put(&pkt.src_port.to_be_bytes());
-        }
-        if self.dst_port {
-            put(&pkt.dst_port.to_be_bytes());
-        }
+        let mut port = |state, port: [u16; N]| {
+            let state = byte(state, port.map(|v| (v >> 8) as u8));
+            byte(state, port.map(|v| v as u8))
+        };
+        state = match (self.src_port, self.dst_port) {
+            (true, true) => word(
+                state,
+                pkts.map(|p| ((u32::from(p.src_port) << 16) | u32::from(p.dst_port)).swap_bytes()),
+            ),
+            (true, false) => port(state, pkts.map(|p| p.src_port)),
+            (false, true) => port(state, pkts.map(|p| p.dst_port)),
+            (false, false) => state,
+        };
         if self.protocol {
-            put(&[pkt.protocol]);
+            state = byte(state, pkts.map(|p| p.protocol));
         }
         if self.timestamp {
-            put(&HeaderField::Timestamp.read(pkt).to_be_bytes());
+            state = word(state, pkts.map(|p| HeaderField::Timestamp.read(p).swap_bytes()));
         }
+        state
     }
 }
 
 impl KeySpec {
-    /// Compiles this key to its fixed-length [`KeyPlan`].
+    /// Compiles this key to its [`KeyPlan`].
     pub fn plan(&self) -> KeyPlan {
-        // A prefix-masked address still serializes as four bytes.
-        let len = 4 * (u8::from(self.src_ip_prefix > 0) + u8::from(self.dst_ip_prefix > 0))
-            + 2 * (u8::from(self.src_port) + u8::from(self.dst_port))
-            + u8::from(self.protocol)
-            + 4 * u8::from(self.timestamp);
         KeyPlan {
-            len,
             src_mask: mask_prefix(u32::MAX, self.src_ip_prefix),
             dst_mask: mask_prefix(u32::MAX, self.dst_ip_prefix),
             src_port: self.src_port,
@@ -688,9 +684,10 @@ mod tests {
     }
 
     #[test]
-    fn key_plan_writes_exactly_what_extract_serializes() {
-        // Every field subset x every interesting prefix length, against
-        // the untouched reference serialization.
+    fn key_plan_folds_exactly_what_extract_serializes() {
+        // Every field subset x every interesting prefix length, eight
+        // packets folded as one lane group by closures that collect each
+        // lane's bytes, against the untouched reference serialization.
         let prefixes = [0u8, 1, 8, 24, 31, 32];
         let mut rng = crate::SplitMix64::new(0x6b65_7970);
         let mut specs = 0;
@@ -705,30 +702,36 @@ mod tests {
                         protocol: flags & 4 != 0,
                         timestamp: flags & 8 != 0,
                     };
-                    let plan = spec.plan();
                     specs += 1;
-                    for _ in 0..8 {
-                        let p = PacketBuilder::new()
+                    let pkts: [Packet; 8] = std::array::from_fn(|_| {
+                        PacketBuilder::new()
                             .src_ip(rng.next_u32())
                             .dst_ip(rng.next_u32())
                             .src_port(rng.next_u32() as u16)
                             .dst_port(rng.next_u32() as u16)
                             .protocol(rng.next_u32() as u8)
                             .ts_ns(rng.next_u64() >> 20)
-                            .build();
-                        // A poisoned buffer shows a write past the length.
-                        let mut out = [0xa5u8; MAX_KEY_BYTES];
-                        plan.write(&p, &mut out);
-                        let reference = spec.extract(&p);
-                        assert_eq!(plan.len(), reference.as_bytes().len(), "{spec:?}");
-                        assert_eq!(&out[..plan.len()], reference.as_bytes(), "{spec:?}");
-                        assert!(out[plan.len()..].iter().all(|&b| b == 0xa5), "{spec:?}");
+                            .build()
+                    });
+                    let lanes: [Vec<u8>; 8] = spec.plan().fold(
+                        pkts.each_ref(),
+                        std::array::from_fn(|_| Vec::new()),
+                        |mut lanes, w| {
+                            lanes.iter_mut().zip(w).for_each(|(k, w)| k.extend(w.to_le_bytes()));
+                            lanes
+                        },
+                        |mut lanes, b| {
+                            lanes.iter_mut().zip(b).for_each(|(k, b)| k.push(b));
+                            lanes
+                        },
+                    );
+                    for (key, p) in lanes.iter().zip(&pkts) {
+                        assert_eq!(key.as_slice(), spec.extract(p).as_bytes(), "{spec:?}");
                     }
                 }
             }
         }
         assert_eq!(specs, 6 * 6 * 16);
-        assert!(KeySpec::NONE.plan().is_empty());
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! - [`KeySpec`]: a *partial key* of the candidate key set — any combination
 //!   of fields, with per-address prefix lengths (SrcIP/24, IP-pair, 5-tuple,
 //!   ...). [`KeySpec::extract`] serializes the selected bits of a packet
-//!   into canonical bytes for hashing; [`KeySpec::plan`] compiles the same
-//!   serialization to a fixed-length [`KeyPlan`] for the batched datapath.
+//!   into canonical bytes for hashing; [`KeySpec::plan`] compiles it to a
+//!   [`KeyPlan`] that folds the same bytes straight into a hash.
 //! - [`TaskFilter`]: prefix-based traffic filters used to isolate tasks and
 //!   to split heavy tasks into sub-tasks (§3.1.1, §3.3).
 //!

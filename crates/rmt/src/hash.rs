@@ -13,7 +13,7 @@
 //! The module also provides the free functions [`crc32`] and [`murmur3_32`]
 //! used as seed-separated hash families by the reference sketches.
 
-use flymon_packet::{ExtractionCache, KeyPlan, KeySpec, Packet, MAX_KEY_BYTES};
+use flymon_packet::{ExtractionCache, KeyPlan, KeySpec, Packet};
 
 /// Well-known 32-bit CRC polynomials (reflected form), one per hash unit,
 /// so distinct units behave as (approximately) independent hash functions.
@@ -158,10 +158,11 @@ pub fn crc32(poly: u32, seed: u32, bytes: &[u8]) -> u32 {
     }
 }
 
-/// Lane count of the batched CRC kernel: [`crc32_lockstep`] advances up
-/// to 8 independent digests in lockstep — wide enough to cover the
-/// out-of-order window of one serial CRC chain, narrow enough that the
-/// lane state (8 × u32) stays in registers.
+/// Lane count of the batched CRC kernels: [`HashUnit::compute_lanes`]
+/// and [`crc32_lockstep`] advance up to 8 independent digests in
+/// lockstep — wide enough to cover the out-of-order window of one
+/// serial CRC chain, narrow enough that the lane state (8 × u32) stays
+/// in registers.
 pub const CRC_LANES: usize = 8;
 
 /// Advances one raw (pre/post-inversion already applied by the caller)
@@ -180,11 +181,12 @@ fn advance_block(tables: &[[u32; 256]; 8], crc: u32, chunk: &[u8]) -> u32 {
         ^ tables[0][(hi >> 24) as usize]
 }
 
-/// Advances one raw CRC state through a 4-byte word: the slicing-by-4
-/// step, four independent lookups in the low half of the same tables.
+/// Advances one raw CRC state through four bytes, given as the word
+/// `u32::from_le_bytes` reads from them: the slicing-by-4 step, four
+/// independent lookups in the low half of the same tables.
 #[inline(always)]
-fn advance_word(tables: &[[u32; 256]; 8], crc: u32, chunk: &[u8]) -> u32 {
-    let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+fn advance_word(tables: &[[u32; 256]; 8], crc: u32, word: u32) -> u32 {
+    let lo = crc ^ word;
     tables[3][(lo & 0xff) as usize]
         ^ tables[2][((lo >> 8) & 0xff) as usize]
         ^ tables[1][((lo >> 16) & 0xff) as usize]
@@ -202,16 +204,16 @@ fn advance_byte(tables: &[[u32; 256]; 8], crc: u32, b: u8) -> u32 {
 /// bit-identical to the scalar kernel by construction of the tables.
 ///
 /// The scalar kernel is latency-bound: every table lookup depends on
-/// the previous one, and for the short flow keys the compression stage
-/// hashes (4–13 bytes) it degenerates to a serial byte-at-a-time chain.
-/// One length for the whole lane group — which a compiled
-/// [`KeyPlan`] guarantees — lets the kernel pick the widest step the
-/// remaining bytes allow *once*, outside the lane loop: whole 8-byte
-/// blocks (eight independent lookups), then one 4-byte word for a
-/// 4–7-byte rest (four independent lookups), then at most three single
-/// bytes; every step runs across all lanes before the next begins, so
-/// the lanes' chains overlap in the out-of-order window. A 4-byte
-/// source address is a single word step per lane.
+/// the previous one, and for short keys (4–13 bytes) it degenerates to
+/// a serial byte-at-a-time chain. One length for the whole lane group
+/// lets the kernel pick the widest step the remaining bytes allow
+/// *once*, outside the lane loop: whole 8-byte blocks (eight
+/// independent lookups), then one 4-byte word for a 4–7-byte rest (four
+/// independent lookups), then at most three single bytes; every step
+/// runs across all lanes before the next begins, so the lanes' chains
+/// overlap in the out-of-order window. (Packets never come through
+/// here: [`HashUnit::compute_lanes`] folds their fields into word and
+/// byte steps on the same tables without writing key bytes first.)
 ///
 /// # Panics
 /// Panics if `keys` and `out` differ in length or exceed [`CRC_LANES`],
@@ -257,7 +259,8 @@ fn lockstep<const N: usize, K: AsRef<[u8]>>(
     }
     if len - off >= 4 {
         for l in 0..N {
-            state[l] = advance_word(tables, state[l], &keys[l][off..off + 4]);
+            let w = &keys[l][off..off + 4];
+            state[l] = advance_word(tables, state[l], u32::from_le_bytes([w[0], w[1], w[2], w[3]]));
         }
         off += 4;
     }
@@ -273,8 +276,7 @@ fn lockstep<const N: usize, K: AsRef<[u8]>>(
 /// Batched CRC-32: computes `out[l] = crc32_slice8(tables, seed,
 /// inputs[l])` for up to [`CRC_LANES`] independent byte-strings.
 ///
-/// Lanes that share one length — a lane group of packets hashed under
-/// one mask, the only shape the datapath produces — run
+/// Lanes that share one length — keys of one mask — run
 /// [`crc32_lockstep`]; a ragged group has no common structure to
 /// exploit and digests lane by lane on the scalar kernel.
 ///
@@ -292,14 +294,6 @@ pub fn crc32_lanes(tables: &[[u32; 256]; 8], seed: u32, inputs: &[&[u8]], out: &
             *crc = crc32_slice8(tables, seed, input);
         }
     }
-}
-
-/// The full-width entry point of the batched kernel: 8 independent
-/// byte-strings in, 8 digests out (see [`crc32_lanes`]).
-pub fn crc32_slice8x8(tables: &[[u32; 256]; 8], seed: u32, inputs: &[&[u8]; CRC_LANES]) -> [u32; CRC_LANES] {
-    let mut out = [0u32; CRC_LANES];
-    crc32_lanes(tables, seed, inputs, &mut out);
-    out
 }
 
 /// The murmur3 32-bit finalizer: a full-avalanche bit mix.
@@ -486,28 +480,26 @@ impl HashUnit {
         self.mask.is_none()
     }
 
-    /// Computes the 32-bit digest of the masked candidate key for `pkt`.
-    /// Returns 0 when no mask is installed (hardware would emit the CRC of
-    /// an all-zero input; emitting a constant keeps "unconfigured" obvious
-    /// in tests).
+    /// Computes the 32-bit digest of the masked candidate key for `pkt`:
+    /// the compiled [`KeyPlan`] folds the packet's fields straight into
+    /// the CRC, one lane of [`HashUnit::compute_lanes`]. Returns 0 when
+    /// no mask is installed (hardware would emit the CRC of an all-zero
+    /// input; emitting a constant keeps "unconfigured" obvious in tests).
     pub fn compute(&self, pkt: &Packet) -> u32 {
-        match self.mask() {
+        match &self.mask {
             None => 0,
-            Some(mask) => self.compute_with(mask, pkt),
+            Some((_, plan)) => {
+                let [digest] = self.fold(plan, [pkt]);
+                digest
+            }
         }
     }
 
-    /// Computes the digest for an explicit mask, bypassing the installed
-    /// one. Used by planning code to predict collisions.
-    pub fn compute_with(&self, mask: &KeySpec, pkt: &Packet) -> u32 {
-        let key = mask.extract(pkt);
-        self.digest_bytes(key.as_bytes())
-    }
-
-    /// [`HashUnit::compute`] through a per-packet [`ExtractionCache`]:
-    /// units (anywhere in the pipeline) that share a `KeySpec` serialize
-    /// the flow key once per packet instead of once per unit. Identical
-    /// digests to `compute` — only the extraction is memoized.
+    /// The reference digest: the key serialized by [`KeySpec::extract`]
+    /// through a per-packet [`ExtractionCache`] (units anywhere in the
+    /// pipeline that share a `KeySpec` serialize it once per packet),
+    /// then [`HashUnit::digest_bytes`]. It shares no step with the fold
+    /// of `compute`, which the tests hold to it.
     pub fn compute_cached(&self, pkt: &Packet, cache: &mut ExtractionCache) -> u32 {
         match self.mask() {
             None => 0,
@@ -515,31 +507,40 @@ impl HashUnit {
         }
     }
 
-    /// [`HashUnit::compute`] for one lane group of up to [`CRC_LANES`]
-    /// packets — the batched datapath's compression stage. The compiled
-    /// [`KeyPlan`] writes each packet's key straight into a lane buffer
-    /// and, because the plan fixes one length for the whole group,
-    /// [`crc32_lockstep`] digests it. Bit-identical per lane to
-    /// `compute`, zeros included when no mask is installed.
+    /// [`HashUnit::compute`] for one lane group of packets — the batched
+    /// datapath's compression stage: `out[l]` is the digest of the `l`-th
+    /// packet `pkts` yields. A full group of [`CRC_LANES`] folds in
+    /// lockstep, every field step across all eight lanes before the next,
+    /// so the lanes' CRC chains overlap; a ragged group folds lane by
+    /// lane. Zeros when no mask is installed.
     ///
     /// # Panics
-    /// Panics unless `pkts` yields exactly `out.len()` ≤ [`CRC_LANES`]
-    /// packets.
+    /// Panics if `pkts` yields fewer than `out.len()` packets.
     pub fn compute_lanes<'a>(&self, pkts: impl IntoIterator<Item = &'a Packet>, out: &mut [u32]) {
         let Some((_, plan)) = &self.mask else {
             out.fill(0);
             return;
         };
-        let mut keys = [[0u8; MAX_KEY_BYTES]; CRC_LANES];
-        let mut lanes = 0;
-        for pkt in pkts {
-            plan.write(pkt, &mut keys[lanes]);
-            lanes += 1;
+        let mut pkts = pkts.into_iter();
+        let mut next = || pkts.next().expect("one packet per output lane");
+        match <&mut [u32; CRC_LANES]>::try_from(&mut *out) {
+            Ok(out) => *out = self.fold(plan, std::array::from_fn(|_| next())),
+            Err(_) => out.iter_mut().for_each(|d| [*d] = self.fold(plan, [next()])),
         }
-        crc32_lockstep(self.tables, self.seed, &keys[..lanes], plan.len(), out);
-        for d in out.iter_mut() {
-            *d = fmix32(*d);
-        }
+    }
+
+    /// The digests of `N` packets under `plan`, one lane each, folded in
+    /// lockstep on this unit's tables.
+    #[inline(always)]
+    fn fold<const N: usize>(&self, plan: &KeyPlan, pkts: [&Packet; N]) -> [u32; N] {
+        let tables = self.tables;
+        let crc = plan.fold(
+            pkts,
+            [!self.seed; N],
+            |crc, w| std::array::from_fn(|l| advance_word(tables, crc[l], w[l])),
+            |crc, b| std::array::from_fn(|l| advance_byte(tables, crc[l], b[l])),
+        );
+        crc.map(|crc| fmix32(!crc))
     }
 
     /// Hashes raw bytes with this unit's polynomial/seed: a slicing-by-8
@@ -571,7 +572,7 @@ impl HashUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flymon_packet::PacketBuilder;
+    use flymon_packet::{PacketBuilder, MAX_KEY_BYTES};
 
     #[test]
     fn crc32_matches_known_vector() {
@@ -679,7 +680,7 @@ mod tests {
         // (0..=20: no block, word only, block + word + bytes, two blocks
         // + word) x every lane count, against the bit-at-a-time
         // reference. Keys sit in fixed-size lane buffers with poisoned
-        // tails, as in `compute_lanes`: bytes past `len` must not count.
+        // tails: bytes past `len` must not count.
         let mut rng = flymon_packet::SplitMix64::new(0x10c5_7e90);
         for &poly in &CRC32_POLYNOMIALS {
             let tables = tables8_for(poly).expect("family polynomial");
@@ -705,15 +706,13 @@ mod tests {
     }
 
     #[test]
-    fn compute_lanes_matches_compute_for_every_group_size() {
-        let specs = [
-            KeySpec::SRC_IP,                         // 4: one word step
-            KeySpec::SRC_IP_SRC_PORT,                // 6: word + 2 bytes
-            KeySpec::IP_PAIR,                        // 8: one block
-            KeySpec::FIVE_TUPLE,                     // 13: block + word + byte
-            KeySpec { timestamp: true, ..KeySpec::FIVE_TUPLE }, // 17: two blocks + byte
-            KeySpec::NONE,                           // 0: the seed alone
-        ];
+    fn compute_and_compute_lanes_digest_the_bitwise_crc_of_extract() {
+        // Both are the key fold; the reference shares none of it: the
+        // bytes `KeySpec::extract` serializes, the bit-at-a-time CRC and
+        // the whitening step. Every unit (so every polynomial and seed)
+        // x every field subset and interesting prefix length x every
+        // lane-group size, the full group of eight in lockstep.
+        let prefixes = [0u8, 1, 8, 24, 31, 32];
         let mut rng = flymon_packet::SplitMix64::new(0xc0de);
         let pkts: Vec<Packet> = (0..CRC_LANES)
             .map(|_| {
@@ -722,35 +721,42 @@ mod tests {
                     .dst_ip(rng.next_u32())
                     .src_port(rng.next_u32() as u16)
                     .dst_port(rng.next_u32() as u16)
+                    .protocol(rng.next_u32() as u8)
                     .ts_ns(rng.next_u64() >> 24)
                     .build()
             })
             .collect();
-        let mut unit = HashUnit::new(5);
-        let mut out = [1u32; CRC_LANES];
-        unit.compute_lanes(&pkts[..3], &mut out[..3]);
-        assert_eq!(out[..3], [0; 3], "a free unit digests to 0, like compute");
-        for spec in specs {
-            unit.set_mask(spec);
-            for lanes in 1..=CRC_LANES {
-                unit.compute_lanes(&pkts[..lanes], &mut out[..lanes]);
-                for l in 0..lanes {
-                    assert_eq!(out[l], unit.compute(&pkts[l]), "{spec:?} lane {l}/{lanes}");
+        for index in 0..MAX_HASH_UNITS {
+            let mut unit = HashUnit::new(index);
+            let mut out = [1u32; CRC_LANES];
+            unit.compute_lanes(&pkts[..3], &mut out[..3]);
+            assert_eq!(out[..3], [0; 3], "a free unit digests to 0, like compute");
+            for (src_ip_prefix, dst_ip_prefix, flags) in prefixes
+                .into_iter()
+                .flat_map(|s| prefixes.map(|d| (s, d)))
+                .flat_map(|(s, d)| (0..16u8).map(move |f| (s, d, f)))
+            {
+                let spec = KeySpec {
+                    src_ip_prefix,
+                    dst_ip_prefix,
+                    src_port: flags & 1 != 0,
+                    dst_port: flags & 2 != 0,
+                    protocol: flags & 4 != 0,
+                    timestamp: flags & 8 != 0,
+                };
+                unit.set_mask(spec);
+                let reference: Vec<u32> = pkts
+                    .iter()
+                    .map(|p| fmix32(crc32_bitwise(unit.poly, unit.seed, spec.extract(p).as_bytes())))
+                    .collect();
+                for (l, p) in pkts.iter().enumerate() {
+                    assert_eq!(unit.compute(p), reference[l], "unit {index}, {spec:?}, packet {l}");
+                }
+                for lanes in 1..=CRC_LANES {
+                    unit.compute_lanes(&pkts[..lanes], &mut out[..lanes]);
+                    assert_eq!(out[..lanes], reference[..lanes], "unit {index}, {spec:?}, {lanes} lanes");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn slice8x8_full_width_entry_matches_scalar() {
-        let tables = tables8_for(CRC32_POLYNOMIALS[1]).expect("family polynomial");
-        let keys: Vec<Vec<u8>> = (0..CRC_LANES as u8)
-            .map(|l| (0..13).map(|b| l.wrapping_mul(37).wrapping_add(b)).collect())
-            .collect();
-        let inputs: [&[u8]; CRC_LANES] = std::array::from_fn(|l| keys[l].as_slice());
-        let out = crc32_slice8x8(tables, 0x5eed, &inputs);
-        for (l, input) in inputs.iter().enumerate() {
-            assert_eq!(out[l], crc32_slice8(tables, 0x5eed, input), "lane {l}");
         }
     }
 

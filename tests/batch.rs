@@ -180,14 +180,25 @@ fn every_lane_width_is_bit_identical_to_per_packet() {
 
 /// The paper-style six-task mix of the repository benchmark's
 /// `replay_mix` — a prefix filter, a 2⁻³ sampling coin, `SRC_IP` /
-/// `DST_IP` / `IP_PAIR` / `FIVE_TUPLE` keys — plus two tasks whose keys
-/// give the digest kernel its remaining shapes: `SRC_IP_SRC_PORT`
-/// (6 bytes: a word and two single bytes) and `SrcIP/24`+timestamp
-/// (8 bytes: one whole block, from a masked address).
+/// `DST_IP` / `IP_PAIR` / `FIVE_TUPLE` keys — plus four tasks whose keys
+/// give the key fold its remaining shapes: `SRC_IP_SRC_PORT` (6 bytes:
+/// an address word and a lone port's two bytes), `SrcIP/24`+timestamp
+/// (8 bytes: a masked address and the timestamp word),
+/// `DstPort`+`Proto` (3 bytes, single-byte steps only) and the 5-tuple
+/// with the timestamp (17 bytes, every field).
 fn mix() -> Vec<TaskDefinition> {
     let slash24_ts = KeySpec {
         timestamp: true,
         ..KeySpec::src_ip_slash(24)
+    };
+    let port_proto = KeySpec {
+        dst_port: true,
+        protocol: true,
+        ..KeySpec::NONE
+    };
+    let five_tuple_ts = KeySpec {
+        timestamp: true,
+        ..KeySpec::FIVE_TUPLE
     };
     vec![
         TaskDefinition::builder("cms3")
@@ -243,6 +254,18 @@ fn mix() -> Vec<TaskDefinition> {
             .algorithm(Algorithm::Cms { d: 1 })
             .memory(2048)
             .build(),
+        TaskDefinition::builder("service")
+            .key(port_proto)
+            .attribute(Attribute::frequency_bytes())
+            .algorithm(Algorithm::Cms { d: 1 })
+            .memory(2048)
+            .build(),
+        TaskDefinition::builder("flow_ts")
+            .key(five_tuple_ts)
+            .attribute(Attribute::frequency_packets())
+            .algorithm(Algorithm::Cms { d: 1 })
+            .memory(2048)
+            .build(),
     ]
 }
 
@@ -275,18 +298,18 @@ fn task_mix_is_bit_identical_at_every_slice_length_and_lane_width() {
     for p in &t {
         reference.process(p);
     }
-    // The mix has to reach every branch of the length-specialised
-    // digest kernel: a lone word (4), word + bytes (6), a whole block
-    // (8), block + word + byte (13).
+    // The mix has to reach every step of the key fold: bytes alone (3),
+    // a lone word (4), a word and a lone port (6), two words (8), words
+    // and a byte (13), every field (17).
     let mut key_lengths: Vec<usize> = reference
         .groups()
         .iter()
         .flat_map(|g| g.units().iter())
-        .filter_map(|u| u.mask().map(|m| m.plan().len()))
+        .filter_map(|u| u.mask().map(|m| m.extract(&t[0]).as_bytes().len()))
         .collect();
     key_lengths.sort_unstable();
     key_lengths.dedup();
-    assert_eq!(key_lengths, [4, 6, 8, 13]);
+    assert_eq!(key_lengths, [3, 4, 6, 8, 13, 17]);
     // ... and the filter and the coin both have to admit some packets
     // and turn some away, or the sparse path is not under test.
     let hits = hit_counters(&reference);
