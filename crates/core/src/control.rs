@@ -786,12 +786,20 @@ impl FlyMon {
             return Err(e);
         }
 
-        // Phase 2 (infallible): bookkeeping. Bindings go in per row, so
-        // only the rows' groups hold one of this task's.
+        // Phase 2 (infallible): bookkeeping.
+        self.retire(h.0, &task);
+        Ok(())
+    }
+
+    /// The bookkeeping half of a removal, which nothing refuses: `task`
+    /// (whose record has left the table) gives back its bindings, its
+    /// partitions and its hash-unit references. Bindings go in per row,
+    /// so only the rows' groups hold one of this task's.
+    fn retire(&mut self, id: TaskId, task: &DeployedTask) {
         let mut swept = None;
         for row in &task.rows {
             if swept != Some(row.group) {
-                self.groups[row.group].remove_task(h.0);
+                self.groups[row.group].remove_task(id);
                 swept = Some(row.group);
             }
             self.allocators[row.group][row.cmu].free(row.offset, row.size);
@@ -799,7 +807,6 @@ impl FlyMon {
         for &(g, u) in &task.unit_refs {
             self.release_unit_ref(g, u);
         }
-        Ok(())
     }
 
     /// Reallocates a task's memory (§6 memory reallocation strategy):
@@ -807,6 +814,15 @@ impl FlyMon {
     /// and reclaims the old one. Counts do not carry over — the paper's
     /// built-ins cannot resize without accuracy interference, so the old
     /// instance is frozen and retired. Returns the new handle.
+    ///
+    /// Deploy-first, and then atomic: a refused deploy or a refused
+    /// removal of the old instance returns its error with the old task
+    /// untouched — same handle, same rows — and nothing else changed.
+    /// Only a deploy that found no room ([`FlymonError::NoCapacity`])
+    /// falls back to remove-then-deploy, which can end in
+    /// [`FlymonError::ReallocationReverted`] (the old geometry back under
+    /// a fresh handle) or, if neither geometry deploys again, in an
+    /// error saying the task was removed.
     ///
     /// Logged ([`FlyMon::logged`]) by its net effect — which task was
     /// retired, which was created at what rounded geometry — because a
@@ -839,32 +855,41 @@ impl FlyMon {
             memory: new_buckets,
             ..TaskDefinition::clone(&old)
         });
-        // Deploy-first so the task never goes dark; if capacity is tight
-        // fall back to remove-then-deploy.
-        match self.deploy_shared(Arc::clone(&def)) {
-            Ok(new_h) => match self.remove(h) {
-                Ok(()) => Ok(new_h),
-                Err(e) => {
-                    // The old instance survived its failed removal;
-                    // retire the new one so the call is a no-op.
-                    let _ = self.remove(new_h);
-                    Err(e)
-                }
-            },
-            Err(first) => {
+        let new_h = match self.deploy_shared(Arc::clone(&def)) {
+            Ok(new_h) => new_h,
+            // Capacity is tight: remove-then-deploy. A refused removal
+            // returns with the task intact.
+            Err(FlymonError::NoCapacity(_)) => {
                 self.remove(h)?;
-                match self.deploy_shared(def) {
+                return match self.deploy_shared(def) {
                     Ok(new_h) => Ok(new_h),
                     // The new geometry lost its race; re-deploying the
                     // old definition keeps the task alive (counts are
                     // lost either way, §6 freeze-and-divert).
                     Err(_) => match self.deploy_shared(old) {
                         Ok(restored) => Err(FlymonError::ReallocationReverted { restored }),
-                        Err(_) => Err(first),
+                        Err(e) => Err(FlymonError::NoCapacity(format!(
+                            "reallocation removed task {:?} to make room and could not \
+                             deploy it again at either geometry: {e}",
+                            h.0
+                        ))),
                     },
-                }
+                };
             }
+            Err(e) => return Err(e),
+        };
+        if let Err(e) = self.remove(h) {
+            // The old instance survived its refused removal, so the new
+            // one goes. It has seen no packet — its rows are the zeros
+            // its partitions were handed out as — so its removal is the
+            // bookkeeping half alone, which nothing refuses, and the
+            // call leaves no trace, down to the next task id.
+            let task = self.tasks.remove(&new_h.0).expect("deployed just above");
+            self.retire(new_h.0, &task);
+            self.next_id = new_h.0 .0;
+            return Err(e);
         }
+        Ok(new_h)
     }
 
     /// Clears a task's buckets (epoch boundary readout-and-reset).

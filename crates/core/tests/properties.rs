@@ -250,7 +250,11 @@ fn control_plane_survives_random_churn() {
                             Err(FlymonError::ReallocationReverted { restored }) => {
                                 live.push(restored)
                             }
-                            Err(_) => {} // no capacity at all: task is gone
+                            // Any other refusal left the task as it was.
+                            Err(e) => {
+                                assert!(fm.task(h).is_ok(), "a refused reallocation lost the task: {e}");
+                                live.push(h);
+                            }
                         }
                     }
                 }

@@ -117,7 +117,7 @@ impl MergeLaw {
     /// deployment always share a geometry, so a mismatch is a caller
     /// bug, not a data condition.
     pub fn combine_rows(self, acc: &mut [u32], src: &[u32], cap: u32) {
-        sweep(self, acc, src, cap, None);
+        sweep(self, Fold(acc, src), cap, None);
     }
 
     /// [`MergeLaw::combine_rows`] fused with the occupancy scan: merges
@@ -137,25 +137,27 @@ impl MergeLaw {
         cap: u32,
         saturation_cap: u32,
     ) -> RowOccupancy {
-        sweep(self, acc, src, cap, Some(saturation_cap))
+        sweep(self, Fold(acc, src), cap, Some(saturation_cap))
     }
 
-    /// One row merged across `members` into `acc`, in one sweep per
-    /// member: the first row is copied, the middle ones fold in, and
-    /// the last goes through the fused sweep of
-    /// [`MergeLaw::combine_rows_scan`], which also yields the
-    /// occupancy. Members are read in their registers' own cells, widened
-    /// into the `u32` accumulator. Callers leave out members whose row
-    /// is provably zero; with none left the row is `size` zeros. A lone
+    /// One row merged across `members` into `acc`. The first two
+    /// members merge in one sweep that appends `op(x, y)` to the
+    /// emptied accumulator ([`Pair`]): each bucket of it is written
+    /// once, with no zero fill or copy to read back. The members after
+    /// them fold in one sweep each, and the last sweep — the pair's,
+    /// when no third member follows — also yields the occupancy.
+    /// Members are read in their registers' own cells, widened into the
+    /// `u32` accumulator. Callers leave out members whose row is
+    /// provably zero; with none left the row is `size` zeros. A lone
     /// member folds into zeros instead of being copied — 0 is the
     /// identity of every law and a register never holds more than its
-    /// ceiling — so it too gets the fused sweep. `bucket_max` is the
-    /// row's register cell ceiling: what the occupancy scan counts as
+    /// ceiling — so it too gets the scan. `bucket_max` is the row's
+    /// register cell ceiling: what the occupancy scan counts as
     /// saturated, and what a summed bucket clamps at — Cond-ADD
     /// saturates a counter there, so the merge must too, or a bucket
     /// that saturated in a serial replay reads higher merged.
     ///
-    /// Every sweep walks its member in [`MERGE_CHUNK`]s and tells it
+    /// Every sweep walks its members in [`MERGE_CHUNK`]s and tells them
     /// how far it has got ([`Member::retire_to`]) after each: a
     /// rotation hands in archived rows that zero themselves behind the
     /// walk, while the chunk is still in L1 from being read
@@ -166,48 +168,61 @@ impl MergeLaw {
         self,
         acc: &mut Vec<u32>,
         size: usize,
-        mut members: impl Iterator<Item = Result<S, FlymonError>>,
+        members: impl Iterator<Item = Result<S, FlymonError>>,
         bucket_max: u32,
     ) -> Result<RowOccupancy, FlymonError> {
         let cap = match self {
             MergeLaw::Sum => bucket_max,
             MergeLaw::Max | MergeLaw::Or => u32::MAX,
         };
-        // One match on the member's cell width per sweep.
+        // One match on the members' cell widths per sweep.
         let fold = |a: &mut [u32], s: Buckets<'_>, scan| match s {
-            Buckets::U16(s) => sweep(self, a, s, cap, scan),
-            Buckets::U32(s) => sweep(self, a, s, cap, scan),
+            Buckets::U16(s) => sweep(self, Fold(a, s), cap, scan),
+            Buckets::U32(s) => sweep(self, Fold(a, s), cap, scan),
+        };
+        let pair = |a: &mut Vec<u32>, x: Buckets<'_>, y: Buckets<'_>, scan| match (x, y) {
+            (Buckets::U16(x), Buckets::U16(y)) => sweep(self, Pair(a, x, y), cap, scan),
+            (Buckets::U16(x), Buckets::U32(y)) => sweep(self, Pair(a, x, y), cap, scan),
+            (Buckets::U32(x), Buckets::U16(y)) => sweep(self, Pair(a, x, y), cap, scan),
+            (Buckets::U32(x), Buckets::U32(y)) => sweep(self, Pair(a, x, y), cap, scan),
         };
         acc.clear();
-        let Some(mut last) = members.next().transpose()? else {
+        let mut members = members.peekable();
+        let Some(mut first) = members.next().transpose()? else {
             acc.resize(size, 0);
             return Ok(RowOccupancy::default());
         };
-        match members.next().transpose()? {
-            None => acc.resize(last.buckets().len(), 0),
-            Some(second) => {
-                let len = last.buckets().len();
+        let mut occupancy = RowOccupancy::default();
+        let mut last = match members.next().transpose()? {
+            None => {
+                acc.resize(first.buckets().len(), 0);
+                first
+            }
+            Some(mut second) => {
+                let len = first.buckets().len();
+                assert_eq!(len, second.buckets().len(), "merged rows must share a geometry");
+                let scan = members.peek().is_none().then_some(bucket_max);
                 acc.reserve(len);
                 for done in (0..len).step_by(MERGE_CHUNK) {
                     let upto = (done + MERGE_CHUNK).min(len);
-                    acc.extend(last.buckets().slice(done, upto).iter());
-                    last.retire_to(upto);
+                    let x = first.buckets().slice(done, upto);
+                    occupancy += pair(acc, x, second.buckets().slice(done, upto), scan);
+                    first.retire_to(upto);
+                    second.retire_to(upto);
                 }
-                last = second;
+                let Some(mut last) = members.next().transpose()? else {
+                    return Ok(occupancy);
+                };
                 for next in members {
                     walk(acc, &mut last, |a, s| {
                         fold(a, s, None);
                     });
                     last = next?;
                 }
+                last
             }
-        }
-        let mut occupancy = RowOccupancy::default();
-        walk(acc, &mut last, |a, s| {
-            let chunk = fold(a, s, Some(bucket_max));
-            occupancy.nonzero += chunk.nonzero;
-            occupancy.saturated += chunk.saturated;
-        });
+        };
+        walk(acc, &mut last, |a, s| occupancy += fold(a, s, Some(bucket_max)));
         Ok(occupancy)
     }
 }
@@ -260,7 +275,7 @@ fn walk(acc: &mut [u32], member: &mut impl Member, mut sweep: impl FnMut(&mut [u
 /// it writes lines the core still holds.
 const MERGE_CHUNK: usize = 2 * SCAN_BLOCK;
 
-/// One row sweep — `src` folded into `acc` under `law`, with the
+/// One row sweep — the [`Operands`] merged under `law`, with the
 /// occupancy scan against the ceiling `scan` names when it names one —
 /// at the widest vector unit this host has.
 ///
@@ -268,130 +283,122 @@ const MERGE_CHUNK: usize = 2 * SCAN_BLOCK;
 /// 32-bit min or saturating add, so the portable loops spend most of
 /// their time emulating `pminud`. Rather than a second algorithm in
 /// intrinsics, the *same* safe body ([`sweep_body`]) is compiled twice
-/// per [`Cell`] width: [`sweep_portable`] for the build's baseline and
-/// [`sweep_avx2`] under `#[target_feature(enable = "avx2")]`, where the
-/// autovectorizer widens `u16` members with `vpmovzxwd` and emits 8-lane
+/// per operand shape and [`Cell`] width: [`sweep_portable`] for the
+/// build's baseline and [`sweep_avx2`] under
+/// `#[target_feature(enable = "avx2")]`, where the autovectorizer
+/// widens `u16` members with `vpmovzxwd` and emits 8-lane
 /// `vpminud`/`vpmaxud`/`vpor`. The choice is the host's cpuid (cached
 /// by std: one atomic load per sweep) and nothing else; the portable
 /// instantiation is the fallback on every other host and the oracle
-/// the unit test below holds the wide one to.
+/// the unit tests below hold the wide one to.
 #[allow(unsafe_code)]
-fn sweep<C: Cell>(law: MergeLaw, acc: &mut [u32], src: &[C], cap: u32, scan: Option<u32>) -> RowOccupancy {
+fn sweep(law: MergeLaw, ops: impl Operands, cap: u32, scan: Option<u32>) -> RowOccupancy {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: avx2 was just detected on the running CPU, the one
         // requirement of calling a `#[target_feature(enable = "avx2")]`
         // function; its body is safe code.
-        return unsafe { sweep_avx2(law, acc, src, cap, scan) };
+        return unsafe { sweep_avx2(law, ops, cap, scan) };
     }
-    sweep_portable(law, acc, src, cap, scan)
+    sweep_portable(law, ops, cap, scan)
 }
 
 /// [`sweep_body`] compiled for the build's baseline target.
-fn sweep_portable<C: Cell>(
-    law: MergeLaw,
-    acc: &mut [u32],
-    src: &[C],
-    cap: u32,
-    scan: Option<u32>,
-) -> RowOccupancy {
-    sweep_body(law, acc, src, cap, scan)
+fn sweep_portable(law: MergeLaw, ops: impl Operands, cap: u32, scan: Option<u32>) -> RowOccupancy {
+    sweep_body(law, ops, cap, scan)
 }
 
 /// [`sweep_body`] compiled with AVX2 enabled; callable only once the
 /// feature is detected ([`sweep`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn sweep_avx2<C: Cell>(
-    law: MergeLaw,
-    acc: &mut [u32],
-    src: &[C],
-    cap: u32,
-    scan: Option<u32>,
-) -> RowOccupancy {
-    sweep_body(law, acc, src, cap, scan)
+fn sweep_avx2(law: MergeLaw, ops: impl Operands, cap: u32, scan: Option<u32>) -> RowOccupancy {
+    sweep_body(law, ops, cap, scan)
 }
 
 /// The per-law dispatch every instantiation inlines: one closure per
-/// law, handed to [`fold`] or, with `scan`, to [`fold_scan`].
+/// law, handed to the operands' loop.
 #[inline(always)]
-fn sweep_body<C: Cell>(
-    law: MergeLaw,
-    acc: &mut [u32],
-    src: &[C],
-    cap: u32,
-    scan: Option<u32>,
-) -> RowOccupancy {
-    #[inline(always)]
-    fn run<C: Cell>(
-        acc: &mut [u32],
-        src: &[C],
-        scan: Option<u32>,
-        op: impl Fn(u32, u32) -> u32,
-    ) -> RowOccupancy {
-        match scan {
-            None => {
-                fold(acc, src, op);
-                RowOccupancy::default()
-            }
-            Some(saturation_cap) => fold_scan(acc, src, saturation_cap, op),
-        }
-    }
+fn sweep_body(law: MergeLaw, ops: impl Operands, cap: u32, scan: Option<u32>) -> RowOccupancy {
     match law {
-        MergeLaw::Sum => run(acc, src, scan, |a, s| a.saturating_add(s).min(cap)),
-        MergeLaw::Max => run(acc, src, scan, u32::max),
-        MergeLaw::Or => run(acc, src, scan, |a, s| a | s),
+        MergeLaw::Sum => ops.run(scan, |a, s| a.saturating_add(s).min(cap)),
+        MergeLaw::Max => ops.run(scan, u32::max),
+        MergeLaw::Or => ops.run(scan, |a, s| a | s),
     }
 }
 
-/// `acc[i] = op(acc[i], src[i])` over two rows of one geometry, the
-/// member's cells widened into the accumulator's `u32`.
-#[inline(always)]
-fn fold<C: Cell>(acc: &mut [u32], src: &[C], op: impl Fn(u32, u32) -> u32) {
-    assert_eq!(
-        acc.len(),
-        src.len(),
-        "merged rows must share a geometry"
-    );
-    for (a, &s) in acc.iter_mut().zip(src) {
-        *a = op(*a, s.into());
-    }
+/// The operand shapes a [`sweep`] takes, each with its loop.
+trait Operands {
+    /// Merges the operands bucket by bucket with `op`, counting the
+    /// merged buckets against the ceiling `scan` names when it names
+    /// one. Inlined into every instantiation of [`sweep_body`].
+    fn run(self, scan: Option<u32>, op: impl Fn(u32, u32) -> u32) -> RowOccupancy;
 }
 
-/// Buckets per block of [`fold_scan`]. Inside a block the occupancy
+/// A member folded into the accumulator: `acc[i] = op(acc[i], src[i])`,
+/// the member's cells widened into the accumulator's `u32`.
+struct Fold<'a, C>(&'a mut [u32], &'a [C]);
+
+/// Two members merged onto the end of the accumulator:
+/// `acc.push(op(x[i], y[i]))`.
+struct Pair<'a, C, D>(&'a mut Vec<u32>, &'a [C], &'a [D]);
+
+/// Buckets per block of a scanning sweep. Inside a block the occupancy
 /// counts are `u32`, as wide as the buckets, so they ride in the same
-/// vector lanes as the fold under either instantiation (`usize`
+/// vector lanes as the merge under either instantiation (`usize`
 /// counters are twice as wide as a bucket and would halve the lanes of
 /// every vector, 4 → 2 or 8 → 4); across blocks they add up in `usize`,
 /// so no row is long enough to wrap them.
 const SCAN_BLOCK: usize = 1024;
 
-/// [`fold`] fused with the occupancy scan of the merged row.
-#[inline(always)]
-fn fold_scan<C: Cell>(
-    acc: &mut [u32],
-    src: &[C],
-    saturation_cap: u32,
-    op: impl Fn(u32, u32) -> u32,
-) -> RowOccupancy {
-    assert_eq!(
-        acc.len(),
-        src.len(),
-        "merged rows must share a geometry"
-    );
-    let mut occ = RowOccupancy::default();
-    for (a, s) in acc.chunks_mut(SCAN_BLOCK).zip(src.chunks(SCAN_BLOCK)) {
-        let (mut nonzero, mut saturated) = (0u32, 0u32);
-        for (a, &s) in a.iter_mut().zip(s) {
-            let v = op(*a, s.into());
-            *a = v;
-            nonzero += u32::from(v > 0);
-            saturated += u32::from(v >= saturation_cap);
+impl<C: Cell> Operands for Fold<'_, C> {
+    #[inline(always)]
+    fn run(self, scan: Option<u32>, op: impl Fn(u32, u32) -> u32) -> RowOccupancy {
+        let Fold(acc, src) = self;
+        assert_eq!(acc.len(), src.len(), "merged rows must share a geometry");
+        let Some(saturation_cap) = scan else {
+            for (a, &s) in acc.iter_mut().zip(src) {
+                *a = op(*a, s.into());
+            }
+            return RowOccupancy::default();
+        };
+        let mut occ = RowOccupancy::default();
+        for (a, s) in acc.chunks_mut(SCAN_BLOCK).zip(src.chunks(SCAN_BLOCK)) {
+            let (mut nonzero, mut saturated) = (0u32, 0u32);
+            for (a, &s) in a.iter_mut().zip(s) {
+                let v = op(*a, s.into());
+                *a = v;
+                nonzero += u32::from(v > 0);
+                saturated += u32::from(v >= saturation_cap);
+            }
+            occ += RowOccupancy { nonzero: nonzero as usize, saturated: saturated as usize };
         }
-        occ.nonzero += nonzero as usize;
-        occ.saturated += saturated as usize;
+        occ
     }
-    occ
+}
+
+impl<C: Cell, D: Cell> Operands for Pair<'_, C, D> {
+    #[inline(always)]
+    fn run(self, scan: Option<u32>, op: impl Fn(u32, u32) -> u32) -> RowOccupancy {
+        let Pair(acc, x, y) = self;
+        assert_eq!(x.len(), y.len(), "merged rows must share a geometry");
+        // Each block is counted as it lands, while it is still in L1:
+        // counters inside `extend`'s loop keep it from vectorizing.
+        let mut occ = RowOccupancy::default();
+        for (x, y) in x.chunks(SCAN_BLOCK).zip(y.chunks(SCAN_BLOCK)) {
+            let start = acc.len();
+            acc.extend(x.iter().zip(y).map(|(&a, &b)| op(a.into(), b.into())));
+            if let Some(saturation_cap) = scan {
+                let (mut nonzero, mut saturated) = (0u32, 0u32);
+                for &v in &acc[start..] {
+                    nonzero += u32::from(v > 0);
+                    saturated += u32::from(v >= saturation_cap);
+                }
+                occ += RowOccupancy { nonzero: nonzero as usize, saturated: saturated as usize };
+            }
+        }
+        occ
+    }
 }
 
 /// Occupancy of one merged row, computed in the same sweep that merged
@@ -404,6 +411,13 @@ pub struct RowOccupancy {
     /// Buckets at the row's cell ceiling (saturated by Cond-ADD, not
     /// exactly counted).
     pub saturated: usize,
+}
+
+impl std::ops::AddAssign for RowOccupancy {
+    fn add_assign(&mut self, other: RowOccupancy) {
+        self.nonzero += other.nonzero;
+        self.saturated += other.saturated;
+    }
 }
 
 /// The shard (or fleet ingress) among `n` that `pkt` belongs to.
@@ -646,7 +660,10 @@ mod tests {
         // dispatch picks.
         use flymon_packet::SplitMix64;
         type Sweep = fn(MergeLaw, &mut [u32], &[u32], u32, Option<u32>) -> RowOccupancy;
-        let bodies: [(&str, Sweep); 2] = [("portable", sweep_portable), ("dispatched", sweep)];
+        let bodies: [(&str, Sweep); 2] = [
+            ("portable", |law, acc, src, cap, scan| sweep_portable(law, Fold(acc, src), cap, scan)),
+            ("dispatched", |law, acc, src, cap, scan| sweep(law, Fold(acc, src), cap, scan)),
+        ];
         let mut rng = SplitMix64::new(0x51_3d);
         for len in [0, 1, 7, 8, 9, 31, 32, 33, 1_023, 1_024, 1_025, 2_049, 5_000] {
             for law in [MergeLaw::Sum, MergeLaw::Max, MergeLaw::Or] {
@@ -693,7 +710,10 @@ mod tests {
         // widened by hand gives, fold and occupancy alike.
         use flymon_packet::SplitMix64;
         type Sweep = fn(MergeLaw, &mut [u32], &[u16], u32, Option<u32>) -> RowOccupancy;
-        let bodies: [(&str, Sweep); 2] = [("portable", sweep_portable), ("dispatched", sweep)];
+        let bodies: [(&str, Sweep); 2] = [
+            ("portable", |law, acc, src, cap, scan| sweep_portable(law, Fold(acc, src), cap, scan)),
+            ("dispatched", |law, acc, src, cap, scan| sweep(law, Fold(acc, src), cap, scan)),
+        ];
         let mut rng = SplitMix64::new(0x1616);
         for len in [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 1_023, 1_024, 1_025, 2_049, 5_000] {
             for law in [MergeLaw::Sum, MergeLaw::Max, MergeLaw::Or] {
@@ -706,9 +726,147 @@ mod tests {
                         for scan in [None, Some(cap)] {
                             let (mut narrow_acc, mut wide_acc) = (acc0.clone(), acc0.clone());
                             let narrow = body(law, &mut narrow_acc, &src, cap, scan);
-                            let widened = sweep_portable(law, &mut wide_acc, &wide, cap, scan);
+                            let widened =
+                                sweep_portable(law, Fold(&mut wide_acc, &wide), cap, scan);
                             assert_eq!(narrow_acc, wide_acc, "{case} {scan:?}: fold");
                             assert_eq!(narrow, widened, "{case} {scan:?}: occupancy");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn both_pair_instantiations_append_the_scalar_law() {
+        // The first-two-members sweep, portable and dispatched, at every
+        // pairing of cell widths: it appends `combine(x, y)` after what
+        // the accumulator already holds, and counts what it appended.
+        use flymon_packet::SplitMix64;
+        fn check<C: Cell, D: Cell>(law: MergeLaw, x: &[C], y: &[D], cap: u32, case: &str) {
+            let expected: Vec<u32> =
+                x.iter().zip(y).map(|(&a, &b)| law.combine(a.into(), b.into(), cap)).collect();
+            let occupancy = RowOccupancy {
+                nonzero: expected.iter().filter(|&&v| v > 0).count(),
+                saturated: expected.iter().filter(|&&v| v >= cap).count(),
+            };
+            for scan in [None, Some(cap)] {
+                for dispatched in [false, true] {
+                    let mut acc = vec![9];
+                    let occ = if dispatched {
+                        sweep(law, Pair(&mut acc, x, y), cap, scan)
+                    } else {
+                        sweep_portable(law, Pair(&mut acc, x, y), cap, scan)
+                    };
+                    let case = format!("{case} {scan:?} dispatched={dispatched}");
+                    assert_eq!((acc[0], &acc[1..]), (9, &expected[..]), "{case}: merge");
+                    let want = scan.map_or(RowOccupancy::default(), |_| occupancy);
+                    assert_eq!(occ, want, "{case}: occupancy");
+                }
+            }
+        }
+        let mut rng = SplitMix64::new(0x9a12);
+        for len in [0, 1, 7, 8, 9, 31, 32, 33, 1_023, 1_024, 1_025, 2_049, 5_000] {
+            for law in [MergeLaw::Sum, MergeLaw::Max, MergeLaw::Or] {
+                for cap in [0u32, 1, 255, 65_535, u32::MAX] {
+                    let mut pick = || match rng.next_u32() % 3 {
+                        0 => 0,
+                        1 => rng.next_u32() % 300,
+                        _ => rng.next_u32(),
+                    };
+                    let (x, y): (Vec<u32>, Vec<u32>) = (0..len).map(|_| (pick(), pick())).unzip();
+                    let narrow = |v: &[u32]| v.iter().map(|&v| v as u16).collect::<Vec<u16>>();
+                    let (nx, ny) = (narrow(&x), narrow(&y));
+                    let case = format!("{law:?} cap={cap} len={len}");
+                    check(law, &x, &y, cap, &format!("{case} u32+u32"));
+                    check(law, &nx, &y, cap, &format!("{case} u16+u32"));
+                    check(law, &x, &ny, cap, &format!("{case} u32+u16"));
+                    check(law, &nx, &ny, cap, &format!("{case} u16+u16"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merge_rows_equals_a_per_element_fold_live_and_drained() {
+        // `merge_rows` over 0–4 members against `combine` folded bucket
+        // by bucket from zero, rows and occupancy alike: at both cell
+        // widths and mixed ones, at lengths either side of every block
+        // edge, over live views and over archived drains — and a
+        // drained archive is all zero afterwards.
+        use flymon_packet::SplitMix64;
+        use flymon_rmt::register::Register;
+        let mut rng = SplitMix64::new(0x9a17);
+        let lens = [0, 1, SCAN_BLOCK - 1, SCAN_BLOCK + 1, MERGE_CHUNK - 1, MERGE_CHUNK + 1, 65_536];
+        for len in lens {
+            for widths in [[16u8; 4], [32; 4], [16, 32, 16, 32], [32, 16, 32, 16]] {
+                let bucket_max = if widths[0] == 16 { 65_535 } else { u32::MAX };
+                for n in 0..=4 {
+                    let widths = &widths[..n];
+                    // A third zeros, a third small counts, the rest
+                    // anywhere in the register's width.
+                    let rows: Vec<Vec<u32>> = widths
+                        .iter()
+                        .map(|&w| {
+                            let max = if w == 32 { u32::MAX } else { (1 << w) - 1 };
+                            (0..len)
+                                .map(|_| match rng.next_u32() % 3 {
+                                    0 => 0,
+                                    1 => rng.next_u32() % 300,
+                                    _ => rng.next_u32() & max,
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    // Each row at bucket 1 of its register, off the
+                    // register's alignment.
+                    let mut registers: Vec<Register> = widths
+                        .iter()
+                        .zip(&rows)
+                        .map(|(&w, row)| {
+                            let mut r = Register::new((len + 1).next_power_of_two(), w);
+                            for (i, &v) in row.iter().enumerate() {
+                                r.write(1 + i, v).unwrap();
+                            }
+                            r
+                        })
+                        .collect();
+                    for law in [MergeLaw::Sum, MergeLaw::Max, MergeLaw::Or] {
+                        let case = format!("{law:?} len={len} widths={widths:?}");
+                        let expected: Vec<u32> = (0..len)
+                            .map(|i| {
+                                rows.iter().fold(0, |a, row| law.combine(a, row[i], bucket_max))
+                            })
+                            .collect();
+                        let occupancy = RowOccupancy {
+                            nonzero: expected.iter().filter(|&&v| v > 0).count(),
+                            saturated: expected.iter().filter(|&&v| v >= bucket_max).count(),
+                        };
+                        let mut acc = vec![7; 3];
+                        let live = registers
+                            .iter()
+                            .map(|r| Ok::<_, FlymonError>(r.read_range(1, len + 1).unwrap()));
+                        let occ = law.merge_rows(&mut acc, len, live, bucket_max).unwrap();
+                        assert_eq!((&acc, occ), (&expected, occupancy), "{case}: live");
+
+                        for r in &mut registers {
+                            r.swap_epoch_bank();
+                        }
+                        let drains = registers
+                            .iter_mut()
+                            .filter_map(|r| r.drain_archived_range(1, len + 1).unwrap().map(Ok));
+                        let occ = law.merge_rows(&mut acc, len, drains, bucket_max).unwrap();
+                        assert_eq!((&acc, occ), (&expected, occupancy), "{case}: drained");
+                        // The drained bank comes back live by the next
+                        // swap; the rows go back in for the next law.
+                        for (r, row) in registers.iter_mut().zip(&rows) {
+                            r.swap_epoch_bank();
+                            let cells = r.read_range(0, r.len()).unwrap();
+                            let zero = cells.iter().all(|v| v == 0);
+                            assert!(zero, "{case}: a drained bank kept a value");
+                            for (i, &v) in row.iter().enumerate() {
+                                r.write(1 + i, v).unwrap();
+                            }
                         }
                     }
                 }

@@ -707,9 +707,9 @@ impl SwitchFleet {
     /// Merges every fleet task's rows across the alive fleet out of
     /// the archived epoch banks, draining them (a register that
     /// skipped the swap contributes nothing). Each row is one
-    /// [`MergeLaw::merge_rows`]: the occupancy scan rides the sweep
-    /// that folds the last member in, and every member's archived
-    /// chunk is zeroed right behind the sweep that read it.
+    /// [`MergeLaw::merge_rows`]: the first two members merge in one
+    /// sweep, the occupancy scan rides the last one, and every member's
+    /// archived chunk is zeroed right behind the sweep that read it.
     fn merge_epochs(&mut self) -> Result<Vec<TaskEpoch>, FlymonError> {
         let mut task_epochs = Vec::with_capacity(self.tasks.len());
         for task in &self.tasks {
@@ -869,10 +869,17 @@ impl SwitchFleet {
                 let reply = Self::send(channel, sw, i, op, |sw| {
                     sw.reallocate_memory(h, to).map(TxnResult::Handle)
                 });
-                // A reverted reallocation is a refusal, but it reminted
-                // the handle on its way back to the old geometry.
-                if let Err(FlymonError::ReallocationReverted { restored }) = &reply {
-                    cols[col][i] = Some(*restored);
+                match &reply {
+                    // A reverted reallocation is a refusal, but it
+                    // reminted the handle on its way back to the old
+                    // geometry.
+                    Err(FlymonError::ReallocationReverted { restored }) => {
+                        cols[col][i] = Some(*restored);
+                    }
+                    // A capacity-tight fallback that could deploy neither
+                    // geometry lost the task: no column may name it.
+                    Err(_) if sw.task(h).is_err() => cols[col][i] = None,
+                    _ => {}
                 }
                 cols[col][i] = Some(reply?.handle());
             }

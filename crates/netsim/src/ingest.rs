@@ -656,11 +656,6 @@ impl StreamingRuntime {
         self.stats
     }
 
-    /// The ingress queue's statistics.
-    pub fn queue_stats(&self) -> QueueStats {
-        self.queue.stats()
-    }
-
     /// The supervised fleet (readouts, diagnostics).
     pub fn fleet(&self) -> &SwitchFleet {
         &self.fleet
@@ -1259,7 +1254,7 @@ mod tests {
             reference.step(&mut fed_ref);
             let at = format!("{what}, step {step}");
             assert_eq!(rt.stats(), reference.stats, "{at}");
-            assert_eq!(rt.queue_stats(), reference.queue_stats, "{at}");
+            assert_eq!(rt.queue.stats(), reference.queue_stats, "{at}");
             assert_eq!(rt.ledger(), reference.ledger(), "{at}");
             assert_eq!(rt.health(), reference.health, "{at}");
             // The next coin: bulk admission drew exactly as many.
@@ -1294,7 +1289,7 @@ mod tests {
                 // watermark, so it fills the queue: the producer
                 // blocks and the backlog overflows.
                 assert!(stats.blocked_steps > 0 && stats.shed_overflow > 0, "{stats:?}");
-                assert_eq!(rt.queue_stats().high_watermark, 1_024);
+                assert_eq!(rt.queue.stats().high_watermark, 1_024);
             }
         }
         assert!(whole_chunks > 1_000, "only {whole_chunks} steps took the bulk move");

@@ -475,11 +475,6 @@ impl HashUnit {
         self.mask.as_ref().map(|(spec, _)| spec)
     }
 
-    /// True when no mask is installed.
-    pub fn is_free(&self) -> bool {
-        self.mask.is_none()
-    }
-
     /// Computes the 32-bit digest of the masked candidate key for `pkt`:
     /// the compiled [`KeyPlan`] folds the packet's fields straight into
     /// the CRC, one lane of [`HashUnit::compute_lanes`]. Returns 0 when
@@ -858,12 +853,12 @@ mod tests {
     #[test]
     fn unconfigured_unit_emits_zero_and_reports_free() {
         let mut unit = HashUnit::new(3);
-        assert!(unit.is_free());
+        assert!(unit.mask().is_none());
         assert_eq!(unit.compute(&Packet::tcp(1, 2, 3, 4)), 0);
         unit.set_mask(KeySpec::DST_IP);
-        assert!(!unit.is_free());
+        assert_eq!(unit.mask(), Some(&KeySpec::DST_IP));
         unit.clear_mask();
-        assert!(unit.is_free());
+        assert!(unit.mask().is_none());
     }
 
     #[test]

@@ -459,11 +459,6 @@ impl Register {
         self.len() == 0
     }
 
-    /// SRAM footprint in bits.
-    pub fn size_bits(&self) -> u64 {
-        self.len() as u64 * u64::from(self.width_bits)
-    }
-
     /// Reads the bucket at `addr`.
     pub fn read(&self, addr: usize) -> Result<u32, RmtError> {
         let limit = self.len();
@@ -556,7 +551,6 @@ mod tests {
         assert_eq!(r.len(), 1024);
         assert_eq!(r.width_bits(), 16);
         assert_eq!(r.max_value(), 65535);
-        assert_eq!(r.size_bits(), 1024 * 16);
         assert!(!r.is_empty());
     }
 

@@ -103,11 +103,6 @@ impl Salu {
         Ok(())
     }
 
-    /// The pre-loaded operations.
-    pub fn loaded_ops(&self) -> &[StatefulOp] {
-        &self.loaded
-    }
-
     /// Immutable access to the bound register (control-plane readout).
     pub fn register(&self) -> &Register {
         &self.register
@@ -388,7 +383,7 @@ mod tests {
         s.load_op(StatefulOp::ReservedRead).unwrap();
         // Re-loading an existing op is idempotent, not a fifth slot.
         s.load_op(StatefulOp::Max).unwrap();
-        assert_eq!(s.loaded_ops().len(), 4);
+        assert_eq!(s.loaded.len(), 4);
     }
 
     #[test]

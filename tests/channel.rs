@@ -711,6 +711,35 @@ fn a_refused_sweep_leaves_the_fleet_as_it_found_it_and_the_retry_matches_a_twin(
     }
 }
 
+/// A fleet reallocation under seeded probabilistic install faults on
+/// one switch: whatever it returns, every switch hosts exactly the task
+/// its column names — none lost, none leaked beside it — so the
+/// rotation after it goes through.
+#[test]
+fn a_faulted_fleet_reallocation_leaves_no_column_naming_a_dead_handle() {
+    let t = trace(23, 4_000);
+    for p in [0.3, 0.5] {
+        for seed in 0..40u64 {
+            let row = format!("p {p} seed {seed}");
+            let mut fleet = SwitchFleet::deploy(3, config(), &cms_def(2)).unwrap();
+            fleet.process_trace(&t);
+            let s = (seed % 3) as usize;
+            fleet.set_faults(s, Some(FaultPlan::new(seed).fail_probability(p))).unwrap();
+            let resized = fleet.reallocate_task(0, 4096);
+            fleet.set_faults(s, None).unwrap();
+            let size = if resized.is_ok() { 4096 } else { 8192 };
+            for i in 0..3 {
+                let (sw, h) = fleet.switch(i);
+                let task = h.and_then(|h| sw.task(h).ok());
+                let task = task.unwrap_or_else(|| panic!("{row}: switch {i}'s column is dead"));
+                assert_eq!(task.rows[0].size, size, "{row}: switch {i} ({resized:?})");
+                assert_eq!(sw.task_count(), 1, "{row}: switch {i} hosts a task beside it");
+            }
+            fleet.rotate_epoch_all().unwrap_or_else(|e| panic!("{row}: rotation refused: {e}"));
+        }
+    }
+}
+
 /// The unwind crosses the channel it is unwinding for, so it can fail
 /// too. A switch that cannot be taken back is left *diverged* — its
 /// handle slots `None` — which the fleet must refuse to rotate over,

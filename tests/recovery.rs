@@ -438,3 +438,30 @@ fn reallocation_deploys_a_new_definition_and_replays_from_the_old() {
     }
     assert!(recovered.audit().is_empty(), "{:?}", recovered.audit());
 }
+
+/// A reallocation refused after its new instance deployed — the old
+/// one's removal failed — takes the new instance back without spending
+/// its task id. Recovery then replays the deploy that follows under the
+/// id the live switch gave it, and lands where the live switch is.
+#[test]
+fn a_refused_reallocation_spends_no_id_and_recovery_replays_past_it() {
+    let mut fm = FlyMon::new(config());
+    fm.attach_wal(WriteAheadLog::new());
+    let h = fm.deploy(&cms_def(1)).unwrap();
+    fm.process_batch(&trace(0x5EED, 5_000));
+    let chk = fm.checkpoint(CaptureMode::Full);
+
+    // CMS d=1 on the default config's other group: a hash mask, a buddy
+    // write and a table entry deploy it; op 4 is the old row's clear.
+    fm.arm_faults(FaultPlan::new(0).fail_nth(4));
+    assert!(matches!(fm.reallocate_memory(h, 4096), Err(FlymonError::Install(_))));
+    fm.disarm_faults();
+    assert_eq!(fm.task_count(), 1);
+    let next = fm.deploy(&cms_def(2)).unwrap();
+    assert_eq!(next, TaskHandle(flymon::task::TaskId(2)), "the refusal spent an id");
+
+    let recovered = FlyMon::recover(fm.wal().unwrap(), &chk).unwrap();
+    assert_eq!(recovered.task_count(), 2);
+    assert_eq!(all_registers(&recovered), all_registers(&fm));
+    assert!(recovered.audit().is_empty(), "{:?}", recovered.audit());
+}

@@ -351,6 +351,102 @@ fn refused_remove_and_reset_restore_every_row_bit_for_bit() {
     }
 }
 
+/// A reallocation deploys the new instance, then removes the old one,
+/// and a fault at *any* op of either refuses it whole: the old task
+/// keeps its handle, its rows and its counts, nothing else moves, and
+/// the id the move finally gets is the one a twin that never failed
+/// hands out.
+#[test]
+fn every_nth_op_failure_of_a_reallocation_leaves_the_old_task_untouched() {
+    // Three groups: the bystander's, the task's, and a free one the new
+    // instance fits in beside the old.
+    let roomy = || {
+        FlyMon::new(FlyMonConfig {
+            groups: 3,
+            buckets_per_cmu: 1024,
+            ..FlyMonConfig::default()
+        })
+    };
+    let (mut fm, mut twin) = (roomy(), roomy());
+    let mut handles = Vec::new();
+    for sw in [&mut fm, &mut twin] {
+        sw.deploy(&cms("bystander", 1, 128)).unwrap();
+        handles.push(sw.deploy(&cms("t", 3, 256)).unwrap());
+        for i in 0..4_000u32 {
+            sw.process(&Packet::tcp(0x0a00_0000 | ((i * 7919) % 1_000), i, 3, 4));
+        }
+    }
+    let h = handles[0];
+    assert_eq!(handles[1], h);
+    let pre = snapshot(&fm);
+    let rows: Vec<Vec<u32>> = (0..3).map(|r| fm.read_row(h, r).unwrap()).collect();
+
+    let mut failures = 0u64;
+    let moved = loop {
+        let n = failures + 1;
+        fm.arm_faults(FaultPlan::new(0).fail_nth(n));
+        match fm.reallocate_memory(h, 512) {
+            Err(FlymonError::Install(e)) => {
+                assert_eq!(e.op_index, n, "the Nth op must be the one that failed");
+                assert_eq!(snapshot(&fm), pre, "a reallocation refused at op #{n} left residue");
+                let kept: Vec<Vec<u32>> = (0..3).map(|r| fm.read_row(h, r).unwrap()).collect();
+                assert_eq!(kept, rows, "op #{n}: the old task lost its counts");
+                assert_clean(&fm);
+                for (g, group) in fm.groups().iter().enumerate() {
+                    assert_eq!(
+                        group.program(),
+                        &group.reference_program(),
+                        "op #{n} left group {g} a stale program"
+                    );
+                }
+                failures += 1;
+            }
+            Err(other) => panic!("unexpected error at op {n}: {other}"),
+            Ok(moved) => break moved,
+        }
+    };
+    // The deploy on a fresh group: 1 hash mask + 3 buddy writes + 3
+    // table entries; the removal: 3 register clears + 3 rule deletions.
+    assert_eq!(failures, 13, "expected to sweep exactly 13 ops");
+    fm.disarm_faults();
+    assert_eq!(moved, twin.reallocate_memory(h, 512).unwrap(), "a refusal spent a task id");
+    assert_eq!(snapshot(&fm), snapshot(&twin));
+    assert_clean(&fm);
+}
+
+/// The same under seeded probabilistic plans, with room to spare: a
+/// reallocation either moves the task or leaves the switch exactly as
+/// it was — it never loses the task, leaks an instance, or reverts.
+#[test]
+fn probabilistic_faults_never_lose_or_leak_a_reallocated_task() {
+    for p in [0.3, 0.5] {
+        for seed in 0..200 {
+            let mut fm = small();
+            let h = fm.deploy(&cms("t", 3, 256)).unwrap();
+            for i in 0..500u32 {
+                fm.process(&Packet::tcp(0x0a00_0000 | (i % 97), i, 3, 4));
+            }
+            let pre = snapshot(&fm);
+            fm.arm_faults(FaultPlan::new(seed).fail_probability(p));
+            let moved = fm.reallocate_memory(h, 512);
+            fm.disarm_faults();
+            match moved {
+                Ok(new) => {
+                    assert_eq!(fm.task_count(), 1, "p {p} seed {seed}");
+                    assert!(fm.task(h).is_err(), "p {p} seed {seed}: the old task stayed");
+                    assert_eq!(fm.task(new).unwrap().rows[0].size, 512);
+                }
+                Err(e) => {
+                    assert!(matches!(e, FlymonError::Install(_)), "p {p} seed {seed}: {e}");
+                    assert_eq!(snapshot(&fm), pre, "p {p} seed {seed}: a refusal left residue");
+                    assert!(fm.task(h).is_ok());
+                }
+            }
+            assert_clean(&fm);
+        }
+    }
+}
+
 /// Transient faults are absorbed by retry-with-backoff: the deploy
 /// succeeds, and the modeled backoff shows up in the install latency.
 #[test]
