@@ -268,6 +268,7 @@ impl FlyMon {
             ));
         }
         let cfg = chk.config;
+        cfg.validate().map_err(FlymonError::Checkpoint)?;
         if chk.groups.len() != cfg.groups
             || chk.units.len() != cfg.groups
             || chk.allocators.len() != cfg.groups
@@ -279,6 +280,7 @@ impl FlyMon {
                 || chk.units[g].len() != cfg.compression_units
                 || chk.groups[g].cmus.len() != cfg.cmus_per_group
                 || chk.allocators[g].len() != cfg.cmus_per_group
+                || chk.groups[g].cmus.iter().any(|c| c.hits.len() != c.bindings.len())
             {
                 return Err(FlymonError::Checkpoint("group shape mismatch"));
             }
@@ -551,6 +553,37 @@ mod tests {
             FlyMon::restore(&delta),
             Err(FlymonError::Checkpoint(_))
         ));
+    }
+
+    #[test]
+    fn structurally_hostile_images_are_refused_not_panicked_on() {
+        let mut fm = switch();
+        fm.deploy(&cms("a", 256, 0x0a000000)).unwrap();
+        feed(&mut fm, 20);
+        let chk = fm.checkpoint(CaptureMode::Full);
+        type Mutation = fn(&mut SwitchCheckpoint);
+        let mutations: [(&str, Mutation); 6] = [
+            ("zero groups", |c| {
+                c.config.groups = 0;
+                c.groups.clear();
+                c.units.clear();
+                c.allocators.clear();
+            }),
+            ("1000 buckets", |c| c.config.buckets_per_cmu = 1000),
+            ("9 compression units", |c| c.config.compression_units = 9),
+            ("zero CMUs per group", |c| c.config.cmus_per_group = 0),
+            ("40-bit buckets", |c| c.config.bucket_bits = 40),
+            ("hits shorter than bindings", |c| {
+                let mut cmus = c.groups.iter_mut().flat_map(|g| &mut g.cmus);
+                cmus.find(|c| !c.bindings.is_empty()).expect("a deployed row").hits.pop();
+            }),
+        ];
+        for (what, mutate) in mutations {
+            let mut hostile = chk.clone();
+            mutate(&mut hostile);
+            let err = FlyMon::restore(&hostile).map(|_| ()).expect_err(what);
+            assert!(matches!(err, FlymonError::Checkpoint(_)), "{what}: {err}");
+        }
     }
 
     #[test]

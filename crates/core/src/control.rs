@@ -75,6 +75,29 @@ pub struct FlyMonConfig {
     pub spliced_groups: usize,
 }
 
+impl FlyMonConfig {
+    /// The geometry rules a switch is built under: [`FlyMon::new`]
+    /// asserts them, and [`FlyMon::restore`] refuses an image breaking one.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.groups == 0 {
+            Err("groups must be nonzero")
+        } else if u32::from(self.max_partitions_log2) >= usize::BITS {
+            Err("max_partitions_log2 must be below the bits of a bucket count")
+        } else {
+            self.group_config().validate()
+        }
+    }
+
+    fn group_config(&self) -> GroupConfig {
+        GroupConfig {
+            compression_units: self.compression_units,
+            cmus: self.cmus_per_group,
+            buckets_per_cmu: self.buckets_per_cmu,
+            bucket_bits: self.bucket_bits,
+        }
+    }
+}
+
 impl Default for FlyMonConfig {
     fn default() -> Self {
         FlyMonConfig {
@@ -232,17 +255,11 @@ impl FlyMon {
     /// Builds the data plane.
     ///
     /// # Panics
-    /// Panics on a non-power-of-two bucket count or zero dimensions
+    /// Panics on a geometry [`FlyMonConfig::validate`] refuses
     /// (programming errors in experiment setup).
     pub fn new(config: FlyMonConfig) -> Self {
-        assert!(config.groups > 0);
-        assert!(config.buckets_per_cmu.is_power_of_two());
-        let group_config = GroupConfig {
-            compression_units: config.compression_units,
-            cmus: config.cmus_per_group,
-            buckets_per_cmu: config.buckets_per_cmu,
-            bucket_bits: config.bucket_bits,
-        };
+        config.validate().unwrap_or_else(|rule| panic!("{rule}, got {config:?}"));
+        let group_config = config.group_config();
         let min_block =
             (config.buckets_per_cmu >> config.max_partitions_log2).max(1);
         let mut groups: Vec<CmuGroup> = (0..config.groups)

@@ -26,7 +26,8 @@ use crate::keysel::{KeySelect, KeySource};
 use crate::params::{PacketContext, ParamSource};
 use crate::prep::PrepAction;
 use crate::program::{
-    coupon_bit, CompiledBinding, GroupProgram, KeyPrep, MatchRule, OperandKernel, PacketField,
+    coupon_bit, CompiledBinding, Gate, GroupProgram, KeyPrep, MatchRule, OperandKernel,
+    PacketField,
 };
 use crate::scratch::{BatchScratch, CoinScratch};
 use crate::task::TaskId;
@@ -44,6 +45,21 @@ pub struct GroupConfig {
     /// Bucket width in bits (paper setting: 16; the max-interval recipe
     /// uses 32-bit groups).
     pub bucket_bits: u8,
+}
+
+impl GroupConfig {
+    /// The geometry rules every group is built under: [`CmuGroup::new`]
+    /// asserts them, and a checkpoint that breaks one is refused.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let units = "compression_units must be 1 to MAX_HASH_UNITS";
+        let rules = [
+            ((1..=MAX_HASH_UNITS).contains(&self.compression_units), units),
+            (self.cmus > 0, "cmus must be nonzero"),
+            (self.buckets_per_cmu.is_power_of_two(), "buckets_per_cmu must be a power of two"),
+            ((1..=32).contains(&self.bucket_bits), "bucket_bits must be 1..=32"),
+        ];
+        rules.into_iter().find(|&(holds, _)| !holds).map_or(Ok(()), |(_, rule)| Err(rule))
+    }
 }
 
 impl Default for GroupConfig {
@@ -184,7 +200,6 @@ impl Cmu {
     /// Overwrites the per-binding hit counters — checkpoint restore,
     /// after the bindings themselves have been reinstalled in order.
     pub(crate) fn restore_hits(&mut self, hits: &[u64]) {
-        debug_assert_eq!(hits.len(), self.bindings.len());
         self.hits = hits.to_vec();
     }
 
@@ -238,29 +253,13 @@ impl CmuGroup {
     /// Creates group `index` of the pipeline with the given geometry.
     ///
     /// # Panics
-    /// Panics if the bucket count is not a power of two (register
-    /// constraint) or any dimension is zero. A zero or non-power-of-two
-    /// bucket count would otherwise panic later in [`CmuGroup::addr_bits`]
-    /// (`ilog2` of 0) or silently alias buckets through a floored address
-    /// width, so the whole invariant is enforced here.
+    /// Panics on a geometry [`GroupConfig::validate`] refuses. A zero or
+    /// non-power-of-two bucket count would otherwise panic later in
+    /// [`CmuGroup::addr_bits`] (`ilog2` of 0) or silently alias buckets
+    /// through a floored address width, so the whole invariant is
+    /// enforced here.
     pub fn new(index: usize, config: GroupConfig) -> Self {
-        assert!(
-            config.compression_units > 0,
-            "group {index}: compression_units must be nonzero"
-        );
-        assert!(
-            config.compression_units <= MAX_HASH_UNITS,
-            "group {index}: {} compression units exceed the {MAX_HASH_UNITS} \
-             independent hash polynomials a stage offers",
-            config.compression_units
-        );
-        assert!(config.cmus > 0, "group {index}: cmus must be nonzero");
-        assert!(
-            config.buckets_per_cmu.is_power_of_two(),
-            "group {index}: buckets_per_cmu must be a nonzero power of two \
-             (register constraint), got {}",
-            config.buckets_per_cmu
-        );
+        config.validate().unwrap_or_else(|rule| panic!("group {index}: {rule}, got {config:?}"));
         CmuGroup {
             index,
             config,
@@ -365,15 +364,6 @@ impl CmuGroup {
     /// `log2` of the register bucket count (the address width).
     pub fn addr_bits(&self) -> u8 {
         self.config.buckets_per_cmu.ilog2() as u8
-    }
-
-    /// Runs the compression stage only: the compressed keys this group
-    /// derives for `pkt`. Exposed so the control plane can replay the
-    /// addressing path at query time.
-    pub fn compressed_keys(&self, pkt: &Packet) -> Vec<u32> {
-        let mut scratch = HashScratch::default();
-        self.compress_into(pkt, &mut scratch);
-        scratch.as_slice().to_vec()
     }
 
     /// Allocation-free compression stage: fills `out` with this group's
@@ -516,10 +506,13 @@ impl CmuGroup {
     ///    through its compiled key plan, in lockstep
     ///    ([`HashUnit::compute_lanes`]) — every packet for a unit an
     ///    unconditional CMU reads ([`GroupProgram::dense_units`]), the
-    ///    packets that matched somewhere for any other;
+    ///    packets that matched somewhere for any other. While no
+    ///    program reads PHV contexts, a gated CMU's matches then pass
+    ///    its coupon gates ([`GroupProgram::gate_of`]), and a unit only
+    ///    gated rows read digests just what passed;
     /// 3. **resolve + apply** per CMU, fused: one [`Salu::sweep`] per run
-    ///    of matched packets sharing a binding, with the operand closure
-    ///    chosen once per run from the binding's
+    ///    of matched (or passed) packets sharing a binding, with the
+    ///    operand closure chosen once per run from the binding's
     ///    [`OperandKernel`] ([`sweep_binding`]), recording the forwarded
     ///    output into the packet's PHV context on the way out.
     ///
@@ -599,7 +592,11 @@ impl CmuGroup {
         // the whole chunk; any other used unit's is the packed list of
         // packets that matched some conditional CMU. Slots outside a
         // unit's domain keep stale values no compiled plan reads
-        // (exactly the serial path's lazy-zero slots).
+        // (exactly the serial path's lazy-zero slots). A gated step's
+        // output only a recorded context could see, so without one the
+        // gates run, and a unit only gated rows read waits for them.
+        let gating = !record_ctx && program.cmus.iter().any(|c| c.gated);
+        let late = |u: usize| gating && program.gated_units[u];
         batch.digest_idx.clear();
         if any_sparse {
             batch.digest_idx.resize(n, 0);
@@ -610,21 +607,39 @@ impl CmuGroup {
             }
             batch.digest_idx.truncate(len);
         }
-        let mut out = [0u32; CRC_LANES];
         for (u, unit) in units.iter().enumerate() {
-            if !program.unit_used[u] {
-                continue;
+            if program.unit_used[u] && !late(u) {
+                let domain = if program.dense_units[u] {
+                    &batch.all_idx[..n]
+                } else {
+                    batch.digest_idx.as_slice()
+                };
+                digest(unit, u, domain, pkts, lanes, &mut batch.digests);
             }
-            let domain = if program.dense_units[u] {
-                &batch.all_idx[..n]
-            } else {
-                batch.digest_idx.as_slice()
-            };
-            for idx_group in domain.chunks(lanes) {
-                let out = &mut out[..idx_group.len()];
-                unit.compute_lanes(idx_group.iter().map(|&pi| &pkts[pi as usize]), out);
-                for (&pi, &digest) in idx_group.iter().zip(out.iter()) {
-                    batch.digests[pi as usize * MAX_HASH_UNITS + u] = digest;
+        }
+        if gating {
+            // One gated list per (match signature, gates) over the gate
+            // keys just digested, then the late units over what passed.
+            batch.digest_idx.clear();
+            for (ci, cprog) in program.cmus.iter().enumerate() {
+                if !cprog.gated || program.gate_of[ci] != ci {
+                    continue;
+                }
+                let (gated, late) = (&mut batch.gated[ci], &mut batch.digest_idx);
+                gated.clear();
+                if cprog.always {
+                    let steps = (0..n as u32).map(|pi| (pi, 0));
+                    gate_run(cprog.bindings[0].gate, steps, &batch.digests, gated, late);
+                } else {
+                    for (bi, run) in runs(&batch.matched[program.match_of[ci]]) {
+                        let (gate, steps) = (cprog.bindings[bi].gate, run.iter().copied());
+                        gate_run(gate, steps, &batch.digests, gated, late);
+                    }
+                }
+            }
+            for (u, unit) in units.iter().enumerate() {
+                if late(u) {
+                    digest(unit, u, &batch.digest_idx, pkts, lanes, &mut batch.digests);
                 }
             }
         }
@@ -650,35 +665,88 @@ impl CmuGroup {
                 bindings,
                 hits,
             } = cmu;
+            // Hits and recirculation count every match, gated or not: a
+            // gated CMU counts its runs here, any other as it sweeps.
+            let matched = batch.matched[program.match_of[ci]].as_slice();
+            let gated = gating && cprog.gated;
             if cprog.always {
-                // Dense: the packet index *is* the step index.
                 hits[0] += n as u64;
-                sweep_binding(salu, &cprog.bindings[0], &bindings[0], n, |k| k, &chunk, ctxs);
                 if mark_executed {
                     batch.executed[..n].fill(true);
                 }
-                continue;
-            }
-            // Sparse: the signature's matched list, cut into runs of one
-            // binding so each run is a single sweep with one kernel. A
-            // CMU mostly holds one binding per traffic class, so a run
-            // is usually the whole list.
-            let matched = batch.matched[program.match_of[ci]].as_slice();
-            let mut rest = matched;
-            while let Some(&(_, bi)) = rest.first() {
-                let len = rest.iter().position(|&(_, b)| b != bi).unwrap_or(rest.len());
-                let (run, tail) = rest.split_at(len);
-                let bi = usize::from(bi);
-                hits[bi] += len as u64;
-                let (cb, b) = (&cprog.bindings[bi], &bindings[bi]);
-                sweep_binding(salu, cb, b, len, move |k| run[k].0 as usize, &chunk, ctxs);
-                rest = tail;
-            }
-            if mark_executed {
-                for &(pi, _) in matched {
-                    batch.executed[pi as usize] = true;
+            } else {
+                for (bi, run) in runs(if gated { matched } else { &[] }) {
+                    hits[bi] += run.len() as u64;
+                }
+                if mark_executed {
+                    for &(pi, _) in matched {
+                        batch.executed[pi as usize] = true;
+                    }
                 }
             }
+            // The gated or the matched list, cut into runs of one binding
+            // so each run is a single sweep with one kernel (usually one
+            // run: a CMU mostly holds one binding per traffic class).
+            let steps = if gated {
+                batch.gated[program.gate_of[ci]].as_slice()
+            } else if cprog.always {
+                // Dense: the packet index *is* the step index.
+                sweep_binding(salu, &cprog.bindings[0], &bindings[0], n, |k| k, &chunk, ctxs);
+                continue;
+            } else {
+                matched
+            };
+            for (bi, run) in runs(steps) {
+                hits[bi] += if gated { 0 } else { run.len() as u64 };
+                let (cb, b) = (&cprog.bindings[bi], &bindings[bi]);
+                sweep_binding(salu, cb, b, run.len(), move |k| run[k].0 as usize, &chunk, ctxs);
+            }
+        }
+    }
+}
+
+/// Pass 2 for one unit: the packets `idx` names, `lanes` at a time, into
+/// column `u` of the digest matrix `out`.
+fn digest(unit: &HashUnit, u: usize, idx: &[u32], pkts: &[Packet], lanes: usize, out: &mut [u32]) {
+    let mut lane = [0u32; CRC_LANES];
+    for idx_group in idx.chunks(lanes) {
+        let lane = &mut lane[..idx_group.len()];
+        unit.compute_lanes(idx_group.iter().map(|&pi| &pkts[pi as usize]), lane);
+        for (&pi, &digest) in idx_group.iter().zip(lane.iter()) {
+            out[pi as usize * MAX_HASH_UNITS + u] = digest;
+        }
+    }
+}
+
+/// A step list cut into runs of one binding, as `(binding, run)`.
+fn runs(mut rest: &[(u32, u16)]) -> impl Iterator<Item = (usize, &[(u32, u16)])> {
+    std::iter::from_fn(move || {
+        let &(_, bi) = rest.first()?;
+        let len = rest.iter().position(|&(_, b)| b != bi).unwrap_or(rest.len());
+        let (run, tail) = rest.split_at(len);
+        rest = tail;
+        Some((usize::from(bi), run))
+    })
+}
+
+/// Appends to a gated list the `steps` of one binding that its gate, if
+/// any, lets through, and their packets to the `late` digest domain. A
+/// gate passes few packets: the branch is predictable, the gate hoisted.
+fn gate_run(
+    gate: Option<Gate>,
+    steps: impl Iterator<Item = (u32, u16)>,
+    digests: &[u32],
+    gated: &mut Vec<(u32, u16)>,
+    late: &mut Vec<u32>,
+) {
+    let Some(gate) = gate else {
+        return gated.extend(steps);
+    };
+    for (pi, bi) in steps {
+        let p = pi as usize;
+        if gate.passes(&digests[p * MAX_HASH_UNITS..(p + 1) * MAX_HASH_UNITS]) {
+            gated.push((pi, bi));
+            late.push(pi);
         }
     }
 }
@@ -886,8 +954,9 @@ mod tests {
         // The last process recorded the running count.
         assert_eq!(ctx.get(crate::params::CmuRef { group: 0, cmu: 0 }), 5);
         // The bucket itself holds 5.
-        let compressed = g.compressed_keys(&pkt);
-        let addr = count_binding(1).key.address(&compressed, 8) as usize;
+        let mut compressed = HashScratch::default();
+        g.compress_into(&pkt, &mut compressed);
+        let addr = count_binding(1).key.address(compressed.as_slice(), 8) as usize;
         assert_eq!(g.cmus()[0].register().read(addr).unwrap(), 5);
     }
 

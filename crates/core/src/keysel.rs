@@ -65,12 +65,6 @@ impl KeySelect {
     }
 }
 
-/// Number of distinct keys selectable from `k` hash units:
-/// `k` singles + `k(k−1)/2` XOR pairs = `k(k+1)/2` (§3.1.1).
-pub fn selectable_keys(k: usize) -> usize {
-    k * (k + 1) / 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,15 +110,6 @@ mod tests {
         };
         assert_eq!(sel.address(&[0xffff_ffff], 10), 0x3ff);
         assert_eq!(sel.address(&[0xffff_ffff], 32), 0xffff_ffff);
-    }
-
-    #[test]
-    fn paper_key_count_formula() {
-        // §3.1.1: at most k(k+1)/2 different keys with k hash units.
-        assert_eq!(selectable_keys(1), 1);
-        assert_eq!(selectable_keys(2), 3);
-        assert_eq!(selectable_keys(3), 6);
-        assert_eq!(selectable_keys(6), 21);
     }
 
     #[test]

@@ -50,12 +50,15 @@
 //! row of every algorithm runs a context-free kernel; `group::tests`
 //! holds the table, row by row.
 //!
-//! The group as a whole compiles too ([`GroupProgram::refresh`]): which
-//! CMUs' binding lists match identically (every row of one sketch), so
-//! the match runs once per task; which hash units any binding reads and
-//! which an unconditional CMU reads, so the others digest only the
-//! packets that matched; and whether anything reads a PHV context at
-//! all — the last three by one walk of the installed bindings.
+//! A BeauCoup row also compiles a [`Gate`], its coupon window. The group
+//! as a whole compiles too ([`GroupProgram::refresh`]): which
+//! CMUs' binding lists match (and gate) identically — every row of one
+//! sketch — so the match (and the gate) runs once per task; which hash
+//! units any binding reads, which an unconditional CMU reads and which
+//! only gated rows read, so the others digest only the packets that
+//! matched and the last only those a gate let through; and whether
+//! anything reads a PHV context — the last four by one walk of the
+//! installed bindings.
 //!
 //! The compression stage's half of the compile step lives with the hash
 //! unit: `HashUnit::set_mask` compiles the `KeySpec` to a `KeyPlan`
@@ -66,7 +69,8 @@
 //! deploy's rows on one group; `install` is its one-binding case),
 //! `uninstall`, `remove_task` — recompiles the [`CompiledCmu`]s whose
 //! bindings it changed before it returns, then refreshes the group-wide
-//! facts (`unit_used`, `reads_ctx`, `match_of`, `dense_units`) once and
+//! facts (`unit_used`, `reads_ctx`, `match_of`, `dense_units`,
+//! `gate_of`, `gated_units`) once and
 //! bumps the version; the explicit control-plane invalidation after
 //! register-only resets recompiles every CMU the same way. Checkpoint
 //! restore and WAL replay reinstall bindings through those same entry
@@ -290,6 +294,39 @@ impl OperandKernel {
     }
 }
 
+/// The coupon gate of a BeauCoup row: a `key` outside the window
+/// `0..total` ORs in 0, an identity only a PHV context could see. An OR
+/// of 0 (a zero-space coupon) is shut: an empty window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gate {
+    /// The coupon key.
+    pub key: KeyUnits,
+    /// The draw window.
+    pub total: u64,
+}
+
+impl Gate {
+    /// AND-OR ORs when `p2 != 0`; AND with 0 clears, so is never gated.
+    fn compile(kernel: OperandKernel, op: StatefulOp, addr: KeyUnits) -> Option<Gate> {
+        match kernel {
+            _ if op != StatefulOp::AndOr => None,
+            OperandKernel::Key {
+                key,
+                prep: KeyPrep::Coupon { total, .. },
+                p2,
+            } if p2 != 0 => Some(Gate { key, total }),
+            OperandKernel::Const(0, p2) if p2 != 0 => Some(Gate { key: addr, total: 0 }),
+            _ => None,
+        }
+    }
+
+    /// True when the packet with `digests` draws a coupon.
+    #[inline]
+    pub fn passes(self, digests: &[u32]) -> bool {
+        u64::from(self.key.resolve(digests)) < self.total
+    }
+}
+
 /// The top `bits` bits set — the prefix mask `PrefixFilter` compares
 /// under. `bits == 0` yields the all-pass mask `0`.
 fn prefix_mask(bits: u8) -> u32 {
@@ -414,20 +451,25 @@ pub struct CompiledBinding {
     pub op: StatefulOp,
     /// Which SALU output is forwarded downstream.
     pub forward: Forward,
+    /// Which matched packets can change the bucket; `None`: all.
+    pub gate: Option<Gate>,
 }
 
 impl CompiledBinding {
     fn compile(b: &CmuBinding, buckets: usize) -> CompiledBinding {
+        let kernel = OperandKernel::select(&b.p1, &b.p2, &b.prep);
+        let key = KeyUnits::compile(b.key.source);
         CompiledBinding {
             addr: AddressPlan {
-                key: KeyUnits::compile(b.key.source),
+                key,
                 slice_shift: u32::from(b.key.slice_shift),
                 addr_shift: u32::from(b.translation.partitions_log2),
                 addr_base: b.translation.base(buckets),
             },
-            kernel: OperandKernel::select(&b.p1, &b.p2, &b.prep),
+            kernel,
             op: b.op,
             forward: b.forward,
+            gate: Gate::compile(kernel, b.op, key),
         }
     }
 }
@@ -446,6 +488,8 @@ pub struct CompiledCmu {
     /// Some rule flips a sampling coin: pass 1 runs the match loop that
     /// has the coin compiled in.
     pub sampled: bool,
+    /// Some binding has a [`Gate`].
+    pub gated: bool,
 }
 
 impl CompiledCmu {
@@ -468,6 +512,7 @@ impl CompiledCmu {
             .extend(bindings.iter().map(|b| CompiledBinding::compile(b, buckets)));
         self.always = self.rules.first().is_some_and(MatchRule::is_unconditional);
         self.sampled = self.rules.iter().any(|r| r.coin_mask != 0);
+        self.gated = self.bindings.iter().any(|b| b.gate.is_some());
     }
 }
 
@@ -508,6 +553,12 @@ pub struct GroupProgram {
     /// reads unit `i`: it digests every packet of a chunk. Every other
     /// used unit digests only the packets that matched somewhere.
     pub dense_units: [bool; MAX_HASH_UNITS],
+    /// `gate_of[c]` is the first CMU whose rules and gates equal gated
+    /// CMU `c`'s (else `c`): one BeauCoup sketch builds one gated list.
+    pub gate_of: Vec<usize>,
+    /// `gated_units[i]` ⇔ only gated bindings read unit `i`, and not as
+    /// a gate's key: it digests only the packets some gate let through.
+    pub gated_units: [bool; MAX_HASH_UNITS],
 }
 
 impl GroupProgram {
@@ -526,6 +577,8 @@ impl GroupProgram {
             reads_ctx: false,
             match_of: Vec::new(),
             dense_units: [false; MAX_HASH_UNITS],
+            gate_of: Vec::new(),
+            gated_units: [false; MAX_HASH_UNITS],
         };
         program.refresh(cmu_bindings.iter().copied());
         program
@@ -539,25 +592,36 @@ impl GroupProgram {
     /// one walk of them serves the batch path and the per-packet oracle.
     pub(crate) fn refresh<'a>(&mut self, installed: impl Iterator<Item = &'a [CmuBinding]>) {
         self.match_of.clear();
+        self.gate_of.clear();
         for (ci, cmu) in self.cmus.iter().enumerate() {
-            let first = self.cmus[..ci]
-                .iter()
-                .position(|earlier| earlier.rules == cmu.rules);
+            let earlier = &self.cmus[..ci];
+            let first = earlier.iter().position(|e| e.rules == cmu.rules);
             self.match_of.push(first.unwrap_or(ci));
+            let g = |b: &CompiledBinding| b.gate;
+            let same = |e: &CompiledCmu| e.bindings.iter().map(g).eq(cmu.bindings.iter().map(g));
+            let first = earlier.iter().position(|e| cmu.gated && e.rules == cmu.rules && same(e));
+            self.gate_of.push(first.unwrap_or(ci));
         }
         self.reads_ctx = false;
         self.unit_used = [false; MAX_HASH_UNITS];
         self.dense_units = [false; MAX_HASH_UNITS];
+        // Units read before a gate decides: by an ungated binding, or
+        // as a gate's key.
+        let mut ungated = [false; MAX_HASH_UNITS];
         for (cmu, bindings) in self.cmus.iter().zip(installed) {
-            for (bi, b) in bindings.iter().enumerate() {
+            for (bi, (b, cb)) in bindings.iter().zip(&cmu.bindings).enumerate() {
                 self.reads_ctx |= b.p1.reads_ctx() || b.p2.reads_ctx() || b.prep.reads_ctx();
                 let dense = cmu.always && bi == 0;
                 for unit in binding_units(b) {
                     self.unit_used[unit] = true;
                     self.dense_units[unit] |= dense;
+                    ungated[unit] |= cb.gate.is_none();
                 }
+                let gate_key = cb.gate.iter().flat_map(|g| [g.key.a, g.key.b]);
+                gate_key.filter(|&u| u != NO_UNIT).for_each(|u| ungated[usize::from(u)] = true);
             }
         }
+        self.gated_units = std::array::from_fn(|u| self.unit_used[u] && !ungated[u]);
     }
 
     /// True when no CMU has any binding — the whole group is skipped by
@@ -722,6 +786,41 @@ mod tests {
                 assert_eq!((c1, c2), b.prep.apply(r1, r2, &ctx), "{b:?}");
             }
         }
+    }
+
+    #[test]
+    fn only_an_or_of_a_coupon_or_of_zero_is_gated() {
+        let (key, addr) = (KeyUnits { a: 1, b: NO_UNIT }, KeyUnits { a: 0, b: 2 });
+        let coupon = |p2| OperandKernel::Key {
+            key,
+            prep: KeyPrep::Coupon {
+                recip: reciprocal(7),
+                total: 21,
+            },
+            p2,
+        };
+        let window = Gate { key, total: 21 };
+        let ops = [StatefulOp::CondAdd, StatefulOp::Max, StatefulOp::AndOr, StatefulOp::Xor];
+        for op in ops {
+            let or = op == StatefulOp::AndOr;
+            let cases = [
+                (coupon(1), or.then_some(window)),
+                (OperandKernel::Const(0, 1), or.then_some(Gate { key: addr, total: 0 })),
+                // AND with a 0 operand clears the bucket.
+                (coupon(0), None),
+                (OperandKernel::Const(0, 0), None),
+                (OperandKernel::Const(4, 1), None),
+                (OperandKernel::Interpreted, None),
+            ];
+            for (kernel, gate) in cases {
+                assert_eq!(Gate::compile(kernel, op, addr), gate, "{kernel:?} under {op:?}");
+            }
+        }
+        // The window is the coupon draw's: a key below `total` draws.
+        let digests = |k| [0, k, 0, 0];
+        assert!(window.passes(&digests(20)) && !window.passes(&digests(21)));
+        assert_eq!(coupon_bit(20, reciprocal(7), 21), 1 << 2);
+        assert_eq!(coupon_bit(21, reciprocal(7), 21), 0);
     }
 
     #[test]

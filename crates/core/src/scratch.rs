@@ -128,8 +128,9 @@ pub struct BatchScratch {
     /// group (gate for the sparse digest domain). Reset per group.
     pub(crate) need_digest: Vec<bool>,
     /// Packed packet indices of `need_digest` — the digest domain of
-    /// every used hash unit no unconditional CMU reads. Rebuilt per
-    /// group that has a conditional CMU.
+    /// every used hash unit no unconditional CMU reads — and then the
+    /// packets some coupon gate let through, the domain of the units
+    /// only gated bindings read.
     pub(crate) digest_idx: Vec<u32>,
     /// The identity list `0, 1, 2, …` — the digest domain of a unit an
     /// unconditional CMU reads is its first `n` entries. Grown, never
@@ -141,6 +142,9 @@ pub struct BatchScratch {
     /// the first with its match signature and read by every CMU sharing
     /// it; any other slot is stale and unread.
     pub(crate) matched: Vec<Vec<(u32, u16)>>,
+    /// Gated lists: the steps of CMU `c`'s matches a gate lets through,
+    /// slotted like `matched` by [`GroupProgram::gate_of`](crate::program::GroupProgram::gate_of).
+    pub(crate) gated: Vec<Vec<(u32, u16)>>,
     /// Which packets executed a task on a spliced group this chunk (the
     /// per-packet recirculation flag). Reset per chunk.
     pub(crate) executed: Vec<bool>,
@@ -182,6 +186,7 @@ impl BatchScratch {
     pub(crate) fn begin_group(&mut self, cmus: usize, n: usize) {
         if self.matched.len() < cmus {
             self.matched.resize_with(cmus, Vec::new);
+            self.gated.resize_with(cmus, Vec::new);
         }
         self.need_digest[..n].fill(false);
     }

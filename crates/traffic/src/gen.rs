@@ -190,11 +190,6 @@ impl PhasedSource {
         }
     }
 
-    /// The active phase's rate multiplier; `None` once exhausted.
-    pub fn current_rate(&self) -> Option<f64> {
-        self.cfg.phases.get(self.phase).map(|p| p.rate)
-    }
-
     /// Packets emitted so far.
     pub fn emitted(&self) -> u64 {
         self.emitted
@@ -541,30 +536,6 @@ impl TraceGenerator {
         (packets, victims)
     }
 
-    /// Generates a port-scan scenario: background plus one scanner probing
-    /// `ports` distinct destination ports on `target`. Returns the trace;
-    /// the scanner is `198.51.100.1` (TEST-NET-2).
-    pub fn port_scan(&mut self, cfg: &TraceConfig, target: u32, ports: u16) -> Vec<Packet> {
-        let mut packets = self.wide_like(cfg);
-        let scanner = (198u32 << 24) | (51 << 16) | (100 << 8) | 1;
-        for port in 0..ports {
-            let ts = self.rng.range_u64(0, cfg.duration_ns);
-            packets.push(
-                PacketBuilder::new()
-                    .src_ip(scanner)
-                    .dst_ip(target)
-                    .src_port(40_000)
-                    .dst_port(port)
-                    .protocol(6)
-                    .len(64)
-                    .ts_ns(ts)
-                    .build(),
-            );
-        }
-        finalize(&mut packets);
-        packets
-    }
-
     /// Generates the Fig. 12b epoch timeline: one trace per epoch, flow
     /// count spiking between `spike_start..=spike_end`. Timestamps are
     /// absolute (epoch `i` occupies `[i*epoch_ns, (i+1)*epoch_ns)`).
@@ -696,19 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn port_scan_touches_requested_ports() {
-        let target = 0x0a00_0001;
-        let trace = TraceGenerator::new(6).port_scan(&small_cfg(), target, 300);
-        let scanner = (198u32 << 24) | (51 << 16) | (100 << 8) | 1;
-        let ports: HashSet<_> = trace
-            .iter()
-            .filter(|p| p.src_ip == scanner && p.dst_ip == target)
-            .map(|p| p.dst_port)
-            .collect();
-        assert_eq!(ports.len(), 300);
-    }
-
-    #[test]
     fn phased_source_is_deterministic_and_finite() {
         let cfg = PhasedConfig {
             flows: 500,
@@ -741,14 +699,11 @@ mod tests {
             ..PhasedConfig::default()
         };
         let mut src = PhasedSource::new(cfg);
-        assert_eq!(src.current_rate(), Some(1.0));
         let steady = src.next_chunk().unwrap();
-        assert_eq!(src.current_rate(), Some(10.0));
         let burst = src.next_chunk().unwrap();
         assert_eq!(steady.len(), 1_000);
         assert_eq!(burst.len(), 10_000, "a 10x phase offers 10x the packets");
         assert!(src.next_chunk().is_none());
-        assert_eq!(src.current_rate(), None);
         assert_eq!(src.emitted(), 11_000);
         // Timestamps are strictly monotonic across the whole stream, and
         // the burst is denser in modeled time.

@@ -872,3 +872,289 @@ fn rollback_of_a_partial_install_leaves_fresh_programs() {
     }
     assert_eq!(registers(&fm), registers(&twin));
 }
+
+// The coupon gate. A BeauCoup row ORs a coupon bit into its bucket,
+// and a key outside the coupon window ORs in 0: the batch path skips
+// such steps while no program reads PHV contexts, and the per-packet
+// oracle executes every one. Each test below holds the two to the same
+// registers, dirty watermarks, hit counters, recirculation counts and
+// Delta checkpoint payloads, in slices of 0, 1, 63, 64, 65 and 4 097
+// packets at every lane width.
+
+const GATE_SLICES: [usize; 6] = [0, 1, 63, 64, 65, 4_097];
+
+fn beaucoup(name: &str, filter: TaskFilter) -> TaskDefinition {
+    TaskDefinition::builder(name)
+        .filter(filter)
+        .key(KeySpec::DST_IP)
+        .attribute(Attribute::Distinct(KeySpec::SRC_IP))
+        .algorithm(Algorithm::BeauCoup { d: 3 })
+        .memory(4096)
+        .build()
+}
+
+/// What a skipped step must leave as the oracle leaves it. Capturing
+/// the Delta checkpoint restarts the dirty watermarks, on both sides.
+fn gate_witness(fm: &mut FlyMon) -> impl PartialEq + std::fmt::Debug {
+    let dirty: Vec<_> = fm
+        .groups()
+        .iter()
+        .flat_map(|g| g.cmus().iter())
+        .map(|c| c.register().dirty_range())
+        .collect();
+    let (rows, hits, recirculated) = (registers(fm), hit_counters(fm), fm.recirculated_packets());
+    (rows, hits, recirculated, dirty, fm.checkpoint(CaptureMode::Delta).registers)
+}
+
+/// CMUs whose compiled program gates some binding, per group.
+fn gated_cmus(fm: &FlyMon) -> Vec<usize> {
+    let gated = |g: &flymon::group::CmuGroup| g.program().cmus.iter().filter(|c| c.gated).count();
+    fm.groups().iter().map(gated).collect()
+}
+
+/// Replays `t` in thirds through `deployed()`, packet by packet and, at
+/// every lane width, through `process_batch` in [`GATE_SLICES`], and
+/// runs `reconfigure(switch, k)` on both after third `k` of the first
+/// two. After every third the [`gate_witness`]es must agree and every
+/// program must be fresh.
+fn assert_gate_matches_oracle(
+    deployed: impl Fn() -> FlyMon,
+    t: &[Packet],
+    reconfigure: impl Fn(&mut FlyMon, usize),
+) {
+    let (a, b) = (t.len() / 3, 2 * t.len() / 3);
+    let thirds = [&t[..a], &t[a..b], &t[b..]];
+    let mut reference = deployed();
+    let mut expected = Vec::new();
+    for (k, third) in thirds.iter().enumerate() {
+        for p in *third {
+            reference.process(p);
+        }
+        expected.push(gate_witness(&mut reference));
+        reconfigure(&mut reference, k);
+    }
+    for lanes in 1..=8usize {
+        let mut batched = deployed();
+        batched.set_lane_width(lanes);
+        let mut slices = GATE_SLICES.iter().cycle();
+        for (k, third) in thirds.iter().enumerate() {
+            let mut rest = *third;
+            while !rest.is_empty() {
+                let len = *slices.next().expect("cycled");
+                let (slice, tail) = rest.split_at(len.min(rest.len()));
+                batched.process_batch(slice);
+                rest = tail;
+            }
+            assert_programs_fresh(&batched, &format!("third {k} at lane width {lanes}"));
+            let got = gate_witness(&mut batched);
+            assert!(got == expected[k], "third {k} diverged at lane width {lanes}");
+            reconfigure(&mut batched, k);
+        }
+    }
+}
+
+#[test]
+fn a_filtered_beaucoup_gates_its_matched_list() {
+    // A conditional match, then the gate over the matched list: the
+    // three rows share both, and the address unit digests only what
+    // the gate let through.
+    let deployed = || {
+        let mut fm = FlyMon::new(config());
+        fm.deploy(&mix()[0]).unwrap();
+        fm.deploy(&beaucoup("bc", TaskFilter::src(0x8000_0000, 1))).unwrap();
+        fm
+    };
+    let fm = deployed();
+    assert_eq!(gated_cmus(&fm), [0, 3]);
+    let program = fm.groups()[1].program();
+    assert!(program.cmus.iter().all(|c| !c.always));
+    assert_eq!((&program.match_of[..], &program.gate_of[..]), (&[0, 0, 0][..], &[0, 0, 0][..]));
+    assert_eq!(program.gated_units.iter().filter(|&&u| u).count(), 1, "the DstIP address unit");
+    assert_gate_matches_oracle(deployed, &trace(18_000), |_, _| {});
+}
+
+#[test]
+fn beaucoup_beside_a_chained_recipe_runs_ungated() {
+    // SuMax(Sum) reads the PHV, so every context is recorded and an
+    // OR-0 step's output could be read: the compiled gates stand, and
+    // the batch path runs every step.
+    let deployed = || {
+        let mut fm = FlyMon::new(FlyMonConfig {
+            groups: 4,
+            ..config()
+        });
+        fm.deploy(&beaucoup("bc", TaskFilter::ANY)).unwrap();
+        fm.deploy(&chained_recipes()[0]).unwrap();
+        fm
+    };
+    let fm = deployed();
+    assert!(fm.groups().iter().any(|g| g.program().reads_ctx));
+    assert_eq!(gated_cmus(&fm).iter().sum::<usize>(), 3);
+    assert_gate_matches_oracle(deployed, &trace(18_000), |_, _| {});
+}
+
+#[test]
+fn a_gated_spliced_group_recirculates_every_matched_packet() {
+    // Recirculation is counted from the match: a packet the gate turns
+    // away still crossed the spliced group.
+    let deployed = || {
+        let mut fm = FlyMon::new(one_spliced_group());
+        fm.deploy(&beaucoup("bc", TaskFilter::src(0x8000_0000, 1))).unwrap();
+        fm
+    };
+    let t = trace(18_000);
+    let mut reference = deployed();
+    for p in &t {
+        reference.process(p);
+    }
+    let (hits, recirculated) = (hit_counters(&reference), reference.recirculated_packets());
+    assert!(0 < recirculated && recirculated < t.len() as u64);
+    assert!(hits.iter().all(|h| h == &[recirculated]), "{hits:?}");
+    assert_gate_matches_oracle(deployed, &t, |_, _| {});
+}
+
+#[test]
+fn an_unconditional_beaucoup_deployed_and_removed_mid_trace() {
+    // The mix's shape, the gated list drawn from the whole chunk,
+    // arriving after a third of the trace and leaving after two.
+    let deployed = || {
+        let mut fm = FlyMon::new(config());
+        fm.deploy(&mix()[0]).unwrap();
+        fm
+    };
+    let reconfigure = |fm: &mut FlyMon, third: usize| match third {
+        0 => {
+            let h = fm.deploy(&beaucoup("bc", TaskFilter::ANY)).unwrap();
+            assert_eq!(gated_cmus(fm), [0, 3]);
+            assert!(fm.groups()[1].program().cmus.iter().all(|c| c.always));
+            assert_eq!(h, TaskHandle(flymon::task::TaskId(2)));
+        }
+        1 => {
+            fm.remove(TaskHandle(flymon::task::TaskId(2))).unwrap();
+            assert_eq!(gated_cmus(fm), [0, 0]);
+        }
+        _ => {}
+    };
+    assert_gate_matches_oracle(deployed, &trace(18_000), reconfigure);
+}
+
+#[test]
+fn hand_installed_gates_match_the_oracle() {
+    // What no recipe emits, on a bare group:
+    // - CMU 0 holds a coupon row drawn from an XOR key under a filter,
+    //   and an ungated count for the other half of the traffic: one
+    //   gated list that mixes a gated and an open binding;
+    // - CMU 1 a zero-space coupon, shut for every packet;
+    // - CMU 2 a one-hot OR, and an AND with 0 on the same buckets,
+    //   which clears them and so is not gated;
+    // - CMU 3, in one variant, the maximum of what CMU 0 forwarded: a
+    //   reader of the PHV, under which nothing may be skipped.
+    use flymon::addr::AddrTranslation;
+    use flymon::group::{CmuBinding, CmuGroup, Forward, GroupConfig};
+    use flymon::keysel::{KeySelect, KeySource};
+    use flymon::params::{CmuRef, PacketContext, ParamSource};
+    use flymon::prep::PrepAction;
+    use flymon::program::Gate;
+    use flymon::scratch::BatchScratch;
+    use flymon::task::TaskId;
+    use flymon_rmt::salu::StatefulOp;
+
+    let (low, high) = (TaskFilter::src(0, 1), TaskFilter::src(0x8000_0000, 1));
+    let row = |task: u32, filter, unit: usize, p1, p2: u32, prep, op| CmuBinding {
+        task: TaskId(task),
+        filter,
+        prob_log2: 0,
+        key: KeySelect {
+            source: KeySource::Unit(unit),
+            slice_shift: 3,
+        },
+        p1,
+        p2: ParamSource::Const(p2),
+        prep,
+        translation: AddrTranslation::IDENTITY,
+        op,
+        forward: Forward::Result,
+    };
+    let (and, or, add) = (StatefulOp::AndOr, StatefulOp::AndOr, StatefulOp::CondAdd);
+    let xor_key = ParamSource::CompressedKey(KeySource::Xor(0, 1));
+    let coupon = |space| PrepAction::Coupon { coupons: 16, space };
+    let one_hot = PrepAction::OneHotBit { bits: 16 };
+    let group = |reader: bool| {
+        let mut g = CmuGroup::new(0, GroupConfig {
+            compression_units: 4,
+            cmus: 4,
+            buckets_per_cmu: 1024,
+            ..GroupConfig::default()
+        });
+        g.unit_mut(0).set_mask(KeySpec::SRC_IP);
+        g.unit_mut(1).set_mask(KeySpec::DST_IP);
+        g.unit_mut(2).set_mask(KeySpec::FIVE_TUPLE);
+        g.unit_mut(3).set_mask(KeySpec::IP_PAIR);
+        let on_key = |unit| ParamSource::CompressedKey(KeySource::Unit(unit));
+        let mut rows = vec![
+            (0, row(1, low, 2, xor_key.clone(), 1, coupon(1 << 24), or)),
+            (0, row(2, high, 1, ParamSource::Const(1), 0xffff, PrepAction::None, add)),
+            (1, row(3, TaskFilter::ANY, 3, ParamSource::Const(7), 1, coupon(0), or)),
+            (2, row(4, low, 0, on_key(1), 1, one_hot.clone(), or)),
+            (2, row(5, high, 0, ParamSource::Const(0), 0, PrepAction::None, and)),
+        ];
+        if reader {
+            let forwarded = ParamSource::PrevResult(CmuRef { group: 0, cmu: 0 });
+            let max = row(6, TaskFilter::ANY, 0, forwarded, 0, PrepAction::None, StatefulOp::Max);
+            rows.push((3, max));
+        }
+        g.install_all(rows.iter().map(|(cmu, b)| (*cmu, b))).unwrap();
+        g
+    };
+    let program = group(false).program().clone();
+    let gates: Vec<Vec<Option<Gate>>> =
+        program.cmus.iter().map(|c| c.bindings.iter().map(|b| b.gate).collect()).collect();
+    assert!(matches!(gates[0][..], [Some(Gate { key, .. }), None] if key.b == 1));
+    assert!(matches!(gates[1][..], [Some(Gate { total: 0, .. })]));
+    assert_eq!(gates[2..], [vec![None, None], vec![]]);
+    // Unit 2 addresses the coupon row alone, and nothing reads it until
+    // the coupon row's gate has passed.
+    assert_eq!(program.gated_units[..4], [false, false, true, false]);
+    assert_eq!(program.gate_of, [0, 1, 2, 3]);
+
+    let witness = |g: &CmuGroup| -> Vec<_> {
+        let cell = |c: &flymon::group::Cmu| {
+            let r = c.register();
+            let hits: Vec<u64> = (0..c.bindings().len()).map(|i| c.hits(i)).collect();
+            (r.read_range(0, r.len()).unwrap().to_vec(), hits, r.dirty_range())
+        };
+        g.cmus().iter().map(cell).collect()
+    };
+    let t = trace(12_000);
+    // Contexts are recorded with or without a reader, and must be with.
+    for (reader, record_ctx) in [(false, false), (false, true), (true, true)] {
+        let mut reference = group(reader);
+        assert_eq!(reference.program().reads_ctx, reader);
+        let mut ctx = PacketContext::default();
+        for p in &t {
+            ctx.reset();
+            reference.process(p, &mut ctx);
+        }
+        let expected = witness(&reference);
+        assert!(expected[0].0.iter().any(|&v| v != 0), "the coupon row drew nothing");
+        assert!(expected[1].0.iter().all(|&v| v == 0) && expected[1].1 == [t.len() as u64]);
+        assert!(!reader || expected[3].0.iter().any(|&v| v != 0), "the reader read nothing");
+        for lanes in 1..=8usize {
+            let mut batched = group(reader);
+            let mut scratch = BatchScratch::default();
+            let mut rest = t.as_slice();
+            for &len in GATE_SLICES.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (slice, tail) = rest.split_at(len.min(rest.len()));
+                scratch.begin_chunk(slice.len(), record_ctx);
+                batched.process_chunk(slice, &mut scratch, false, record_ctx, lanes);
+                rest = tail;
+            }
+            assert_eq!(batched.program(), &batched.reference_program());
+            let what = format!("lane width {lanes}, reader {reader}, contexts {record_ctx}");
+            assert!(witness(&batched) == expected, "{what}");
+        }
+    }
+}
