@@ -40,8 +40,7 @@ use crate::checkpoint::UnitImage;
 use crate::compiler::{self, CmuCouponConfig, PlacedRow};
 use crate::group::{CmuBinding, CmuGroup, GroupConfig};
 use crate::keysel::KeySource;
-use crate::params::PacketContext;
-use crate::scratch::{BatchScratch, PacketScratch};
+use crate::scratch::BatchScratch;
 use crate::task::{Algorithm, TaskDefinition, TaskId};
 use crate::wal::{WalIntent, WriteAheadLog};
 use crate::FlymonError;
@@ -223,10 +222,6 @@ pub struct FlyMon {
     /// inherited by [`FlyMon::restore`]: an image at this generation
     /// holds the live control metadata.
     pub(crate) generation: u64,
-    /// One packet's PHV context and scratch: what
-    /// [`crate::oracle::PerPacket::process`] scribbles on.
-    pub(crate) ctx: PacketContext,
-    pub(crate) scratch: PacketScratch,
     batch: BatchScratch,
     deploy_scratch: DeployScratch,
     batch_size: usize,
@@ -288,8 +283,6 @@ impl FlyMon {
             tasks: HashMap::new(),
             next_id: 1,
             generation: next_generation(),
-            ctx: PacketContext::default(),
-            scratch: PacketScratch::default(),
             batch: BatchScratch::default(),
             deploy_scratch: DeployScratch::default(),
             batch_size: BATCH_SIZE,

@@ -131,26 +131,6 @@ pub struct CmuBinding {
 /// 32-bit coin cannot express them.
 pub const MAX_PROB_LOG2: u8 = 32;
 
-impl CmuBinding {
-    /// Decides the sampling coin for this packet: a hash over the
-    /// 5-tuple, timestamp and task id, so distinct tasks flip independent
-    /// coins (§5.3 probabilistic execution). The seed's 20 packet bytes
-    /// are built once per packet in `coin` and reused across bindings;
-    /// only the task id is patched in here.
-    pub(crate) fn coin_passes(&self, pkt: &Packet, coin: &mut CoinScratch) -> bool {
-        if self.prob_log2 == 0 {
-            return true;
-        }
-        let coin = coin.coin(pkt, self.task);
-        // The mask is computed in u64: `1u32 << 32` would overflow (panic
-        // in debug, wrap to a coin that always passes in release).
-        // Install-time validation bounds prob_log2 at MAX_PROB_LOG2; the
-        // min() keeps the shift in range even for a hand-built binding.
-        let mask = (1u64 << u32::from(self.prob_log2.min(63))) - 1;
-        u64::from(coin) & mask == 0
-    }
-}
-
 /// One Composable Measurement Unit: a SALU plus its installed bindings.
 #[derive(Debug)]
 pub struct Cmu {
@@ -591,10 +571,10 @@ impl CmuGroup {
         // Pass 2: extract + digest, unit-major. A dense unit's domain is
         // the whole chunk; any other used unit's is the packed list of
         // packets that matched some conditional CMU. Slots outside a
-        // unit's domain keep stale values no compiled plan reads
-        // (exactly the serial path's lazy-zero slots). A gated step's
-        // output only a recorded context could see, so without one the
-        // gates run, and a unit only gated rows read waits for them.
+        // unit's domain keep stale values no compiled plan reads. A
+        // gated step's output only a recorded context could see, so
+        // without one the gates run, and a unit only gated rows read
+        // waits for them.
         let gating = !record_ctx && program.cmus.iter().any(|c| c.gated);
         let late = |u: usize| gating && program.gated_units[u];
         batch.digest_idx.clear();
@@ -1072,7 +1052,7 @@ mod tests {
     #[test]
     fn oversized_prob_log2_rejected_at_install() {
         // Regression: prob_log2 >= 32 used to overflow `1u32 << prob_log2`
-        // in coin_passes (wrap in release → the coin always passed).
+        // in the coin's mask (wrap in release → the coin always passed).
         let mut g = small_group();
         let mut b = count_binding(1);
         b.prob_log2 = MAX_PROB_LOG2 + 1;

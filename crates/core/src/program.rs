@@ -371,7 +371,7 @@ impl MatchRule {
             dst_net,
             dst_mask,
             // prob_log2 == 0 means "always"; otherwise the same shift
-            // CmuBinding::coin_passes computes per packet, done once.
+            // the oracle's coin computes per packet, done once.
             coin_mask: if b.prob_log2 == 0 {
                 0
             } else {

@@ -1,21 +1,14 @@
-//! Scratch state, owned once per switch.
+//! Scratch state of the batched datapath, owned once per switch.
 //!
 //! The datapath's allocation-free convention (DESIGN.md § "Sharded
-//! datapath") says every per-packet buffer must be a fixed-capacity
-//! stack object. This module goes one step further: the scratch is not
-//! even *stack-per-packet* — it lives inside each
-//! [`FlyMon`](crate::control::FlyMon) instance and every packet (the
-//! per-packet oracle's [`PacketScratch`]) or chunk (the batch path's
-//! [`BatchScratch`]) merely resets it. For the oracle that removes
-//! three per-packet costs:
-//!
-//! - a fresh `HashScratch` constructed per group per packet;
-//! - re-serializing the same flow key for every hash unit sharing a
-//!   `KeySpec` (the standing 5-tuple mask on unit 0 of *every* group);
-//! - rehashing the 24-byte sampling-coin seed for every binding probed
-//!   on every CMU, when 20 of those bytes depend only on the packet.
+//! datapath") says no packet may allocate. The batch path's buffers
+//! live inside each [`FlyMon`](crate::control::FlyMon) instance and
+//! every chunk merely resets them ([`BatchScratch`]); the epoch readout
+//! loop keeps its own ([`ReadoutScratch`]). The per-packet oracle
+//! ([`crate::oracle`]) keeps none: it checks these fast paths rather
+//! than sharing them.
 
-use flymon_packet::{ExtractionCache, Packet};
+use flymon_packet::Packet;
 use flymon_rmt::hash::{fmix32, murmur3_round, HashScratch, MAX_HASH_UNITS};
 
 use crate::params::PacketContext;
@@ -33,8 +26,8 @@ pub(crate) const COIN_SEED: u32 = 0xc011_f11b;
 /// and every field is word-aligned in them, so nothing is serialized:
 /// the five packet words fold into the murmur state once per packet
 /// (lazily, on its first coin), and each binding folds only its task
-/// word and finalizes. Bit-identical to hashing the seed bytes — the
-/// test below keeps the byte form as the reference.
+/// word and finalizes. Bit-identical to hashing the seed bytes, which
+/// is how the per-packet oracle flips the coin.
 #[derive(Debug, Clone, Default)]
 pub struct CoinScratch {
     /// Murmur state after the five packet words.
@@ -72,41 +65,12 @@ impl CoinScratch {
     }
 }
 
-/// Everything the per-packet oracle scribbles on, aggregated so one
-/// `&mut PacketScratch` threads through
-/// [`PerPacket::process`](crate::oracle::PerPacket::process) into every
-/// group.
-///
-/// The extraction cache and coin scratch deliberately live *across* CMU
-/// groups: key specs repeat between groups (the standing 5-tuple), and
-/// the coin's packet bytes are group-independent.
-#[derive(Debug, Clone, Default)]
-pub struct PacketScratch {
-    /// Compression-stage digest buffer, refilled per group.
-    pub hash: HashScratch,
-    /// Per-packet flow-key extraction memo, shared by all groups.
-    pub keys: ExtractionCache,
-    /// Per-packet sampling-coin state.
-    pub coin: CoinScratch,
-}
-
-impl PacketScratch {
-    /// Resets the per-packet state. Call once per packet, before the
-    /// first group processes it. (`hash` needs no reset here — each
-    /// group's compression clears it before filling.)
-    pub fn begin_packet(&mut self) {
-        self.keys.clear();
-        self.coin.invalidate();
-    }
-}
-
 /// Chunk-wide scratch for the stage-major batched datapath (DESIGN.md
 /// § "Stage-major batching"), owned by each
-/// [`FlyMon`](crate::control::FlyMon) instance alongside the per-packet
-/// [`PacketScratch`].
+/// [`FlyMon`](crate::control::FlyMon) instance.
 ///
-/// Where `PacketScratch` holds one packet's transient state, this holds
-/// a whole batch's: one [`PacketContext`] and [`CoinScratch`] per packet
+/// It holds a whole batch's transient state: one [`PacketContext`] and
+/// [`CoinScratch`] per packet
 /// plus the stage-major work vectors — the packet-major digest matrix
 /// and the per-CMU matched lists. Keys and SALU operands are never
 /// staged: the digest pass writes keys into a lane buffer on its stack
@@ -122,7 +86,7 @@ pub struct BatchScratch {
     /// Packet-major digest matrix, stride [`MAX_HASH_UNITS`]: packet
     /// `p`'s compressed-key slice is `digests[p*8 .. p*8+8]`. Slots of
     /// unused units hold stale garbage by design — compiled programs
-    /// never reference them (mirrors the serial path's lazy zeros).
+    /// never reference them.
     pub(crate) digests: Vec<u32>,
     /// Which packets matched some conditional binding in the current
     /// group (gate for the sparse digest domain). Reset per group.
@@ -273,18 +237,5 @@ mod tests {
                 assert_eq!(coin.coin(&pkt, TaskId(task)), reference_coin(&pkt, task));
             }
         }
-    }
-
-    #[test]
-    fn begin_packet_resets_shared_state() {
-        let mut scratch = PacketScratch::default();
-        let pkt = PacketBuilder::new().src_ip(1).build();
-        scratch
-            .keys
-            .get_or_extract(&flymon_packet::KeySpec::SRC_IP, &pkt);
-        scratch.coin.coin(&pkt, TaskId(1));
-        scratch.begin_packet();
-        assert!(scratch.keys.is_empty());
-        assert!(!scratch.coin.ready);
     }
 }

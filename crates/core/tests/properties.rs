@@ -145,142 +145,6 @@ fn counter_mass_equals_matching_packets() {
     }
 }
 
-/// Determinism: the same trace through two identically configured
-/// switches produces identical registers and identical queries.
-#[test]
-fn processing_is_deterministic() {
-    use flymon::prelude::*;
-    use flymon_packet::{KeySpec, Packet};
-
-    let mut r = SplitMix64::new(0xB5);
-    for _ in 0..16 {
-        let pkts: Vec<(u32, u32)> = (0..r.range_usize(1, 200))
-            .map(|_| (r.next_u32(), r.next_u32()))
-            .collect();
-        let config = FlyMonConfig {
-            groups: 2,
-            buckets_per_cmu: 512,
-            ..FlyMonConfig::default()
-        };
-        let def = TaskDefinition::builder("det")
-            .key(KeySpec::SRC_IP)
-            .attribute(Attribute::frequency_packets())
-            .algorithm(Algorithm::Cms { d: 3 })
-            .memory(256)
-            .build();
-        let mut a = FlyMon::new(config);
-        let mut b = FlyMon::new(config);
-        let ha = a.deploy(&def).unwrap();
-        let hb = b.deploy(&def).unwrap();
-        for &(s, d) in &pkts {
-            let p = Packet::tcp(s, d, 1, 2);
-            a.process(&p);
-            b.process(&p);
-        }
-        for row in 0..3 {
-            assert_eq!(a.read_row(ha, row).unwrap(), b.read_row(hb, row).unwrap());
-        }
-    }
-}
-
-/// Control-plane fuzz: random sequences of deploy/remove/realloc with
-/// random geometries never panic, never leak buckets, and always leave
-/// the switch consistent — verified both by bucket accounting and by
-/// the full state auditor after every operation.
-#[test]
-fn control_plane_survives_random_churn() {
-    use flymon::prelude::*;
-    use flymon_packet::{KeySpec, Packet, TaskFilter};
-
-    let mut r = SplitMix64::new(0xB6);
-    for _ in 0..24 {
-        let mut fm = FlyMon::new(FlyMonConfig {
-            groups: 2,
-            buckets_per_cmu: 1024,
-            ..FlyMonConfig::default()
-        });
-        let total = 2 * 3 * 1024;
-        let mut live: Vec<TaskHandle> = Vec::new();
-        let mut next_net = 0u32;
-        for _ in 0..r.range_usize(1, 60) {
-            let op = r.range_u64(0, 4);
-            let size_sel = r.range_u64(0, 6) as usize;
-            let pkt_sel = r.next_u64() as u8;
-            let alg_sel = r.range_u64(0, 4);
-            match op {
-                0 | 1 => {
-                    // Deploy with a fresh /16 filter so tasks never
-                    // intersect.
-                    let net = (10u32 << 24) | (next_net << 12);
-                    next_net = (next_net + 1) % 4096;
-                    let alg = match alg_sel {
-                        0 => Algorithm::Cms { d: 1 },
-                        1 => Algorithm::Cms { d: 3 },
-                        2 => Algorithm::Mrac,
-                        _ => Algorithm::SuMaxMax { d: 2 },
-                    };
-                    let attr = if matches!(alg, Algorithm::SuMaxMax { .. }) {
-                        Attribute::Max(MaxParam::QueueLen)
-                    } else {
-                        Attribute::frequency_packets()
-                    };
-                    let def = TaskDefinition::builder("fuzz")
-                        .key(KeySpec::SRC_IP)
-                        .attribute(attr)
-                        .algorithm(alg)
-                        .filter(TaskFilter::src(net, 20))
-                        .memory(32usize << (size_sel % 6))
-                        .build();
-                    if let Ok(h) = fm.deploy(&def) {
-                        live.push(h);
-                    }
-                }
-                2 => {
-                    if let Some(h) = live.pop() {
-                        fm.remove(h).unwrap();
-                    }
-                }
-                _ => {
-                    if let Some(h) = live.pop() {
-                        let new_size = 32usize << (size_sel % 6);
-                        match fm.reallocate_memory(h, new_size) {
-                            Ok(nh) => live.push(nh),
-                            // Capacity-tight revert: the task survived
-                            // at its old geometry under a fresh handle.
-                            Err(FlymonError::ReallocationReverted { restored }) => {
-                                live.push(restored)
-                            }
-                            // Any other refusal left the task as it was.
-                            Err(e) => {
-                                assert!(fm.task(h).is_ok(), "a refused reallocation lost the task: {e}");
-                                live.push(h);
-                            }
-                        }
-                    }
-                }
-            }
-            // The data plane never panics on traffic.
-            fm.process(&Packet::tcp((10 << 24) | u32::from(pkt_sel) << 12, 1, 2, 3));
-            // Accounting stays conserved.
-            let used: usize = live
-                .iter()
-                .filter_map(|&h| fm.task(h).ok())
-                .map(|t| t.rows.iter().map(|r| r.size).sum::<usize>())
-                .sum();
-            assert_eq!(fm.free_buckets(), total - used);
-            // Shadow state and data plane agree after every op.
-            let divergences = fm.audit();
-            assert!(divergences.is_empty(), "audit failed: {divergences:?}");
-        }
-        for h in live {
-            fm.remove(h).unwrap();
-        }
-        assert_eq!(fm.free_buckets(), total);
-        assert_eq!(fm.task_count(), 0);
-        assert!(fm.audit().is_empty());
-    }
-}
-
 /// The §3.3 isolation law: a co-resident task in another partition of
 /// the same CMU changes *nothing* about a task's measurements — the
 /// per-flow estimates are bitwise identical with and without the

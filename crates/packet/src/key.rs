@@ -428,84 +428,6 @@ impl KeySpec {
     }
 }
 
-/// Capacity of an [`ExtractionCache`]: the most *distinct* `KeySpec`s a
-/// packet can meaningfully meet in one pipeline pass. Each compression
-/// stage holds at most 8 units ([`crate`]-independent bound mirrored from
-/// `flymon_rmt::hash::MAX_HASH_UNITS`), and in practice a switch reuses a
-/// handful of specs (the standing 5-tuple plus per-task keys), so 8 slots
-/// absorb every realistic configuration; beyond that the cache degrades
-/// to plain extraction, never to a wrong key.
-pub const MAX_CACHED_KEYS: usize = 8;
-
-/// A per-packet memo of `KeySpec → FlowKeyBytes` extractions.
-///
-/// Hash units — including units in *different* CMU groups — frequently
-/// share a `KeySpec` (every group's unit 0 carries the standing 5-tuple
-/// mask, and a task deployed across groups installs the same key mask in
-/// each). Without a memo the flow key is re-serialized once per unit per
-/// packet; with it, once per distinct spec per packet. Fixed capacity,
-/// no heap: the datapath's allocation-free convention applies.
-///
-/// Callers must [`ExtractionCache::clear`] at each packet boundary —
-/// entries are only valid for the packet they were extracted from.
-#[derive(Debug, Clone)]
-pub struct ExtractionCache {
-    specs: [KeySpec; MAX_CACHED_KEYS],
-    keys: [FlowKeyBytes; MAX_CACHED_KEYS],
-    len: u8,
-    /// Fallback slot when more than `MAX_CACHED_KEYS` distinct specs show
-    /// up in one packet: the overflow spec extracts here (uncached).
-    spill: FlowKeyBytes,
-}
-
-impl Default for ExtractionCache {
-    fn default() -> Self {
-        ExtractionCache {
-            specs: [KeySpec::NONE; MAX_CACHED_KEYS],
-            keys: [FlowKeyBytes::EMPTY; MAX_CACHED_KEYS],
-            len: 0,
-            spill: FlowKeyBytes::EMPTY,
-        }
-    }
-}
-
-impl ExtractionCache {
-    /// Forgets every memoized key. Call once per packet, before the first
-    /// extraction for that packet.
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    /// The memoized extraction of `spec` for `pkt`, serializing it on
-    /// first sight. The linear scan beats any hashing scheme at this
-    /// size: `KeySpec` is 8 bytes of plain data and `len` is single-digit.
-    pub fn get_or_extract(&mut self, spec: &KeySpec, pkt: &Packet) -> &FlowKeyBytes {
-        let n = usize::from(self.len);
-        if let Some(i) = self.specs[..n].iter().position(|s| s == spec) {
-            return &self.keys[i];
-        }
-        if n < MAX_CACHED_KEYS {
-            self.specs[n] = *spec;
-            self.keys[n] = spec.extract(pkt);
-            self.len += 1;
-            &self.keys[n]
-        } else {
-            self.spill = spec.extract(pkt);
-            &self.spill
-        }
-    }
-
-    /// Number of distinct specs memoized since the last clear.
-    pub fn len(&self) -> usize {
-        usize::from(self.len)
-    }
-
-    /// True when nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
 /// Keeps the top `bits` bits of `v`, zeroing the rest.
 pub(crate) fn mask_prefix(v: u32, bits: u8) -> u32 {
     match bits {
@@ -631,55 +553,6 @@ mod tests {
         assert_eq!(
             KeySpec::NONE.merge_disjoint(&KeySpec::FIVE_TUPLE),
             Some(KeySpec::FIVE_TUPLE)
-        );
-    }
-
-    #[test]
-    fn extraction_cache_memoizes_per_spec() {
-        let mut cache = ExtractionCache::default();
-        let p = pkt();
-        let direct = KeySpec::FIVE_TUPLE.extract(&p);
-        assert_eq!(*cache.get_or_extract(&KeySpec::FIVE_TUPLE, &p), direct);
-        assert_eq!(*cache.get_or_extract(&KeySpec::FIVE_TUPLE, &p), direct);
-        assert_eq!(cache.len(), 1, "repeat spec hits the memo");
-        assert_eq!(
-            *cache.get_or_extract(&KeySpec::SRC_IP, &p),
-            KeySpec::SRC_IP.extract(&p)
-        );
-        assert_eq!(cache.len(), 2);
-        // clear() invalidates: the next packet re-extracts.
-        cache.clear();
-        assert!(cache.is_empty());
-        let other = PacketBuilder::new().src_ip(7).build();
-        assert_eq!(
-            *cache.get_or_extract(&KeySpec::SRC_IP, &other),
-            KeySpec::SRC_IP.extract(&other)
-        );
-    }
-
-    #[test]
-    fn extraction_cache_overflow_stays_correct() {
-        // More distinct specs than slots: the overflow extraction must
-        // still be correct (uncached), and memoized entries must survive.
-        let mut cache = ExtractionCache::default();
-        let p = pkt();
-        let mut specs: Vec<KeySpec> = (1..=MAX_CACHED_KEYS as u8)
-            .map(KeySpec::src_ip_slash)
-            .collect();
-        specs.push(KeySpec::FIVE_TUPLE); // the (capacity+1)-th spec
-        for spec in &specs {
-            assert_eq!(*cache.get_or_extract(spec, &p), spec.extract(&p));
-        }
-        assert_eq!(cache.len(), MAX_CACHED_KEYS);
-        // Overflowed spec re-extracts every time but never corrupts slots.
-        assert_eq!(
-            *cache.get_or_extract(&KeySpec::FIVE_TUPLE, &p),
-            KeySpec::FIVE_TUPLE.extract(&p)
-        );
-        assert_eq!(
-            *cache.get_or_extract(&specs[0], &p),
-            specs[0].extract(&p),
-            "memoized slot survives overflow traffic"
         );
     }
 

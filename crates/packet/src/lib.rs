@@ -32,9 +32,7 @@ pub mod rng;
 
 pub use fields::HeaderField;
 pub use filter::{PrefixFilter, TaskFilter};
-pub use key::{
-    ExtractionCache, FlowKeyBytes, KeyPlan, KeySpec, MAX_CACHED_KEYS, MAX_KEY_BYTES,
-};
+pub use key::{FlowKeyBytes, KeyPlan, KeySpec, MAX_KEY_BYTES};
 pub use packet::{Packet, PacketBuilder};
 pub use rng::SplitMix64;
 

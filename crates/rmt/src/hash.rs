@@ -13,7 +13,7 @@
 //! The module also provides the free functions [`crc32`] and [`murmur3_32`]
 //! used as seed-separated hash families by the reference sketches.
 
-use flymon_packet::{ExtractionCache, KeyPlan, KeySpec, Packet};
+use flymon_packet::{KeyPlan, KeySpec, Packet};
 
 /// Well-known 32-bit CRC polynomials (reflected form), one per hash unit,
 /// so distinct units behave as (approximately) independent hash functions.
@@ -490,18 +490,6 @@ impl HashUnit {
         }
     }
 
-    /// The reference digest: the key serialized by [`KeySpec::extract`]
-    /// through a per-packet [`ExtractionCache`] (units anywhere in the
-    /// pipeline that share a `KeySpec` serialize it once per packet),
-    /// then [`HashUnit::digest_bytes`]. It shares no step with the fold
-    /// of `compute`, which the tests hold to it.
-    pub fn compute_cached(&self, pkt: &Packet, cache: &mut ExtractionCache) -> u32 {
-        match self.mask() {
-            None => 0,
-            Some(mask) => self.digest_bytes(cache.get_or_extract(mask, pkt).as_bytes()),
-        }
-    }
-
     /// [`HashUnit::compute`] for one lane group of packets — the batched
     /// datapath's compression stage: `out[l]` is the digest of the `l`-th
     /// packet `pkts` yields. A full group of [`CRC_LANES`] folds in
@@ -788,21 +776,6 @@ mod tests {
             crc32(poly, 0xdead_beef, b"123456789"),
             crc32_bitwise(poly, 0xdead_beef, b"123456789")
         );
-    }
-
-    #[test]
-    fn cached_compute_matches_uncached() {
-        let pkt = PacketBuilder::new().src_ip(0x0a000001).dst_ip(9).build();
-        let mut cache = ExtractionCache::default();
-        let mut units: Vec<HashUnit> = (0..4).map(HashUnit::new).collect();
-        units[0].set_mask(KeySpec::FIVE_TUPLE);
-        units[1].set_mask(KeySpec::FIVE_TUPLE); // shares unit 0's extraction
-        units[2].set_mask(KeySpec::SRC_IP);
-        // units[3] stays free.
-        for u in &units {
-            assert_eq!(u.compute_cached(&pkt, &mut cache), u.compute(&pkt));
-        }
-        assert_eq!(cache.len(), 2, "two distinct specs, one extraction each");
     }
 
     #[test]

@@ -465,3 +465,30 @@ fn a_refused_reallocation_spends_no_id_and_recovery_replays_past_it() {
     assert_eq!(all_registers(&recovered), all_registers(&fm));
     assert!(recovered.audit().is_empty(), "{:?}", recovered.audit());
 }
+
+/// A reallocation with room to spare deploys the new geometry before it
+/// removes the old one, so the new rows land beside the old; replay
+/// must take the same order and land there too. (The op-sequence
+/// generator's shrunk script: deploy, reallocate, recover.)
+#[test]
+fn recovery_replays_a_reallocation_in_its_live_order() {
+    let mut fm = FlyMon::new(FlyMonConfig {
+        groups: 3,
+        buckets_per_cmu: 1024,
+        ..FlyMonConfig::default()
+    });
+    fm.attach_wal(WriteAheadLog::new());
+    let def: TaskDefinition =
+        "cms key=SrcIP attr=frequency mem=128 alg=cms d=2 filter=10.0.0.0/8".parse().unwrap();
+    let h = fm.deploy(&def).unwrap();
+    let chk = fm.checkpoint(CaptureMode::Full);
+    let moved = fm.reallocate_memory(h, 128).unwrap();
+
+    let recovered = FlyMon::recover(fm.wal().unwrap(), &chk).unwrap();
+    let rows = |fm: &FlyMon| {
+        let rows = &fm.task(moved).unwrap().rows;
+        rows.iter().map(|r| (r.group, r.cmu, r.offset, r.size)).collect::<Vec<_>>()
+    };
+    assert_eq!(rows(&recovered), rows(&fm));
+    assert_eq!(recovered.free_buckets(), fm.free_buckets());
+}
