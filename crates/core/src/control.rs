@@ -234,11 +234,20 @@ pub struct FlyMon {
     wal: Option<WriteAheadLog>,
 }
 
-/// The stage-major batch size: 64 packets keeps the whole chunk's
-/// contexts, digests and resolved ops inside L1 while amortizing
-/// per-group dispatch over enough packets to matter. The sweep that
-/// settled it read 46.0 / 56.2 / 56.9 M pkt/s at 16 / 64 / 256.
-pub const BATCH_SIZE: usize = 64;
+/// The stage-major batch size: each chunk pays every group's dispatch
+/// once, so a larger chunk pays it less often — until the chunk's
+/// scratch spills L1. At 512 packets that scratch is the 16 KiB digest
+/// matrix, 4 KiB of coin states, 4 KiB per matched list and the 16 KiB
+/// of packets themselves: the largest chunk that stays inside a 48 KiB
+/// L1d. The sweep that settled it (p25 ns/pkt over 4 096-packet calls,
+/// 1 365 for the fleet row) is flat from 512 on:
+///
+/// | shape | 64 | 256 | 512 | 1 024 | 2 048 |
+/// |---|---:|---:|---:|---:|---:|
+/// | six-task mix | 63.3 | 57.2 | 55.1 | 54.2 | 54.8 |
+/// | `Cms{d:3}` | 17.3 | 15.3 | 15.0 | 14.8 | 15.0 |
+/// | fleet `Cms{d:2}` | 11.9 | 10.7 | 10.2 | 9.7 | 9.8 |
+pub const BATCH_SIZE: usize = 512;
 
 /// The SIMD lane-group width of the stage-major passes: the full
 /// [`CRC_LANES`](flymon_rmt::hash::CRC_LANES) width, which keeps enough

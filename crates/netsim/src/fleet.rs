@@ -392,20 +392,20 @@ impl SwitchFleet {
         if self.alive[i] {
             return Ok(());
         }
-        let handles: Vec<TaskHandle> = self.tasks.iter().filter_map(|t| t.handles[i]).collect();
-        if handles.is_empty() {
+        if self.tasks.iter().all(|t| t.handles[i].is_none()) {
             return Err(FlymonError::NoSuchTask);
         }
-        // Logged resets (every fleet task, not just the primary): a
-        // later promotion replays them, so the standby recovers to the
-        // same cleared registers this switch rejoins with — which is
-        // why the sync barrier drops to zero too. One channel command
-        // covers the whole reset sweep: either the switch performed it
-        // (exactly once) or the revival never happened.
+        // One logged bank rotation resets every task (not just the
+        // primary) with one `Reset` intent each: a later promotion
+        // replays them, so the standby recovers to the same cleared
+        // registers this switch rejoins with — which is why the sync
+        // barrier drops to zero too. The rotation judges every reset
+        // before it swaps a bank, and one channel command carries it:
+        // either the switch performed the whole reset (exactly once) or
+        // the revival never happened and nothing was cleared.
         Self::send(&mut self.channel, &mut self.switches[i], i, "revive-reset", |sw| {
-            for h in &handles {
-                sw.reset_task(*h)?;
-            }
+            sw.rotate_banks()?;
+            sw.retire_epoch_banks();
             Ok(TxnResult::Unit)
         })?;
         self.alive[i] = true;
@@ -624,17 +624,19 @@ impl SwitchFleet {
     /// revival or promotion as usual.
     ///
     /// Errors if every switch is dead (no rows to read), an alive
-    /// switch hosts a task outside the fleet's list, or a task's
-    /// algorithm has no merge law ([`MergeLaw::of`]) — all before any
-    /// bank is swapped or any ledger field moves. A task outside the
-    /// list is what a sweep leaves on a switch its unwind could not
-    /// reach ([`SwitchFleet::sweep`]): the switch still hosts the task
-    /// but the fleet dropped its handle, and the whole-register swap
-    /// would clear state the fleet no longer owns. Also errors if a
-    /// logged reset fails mid-sweep — switches already rotated stay
-    /// rotated (each per-switch reset is itself atomic; their archived
-    /// epochs are discarded and their banks retired), and the error
-    /// surfaces which switch refused.
+    /// switch hosts a task outside the fleet's list, a listed task has
+    /// no handle on any alive switch, or a task's algorithm has no
+    /// merge law ([`MergeLaw::of`]) — all before any bank is swapped or
+    /// any ledger field moves. A task outside the list is what a sweep
+    /// leaves on a switch its unwind could not reach
+    /// ([`SwitchFleet::sweep`]): the switch still hosts the task but
+    /// the fleet dropped its handle, and the whole-register swap would
+    /// clear state the fleet no longer owns. Also errors if a logged
+    /// reset fails mid-sweep — switches already rotated stay rotated
+    /// (each per-switch reset is itself atomic; their archived epochs
+    /// are discarded and their banks retired, so the packets they held
+    /// move to [`SwitchFleet::lost_packets`]), and the error surfaces
+    /// which switch refused.
     pub fn rotate_epoch_all(&mut self) -> Result<FleetEpoch, FlymonError> {
         if self.alive_task_members(0).next().is_none() {
             return Err(FlymonError::NoCapacity(
@@ -653,6 +655,18 @@ impl SwitchFleet {
             return Err(FlymonError::BadTask(format!(
                 "switch {i} hosts a task the fleet does not track; \
                  a bank rotation would clear it"
+            )));
+        }
+        // Nor when a listed task lives only on dead switches (a removal
+        // rolled forward everywhere but a switch that has since failed):
+        // its epoch has no member to merge from.
+        let memberless = self.tasks.iter().enumerate().find(|&(t, _)| {
+            self.alive_task_members(t).next().is_none()
+        });
+        if let Some((_, task)) = memberless {
+            return Err(FlymonError::BadTask(format!(
+                "task {} has no handle on an alive switch; its epoch has no member to merge",
+                task.def.name
             )));
         }
         // Nor is an epoch worth archiving if some task's rows cannot be
@@ -694,9 +708,14 @@ impl SwitchFleet {
         // Phase 3 — retire what the merge did not drain: nothing after
         // a clean merge of a fully alive fleet; on an error path, the
         // archives of whatever did rotate, so that the next rotation's
-        // swap does not have to zero them inside the stall.
+        // swap does not have to zero them inside the stall. Those
+        // archives are never read out, so their packets are lost.
         for (sw, _) in self.switches.iter_mut().zip(&self.alive).filter(|&(_, &alive)| alive) {
             sw.retire_epoch_banks();
+        }
+        if merged.is_err() {
+            self.rotated_packets -= packets;
+            self.lost_packets += packets;
         }
         Ok(FleetEpoch {
             tasks: merged?,
@@ -717,7 +736,7 @@ impl SwitchFleet {
             // The first alive member's placement stands for the fleet's.
             let (first, h) = (0..self.switches.len())
                 .find_map(|i| task.handles[i].filter(|_| self.alive[i]).map(|h| (i, h)))
-                .expect("liveness was checked above");
+                .ok_or(FlymonError::NoSuchTask)?;
             let placed = &self.switches[first].task(h)?.rows;
             let row_caps: Vec<u32> = placed.iter().map(|r| r.bucket_max).collect();
             let mut rows = Vec::with_capacity(row_caps.len());

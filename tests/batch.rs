@@ -10,6 +10,7 @@
 //! stale: every mutation path (deploy, remove, reallocate, reset,
 //! rollback, restore, WAL recovery) has to rebuild it.
 
+use flymon::control::BATCH_SIZE;
 use flymon::oracle::{PerPacket, PerPacketGroup};
 use flymon::prelude::*;
 use flymon_packet::{KeySpec, Packet, TaskFilter};
@@ -22,6 +23,24 @@ fn config() -> FlyMonConfig {
         ..FlyMonConfig::default()
     }
 }
+
+/// Slice lengths on both sides of every edge the batch path cuts at:
+/// 8-lane groups (7/8/9, 63/64/65), the stage-major chunk
+/// ([`BATCH_SIZE`] ± 1), a single packet, and several chunks ending in
+/// a ragged one.
+const SLICE_LENGTHS: [usize; 11] = [
+    1,
+    7,
+    8,
+    9,
+    63,
+    64,
+    65,
+    BATCH_SIZE - 1,
+    BATCH_SIZE,
+    BATCH_SIZE + 1,
+    3 * BATCH_SIZE + 8,
+];
 
 fn trace(packets: u64) -> Vec<Packet> {
     TraceGenerator::new(0xBA7C).wide_like(&TraceConfig {
@@ -98,8 +117,9 @@ fn batched_replay_is_bit_identical_to_per_packet() {
             reference.process(p);
         }
         // Odd sizes force ragged tail chunks; 1 degenerates to
-        // per-packet batches; 256 spans many cache lines.
-        for batch_size in [1usize, 7, 64, 256] {
+        // per-packet batches; 256 spans many cache lines; the constant
+        // is what every other test runs at.
+        for batch_size in [1usize, 7, 64, 256, BATCH_SIZE] {
             let mut batched = FlyMon::new(config());
             batched.deploy(def).unwrap();
             batched.set_batch_size(batch_size);
@@ -382,19 +402,16 @@ fn chained_recipes() -> Vec<TaskDefinition> {
 }
 
 /// Replays `t` through a fresh `deployed()` switch with `process_batch`
-/// at every lane width, in slices around the lane width (7/8/9) and
-/// the chunk size (63/64/65), a single packet, and several chunks at
-/// once (200) — every slice ends in a ragged lane group at some width
-/// — and requires the state `reference` reached packet by packet:
+/// at every lane width, in [`SLICE_LENGTHS`] — every slice ends in a
+/// ragged lane group at some width — and requires the state `reference` reached packet by packet:
 /// every register cell, every binding's hit counter, the recirculation
 /// count.
 fn assert_batch_path_matches(deployed: impl Fn() -> FlyMon, reference: &FlyMon, t: &[Packet]) {
-    let slice_lengths = [1usize, 7, 8, 9, 63, 64, 65, 200];
     for lanes in 1..=8usize {
         let mut batched = deployed();
         batched.set_lane_width(lanes);
         let mut rest = t;
-        for &len in slice_lengths.iter().cycle() {
+        for &len in SLICE_LENGTHS.iter().cycle() {
             if rest.is_empty() {
                 break;
             }
@@ -549,12 +566,11 @@ fn uninstalling_one_row_stops_the_cmus_sharing() {
     }
     assert!(state(&reference).iter().all(|(_, hits)| hits.iter().all(|&h| h > 0)));
 
-    let slice_lengths = [1usize, 7, 8, 9, 63, 64, 65, 200];
     for lanes in 1..=8usize {
         let mut batched = stacked();
         let mut scratch = BatchScratch::default();
         let mut feed = |g: &mut CmuGroup, mut rest: &[Packet]| {
-            for &len in slice_lengths.iter().cycle() {
+            for &len in SLICE_LENGTHS.iter().cycle() {
                 if rest.is_empty() {
                     break;
                 }
@@ -878,10 +894,12 @@ fn rollback_of_a_partial_install_leaves_fresh_programs() {
 // such steps while no program reads PHV contexts, and the per-packet
 // oracle executes every one. Each test below holds the two to the same
 // registers, dirty watermarks, hit counters, recirculation counts and
-// Delta checkpoint payloads, in slices of 0, 1, 63, 64, 65 and 4 097
-// packets at every lane width.
+// Delta checkpoint payloads, in slices of 0 and 1 packets, around a
+// lane group (63/64/65), around the chunk (`BATCH_SIZE` ± 1) and of
+// 4 097 packets, at every lane width.
 
-const GATE_SLICES: [usize; 6] = [0, 1, 63, 64, 65, 4_097];
+const GATE_SLICES: [usize; 9] =
+    [0, 1, 63, 64, 65, BATCH_SIZE - 1, BATCH_SIZE, BATCH_SIZE + 1, 4_097];
 
 fn beaucoup(name: &str, filter: TaskFilter) -> TaskDefinition {
     TaskDefinition::builder(name)

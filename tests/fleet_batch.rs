@@ -10,6 +10,7 @@
 //! fleet size, the liveness, the slice length or the control ops issued
 //! between calls.
 
+use flymon::control::BATCH_SIZE;
 use flymon::prelude::*;
 use flymon_netsim::{datapath, PacketLedger, SwitchFleet};
 use flymon_packet::{KeySpec, Packet, TaskFilter};
@@ -181,10 +182,22 @@ impl Twins {
     }
 }
 
-/// Slice lengths around the stage-major chunk (64) and around the
-/// fleet's staging block (4 096), empty and single-packet slices
-/// included.
-const LENGTHS: [usize; 8] = [0, 1, 63, 64, 65, 4_096, 4_097, 9_000];
+/// Slice lengths around an 8-lane group (64), the stage-major chunk
+/// ([`BATCH_SIZE`]) and the fleet's staging block (4 096), empty and
+/// single-packet slices included.
+const LENGTHS: [usize; 11] = [
+    0,
+    1,
+    63,
+    64,
+    65,
+    BATCH_SIZE - 1,
+    BATCH_SIZE,
+    BATCH_SIZE + 1,
+    4_096,
+    4_097,
+    9_000,
+];
 
 #[test]
 fn process_trace_equals_the_per_packet_oracle() {

@@ -25,7 +25,12 @@
 //! 6. a delta checkpoint ships the zeros a rotation left as lengths,
 //!    and still composes onto its base into the full image;
 //! 7. all of the standing invariants hold on both sides of the `u16`
-//!    cell cutoff (15, 16, 17 and 32-bit registers).
+//!    cell cutoff (15, 16, 17 and 32-bit registers);
+//! 8. a refused rotation or revival leaves every packet somewhere the
+//!    ledger can see it: a rotation refused mid-sweep books what it
+//!    already archived as lost, a rotation with nothing alive to merge
+//!    a task from refuses before any bank swap, and a revival resets
+//!    the whole switch or nothing.
 
 use flymon::oracle::PerPacket;
 use flymon::prelude::*;
@@ -916,4 +921,143 @@ fn standing_invariants_hold_at_both_cell_widths() {
         // `rotation_clamps_summed_rows_at_both_cell_widths`: only the
         // fleet reaches its members' registers.
     }
+}
+
+// ---------------------------------------------------------------------
+// 8. Refused rotations and revivals keep the ledger honest.
+// ---------------------------------------------------------------------
+
+/// A 3-switch fleet of small groups running `cms_def(2)` plus, when
+/// `second`, a DST_IP count-min beside it, fed 30 000 packets.
+fn fed_fleet(second: bool) -> (SwitchFleet, u64) {
+    let cfg = FlyMonConfig {
+        groups: 3,
+        buckets_per_cmu: 4096,
+        ..FlyMonConfig::default()
+    };
+    let primary = TaskDefinition { memory: 4096, ..cms_def(2) };
+    let mut fleet = SwitchFleet::deploy(3, cfg, &primary).unwrap();
+    if second {
+        let dst = TaskDefinition::builder("dst")
+            .key(KeySpec::DST_IP)
+            .attribute(Attribute::frequency_packets())
+            .algorithm(Algorithm::Cms { d: 2 })
+            .memory(2048)
+            .build();
+        fleet.deploy_task(&dst).unwrap();
+    }
+    let fed = trace(3, 30_000);
+    fleet.process_trace(&fed);
+    (fleet, fed.len() as u64)
+}
+
+/// Packets counted by every row of every task `fm` hosts — each row is
+/// an unfiltered packet count, so each sums to what the switch absorbed.
+fn row_masses(fm: &FlyMon) -> Vec<u64> {
+    (0..64)
+        .map(|id| TaskHandle(TaskId(id)))
+        .filter_map(|h| fm.task(h).ok().map(|t| (h, t.rows.len())))
+        .flat_map(|(h, rows)| (0..rows).map(move |r| (h, r)))
+        .map(|(h, r)| fm.read_row(h, r).unwrap().iter().map(|&v| u64::from(v)).sum())
+        .collect()
+}
+
+/// Primary-row mass summed over every switch.
+fn primary_mass(fleet: &SwitchFleet) -> u64 {
+    (0..fleet.len())
+        .map(|i| {
+            let (fm, h) = fleet.switch(i);
+            fm.read_row(h.unwrap(), 0).unwrap().iter().map(|&v| u64::from(v)).sum::<u64>()
+        })
+        .sum()
+}
+
+/// A rotation whose bank swap one switch refuses has already swapped
+/// the banks before it; those archives are retired unread, so no epoch
+/// carries their packets and they are booked as lost, not as rotated.
+#[test]
+fn a_rotation_refused_mid_sweep_books_the_discarded_archives_as_lost() {
+    let (mut fleet, fed) = fed_fleet(false);
+    fleet.attach_channel(1, ChannelConfig::default()).unwrap();
+    fleet.channel_mut().unwrap().set_partitioned(1, true).unwrap();
+    let err = fleet.rotate_epoch_all().unwrap_err();
+    assert!(
+        matches!(err, FlymonError::ChannelTimeout { op: "epoch-reset", switch: 1, .. }),
+        "{err:?}"
+    );
+    let ledger = fleet.ledger();
+    assert!(ledger.balanced(), "{ledger:?}");
+    assert_eq!(fleet.rotated_packets(), 0, "no epoch was returned");
+    let mass = primary_mass(&fleet);
+    assert!(fleet.lost_packets() > 0, "switch 0 rotated before switch 1 refused");
+    assert_eq!(mass + fleet.lost_packets(), fed, "every packet is in a register or lost");
+    assert_eq!(mass, ledger.represented - fleet.rotated_packets());
+
+    // Healed, the next rotation archives exactly what the registers hold.
+    fleet.channel_mut().unwrap().heal_all();
+    let epoch = fleet.rotate_epoch_all().unwrap();
+    assert_eq!(epoch.packets, mass);
+    assert_eq!(fleet.rotated_packets(), mass);
+    assert!(fleet.ledger().balanced(), "{:?}", fleet.ledger());
+}
+
+/// A removal rolls forward, so a refused one can leave a task listed
+/// with its only handle on a switch that then fails. The rotation has
+/// no member to merge that task from: it refuses before any bank swap
+/// (it used to panic in the merge), and once the switch is revived and
+/// the removal retried it rotates again.
+#[test]
+fn a_rotation_with_a_task_on_no_alive_switch_refuses_and_changes_nothing() {
+    let (mut fleet, fed) = fed_fleet(true);
+    fleet.attach_channel(2, ChannelConfig::default()).unwrap();
+    fleet.channel_mut().unwrap().set_partitioned(2, true).unwrap();
+    let err = fleet.remove_task(1).unwrap_err();
+    assert!(matches!(err, FlymonError::ChannelTimeout { switch: 2, .. }), "{err:?}");
+    fleet.channel_mut().unwrap().heal_all();
+    fleet.fail_switch(2).unwrap();
+
+    let before = rotation_state(&fleet);
+    let err = fleet.rotate_epoch_all().unwrap_err();
+    assert!(
+        matches!(&err, FlymonError::BadTask(why) if why.contains("dst")),
+        "{err:?}"
+    );
+    assert_eq!(before, rotation_state(&fleet), "a refused rotation moved state");
+
+    fleet.revive_switch(2).unwrap();
+    fleet.remove_task(1).unwrap();
+    let represented = fleet.ledger().represented;
+    let epoch = fleet.rotate_epoch_all().unwrap();
+    assert_eq!(epoch.packets, represented);
+    let ledger = fleet.ledger();
+    assert!(ledger.balanced(), "{ledger:?}");
+    assert_eq!(ledger.represented + ledger.lost, fed);
+}
+
+/// A revival resets every task on the switch or none: a fault on the
+/// third register write either refuses the whole reset, leaving every
+/// row holding what the switch absorbed, or lets it all through.
+#[test]
+fn a_refused_revival_resets_nothing() {
+    let (mut fleet, _) = fed_fleet(true);
+    fleet.fail_switch(2).unwrap();
+    let held = fleet.unavailable_packets();
+    assert!(held > 0);
+    assert_eq!(row_masses(fleet.switch(2).0), [held; 4]);
+    fleet.set_faults(2, Some(FaultPlan::new(9).fail_nth(3))).unwrap();
+    match fleet.revive_switch(2) {
+        Err(e) => {
+            assert!(matches!(e, FlymonError::Install(_)), "{e:?}");
+            assert!(!fleet.is_alive(2));
+            assert_eq!(fleet.unavailable_packets(), held);
+            assert_eq!(fleet.lost_packets(), 0);
+            assert_eq!(row_masses(fleet.switch(2).0), [held; 4], "a refused revival cleared rows");
+        }
+        Ok(()) => {
+            assert!(fleet.is_alive(2));
+            assert_eq!(fleet.lost_packets(), held);
+            assert_eq!(row_masses(fleet.switch(2).0), [0; 4]);
+        }
+    }
+    assert!(fleet.ledger().balanced(), "{:?}", fleet.ledger());
 }

@@ -17,6 +17,7 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use flymon::control::BATCH_SIZE;
 use flymon::oracle::PerPacket;
 use flymon::prelude::*;
 use flymon::task::TaskId;
@@ -42,6 +43,10 @@ const PALETTE: [&str; 15] = [
     "delay key=SrcIP attr=maxdelay mem=512 alg=sumaxmax d=1 filter=*->20.0.0.0/8 prob=1/2^1",
     "big key=SrcIP attr=frequency mem=1024 alg=cms d=3",
 ];
+
+/// Packet slice lengths: empty, single, around an 8-lane group and
+/// around one stage-major chunk.
+const SLICES: [usize; 8] = [0, 1, 63, 64, 65, BATCH_SIZE - 1, BATCH_SIZE, BATCH_SIZE + 1];
 
 /// One op. A `usize` target indexes the live tasks in id order, modulo
 /// their count, so a shrunk script stays runnable.
@@ -76,12 +81,12 @@ fn script(seed: u64, steps: usize, faulted: bool) -> Vec<Step> {
     let mut r = SplitMix64::new(seed);
     let mut step = || {
         let op = match r.range_u64(0, 100) {
-            // Empty, single, around one batch; one in eight is around a
-            // long run of batches.
+            // Empty, single, around a lane group, around one chunk;
+            // one in eight is around a long run of chunks.
             0..=29 => Op::Packets(
                 match r.range_usize(0, 8) {
                     0 => 4096 + r.range_usize(0, 2),
-                    _ => [0, 1, 63, 64, 65][r.range_usize(0, 5)],
+                    _ => SLICES[r.range_usize(0, SLICES.len())],
                 },
                 r.next_u64(),
             ),
