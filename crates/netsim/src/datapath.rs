@@ -108,7 +108,7 @@ impl MergeLaw {
     /// Bulk form of [`MergeLaw::combine`]: folds `src` into `acc`
     /// bucket-by-bucket (`acc[i] = combine(acc[i], src[i], cap)`). The
     /// per-law loops have no branch and stay in `u32`, so they
-    /// autovectorize — at the host's vector width, see [`sweep`].
+    /// autovectorize — at the host's vector width, see [`at_host_width`].
     /// Bit-identical to the per-element path for every law, cap and
     /// length (pinned by `tests/readout.rs`).
     ///
@@ -117,7 +117,7 @@ impl MergeLaw {
     /// deployment always share a geometry, so a mismatch is a caller
     /// bug, not a data condition.
     pub fn combine_rows(self, acc: &mut [u32], src: &[u32], cap: u32) {
-        sweep(self, Fold(acc, src), cap, None);
+        at_host_width(Sweep(self, Fold(acc, src), cap, None));
     }
 
     /// [`MergeLaw::combine_rows`] fused with the occupancy scan: merges
@@ -137,7 +137,7 @@ impl MergeLaw {
         cap: u32,
         saturation_cap: u32,
     ) -> RowOccupancy {
-        sweep(self, Fold(acc, src), cap, Some(saturation_cap))
+        at_host_width(Sweep(self, Fold(acc, src), cap, Some(saturation_cap)))
     }
 
     /// One row merged across `members` into `acc`. The first two
@@ -177,14 +177,14 @@ impl MergeLaw {
         };
         // One match on the members' cell widths per sweep.
         let fold = |a: &mut [u32], s: Buckets<'_>, scan| match s {
-            Buckets::U16(s) => sweep(self, Fold(a, s), cap, scan),
-            Buckets::U32(s) => sweep(self, Fold(a, s), cap, scan),
+            Buckets::U16(s) => at_host_width(Sweep(self, Fold(a, s), cap, scan)),
+            Buckets::U32(s) => at_host_width(Sweep(self, Fold(a, s), cap, scan)),
         };
         let pair = |a: &mut Vec<u32>, x: Buckets<'_>, y: Buckets<'_>, scan| match (x, y) {
-            (Buckets::U16(x), Buckets::U16(y)) => sweep(self, Pair(a, x, y), cap, scan),
-            (Buckets::U16(x), Buckets::U32(y)) => sweep(self, Pair(a, x, y), cap, scan),
-            (Buckets::U32(x), Buckets::U16(y)) => sweep(self, Pair(a, x, y), cap, scan),
-            (Buckets::U32(x), Buckets::U32(y)) => sweep(self, Pair(a, x, y), cap, scan),
+            (Buckets::U16(x), Buckets::U16(y)) => at_host_width(Sweep(self, Pair(a, x, y), cap, scan)),
+            (Buckets::U16(x), Buckets::U32(y)) => at_host_width(Sweep(self, Pair(a, x, y), cap, scan)),
+            (Buckets::U32(x), Buckets::U16(y)) => at_host_width(Sweep(self, Pair(a, x, y), cap, scan)),
+            (Buckets::U32(x), Buckets::U32(y)) => at_host_width(Sweep(self, Pair(a, x, y), cap, scan)),
         };
         acc.clear();
         let mut members = members.peekable();
@@ -275,63 +275,78 @@ fn walk(acc: &mut [u32], member: &mut impl Member, mut sweep: impl FnMut(&mut [u
 /// it writes lines the core still holds.
 const MERGE_CHUNK: usize = 2 * SCAN_BLOCK;
 
-/// One row sweep — the [`Operands`] merged under `law`, with the
-/// occupancy scan against the ceiling `scan` names when it names one —
-/// at the widest vector unit this host has.
+/// One kernel — a [`Sweep`] of a row or the [`IngressHashes`] of a
+/// block — run at the widest vector unit this host has.
 ///
 /// The workspace builds for baseline x86-64, whose sse2 has no unsigned
-/// 32-bit min or saturating add, so the portable loops spend most of
-/// their time emulating `pminud`. Rather than a second algorithm in
-/// intrinsics, the *same* safe body ([`sweep_body`]) is compiled twice
-/// per operand shape and [`Cell`] width: [`sweep_portable`] for the
-/// build's baseline and [`sweep_avx2`] under
+/// 32-bit min, saturating add or 32-bit lane multiply, so the portable
+/// merge loops spend most of their time emulating `pminud` and the
+/// portable hash runs one packet at a time. Rather than a second algorithm in intrinsics, the *same* safe body
+/// ([`Kernel::run`]) is compiled twice per kernel type: once for the
+/// build's baseline, inlined here, and once inside [`avx2`] under
 /// `#[target_feature(enable = "avx2")]`, where the autovectorizer
-/// widens `u16` members with `vpmovzxwd` and emits 8-lane
-/// `vpminud`/`vpmaxud`/`vpor`. The choice is the host's cpuid (cached
-/// by std: one atomic load per sweep) and nothing else; the portable
-/// instantiation is the fallback on every other host and the oracle
-/// the unit tests below hold the wide one to.
+/// widens `u16` members with `vpmovzxwd`, emits 8-lane
+/// `vpminud`/`vpmaxud`/`vpor` for the merge laws and `vpmulld` for the
+/// hash. The choice is the host's cpuid (cached by std: one atomic load
+/// per kernel) and nothing else; the baseline instantiation is the
+/// fallback on every other host and the oracle the unit tests below
+/// hold the wide one to.
 #[allow(unsafe_code)]
-fn sweep(law: MergeLaw, ops: impl Operands, cap: u32, scan: Option<u32>) -> RowOccupancy {
+fn at_host_width<K: Kernel>(kernel: K) -> K::Output {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: avx2 was just detected on the running CPU, the one
         // requirement of calling a `#[target_feature(enable = "avx2")]`
         // function; its body is safe code.
-        return unsafe { sweep_avx2(law, ops, cap, scan) };
+        return unsafe { avx2(kernel) };
     }
-    sweep_portable(law, ops, cap, scan)
+    kernel.run()
 }
 
-/// [`sweep_body`] compiled for the build's baseline target.
-fn sweep_portable(law: MergeLaw, ops: impl Operands, cap: u32, scan: Option<u32>) -> RowOccupancy {
-    sweep_body(law, ops, cap, scan)
-}
-
-/// [`sweep_body`] compiled with AVX2 enabled; callable only once the
-/// feature is detected ([`sweep`]).
+/// [`Kernel::run`] compiled with AVX2 enabled; callable only once the
+/// feature is detected ([`at_host_width`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn sweep_avx2(law: MergeLaw, ops: impl Operands, cap: u32, scan: Option<u32>) -> RowOccupancy {
-    sweep_body(law, ops, cap, scan)
+fn avx2<K: Kernel>(kernel: K) -> K::Output {
+    kernel.run()
 }
 
-/// The per-law dispatch every instantiation inlines: one closure per
-/// law, handed to the operands' loop.
-#[inline(always)]
-fn sweep_body(law: MergeLaw, ops: impl Operands, cap: u32, scan: Option<u32>) -> RowOccupancy {
-    match law {
-        MergeLaw::Sum => ops.run(scan, |a, s| a.saturating_add(s).min(cap)),
-        MergeLaw::Max => ops.run(scan, u32::max),
-        MergeLaw::Or => ops.run(scan, |a, s| a | s),
+/// A loop [`at_host_width`] instantiates twice. Every `run` is
+/// `#[inline(always)]`, so each instantiation compiles the whole body
+/// under its own target features: a body left behind a call — a
+/// closure the wide function merely invokes, say — would run at the
+/// baseline width whichever instantiation called it.
+trait Kernel {
+    type Output;
+    fn run(self) -> Self::Output;
+}
+
+/// One row sweep: the [`Operands`] merged under the law, with the
+/// occupancy scan against the ceiling the last field names when it
+/// names one; the middle `u32` is the sum law's clamp.
+struct Sweep<O>(MergeLaw, O, u32, Option<u32>);
+
+impl<O: Operands> Kernel for Sweep<O> {
+    type Output = RowOccupancy;
+
+    /// The per-law dispatch: one closure per law, handed to the
+    /// operands' loop.
+    #[inline(always)]
+    fn run(self) -> RowOccupancy {
+        let Sweep(law, ops, cap, scan) = self;
+        match law {
+            MergeLaw::Sum => ops.run(scan, |a, s| a.saturating_add(s).min(cap)),
+            MergeLaw::Max => ops.run(scan, u32::max),
+            MergeLaw::Or => ops.run(scan, |a, s| a | s),
+        }
     }
 }
 
-/// The operand shapes a [`sweep`] takes, each with its loop.
+/// The operand shapes a [`Sweep`] takes, each with its loop.
 trait Operands {
     /// Merges the operands bucket by bucket with `op`, counting the
     /// merged buckets against the ceiling `scan` names when it names
-    /// one. Inlined into every instantiation of [`sweep_body`].
+    /// one. Inlined into both instantiations of every [`Sweep`].
     fn run(self, scan: Option<u32>, op: impl Fn(u32, u32) -> u32) -> RowOccupancy;
 }
 
@@ -429,11 +444,20 @@ impl std::ops::AddAssign for RowOccupancy {
 /// shifts and two multiplies per packet and brings the split to within
 /// a few percent of uniform.
 ///
+/// This is the per-packet definition; `replay` hashes a whole block in
+/// one [`IngressHashes`] pass and maps each hash through the same
+/// [`shard_of_hash`].
+///
 /// # Panics
 /// Panics if `n` is zero — an empty fleet has no shards.
 pub fn shard_of(pkt: &Packet, n: usize) -> usize {
     assert!(n > 0, "cannot shard across zero workers");
-    let h = ingress_hash(pkt);
+    shard_of_hash(ingress_hash(pkt), n)
+}
+
+/// The shard among `n` (nonzero) that ingress hash `h` picks.
+#[inline]
+fn shard_of_hash(h: u32, n: usize) -> usize {
     // A 32-bit modulus whenever `n` fits one (a 64-bit divide costs
     // several times more); a wider `n` exceeds every digest, so the
     // remainder is the digest itself.
@@ -446,9 +470,27 @@ pub fn shard_of(pkt: &Packet, n: usize) -> usize {
 /// The mixed ingress hash of `pkt`: murmur3 over the source address's
 /// four network-order bytes (the single-word path — no slice walk),
 /// finalized through [`fmix32`].
-#[inline]
+#[inline(always)]
 fn ingress_hash(pkt: &Packet) -> u32 {
     fmix32(murmur3_32_word(INGRESS_HASH_SEED, pkt.src_ip.swap_bytes()))
+}
+
+/// The ingress hash of every packet of a block, written to the
+/// equally long second slice. Baseline sse2 has no 32-bit lane
+/// multiply, so the portable instantiation hashes one packet at a time;
+/// the AVX2 one runs eight lanes of `vpmulld`.
+struct IngressHashes<'a>(&'a [Packet], &'a mut [u32]);
+
+impl Kernel for IngressHashes<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let IngressHashes(block, hashes) = self;
+        for (h, p) in hashes.iter_mut().zip(block) {
+            *h = ingress_hash(p);
+        }
+    }
 }
 
 /// Packets `replay` buckets before it flushes the buckets through
@@ -463,7 +505,7 @@ const STAGE_BLOCK: usize = 4096;
 /// caller: feeds packet `p` of `trace` to switch `targets[shard_of(p,
 /// n)]` (`None` drops it).
 ///
-/// Each `STAGE_BLOCK` of the slice is bucketed by target in one pass
+/// Each `STAGE_BLOCK` of the slice is bucketed by target ([`stage`])
 /// into the caller's buckets (one per member, reused so that steady
 /// state allocates nothing, empty again on return) and every non-empty
 /// bucket goes through one [`FlyMon::process_batch`]. Members are
@@ -481,23 +523,42 @@ pub(crate) fn replay(
     trace: &[Packet],
     fed: &mut [u64],
 ) -> u64 {
-    let n = members.len();
-    if n == 0 {
+    if members.is_empty() {
         return trace.len() as u64;
     }
+    let mut hashes = [0u32; STAGE_BLOCK];
     let mut dropped = 0u64;
     for block in trace.chunks(STAGE_BLOCK) {
-        for p in block {
-            match targets[shard_of(p, n)] {
-                Some(i) => staging[i].push(*p),
-                None => dropped += 1,
-            }
-        }
+        dropped += stage(block, targets, staging, &mut hashes, |k| at_host_width(k));
         for (i, bucket) in staging.iter_mut().enumerate() {
             if !bucket.is_empty() {
                 fed[i] += members[i].process_batch(bucket).packets;
                 bucket.clear();
             }
+        }
+    }
+    dropped
+}
+
+/// Buckets `block` (at most [`STAGE_BLOCK`] packets) by target in two
+/// passes: `hash` runs the [`IngressHashes`] kernel over the block into
+/// `hashes`, then the scatter appends packet `p` to
+/// `staging[targets[shard_of(p, targets.len())]]`, counting a `None`
+/// target as dropped. Returns the dropped count.
+fn stage(
+    block: &[Packet],
+    targets: &[Option<usize>],
+    staging: &mut [Vec<Packet>],
+    hashes: &mut [u32; STAGE_BLOCK],
+    hash: impl FnOnce(IngressHashes<'_>),
+) -> u64 {
+    let hashes = &mut hashes[..block.len()];
+    hash(IngressHashes(block, hashes));
+    let mut dropped = 0;
+    for (p, &h) in block.iter().zip(hashes.iter()) {
+        match targets[shard_of_hash(h, targets.len())] {
+            Some(i) => staging[i].push(*p),
+            None => dropped += 1,
         }
     }
     dropped
@@ -652,17 +713,59 @@ mod tests {
     }
 
     #[test]
+    fn both_hash_instantiations_stage_each_packet_where_shard_of_sends_it() {
+        // The ingress-hash pass, portable and dispatched, through the
+        // scatter that reads it: walked in `STAGE_BLOCK`s over one hash
+        // buffer the way `replay` walks them, every packet lands in the
+        // bucket of its `shard_of` target, in trace order, or counts as
+        // dropped. The lengths end inside a vector and on a ragged last
+        // block.
+        use flymon_packet::SplitMix64;
+        type Pass = fn(IngressHashes<'_>);
+        let passes: [(&str, Pass); 2] =
+            [("portable", |k| k.run()), ("dispatched", |k| at_host_width(k))];
+        let longest = 3 * STAGE_BLOCK + 5;
+        let mut rng = SplitMix64::new(0x1a6e);
+        let trace: Vec<Packet> =
+            (0..longest).map(|_| Packet::udp(rng.next_u32(), 1, 2, 3)).collect();
+        for len in [0, 1, 7, 8, 9, STAGE_BLOCK - 1, STAGE_BLOCK, STAGE_BLOCK + 1, longest] {
+            let trace = &trace[..len];
+            for n in 1..=8 {
+                // Every third ingress has no target: its packets drop.
+                let targets: Vec<Option<usize>> = (0..n).map(|i| (i % 3 != 2).then_some(i)).collect();
+                let shards = shard_trace(trace, n);
+                let want_dropped: usize =
+                    shards.iter().zip(&targets).filter(|(_, t)| t.is_none()).map(|(s, _)| s.len()).sum();
+                for (name, pass) in passes {
+                    let case = format!("{name} len={len} n={n}");
+                    let mut hashes = [0; STAGE_BLOCK];
+                    let mut staging = vec![Vec::new(); n];
+                    let mut dropped = 0;
+                    for block in trace.chunks(STAGE_BLOCK) {
+                        dropped += stage(block, &targets, &mut staging, &mut hashes, pass);
+                    }
+                    assert_eq!(dropped, want_dropped as u64, "{case}: dropped");
+                    for (i, (bucket, target)) in staging.iter().zip(&targets).enumerate() {
+                        let want: &[Packet] = if target.is_some() { &shards[i] } else { &[] };
+                        assert_eq!(bucket.as_slice(), want, "{case}: member {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn both_sweep_instantiations_agree_with_the_scalar_law() {
-        // `sweep_portable` directly, and `sweep` — which on a host with
-        // AVX2 is the wide instantiation — on the same inputs: rows
+        // `Kernel::run` directly, and `at_host_width` — which on a host
+        // with AVX2 is the wide instantiation — on the same inputs: rows
         // and occupancy must equal each other and what `combine` says
         // per element, so neither body goes untested whichever one
         // dispatch picks.
         use flymon_packet::SplitMix64;
-        type Sweep = fn(MergeLaw, &mut [u32], &[u32], u32, Option<u32>) -> RowOccupancy;
-        let bodies: [(&str, Sweep); 2] = [
-            ("portable", |law, acc, src, cap, scan| sweep_portable(law, Fold(acc, src), cap, scan)),
-            ("dispatched", |law, acc, src, cap, scan| sweep(law, Fold(acc, src), cap, scan)),
+        type Body = fn(MergeLaw, &mut [u32], &[u32], u32, Option<u32>) -> RowOccupancy;
+        let bodies: [(&str, Body); 2] = [
+            ("portable", |law, acc, src, cap, scan| Sweep(law, Fold(acc, src), cap, scan).run()),
+            ("dispatched", |law, acc, src, cap, scan| at_host_width(Sweep(law, Fold(acc, src), cap, scan))),
         ];
         let mut rng = SplitMix64::new(0x51_3d);
         for len in [0, 1, 7, 8, 9, 31, 32, 33, 1_023, 1_024, 1_025, 2_049, 5_000] {
@@ -709,10 +812,10 @@ mod tests {
         // widened into the `u32` accumulator must give what the member
         // widened by hand gives, fold and occupancy alike.
         use flymon_packet::SplitMix64;
-        type Sweep = fn(MergeLaw, &mut [u32], &[u16], u32, Option<u32>) -> RowOccupancy;
-        let bodies: [(&str, Sweep); 2] = [
-            ("portable", |law, acc, src, cap, scan| sweep_portable(law, Fold(acc, src), cap, scan)),
-            ("dispatched", |law, acc, src, cap, scan| sweep(law, Fold(acc, src), cap, scan)),
+        type Body = fn(MergeLaw, &mut [u32], &[u16], u32, Option<u32>) -> RowOccupancy;
+        let bodies: [(&str, Body); 2] = [
+            ("portable", |law, acc, src, cap, scan| Sweep(law, Fold(acc, src), cap, scan).run()),
+            ("dispatched", |law, acc, src, cap, scan| at_host_width(Sweep(law, Fold(acc, src), cap, scan))),
         ];
         let mut rng = SplitMix64::new(0x1616);
         for len in [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 1_023, 1_024, 1_025, 2_049, 5_000] {
@@ -727,7 +830,7 @@ mod tests {
                             let (mut narrow_acc, mut wide_acc) = (acc0.clone(), acc0.clone());
                             let narrow = body(law, &mut narrow_acc, &src, cap, scan);
                             let widened =
-                                sweep_portable(law, Fold(&mut wide_acc, &wide), cap, scan);
+                                Sweep(law, Fold(&mut wide_acc, &wide), cap, scan).run();
                             assert_eq!(narrow_acc, wide_acc, "{case} {scan:?}: fold");
                             assert_eq!(narrow, widened, "{case} {scan:?}: occupancy");
                         }
@@ -753,11 +856,8 @@ mod tests {
             for scan in [None, Some(cap)] {
                 for dispatched in [false, true] {
                     let mut acc = vec![9];
-                    let occ = if dispatched {
-                        sweep(law, Pair(&mut acc, x, y), cap, scan)
-                    } else {
-                        sweep_portable(law, Pair(&mut acc, x, y), cap, scan)
-                    };
+                    let kernel = Sweep(law, Pair(&mut acc, x, y), cap, scan);
+                    let occ = if dispatched { at_host_width(kernel) } else { kernel.run() };
                     let case = format!("{case} {scan:?} dispatched={dispatched}");
                     assert_eq!((acc[0], &acc[1..]), (9, &expected[..]), "{case}: merge");
                     let want = scan.map_or(RowOccupancy::default(), |_| occupancy);

@@ -193,11 +193,17 @@ impl BoundedQueue {
     /// Enqueues all of `pkts` with one bulk move, leaving it empty. The
     /// caller guarantees the room (`len() + pkts.len() <= capacity()`);
     /// statistics end as that many [`BoundedQueue::push`] calls leave
-    /// them.
+    /// them. An empty ring adopts `pkts`' buffer and hands its own
+    /// (empty) one back, so no packet is copied; only a ring that still
+    /// holds packets has `pkts` appended behind them.
     fn push_all(&mut self, pkts: &mut VecDeque<Packet>) {
         debug_assert!(self.buf.len() + pkts.len() <= self.capacity);
         self.stats.enqueued += pkts.len() as u64;
-        self.buf.append(pkts);
+        if self.buf.is_empty() {
+            std::mem::swap(&mut self.buf, pkts);
+        } else {
+            self.buf.append(pkts);
+        }
         self.stats.high_watermark = self.stats.high_watermark.max(self.buf.len());
     }
 
@@ -802,7 +808,9 @@ impl StreamingRuntime {
 
         // 2. Producer: pull a chunk only when the backlog is clear —
         // a non-empty backlog IS the blocked producer. The chunk's buffer
-        // becomes the backlog as is, so admission moves each packet once.
+        // becomes the backlog as is, and an empty ring adopts it in turn
+        // (`BoundedQueue::push_all`), so a stream that keeps up copies
+        // no packet between the source and the drain.
         if self.backlog.is_empty() {
             match source.next_chunk() {
                 Some(chunk) => {
@@ -1129,7 +1137,10 @@ mod tests {
             }
         }
 
-        fn step(&mut self, source: &mut dyn ChunkSource) {
+        /// One step. Returns, when every packet of a non-empty backlog
+        /// met [`Rung::Admit`] with room to spare — the runtime's bulk
+        /// move — whether the queue was empty when they arrived.
+        fn step(&mut self, source: &mut dyn ChunkSource) -> Option<bool> {
             let adm = self.cfg.admission;
             self.stats.steps += 1;
             self.stats.syncs += 1;
@@ -1142,12 +1153,16 @@ mod tests {
                 self.stats.blocked_steps += 1;
             }
             let shed_before = self.stats.shed();
+            let ring_was_empty = self.queue.is_empty();
+            let mut at_rest = !self.backlog.is_empty();
             while let Some(pkt) = self.backlog.pop_front() {
                 if self.queue.len() >= self.cfg.queue_capacity {
                     self.backlog.push_front(pkt);
+                    at_rest = false;
                     break;
                 }
                 let occ = self.queue.len() as f64 / self.cfg.queue_capacity as f64;
+                at_rest &= occ < adm.high_watermark && occ < adm.critical_watermark;
                 if occ >= adm.critical_watermark {
                     if !adm.priority.is_some_and(|f| f.matches(&pkt)) {
                         self.stats.shed_priority += 1;
@@ -1182,6 +1197,7 @@ mod tests {
                 self.health = next;
                 self.stats.health_transitions += 1;
             }
+            at_rest.then_some(ring_was_empty)
         }
 
         fn ledger(&self) -> StreamLedger {
@@ -1237,9 +1253,12 @@ mod tests {
     }
 
     /// Steps a runtime and the per-packet reference through the same
-    /// chunks, comparing every observable after every step; returns the
-    /// runtime and how many steps admitted a whole chunk untouched.
-    fn run_lockstep(cfg: IngestConfig, sizes: Vec<usize>, what: &str) -> (StreamingRuntime, usize) {
+    /// chunks, comparing every observable — the queued and backlogged
+    /// packets too, in order — after every step; returns the runtime
+    /// and how many steps took the bulk move into an empty queue
+    /// (adopting the backlog's buffer) and into a non-empty one
+    /// (appending behind what is queued).
+    fn run_lockstep(cfg: IngestConfig, sizes: Vec<usize>, what: &str) -> (StreamingRuntime, [usize; 2]) {
         let steps = sizes.len() + 8;
         let source = || SizedChunks {
             sizes: sizes.clone().into_iter(),
@@ -1248,20 +1267,23 @@ mod tests {
         let (mut fed_rt, mut fed_ref) = (source(), source());
         let mut rt = StreamingRuntime::new(fleet(2), cfg.clone());
         let mut reference = PerPacketReference::new(cfg);
-        let mut whole_chunks = 0;
+        let mut bulk = [0; 2];
         for step in 0..steps {
-            let out = rt.step(&mut fed_rt).unwrap();
-            reference.step(&mut fed_ref);
+            rt.step(&mut fed_rt).unwrap();
+            if let Some(ring_was_empty) = reference.step(&mut fed_ref) {
+                bulk[usize::from(!ring_was_empty)] += 1;
+            }
             let at = format!("{what}, step {step}");
+            assert_eq!(rt.queue.buf, reference.queue, "{at}: queued packets");
+            assert_eq!(rt.backlog, reference.backlog, "{at}: backlog");
             assert_eq!(rt.stats(), reference.stats, "{at}");
             assert_eq!(rt.queue.stats(), reference.queue_stats, "{at}");
             assert_eq!(rt.ledger(), reference.ledger(), "{at}");
             assert_eq!(rt.health(), reference.health, "{at}");
             // The next coin: bulk admission drew exactly as many.
             assert_eq!(rt.rng.clone().next_u64(), reference.rng.clone().next_u64(), "{at}");
-            whole_chunks += usize::from(out.shed == 0 && out.admitted > 0 && out.admitted == out.pulled);
         }
-        (rt, whole_chunks)
+        (rt, bulk)
     }
 
     #[test]
@@ -1270,7 +1292,7 @@ mod tests {
         // queue idles below the watermarks) alternate with bursts far
         // above the drain rate, which walk the queue through both
         // watermarks, fill it and overflow the backlog.
-        let mut whole_chunks = 0;
+        let [mut adopted, mut appended] = [0; 2];
         for seed in 0..12u64 {
             let mut sizes = SplitMix64::new(seed);
             let sizes = (0..400)
@@ -1280,8 +1302,9 @@ mod tests {
                 })
                 .collect();
             let priority = seed % 2 == 0;
-            let (rt, whole) = run_lockstep(lockstep_config(seed, priority), sizes, &format!("seed {seed}"));
-            whole_chunks += whole;
+            let (rt, [adopt, append]) = run_lockstep(lockstep_config(seed, priority), sizes, &format!("seed {seed}"));
+            adopted += adopt;
+            appended += append;
             let stats = rt.stats();
             assert!(stats.shed_random > 0 && stats.shed_priority > 0, "{stats:?}");
             if priority {
@@ -1292,7 +1315,10 @@ mod tests {
                 assert_eq!(rt.queue.stats().high_watermark, 1_024);
             }
         }
-        assert!(whole_chunks > 1_000, "only {whole_chunks} steps took the bulk move");
+        // Both branches of the bulk move: a queue that kept up adopts
+        // the backlog's buffer, one still draining a burst appends.
+        assert!(adopted + appended > 1_000, "only {} steps took the bulk move", adopted + appended);
+        assert!(adopted > 0 && appended > 0, "adopted {adopted}, appended {appended}");
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //! machinery under randomized seeded fault schedules.
 //!
 //! `unsafe_code` is denied here, not forbidden as at every other crate
-//! root of the workspace: [`datapath`]'s row sweep is one safe body
+//! root of the workspace: [`datapath`]'s two kernels, the row sweep of
+//! every merge and the ingress hash of fleet routing, are safe bodies
 //! compiled twice, for the build's baseline and for AVX2, and calling
 //! the second after `is_x86_feature_detected!` is the one lint
 //! exception (`#[allow]` on a private function; CI fails on a second).
