@@ -26,8 +26,8 @@ use crate::keysel::{KeySelect, KeySource};
 use crate::params::{PacketContext, ParamSource};
 use crate::prep::PrepAction;
 use crate::program::{
-    coupon_bit, CompiledBinding, Gate, GroupProgram, KeyPrep, MatchRule, OperandKernel,
-    PacketField,
+    coupon_bit, CompiledBinding, CompiledCmu, Gate, GroupProgram, KeyPrep, MatchRule,
+    OperandKernel, PacketField, MAX_SET_ROWS,
 };
 use crate::scratch::{BatchScratch, CoinScratch};
 use crate::task::TaskId;
@@ -490,16 +490,22 @@ impl CmuGroup {
     ///    program reads PHV contexts, a gated CMU's matches then pass
     ///    its coupon gates ([`GroupProgram::gate_of`]), and a unit only
     ///    gated rows read digests just what passed;
-    /// 3. **resolve + apply** per CMU, fused: one [`Salu::sweep`] per run
-    ///    of matched (or passed) packets sharing a binding, with the
-    ///    operand closure chosen once per run from the binding's
-    ///    [`OperandKernel`] ([`sweep_binding`]), recording the forwarded
-    ///    output into the packet's PHV context on the way out.
+    /// 3. **resolve + apply** per row set ([`GroupProgram::sets`]: the
+    ///    consecutive CMUs of one sketch), fused: one [`Salu::sweep`] over
+    ///    the set's SALUs per run of matched (or passed) packets sharing
+    ///    a binding, with the operand closure chosen once per run from
+    ///    the rows' shared [`OperandKernel`] ([`sweep_binding`]) — each
+    ///    packet's key resolved once, then each row's read-modify-write
+    ///    in CMU order — recording each row's forwarded output into the
+    ///    packet's PHV context on the way out.
     ///
-    /// Pass 3 runs per CMU *in index order* because downstream CMUs'
+    /// Pass 3 runs *in CMU index order* because downstream CMUs'
     /// parameters may read upstream results from the packet's context
     /// (`PrevResult`/`ChainMin`/gated preps) — the same order the serial
     /// path establishes, which is what makes the two paths bit-identical.
+    /// No row of a set reads a context, so interleaving a set's rows per
+    /// packet is unobservable: each register still sees its packets in
+    /// order.
     /// Matching (pass 1) reads only packet fields and the coin, a
     /// stateless hash of packet fields and the task id, never the
     /// context or a register: hoisting it, and running it once for
@@ -624,39 +630,28 @@ impl CmuGroup {
             }
         }
 
-        // Pass 3: fused resolve + apply, per CMU in index order
+        // Pass 3: fused resolve + apply, per row set in CMU index order
         // (cross-CMU PHV deps).
         let ctxs = batch.ctxs.as_mut_slice();
-        for (ci, (cmu, cprog)) in cmus.iter_mut().zip(program.cmus.iter()).enumerate() {
+        for set in &program.sets {
+            let (ci, rows) = (set.start, &mut cmus[set.clone()]);
+            let cprog = &program.cmus[ci];
             let chunk = ChunkView {
                 pkts,
                 digests: &batch.digests,
                 bucket_mask: program.bucket_mask,
                 record: record_ctx.then_some((group_index, ci)),
             };
-            if cprog.bindings.is_empty() {
-                continue;
-            }
-            // A compiled binding and the installed one it came from sit
-            // at the same index; the sweep reads the latter only under
-            // `OperandKernel::Interpreted`.
-            let Cmu {
-                salu,
-                bindings,
-                hits,
-            } = cmu;
-            // Hits and recirculation count every match, gated or not: a
-            // gated CMU counts its runs here, any other as it sweeps.
+            // Hits and recirculation count every match, gated or not.
             let matched = batch.matched[program.match_of[ci]].as_slice();
-            let gated = gating && cprog.gated;
             if cprog.always {
-                hits[0] += n as u64;
+                rows.iter_mut().for_each(|row| row.hits[0] += n as u64);
                 if mark_executed {
                     batch.executed[..n].fill(true);
                 }
             } else {
-                for (bi, run) in runs(if gated { matched } else { &[] }) {
-                    hits[bi] += run.len() as u64;
+                for (bi, run) in runs(matched) {
+                    rows.iter_mut().for_each(|row| row.hits[bi] += run.len() as u64);
                 }
                 if mark_executed {
                     for &(pi, _) in matched {
@@ -664,25 +659,65 @@ impl CmuGroup {
                     }
                 }
             }
-            // The gated or the matched list, cut into runs of one binding
-            // so each run is a single sweep with one kernel (usually one
-            // run: a CMU mostly holds one binding per traffic class).
-            let steps = if gated {
-                batch.gated[program.gate_of[ci]].as_slice()
-            } else if cprog.always {
-                // Dense: the packet index *is* the step index.
-                sweep_binding(salu, &cprog.bindings[0], &bindings[0], n, |k| k, &chunk, ctxs);
-                continue;
+            // Dense (`None`), or the gated or the matched list, cut into
+            // runs of one binding so each run is a single sweep with one
+            // kernel (usually one run: a CMU mostly holds one binding per
+            // traffic class).
+            let steps = if gating && cprog.gated {
+                Some(batch.gated[program.gate_of[ci]].as_slice())
             } else {
-                matched
+                (!cprog.always).then_some(matched)
             };
-            for (bi, run) in runs(steps) {
-                hits[bi] += if gated { 0 } else { run.len() as u64 };
-                let (cb, b) = (&cprog.bindings[bi], &bindings[bi]);
-                sweep_binding(salu, cb, b, run.len(), move |k| run[k].0 as usize, &chunk, ctxs);
+            let cprogs = &program.cmus[set.clone()];
+            match rows.len() {
+                1 => sweep_set::<1>(rows, cprogs, steps, &chunk, ctxs),
+                2 => sweep_set::<2>(rows, cprogs, steps, &chunk, ctxs),
+                _ => sweep_set::<MAX_SET_ROWS>(rows, cprogs, steps, &chunk, ctxs),
             }
         }
     }
+}
+
+/// Pass 3 for one row set of `N` CMUs, `rows`, compiled as `cprogs`,
+/// over a list of `(packet, binding)` steps — or, for `None`, every
+/// packet of the chunk at binding 0.
+fn sweep_set<const N: usize>(
+    rows: &mut [Cmu],
+    cprogs: &[CompiledCmu],
+    steps: Option<&[(u32, u16)]>,
+    chunk: &ChunkView<'_>,
+    ctxs: &mut [PacketContext],
+) {
+    let rows: &mut [Cmu; N] = rows.try_into().expect("a set of N rows");
+    let cbs = |bi: usize| std::array::from_fn(|r| &cprogs[r].bindings[bi]);
+    match steps {
+        // Dense: the packet index *is* the step index.
+        None => {
+            let (salus, installed) = split(rows, 0);
+            let n = chunk.pkts.len();
+            sweep_binding(salus, cbs(0), installed, n, |k| k, chunk, ctxs);
+        }
+        Some(steps) => {
+            for (bi, run) in runs(steps) {
+                let (salus, installed) = split(rows, bi);
+                let index = move |k: usize| run[k].0 as usize;
+                sweep_binding(salus, cbs(bi), installed, run.len(), index, chunk, ctxs);
+            }
+        }
+    }
+}
+
+/// The SALUs of a row set, and row 0's installed binding at `bi` — read
+/// only under `OperandKernel::Interpreted`, whose sets are of one.
+fn split<const N: usize>(rows: &mut [Cmu; N], bi: usize) -> ([&mut Salu; N], &CmuBinding) {
+    let mut installed = None;
+    let salus = rows.each_mut().map(|row| {
+        let Cmu { salu, bindings, .. } = row;
+        let bindings: &Vec<CmuBinding> = bindings;
+        installed.get_or_insert(&bindings[bi]);
+        salu
+    });
+    (salus, installed.expect("a set has a row"))
 }
 
 /// Pass 2 for one unit: the packets `idx` names, `lanes` at a time, into
@@ -769,15 +804,16 @@ fn match_rules<const SAMPLED: bool>(
     len
 }
 
-/// What pass 3 reads of the chunk, the same for every binding of a CMU.
+/// What pass 3 reads of the chunk, the same for every binding of a row set.
 #[derive(Clone, Copy)]
 struct ChunkView<'a> {
     pkts: &'a [Packet],
     /// The packet-major digest matrix ([`BatchScratch::digests`]).
     digests: &'a [u32],
     bucket_mask: usize,
-    /// The `(group, cmu)` to record forwarded outputs under, or `None`
-    /// when no program reads PHV contexts.
+    /// The `(group, cmu)` to record row 0's forwarded outputs under (row
+    /// `r`'s go under CMU `cmu + r`), or `None` when no program reads
+    /// PHV contexts.
     record: Option<(usize, usize)>,
 }
 
@@ -788,20 +824,21 @@ impl ChunkView<'_> {
     }
 }
 
-/// Pass 3 for `count` packets that execute binding `cb` — pipeline
-/// stages 2 to 4, fused. Step `k` is packet `index(k)` of the chunk;
-/// `installed` is the binding `cb` was compiled from, read only under
-/// [`OperandKernel::Interpreted`].
+/// Pass 3 for `count` packets that execute binding `cbs[r]` on row `r`
+/// of a row set — pipeline stages 2 to 4, fused. Step `k` is packet
+/// `index(k)` of the chunk; `installed` is the binding `cbs[0]` was
+/// compiled from, read only under [`OperandKernel::Interpreted`].
 ///
-/// The closure that yields a packet's prepared `(p1, p2)` is selected
-/// here, outside the loop, from the binding's [`OperandKernel`]: the
-/// loop itself then reads what the kernel names and nothing else. The
-/// ranges the arithmetic relies on (one-hot widths and coupon counts
-/// within 32 bits, ρ shifts below 32, unit indices the group has) are
-/// checked by [`CmuGroup::install`].
-fn sweep_binding(
-    salu: &mut Salu,
-    cb: &CompiledBinding,
+/// The closure that yields a packet's prepared `(p1, p2)` per row is
+/// selected here, outside the loop, from the kernel the rows share: it
+/// reads what the kernel names once per packet, and each row's
+/// constants ([`OperandKernel::constants`]) from an array. The ranges
+/// the arithmetic relies on (one-hot widths and coupon counts within 32
+/// bits, ρ shifts below 32, unit indices the group has) are checked by
+/// [`CmuGroup::install`].
+fn sweep_binding<const N: usize>(
+    salus: [&mut Salu; N],
+    cbs: [&CompiledBinding; N],
     installed: &CmuBinding,
     count: usize,
     index: impl Fn(usize) -> usize + Copy,
@@ -814,73 +851,79 @@ fn sweep_binding(
     // frame after every bucket store.
     let view = *chunk;
     let pkts = view.pkts;
+    let constants = cbs.map(|cb| cb.kernel.constants());
+    let with = move |p1: u32| constants.map(|(_, p2)| (p1, p2));
     macro_rules! sweep {
         ($params:expr) => {
-            fused_sweep(salu, cb, count, index, chunk, ctxs, $params)
+            fused_sweep(salus, cbs, count, index, chunk, ctxs, $params)
         };
     }
-    match cb.kernel {
-        OperandKernel::Const(p1, p2) => sweep!(move |_, _| (p1, p2)),
-        OperandKernel::Field { field, p2 } => match field {
-            PacketField::Bytes => sweep!(move |_, p| (u32::from(pkts[p].len), p2)),
-            PacketField::TimestampUs => sweep!(move |_, p| ((pkts[p].ts_ns / 1_000) as u32, p2)),
-            PacketField::QueueLen => sweep!(move |_, p| (pkts[p].queue_len, p2)),
-            PacketField::QueueDelayUs => sweep!(move |_, p| (pkts[p].queue_delay_ns / 1_000, p2)),
+    match cbs[0].kernel {
+        OperandKernel::Const(..) => sweep!(move |_, _| constants),
+        OperandKernel::Field { field, .. } => match field {
+            PacketField::Bytes => sweep!(move |_, p| with(u32::from(pkts[p].len))),
+            PacketField::TimestampUs => sweep!(move |_, p| with((pkts[p].ts_ns / 1_000) as u32)),
+            PacketField::QueueLen => sweep!(move |_, p| with(pkts[p].queue_len)),
+            PacketField::QueueDelayUs => sweep!(move |_, p| with(pkts[p].queue_delay_ns / 1_000)),
         },
-        OperandKernel::Key { key, prep, p2 } => {
+        OperandKernel::Key { key, prep, .. } => {
             let key = move |p: usize| key.resolve(view.digests_of(p));
             match prep {
-                KeyPrep::None => sweep!(move |_, p| (key(p), p2)),
-                KeyPrep::OneHotMask(mask) => sweep!(move |_, p| (1 << (key(p) & mask), p2)),
-                KeyPrep::OneHotMod(bits) => sweep!(move |_, p| (1 << (key(p) % bits), p2)),
+                KeyPrep::None => sweep!(move |_, p| with(key(p))),
+                KeyPrep::OneHotMask(mask) => sweep!(move |_, p| with(1 << (key(p) & mask))),
+                KeyPrep::OneHotMod(bits) => sweep!(move |_, p| with(1 << (key(p) % bits))),
                 KeyPrep::Coupon { recip, total } => {
-                    sweep!(move |_, p| (coupon_bit(key(p), recip, total), p2))
+                    sweep!(move |_, p| with(coupon_bit(key(p), recip, total)))
                 }
                 KeyPrep::Rho {
                     skip_top,
                     consider_bits,
                 } => sweep!(move |_, p| {
-                    let rho = (key(p) << skip_top).leading_zeros().min(consider_bits) + 1;
-                    (rho, p2)
+                    with((key(p) << skip_top).leading_zeros().min(consider_bits) + 1)
                 }),
             }
         }
         // The reference leaves themselves: initialization-stage
         // parameter selection, then the preparation stage.
-        OperandKernel::Interpreted => sweep!(move |ctxs: &[PacketContext], p| {
+        OperandKernel::Interpreted if N == 1 => sweep!(move |ctxs: &[PacketContext], p| {
             let (pkt, digests, ctx) = (&pkts[p], view.digests_of(p), &ctxs[p]);
             let p1 = installed.p1.resolve(pkt, digests, ctx);
             let p2 = installed.p2.resolve(pkt, digests, ctx);
-            installed.prep.apply(p1, p2, ctx)
+            [installed.prep.apply(p1, p2, ctx); N]
         }),
+        OperandKernel::Interpreted => unreachable!("an interpreted row reads the PHV: a set of one"),
     }
 }
 
-/// One [`Salu::sweep`] under binding `cb`: step `k` resolves packet
-/// `index(k)`'s translated address and its prepared `params(ctxs, p)`,
-/// applies `cb.op`, and records the output `cb.forward` selects into
-/// that packet's PHV context (a no-op sink when `chunk.record` is
-/// `None`).
-fn fused_sweep(
-    salu: &mut Salu,
-    cb: &CompiledBinding,
+/// One [`Salu::sweep`] over a row set under bindings `cbs`: step `k`
+/// resolves packet `index(k)`'s addressing key once, each row's
+/// translated address and its prepared `params(ctxs, p)`, applies the
+/// rows' shared op, and records the output their shared forward selects
+/// into that packet's PHV context under each row's own CMU (a no-op sink
+/// when `chunk.record` is `None`).
+fn fused_sweep<const N: usize>(
+    salus: [&mut Salu; N],
+    cbs: [&CompiledBinding; N],
     count: usize,
     index: impl Fn(usize) -> usize + Copy,
     chunk: &ChunkView<'_>,
     ctxs: &mut [PacketContext],
-    params: impl Fn(&[PacketContext], usize) -> (u32, u32),
+    params: impl Fn(&[PacketContext], usize) -> [(u32, u32); N],
 ) {
-    let (addr, forward, view) = (cb.addr, cb.forward, *chunk);
+    let (op, forward, view) = (cbs[0].op, cbs[0].forward, *chunk);
+    let plans = cbs.map(|cb| cb.addr);
     let operands = move |ctxs: &[PacketContext], k: usize| {
         let p = index(k);
-        let (p1, p2) = params(ctxs, p);
-        (addr.address(view.digests_of(p), view.bucket_mask), p1, p2)
+        let (key, params) = (plans[0].key.resolve(view.digests_of(p)), params(ctxs, p));
+        std::array::from_fn(|r| (plans[r].address(key, view.bucket_mask), params[r].0, params[r].1))
     };
     match view.record {
-        Some((group, cmu)) => salu.sweep(cb.op, count, ctxs, operands, move |ctxs, k, p1, out| {
-            ctxs[index(k)].record(group, cmu, forward.select(p1, out));
-        }),
-        None => salu.sweep(cb.op, count, ctxs, operands, |_, _, _, _| {}),
+        Some((group, first)) => {
+            Salu::sweep(salus, op, count, ctxs, operands, move |ctxs, k, row, p1, out| {
+                ctxs[index(k)].record(group, first + row, forward.select(p1, out));
+            })
+        }
+        None => Salu::sweep(salus, op, count, ctxs, operands, |_, _, _, _, _| {}),
     }
     .expect("installed ops are pre-loaded and addresses in range");
 }
@@ -1464,7 +1507,8 @@ mod tests {
                         bucket_mask: BUCKETS - 1,
                         record: Some((own.group, own.cmu)),
                     };
-                    sweep_binding(&mut swept, &cb, &b, steps.len(), |k| steps[k], &chunk, &mut ctxs);
+                    let index = |k: usize| steps[k];
+                    sweep_binding([&mut swept], [&cb], &b, steps.len(), index, &chunk, &mut ctxs);
                     assert_eq!(
                         swept.register().read_range(0, BUCKETS).unwrap(),
                         oracle.register().read_range(0, BUCKETS).unwrap(),

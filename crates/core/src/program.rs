@@ -57,8 +57,9 @@
 //! units any binding reads, which an unconditional CMU reads and which
 //! only gated rows read, so the others digest only the packets that
 //! matched and the last only those a gate let through; and whether
-//! anything reads a PHV context — the last four by one walk of the
-//! installed bindings.
+//! anything reads a PHV context — those four by one walk of the
+//! installed bindings. Last, which consecutive CMUs form the row sets
+//! pass 3 sweeps as one ([`GroupProgram::sets`]).
 //!
 //! The compression stage's half of the compile step lives with the hash
 //! unit: `HashUnit::set_mask` compiles the `KeySpec` to a `KeyPlan`
@@ -70,7 +71,7 @@
 //! `uninstall`, `remove_task` — recompiles the [`CompiledCmu`]s whose
 //! bindings it changed before it returns, then refreshes the group-wide
 //! facts (`unit_used`, `reads_ctx`, `match_of`, `dense_units`,
-//! `gate_of`, `gated_units`) once and
+//! `gate_of`, `gated_units`, `sets`) once and
 //! bumps the version; the explicit control-plane invalidation after
 //! register-only resets recompiles every CMU the same way. Checkpoint
 //! restore and WAL replay reinstall bindings through those same entry
@@ -79,6 +80,8 @@
 //!
 //! Everything here derives `PartialEq` so tests can assert
 //! `group.program() == &group.reference_program()` after any mutation.
+
+use std::ops::Range;
 
 use flymon_packet::{Packet, PrefixFilter};
 use flymon_rmt::hash::MAX_HASH_UNITS;
@@ -237,6 +240,28 @@ pub enum OperandKernel {
 }
 
 impl OperandKernel {
+    /// The kernel with its constants zeroed. Rows whose shapes are equal
+    /// read the same packet field or key through the same preparation,
+    /// and differ only in [`OperandKernel::constants`].
+    pub fn shape(self) -> OperandKernel {
+        match self {
+            OperandKernel::Const(..) => OperandKernel::Const(0, 0),
+            OperandKernel::Field { field, .. } => OperandKernel::Field { field, p2: 0 },
+            OperandKernel::Key { key, prep, .. } => OperandKernel::Key { key, prep, p2: 0 },
+            OperandKernel::Interpreted => OperandKernel::Interpreted,
+        }
+    }
+
+    /// The constants [`OperandKernel::shape`] zeroes, as `(p1, p2)`: a
+    /// row set holds them per row.
+    pub fn constants(self) -> (u32, u32) {
+        match self {
+            OperandKernel::Const(p1, p2) => (p1, p2),
+            OperandKernel::Field { p2, .. } | OperandKernel::Key { p2, .. } => (0, p2),
+            OperandKernel::Interpreted => (0, 0),
+        }
+    }
+
     /// Classifies one installed binding's parameter sources and
     /// preparation. The second parameter must be a constant for any
     /// kernel; the first decides which.
@@ -424,14 +449,16 @@ pub struct AddressPlan {
 }
 
 impl AddressPlan {
-    /// Translated register address for `digests` — exactly
+    /// Translated register address for `key`, this plan's key resolved
+    /// from a packet's digests — exactly
     /// `translation.translate(key.address(compressed, addr_bits), m)`:
     /// the `addr_bits` mask is subsumed by `& bucket_mask` (both equal
     /// `m - 1` for a power-of-two register), and `% m` *is*
-    /// `& bucket_mask`.
+    /// `& bucket_mask`. The rows of a [`GroupProgram::sets`] entry share
+    /// the key, so a sweep resolves it once for all of them.
     #[inline]
-    pub fn address(&self, digests: &[u32], bucket_mask: usize) -> usize {
-        let rotated = self.key.resolve(digests).rotate_right(self.slice_shift);
+    pub fn address(&self, key: u32, bucket_mask: usize) -> usize {
+        let rotated = key.rotate_right(self.slice_shift);
         self.addr_base + ((rotated as usize & bucket_mask) >> self.addr_shift)
     }
 }
@@ -559,7 +586,19 @@ pub struct GroupProgram {
     /// `gated_units[i]` ⇔ only gated bindings read unit `i`, and not as
     /// a gate's key: it digests only the packets some gate let through.
     pub gated_units: [bool; MAX_HASH_UNITS],
+    /// The row sets pass 3 sweeps as one, in CMU order: every CMU with a
+    /// binding lies in exactly one. A set is a maximal run of at most
+    /// [`MAX_SET_ROWS`] consecutive CMUs that share their steps (equal
+    /// `match_of`, and equal `gate_of` when gated) and, at every binding
+    /// index, the operation, the forwarded output, the addressing key
+    /// and the kernel's [`OperandKernel::shape`] — no interpreted
+    /// binding, so no row reads a PHV context. The rows of one sketch
+    /// form one; any other CMU is a set of one.
+    pub sets: Vec<Range<usize>>,
 }
+
+/// The most rows one set holds: the paper's three CMUs per group.
+pub const MAX_SET_ROWS: usize = 3;
 
 impl GroupProgram {
     /// Compiles the live bindings of one group. `cmu_bindings[ci]` is
@@ -579,6 +618,7 @@ impl GroupProgram {
             dense_units: [false; MAX_HASH_UNITS],
             gate_of: Vec::new(),
             gated_units: [false; MAX_HASH_UNITS],
+            sets: Vec::new(),
         };
         program.refresh(cmu_bindings.iter().copied());
         program
@@ -601,6 +641,25 @@ impl GroupProgram {
             let same = |e: &CompiledCmu| e.bindings.iter().map(g).eq(cmu.bindings.iter().map(g));
             let first = earlier.iter().position(|e| cmu.gated && e.rules == cmu.rules && same(e));
             self.gate_of.push(first.unwrap_or(ci));
+        }
+        self.sets.clear();
+        let row = |b: &CompiledBinding| (b.op, b.forward, b.addr.key, b.kernel.shape());
+        let shares = |a: usize, c: usize| {
+            let (first, cmu) = (&self.cmus[a], &self.cmus[c]);
+            self.match_of[a] == self.match_of[c]
+                && first.gated == cmu.gated
+                && (!cmu.gated || self.gate_of[a] == self.gate_of[c])
+                && first.bindings.iter().all(|b| b.kernel != OperandKernel::Interpreted)
+                && first.bindings.iter().map(row).eq(cmu.bindings.iter().map(row))
+        };
+        for (ci, cmu) in self.cmus.iter().enumerate() {
+            match self.sets.last_mut() {
+                _ if cmu.bindings.is_empty() => {}
+                Some(set) if set.end == ci && set.len() < MAX_SET_ROWS && shares(set.start, ci) => {
+                    set.end += 1
+                }
+                _ => self.sets.push(ci..ci + 1),
+            }
         }
         self.reads_ctx = false;
         self.unit_used = [false; MAX_HASH_UNITS];
@@ -725,7 +784,7 @@ mod tests {
             ] {
                 let raw = key.address(&digests, addr_bits);
                 assert_eq!(
-                    cb.addr.address(&digests, buckets - 1),
+                    cb.addr.address(cb.addr.key.resolve(&digests), buckets - 1),
                     trans.translate(raw, buckets),
                     "source {source:?} shift {shift}"
                 );

@@ -1,6 +1,6 @@
 //! Stateful ALUs and the reduced operation set (Appendix A).
 
-use crate::register::{at_width, Bank, Cell, Register};
+use crate::register::{Bank, Cell, Register};
 use crate::RmtError;
 
 /// Maximum register actions a SALU can pre-load (§3.1.2: "each SALU in
@@ -168,49 +168,57 @@ impl Salu {
         })
     }
 
-    /// The fused resolve+apply sweep of the batched datapath: `count`
-    /// executions of one pre-loaded `op`, in order, each semantically one
-    /// [`Salu::execute`] — same read-modify-write, same Appendix A
-    /// results, same one-memory-access-per-packet discipline (each step
-    /// *is* one packet's access).
+    /// The fused resolve+apply sweep of the batched datapath over a row
+    /// set: `count` steps of one pre-loaded `op` on each of `N` SALUs,
+    /// each step on each SALU semantically one [`Salu::execute`] — same
+    /// read-modify-write, same Appendix A results, same
+    /// one-memory-access-per-packet discipline (each step *is* one
+    /// packet's access to each register). A lone SALU is `N = 1`.
     ///
-    /// Step `k` takes its `(addr, p1, p2)` from `operands(ctx, k)` and
-    /// hands the outcome to `sink(ctx, k, p1, output)`, so the caller
-    /// resolves operands and consumes outputs inside the loop instead
-    /// of staging either in a buffer; `ctx` is whatever state the two
-    /// share (the PHV contexts a chained attribute reads and writes).
-    /// A caller with no use for the outputs passes a no-op sink and the
-    /// loop collapses to the register update.
+    /// Step `k` takes every row's `(addr, p1, p2)` at once from
+    /// `operands(ctx, k)`, so the caller resolves what the rows share —
+    /// the packet's compressed key — once per step; then, row by row in
+    /// index order, it applies the update and hands the outcome to
+    /// `sink(ctx, k, row, p1, output)`. The caller resolves operands and
+    /// consumes outputs inside the loop instead of staging either in a
+    /// buffer; `ctx` is whatever state the two share (the PHV contexts a
+    /// chained attribute reads and writes). A caller with no use for the
+    /// outputs passes a no-op sink and the loop collapses to the
+    /// register updates.
     ///
     /// What is per-op in `execute` is hoisted out of the loop here: the
-    /// loaded-op check runs once, the dispatch on `op` happens outside
-    /// the loop (each operation gets its own monomorphic loop, per
-    /// [`crate::register::Cell`] width of the register), the width
-    /// mask is computed once, and the dirty watermark is marked
-    /// once with the running `(min, max)` of written addresses (a union
-    /// of marks equals the mark of the union, so delta checkpoints
-    /// cannot tell the difference). The bounds check stays per step.
+    /// loaded-op check runs once per SALU, the dispatch on `op` happens
+    /// outside the loop (each operation gets its own monomorphic loop,
+    /// per [`crate::register::Cell`] width of the registers, which must
+    /// share one width), the width mask is computed once, and each
+    /// register's dirty watermark is marked once with the running
+    /// `(min, max)` of its written addresses (a union of marks equals
+    /// the mark of the union, so delta checkpoints cannot tell the
+    /// difference). The bounds check stays per step and row.
     ///
-    /// On an out-of-range address the steps before the offending one
-    /// remain applied and are reflected in the dirty mark — the same
+    /// On an out-of-range address the updates before the offending one
+    /// remain applied and are reflected in the dirty marks — the same
     /// partial state a caller of the scalar path would have produced.
-    pub fn sweep<X: ?Sized>(
-        &mut self,
+    pub fn sweep<const N: usize, X: ?Sized>(
+        salus: [&mut Salu; N],
         op: StatefulOp,
         count: usize,
         ctx: &mut X,
-        operands: impl Fn(&X, usize) -> (usize, u32, u32),
-        sink: impl Fn(&mut X, usize, u32, OpOutput),
+        operands: impl Fn(&X, usize) -> [(usize, u32, u32); N],
+        sink: impl Fn(&mut X, usize, usize, u32, OpOutput),
     ) -> Result<(), RmtError> {
-        if !self.loaded.contains(&op) {
+        if salus.iter().any(|s| !s.loaded.contains(&op)) {
             return Err(RmtError::NoSuchEntity("pre-loaded register action"));
         }
-        let max = self.register.max_value();
-        let reg = &mut self.register;
+        let max = salus[0].register.max_value();
+        if salus.iter().any(|s| s.register.max_value() != max) {
+            return Err(RmtError::NoSuchEntity("register of the sweep's width"));
+        }
+        let registers = salus.map(|s| &mut s.register);
         // `update(current, p1, p2) -> (next, result)`, exactly the arms
         // of `execute`.
         match op {
-            StatefulOp::CondAdd => sweep_with(reg, count, ctx, operands, sink, |cur, p1, p2| {
+            StatefulOp::CondAdd => sweep_with(registers, count, ctx, operands, sink, |cur, p1, p2| {
                 if cur < p2 {
                     let next = cur.wrapping_add(p1) & max;
                     (next, next)
@@ -218,7 +226,7 @@ impl Salu {
                     (cur, 0)
                 }
             }),
-            StatefulOp::Max => sweep_with(reg, count, ctx, operands, sink, |cur, p1, _| {
+            StatefulOp::Max => sweep_with(registers, count, ctx, operands, sink, |cur, p1, _| {
                 let p1 = p1 & max;
                 if cur < p1 {
                     (p1, p1)
@@ -226,67 +234,82 @@ impl Salu {
                     (cur, 0)
                 }
             }),
-            StatefulOp::AndOr => sweep_with(reg, count, ctx, operands, sink, |cur, p1, p2| {
+            StatefulOp::AndOr => sweep_with(registers, count, ctx, operands, sink, |cur, p1, p2| {
                 let next = if p2 == 0 { cur & p1 } else { cur | p1 } & max;
                 (next, next)
             }),
-            StatefulOp::Xor => sweep_with(reg, count, ctx, operands, sink, |cur, p1, _| {
+            StatefulOp::Xor => sweep_with(registers, count, ctx, operands, sink, |cur, p1, _| {
                 let next = (cur ^ p1) & max;
                 (next, next)
             }),
             StatefulOp::ReservedRead => {
-                sweep_with(reg, count, ctx, operands, sink, |cur, _, _| (cur, cur))
+                sweep_with(registers, count, ctx, operands, sink, |cur, _, _| (cur, cur))
             }
         }
     }
 }
 
 /// [`Salu::sweep`] for one operation's `update`: dispatches once on the
-/// register's cell width, then marks the running watermark of written
-/// buckets with one `mark_dirty`.
-fn sweep_with<X: ?Sized>(
-    register: &mut Register,
+/// registers' cell width (one width, so one [`Bank`] variant), then
+/// marks each register's running watermark of written buckets with one
+/// `mark_dirty`.
+fn sweep_with<const N: usize, X: ?Sized>(
+    mut registers: [&mut Register; N],
     count: usize,
     ctx: &mut X,
-    operands: impl Fn(&X, usize) -> (usize, u32, u32),
-    sink: impl Fn(&mut X, usize, u32, OpOutput),
+    operands: impl Fn(&X, usize) -> [(usize, u32, u32); N],
+    sink: impl Fn(&mut X, usize, usize, u32, OpOutput),
     update: impl Fn(u32, u32, u32) -> (u32, u32),
 ) -> Result<(), RmtError> {
-    let ((dirty_lo, dirty_hi), res) = at_width!(Bank, register.bank_mut(), cells => {
-        sweep_cells(cells, count, ctx, operands, sink, update)
-    });
-    if dirty_lo < dirty_hi {
-        register.mark_dirty(dirty_lo, dirty_hi);
+    macro_rules! cells {
+        ($variant:ident) => {
+            registers.each_mut().map(|r| match r.bank_mut() {
+                Bank::$variant(cells) => cells.as_mut_slice(),
+                _ => unreachable!("a sweep's registers share one width"),
+            })
+        };
+    }
+    let (dirty, res) = if matches!(registers[0].bank_mut(), Bank::U16(_)) {
+        sweep_cells(cells!(U16), count, ctx, operands, sink, update)
+    } else {
+        sweep_cells(cells!(U32), count, ctx, operands, sink, update)
+    };
+    for (register, (lo, hi)) in registers.into_iter().zip(dirty) {
+        register.mark_dirty(lo, hi);
     }
     res
 }
 
-/// The loop of [`Salu::sweep`], monomorphic in the operation's `update`
-/// and the register's [`Cell`]. Returns the `(min, max)` watermark of
-/// the buckets it wrote, and the error of an address that stopped it.
-fn sweep_cells<X: ?Sized, C: Cell>(
-    cells: &mut [C],
+/// The loop of [`Salu::sweep`], monomorphic in the operation's `update`,
+/// the registers' [`Cell`] and the row count. Returns each row's
+/// `(min, max)` watermark of the buckets it wrote, and the error of an
+/// address that stopped it.
+fn sweep_cells<const N: usize, X: ?Sized, C: Cell>(
+    mut rows: [&mut [C]; N],
     count: usize,
     ctx: &mut X,
-    operands: impl Fn(&X, usize) -> (usize, u32, u32),
-    sink: impl Fn(&mut X, usize, u32, OpOutput),
+    operands: impl Fn(&X, usize) -> [(usize, u32, u32); N],
+    sink: impl Fn(&mut X, usize, usize, u32, OpOutput),
     update: impl Fn(u32, u32, u32) -> (u32, u32),
-) -> ((usize, usize), Result<(), RmtError>) {
-    let (mut dirty, limit) = ((usize::MAX, 0usize), cells.len());
+) -> ([(usize, usize); N], Result<(), RmtError>) {
+    let mut dirty = [(usize::MAX, 0usize); N];
     for k in 0..count {
-        let (addr, p1, p2) = operands(ctx, k);
-        let Some(slot) = cells.get_mut(addr) else {
-            let error = RmtError::IndexOutOfRange { what: "bucket", index: addr, limit };
-            return (dirty, Err(error));
-        };
-        let old: u32 = (*slot).into();
-        let (next, result) = update(old, p1, p2);
-        if next != old {
-            // `update` masks to the register width, so `next` fits.
-            *slot = C::truncate(next);
-            dirty = (dirty.0.min(addr), dirty.1.max(addr + 1));
+        let steps = operands(ctx, k);
+        for (r, (cells, (addr, p1, p2))) in rows.iter_mut().zip(steps).enumerate() {
+            let limit = cells.len();
+            let Some(slot) = cells.get_mut(addr) else {
+                let error = RmtError::IndexOutOfRange { what: "bucket", index: addr, limit };
+                return (dirty, Err(error));
+            };
+            let old: u32 = (*slot).into();
+            let (next, result) = update(old, p1, p2);
+            if next != old {
+                // `update` masks to the register width, so `next` fits.
+                *slot = C::truncate(next);
+                dirty[r] = (dirty[r].0.min(addr), dirty[r].1.max(addr + 1));
+            }
+            sink(ctx, k, r, p1, OpOutput { result, old });
         }
-        sink(ctx, k, p1, OpOutput { result, old });
     }
     (dirty, Ok(()))
 }
@@ -445,18 +468,18 @@ mod tests {
                     .map(|&(addr, p1, p2)| (p1, scalar.execute(op, addr, p1, p2).unwrap()))
                     .collect();
                 let mut fused_out = Vec::new();
-                fused
-                    .sweep(
-                        op,
-                        steps.len(),
-                        &mut fused_out,
-                        |_, k| steps[k],
-                        |outs, k, p1, out| {
-                            assert_eq!(k, outs.len(), "sink runs once per step, in order");
-                            outs.push((p1, out));
-                        },
-                    )
-                    .unwrap();
+                Salu::sweep(
+                    [&mut fused],
+                    op,
+                    steps.len(),
+                    &mut fused_out,
+                    |_, k| [steps[k]],
+                    |outs, k, row, p1, out| {
+                        assert_eq!((k, row), (outs.len(), 0), "sink runs once per step, in order");
+                        outs.push((p1, out));
+                    },
+                )
+                .unwrap();
                 assert_eq!(scalar_out, fused_out, "{op:?} at {width} bits");
                 assert_eq!(
                     scalar.register().read_range(0, 16).unwrap(),
@@ -476,8 +499,9 @@ mod tests {
     fn sweep_rejects_unloaded_op_and_bad_address() {
         let mut s = salu_with(&[StatefulOp::Max]);
         let untouched = |s: &Salu| s.register().read_range(0, 16).unwrap().iter().all(|v| v == 0);
+        let none = |_: &mut (), _, _, _, _| {};
         assert!(matches!(
-            s.sweep(StatefulOp::CondAdd, 3, &mut (), |_, _| (0, 1, 1), |_, _, _, _| {}),
+            Salu::sweep([&mut s], StatefulOp::CondAdd, 3, &mut (), |_, _| [(0, 1, 1)], none),
             Err(RmtError::NoSuchEntity(_))
         ));
         assert!(untouched(&s), "an unloaded op must not run a single step");
@@ -485,11 +509,83 @@ mod tests {
         // that stopped at the error.
         let steps = [(3usize, 7u32, 0u32), (99, 1, 0), (4, 9, 0)];
         assert!(matches!(
-            s.sweep(StatefulOp::Max, steps.len(), &mut (), |_, k| steps[k], |_, _, _, _| {}),
+            Salu::sweep([&mut s], StatefulOp::Max, steps.len(), &mut (), |_, k| [steps[k]], none),
             Err(RmtError::IndexOutOfRange { index: 99, limit: 16, .. })
         ));
         assert_eq!(s.register().read(3).unwrap(), 7);
         assert_eq!(s.register().read(4).unwrap(), 0);
         assert_eq!(s.register().dirty_range(), Some((3, 4)));
+    }
+
+    #[test]
+    fn a_row_set_sweep_is_each_row_executed_in_step_order() {
+        // Three registers swept as one set: each step hands every row
+        // its own operands, and each row must end exactly as one scalar
+        // execute per step left it — outputs row by row in index order,
+        // registers and dirty watermarks row by row.
+        for width in [16u8, 32] {
+            for op in [StatefulOp::CondAdd, StatefulOp::Max, StatefulOp::AndOr, StatefulOp::Xor] {
+                let fresh = || {
+                    let mut s = Salu::new(32, width);
+                    s.load_op(op).unwrap();
+                    s
+                };
+                let mut x = 0x9e37_79b9u32;
+                let steps: Vec<[(usize, u32, u32); 3]> = (0..400)
+                    .map(|_| {
+                        std::array::from_fn(|r| {
+                            x = x.wrapping_mul(1664525).wrapping_add(1013904223);
+                            // Row r reaches buckets 8r..8r+16: the rows'
+                            // watermarks differ.
+                            (8 * r + (x >> 5) as usize % 16, x >> 9, (x >> 3) & 0xffff)
+                        })
+                    })
+                    .collect();
+                let mut scalar = [fresh(), fresh(), fresh()];
+                let mut expected = Vec::new();
+                for (k, step) in steps.iter().enumerate() {
+                    for (r, (s, &(addr, p1, p2))) in scalar.iter_mut().zip(step).enumerate() {
+                        expected.push((k, r, p1, s.execute(op, addr, p1, p2).unwrap()));
+                    }
+                }
+                let [mut a, mut b, mut c] = [fresh(), fresh(), fresh()];
+                let mut got = Vec::new();
+                let sink = |outs: &mut Vec<_>, k, r, p1, out| outs.push((k, r, p1, out));
+                let set = [&mut a, &mut b, &mut c];
+                Salu::sweep(set, op, steps.len(), &mut got, |_, k| steps[k], sink).unwrap();
+                assert_eq!(got, expected, "{op:?} at {width} bits");
+                for (r, (swept, s)) in [a, b, c].iter().zip(&scalar).enumerate() {
+                    let (got, want) = (swept.register(), s.register());
+                    assert_eq!(got.read_range(0, 32).unwrap(), want.read_range(0, 32).unwrap());
+                    let what = format!("{op:?} row {r} at {width} bits");
+                    assert_eq!(got.dirty_range(), want.dirty_range(), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_set_sweep_rejects_an_unloaded_row_a_second_width_and_a_bad_row_address() {
+        let none = |_: &mut (), _, _, _, _| {};
+        let (mut a, mut b) = (salu_with(&[StatefulOp::Max]), salu_with(&[StatefulOp::CondAdd]));
+        let op = StatefulOp::Max;
+        let run = |a: &mut Salu, b: &mut Salu| {
+            Salu::sweep([a, b], op, 2, &mut (), |_, _| [(1, 5, 0); 2], none)
+        };
+        assert!(matches!(run(&mut a, &mut b), Err(RmtError::NoSuchEntity(_))));
+        let mut wide = Salu::new(16, 32);
+        wide.load_op(op).unwrap();
+        assert!(matches!(run(&mut a, &mut wide), Err(RmtError::NoSuchEntity(_))));
+        assert_eq!(a.register().dirty_range(), None, "a refused set must not run a single step");
+        // Row 1's address at step 1 is out of range: step 0 on both rows
+        // and step 1 on row 0 stay applied, as a scalar loop would leave them.
+        b.load_op(op).unwrap();
+        let steps: [[(usize, u32, u32); 2]; 3] =
+            [[(3, 7, 0), (4, 8, 0)], [(5, 9, 0), (99, 1, 0)], [(6, 9, 0), (6, 9, 0)]];
+        let res = Salu::sweep([&mut a, &mut b], op, steps.len(), &mut (), |_, k| steps[k], none);
+        assert!(matches!(res, Err(RmtError::IndexOutOfRange { index: 99, limit: 16, .. })));
+        let dirty = (a.register().dirty_range(), b.register().dirty_range());
+        assert_eq!(dirty, (Some((3, 6)), Some((4, 5))));
+        assert_eq!(a.register().read(6).unwrap(), 0);
     }
 }

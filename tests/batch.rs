@@ -1176,3 +1176,237 @@ fn hand_installed_gates_match_the_oracle() {
         }
     }
 }
+
+// Row sets. Pass 3 sweeps the consecutive CMUs of one sketch as one set:
+// one key resolution per packet, then each row's read-modify-write in
+// CMU order. A row reads no PHV context and records its own slot, so
+// the order is unobservable — each test below holds the set sweep to the
+// oracle's registers, dirty watermarks, hit counters, recirculation
+// counts and Delta checkpoint payloads ([`gate_witness`]).
+
+/// Every multi-row recipe the compiler emits, with the row-set lengths
+/// its rows compile to: chained rows (SuMax(Sum) rows 1 and 2, the
+/// Counter Braids high layer) read the PHV and stand alone.
+fn multi_row_recipes() -> Vec<(TaskDefinition, Vec<usize>)> {
+    let task = |name: &str, key, attribute, algorithm| {
+        TaskDefinition::builder(name)
+            .key(key)
+            .attribute(attribute)
+            .algorithm(algorithm)
+            .memory(2048)
+            .build()
+    };
+    let (frequency, bytes) = (Attribute::frequency_packets, Attribute::frequency_bytes);
+    let queue = Attribute::Max(MaxParam::QueueLen);
+    let existence = || Attribute::Existence(KeySpec::SRC_IP);
+    let bloom = |d, bit_optimized| Algorithm::Bloom { d, bit_optimized };
+    vec![
+        (task("cms3", KeySpec::SRC_IP, frequency(), Algorithm::Cms { d: 3 }), vec![3]),
+        (task("cms2", KeySpec::DST_IP, bytes(), Algorithm::Cms { d: 2 }), vec![2]),
+        (task("sumsum", KeySpec::SRC_IP, frequency(), Algorithm::SuMaxSum { d: 3 }), vec![1, 1, 1]),
+        (task("summax", KeySpec::DST_IP, queue, Algorithm::SuMaxMax { d: 2 }), vec![2]),
+        (task("plain", KeySpec::NONE, existence(), bloom(2, false)), vec![2]),
+        (task("bloom", KeySpec::NONE, existence(), bloom(3, true)), vec![3]),
+        (beaucoup("bc", TaskFilter::ANY), vec![3]),
+        (task("tower", KeySpec::SRC_IP, frequency(), Algorithm::Tower { d: 3 }), vec![3]),
+        (task("braids", KeySpec::DST_IP, frequency(), Algorithm::CounterBraids), vec![1, 1]),
+    ]
+}
+
+/// The row-set lengths of every group's program, in pipeline order.
+fn set_lengths(fm: &FlyMon) -> Vec<usize> {
+    let groups = fm.groups().iter();
+    groups.flat_map(|g| g.program().sets.iter().map(|s| s.len())).collect()
+}
+
+/// Replays `t` through `deployed()` packet by packet and through
+/// `process_batch` cut at every [`SLICE_LENGTHS`] in turn; the
+/// [`gate_witness`]es must agree.
+fn assert_sets_match_oracle(deployed: impl Fn() -> FlyMon, t: &[Packet], what: &str) {
+    let mut reference = deployed();
+    t.iter().for_each(|p| reference.process(p));
+    let mut batched = deployed();
+    let mut rest = t;
+    for &len in SLICE_LENGTHS.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (slice, tail) = rest.split_at(len.min(rest.len()));
+        batched.process_batch(slice);
+        rest = tail;
+    }
+    assert_programs_fresh(&batched, what);
+    assert!(gate_witness(&mut batched) == gate_witness(&mut reference), "{what} diverged");
+}
+
+#[test]
+fn every_multi_row_recipe_sweeps_its_rows_as_one_set() {
+    // Each recipe alone, and beside SuMax(Sum) — a chained recipe, so
+    // every PHV context is recorded and a set records each row's slot —
+    // at 16 and 32 bits.
+    let t = trace(5_000);
+    for (def, sets) in multi_row_recipes() {
+        for bucket_bits in [16u8, 32] {
+            for chained in [false, true] {
+                let config =
+                    FlyMonConfig { groups: 7, buckets_per_cmu: 4096, bucket_bits, ..config() };
+                let deployed = || {
+                    let mut fm = FlyMon::new(config);
+                    fm.deploy(&def).unwrap_or_else(|e| panic!("deploying {}: {e}", def.name));
+                    if chained {
+                        fm.deploy(&chained_recipes()[0]).unwrap();
+                    }
+                    fm
+                };
+                let fm = deployed();
+                let mut expected = sets.clone();
+                if chained {
+                    expected.extend([1, 1, 1]);
+                }
+                assert_eq!(set_lengths(&fm), expected, "{} at {bucket_bits} bits", def.name);
+                let reads_ctx = fm.groups().iter().any(|g| g.program().reads_ctx);
+                assert_eq!(reads_ctx, chained || sets[0] == 1, "{}", def.name);
+                let what = format!("{} at {bucket_bits} bits, chained {chained}", def.name);
+                assert_sets_match_oracle(deployed, &t, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_row_set_on_a_spliced_group_recirculates_each_packet_once() {
+    let defs = [multi_row_recipes().swap_remove(0).0];
+    let t = trace(5_000);
+    let (deployed, reference) = deployed_and_reference(&defs, &t);
+    assert_eq!(set_lengths(&reference), [3]);
+    assert_eq!(reference.recirculated_packets(), t.len() as u64);
+    assert_sets_match_oracle(deployed, &t, "a spliced CMS");
+}
+
+#[test]
+fn a_task_bound_on_only_some_rows_splits_the_set() {
+    // A second task with a disjoint filter on two of the three CMUs: the
+    // two rule lists differ, so the CMUs holding both form one set and
+    // the one holding the first task alone another.
+    let defs = [
+        TaskDefinition::builder("low")
+            .filter(TaskFilter::src(0x0000_0000, 1))
+            .key(KeySpec::SRC_IP)
+            .attribute(Attribute::frequency_packets())
+            .algorithm(Algorithm::Cms { d: 3 })
+            .memory(1024)
+            .build(),
+        TaskDefinition::builder("high")
+            .filter(TaskFilter::src(0x8000_0000, 1))
+            .key(KeySpec::SRC_IP)
+            .attribute(Attribute::frequency_bytes())
+            .algorithm(Algorithm::Cms { d: 2 })
+            .memory(1024)
+            .build(),
+    ];
+    let t = trace(6_000);
+    let (deployed, reference) = deployed_and_reference(&defs, &t);
+    let group = &reference.groups()[0];
+    let bound: Vec<usize> = group.cmus().iter().map(|c| c.bindings().len()).collect();
+    let mut sets: Vec<usize> = group.program().sets.iter().map(|s| s.len()).collect();
+    sets.sort_unstable();
+    assert_eq!((bound.iter().sum::<usize>(), sets), (5, vec![1, 2]), "bindings per CMU: {bound:?}");
+    assert_sets_match_oracle(deployed, &t, "a task on two of three rows");
+}
+
+#[test]
+fn bindings_in_another_order_or_a_reader_between_rows_keep_sets_apart() {
+    // Hand-installed on a bare group, which no placement emits:
+    // - CMUs 0 to 2 hold two filtered count rows, CMU 1 in the other
+    //   order, so no two consecutive rule lists are equal;
+    // - CMUs 0 and 2 hold equal count rows and CMU 1 a reader of CMU 0's
+    //   result, so the two equal rows are not consecutive;
+    // - CMU 1 takes the maximum of CMU 0's result and CMU 2 of CMU 1's:
+    //   two readers alike but for what they read, each a set of one.
+    use flymon::addr::{AddrTranslation, TranslationMethod};
+    use flymon::group::{CmuBinding, CmuGroup, Forward, GroupConfig};
+    use flymon::keysel::{KeySelect, KeySource};
+    use flymon::params::{CmuRef, PacketContext, ParamSource};
+    use flymon::prep::PrepAction;
+    use flymon::scratch::BatchScratch;
+    use flymon::task::TaskId;
+    use flymon_rmt::salu::StatefulOp;
+
+    let row = |task: u32, filter, p1, cmu: u8| CmuBinding {
+        task: TaskId(task),
+        filter,
+        prob_log2: 0,
+        key: KeySelect { source: KeySource::Unit(0), slice_shift: 8 * cmu },
+        p1,
+        p2: ParamSource::Const(0xffff),
+        prep: PrepAction::None,
+        translation: AddrTranslation::new(1, task % 2, TranslationMethod::TcamBased),
+        op: StatefulOp::CondAdd,
+        forward: Forward::Result,
+    };
+    let (low, high) = (TaskFilter::src(0, 1), TaskFilter::src(0x8000_0000, 1));
+    let count = |task, filter, cmu| row(task, filter, ParamSource::Const(1), cmu);
+    let reordered = vec![
+        (0, count(1, low, 0)),
+        (0, count(2, high, 0)),
+        (1, count(2, high, 1)),
+        (1, count(1, low, 1)),
+        (2, count(1, low, 2)),
+        (2, count(2, high, 2)),
+    ];
+    let reader = ParamSource::PrevResult(CmuRef { group: 0, cmu: 0 });
+    let between = vec![
+        (0, count(1, TaskFilter::ANY, 0)),
+        (1, row(3, TaskFilter::ANY, reader, 1)),
+        (2, count(1, TaskFilter::ANY, 2)),
+    ];
+    let max_of = |cmu| {
+        let p1 = ParamSource::PrevResult(CmuRef { group: 0, cmu });
+        CmuBinding { op: StatefulOp::Max, ..row(3, TaskFilter::ANY, p1, cmu as u8 + 1) }
+    };
+    let readers = vec![(0, count(1, TaskFilter::ANY, 0)), (1, max_of(0)), (2, max_of(1))];
+    let t = trace(6_000);
+    let cases = [
+        ("bindings in another order", reordered),
+        ("a reader between rows", between),
+        ("readers side by side", readers),
+    ];
+    for (what, rows) in cases {
+        let group = || {
+            let config = GroupConfig { buckets_per_cmu: 2048, ..GroupConfig::default() };
+            let mut g = CmuGroup::new(0, config);
+            g.unit_mut(0).set_mask(KeySpec::SRC_IP);
+            g.install_all(rows.iter().map(|(cmu, b)| (*cmu, b))).unwrap();
+            g
+        };
+        let witness = |g: &CmuGroup| -> Vec<_> {
+            let cell = |c: &flymon::group::Cmu| {
+                let r = c.register();
+                let hits: Vec<u64> = (0..c.bindings().len()).map(|i| c.hits(i)).collect();
+                (r.read_range(0, r.len()).unwrap().to_vec(), hits, r.dirty_range())
+            };
+            g.cmus().iter().map(cell).collect()
+        };
+        let mut reference = group();
+        assert_eq!(reference.program().sets, [0..1, 1..2, 2..3], "{what}");
+        let record_ctx = reference.program().reads_ctx;
+        let mut ctx = PacketContext::default();
+        for p in &t {
+            ctx.reset();
+            reference.process(p, &mut ctx);
+        }
+        let mut batched = group();
+        let mut scratch = BatchScratch::default();
+        let mut rest = t.as_slice();
+        for &len in SLICE_LENGTHS.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (slice, tail) = rest.split_at(len.min(rest.len()));
+            scratch.begin_chunk(slice.len(), record_ctx);
+            batched.process_chunk(slice, &mut scratch, false, record_ctx, 8);
+            rest = tail;
+        }
+        assert!(witness(&batched) == witness(&reference), "{what} diverged");
+    }
+}

@@ -219,6 +219,34 @@ fn count(coverage: &mut Coverage, kind: &str, n: [bool; 2]) {
     *at = [at[0] + usize::from(n[0]), at[1] + usize::from(n[1])];
 }
 
+/// Counts a batched packet step by the row sets its programs swept: a
+/// 2-row and a 3-row set, and two consecutive CMUs that hold rows of one
+/// task but stand in different sets — a binding one of them lacks, or
+/// one a set cannot hold, split them.
+fn count_sets(fm: &FlyMon, packets: usize, coverage: &mut Coverage) {
+    let mut ran = [false; 3];
+    for group in fm.groups() {
+        let sets = &group.program().sets;
+        let tasks = |c: usize| group.cmus()[c].bindings().iter().map(|b| b.task);
+        ran[0] |= sets.iter().any(|s| s.len() == 2);
+        ran[1] |= sets.iter().any(|s| s.len() == 3);
+        ran[2] |= sets.windows(2).any(|w| {
+            let (last, next) = (w[0].end - 1, w[1].start);
+            next == last + 1 && tasks(last).any(|t| tasks(next).any(|u| u == t))
+        });
+    }
+    for (kind, ran) in SET_PATHS.iter().zip(ran) {
+        count(coverage, kind, [packets > 0 && ran, false]);
+    }
+}
+
+/// The row-set paths [`count_sets`] counts.
+const SET_PATHS: [&str; 3] = [
+    "Packets through a 2-row set",
+    "Packets through a 3-row set",
+    "Packets through a set split by a differing binding",
+];
+
 macro_rules! check {
     ($cond:expr, $($why:tt)+) => {
         if !$cond {
@@ -323,6 +351,7 @@ impl Twin {
                 self.lossy |= n > 0;
                 if self.batched {
                     fm.process_batch(&pkts);
+                    count_sets(fm, n, coverage);
                 } else {
                     pkts.iter().for_each(|p| fm.process(p));
                 }
@@ -497,8 +526,8 @@ fn sweep(seeds: std::ops::Range<u64>, bucket_bits: u8) {
     }
     let refusable = ["Deploy", "Remove", "Reallocate", "Reset", "Rotate"];
     let paths = ["Recover replaying a WAL suffix", "Sync at the image's generation"];
-    for kind in refusable.iter().chain(&["Sync", "Checkpoint", "Recover", "Packets"]).chain(&paths)
-    {
+    let kinds = ["Sync", "Checkpoint", "Recover", "Packets"];
+    for kind in refusable.iter().chain(&kinds).chain(&paths).chain(&SET_PATHS) {
         let [ran, refused] = total.get(*kind).copied().unwrap_or_default();
         assert!(ran > 0, "no {kind} ran: {total:?}");
         assert!(
