@@ -28,8 +28,8 @@ pub mod zipf;
 
 pub use epoch::split_epochs;
 pub use gen::{
-    AttackSpec, DdosConfig, Phase, PhasedConfig, PhasedSource, ShiftPhase, ShiftingConfig,
-    ShiftingSource, SpikeConfig, TraceConfig, TraceGenerator,
+    sort_arrivals, AttackSpec, DdosConfig, Phase, PhasedConfig, PhasedSource, ShiftPhase,
+    ShiftingConfig, ShiftingSource, SpikeConfig, TraceConfig, TraceGenerator,
 };
 pub use ground_truth::GroundTruth;
 pub use metrics::{average_relative_error, f1_score, false_positive_rate, relative_error, wmre};
