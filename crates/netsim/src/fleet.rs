@@ -77,7 +77,8 @@ pub struct BoundedEstimate {
 /// Conservation is the fleet's core accounting invariant:
 /// `fed == represented + lost + dropped` after every event (note
 /// `unavailable` is a subset of `represented`, not a separate term).
-/// The chaos harness asserts it after each fault.
+/// The fleet op generator (`tests/fleet_sequences.rs`) asserts it
+/// after every step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PacketLedger {
     /// Packets ever fed through [`SwitchFleet::process`] and friends.

@@ -44,10 +44,10 @@
 //!
 //! # Determinism
 //!
-//! Like the chaos harness, everything here is modeled, single-threaded
-//! and seed-deterministic — queue stalls, slow consumers, bursts and
-//! worker panics are injected at chunk boundaries ([`IngestFault`]), so
-//! any soak failure replays exactly from its seed. A panic is injected
+//! Everything here is modeled, single-threaded and seed-deterministic —
+//! queue stalls, slow consumers, bursts and worker panics are injected
+//! at chunk boundaries ([`IngestFault`]), so any failing stream script
+//! replays exactly from its seed. A panic is injected
 //! *before* the batch mutates fleet state (the poison scribbles
 //! registers through the fleet's crate-private `scribble` instead),
 //! which is what makes checkpoint respawn bit-exact: the interrupted

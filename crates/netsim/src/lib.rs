@@ -25,8 +25,7 @@
 //! splits tasks from their own readouts, [`channel`] routes every
 //! controller→switch command through a lossy, deterministic control
 //! channel (drops, duplicates, reorders, partitions; exactly-once
-//! delivery and fencing terms on top), and [`chaos`] soaks that
-//! machinery under randomized seeded fault schedules.
+//! delivery and fencing terms on top).
 //!
 //! `unsafe_code` is denied here, not forbidden as at every other crate
 //! root of the workspace: [`datapath`]'s two kernels, the row sweep of
@@ -40,7 +39,6 @@
 
 pub mod adapt;
 pub mod channel;
-pub mod chaos;
 pub mod datapath;
 pub mod epochs;
 pub mod fleet;
@@ -52,10 +50,6 @@ pub use adapt::{
     AdaptAction, AdaptiveController, ControllerConfig, ControllerReport, Decision, TaskSignals,
 };
 pub use channel::{ChannelConfig, ChannelStats, ControlChannel, ScriptStep, TxnResult};
-pub use chaos::{
-    run_ingest_schedule, run_ingest_soak, run_schedule, run_soak, soak_channel_config, ChaosConfig,
-    ChaosReport, IngestChaosConfig, IngestChaosReport,
-};
 pub use datapath::{MergeLaw, ReplayStats, RowOccupancy, ShardedDatapath};
 pub use epochs::{run_accuracy_timeline, AccuracyPoint, EpochTimelineConfig};
 pub use fleet::{BoundedEstimate, FleetEpoch, FleetTaskInfo, PacketLedger, SwitchFleet, TaskEpoch};

@@ -52,29 +52,6 @@ impl Mrac {
         self.counters.iter().map(|&c| u64::from(c)).sum()
     }
 
-    /// Linear-counting estimate of the number of distinct flows.
-    pub fn flow_count_estimate(&self) -> f64 {
-        let m = self.counters.len() as f64;
-        let zeros = self.counters.iter().filter(|&&c| c == 0).count() as f64;
-        if zeros == 0.0 {
-            m * m.ln()
-        } else {
-            m * (m / zeros).ln()
-        }
-    }
-
-    /// EM estimate of the flow-size distribution: `dist[s]` = estimated
-    /// number of flows with exactly `s` packets. Index 0 is unused.
-    pub fn estimate_distribution(&self, iterations: usize) -> Vec<f64> {
-        estimate_distribution_from_counters(&self.counters, iterations)
-    }
-
-    /// Entropy estimate from the EM distribution:
-    /// `H = ln T − (1/T)·Σ_s n_s·s·ln s` with `T` the exact packet total.
-    pub fn entropy_estimate(&self, iterations: usize) -> f64 {
-        entropy_from_counters(&self.counters, iterations)
-    }
-
     /// Resets all counters.
     pub fn clear(&mut self) {
         self.counters.fill(0);
@@ -237,7 +214,7 @@ mod tests {
         let mut m = Mrac::new(1 << 14);
         let flows: Vec<(u32, u32)> = (0..3_000).map(|i| (i, 1)).collect();
         feed_flows(&mut m, &flows);
-        let est = m.flow_count_estimate();
+        let est = flow_count_from_counters(m.counters());
         assert!((est - 3_000.0).abs() / 3_000.0 < 0.05, "estimate {est}");
     }
 
@@ -254,7 +231,7 @@ mod tests {
             flows.push((i, 10u32));
         }
         feed_flows(&mut m, &flows);
-        let dist = m.estimate_distribution(10);
+        let dist = estimate_distribution_from_counters(m.counters(), 10);
         assert!(
             (dist[1] - 1_000.0).abs() < 120.0,
             "size-1 estimate {}",
@@ -274,7 +251,7 @@ mod tests {
         let flows: Vec<(u32, u32)> = (0..2_000).map(|i| (i, i % 20 + 1)).collect();
         feed_flows(&mut m, &flows);
         let truth = entropy_of_counts(flows.iter().map(|&(_, s)| u64::from(s)));
-        let est = m.entropy_estimate(10);
+        let est = entropy_from_counters(m.counters(), 10);
         let re = (truth - est).abs() / truth;
         assert!(
             re < 0.1,
@@ -286,7 +263,7 @@ mod tests {
     fn heavy_flows_pass_through_exactly() {
         let mut m = Mrac::new(1 << 12);
         feed_flows(&mut m, &[(1, 5_000)]);
-        let dist = m.estimate_distribution(5);
+        let dist = estimate_distribution_from_counters(m.counters(), 5);
         assert_eq!(dist[5_000], 1.0);
     }
 
@@ -294,6 +271,6 @@ mod tests {
     fn empty_sketch_is_clean() {
         let m = Mrac::new(64);
         assert_eq!(m.total_packets(), 0);
-        assert_eq!(m.entropy_estimate(3), 0.0);
+        assert_eq!(entropy_from_counters(m.counters(), 3), 0.0);
     }
 }

@@ -42,11 +42,6 @@ impl OddSketch {
         self.bits[i / 64] ^= 1 << (i % 64);
     }
 
-    /// Number of set (odd) bits.
-    pub fn odd_bits(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Estimated size of the symmetric difference between the two sets
     /// underlying `self` and `other`: XOR the sketches and invert the
     /// expected odd-bit count. Saturates at `n·ln(n)/2`-ish when the
@@ -100,11 +95,16 @@ mod tests {
 
     #[test]
     fn double_toggle_cancels() {
-        let mut s = OddSketch::new(256);
+        // Against an empty sketch the difference reads the odd bits: one
+        // odd bit of 256 is -(256/2)·ln(1 - 2/256), none is 0.
+        let (mut s, empty) = (OddSketch::new(256), OddSketch::new(256));
         s.toggle(b"x");
-        assert_eq!(s.odd_bits(), 1);
+        assert_eq!(
+            s.symmetric_difference(&empty),
+            -128.0 * (1.0 - 2.0 / 256.0f64).ln()
+        );
         s.toggle(b"x");
-        assert_eq!(s.odd_bits(), 0);
+        assert_eq!(s.symmetric_difference(&empty), 0.0);
     }
 
     #[test]

@@ -14,15 +14,15 @@
 //! live switch's tasks and placements. A failing script is shrunk one op
 //! at a time and printed as task lines and op names.
 
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+#[macro_use]
+mod common;
 
+use common::{count, kind, live, merge, registers, run_or_shrink, shrink, Coverage};
 use flymon::control::BATCH_SIZE;
 use flymon::oracle::PerPacket;
 use flymon::prelude::*;
 use flymon::task::TaskId;
 use flymon_packet::{KeySpec, Packet, SplitMix64};
-use flymon_rmt::register::Buckets;
 
 /// Deployable task lines: every `alg=`, with filters, `prob=` and a
 /// task big enough to force the capacity-tight reallocation fallback.
@@ -61,13 +61,6 @@ enum Op {
     Checkpoint(CaptureMode),
     Recover,
     Packets(usize, u64),
-}
-
-impl Op {
-    /// The op's kind: its variant's name.
-    fn kind(self) -> String {
-        format!("{self:?}").split(['(', ' ']).next().unwrap_or_default().to_string()
-    }
 }
 
 /// One step: an op, and the seed of the fault plan armed around it.
@@ -168,22 +161,6 @@ impl View {
     }
 }
 
-/// Live tasks in id order, found through the installed bindings (the
-/// audit holds bindings and task records to each other).
-fn live(fm: &FlyMon) -> Vec<TaskHandle> {
-    let cmus = fm.groups().iter().flat_map(|g| g.cmus());
-    let mut ids: Vec<TaskId> = cmus.flat_map(|c| c.bindings().iter().map(|b| b.task)).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    ids.into_iter().map(TaskHandle).collect()
-}
-
-/// Every register's buckets, in its own cells.
-fn registers(fm: &FlyMon) -> Vec<Buckets<'_>> {
-    let cmus = fm.groups().iter().flat_map(|g| g.cmus());
-    cmus.map(|c| c.register().read_range(0, c.register().len()).unwrap()).collect()
-}
-
 fn view(fm: &FlyMon) -> View {
     let task = |h: TaskHandle| {
         let t = fm.task(h).unwrap();
@@ -207,16 +184,6 @@ fn view(fm: &FlyMon) -> View {
             .collect(),
         packets: [fm.packets_processed(), fm.recirculated_packets()],
     }
-}
-
-/// What a script exercised: per op kind (and per path a seed set must
-/// also take), how often it ran and how often an armed fault refused it.
-type Coverage = BTreeMap<String, [usize; 2]>;
-
-/// Counts a run (`n[0]`) and a fault refusal (`n[1]`) of `kind`, each where true.
-fn count(coverage: &mut Coverage, kind: &str, n: [bool; 2]) {
-    let at = coverage.entry(kind.to_string()).or_default();
-    *at = [at[0] + usize::from(n[0]), at[1] + usize::from(n[1])];
 }
 
 /// Counts a batched packet step by the row sets its programs swept: a
@@ -246,14 +213,6 @@ const SET_PATHS: [&str; 3] = [
     "Packets through a 3-row set",
     "Packets through a set split by a differing binding",
 ];
-
-macro_rules! check {
-    ($cond:expr, $($why:tt)+) => {
-        if !$cond {
-            return Err(format!($($why)+));
-        }
-    };
-}
 
 /// A twin: a switch, its standby image, how it takes packets, and
 /// whether packets arrived since the image's barrier (the loss window).
@@ -433,7 +392,7 @@ fn run(script: &[Step], bucket_bits: u8) -> Result<Coverage, String> {
         let refused = outcome.contains("Err(");
         let ran = target.is_some()
             || !matches!(step.op, Op::Remove(_) | Op::Reallocate(..) | Op::Reset(_));
-        count(&mut coverage, &step.op.kind(), [ran, outcome.contains("Err(Install(")]);
+        count(&mut coverage, &kind(&step.op), [ran, outcome.contains("Err(Install(")]);
         if step.faults.is_none()
             && matches!(step.op, Op::Remove(_) | Op::Reset(_) | Op::Rotate { .. })
         {
@@ -480,49 +439,15 @@ fn run(script: &[Step], bucket_bits: u8) -> Result<Coverage, String> {
     Ok(coverage)
 }
 
-/// [`run`], with a panic anywhere in the switch reported as a failure.
-fn try_run(script: &[Step], bucket_bits: u8) -> Result<Coverage, String> {
-    catch_unwind(AssertUnwindSafe(|| run(script, bucket_bits)))
-        .unwrap_or_else(|panic| Err(format!("panicked: {:?}", panic.downcast_ref::<String>())))
-}
-
-/// Drops one element at a time while `fails` still holds, until no
-/// single drop keeps it failing.
-fn shrink<T: Clone>(mut script: Vec<T>, fails: impl Fn(&[T]) -> bool) -> Vec<T> {
-    loop {
-        let len = script.len();
-        let mut i = 0;
-        while i < script.len() {
-            let mut candidate = script.clone();
-            candidate.remove(i);
-            if fails(&candidate) {
-                script = candidate;
-            } else {
-                i += 1;
-            }
-        }
-        if script.len() == len {
-            return script;
-        }
-    }
-}
-
 /// Runs every seed unfaulted and faulted at `bucket_bits`, shrinking and
 /// printing the first failure, and checks that every op kind ran and
 /// that a fault refused every kind it can refuse.
 fn sweep(seeds: std::ops::Range<u64>, bucket_bits: u8) {
     let mut total = Coverage::default();
     for (seed, faulted) in seeds.flat_map(|seed| [(seed, false), (seed, true)]) {
+        let label = format!("seed {seed}, {bucket_bits} bits, faulted {faulted}");
         let steps = script(seed, 60, faulted);
-        let coverage = try_run(&steps, bucket_bits).unwrap_or_else(|first| {
-            let shrunk = shrink(steps, |s| try_run(s, bucket_bits).is_err());
-            let why = try_run(&shrunk, bucket_bits).err().unwrap_or(first);
-            panic!("seed {seed}, {bucket_bits} bits, faulted {faulted}: {why}\n{}", print(&shrunk))
-        });
-        for (kind, [ran, refused]) in coverage {
-            let at = total.entry(kind).or_default();
-            *at = [at[0] + ran, at[1] + refused];
-        }
+        merge(&mut total, run_or_shrink(&label, steps, |s| run(s, bucket_bits), print));
     }
     let refusable = ["Deploy", "Remove", "Reallocate", "Reset", "Rotate"];
     let paths = ["Recover replaying a WAL suffix", "Sync at the image's generation"];
