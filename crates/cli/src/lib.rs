@@ -113,11 +113,16 @@ impl Session {
     }
 
     fn cmd_deploy(&mut self, args: &[&str]) -> Result<String, String> {
-        let name = args.first().ok_or("usage: deploy <name> key=<key> attr=<attr> ... (see 'help')")?;
+        let name = args
+            .first()
+            .ok_or("usage: deploy <name> key=<key> attr=<attr> ... (see 'help')")?;
         if self.tasks.contains_key(*name) {
             return Err(format!("task '{name}' already exists"));
         }
-        let def: TaskDefinition = args.join(" ").parse().map_err(|e: FlymonError| e.to_string())?;
+        let def: TaskDefinition = args
+            .join(" ")
+            .parse()
+            .map_err(|e: FlymonError| e.to_string())?;
         let h = self.switch.deploy(&def).map_err(|e| e.to_string())?;
         let task = self.switch.task(h).map_err(|e| e.to_string())?;
         let out = format!(
@@ -152,7 +157,9 @@ impl Session {
             .map_err(|e| e.to_string())?;
         self.tasks.insert(name.to_string(), new_h);
         let size = self.switch.task(new_h).map_err(|e| e.to_string())?.rows[0].size;
-        Ok(format!("'{name}' reallocated to {size} buckets/row (fresh instance)"))
+        Ok(format!(
+            "'{name}' reallocated to {size} buckets/row (fresh instance)"
+        ))
     }
 
     fn cmd_list(&self) -> String {
@@ -199,10 +206,11 @@ impl Session {
         for (name, &h) in &self.tasks {
             if let Ok(t) = self.switch.task(h) {
                 for row in &t.rows {
-                    partitions
-                        .entry((row.group, row.cmu))
-                        .or_default()
-                        .push((name.clone(), row.offset, row.size));
+                    partitions.entry((row.group, row.cmu)).or_default().push((
+                        name.clone(),
+                        row.offset,
+                        row.size,
+                    ));
                 }
             }
         }
@@ -236,7 +244,10 @@ impl Session {
     fn cmd_gen(&mut self, args: &[&str]) -> Result<String, String> {
         let kv = parse_kv(args)?;
         if let Some(k) = kv.keys().find(|k| !GEN_OPTIONS.contains(k)) {
-            return Err(format!("unknown gen option '{k}' (have {})", GEN_OPTIONS.join(", ")));
+            return Err(format!(
+                "unknown gen option '{k}' (have {})",
+                GEN_OPTIONS.join(", ")
+            ));
         }
         // Every number is checked here: the generator asserts on an
         // empty flow set or time span, and allocates what it is told.
@@ -305,12 +316,16 @@ impl Session {
     }
 
     fn cmd_query(&mut self, args: &[&str]) -> Result<String, String> {
-        let name = args.first().ok_or("usage: query <name> <src> [dst sport dport]")?;
+        let name = args
+            .first()
+            .ok_or("usage: query <name> <src> [dst sport dport]")?;
         let h = self.handle(name)?;
         let pkt = Self::probe(&args[1..])?;
         let task = self.switch.task(h).map_err(|e| e.to_string())?;
         let answer = match task.def.attribute {
-            Attribute::Frequency(_) => format!("frequency ~ {}", self.switch.query_frequency(h, &pkt)),
+            Attribute::Frequency(_) => {
+                format!("frequency ~ {}", self.switch.query_frequency(h, &pkt))
+            }
             Attribute::Distinct(_) => match task.algorithm {
                 Algorithm::Hll | Algorithm::LinearCounting => {
                     format!("cardinality ~ {:.0}", self.switch.cardinality(h))
@@ -369,7 +384,10 @@ impl Session {
     fn cmd_entropy(&mut self, args: &[&str]) -> Result<String, String> {
         let name = args.first().ok_or("usage: entropy <name>")?;
         let h = self.handle(name)?;
-        Ok(format!("flow entropy ~ {:.4} nats", self.switch.entropy(h, 10)))
+        Ok(format!(
+            "flow entropy ~ {:.4} nats",
+            self.switch.entropy(h, 10)
+        ))
     }
 
     fn cmd_similarity(&mut self, args: &[&str]) -> Result<String, String> {
@@ -554,7 +572,13 @@ mod tests {
             // `save` creates whatever path it is handed: its variants
             // run where there is no trace to save, so none reaches the
             // file system.
-            let fresh = || if line.starts_with("save") { Session::default() } else { primed() };
+            let fresh = || {
+                if line.starts_with("save") {
+                    Session::default()
+                } else {
+                    primed()
+                }
+            };
             let mut s = fresh();
             let tasks = text(s.execute("list"));
             let bytes = line.as_bytes();
@@ -657,7 +681,10 @@ mod tests {
             ("deploy t key=SrcIP d=2", "'d=2'"),
             ("deploy t alg=hll attr=distinct d=2", "'d=2'"),
             // Sized the deploy's per-row vectors, and aborted the REPL.
-            ("deploy t alg=sumax d=18446744073709551615", "'d=18446744073709551615'"),
+            (
+                "deploy t alg=sumax d=18446744073709551615",
+                "'d=18446744073709551615'",
+            ),
             ("deploy t attr=frequency param=SrcIP", "'param=SrcIP'"),
             ("deploy t key=DstIP/33", "'DstIP/33'"),
             ("deploy t filter=10.0.0.0/40", "'10.0.0.0/40'"),
@@ -721,7 +748,12 @@ mod tests {
         ));
         // Identical source sets on both links.
         let feed: Vec<Packet> = (0..500u32)
-            .flat_map(|i| [Packet::tcp(i, 0x0a000001, 1, 1), Packet::tcp(i, 0x14000001, 1, 1)])
+            .flat_map(|i| {
+                [
+                    Packet::tcp(i, 0x0a000001, 1, 1),
+                    Packet::tcp(i, 0x14000001, 1, 1),
+                ]
+            })
             .collect();
         s.switch.process_batch(&feed);
         let out = text(s.execute("similarity a b"));
@@ -772,7 +804,10 @@ mod tests {
         assert!(map.contains("a@"), "{map}");
         assert!(map.contains("b@"), "{map}");
         // Both partitions on the same CMU, disjoint offsets.
-        assert!(map.contains("a@0+8192") || map.contains("a@8192+8192"), "{map}");
+        assert!(
+            map.contains("a@0+8192") || map.contains("a@8192+8192"),
+            "{map}"
+        );
     }
 
     #[test]

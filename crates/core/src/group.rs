@@ -18,7 +18,7 @@
 
 use flymon_packet::{Packet, TaskFilter};
 use flymon_rmt::hash::{HashScratch, HashUnit, CRC_LANES, MAX_HASH_UNITS};
-use flymon_rmt::salu::{OpOutput, Salu, StatefulOp};
+use flymon_rmt::salu::{op, OpOutput, Operands, Salu, Sink, StatefulOp};
 use flymon_rmt::RmtError;
 
 use crate::addr::AddrTranslation;
@@ -26,8 +26,8 @@ use crate::keysel::{KeySelect, KeySource};
 use crate::params::{PacketContext, ParamSource};
 use crate::prep::PrepAction;
 use crate::program::{
-    coupon_bit, CompiledBinding, CompiledCmu, Gate, GroupProgram, KeyPrep, MatchRule,
-    OperandKernel, PacketField, MAX_SET_ROWS,
+    coupon_bit, AddressPlan, CompiledBinding, CompiledCmu, Gate, GroupProgram, KeyPrep, KeyUnits,
+    MatchRule, OperandKernel, PacketField, MAX_SET_ROWS,
 };
 use crate::scratch::{BatchScratch, CoinScratch};
 use crate::task::TaskId;
@@ -88,7 +88,7 @@ pub enum Forward {
 impl Forward {
     /// The value this selector forwards, given the (prepared) first
     /// parameter and the SALU output of one execution.
-    #[inline]
+    #[inline(always)]
     pub fn select(self, p1: u32, out: OpOutput) -> u32 {
         match self {
             Forward::Result => out.result,
@@ -493,8 +493,8 @@ impl CmuGroup {
     /// 3. **resolve + apply** per row set ([`GroupProgram::sets`]: the
     ///    consecutive CMUs of one sketch), fused: one [`Salu::sweep`] over
     ///    the set's SALUs per run of matched (or passed) packets sharing
-    ///    a binding, with the operand closure chosen once per run from
-    ///    the rows' shared [`OperandKernel`] ([`sweep_binding`]) — each
+    ///    a binding, its loop chosen once per run from the rows' shared
+    ///    [`OperandKernel`] and operation ([`sweep_binding`]) — each
     ///    packet's key resolved once, then each row's read-modify-write
     ///    in CMU order — recording each row's forwarded output into the
     ///    packet's PHV context on the way out.
@@ -505,7 +505,9 @@ impl CmuGroup {
     /// path establishes, which is what makes the two paths bit-identical.
     /// No row of a set reads a context, so interleaving a set's rows per
     /// packet is unobservable: each register still sees its packets in
-    /// order.
+    /// order. For the same reason a program that records contexts
+    /// sweeps its sets row by row, each row recording as it goes: only
+    /// sets of one are compiled with the recording sink.
     /// Matching (pass 1) reads only packet fields and the coin, a
     /// stateless hash of packet fields and the task id, never the
     /// context or a register: hoisting it, and running it once for
@@ -640,7 +642,6 @@ impl CmuGroup {
                 pkts,
                 digests: &batch.digests,
                 bucket_mask: program.bucket_mask,
-                record: record_ctx.then_some((group_index, ci)),
             };
             // Hits and recirculation count every match, gated or not.
             let matched = batch.matched[program.match_of[ci]].as_slice();
@@ -669,10 +670,22 @@ impl CmuGroup {
                 (!cprog.always).then_some(matched)
             };
             let cprogs = &program.cmus[set.clone()];
+            if record_ctx {
+                // Row by row: only sets of one record.
+                for (r, (row, cprog)) in rows.iter_mut().zip(cprogs).enumerate() {
+                    let (row, cprog) = (std::slice::from_mut(row), std::slice::from_ref(cprog));
+                    let record = Record {
+                        group: group_index,
+                        cmu: ci + r,
+                    };
+                    sweep_set::<1, _>(row, cprog, steps, &chunk, record, ctxs);
+                }
+                continue;
+            }
             match rows.len() {
-                1 => sweep_set::<1>(rows, cprogs, steps, &chunk, ctxs),
-                2 => sweep_set::<2>(rows, cprogs, steps, &chunk, ctxs),
-                _ => sweep_set::<MAX_SET_ROWS>(rows, cprogs, steps, &chunk, ctxs),
+                1 => sweep_set::<1, _>(rows, cprogs, steps, &chunk, (), ctxs),
+                2 => sweep_set::<2, _>(rows, cprogs, steps, &chunk, (), ctxs),
+                _ => sweep_set::<MAX_SET_ROWS, _>(rows, cprogs, steps, &chunk, (), ctxs),
             }
         }
     }
@@ -680,28 +693,28 @@ impl CmuGroup {
 
 /// Pass 3 for one row set of `N` CMUs, `rows`, compiled as `cprogs`,
 /// over a list of `(packet, binding)` steps — or, for `None`, every
-/// packet of the chunk at binding 0.
-fn sweep_set<const N: usize>(
+/// packet of the chunk at binding 0 — leaving the rows' forwarded
+/// outputs where `recorder` puts them.
+fn sweep_set<const N: usize, R: Recorder>(
     rows: &mut [Cmu],
     cprogs: &[CompiledCmu],
     steps: Option<&[(u32, u16)]>,
     chunk: &ChunkView<'_>,
+    recorder: R,
     ctxs: &mut [PacketContext],
 ) {
     let rows: &mut [Cmu; N] = rows.try_into().expect("a set of N rows");
     let cbs = |bi: usize| std::array::from_fn(|r| &cprogs[r].bindings[bi]);
     match steps {
-        // Dense: the packet index *is* the step index.
         None => {
             let (salus, installed) = split(rows, 0);
-            let n = chunk.pkts.len();
-            sweep_binding(salus, cbs(0), installed, n, |k| k, chunk, ctxs);
+            let all = Dense(chunk.pkts.len());
+            sweep_binding(salus, cbs(0), installed, all, chunk, recorder, ctxs);
         }
         Some(steps) => {
             for (bi, run) in runs(steps) {
                 let (salus, installed) = split(rows, bi);
-                let index = move |k: usize| run[k].0 as usize;
-                sweep_binding(salus, cbs(bi), installed, run.len(), index, chunk, ctxs);
+                sweep_binding(salus, cbs(bi), installed, run, chunk, recorder, ctxs);
             }
         }
     }
@@ -811,121 +824,350 @@ struct ChunkView<'a> {
     /// The packet-major digest matrix ([`BatchScratch::digests`]).
     digests: &'a [u32],
     bucket_mask: usize,
-    /// The `(group, cmu)` to record row 0's forwarded outputs under (row
-    /// `r`'s go under CMU `cmu + r`), or `None` when no program reads
-    /// PHV contexts.
-    record: Option<(usize, usize)>,
 }
 
 impl ChunkView<'_> {
-    #[inline]
+    #[inline(always)]
     fn digests_of(&self, p: usize) -> &[u32] {
         &self.digests[p * MAX_HASH_UNITS..(p + 1) * MAX_HASH_UNITS]
     }
 }
 
-/// Pass 3 for `count` packets that execute binding `cbs[r]` on row `r`
-/// of a row set — pipeline stages 2 to 4, fused. Step `k` is packet
-/// `index(k)` of the chunk; `installed` is the binding `cbs[0]` was
-/// compiled from, read only under [`OperandKernel::Interpreted`].
-///
-/// The closure that yields a packet's prepared `(p1, p2)` per row is
-/// selected here, outside the loop, from the kernel the rows share: it
-/// reads what the kernel names once per packet, and each row's
-/// constants ([`OperandKernel::constants`]) from an array. The ranges
-/// the arithmetic relies on (one-hot widths and coupon counts within 32
-/// bits, ρ shifts below 32, unit indices the group has) are checked by
-/// [`CmuGroup::install`].
-fn sweep_binding<const N: usize>(
-    salus: [&mut Salu; N],
-    cbs: [&CompiledBinding; N],
-    installed: &CmuBinding,
-    count: usize,
-    index: impl Fn(usize) -> usize + Copy,
-    chunk: &ChunkView<'_>,
-    ctxs: &mut [PacketContext],
-) {
-    // Every closure below owns what it reads (`move`): handed to the
-    // sweep by value, its captures are the loop's own and stay in
-    // registers, where a borrowed capture is re-read from the caller's
-    // frame after every bucket store.
-    let view = *chunk;
-    let pkts = view.pkts;
-    let constants = cbs.map(|cb| cb.kernel.constants());
-    let with = move |p1: u32| constants.map(|(_, p2)| (p1, p2));
-    macro_rules! sweep {
-        ($params:expr) => {
-            fused_sweep(salus, cbs, count, index, chunk, ctxs, $params)
-        };
+// Pass 3's operand path is made of the small `Copy` types below, each
+// method `#[inline(always)]`: `sweep_binding` assembles one [`Fused`]
+// per run, and every loop [`Salu::sweep`] compiles for it holds the
+// whole path — step list, key, address, parameters, sink — in place,
+// whatever LLVM's inliner would have made of a closure.
+
+/// The steps of one sweep: step `k` executes packet `packet(k)`.
+trait Steps: Copy {
+    fn count(self) -> usize;
+    fn packet(self, k: usize) -> usize;
+}
+
+/// Every packet of a chunk this long: the packet index *is* the step.
+#[derive(Clone, Copy)]
+struct Dense(usize);
+
+impl Steps for Dense {
+    #[inline(always)]
+    fn count(self) -> usize {
+        self.0
     }
-    match cbs[0].kernel {
-        OperandKernel::Const(..) => sweep!(move |_, _| constants),
-        OperandKernel::Field { field, .. } => match field {
-            PacketField::Bytes => sweep!(move |_, p| with(u32::from(pkts[p].len))),
-            PacketField::TimestampUs => sweep!(move |_, p| with((pkts[p].ts_ns / 1_000) as u32)),
-            PacketField::QueueLen => sweep!(move |_, p| with(pkts[p].queue_len)),
-            PacketField::QueueDelayUs => sweep!(move |_, p| with(pkts[p].queue_delay_ns / 1_000)),
-        },
-        OperandKernel::Key { key, prep, .. } => {
-            let key = move |p: usize| key.resolve(view.digests_of(p));
-            match prep {
-                KeyPrep::None => sweep!(move |_, p| with(key(p))),
-                KeyPrep::OneHotMask(mask) => sweep!(move |_, p| with(1 << (key(p) & mask))),
-                KeyPrep::OneHotMod(bits) => sweep!(move |_, p| with(1 << (key(p) % bits))),
-                KeyPrep::Coupon { recip, total } => {
-                    sweep!(move |_, p| with(coupon_bit(key(p), recip, total)))
-                }
-                KeyPrep::Rho {
-                    skip_top,
-                    consider_bits,
-                } => sweep!(move |_, p| {
-                    with((key(p) << skip_top).leading_zeros().min(consider_bits) + 1)
-                }),
-            }
-        }
-        // The reference leaves themselves: initialization-stage
-        // parameter selection, then the preparation stage.
-        OperandKernel::Interpreted if N == 1 => sweep!(move |ctxs: &[PacketContext], p| {
-            let (pkt, digests, ctx) = (&pkts[p], view.digests_of(p), &ctxs[p]);
-            let p1 = installed.p1.resolve(pkt, digests, ctx);
-            let p2 = installed.p2.resolve(pkt, digests, ctx);
-            [installed.prep.apply(p1, p2, ctx); N]
-        }),
-        OperandKernel::Interpreted => unreachable!("an interpreted row reads the PHV: a set of one"),
+
+    #[inline(always)]
+    fn packet(self, k: usize) -> usize {
+        k
     }
 }
 
-/// One [`Salu::sweep`] over a row set under bindings `cbs`: step `k`
-/// resolves packet `index(k)`'s addressing key once, each row's
-/// translated address and its prepared `params(ctxs, p)`, applies the
-/// rows' shared op, and records the output their shared forward selects
-/// into that packet's PHV context under each row's own CMU (a no-op sink
-/// when `chunk.record` is `None`).
-fn fused_sweep<const N: usize>(
+/// A run of a matched or gated list.
+impl Steps for &[(u32, u16)] {
+    #[inline(always)]
+    fn count(self) -> usize {
+        self.len()
+    }
+
+    #[inline(always)]
+    fn packet(self, k: usize) -> usize {
+        self[k].0 as usize
+    }
+}
+
+/// Where a sweep leaves its rows' forwarded outputs: `()` drops them
+/// (no program reads a PHV context), a [`Record`] records them.
+trait Recorder: Copy {
+    /// Row `row`'s output `v` at step `k` of `steps`.
+    fn record(self, ctxs: &mut [PacketContext], steps: impl Steps, k: usize, row: usize, v: u32);
+}
+
+impl Recorder for () {
+    #[inline(always)]
+    fn record(self, _: &mut [PacketContext], _: impl Steps, _: usize, _: usize, _: u32) {}
+}
+
+/// Records row `r`'s outputs under CMU `cmu + r` of group `group`.
+#[derive(Clone, Copy)]
+struct Record {
+    group: usize,
+    cmu: usize,
+}
+
+impl Recorder for Record {
+    #[inline(always)]
+    fn record(self, ctxs: &mut [PacketContext], steps: impl Steps, k: usize, row: usize, v: u32) {
+        ctxs[steps.packet(k)].record(self.group, self.cmu + row, v);
+    }
+}
+
+/// A packet's prepared `(p1, p2)` on each row of a set.
+trait Params<const N: usize>: Copy {
+    fn at(self, ctxs: &[PacketContext], p: usize) -> [(u32, u32); N];
+}
+
+/// [`OperandKernel::Const`]: the rows' constants, whatever the packet.
+impl<const N: usize> Params<N> for [(u32, u32); N] {
+    #[inline(always)]
+    fn at(self, _: &[PacketContext], _: usize) -> [(u32, u32); N] {
+        self
+    }
+}
+
+/// A `p1` read off the packet once for all rows, with each row's
+/// constant `p2`.
+#[derive(Clone, Copy)]
+struct Shared<S, const N: usize>(S, [u32; N]);
+
+impl<S: P1, const N: usize> Params<N> for Shared<S, N> {
+    #[inline(always)]
+    fn at(self, _: &[PacketContext], p: usize) -> [(u32, u32); N] {
+        let (p1, mut params) = (self.0.of(p), [(0, 0); N]);
+        for (param, &p2) in params.iter_mut().zip(&self.1) {
+            *param = (p1, p2);
+        }
+        params
+    }
+}
+
+/// The `p1` of packet `p`.
+trait P1: Copy {
+    fn of(self, p: usize) -> u32;
+}
+
+/// One [`P1`] type per [`PacketField`] and per [`KeyPrep`], named after
+/// the variant: the chunk, then the variant's constants.
+macro_rules! p1 {
+    ($($name:ident($($field:ident: $ty:ty),*) => |$chunk:ident, $p:ident| $p1:expr;)*) => {$(
+        #[derive(Clone, Copy)]
+        struct $name<'a>(ChunkView<'a> $(, $ty)*);
+
+        impl P1 for $name<'_> {
+            #[inline(always)]
+            fn of(self, $p: usize) -> u32 {
+                let $name($chunk $(, $field)*) = self;
+                $p1
+            }
+        }
+    )*};
+}
+
+p1! {
+    Bytes() => |chunk, p| u32::from(chunk.pkts[p].len);
+    TimestampUs() => |chunk, p| (chunk.pkts[p].ts_ns / 1_000) as u32;
+    QueueLen() => |chunk, p| chunk.pkts[p].queue_len;
+    QueueDelayUs() => |chunk, p| chunk.pkts[p].queue_delay_ns / 1_000;
+    OneHotMask(key: KeyUnits, mask: u32) => |chunk, p| {
+        1 << (key.resolve(chunk.digests_of(p)) & mask)
+    };
+    OneHotMod(key: KeyUnits, bits: u32) => |chunk, p| {
+        1 << (key.resolve(chunk.digests_of(p)) % bits)
+    };
+    Coupon(key: KeyUnits, recip: u128, total: u64) => |chunk, p| {
+        coupon_bit(key.resolve(chunk.digests_of(p)), recip, total)
+    };
+    Rho(key: KeyUnits, skip: u32, width: u32) => |chunk, p| {
+        (key.resolve(chunk.digests_of(p)) << skip).leading_zeros().min(width) + 1
+    };
+}
+
+/// [`OperandKernel::Interpreted`], a set of one: the reference leaves
+/// on the installed binding — initialization-stage parameter
+/// selection, then the preparation stage.
+#[derive(Clone, Copy)]
+struct Reference<'a> {
+    chunk: ChunkView<'a>,
+    installed: &'a CmuBinding,
+}
+
+impl Params<1> for Reference<'_> {
+    #[inline(always)]
+    fn at(self, ctxs: &[PacketContext], p: usize) -> [(u32, u32); 1] {
+        let Reference { chunk, installed } = self;
+        let (pkt, digests, ctx) = (&chunk.pkts[p], chunk.digests_of(p), &ctxs[p]);
+        let p1 = installed.p1.resolve(pkt, digests, ctx);
+        let p2 = installed.p2.resolve(pkt, digests, ctx);
+        [installed.prep.apply(p1, p2, ctx)]
+    }
+}
+
+/// The operands and the sink of one [`Salu::sweep`] over a row set:
+/// step `k` resolves packet `steps.packet(k)`'s addressing key once,
+/// then each row's translated address and its prepared `params`; each
+/// row's output goes to the `recorder` as the rows' shared `forward`
+/// selects it.
+#[derive(Clone, Copy)]
+struct Fused<'a, const N: usize, S, P, R> {
+    chunk: ChunkView<'a>,
+    steps: S,
+    plans: [AddressPlan; N],
+    params: P,
+    forward: Forward,
+    recorder: R,
+}
+
+impl<const N: usize, S: Steps, P: Params<N>, R: Recorder> Operands<[PacketContext], N>
+    for Fused<'_, N, S, P, R>
+{
+    #[inline(always)]
+    fn at(self, ctxs: &[PacketContext], k: usize) -> [(usize, u32, u32); N] {
+        let p = self.steps.packet(k);
+        let key = self.plans[0].key.resolve(self.chunk.digests_of(p));
+        let mut operands = [(0, 0, 0); N];
+        let rows = operands
+            .iter_mut()
+            .zip(&self.plans)
+            .zip(self.params.at(ctxs, p));
+        for ((operand, plan), (p1, p2)) in rows {
+            *operand = (plan.address(key, self.chunk.bucket_mask), p1, p2);
+        }
+        operands
+    }
+}
+
+impl<const N: usize, S: Steps, P: Params<N>, R: Recorder> Sink<[PacketContext]>
+    for Fused<'_, N, S, P, R>
+{
+    #[inline(always)]
+    fn take(self, ctxs: &mut [PacketContext], k: usize, row: usize, p1: u32, out: OpOutput) {
+        let value = self.forward.select(p1, out);
+        self.recorder.record(ctxs, self.steps, k, row, value);
+    }
+}
+
+/// Whether [`sweep_binding`] has a loop for `kernel` under `op`: an arm
+/// for each pair the compiler's recipes emit and for no other —
+/// constants under Cond-ADD (CMS, TowerSketch, MRAC, the braid's low
+/// layer) and AND-OR (the plain Bloom filter), byte counts under
+/// Cond-ADD, the other packet fields under MAX (queue maxima, arrival
+/// recorders), ρ under MAX (HLL), one-hot bits and coupons under AND-OR
+/// (Bloom, Linear Counting, BeauCoup). The interpreter takes every
+/// operation. [`OperandKernel::select`] interprets every other pair.
+pub(crate) fn instantiated(kernel: OperandKernel, op: StatefulOp) -> bool {
+    use StatefulOp::{AndOr, CondAdd, Max};
+    match kernel {
+        OperandKernel::Const(..) => op == CondAdd || op == AndOr,
+        OperandKernel::Field { field, .. } => match field {
+            PacketField::Bytes => op == CondAdd,
+            _ => op == Max,
+        },
+        OperandKernel::Key { prep, .. } => match prep {
+            KeyPrep::Rho { .. } => op == Max,
+            _ => op == AndOr,
+        },
+        OperandKernel::Interpreted => true,
+    }
+}
+
+/// Pass 3 for the `steps` that execute binding `cbs[r]` on row `r` of a
+/// row set — pipeline stages 2 to 4, fused; `installed` is the binding
+/// `cbs[0]` was compiled from, read only under
+/// [`OperandKernel::Interpreted`].
+///
+/// The kernel and the operation the rows share pick the sweep, outside
+/// the loop: one arm per pair [`instantiated`] names, each compiled per
+/// row count, step list, recorder and register width (DESIGN.md §
+/// "Stage-major batching" counts the loops). A kernel reads what it names once per
+/// packet, and each row's constants ([`OperandKernel::constants`]) from
+/// an array. The ranges the arithmetic relies on (one-hot widths and
+/// coupon counts within 32 bits, ρ shifts below 32, unit indices the
+/// group has) are checked by [`CmuGroup::install`].
+fn sweep_binding<const N: usize, S: Steps, R: Recorder>(
     salus: [&mut Salu; N],
     cbs: [&CompiledBinding; N],
-    count: usize,
-    index: impl Fn(usize) -> usize + Copy,
+    installed: &CmuBinding,
+    steps: S,
     chunk: &ChunkView<'_>,
+    recorder: R,
     ctxs: &mut [PacketContext],
-    params: impl Fn(&[PacketContext], usize) -> [(u32, u32); N],
 ) {
-    let (op, forward, view) = (cbs[0].op, cbs[0].forward, *chunk);
-    let plans = cbs.map(|cb| cb.addr);
-    let operands = move |ctxs: &[PacketContext], k: usize| {
-        let p = index(k);
-        let (key, params) = (plans[0].key.resolve(view.digests_of(p)), params(ctxs, p));
-        std::array::from_fn(|r| (plans[r].address(key, view.bucket_mask), params[r].0, params[r].1))
-    };
-    match view.record {
-        Some((group, first)) => {
-            Salu::sweep(salus, op, count, ctxs, operands, move |ctxs, k, row, p1, out| {
-                ctxs[index(k)].record(group, first + row, forward.select(p1, out));
-            })
-        }
-        None => Salu::sweep(salus, op, count, ctxs, operands, |_, _, _, _, _| {}),
+    use OperandKernel::{Const, Field, Interpreted, Key};
+    use StatefulOp::{AndOr, CondAdd, Max};
+    let chunk = *chunk;
+    let consts = cbs.map(|cb| cb.kernel.constants());
+    let p2 = consts.map(|(_, p2)| p2);
+    let (plans, forward) = (cbs.map(|cb| cb.addr), cbs[0].forward);
+    macro_rules! sweep {
+        ($op:ident, $params:expr) => {{
+            let fused = Fused {
+                chunk,
+                steps,
+                plans,
+                params: $params,
+                forward,
+                recorder,
+            };
+            Salu::sweep(salus, op::$op, steps.count(), ctxs, fused, fused)
+        }};
     }
-    .expect("installed ops are pre-loaded and addresses in range");
+    let (kernel, op) = (cbs[0].kernel, cbs[0].op);
+    let unpaired = || -> ! {
+        unreachable!(
+            "{kernel:?} under {op:?} on {N} rows: `OperandKernel::select` interprets every \
+             pair `instantiated` refuses, and an interpreted row is a set of one"
+        )
+    };
+    let swept = match kernel {
+        Const(..) if op == CondAdd => sweep!(CondAdd, consts),
+        Const(..) if op == AndOr => sweep!(AndOr, consts),
+        Field { field, .. } => match (field, op) {
+            (PacketField::Bytes, CondAdd) => sweep!(CondAdd, Shared(Bytes(chunk), p2)),
+            (PacketField::TimestampUs, Max) => sweep!(Max, Shared(TimestampUs(chunk), p2)),
+            (PacketField::QueueLen, Max) => sweep!(Max, Shared(QueueLen(chunk), p2)),
+            (PacketField::QueueDelayUs, Max) => sweep!(Max, Shared(QueueDelayUs(chunk), p2)),
+            _ => unpaired(),
+        },
+        Key { key, prep, .. } => match (prep, op) {
+            (KeyPrep::OneHotMask(mask), AndOr) => {
+                sweep!(AndOr, Shared(OneHotMask(chunk, key, mask), p2))
+            }
+            (KeyPrep::OneHotMod(bits), AndOr) => {
+                sweep!(AndOr, Shared(OneHotMod(chunk, key, bits), p2))
+            }
+            (KeyPrep::Coupon { recip, total }, AndOr) => {
+                sweep!(AndOr, Shared(Coupon(chunk, key, recip, total), p2))
+            }
+            (KeyPrep::Rho { skip, width }, Max) => {
+                sweep!(Max, Shared(Rho(chunk, key, skip, width), p2))
+            }
+            _ => unpaired(),
+        },
+        Interpreted if N == 1 => {
+            let salu = salus.into_iter().next().expect("a set has a row");
+            interpreted(salu, cbs[0], installed, steps, chunk, recorder, ctxs)
+        }
+        _ => unpaired(),
+    };
+    swept.expect("installed ops are pre-loaded and addresses in range");
+}
+
+/// [`sweep_binding`] of one interpreted row, under its operation —
+/// whichever it is: this is the path for every pair no kernel serves.
+fn interpreted<S: Steps, R: Recorder>(
+    salu: &mut Salu,
+    cb: &CompiledBinding,
+    installed: &CmuBinding,
+    steps: S,
+    chunk: ChunkView<'_>,
+    recorder: R,
+    ctxs: &mut [PacketContext],
+) -> Result<(), RmtError> {
+    let params = Reference { chunk, installed };
+    let fused = Fused {
+        chunk,
+        steps,
+        plans: [cb.addr],
+        params,
+        forward: cb.forward,
+        recorder,
+    };
+    let (salus, count) = ([salu], steps.count());
+    match cb.op {
+        StatefulOp::CondAdd => Salu::sweep(salus, op::CondAdd, count, ctxs, fused, fused),
+        StatefulOp::Max => Salu::sweep(salus, op::Max, count, ctxs, fused, fused),
+        StatefulOp::AndOr => Salu::sweep(salus, op::AndOr, count, ctxs, fused, fused),
+        StatefulOp::Xor => Salu::sweep(salus, op::Xor, count, ctxs, fused, fused),
+        StatefulOp::ReservedRead => Salu::sweep(salus, op::ReservedRead, count, ctxs, fused, fused),
+    }
 }
 
 #[cfg(test)]
@@ -1373,18 +1615,21 @@ mod tests {
             let bindings = build_bindings(def, TaskId(7), alg, &rows).unwrap();
             assert_eq!(bindings.len(), kernels.len(), "{}", alg.name());
             for ((i, b), kernel) in bindings.into_iter().zip(kernels.chars()) {
-                out.push((format!("{} row {i} (xor keys: {xor})", alg.name()), b, kernel));
+                out.push((format!("{alg:?} row {i} (xor keys: {xor})"), b, kernel));
             }
         }
         // What no recipe emits but `install` accepts: a second parameter
         // the preparation must override or pass through, a width that is
-        // no power of two, a prepared packet field or constant.
-        let shape = |p1: ParamSource, p2: u32, prep: PrepAction| CmuBinding {
+        // no power of two, a prepared packet field or constant, a kernel
+        // under an operation no recipe pairs it with.
+        let shape = |p1: ParamSource, p2: u32, prep: PrepAction, op| CmuBinding {
             p1,
             p2: ParamSource::Const(p2),
             prep,
+            op,
             ..count_binding(7)
         };
+        let (add, max, or) = (StatefulOp::CondAdd, StatefulOp::Max, StatefulOp::AndOr);
         let key = || ParamSource::CompressedKey(KeySource::Xor(1, 2));
         let coupon = PrepAction::Coupon {
             coupons: 32,
@@ -1394,17 +1639,46 @@ mod tests {
             skip_top: 7,
             consider_bits: 9,
         };
+        let map_zero = PrepAction::MapZero {
+            when_zero: 9,
+            otherwise: 2,
+        };
         for (b, kernel) in [
-            (shape(key(), 0, PrepAction::OneHotBit { bits: 16 }), 'K'),
-            (shape(key(), 0, PrepAction::OneHotBit { bits: 12 }), 'K'),
-            (shape(key(), 0, coupon.clone()), 'K'),
-            (shape(key(), 5, rho), 'K'),
-            (shape(key(), 77, PrepAction::None), 'K'),
-            (shape(ParamSource::PacketBytes, 0, PrepAction::OneHotBit { bits: 16 }), 'I'),
-            (shape(ParamSource::QueueLen, 3, PrepAction::MapZero { when_zero: 9, otherwise: 2 }), 'I'),
-            (shape(ParamSource::Const(1 << 21), 0, coupon), 'C'),
+            (shape(key(), 0, PrepAction::OneHotBit { bits: 16 }, or), 'K'),
+            (shape(key(), 0, PrepAction::OneHotBit { bits: 12 }, or), 'K'),
+            (shape(key(), 0, coupon.clone(), or), 'K'),
+            (shape(key(), 5, rho.clone(), max), 'K'),
+            (
+                shape(key(), 0, PrepAction::OneHotBit { bits: 16 }, add),
+                'I',
+            ),
+            (shape(key(), 5, rho, or), 'I'),
+            (shape(key(), 77, PrepAction::None, add), 'I'),
+            (
+                shape(
+                    ParamSource::PacketBytes,
+                    0,
+                    PrepAction::OneHotBit { bits: 16 },
+                    add,
+                ),
+                'I',
+            ),
+            (
+                shape(ParamSource::PacketBytes, 7, PrepAction::None, max),
+                'I',
+            ),
+            (shape(ParamSource::QueueLen, 3, map_zero, add), 'I'),
+            (shape(ParamSource::Const(1 << 21), 0, coupon, add), 'C'),
+            (
+                shape(ParamSource::Const(5), 9, PrepAction::None, StatefulOp::Xor),
+                'I',
+            ),
         ] {
-            out.push((format!("hand-built {:?} of {:?}", b.prep, b.p1), b, kernel));
+            out.push((
+                format!("hand-built {:?} of {:?} as {:?}", b.prep, b.p1, b.op),
+                b,
+                kernel,
+            ));
         }
         out
     }
@@ -1413,11 +1687,12 @@ mod tests {
     fn operand_kernels_equal_the_interpreter() {
         // For every binding shape, under its own operation and under
         // each other one (Cond-ADD's threshold and AND-OR's selector
-        // make a wrong `p2` visible, XOR a wrong `p1` bit), the sweep
-        // `sweep_binding` selects must leave exactly the register, the
-        // dirty range and the forwarded outputs the per-packet oracle
-        // leaves: `ParamSource::resolve` + `PrepAction::apply` +
-        // `translate` + `Salu::execute`.
+        // make a wrong `p2` visible, XOR a wrong `p1` bit), compiled
+        // under that operation — so a pair no kernel serves runs
+        // interpreted — the sweep `sweep_binding` selects must leave
+        // exactly the register, the dirty range and the forwarded
+        // outputs the per-packet oracle leaves: `ParamSource::resolve` +
+        // `PrepAction::apply` + `translate` + `Salu::execute`.
         use crate::params::CmuRef;
         use crate::program::CompiledCmu;
         use flymon_packet::{PacketBuilder, SplitMix64};
@@ -1459,7 +1734,14 @@ mod tests {
         let own = CmuRef { group: 2, cmu: 2 };
         let seed: Vec<u32> = (0..BUCKETS).map(|_| rng.next_u32() >> (rng.next_u32() % 32)).collect();
         let every_third: Vec<usize> = (0..N).step_by(3).collect();
-        let ops = [StatefulOp::CondAdd, StatefulOp::Max, StatefulOp::AndOr, StatefulOp::Xor];
+        let run =
+            |steps: &[usize]| -> Vec<(u32, u16)> { steps.iter().map(|&p| (p as u32, 0)).collect() };
+        let ops = [
+            StatefulOp::CondAdd,
+            StatefulOp::Max,
+            StatefulOp::AndOr,
+            StatefulOp::Xor,
+        ];
 
         let mut kernels = std::collections::HashSet::new();
         for (label, b, kernel) in binding_shapes() {
@@ -1474,7 +1756,10 @@ mod tests {
             assert_eq!(selected, kernel, "{label}: {:?}", cb.kernel);
             kernels.insert(std::mem::discriminant(&cb.kernel));
             for (op, width) in ops.iter().flat_map(|&op| [(op, 16u8), (op, 32)]) {
-                let (b, cb) = (CmuBinding { op, ..b.clone() }, CompiledBinding { op, ..cb });
+                let b = CmuBinding { op, ..b.clone() };
+                let cb = CompiledCmu::compile(std::slice::from_ref(&b), BUCKETS)
+                    .bindings
+                    .remove(0);
                 let fresh = || {
                     let mut cmu = Cmu::new(BUCKETS, width);
                     let max = cmu.register().max_value();
@@ -1505,10 +1790,13 @@ mod tests {
                         pkts: &pkts,
                         digests: &digests,
                         bucket_mask: BUCKETS - 1,
-                        record: Some((own.group, own.cmu)),
                     };
-                    let index = |k: usize| steps[k];
-                    sweep_binding([&mut swept], [&cb], &b, steps.len(), index, &chunk, &mut ctxs);
+                    let record = Record {
+                        group: own.group,
+                        cmu: own.cmu,
+                    };
+                    let run = run(steps);
+                    sweep_binding([&mut swept], [&cb], &b, &run[..], &chunk, record, &mut ctxs);
                     assert_eq!(
                         swept.register().read_range(0, BUCKETS).unwrap(),
                         oracle.register().read_range(0, BUCKETS).unwrap(),
@@ -1522,6 +1810,89 @@ mod tests {
             }
         }
         assert_eq!(kernels.len(), 4, "the bindings must reach all four kernels");
+    }
+
+    #[test]
+    fn every_recipe_row_runs_an_instantiated_kernel() {
+        // Every algorithm has its rows in `binding_shapes`, and each of
+        // them but the documented `I`s compiles to a kernel whose pair
+        // with its operation has a sweep of its own, at every set size:
+        // three rows swept as one set, and two, each end as one swept
+        // alone. A recipe that lands off the table fails here instead of
+        // running interpreted.
+        use crate::program::CompiledCmu;
+        use crate::task::Algorithm;
+        use flymon_packet::{PacketBuilder, SplitMix64};
+        const BUCKETS: usize = 256;
+        let shapes = binding_shapes();
+        let algorithms = [1, 2, 3].map(Algorithm::all);
+        for (i, alg) in algorithms[0].iter().enumerate() {
+            let listed = |label: &str| {
+                algorithms
+                    .iter()
+                    .any(|algs| label.starts_with(&format!("{:?} row", algs[i])))
+            };
+            assert!(
+                shapes.iter().any(|(label, ..)| listed(label)),
+                "{alg:?} is not in the table"
+            );
+        }
+        let mut rng = SplitMix64::new(0x5e75_0f03);
+        let pkts: Vec<Packet> = (0..700)
+            .map(|_| {
+                PacketBuilder::new()
+                    .src_ip(rng.next_u32())
+                    .len(rng.next_u16())
+                    .ts_ns(rng.next_u64() >> 20)
+                    .queue_len(rng.next_u32() >> 16)
+                    .queue_delay_ns(rng.next_u32())
+                    .build()
+            })
+            .collect();
+        let digests: Vec<u32> = (0..pkts.len() * MAX_HASH_UNITS)
+            .map(|_| rng.next_u32() >> (rng.next_u32() % 32))
+            .collect();
+        let chunk = ChunkView {
+            pkts: &pkts,
+            digests: &digests,
+            bucket_mask: BUCKETS - 1,
+        };
+        let all = Dense(pkts.len());
+        let recipes = shapes
+            .iter()
+            .filter(|(label, ..)| !label.starts_with("hand-built"));
+        for (label, b, kernel) in recipes {
+            let cb = CompiledCmu::compile(std::slice::from_ref(b), BUCKETS)
+                .bindings
+                .remove(0);
+            let fast = cb.kernel != OperandKernel::Interpreted;
+            assert_eq!(
+                fast,
+                *kernel != 'I',
+                "{label}: {:?} under {:?}",
+                cb.kernel,
+                b.op
+            );
+            if !fast {
+                continue;
+            }
+            assert!(instantiated(cb.kernel, b.op), "{label}");
+            let fresh = || Cmu::new(BUCKETS, 16).salu;
+            let mut alone = fresh();
+            sweep_binding([&mut alone], [&cb], b, all, &chunk, (), &mut []);
+            let want = alone.register().read_range(0, BUCKETS).unwrap();
+            let mut three = [fresh(), fresh(), fresh()];
+            sweep_binding(three.each_mut(), [&cb; 3], b, all, &chunk, (), &mut []);
+            let mut two = [fresh(), fresh()];
+            sweep_binding(two.each_mut(), [&cb; 2], b, all, &chunk, (), &mut []);
+            for (r, row) in three.iter().chain(&two).enumerate() {
+                assert_eq!(
+                    row.register().read_range(0, BUCKETS).unwrap(),
+                    want,
+                    "{label}, row {r}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -25,16 +25,18 @@
 //!   (`OperandKernel::select`) into an [`OperandKernel`] — constants
 //!   prepared at compile time, a packet field, a compressed key through
 //!   a context-free preparation with its constants pre-widened and its
-//!   division strength-reduced — so the batch path picks one operand
-//!   closure per (CMU, run).
+//!   division strength-reduced — so the batch path picks one sweep loop
+//!   per (CMU, run).
 //!
 //! A binding `select` cannot classify gets [`OperandKernel::Interpreted`]:
 //! the sweep then calls the reference leaves themselves on the installed
-//! binding, per packet. There is no flattened copy of a parameter source
-//! or a preparation. Of the rows `compiler::build_bindings` emits, these
-//! are interpreted, each because it reads what an *upstream CMU did to
-//! this packet* off the PHV context, which no per-binding constant can
-//! stand for:
+//! binding, per packet. So does a kernel under an operation no recipe
+//! pairs it with (`group::instantiated`): pass 3 compiles a loop for
+//! each pair the recipes emit and for no other. There is no
+//! flattened copy of a parameter source or a preparation. Of the rows
+//! `compiler::build_bindings` emits, these are interpreted, each because
+//! it reads what an *upstream CMU did to this packet* off the PHV
+//! context, which no per-binding constant can stand for:
 //!
 //! - SuMax(Sum) rows 1.. — `p2 = ChainMin(rows above)`, the conservative
 //!   update's running minimum;
@@ -46,9 +48,10 @@
 //!   through `IntervalGated` on the membership row.
 //!
 //! (`install` also accepts shapes no recipe emits — a prepared packet
-//! field, `MapZero` of one — and those are interpreted too.) Every other
-//! row of every algorithm runs a context-free kernel; `group::tests`
-//! holds the table, row by row.
+//! field, `MapZero` of one, a key under Cond-ADD — and those are
+//! interpreted too.) Every other row of every algorithm runs a
+//! context-free kernel; `group::tests` holds the table, row by row, and
+//! fails for a recipe whose row would not.
 //!
 //! A BeauCoup row also compiles a [`Gate`], its coupon window. The group
 //! as a whole compiles too ([`GroupProgram::refresh`]): which
@@ -87,7 +90,7 @@ use flymon_packet::{Packet, PrefixFilter};
 use flymon_rmt::hash::MAX_HASH_UNITS;
 use flymon_rmt::salu::StatefulOp;
 
-use crate::group::{binding_units, CmuBinding, Forward};
+use crate::group::{binding_units, instantiated, CmuBinding, Forward};
 use crate::keysel::KeySource;
 use crate::params::{PacketContext, ParamSource};
 use crate::prep::PrepAction;
@@ -122,7 +125,7 @@ impl KeyUnits {
 
     /// The key, from the packet's digest slice — exactly
     /// [`KeySource::resolve`].
-    #[inline]
+    #[inline(always)]
     pub fn resolve(self, digests: &[u32]) -> u32 {
         let a = digests[usize::from(self.a)];
         if self.b == NO_UNIT {
@@ -152,8 +155,6 @@ pub enum PacketField {
 /// compile time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeyPrep {
-    /// The key itself.
-    None,
     /// One-hot bit on a power-of-two width: `1 << (key & mask)`.
     OneHotMask(u32),
     /// One-hot bit on any other width: `1 << (key % bits)`.
@@ -169,9 +170,9 @@ pub enum KeyPrep {
     /// HyperLogLog ρ.
     Rho {
         /// Bits discarded from the top.
-        skip_top: u32,
+        skip: u32,
         /// Bits participating in the pattern.
-        consider_bits: u32,
+        width: u32,
     },
 }
 
@@ -184,7 +185,7 @@ pub(crate) fn reciprocal(d: u32) -> u128 {
 }
 
 /// `h / d`, given `recip = reciprocal(d)`: one widening multiply.
-#[inline]
+#[inline(always)]
 pub(crate) fn div_by_reciprocal(h: u32, recip: u128) -> u32 {
     ((u128::from(h) * recip) >> 64) as u32
 }
@@ -194,7 +195,7 @@ pub(crate) fn div_by_reciprocal(h: u32, recip: u128) -> u32 {
 /// Install-time validation caps `coupons` at 32, so the quotient of an
 /// in-window `h` is a valid shift; an out-of-window quotient is wrapped
 /// and then masked away.
-#[inline]
+#[inline(always)]
 pub(crate) fn coupon_bit(h: u32, recip: u128, total: u64) -> u32 {
     let in_window = u32::from(u64::from(h) < total);
     1u32.wrapping_shl(div_by_reciprocal(h, recip)) & in_window.wrapping_neg()
@@ -202,8 +203,8 @@ pub(crate) fn coupon_bit(h: u32, recip: u128, total: u64) -> u32 {
 
 /// How the batch path obtains a packet's prepared `(p1, p2)` under one
 /// binding — chosen once per binding mutation from the installed
-/// parameter sources and preparation, so pass 3 selects one operand
-/// closure per (CMU, run) instead of dispatching on them per packet.
+/// parameter sources, preparation and operation, so pass 3 selects one
+/// sweep loop per (CMU, run) instead of dispatching on them per packet.
 ///
 /// Every kernel but [`OperandKernel::Interpreted`] has a constant
 /// second parameter (what the preparation forces it to, or the
@@ -234,7 +235,8 @@ pub enum OperandKernel {
     },
     /// Anything else — a source or preparation that reads the PHV
     /// context (`PrevResult`, `ChainMin`, gated preps), `MapZero`, a
-    /// prepared packet field: [`ParamSource::resolve`] and
+    /// prepared packet field, a kernel under an operation pass 3 has no
+    /// loop for ([`instantiated`]): [`ParamSource::resolve`] and
     /// [`PrepAction::apply`] on the installed binding, per packet.
     Interpreted,
 }
@@ -262,10 +264,23 @@ impl OperandKernel {
         }
     }
 
-    /// Classifies one installed binding's parameter sources and
-    /// preparation. The second parameter must be a constant for any
-    /// kernel; the first decides which.
-    fn select(p1: &ParamSource, p2: &ParamSource, prep: &PrepAction) -> OperandKernel {
+    /// Classifies one installed binding: the kernel its parameter
+    /// sources and preparation name, if pass 3 has a loop for that
+    /// kernel under the binding's operation ([`instantiated`]), else
+    /// [`OperandKernel::Interpreted`].
+    fn select(b: &CmuBinding) -> OperandKernel {
+        let kernel = OperandKernel::classify(&b.p1, &b.p2, &b.prep);
+        if instantiated(kernel, b.op) {
+            kernel
+        } else {
+            OperandKernel::Interpreted
+        }
+    }
+
+    /// The kernel one binding's parameter sources and preparation name,
+    /// whatever its operation. The second parameter must be a constant
+    /// for any kernel; the first decides which.
+    fn classify(p1: &ParamSource, p2: &ParamSource, prep: &PrepAction) -> OperandKernel {
         let ParamSource::Const(c2) = *p2 else {
             return OperandKernel::Interpreted;
         };
@@ -275,7 +290,6 @@ impl OperandKernel {
         };
         let key = |source| {
             let (prep, p2) = match *prep {
-                PrepAction::None => (KeyPrep::None, c2),
                 PrepAction::OneHotBit { bits } if bits.is_power_of_two() => {
                     (KeyPrep::OneHotMask(u32::from(bits) - 1), 1)
                 }
@@ -291,8 +305,8 @@ impl OperandKernel {
                     consider_bits,
                 } => (
                     KeyPrep::Rho {
-                        skip_top: u32::from(skip_top),
-                        consider_bits: u32::from(consider_bits),
+                        skip: u32::from(skip_top),
+                        width: u32::from(consider_bits),
                     },
                     c2,
                 ),
@@ -456,7 +470,7 @@ impl AddressPlan {
     /// `m - 1` for a power-of-two register), and `% m` *is*
     /// `& bucket_mask`. The rows of a [`GroupProgram::sets`] entry share
     /// the key, so a sweep resolves it once for all of them.
-    #[inline]
+    #[inline(always)]
     pub fn address(&self, key: u32, bucket_mask: usize) -> usize {
         let rotated = key.rotate_right(self.slice_shift);
         self.addr_base + ((rotated as usize & bucket_mask) >> self.addr_shift)
@@ -484,7 +498,7 @@ pub struct CompiledBinding {
 
 impl CompiledBinding {
     fn compile(b: &CmuBinding, buckets: usize) -> CompiledBinding {
-        let kernel = OperandKernel::select(&b.p1, &b.p2, &b.prep);
+        let kernel = OperandKernel::select(b);
         let key = KeyUnits::compile(b.key.source);
         CompiledBinding {
             addr: AddressPlan {

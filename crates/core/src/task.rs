@@ -234,7 +234,7 @@ impl Algorithm {
     }
 
     /// Every variant, at `d` rows where it takes them.
-    fn all(d: usize) -> [Algorithm; 13] {
+    pub(crate) fn all(d: usize) -> [Algorithm; 13] {
         use Algorithm::*;
         [
             Cms { d }, SuMaxSum { d }, Mrac, Tower { d }, CounterBraids, Hll, LinearCounting,

@@ -162,7 +162,10 @@ impl FromStr for TaskFilter {
 
     fn from_str(s: &str) -> Result<Self, String> {
         let (src, dst) = s.split_once("->").unwrap_or((s, "*"));
-        Ok(TaskFilter { src: src.parse()?, dst: dst.parse()? })
+        Ok(TaskFilter {
+            src: src.parse()?,
+            dst: dst.parse()?,
+        })
     }
 }
 

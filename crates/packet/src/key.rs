@@ -245,7 +245,14 @@ impl KeySpec {
     fn widths(&self) -> [u8; 6] {
         let flag = |on: bool| if on { 32 } else { 0 };
         let (sp, dp) = (flag(self.src_port), flag(self.dst_port));
-        [self.src_ip_prefix, self.dst_ip_prefix, sp, dp, flag(self.protocol), flag(self.timestamp)]
+        [
+            self.src_ip_prefix,
+            self.dst_ip_prefix,
+            sp,
+            dp,
+            flag(self.protocol),
+            flag(self.timestamp),
+        ]
     }
 
     /// Renders the concrete key value of a packet for reports
@@ -321,8 +328,12 @@ impl FromStr for KeySpec {
         }
         let mut widths = [0u8; 6];
         for part in s.split('+') {
-            let (name, bits) = part.split_once('/').map_or((part, None), |(n, b)| (n, Some(b)));
-            let field = HeaderField::ALL.iter().position(|f| f.name().eq_ignore_ascii_case(name));
+            let (name, bits) = part
+                .split_once('/')
+                .map_or((part, None), |(n, b)| (n, Some(b)));
+            let field = HeaderField::ALL
+                .iter()
+                .position(|f| f.name().eq_ignore_ascii_case(name));
             let width = match (field, bits) {
                 (Some(0 | 1), Some(b)) => b.parse().ok().filter(|b| (1..=32).contains(b)),
                 (_, None) => Some(32),
@@ -408,7 +419,10 @@ impl KeyPlan {
             state = byte(state, pkts.map(|p| p.protocol));
         }
         if self.timestamp {
-            state = word(state, pkts.map(|p| HeaderField::Timestamp.read(p).swap_bytes()));
+            state = word(
+                state,
+                pkts.map(|p| HeaderField::Timestamp.read(p).swap_bytes()),
+            );
         }
         state
     }
@@ -590,7 +604,10 @@ mod tests {
                         pkts.each_ref(),
                         std::array::from_fn(|_| Vec::new()),
                         |mut lanes, w| {
-                            lanes.iter_mut().zip(w).for_each(|(k, w)| k.extend(w.to_le_bytes()));
+                            lanes
+                                .iter_mut()
+                                .zip(w)
+                                .for_each(|(k, w)| k.extend(w.to_le_bytes()));
                             lanes
                         },
                         |mut lanes, b| {

@@ -28,9 +28,21 @@ fn sibling_packet(r: &mut SplitMix64, a: &Packet) -> Packet {
     PacketBuilder::new()
         .src_ip(if r.chance(0.5) { a.src_ip } else { b.src_ip })
         .dst_ip(if r.chance(0.5) { a.dst_ip } else { b.dst_ip })
-        .src_port(if r.chance(0.5) { a.src_port } else { b.src_port })
-        .dst_port(if r.chance(0.5) { a.dst_port } else { b.dst_port })
-        .protocol(if r.chance(0.5) { a.protocol } else { b.protocol })
+        .src_port(if r.chance(0.5) {
+            a.src_port
+        } else {
+            b.src_port
+        })
+        .dst_port(if r.chance(0.5) {
+            a.dst_port
+        } else {
+            b.dst_port
+        })
+        .protocol(if r.chance(0.5) {
+            a.protocol
+        } else {
+            b.protocol
+        })
         .len(b.len)
         .ts_ns(if r.chance(0.5) { a.ts_ns } else { b.ts_ns })
         .build()
@@ -56,7 +68,13 @@ fn extraction_is_canonical() {
         let key = rand_keyspec(&mut r);
         let a = rand_packet(&mut r);
         let b = sibling_packet(&mut r, &a);
-        let mask = |v: u32, bits: u8| if bits == 0 { 0 } else { v & (u32::MAX << (32 - bits)) };
+        let mask = |v: u32, bits: u8| {
+            if bits == 0 {
+                0
+            } else {
+                v & (u32::MAX << (32 - bits))
+            }
+        };
         let agree = mask(a.src_ip, key.src_ip_prefix) == mask(b.src_ip, key.src_ip_prefix)
             && mask(a.dst_ip, key.dst_ip_prefix) == mask(b.dst_ip, key.dst_ip_prefix)
             && (!key.src_port || a.src_port == b.src_port)
@@ -127,7 +145,11 @@ fn filter_split_partitions() {
         if r.chance(0.5) {
             // Steer half the packets inside the parent prefix so the
             // "matches the parent" branch is exercised heavily.
-            let mask = if bits == 0 { 0 } else { u32::MAX << (32 - bits) };
+            let mask = if bits == 0 {
+                0
+            } else {
+                u32::MAX << (32 - bits)
+            };
             p.src_ip = (net & mask) | (p.src_ip & !mask);
         }
         let parent = TaskFilter {

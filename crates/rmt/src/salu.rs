@@ -49,6 +49,93 @@ impl StatefulOp {
             StatefulOp::ReservedRead => "READ",
         }
     }
+
+    /// Appendix A's read-modify-write of a bucket holding `current`, in
+    /// a register whose cells hold at most `max`: the bucket's next
+    /// value and the operation's result, as `(next, result)`. The one
+    /// definition [`Salu::execute`] and every [`Salu::sweep`] run; a
+    /// sweep's operation is a constant, so its match folds away.
+    #[inline(always)]
+    fn update(self, current: u32, p1: u32, p2: u32, max: u32) -> (u32, u32) {
+        match self {
+            StatefulOp::CondAdd => {
+                if current < p2 {
+                    let next = current.wrapping_add(p1) & max;
+                    (next, next)
+                } else {
+                    (current, 0)
+                }
+            }
+            StatefulOp::Max => {
+                let p1 = p1 & max;
+                if current < p1 {
+                    (p1, p1)
+                } else {
+                    (current, 0)
+                }
+            }
+            StatefulOp::AndOr => {
+                let next = if p2 == 0 { current & p1 } else { current | p1 } & max;
+                (next, next)
+            }
+            StatefulOp::Xor => {
+                let next = (current ^ p1) & max;
+                (next, next)
+            }
+            StatefulOp::ReservedRead => (current, current),
+        }
+    }
+}
+
+/// A [`StatefulOp`] as a type — the types are in [`op`], one per
+/// variant, of the same name. [`Salu::sweep`] takes its operation as
+/// one, so a caller compiles a sweep loop for each operation it names
+/// and for no other.
+pub trait Update: Copy {
+    /// The operation.
+    const OP: StatefulOp;
+}
+
+/// Every [`StatefulOp`] as an [`Update`].
+pub mod op {
+    use super::{StatefulOp, Update};
+
+    macro_rules! ops {
+        ($($name:ident),*) => {$(
+            #[doc = concat!("[`StatefulOp::", stringify!($name), "`].")]
+            #[derive(Debug, Clone, Copy)]
+            pub struct $name;
+
+            impl Update for $name {
+                const OP: StatefulOp = StatefulOp::$name;
+            }
+        )*};
+    }
+
+    ops!(CondAdd, Max, AndOr, Xor, ReservedRead);
+}
+
+/// Where a [`Salu::sweep`] takes its operands: step `k`'s `(addr, p1,
+/// p2)` for every row at once, from the caller's state `X`. An
+/// implementation is a small `Copy` value whose `at` is
+/// `#[inline(always)]`, so every sweep loop compiles it in place instead
+/// of leaving a call to LLVM's inliner — a closure's body is no
+/// `#[inline(always)]` item.
+pub trait Operands<X: ?Sized, const N: usize>: Copy {
+    /// Step `k`'s operands, row by row.
+    fn at(self, ctx: &X, k: usize) -> [(usize, u32, u32); N];
+}
+
+/// What a [`Salu::sweep`] does with each output, under the same rule as
+/// [`Operands`]. `()` drops them.
+pub trait Sink<X: ?Sized>: Copy {
+    /// Row `row`'s output at step `k`, which ran with `p1`.
+    fn take(self, ctx: &mut X, k: usize, row: usize, p1: u32, out: OpOutput);
+}
+
+impl<X: ?Sized> Sink<X> for () {
+    #[inline(always)]
+    fn take(self, _: &mut X, _: usize, _: usize, _: u32, _: OpOutput) {}
 }
 
 /// Output of one stateful operation.
@@ -132,33 +219,7 @@ impl Salu {
         }
         let max = self.register.max_value();
         let current = self.register.read(addr)?;
-        let (next, result) = match op {
-            StatefulOp::CondAdd => {
-                if current < p2 {
-                    let next = (current.wrapping_add(p1)) & max;
-                    (next, next)
-                } else {
-                    (current, 0)
-                }
-            }
-            StatefulOp::Max => {
-                let p1 = p1 & max;
-                if current < p1 {
-                    (p1, p1)
-                } else {
-                    (current, 0)
-                }
-            }
-            StatefulOp::AndOr => {
-                let next = if p2 == 0 { current & p1 } else { current | p1 } & max;
-                (next, next)
-            }
-            StatefulOp::Xor => {
-                let next = (current ^ p1) & max;
-                (next, next)
-            }
-            StatefulOp::ReservedRead => (current, current),
-        };
+        let (next, result) = op.update(current, p1, p2, max);
         if next != current {
             self.register.write(addr, next)?;
         }
@@ -169,132 +230,88 @@ impl Salu {
     }
 
     /// The fused resolve+apply sweep of the batched datapath over a row
-    /// set: `count` steps of one pre-loaded `op` on each of `N` SALUs,
-    /// each step on each SALU semantically one [`Salu::execute`] — same
-    /// read-modify-write, same Appendix A results, same
+    /// set: `count` steps of one pre-loaded operation `U` on each of `N`
+    /// SALUs, each step on each SALU semantically one [`Salu::execute`]
+    /// — same read-modify-write, same Appendix A results, same
     /// one-memory-access-per-packet discipline (each step *is* one
     /// packet's access to each register). A lone SALU is `N = 1`.
     ///
     /// Step `k` takes every row's `(addr, p1, p2)` at once from
-    /// `operands(ctx, k)`, so the caller resolves what the rows share —
-    /// the packet's compressed key — once per step; then, row by row in
-    /// index order, it applies the update and hands the outcome to
-    /// `sink(ctx, k, row, p1, output)`. The caller resolves operands and
-    /// consumes outputs inside the loop instead of staging either in a
-    /// buffer; `ctx` is whatever state the two share (the PHV contexts a
-    /// chained attribute reads and writes). A caller with no use for the
-    /// outputs passes a no-op sink and the loop collapses to the
-    /// register updates.
+    /// `operands.at(ctx, k)`, so the caller resolves what the rows share
+    /// — the packet's compressed key — once per step; then, row by row
+    /// in index order, it applies the update and hands the outcome to
+    /// `sink.take(ctx, k, row, p1, output)`. The caller resolves
+    /// operands and consumes outputs inside the loop instead of staging
+    /// either in a buffer; `ctx` is whatever state the two share (the
+    /// PHV contexts a chained attribute reads and writes). A caller
+    /// with no use for the outputs passes `()` and the loop collapses
+    /// to the register updates.
     ///
-    /// What is per-op in `execute` is hoisted out of the loop here: the
-    /// loaded-op check runs once per SALU, the dispatch on `op` happens
-    /// outside the loop (each operation gets its own monomorphic loop,
-    /// per [`crate::register::Cell`] width of the registers, which must
-    /// share one width), the width mask is computed once, and each
-    /// register's dirty watermark is marked once with the running
-    /// `(min, max)` of its written addresses (a union of marks equals
-    /// the mark of the union, so delta checkpoints cannot tell the
-    /// difference). The bounds check stays per step and row.
+    /// One loop is compiled per operation type, [`Operands`] and
+    /// [`Sink`] type, row count and [`crate::register::Cell`] width of
+    /// the registers (which must share one width) — so what a caller
+    /// names is what it pays for in code, and the operation's arms fold
+    /// into the loop. What is per-op in `execute` is hoisted out of it:
+    /// the loaded-op check runs once per SALU, the width mask is
+    /// computed once, and each register's dirty watermark is marked
+    /// once with the running `(min, max)` of its written addresses (a
+    /// union of marks equals the mark of the union, so delta
+    /// checkpoints cannot tell the difference). The bounds check stays
+    /// per step and row.
     ///
     /// On an out-of-range address the updates before the offending one
     /// remain applied and are reflected in the dirty marks — the same
     /// partial state a caller of the scalar path would have produced.
-    pub fn sweep<const N: usize, X: ?Sized>(
+    pub fn sweep<U: Update, const N: usize, X: ?Sized>(
         salus: [&mut Salu; N],
-        op: StatefulOp,
+        _op: U,
         count: usize,
         ctx: &mut X,
-        operands: impl Fn(&X, usize) -> [(usize, u32, u32); N],
-        sink: impl Fn(&mut X, usize, usize, u32, OpOutput),
+        operands: impl Operands<X, N>,
+        sink: impl Sink<X>,
     ) -> Result<(), RmtError> {
-        if salus.iter().any(|s| !s.loaded.contains(&op)) {
+        if salus.iter().any(|s| !s.loaded.contains(&U::OP)) {
             return Err(RmtError::NoSuchEntity("pre-loaded register action"));
         }
         let max = salus[0].register.max_value();
         if salus.iter().any(|s| s.register.max_value() != max) {
             return Err(RmtError::NoSuchEntity("register of the sweep's width"));
         }
-        let registers = salus.map(|s| &mut s.register);
-        // `update(current, p1, p2) -> (next, result)`, exactly the arms
-        // of `execute`.
-        match op {
-            StatefulOp::CondAdd => sweep_with(registers, count, ctx, operands, sink, |cur, p1, p2| {
-                if cur < p2 {
-                    let next = cur.wrapping_add(p1) & max;
-                    (next, next)
-                } else {
-                    (cur, 0)
-                }
-            }),
-            StatefulOp::Max => sweep_with(registers, count, ctx, operands, sink, |cur, p1, _| {
-                let p1 = p1 & max;
-                if cur < p1 {
-                    (p1, p1)
-                } else {
-                    (cur, 0)
-                }
-            }),
-            StatefulOp::AndOr => sweep_with(registers, count, ctx, operands, sink, |cur, p1, p2| {
-                let next = if p2 == 0 { cur & p1 } else { cur | p1 } & max;
-                (next, next)
-            }),
-            StatefulOp::Xor => sweep_with(registers, count, ctx, operands, sink, |cur, p1, _| {
-                let next = (cur ^ p1) & max;
-                (next, next)
-            }),
-            StatefulOp::ReservedRead => {
-                sweep_with(registers, count, ctx, operands, sink, |cur, _, _| (cur, cur))
-            }
+        let mut registers = salus.map(|s| &mut s.register);
+        macro_rules! cells {
+            ($variant:ident) => {
+                registers.each_mut().map(|r| match r.bank_mut() {
+                    Bank::$variant(cells) => cells.as_mut_slice(),
+                    _ => unreachable!("a sweep's registers share one width"),
+                })
+            };
         }
-    }
-}
-
-/// [`Salu::sweep`] for one operation's `update`: dispatches once on the
-/// registers' cell width (one width, so one [`Bank`] variant), then
-/// marks each register's running watermark of written buckets with one
-/// `mark_dirty`.
-fn sweep_with<const N: usize, X: ?Sized>(
-    mut registers: [&mut Register; N],
-    count: usize,
-    ctx: &mut X,
-    operands: impl Fn(&X, usize) -> [(usize, u32, u32); N],
-    sink: impl Fn(&mut X, usize, usize, u32, OpOutput),
-    update: impl Fn(u32, u32, u32) -> (u32, u32),
-) -> Result<(), RmtError> {
-    macro_rules! cells {
-        ($variant:ident) => {
-            registers.each_mut().map(|r| match r.bank_mut() {
-                Bank::$variant(cells) => cells.as_mut_slice(),
-                _ => unreachable!("a sweep's registers share one width"),
-            })
+        let (dirty, res) = if matches!(registers[0].bank_mut(), Bank::U16(_)) {
+            sweep_cells::<U, N, X, _>(cells!(U16), max, count, ctx, operands, sink)
+        } else {
+            sweep_cells::<U, N, X, _>(cells!(U32), max, count, ctx, operands, sink)
         };
+        for (register, (lo, hi)) in registers.into_iter().zip(dirty) {
+            register.mark_dirty(lo, hi);
+        }
+        res
     }
-    let (dirty, res) = if matches!(registers[0].bank_mut(), Bank::U16(_)) {
-        sweep_cells(cells!(U16), count, ctx, operands, sink, update)
-    } else {
-        sweep_cells(cells!(U32), count, ctx, operands, sink, update)
-    };
-    for (register, (lo, hi)) in registers.into_iter().zip(dirty) {
-        register.mark_dirty(lo, hi);
-    }
-    res
 }
 
-/// The loop of [`Salu::sweep`], monomorphic in the operation's `update`,
-/// the registers' [`Cell`] and the row count. Returns each row's
-/// `(min, max)` watermark of the buckets it wrote, and the error of an
-/// address that stopped it.
-fn sweep_cells<const N: usize, X: ?Sized, C: Cell>(
+/// The loop of [`Salu::sweep`] over the registers' cells, whose width
+/// mask is `max`. Returns each row's `(min, max)` watermark of the
+/// buckets it wrote, and the error of an address that stopped it.
+fn sweep_cells<U: Update, const N: usize, X: ?Sized, C: Cell>(
     mut rows: [&mut [C]; N],
+    max: u32,
     count: usize,
     ctx: &mut X,
-    operands: impl Fn(&X, usize) -> [(usize, u32, u32); N],
-    sink: impl Fn(&mut X, usize, usize, u32, OpOutput),
-    update: impl Fn(u32, u32, u32) -> (u32, u32),
+    operands: impl Operands<X, N>,
+    sink: impl Sink<X>,
 ) -> ([(usize, usize); N], Result<(), RmtError>) {
     let mut dirty = [(usize::MAX, 0usize); N];
     for k in 0..count {
-        let steps = operands(ctx, k);
+        let steps = operands.at(ctx, k);
         for (r, (cells, (addr, p1, p2))) in rows.iter_mut().zip(steps).enumerate() {
             let limit = cells.len();
             let Some(slot) = cells.get_mut(addr) else {
@@ -302,13 +319,13 @@ fn sweep_cells<const N: usize, X: ?Sized, C: Cell>(
                 return (dirty, Err(error));
             };
             let old: u32 = (*slot).into();
-            let (next, result) = update(old, p1, p2);
+            let (next, result) = U::OP.update(old, p1, p2, max);
             if next != old {
                 // `update` masks to the register width, so `next` fits.
                 *slot = C::truncate(next);
                 dirty[r] = (dirty[r].0.min(addr), dirty[r].1.max(addr + 1));
             }
-            sink(ctx, k, r, p1, OpOutput { result, old });
+            sink.take(ctx, k, r, p1, OpOutput { result, old });
         }
     }
     (dirty, Ok(()))
@@ -324,6 +341,48 @@ mod tests {
             s.load_op(op).unwrap();
         }
         s
+    }
+
+    /// Step `k`'s operands are the list's entry `k`.
+    #[derive(Clone, Copy)]
+    struct Listed<'a, const N: usize>(&'a [[(usize, u32, u32); N]]);
+
+    impl<X: ?Sized, const N: usize> Operands<X, N> for Listed<'_, N> {
+        #[inline(always)]
+        fn at(self, _: &X, k: usize) -> [(usize, u32, u32); N] {
+            self.0[k]
+        }
+    }
+
+    /// Every output, appended as `(k, row, p1, output)`.
+    #[derive(Clone, Copy)]
+    struct Push;
+
+    type Outputs = Vec<(usize, usize, u32, OpOutput)>;
+
+    impl Sink<Outputs> for Push {
+        #[inline(always)]
+        fn take(self, outs: &mut Outputs, k: usize, row: usize, p1: u32, out: OpOutput) {
+            outs.push((k, row, p1, out));
+        }
+    }
+
+    /// [`Salu::sweep`] under the [`Update`] type of `op`.
+    fn sweep<const N: usize, X: ?Sized>(
+        salus: [&mut Salu; N],
+        op: StatefulOp,
+        ctx: &mut X,
+        steps: &[[(usize, u32, u32); N]],
+        sink: impl Sink<X>,
+    ) -> Result<(), RmtError> {
+        let (n, steps) = (steps.len(), Listed(steps));
+        match op {
+            StatefulOp::CondAdd => Salu::sweep(salus, op::CondAdd, n, ctx, steps, sink),
+            StatefulOp::Max => Salu::sweep(salus, op::Max, n, ctx, steps, sink),
+            StatefulOp::AndOr => Salu::sweep(salus, op::AndOr, n, ctx, steps, sink),
+            StatefulOp::Xor => Salu::sweep(salus, op::Xor, n, ctx, steps, sink),
+            StatefulOp::ReservedRead => Salu::sweep(salus, op::ReservedRead, n, ctx, steps, sink),
+        }
     }
 
     #[test]
@@ -456,30 +515,22 @@ mod tests {
                 // A deterministic pseudo-random operand mix over a small
                 // register so addresses collide.
                 let mut x = 0x243f_6a88u32;
-                let steps: Vec<(usize, u32, u32)> = (0..500)
+                let steps: Vec<[(usize, u32, u32); 1]> = (0..500)
                     .map(|_| {
                         x = x.wrapping_mul(1664525).wrapping_add(1013904223);
                         let p2 = if x & 1 == 0 { u32::MAX } else { x >> 21 };
-                        ((x >> 4) as usize % 16, x >> 7, p2 & (x >> 3 | 1))
+                        [((x >> 4) as usize % 16, x >> 7, p2 & (x >> 3 | 1))]
                     })
                     .collect();
-                let scalar_out: Vec<(u32, OpOutput)> = steps
+                let scalar_out: Outputs = steps
                     .iter()
-                    .map(|&(addr, p1, p2)| (p1, scalar.execute(op, addr, p1, p2).unwrap()))
+                    .enumerate()
+                    .map(|(k, &[(addr, p1, p2)])| {
+                        (k, 0, p1, scalar.execute(op, addr, p1, p2).unwrap())
+                    })
                     .collect();
                 let mut fused_out = Vec::new();
-                Salu::sweep(
-                    [&mut fused],
-                    op,
-                    steps.len(),
-                    &mut fused_out,
-                    |_, k| [steps[k]],
-                    |outs, k, row, p1, out| {
-                        assert_eq!((k, row), (outs.len(), 0), "sink runs once per step, in order");
-                        outs.push((p1, out));
-                    },
-                )
-                .unwrap();
+                sweep([&mut fused], op, &mut fused_out, &steps, Push).unwrap();
                 assert_eq!(scalar_out, fused_out, "{op:?} at {width} bits");
                 assert_eq!(
                     scalar.register().read_range(0, 16).unwrap(),
@@ -499,17 +550,22 @@ mod tests {
     fn sweep_rejects_unloaded_op_and_bad_address() {
         let mut s = salu_with(&[StatefulOp::Max]);
         let untouched = |s: &Salu| s.register().read_range(0, 16).unwrap().iter().all(|v| v == 0);
-        let none = |_: &mut (), _, _, _, _| {};
         assert!(matches!(
-            Salu::sweep([&mut s], StatefulOp::CondAdd, 3, &mut (), |_, _| [(0, 1, 1)], none),
+            sweep(
+                [&mut s],
+                StatefulOp::CondAdd,
+                &mut (),
+                &[[(0, 1, 1)]; 3],
+                ()
+            ),
             Err(RmtError::NoSuchEntity(_))
         ));
         assert!(untouched(&s), "an unloaded op must not run a single step");
         // Steps before the bad address stay applied, like a scalar loop
         // that stopped at the error.
-        let steps = [(3usize, 7u32, 0u32), (99, 1, 0), (4, 9, 0)];
+        let steps = [[(3usize, 7u32, 0u32)], [(99, 1, 0)], [(4, 9, 0)]];
         assert!(matches!(
-            Salu::sweep([&mut s], StatefulOp::Max, steps.len(), &mut (), |_, k| [steps[k]], none),
+            sweep([&mut s], StatefulOp::Max, &mut (), &steps, ()),
             Err(RmtError::IndexOutOfRange { index: 99, limit: 16, .. })
         ));
         assert_eq!(s.register().read(3).unwrap(), 7);
@@ -550,9 +606,7 @@ mod tests {
                 }
                 let [mut a, mut b, mut c] = [fresh(), fresh(), fresh()];
                 let mut got = Vec::new();
-                let sink = |outs: &mut Vec<_>, k, r, p1, out| outs.push((k, r, p1, out));
-                let set = [&mut a, &mut b, &mut c];
-                Salu::sweep(set, op, steps.len(), &mut got, |_, k| steps[k], sink).unwrap();
+                sweep([&mut a, &mut b, &mut c], op, &mut got, &steps, Push).unwrap();
                 assert_eq!(got, expected, "{op:?} at {width} bits");
                 for (r, (swept, s)) in [a, b, c].iter().zip(&scalar).enumerate() {
                     let (got, want) = (swept.register(), s.register());
@@ -566,12 +620,9 @@ mod tests {
 
     #[test]
     fn a_row_set_sweep_rejects_an_unloaded_row_a_second_width_and_a_bad_row_address() {
-        let none = |_: &mut (), _, _, _, _| {};
         let (mut a, mut b) = (salu_with(&[StatefulOp::Max]), salu_with(&[StatefulOp::CondAdd]));
         let op = StatefulOp::Max;
-        let run = |a: &mut Salu, b: &mut Salu| {
-            Salu::sweep([a, b], op, 2, &mut (), |_, _| [(1, 5, 0); 2], none)
-        };
+        let run = |a: &mut Salu, b: &mut Salu| sweep([a, b], op, &mut (), &[[(1, 5, 0); 2]; 2], ());
         assert!(matches!(run(&mut a, &mut b), Err(RmtError::NoSuchEntity(_))));
         let mut wide = Salu::new(16, 32);
         wide.load_op(op).unwrap();
@@ -582,7 +633,7 @@ mod tests {
         b.load_op(op).unwrap();
         let steps: [[(usize, u32, u32); 2]; 3] =
             [[(3, 7, 0), (4, 8, 0)], [(5, 9, 0), (99, 1, 0)], [(6, 9, 0), (6, 9, 0)]];
-        let res = Salu::sweep([&mut a, &mut b], op, steps.len(), &mut (), |_, k| steps[k], none);
+        let res = sweep([&mut a, &mut b], op, &mut (), &steps, ());
         assert!(matches!(res, Err(RmtError::IndexOutOfRange { index: 99, limit: 16, .. })));
         let dirty = (a.register().dirty_range(), b.register().dirty_range());
         assert_eq!(dirty, (Some((3, 6)), Some((4, 5))));

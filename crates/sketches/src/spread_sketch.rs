@@ -44,7 +44,10 @@ impl SpreadSketch {
     /// # Panics
     /// Panics if either dimension is zero.
     pub fn new(rows: usize, width: usize) -> Self {
-        assert!(rows > 0 && width > 0, "SpreadSketch dimensions must be positive");
+        assert!(
+            rows > 0 && width > 0,
+            "SpreadSketch dimensions must be positive"
+        );
         SpreadSketch {
             rows,
             width,

@@ -38,8 +38,7 @@ impl TowerSketch {
     /// Panics if `bits_per_level` cannot hold at least one 16-bit counter.
     pub fn new(bits_per_level: usize) -> Self {
         assert!(bits_per_level >= 16, "need at least one 16-bit counter");
-        Self::with_ladder(&Self::LADDER_BITS, bits_per_level)
-            .expect("canonical ladder is valid")
+        Self::with_ladder(&Self::LADDER_BITS, bits_per_level).expect("canonical ladder is valid")
     }
 
     /// Creates a tower with a custom level ladder (counter widths,

@@ -141,9 +141,18 @@ impl Default for PhasedConfig {
             base_chunk: 2_048,
             ns_per_packet: 1_000,
             phases: vec![
-                Phase { chunks: 8, rate: 1.0 },
-                Phase { chunks: 4, rate: 10.0 },
-                Phase { chunks: 8, rate: 1.0 },
+                Phase {
+                    chunks: 8,
+                    rate: 1.0,
+                },
+                Phase {
+                    chunks: 4,
+                    rate: 10.0,
+                },
+                Phase {
+                    chunks: 8,
+                    rate: 1.0,
+                },
             ],
             seed: 0x0091_35ED,
         }
@@ -311,8 +320,18 @@ impl Default for ShiftingConfig {
             base_chunk: 2_048,
             ns_per_packet: 1_000,
             phases: vec![
-                ShiftPhase { chunks: 8, rate: 1.0, zipf_alpha: 1.3, attack: None },
-                ShiftPhase { chunks: 8, rate: 2.0, zipf_alpha: 1.05, attack: None },
+                ShiftPhase {
+                    chunks: 8,
+                    rate: 1.0,
+                    zipf_alpha: 1.3,
+                    attack: None,
+                },
+                ShiftPhase {
+                    chunks: 8,
+                    rate: 2.0,
+                    zipf_alpha: 1.05,
+                    attack: None,
+                },
                 ShiftPhase {
                     chunks: 6,
                     rate: 3.0,
@@ -323,7 +342,12 @@ impl Default for ShiftingConfig {
                         sources: 20_000,
                     }),
                 },
-                ShiftPhase { chunks: 8, rate: 1.0, zipf_alpha: 1.3, attack: None },
+                ShiftPhase {
+                    chunks: 8,
+                    rate: 1.0,
+                    zipf_alpha: 1.3,
+                    attack: None,
+                },
             ],
             seed: 0x5217_F7ED,
         }
@@ -393,9 +417,7 @@ impl ShiftingSource {
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {
             self.now_ns += gap;
-            let attack = phase
-                .attack
-                .filter(|a| self.rng.chance(a.share));
+            let attack = phase.attack.filter(|a| self.rng.chance(a.share));
             let pkt = if let Some(a) = attack {
                 // One spoofed SYN-flood packet: a source drawn from the
                 // pool (consecutive addresses from 198.18.0.0 up), aimed
@@ -783,7 +805,16 @@ mod tests {
         let cfg = PhasedConfig {
             flows: 500,
             base_chunk: 256,
-            phases: vec![Phase { chunks: 3, rate: 1.0 }, Phase { chunks: 2, rate: 4.0 }],
+            phases: vec![
+                Phase {
+                    chunks: 3,
+                    rate: 1.0,
+                },
+                Phase {
+                    chunks: 2,
+                    rate: 4.0,
+                },
+            ],
             ..PhasedConfig::default()
         };
         let drain = |mut s: PhasedSource| {
@@ -807,7 +838,16 @@ mod tests {
             flows: 300,
             base_chunk: 1_000,
             ns_per_packet: 1_000,
-            phases: vec![Phase { chunks: 1, rate: 1.0 }, Phase { chunks: 1, rate: 10.0 }],
+            phases: vec![
+                Phase {
+                    chunks: 1,
+                    rate: 1.0,
+                },
+                Phase {
+                    chunks: 1,
+                    rate: 10.0,
+                },
+            ],
             ..PhasedConfig::default()
         };
         let mut src = PhasedSource::new(cfg);
@@ -834,14 +874,14 @@ mod tests {
         let mut src = PhasedSource::new(PhasedConfig {
             flows: 2_000,
             base_chunk: 20_000,
-            phases: vec![Phase { chunks: 1, rate: 1.0 }],
+            phases: vec![Phase {
+                chunks: 1,
+                rate: 1.0,
+            }],
             ..PhasedConfig::default()
         });
         let chunk = src.next_chunk().unwrap();
-        let priority = chunk
-            .iter()
-            .filter(|p| p.src_ip >> 24 == 10)
-            .count();
+        let priority = chunk.iter().filter(|p| p.src_ip >> 24 == 10).count();
         // The heaviest eighth of the Zipf ranks lives in 10/8, so well
         // over an eighth of the *packets* do.
         assert!(
@@ -858,8 +898,18 @@ mod tests {
             flows: 400,
             base_chunk: 512,
             phases: vec![
-                ShiftPhase { chunks: 2, rate: 1.0, zipf_alpha: 1.3, attack: None },
-                ShiftPhase { chunks: 1, rate: 2.0, zipf_alpha: 1.0, attack: None },
+                ShiftPhase {
+                    chunks: 2,
+                    rate: 1.0,
+                    zipf_alpha: 1.3,
+                    attack: None,
+                },
+                ShiftPhase {
+                    chunks: 1,
+                    rate: 2.0,
+                    zipf_alpha: 1.0,
+                    attack: None,
+                },
             ],
             ..ShiftingConfig::default()
         };
@@ -889,7 +939,11 @@ mod tests {
                 chunks: 1,
                 rate: 1.0,
                 zipf_alpha: 1.1,
-                attack: Some(AttackSpec { dst_ip: victim, share: 0.5, sources: 5_000 }),
+                attack: Some(AttackSpec {
+                    dst_ip: victim,
+                    share: 0.5,
+                    sources: 5_000,
+                }),
             }],
             ..ShiftingConfig::default()
         });
@@ -901,7 +955,11 @@ mod tests {
             "attack share 0.5 materialized as {frac:.3}"
         );
         let srcs: HashSet<_> = attack.iter().map(|p| p.src_ip).collect();
-        assert!(srcs.len() > 2_000, "only {} distinct spoofed sources", srcs.len());
+        assert!(
+            srcs.len() > 2_000,
+            "only {} distinct spoofed sources",
+            srcs.len()
+        );
         assert!(srcs.iter().all(|&s| s >> 16 == (198 << 8) | 18));
     }
 
@@ -911,8 +969,18 @@ mod tests {
             flows: 2_000,
             base_chunk: 30_000,
             phases: vec![
-                ShiftPhase { chunks: 1, rate: 1.0, zipf_alpha: 1.5, attack: None },
-                ShiftPhase { chunks: 1, rate: 1.0, zipf_alpha: 0.7, attack: None },
+                ShiftPhase {
+                    chunks: 1,
+                    rate: 1.0,
+                    zipf_alpha: 1.5,
+                    attack: None,
+                },
+                ShiftPhase {
+                    chunks: 1,
+                    rate: 1.0,
+                    zipf_alpha: 0.7,
+                    attack: None,
+                },
             ],
             ..ShiftingConfig::default()
         };

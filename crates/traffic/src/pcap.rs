@@ -147,7 +147,12 @@ pub fn read_pcap<R: Read>(mut r: R) -> Result<Vec<Packet>, PcapError> {
         if !read_exact_or_eof(&mut r, &mut frame)? {
             return Err(PcapError::Truncated);
         }
-        let ts_ns = ts_sec * 1_000_000_000 + if endian.nanos { ts_frac } else { ts_frac * 1_000 };
+        let ts_ns = ts_sec * 1_000_000_000
+            + if endian.nanos {
+                ts_frac
+            } else {
+                ts_frac * 1_000
+            };
         let base = *first_ts.get_or_insert(ts_ns);
 
         if let Some(pkt) = parse_ethernet_ipv4(&frame, ts_ns.saturating_sub(base), orig_len) {
@@ -291,7 +296,7 @@ mod tests {
         let mut one = Vec::new();
         write_pcap(&mut one, &[pkt]).unwrap();
         let frame = &one[40..]; // skip its global+record header
-        // Record header (BE): t=1s, 500µs.
+                                // Record header (BE): t=1s, 500µs.
         buf.extend_from_slice(&1u32.to_be_bytes());
         buf.extend_from_slice(&500u32.to_be_bytes());
         buf.extend_from_slice(&(frame.len() as u32).to_be_bytes());
@@ -319,10 +324,7 @@ mod tests {
     #[test]
     fn bad_magic_is_rejected() {
         let buf = [0u8; 24];
-        assert!(matches!(
-            read_pcap(&buf[..]),
-            Err(PcapError::BadMagic(_))
-        ));
+        assert!(matches!(read_pcap(&buf[..]), Err(PcapError::BadMagic(_))));
     }
 
     #[test]
@@ -330,7 +332,10 @@ mod tests {
         let mut buf = Vec::new();
         write_pcap(&mut buf, &[flymon_packet::Packet::tcp(1, 2, 3, 4)]).unwrap();
         buf.truncate(buf.len() - 10);
-        assert!(matches!(read_pcap(buf.as_slice()), Err(PcapError::Truncated)));
+        assert!(matches!(
+            read_pcap(buf.as_slice()),
+            Err(PcapError::Truncated)
+        ));
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! coverage counter, the per-step `check!`, the run that shrinks a failing
 //! script one op at a time and prints it, and what they read of a switch.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Once;
 
 use flymon::prelude::*;
 use flymon::task::TaskId;
@@ -59,17 +61,43 @@ pub fn shrink<T: Clone>(mut script: Vec<T>, fails: impl Fn(&[T]) -> bool) -> Vec
     }
 }
 
+thread_local! {
+    /// Set while this thread runs a script whose panic it catches.
+    static CATCHING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Installs, once per test binary, a panic hook that is silent on a
+/// thread while it catches a script's panic and otherwise defers to the
+/// hook it wraps, so other tests' panics still print.
+fn quiet_while_catching() {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !CATCHING.with(Cell::get) {
+                hook(info);
+            }
+        }));
+    });
+}
+
 /// Runs `script`, a panic anywhere counting as a failure, and returns
 /// what it covered. A failing script is shrunk, then reported as a panic
-/// naming `label`, the failure and the shrunk script as `print` renders it.
+/// naming `label`, the failure and the shrunk script as `print` renders
+/// it. The runs' own panics print nothing: each is a failure the report
+/// names, so a failing seed prints one panic, the report.
 pub fn run_or_shrink<T: Clone>(
     label: &str,
     script: Vec<T>,
     run: impl Fn(&[T]) -> Result<Coverage, String>,
     print: impl Fn(&[T]) -> String,
 ) -> Coverage {
+    quiet_while_catching();
     let try_run = |s: &[T]| {
-        catch_unwind(AssertUnwindSafe(|| run(s))).unwrap_or_else(|panic| {
+        CATCHING.with(|c| c.set(true));
+        let result = catch_unwind(AssertUnwindSafe(|| run(s)));
+        CATCHING.with(|c| c.set(false));
+        result.unwrap_or_else(|panic| {
             let text = panic.downcast_ref::<&str>().map(|s| s.to_string());
             Err(format!("panicked: {:?}", text.or_else(|| panic.downcast_ref::<String>().cloned())))
         })
