@@ -303,22 +303,22 @@ impl Session {
         Ok(format!("'{name}' buckets cleared"))
     }
 
-    /// Builds a probe packet from `src [dst [sport dport]]` arguments.
+    /// Builds a probe packet from `src [dst [sport dport]]`, 0 where absent.
     fn probe(args: &[&str]) -> Result<Packet, String> {
-        let src = args
-            .first()
-            .and_then(|s| parse_ipv4(s))
-            .ok_or("need a source IP")?;
-        let dst = args.get(1).and_then(|s| parse_ipv4(s)).unwrap_or(0);
-        let sport = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0);
-        let dport = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(0);
+        let bad = |i: usize, what: &str| format!("bad {what} '{}'", args[i]);
+        let ip = |i: usize| args.get(i).map_or(Some(0), |s| parse_ipv4(s));
+        let port = |i: usize| args.get(i).map_or(Some(0), |s| s.parse().ok());
+        let src = ip(0).ok_or_else(|| bad(0, "source IP"))?;
+        let dst = ip(1).ok_or_else(|| bad(1, "destination IP"))?;
+        let sport = port(2).ok_or_else(|| bad(2, "source port"))?;
+        let dport = port(3).ok_or_else(|| bad(3, "destination port"))?;
         Ok(Packet::tcp(src, dst, sport, dport))
     }
 
     fn cmd_query(&mut self, args: &[&str]) -> Result<String, String> {
-        let name = args
-            .first()
-            .ok_or("usage: query <name> <src> [dst sport dport]")?;
+        let [name, _, ..] = args else {
+            return Err("usage: query <name> <src> [dst sport dport]".into());
+        };
         let h = self.handle(name)?;
         let pkt = Self::probe(&args[1..])?;
         let task = self.switch.task(h).map_err(|e| e.to_string())?;
@@ -702,6 +702,30 @@ mod tests {
         text(s.execute("deploy t key=SrcIP attr=frequency"));
         let out = text(s.execute("deploy t key=SrcIP attr=frequency"));
         assert!(out.contains("already exists"), "{out}");
+    }
+
+    #[test]
+    fn query_refuses_a_malformed_probe_field_by_name() {
+        // A malformed field used to be taken as 0 without a word.
+        let mut s = Session::default();
+        text(s.execute("deploy hh key=SrcIP attr=frequency"));
+        for (bad, token) in [
+            ("query hh 1.2.3.4 5.6.7.8 99999 1", "source port '99999'"),
+            ("query hh 1.2.3.4 5.6.7.8 1 -1", "destination port '-1'"),
+            ("query hh 1.2.3.4 5.6.7", "destination IP '5.6.7'"),
+            ("query hh 1.2.3", "source IP '1.2.3'"),
+            ("query hh", "usage: query"),
+        ] {
+            let out = text(s.execute(bad));
+            assert!(
+                out.starts_with("error:") && out.contains(token),
+                "'{bad}' gave: {out}"
+            );
+        }
+        for good in ["query hh 1.2.3.4", "query hh 1.2.3.4 5.6.7.8 65535 0"] {
+            let out = text(s.execute(good));
+            assert!(out.starts_with("frequency"), "'{good}' gave: {out}");
+        }
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! interpreter without naming this module (CI greps that the CLI, the
 //! figure binaries, the examples and the streaming runtime do not).
 //! Tests import [`PerPacket`] (a switch) or [`PerPacketGroup`] (one
-//! group); the fleet's explicit-ingress `SwitchFleet::process` is the
-//! one library caller.
+//! group); the one library caller is the fleet's own per-packet
+//! reference, `flymon_netsim::oracle`, fenced the same way.
 
 use flymon_packet::Packet;
 use flymon_rmt::hash::murmur3_32;

@@ -47,7 +47,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use flymon::oracle::PerPacket;
 use flymon::prelude::*;
 use flymon::FlymonError;
 use flymon_packet::{Packet, TaskFilter};
@@ -81,7 +80,7 @@ pub struct BoundedEstimate {
 /// after every step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PacketLedger {
-    /// Packets ever fed through [`SwitchFleet::process`] and friends.
+    /// Packets ever fed to the fleet ([`SwitchFleet::process_trace`]).
     pub fed: u64,
     /// Packets whose register updates live in some switch's registers
     /// (alive or dead), plus packets archived by epoch rotations
@@ -1149,37 +1148,25 @@ impl SwitchFleet {
         pruned
     }
 
-    /// Feeds a packet to the switch at `ingress`, rerouting to the next
-    /// alive switch if that one is dead (deterministic linear probe, a
-    /// stand-in for the fabric's failover). Drops the packet if the
-    /// whole fleet is dead — or empty.
-    ///
-    /// This is the single-packet API and the reference semantics of the
-    /// batched [`SwitchFleet::process_trace`]: it runs the per-packet
-    /// oracle ([`PerPacket::process`]), one packet, one ledger tick, at
-    /// an ingress the caller names where `process_trace` derives it from
-    /// the packet.
+    /// Takes one packet's ledger tick at `ingress` and returns the switch
+    /// that absorbs it: the ingress itself if alive, else the next alive
+    /// switch (deterministic linear probe, a stand-in for the fabric's
+    /// failover), or `None` — dropped — when the fleet is dead or empty.
     ///
     /// # Panics
     /// Panics if `ingress` is out of range on a non-empty fleet.
-    pub fn process(&mut self, ingress: usize, pkt: &Packet) {
+    pub(crate) fn route_one(&mut self, ingress: usize) -> Option<&mut FlyMon> {
         let n = self.switches.len();
+        assert!(ingress < n || n == 0, "ingress {ingress} past {n} switches");
         self.total_fed += 1;
-        if n == 0 {
-            // Regression guard: a zero-switch fleet drops, it does not
-            // panic on the `ingress < n` bound.
-            self.dropped_packets += 1;
-            return;
-        }
-        assert!(ingress < n, "ingress {ingress} out of range ({n} switches)");
         self.resolve_targets();
-        match self.targets[ingress] {
-            Some(i) => {
-                PerPacket::process(&mut self.switches[i], pkt);
-                self.represented[i] += 1;
-            }
-            None => self.dropped_packets += 1,
-        }
+        // A zero-switch fleet has no target: it drops, it does not panic.
+        let Some(i) = self.targets.get(ingress).copied().flatten() else {
+            self.dropped_packets += 1;
+            return None;
+        };
+        self.represented[i] += 1;
+        Some(&mut self.switches[i])
     }
 
     /// Rebuilds `self.targets`: for every ingress, the switch that
@@ -1214,10 +1201,10 @@ impl SwitchFleet {
     ///
     /// Failover is resolved once per call; the packets then go through
     /// `datapath::replay`, whose one caller this is. Registers, hit
-    /// counters and the ledger end bit-identical to
-    /// `for p in trace { process(shard_of(p, n), p) }` (pinned by
-    /// `tests/fleet_batch.rs`), and a healthy fleet's merged rows to one
-    /// switch's serial replay (`tests/datapath.rs`).
+    /// counters and the ledger end bit-identical to each packet run
+    /// alone at ingress `shard_of(p, n)` (the per-packet reference,
+    /// pinned by `tests/fleet_batch.rs`), and a healthy fleet's merged
+    /// rows to one switch's serial replay (`tests/datapath.rs`).
     pub fn process_trace(&mut self, trace: &[Packet]) {
         self.resolve_targets();
         self.total_fed += trace.len() as u64;
@@ -1334,8 +1321,7 @@ impl SwitchFleet {
 
     /// Feeds `pkt` to switch `i`'s registers with no ledger tick: the
     /// write a dying worker leaves behind before its injected panic
-    /// (`ingest.rs`), which quarantine then discards. The one path
-    /// outside this module that reaches a member mutably.
+    /// (`ingest.rs`), which quarantine then discards.
     ///
     /// # Panics
     /// Panics if `i` is past the fleet's end.
@@ -1347,6 +1333,7 @@ impl SwitchFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::PerPacketFleet;
     use flymon_packet::KeySpec;
     use flymon_traffic::gen::{TraceConfig, TraceGenerator};
 

@@ -20,8 +20,7 @@
 //!    waits in a bounded backlog and no new chunk is pulled (explicit
 //!    backpressure, observable as [`RuntimeStats::blocked_steps`]).
 //! 2. **Probabilistic shed** — at or above the high watermark each
-//!    arriving packet is shed with a seeded coin
-//!    ([`AdmissionConfig::shed_probability`]).
+//!    arriving packet is shed with a seeded coin (probability 0.5).
 //! 3. **Priority shed** — at or above the critical watermark only
 //!    packets matching the high-priority task filter are admitted;
 //!    everything else is shed.
@@ -238,31 +237,26 @@ impl BoundedQueue {
     }
 }
 
-/// Watermarks and coins of the admission controller's degradation
-/// ladder.
-#[derive(Debug, Clone, Copy)]
+/// Queue occupancy at which probabilistic shedding starts, and at which
+/// only priority traffic is admitted.
+const HIGH_WATERMARK: f64 = 0.75;
+const CRITICAL_WATERMARK: f64 = 0.90;
+/// Per-packet shed probability between the watermarks.
+const SHED_PROBABILITY: f64 = 0.5;
+/// Zero-progress steps (packets queued, nothing drained or rotated)
+/// tolerated before [`IngestError::Stalled`].
+const MAX_IDLE_STEPS: usize = 64;
+/// Zero-progress steps granted first while recovery waits only on a
+/// control-channel retry: a fleet waiting on the channel is not stalled.
+const CHANNEL_GRACE_STEPS: usize = 8;
+
+/// The one choice the admission ladder leaves: what its top rung keeps.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct AdmissionConfig {
-    /// Queue occupancy at which probabilistic shedding starts.
-    pub high_watermark: f64,
-    /// Queue occupancy at which only priority traffic is admitted.
-    pub critical_watermark: f64,
-    /// Per-packet shed probability between the watermarks.
-    pub shed_probability: f64,
     /// The high-priority task's traffic filter; packets matching it are
     /// never priority-shed. `None` sheds indiscriminately at the
     /// critical rung.
     pub priority: Option<TaskFilter>,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            high_watermark: 0.75,
-            critical_watermark: 0.90,
-            shed_probability: 0.5,
-            priority: None,
-        }
-    }
 }
 
 /// What the admission ladder does with one arriving packet, decided by
@@ -330,8 +324,8 @@ pub enum IngestFault {
 /// Errors surfaced by the streaming runtime.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IngestError {
-    /// The pipeline made no progress for longer than
-    /// [`IngestConfig::max_idle_steps`] with packets still queued — a
+    /// The pipeline made no progress for longer than 64 steps
+    /// (`MAX_IDLE_STEPS`) with packets still queued — a
     /// stalled consumer that would otherwise hang the caller forever.
     Stalled {
         /// The step at which the stall was declared.
@@ -386,16 +380,6 @@ pub struct IngestConfig {
     /// Standby sync cadence in steps (1 = a barrier before every
     /// batch, which makes worker-panic respawn loss-free).
     pub sync_every_steps: u64,
-    /// Steps with zero progress (packets queued, nothing drained or
-    /// rotated) tolerated before [`IngestError::Stalled`].
-    pub max_idle_steps: usize,
-    /// Extra zero-progress steps granted while recovery is blocked
-    /// *only* by an in-flight control-channel retry (a respawn command
-    /// that timed out on a lossy or partitioned channel and is being
-    /// retried each step). A fleet waiting on the channel is not
-    /// stalled — it is waiting; once the grace is spent the ordinary
-    /// `max_idle_steps` budget takes over.
-    pub channel_grace_steps: usize,
     /// Seed of the admission controller's shed coin.
     pub seed: u64,
 }
@@ -409,8 +393,6 @@ impl Default for IngestConfig {
             admission: AdmissionConfig::default(),
             epoch_packets: 0,
             sync_every_steps: 1,
-            max_idle_steps: 64,
-            channel_grace_steps: 8,
             seed: 0x57_12EA,
         }
     }
@@ -565,7 +547,7 @@ pub struct StreamingRuntime {
     /// lands. Holds the health machine in `Recovering`.
     respawn_pending: Option<usize>,
     /// Consecutive steps the pending respawn has waited on the channel
-    /// (compared against [`IngestConfig::channel_grace_steps`]).
+    /// (compared against `CHANNEL_GRACE_STEPS`).
     channel_wait_steps: usize,
     watch: Option<WatchFlow>,
     last_epoch: Option<FleetEpoch>,
@@ -717,9 +699,9 @@ impl StreamingRuntime {
     /// packets already queued.
     fn rung_at(&self, depth: usize) -> Rung {
         let occ = depth as f64 / self.queue.capacity() as f64;
-        if occ >= self.cfg.admission.critical_watermark {
+        if occ >= CRITICAL_WATERMARK {
             Rung::PriorityShed
-        } else if occ >= self.cfg.admission.high_watermark {
+        } else if occ >= HIGH_WATERMARK {
             Rung::CoinShed
         } else {
             Rung::Admit
@@ -727,15 +709,15 @@ impl StreamingRuntime {
     }
 
     /// True when the admission loop would admit the whole backlog with
-    /// no rung firing: the queue has room for all of it, and the *last*
-    /// packet — which arrives at the greatest depth, and occupancy only
-    /// grows with depth — still meets [`Rung::Admit`]. Under this
-    /// condition the per-packet loop pushes every packet and never
-    /// draws the shed coin, so one bulk move leaves the stats, the
-    /// queue and the RNG exactly as that loop would.
+    /// no rung firing: the *last* packet — which arrives at the greatest
+    /// depth, and occupancy only grows with depth — still meets
+    /// [`Rung::Admit`], below the high watermark and so with room. Then
+    /// the per-packet loop pushes every packet and never draws the shed
+    /// coin, so one bulk move leaves the stats, the queue and the RNG
+    /// exactly as that loop would.
     fn ladder_at_rest(&self) -> bool {
         match (self.queue.len() + self.backlog.len()).checked_sub(1) {
-            Some(last) => last < self.queue.capacity() && self.rung_at(last) == Rung::Admit,
+            Some(last) => self.rung_at(last) == Rung::Admit,
             None => true,
         }
     }
@@ -842,7 +824,7 @@ impl StreamingRuntime {
             match self.rung_at(self.queue.len()) {
                 Rung::Admit => {}
                 Rung::CoinShed => {
-                    if self.rng.chance(self.cfg.admission.shed_probability) {
+                    if self.rng.chance(SHED_PROBABILITY) {
                         self.stats.shed_random += 1;
                         shed_this_step += 1;
                         continue;
@@ -980,7 +962,7 @@ impl StreamingRuntime {
             }
         } else {
             let occ = self.queue.occupancy();
-            let next = if shed_this_step > 0 || occ >= self.cfg.admission.high_watermark {
+            let next = if shed_this_step > 0 || occ >= HIGH_WATERMARK {
                 RuntimeHealth::Shedding
             } else if !self.backlog.is_empty() {
                 RuntimeHealth::Degraded
@@ -993,15 +975,15 @@ impl StreamingRuntime {
 
         // 8. Stall detection: packets queued, nothing moving. A fleet
         // whose only blocker is an in-flight control-channel retry is
-        // *waiting*, not stalled — it gets `channel_grace_steps` of
+        // *waiting*, not stalled — it gets `CHANNEL_GRACE_STEPS` of
         // grace before the ordinary idle budget starts counting.
         let progress = out.drained > 0 || out.rotated || out.recovered;
         let channel_waiting = self.health == RuntimeHealth::Recovering
             && self.respawn_pending.is_some()
-            && self.channel_wait_steps <= self.cfg.channel_grace_steps;
+            && self.channel_wait_steps <= CHANNEL_GRACE_STEPS;
         if !progress && !self.queue.is_empty() && !channel_waiting {
             self.idle_steps += 1;
-            if self.idle_steps > self.cfg.max_idle_steps {
+            if self.idle_steps > MAX_IDLE_STEPS {
                 return Err(IngestError::Stalled {
                     step,
                     queued: self.queue.len() + self.backlog.len(),
@@ -1162,13 +1144,13 @@ mod tests {
                     break;
                 }
                 let occ = self.queue.len() as f64 / self.cfg.queue_capacity as f64;
-                at_rest &= occ < adm.high_watermark && occ < adm.critical_watermark;
-                if occ >= adm.critical_watermark {
+                at_rest &= occ < HIGH_WATERMARK;
+                if occ >= CRITICAL_WATERMARK {
                     if !adm.priority.is_some_and(|f| f.matches(&pkt)) {
                         self.stats.shed_priority += 1;
                         continue;
                     }
-                } else if occ >= adm.high_watermark && self.rng.chance(adm.shed_probability) {
+                } else if occ >= HIGH_WATERMARK && self.rng.chance(SHED_PROBABILITY) {
                     self.stats.shed_random += 1;
                     continue;
                 }
@@ -1186,7 +1168,7 @@ mod tests {
             self.queue_stats.dequeued += drained as u64;
             self.stats.processed += drained as u64;
             let occ = self.queue.len() as f64 / self.cfg.queue_capacity as f64;
-            let next = if self.stats.shed() > shed_before || occ >= adm.high_watermark {
+            let next = if self.stats.shed() > shed_before || occ >= HIGH_WATERMARK {
                 RuntimeHealth::Shedding
             } else if !self.backlog.is_empty() {
                 RuntimeHealth::Degraded
@@ -1245,7 +1227,6 @@ mod tests {
             backlog_limit: 1_536,
             admission: AdmissionConfig {
                 priority: priority.then(|| TaskFilter::src(10 << 24, 8)),
-                ..AdmissionConfig::default()
             },
             seed,
             ..IngestConfig::default()
@@ -1326,7 +1307,8 @@ mod tests {
         // 700 packets arrive and 256 drain, leaving 444 queued; the
         // second chunk is sized so its last packet arrives at a depth
         // just below, at, and just above each point where the ladder
-        // changes its answer: the two watermarks and a full queue.
+        // changes its answer: the two watermarks and a full queue. The
+        // bulk move ends at the high watermark, below a full queue.
         for boundary in [768usize, 922, 1_024] {
             for last_depth in boundary - 2..=boundary + 1 {
                 let second = last_depth + 1 - 444;
@@ -1338,17 +1320,6 @@ mod tests {
                 let coin_untouched = rt.rng == SplitMix64::new(last_depth as u64);
                 assert_eq!(coin_untouched, last_depth < 768, "{what}");
             }
-        }
-        // With both watermarks out of reach only the queue's capacity
-        // ends the bulk move: 1 024 packets fit, the 1 025th blocks.
-        for last_depth in 1_022usize..=1_025 {
-            let mut cfg = lockstep_config(1, false);
-            cfg.admission.high_watermark = 2.0;
-            cfg.admission.critical_watermark = 2.0;
-            let what = format!("no watermarks, last packet at depth {last_depth}");
-            let (rt, _) = run_lockstep(cfg, vec![700, last_depth + 1 - 444, 64, 64], &what);
-            assert_eq!(rt.stats().shed(), 0, "{what}");
-            assert_eq!(rt.stats().blocked_steps > 0, last_depth >= 1_024, "{what}");
         }
     }
 
@@ -1437,7 +1408,6 @@ mod tests {
                 backlog_limit: 1_024,
                 admission: AdmissionConfig {
                     priority: Some(priority),
-                    ..AdmissionConfig::default()
                 },
                 ..IngestConfig::default()
             },
@@ -1532,7 +1502,6 @@ mod tests {
             IngestConfig {
                 queue_capacity: 1_024,
                 drain_chunk: 256,
-                max_idle_steps: 8,
                 ..IngestConfig::default()
             },
         );
@@ -1555,7 +1524,6 @@ mod tests {
             IngestConfig {
                 queue_capacity: 2_048,
                 drain_chunk: 512,
-                max_idle_steps: 16,
                 ..IngestConfig::default()
             },
         );
@@ -1588,7 +1556,6 @@ mod tests {
             queue_capacity: 65_536, // nothing shed in either run
             drain_chunk: 1_024,
             epoch_packets: 6_000,
-            sync_every_steps: 1,
             ..IngestConfig::default()
         };
         let stream = || {
@@ -1704,10 +1671,9 @@ mod tests {
     }
 
     /// A respawn blocked only by a partitioned control channel is
-    /// *waiting*, not stalled: the grace window holds the stall
-    /// detector off, the respawn retries every step, and once the
-    /// partition heals the replica comes back and the stream finishes
-    /// healthy.
+    /// *waiting*, not stalled: the respawn retries every step, and once
+    /// the partition heals the replica comes back and the stream
+    /// finishes healthy.
     #[test]
     fn channel_blocked_respawn_waits_out_grace_then_recovers() {
         let mut fl = fleet(2);
@@ -1718,8 +1684,6 @@ mod tests {
             IngestConfig {
                 queue_capacity: 4_096,
                 drain_chunk: 256,
-                max_idle_steps: 2,
-                channel_grace_steps: 32,
                 ..IngestConfig::default()
             },
         );
@@ -1737,7 +1701,7 @@ mod tests {
             .unwrap();
         for _ in 0..8 {
             rt.step(&mut src)
-                .expect("channel grace must hold the stall detector off");
+                .expect("a respawn waiting on the channel is not a stall");
         }
         assert_eq!(rt.health(), RuntimeHealth::Recovering);
         assert!(
@@ -1758,11 +1722,14 @@ mod tests {
         assert!(report.ledger.conserved(), "{:?}", report.ledger);
     }
 
-    /// With zero grace the old strict behavior is preserved: a respawn
-    /// stuck behind a never-healing partition trips the stall detector
-    /// instead of hanging (regression guard in both directions).
+    /// A respawn stuck behind a partition that never heals waits out the
+    /// channel grace and then the idle budget, and trips the stall
+    /// detector instead of hanging. The panic lands at step 3; the
+    /// retries of steps 4–10 are grace (their wait counts 2 to 8); the
+    /// idle count starts at step 11 and passes 64 at step 75. A shorter
+    /// or longer wait, or none, is a regression in either direction.
     #[test]
-    fn zero_channel_grace_keeps_the_strict_stall_detector() {
+    fn a_never_healing_partition_stalls_after_grace_and_idle_budget() {
         let mut fl = fleet(2);
         fl.attach_channel(0xC4A6, crate::channel::ChannelConfig::default())
             .unwrap();
@@ -1771,8 +1738,6 @@ mod tests {
             IngestConfig {
                 queue_capacity: 4_096,
                 drain_chunk: 256,
-                max_idle_steps: 4,
-                channel_grace_steps: 0,
                 ..IngestConfig::default()
             },
         );
@@ -1786,10 +1751,10 @@ mod tests {
             .unwrap()
             .set_partitioned(1, true)
             .unwrap();
-        let err = rt.run(&mut src).unwrap_err();
+        let err = (0..200).find_map(|_| rt.step(&mut src).err());
         assert!(
-            matches!(err, IngestError::Stalled { .. }),
-            "an unreachable replica must surface without grace, got {err:?}"
+            matches!(err, Some(IngestError::Stalled { step: 75, .. })),
+            "an unreachable replica must surface at step 75, got {err:?}"
         );
     }
 }

@@ -25,7 +25,8 @@
 //! splits tasks from their own readouts, [`channel`] routes every
 //! controller→switch command through a lossy, deterministic control
 //! channel (drops, duplicates, reorders, partitions; exactly-once
-//! delivery and fencing terms on top).
+//! delivery and fencing terms on top), and [`oracle`] is the fleet's
+//! test oracle.
 //!
 //! `unsafe_code` is denied here, not forbidden as at every other crate
 //! root of the workspace: [`datapath`]'s two kernels, the row sweep of
@@ -45,6 +46,7 @@ pub mod fleet;
 pub mod forwarding;
 pub mod ingest;
 mod merged;
+pub mod oracle;
 
 pub use adapt::{
     AdaptAction, AdaptiveController, ControllerConfig, ControllerReport, Decision, TaskSignals,

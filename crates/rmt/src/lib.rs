@@ -40,7 +40,6 @@
 pub mod checkpoint;
 pub mod fault;
 pub mod hash;
-pub mod pipeline;
 pub mod register;
 pub mod resources;
 pub mod rules;

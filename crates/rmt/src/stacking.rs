@@ -249,6 +249,9 @@ mod tests {
     fn twelve_stages_host_nine_groups_27_cmus() {
         let p = Placement::plan(12, false);
         assert_eq!(p.groups.len(), 9);
+        for (g, pl) in p.groups.iter().enumerate() {
+            assert_eq!((pl.group, pl.first_stage), (g, g), "shift-one placement");
+        }
         assert_eq!(p.cmus(), 27);
         assert_eq!(p.spliced_groups(), 0);
         assert!(p.feasible());

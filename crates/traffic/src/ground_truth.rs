@@ -1,4 +1,4 @@
-//! Brute-force exact answers for every attribute the paper measures.
+//! Brute-force exact answers for the statistics the experiments check.
 //!
 //! Every accuracy experiment compares a sketch estimate against the exact
 //! statistic; this module computes those statistics by direct enumeration.
@@ -31,11 +31,6 @@ impl GroundTruth {
     /// `Frequency(Const(1))` attribute.
     pub fn packet_counts(trace: &[Packet], key: KeySpec) -> Self {
         Self::frequency(trace, key, |_| 1)
-    }
-
-    /// Exact per-flow *byte counts* under `key` — `Frequency(PktBytes)`.
-    pub fn byte_counts(trace: &[Packet], key: KeySpec) -> Self {
-        Self::frequency(trace, key, |p| u64::from(p.len))
     }
 
     /// Exact per-flow accumulation of an arbitrary parameter.
@@ -114,18 +109,6 @@ pub fn distinct_counts(trace: &[Packet], key: KeySpec, param_key: KeySpec) -> Fl
     sets.into_iter().map(|(k, s)| (k, s.len() as u64)).collect()
 }
 
-/// Exact per-flow maximum of a parameter — the `Max(param)` attribute.
-pub fn max_values(trace: &[Packet], key: KeySpec, param: impl Fn(&Packet) -> u64) -> FlowMap<u64> {
-    let mut out: FlowMap<u64> = FlowMap::default();
-    for p in trace {
-        let v = param(p);
-        out.entry(key.extract(p))
-            .and_modify(|m| *m = (*m).max(v))
-            .or_insert(v);
-    }
-    out
-}
-
 /// Exact per-flow *maximum packet inter-arrival time* in nanoseconds —
 /// the combinatorial task of §4. Flows seen only once have no interval
 /// and are omitted.
@@ -173,7 +156,7 @@ mod tests {
     #[test]
     fn byte_counts_accumulate_lengths() {
         let trace = vec![p(1, 9, 0, 100), p(1, 9, 1, 200)];
-        let gt = GroundTruth::byte_counts(&trace, KeySpec::SRC_IP);
+        let gt = GroundTruth::frequency(&trace, KeySpec::SRC_IP, |p| u64::from(p.len));
         let k = KeySpec::SRC_IP.extract(&trace[0]);
         assert_eq!(gt.frequency[&k], 300);
     }
@@ -223,13 +206,6 @@ mod tests {
         let d = distinct_counts(&trace, KeySpec::DST_IP, KeySpec::SRC_IP);
         assert_eq!(d[&KeySpec::DST_IP.extract(&trace[0])], 3);
         assert_eq!(d[&KeySpec::DST_IP.extract(&trace[4])], 1);
-    }
-
-    #[test]
-    fn max_values_track_maxima() {
-        let trace = vec![p(1, 9, 0, 100), p(1, 9, 1, 1500), p(1, 9, 2, 600)];
-        let m = max_values(&trace, KeySpec::SRC_IP, |p| u64::from(p.len));
-        assert_eq!(m[&KeySpec::SRC_IP.extract(&trace[0])], 1500);
     }
 
     #[test]
@@ -288,7 +264,7 @@ mod tests {
                     "packet counts under {key:?}"
                 );
                 assert_eq!(gt.cardinality(), packets.len());
-                let gt = GroundTruth::byte_counts(trace, key);
+                let gt = GroundTruth::frequency(trace, key, |p| u64::from(p.len));
                 assert_eq!(sorted(&gt.frequency), bytes, "byte counts under {key:?}");
                 let d = distinct_counts(trace, key, KeySpec::SRC_IP);
                 assert_eq!(sorted(&d), distinct, "distinct sources under {key:?}");

@@ -9,7 +9,6 @@
 //!   standard stand-in).
 //! - [`gen`]: trace generators — WIDE-like mixed traffic, DDoS victim
 //!   scenarios, port scans, and the traffic-spike timeline of Fig. 12b.
-//! - [`epoch`]: epoch slicing of a trace by timestamp.
 //! - [`ground_truth`]: exact answers (per-flow frequency, distinct counts,
 //!   maxima, cardinality, flow-size distribution, entropy, heavy hitters)
 //!   computed by brute force for comparison against sketch estimates.
@@ -18,7 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod epoch;
 pub mod gen;
 pub mod ground_truth;
 pub mod io;
@@ -26,7 +24,6 @@ pub mod metrics;
 pub mod pcap;
 pub mod zipf;
 
-pub use epoch::split_epochs;
 pub use gen::{
     sort_arrivals, AttackSpec, DdosConfig, Phase, PhasedConfig, PhasedSource, ShiftPhase,
     ShiftingConfig, ShiftingSource, SpikeConfig, TraceConfig, TraceGenerator,

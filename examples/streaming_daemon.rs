@@ -47,10 +47,8 @@ fn main() {
             backlog_limit: 4_096,
             admission: AdmissionConfig {
                 priority: Some(TaskFilter::src(10 << 24, 8)),
-                ..AdmissionConfig::default()
             },
             epoch_packets: 8_192,
-            sync_every_steps: 1,
             ..IngestConfig::default()
         },
     );

@@ -9,6 +9,7 @@
 
 use flymon::oracle::PerPacket;
 use flymon::prelude::*;
+use flymon_netsim::oracle::PerPacketFleet;
 use flymon_netsim::{
     AdaptiveController, ControllerConfig, FleetEpoch, IngestConfig, RuntimeHealth,
     StreamingRuntime, SwitchFleet, TaskEpoch,

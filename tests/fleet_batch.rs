@@ -3,8 +3,8 @@
 //! `SwitchFleet::process_trace` resolves failover once per call, buckets
 //! the slice by target switch and runs one `FlyMon::process_batch` per
 //! switch. None of that may be observable: on a twin fleet fed
-//! `for p in trace { process(shard_of(p, n), p) }` — the single-packet
-//! API, which runs the per-packet interpreter — every register cell,
+//! `for p in trace { process(shard_of(p, n), p) }` — the fleet's
+//! per-packet oracle (`PerPacketFleet`) — every register cell,
 //! every per-binding hit counter, every per-switch packet counter and
 //! the packet ledger must end identical, whatever the algorithm, the
 //! fleet size, the liveness, the slice length or the control ops issued
@@ -12,6 +12,7 @@
 
 use flymon::control::BATCH_SIZE;
 use flymon::prelude::*;
+use flymon_netsim::oracle::PerPacketFleet;
 use flymon_netsim::{datapath, PacketLedger, SwitchFleet};
 use flymon_packet::{KeySpec, Packet, TaskFilter};
 use flymon_traffic::gen::{TraceConfig, TraceGenerator};

@@ -4,11 +4,11 @@
 //! A fleet script is built from a seed and run on twin fleets of three
 //! switches with a warm standby: fleet A takes every packet slice through
 //! `process_trace`, fleet B packet by packet through
-//! `process(shard_of(p, n), p)`, the per-packet oracle. Every op — packet
-//! slices, fail, revive, sync, promote, epoch rotation, deploy, remove,
-//! reallocate, split, arming a fault plan, partition, heal, WAL
-//! maintenance, link flaps, duplicate storms and split-brain probes —
-//! runs on both, each seed once with direct calls and once over a lossy
+//! `process(shard_of(p, n), p)`, the per-packet oracle (`PerPacketFleet`).
+//! Every op — packet slices, fail, revive, sync, promote, epoch
+//! rotation, deploy, remove, reallocate, split, arming a fault plan,
+//! partition, heal, WAL maintenance, link flaps, duplicate storms and
+//! split-brain probes — runs on both, each seed once with direct calls and once over a lossy
 //! control channel. After every step:
 //!
 //! - the twins agree on the outcome, the ledger and every register;
@@ -41,6 +41,7 @@ use std::collections::HashMap;
 use common::{count, kind, live, merge, registers, run_or_shrink, Coverage};
 use flymon::prelude::*;
 use flymon_netsim::datapath::shard_of;
+use flymon_netsim::oracle::PerPacketFleet;
 use flymon_netsim::{
     ChannelConfig, ChunkSource, FleetEpoch, IngestConfig, IngestFault, RuntimeHealth,
     StreamingRuntime, SwitchFleet,

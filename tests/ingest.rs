@@ -51,7 +51,6 @@ fn phased_burst_degrades_gracefully_and_keeps_priority_traffic() {
         backlog_limit: 2_048,
         admission: AdmissionConfig {
             priority: Some(priority),
-            ..AdmissionConfig::default()
         },
         epoch_packets: 4_096,
         ..IngestConfig::default()
@@ -112,7 +111,6 @@ fn repeated_worker_panics_recover_bit_identically() {
         queue_capacity: 32_768,
         drain_chunk: 1_024,
         epoch_packets: 8_000,
-        sync_every_steps: 1,
         ..IngestConfig::default()
     };
     let stream = || {

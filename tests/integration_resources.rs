@@ -32,9 +32,10 @@ fn group_footprint_and_stacking_agree_with_model() {
 
 #[test]
 fn pipeline_plan_agrees_with_compiler_footprint() {
-    // rmt::pipeline's tests use a hard-coded copy of the default group
-    // footprint; this cross-crate check keeps them in sync.
-    use flymon_rmt::pipeline::PipelinePlan;
+    // The default group's footprint, resource by resource, and what it
+    // leaves room for: nine groups alone, or three beside switch.p4,
+    // but not nine. The stage bound (nine groups in twelve stages) is
+    // `stacking`'s to pin.
     let model = TofinoModel::default();
     let fp = cmu_group_footprint(&GroupConfig::default(), &model);
     assert_eq!(fp.hash_units, 6);
@@ -44,10 +45,10 @@ fn pipeline_plan_agrees_with_compiler_footprint() {
     assert_eq!(fp.sram_bits, 3 * 65536 * 16);
     assert_eq!(fp.table_ids, 6);
     assert_eq!(fp.phv_bits, 432);
-    // And the plan-level results hold with the real footprint.
-    assert!(PipelinePlan::new(9, model, false, &fp).is_ok());
-    assert!(PipelinePlan::new(3, model, true, &fp).is_ok());
-    assert!(PipelinePlan::new(9, model, true, &fp).is_err());
+    let shared = |groups| fp.scale(groups).add(&model.baseline_switch());
+    assert!(fp.scale(9).fits(&model));
+    assert!(shared(3).fits(&model));
+    assert!(!shared(9).fits(&model));
 }
 
 #[test]

@@ -35,6 +35,7 @@
 use flymon::oracle::PerPacket;
 use flymon::prelude::*;
 use flymon::task::TaskId;
+use flymon_netsim::oracle::PerPacketFleet;
 use flymon_netsim::{ChannelConfig, MergeLaw, RowOccupancy, SwitchFleet};
 use flymon_packet::{KeySpec, Packet, SplitMix64, TaskFilter};
 use flymon_rmt::checkpoint::{DirtySpan, SnapshotData};

@@ -8,6 +8,7 @@
 use flymon::oracle::PerPacket;
 use flymon::prelude::*;
 use flymon::wal::WalIntent;
+use flymon_netsim::oracle::PerPacketFleet;
 use flymon_netsim::SwitchFleet;
 use flymon_packet::{KeySpec, Packet};
 use flymon_traffic::gen::{TraceConfig, TraceGenerator};
