@@ -1289,13 +1289,7 @@ impl FlyMon {
         &self,
         model: &flymon_rmt::resources::TofinoModel,
     ) -> Vec<(flymon_rmt::resources::ResourceKind, f64)> {
-        let group_config = crate::group::GroupConfig {
-            compression_units: self.config.compression_units,
-            cmus: self.config.cmus_per_group,
-            buckets_per_cmu: self.config.buckets_per_cmu,
-            bucket_bits: self.config.bucket_bits,
-        };
-        compiler::cmu_group_footprint(&group_config, model)
+        compiler::cmu_group_footprint(&self.config.group_config(), model)
             .scale(self.config.groups as u64)
             .utilization(model)
     }
@@ -1442,13 +1436,23 @@ impl FlyMon {
     ) -> Result<(), FlymonError> {
         let (stages, rows) = stage_layout(alg);
         let cmus = self.config.cmus_per_group;
-        // Score a group without building anything: does it have `rows`
-        // usable CMUs, and how many new masks would it take (fewer is
-        // better — the greedy preference for groups that already own
-        // the keys, §3.4)? Returns the score and the key's plan.
-        let fit = |g: usize| -> Option<(usize, Option<KeyPlan>)> {
-            let usable = (0..cmus).filter(|&c| self.cmu_usable(g, c, def, size)).count();
-            if usable < rows {
+        // Score group `g` without building anything: how many new masks
+        // it would take (fewer is better — the greedy preference for
+        // groups that already own the keys, §3.4) and the key's plan.
+        // Its usable CMUs go onto `out`, and the scan stops once `rows`
+        // are found or too few CMUs are left to find them.
+        let fit = |g: usize, out: &mut Vec<usize>| -> Option<(usize, Option<KeyPlan>)> {
+            let mut left = rows;
+            for c in 0..cmus {
+                if left == 0 || cmus - c < left {
+                    break;
+                }
+                if self.cmu_usable(g, c, def, size) {
+                    out.push(c);
+                    left -= 1;
+                }
+            }
+            if left > 0 {
                 return None;
             }
             let key = match &needs.key {
@@ -1463,45 +1467,37 @@ impl FlyMon {
             }
             Some((new_masks, key))
         };
-        // Only the chosen group's CMUs are collected.
         s.slots.clear();
         s.cmus.clear();
-        let mut take = |group: usize, key: Option<KeyPlan>| {
-            let start = s.cmus.len();
-            s.cmus.extend((0..cmus).filter(|&c| self.cmu_usable(group, c, def, size)).take(rows));
-            s.slots.push(PlacedSlot {
-                group,
-                key,
-                cmus: start..s.cmus.len(),
-            });
-        };
-
-        if stages == 1 {
-            let (_, group, key) = (0..self.config.groups)
-                .filter_map(|g| fit(g).map(|(score, key)| (score, g, key)))
-                .min_by_key(|&(score, g, _)| (score, g))
-                .ok_or_else(|| {
-                    FlymonError::NoCapacity(format!(
-                        "no group can host {} rows of {} buckets for task {}",
-                        rows, size, def.name
-                    ))
-                })?;
-            take(group, key);
-            return Ok(());
-        }
-
-        // Chained recipes: ascending distinct groups, one per stage.
-        let mut next_group = 0usize;
+        let mut next_group = 0;
         for _ in 0..stages {
-            let (group, key) = (next_group..self.config.groups)
-                .find_map(|g| Some((g, fit(g)?.1)))
-                .ok_or_else(|| {
-                    FlymonError::NoCapacity(format!(
-                        "no ascending group chain for task {} (stage needs {rows} rows)",
-                        def.name
-                    ))
-                })?;
-            take(group, key);
+            // A chained stage takes the first group past the previous
+            // stage's that fits, a lone stage the `(score, g)` minimum —
+            // which cannot come after a score of 0. The best group's CMUs
+            // stay in `s.cmus` from `start`.
+            let start = s.cmus.len();
+            let mut best = None;
+            for g in next_group..self.config.groups {
+                let at = s.cmus.len();
+                match fit(g, &mut s.cmus) {
+                    Some((score, key)) if best.is_none_or(|(least, _, _)| score < least) => {
+                        s.cmus.drain(start..at);
+                        best = Some((score, g, key));
+                        if stages > 1 || score == 0 {
+                            break;
+                        }
+                    }
+                    _ => s.cmus.truncate(at),
+                }
+            }
+            let Some((_, group, key)) = best else {
+                return Err(FlymonError::NoCapacity(if stages == 1 {
+                    format!("no group can host {rows} rows of {size} buckets for task {}", def.name)
+                } else {
+                    format!("no ascending group chain for task {} (stage needs {rows} rows)", def.name)
+                }));
+            };
+            s.slots.push(PlacedSlot { group, key, cmus: start..s.cmus.len() });
             next_group = group + 1;
         }
         Ok(())

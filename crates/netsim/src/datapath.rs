@@ -505,14 +505,16 @@ const STAGE_BLOCK: usize = 4096;
 /// caller: feeds packet `p` of `trace` to switch `targets[shard_of(p,
 /// n)]` (`None` drops it).
 ///
-/// Each `STAGE_BLOCK` of the slice is bucketed by target ([`stage`])
-/// into the caller's buckets (one per member, reused so that steady
-/// state allocates nothing, empty again on return) and every non-empty
-/// bucket goes through one [`FlyMon::process_batch`]. Members are
-/// disjoint state, bucketing keeps each member's packet order, and
-/// batch ≡ per-packet is pinned by `tests/batch.rs` — so registers and
-/// hit counters end as if the packets were fed one at a time
-/// (`tests/fleet_batch.rs`).
+/// Each `STAGE_BLOCK` of the slice is bucketed by target in two passes
+/// — the [`IngressHashes`] kernel over the block into `hashes`, then a
+/// scatter that appends each packet to its target's bucket — and every
+/// non-empty bucket goes through one [`FlyMon::process_batch`]. The
+/// caller lends the buckets (one per member, empty again on return) and
+/// the hash buffer, which only ever grows, so steady state neither
+/// allocates nor clears either. Members are disjoint state, bucketing
+/// keeps each member's packet order, and batch ≡ per-packet is pinned by
+/// `tests/batch.rs` — so registers and hit counters end as if the
+/// packets were fed one at a time (`tests/fleet_batch.rs`).
 ///
 /// Adds the packets each member took to `fed[member]` and returns the
 /// number dropped. With no members every packet is dropped.
@@ -520,45 +522,31 @@ pub(crate) fn replay(
     members: &mut [FlyMon],
     targets: &[Option<usize>],
     staging: &mut [Vec<Packet>],
+    hashes: &mut Vec<u32>,
     trace: &[Packet],
     fed: &mut [u64],
 ) -> u64 {
     if members.is_empty() {
         return trace.len() as u64;
     }
-    let mut hashes = [0u32; STAGE_BLOCK];
     let mut dropped = 0u64;
     for block in trace.chunks(STAGE_BLOCK) {
-        dropped += stage(block, targets, staging, &mut hashes, |k| at_host_width(k));
+        if hashes.len() < block.len() {
+            hashes.resize(block.len(), 0);
+        }
+        let hashes = &mut hashes[..block.len()];
+        at_host_width(IngressHashes(block, hashes));
+        for (p, &h) in block.iter().zip(hashes.iter()) {
+            match targets[shard_of_hash(h, targets.len())] {
+                Some(i) => staging[i].push(*p),
+                None => dropped += 1,
+            }
+        }
         for (i, bucket) in staging.iter_mut().enumerate() {
             if !bucket.is_empty() {
                 fed[i] += members[i].process_batch(bucket).packets;
                 bucket.clear();
             }
-        }
-    }
-    dropped
-}
-
-/// Buckets `block` (at most [`STAGE_BLOCK`] packets) by target in two
-/// passes: `hash` runs the [`IngressHashes`] kernel over the block into
-/// `hashes`, then the scatter appends packet `p` to
-/// `staging[targets[shard_of(p, targets.len())]]`, counting a `None`
-/// target as dropped. Returns the dropped count.
-fn stage(
-    block: &[Packet],
-    targets: &[Option<usize>],
-    staging: &mut [Vec<Packet>],
-    hashes: &mut [u32; STAGE_BLOCK],
-    hash: impl FnOnce(IngressHashes<'_>),
-) -> u64 {
-    let hashes = &mut hashes[..block.len()];
-    hash(IngressHashes(block, hashes));
-    let mut dropped = 0;
-    for (p, &h) in block.iter().zip(hashes.iter()) {
-        match targets[shard_of_hash(h, targets.len())] {
-            Some(i) => staging[i].push(*p),
-            None => dropped += 1,
         }
     }
     dropped
@@ -714,12 +702,13 @@ mod tests {
 
     #[test]
     fn both_hash_instantiations_stage_each_packet_where_shard_of_sends_it() {
-        // The ingress-hash pass, portable and dispatched, through the
-        // scatter that reads it: walked in `STAGE_BLOCK`s over one hash
-        // buffer the way `replay` walks them, every packet lands in the
-        // bucket of its `shard_of` target, in trace order, or counts as
-        // dropped. The lengths end inside a vector and on a ragged last
-        // block.
+        // The ingress-hash pass `replay` buckets by, portable and
+        // dispatched, walked in `STAGE_BLOCK`s over one buffer that only
+        // grows, the way `replay` walks the fleet's: every packet's hash
+        // picks its `shard_of` target. The lengths end inside a vector
+        // and on a ragged last block. Where the buckets then go — each
+        // member's packets in trace order, a `None` target dropped — is
+        // `tests/fleet_batch.rs`'s, against the per-packet fleet.
         use flymon_packet::SplitMix64;
         type Pass = fn(IngressHashes<'_>);
         let passes: [(&str, Pass); 2] =
@@ -729,27 +718,20 @@ mod tests {
         let trace: Vec<Packet> =
             (0..longest).map(|_| Packet::udp(rng.next_u32(), 1, 2, 3)).collect();
         for len in [0, 1, 7, 8, 9, STAGE_BLOCK - 1, STAGE_BLOCK, STAGE_BLOCK + 1, longest] {
-            let trace = &trace[..len];
-            for n in 1..=8 {
-                // Every third ingress has no target: its packets drop.
-                let targets: Vec<Option<usize>> = (0..n).map(|i| (i % 3 != 2).then_some(i)).collect();
-                let shards = shard_trace(trace, n);
-                let want_dropped: usize =
-                    shards.iter().zip(&targets).filter(|(_, t)| t.is_none()).map(|(s, _)| s.len()).sum();
-                for (name, pass) in passes {
-                    let case = format!("{name} len={len} n={n}");
-                    let mut hashes = [0; STAGE_BLOCK];
-                    let mut staging = vec![Vec::new(); n];
-                    let mut dropped = 0;
-                    for block in trace.chunks(STAGE_BLOCK) {
-                        dropped += stage(block, &targets, &mut staging, &mut hashes, pass);
+            for (name, pass) in passes {
+                let mut hashes = Vec::new();
+                for block in trace[..len].chunks(STAGE_BLOCK) {
+                    if hashes.len() < block.len() {
+                        hashes.resize(block.len(), 0);
                     }
-                    assert_eq!(dropped, want_dropped as u64, "{case}: dropped");
-                    for (i, (bucket, target)) in staging.iter().zip(&targets).enumerate() {
-                        let want: &[Packet] = if target.is_some() { &shards[i] } else { &[] };
-                        assert_eq!(bucket.as_slice(), want, "{case}: member {i}");
+                    pass(IngressHashes(block, &mut hashes[..block.len()]));
+                    for (p, &h) in block.iter().zip(&hashes) {
+                        for n in 1..=8 {
+                            assert_eq!(shard_of_hash(h, n), shard_of(p, n), "{name} len={len} n={n}");
+                        }
                     }
                 }
+                assert!(hashes.len() <= STAGE_BLOCK, "{name} len={len}: the buffer holds one block");
             }
         }
     }

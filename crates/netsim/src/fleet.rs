@@ -221,6 +221,8 @@ pub struct SwitchFleet {
     /// Per-switch staging buckets of [`SwitchFleet::process_trace`]
     /// (`datapath::replay`'s), reused across calls.
     staging: Vec<Vec<Packet>>,
+    /// `datapath::replay`'s ingress-hash buffer, grown to one block once.
+    hashes: Vec<u32>,
 }
 
 /// One controller→switch command of a reconfiguration sweep
@@ -289,6 +291,7 @@ impl SwitchFleet {
             rotations: 0,
             targets: Vec::with_capacity(n),
             staging: vec![Vec::new(); n],
+            hashes: Vec::new(),
         };
         if n > 0 {
             fleet.deploy_task(task)?;
@@ -1212,6 +1215,7 @@ impl SwitchFleet {
             &mut self.switches,
             &self.targets,
             &mut self.staging,
+            &mut self.hashes,
             trace,
             &mut self.represented,
         );

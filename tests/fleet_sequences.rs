@@ -410,6 +410,14 @@ fn run_fleet(script: &[Op], channel: Option<u64>) -> Result<(Coverage, Vec<Strin
             );
             let divergences = a.audit();
             check!(divergences.is_empty(), "step {i}: switch {s} audit: {divergences:?}");
+            // Every resolution, rollback and abort reframes its record.
+            for (side, sw) in [("", a), (" (twin)", b)] {
+                let frames = sw.wal().map_or(Ok(()), |wal| wal.verify_frames_after(0));
+                check!(
+                    !fleet.is_alive(s) || frames.is_ok(),
+                    "step {i}: switch {s}{side}'s WAL frame {frames:?} does not verify"
+                );
+            }
         }
         check!(ledger.balanced(), "step {i}: the ledger does not balance: {ledger:?}");
 
